@@ -1,7 +1,7 @@
 """Stochastic configuration machines with binary weights, binary input
 encodings, and a bit-exact emulation of the hardware datapath."""
 
-from .bits import BitVec
+from .bits import BitMatrix, BitVec
 from .datasets import (
     Dataset,
     db1_function,

@@ -1,17 +1,35 @@
-"""Packed bit vectors.
+"""Packed bit vectors and bit matrices.
 
-A BitVec stores `n` bits in a single Python integer (bit i of the integer is
-bit i of the vector), which keeps XNOR/AND/popcount one machine operation per
-word via the int bitwise ops and int.bit_count(). Bits hold {0,1} but usually
-stand for {-1,+1} signals: bit 0 means -1 and bit 1 means +1. Helpers convert
-between the packed form, {0,1} arrays, and {-1,+1} arrays.
+Bits hold {0,1} but usually stand for {-1,+1} signals: bit 0 means -1 and
+bit 1 means +1. There are two packed forms:
+
+* BitMatrix, the batch form: N rows of `n` bits in an (N, W) matrix of
+  little-endian uint64 words, W = ceil(n / 64). Bit j of row i is bit
+  j % 64 of words[i, j // 64], so bit 0 is input 0, the order of the model
+  file's weight rows; pad bits past `n` are zero. Encoded samples travel in
+  this form, and every batch path (signals_pm1, predict_float_batch,
+  predict_fpga_batch, evaluate_bits) consumes it.
+* BitVec, the scalar form: one row of `n` bits in a Python integer (bit i of
+  the integer is bit i of the vector). Indexing a BitMatrix row gives one.
+  The per-sample functions that serve as test oracles for the batch paths
+  (predict_fpga, xnor_count, ones_count_dot, ...) take BitVecs, as do node
+  weights.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import operator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+WORD_BITS = 64
+WORD = np.dtype("<u8")  # one little-endian 64-bit word
+
+
+def n_words(n: int) -> int:
+    """Words per row of `n` bits."""
+    return -(-n // WORD_BITS)
 
 
 class BitVec:
@@ -119,3 +137,71 @@ class BitVec:
     @classmethod
     def from_word_bytes(cls, n: int, data: bytes) -> "BitVec":
         return cls(n, int.from_bytes(data, "little"))
+
+
+class BitMatrix:
+    """A batch of `n`-bit rows packed into an (N, W) little-endian uint64 matrix.
+
+    See the module docstring for the layout. len() is the row count;
+    m[i] is row i as a BitVec, m[a:b] a BitMatrix of those rows.
+    """
+
+    __slots__ = ("words", "n")
+
+    def __init__(self, words: np.ndarray, n: int):
+        words = np.asarray(words, dtype=WORD)
+        if n < 0 or words.ndim != 2 or words.shape[1] != n_words(n):
+            raise ValueError(f"words of shape {words.shape} do not hold {n}-bit rows")
+        if n % WORD_BITS and words.size and np.any(words[:, -1] >> np.uint64(n % WORD_BITS)):
+            raise ValueError("pad bits past the row width must be zero")
+        self.words = words
+        self.n = n
+
+    @classmethod
+    def from01(cls, bits01: np.ndarray) -> "BitMatrix":
+        """Pack an (N, n) array of truth values; column j becomes bit j.
+
+        A nonzero entry is a 1 bit.
+        """
+        a = np.asarray(bits01)
+        if a.ndim != 2:
+            raise ValueError("from01 expects an (N, n) array")
+        n_rows, n = a.shape
+        out = np.zeros((n_rows, 8 * n_words(n)), dtype=np.uint8)
+        packed = np.packbits(a, axis=1, bitorder="little")
+        out[:, : packed.shape[1]] = packed
+        return cls(out.view(WORD), n)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[BitVec], n: int | None = None) -> "BitMatrix":
+        """Pack BitVecs of one width (`n`, default the first row's, else 0)."""
+        if n is None:
+            n = rows[0].n if len(rows) else 0
+        if any(r.n != n for r in rows):
+            raise ValueError(f"every row must be {n} bits wide")
+        word_bytes = 8 * n_words(n)
+        data = bytearray().join(r.value.to_bytes(word_bytes, "little") for r in rows)
+        return cls(np.frombuffer(data, dtype=WORD).reshape(len(rows), n_words(n)), n)
+
+    def to01(self) -> np.ndarray:
+        """(N, n) uint8 matrix of the bits."""
+        return np.unpackbits(
+            self.words.view(np.uint8), axis=1, count=self.n, bitorder="little"
+        )
+
+    def __len__(self) -> int:
+        return self.words.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return BitMatrix(self.words[key], self.n)
+        row = self.words[operator.index(key)]
+        return BitVec(self.n, int.from_bytes(row.tobytes(), "little"))
+
+    def __iter__(self) -> Iterator[BitVec]:
+        return (self[i] for i in range(len(self)))
+
+
+def as_bit_matrix(bits: BitMatrix | Sequence[BitVec], n: int | None = None) -> BitMatrix:
+    """`bits` itself if it is a BitMatrix, else its rows packed once."""
+    return bits if isinstance(bits, BitMatrix) else BitMatrix.from_rows(bits, n)

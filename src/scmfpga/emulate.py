@@ -6,6 +6,12 @@ scale is a left shift, and the output path sums raw Q7.25 integers in a wide
 accumulator that saturates once at the end. Given the same model file, the
 reference float path and this emulation produce identical activation bits;
 outputs differ only by the stored-parameter rounding.
+
+predict_fpga_batch is the batch path: it runs the datapath vectorized over a
+BitMatrix, whose rows are (W,) little-endian uint64 words with bit 0 =
+input 0 and zero pad bits (see bits.py), in blocks of BLOCK_ROWS rows.
+predict_fpga, node_forward_fpga, xnor_count and ones_count_dot work on one
+BitVec at a time in plain integer arithmetic and serve as its test oracles.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitVec
-from .mechanism import mech_eval_fpga
-from .model import Activation, InDomain, ScmModel, ScmNode, feed_domain
+from .bits import BitMatrix, BitVec, as_bit_matrix
+from .mechanism import mech_eval_fpga, mech_wide_fpga
+from .model import Activation, InDomain, ScmLayer, ScmModel, ScmNode, feed_domain
 
 
 def xnor_count(a: BitVec, b: BitVec) -> int:
@@ -72,7 +78,7 @@ def node_forward_fpga(
         if bit:
             contrib = node.beta_raw
         else:
-            contrib = np.array([fx.fx_neg(int(v)) for v in node.beta_raw], dtype=np.int32)
+            contrib = fx.fx_neg_array(node.beta_raw)
     return bit, contrib
 
 
@@ -100,11 +106,93 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
     return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
 
 
-def predict_fpga_batch(model: ScmModel, bits: Sequence[BitVec]) -> np.ndarray:
-    """Emulated prediction over a batch; returns an (N, m) int32 raw matrix."""
-    return np.stack([predict_fpga(model, b) for b in bits]) if bits else np.zeros(
-        (0, model.n_outputs), dtype=np.int32
-    )
+# rows per block of predict_fpga_batch: bounds its (rows, nodes, words)
+# temporaries, so memory does not grow with the batch
+BLOCK_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class _PackedLayer:
+    """One hidden layer in the form predict_fpga_batch computes with."""
+
+    w: BitMatrix  # one row of weight bits per node
+    domain: InDomain  # what the layer's input bits stand for
+    shift: np.ndarray  # (K,) int64: scale code + FRAC_BITS
+    bias: np.ndarray  # (K,) int64 raw biases
+    on: np.ndarray  # (K, m) contribution of a node whose bit is set
+    off: np.ndarray  # (K, m) contribution of a node whose bit is clear
+
+    @classmethod
+    def of(cls, layer: ScmLayer, domain: InDomain) -> "_PackedLayer":
+        nodes = layer.nodes
+        on = np.stack([nd.beta_raw for nd in nodes])
+        off = np.zeros_like(on) if layer.activation == Activation.SIGN else fx.fx_neg_array(on)
+        return cls(
+            w=BitMatrix.from_rows([nd.w for nd in nodes]),
+            domain=domain,
+            shift=np.array([nd.shift + fx.FRAC_BITS for nd in nodes], dtype=np.int64),
+            bias=np.array([nd.bias_raw for nd in nodes], dtype=np.int64),
+            on=on,
+            off=off,
+        )
+
+    def forward(self, x: BitMatrix) -> np.ndarray:
+        """(B, K) threshold bits of the nodes on a block of B input rows."""
+        count = lambda a: np.bitwise_count(a).sum(axis=-1, dtype=np.int64)  # noqa: E731
+        words = x.words[:, None, :]
+        if self.domain == InDomain.PM1:
+            # XNOR-count: agreements minus disagreements
+            dot = self.w.n - 2 * count(words ^ self.w.words)
+        else:
+            # set inputs count +1 under a set weight bit and -1 under a clear one
+            dot = 2 * count(words & self.w.words) - count(x.words)[:, None]
+        return (dot << self.shift) + self.bias > 0
+
+
+def predict_fpga_batch(
+    model: ScmModel,
+    bits: BitMatrix | Sequence[BitVec],
+    saturated: np.ndarray | None = None,
+) -> np.ndarray:
+    """Emulated prediction over a batch; returns an (N, m) int32 raw matrix.
+
+    Row for row equal to predict_fpga; a list of BitVecs is packed once.
+    Per block of BLOCK_ROWS rows: the mechanism sum, saturated to Q7.25 as
+    mech_eval_fpga returns it; then per layer the XNOR- or AND-popcount dot
+    products, the shift, the bias and the strict threshold. The threshold
+    bits select each node's readout or its clear-bit value (0 for SIGN, the
+    readout's fx_neg for STEP), summed exactly in int64, and are packed as
+    the next layer's input. The sum saturates at the end.
+
+    If `saturated`, an (m,) integer array, is given, the number of rows whose
+    output was clamped (the mechanism sum or the final sum) is added to it
+    per output.
+    """
+    bits = as_bit_matrix(bits, model.d_enc)
+    if bits.n != model.d_enc:
+        raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
+    model.validate()
+    layers = []
+    domain = InDomain.PM1
+    for layer in model.layers:
+        layers.append(_PackedLayer.of(layer, domain))
+        domain = feed_domain(layer.activation)
+
+    out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
+    for start in range(0, len(bits), BLOCK_ROWS):
+        x = bits[start : start + BLOCK_ROWS]
+        wide = mech_wide_fpga(x.to01(), model.mechanism)
+        acc = np.clip(wide, fx.RAW_MIN, fx.RAW_MAX)
+        clamped = acc != wide
+        for packed in layers:
+            fired = packed.forward(x)
+            acc += fx.conditional_sum(fired, packed.on, packed.off)
+            x = BitMatrix.from01(fired)
+        final = fx.saturate_array(acc)
+        out[start : start + BLOCK_ROWS] = final
+        if saturated is not None:
+            saturated += np.count_nonzero(clamped | (final != acc), axis=0)
+    return out
 
 
 # -- cycle model ---------------------------------------------------------

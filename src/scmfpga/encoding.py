@@ -26,7 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .bits import BitVec
+from .bits import BitMatrix, BitVec
 from .errors import DataError
 
 
@@ -207,12 +207,14 @@ def encode_scheme2(x: float, variant: str) -> BitVec:
     return _pack_fields(fields)
 
 
-def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[list[BitVec], int]:
-    """Encode an (N, d) matrix row-wise; features concatenate in order.
+def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
+    """Encode an (N, d) matrix row-wise into (rows, d_enc); features concatenate in order.
 
-    Values marginally outside [0, 1] (normalization drift on test rows) are
-    clamped with a single warning carrying the clamp count; non-finite values
-    raise DataError with their position.
+    Each distinct value is encoded once (real data repeats heavily after
+    rounding); the codes are gathered into rows and packed, with no loop
+    over rows. Values marginally outside [0, 1] (normalization drift on test
+    rows) are clamped with a single warning carrying the clamp count;
+    non-finite values raise DataError with their position.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
@@ -233,23 +235,18 @@ def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[list[BitVec], int]
 
     n, d = arr.shape
     width = spec.bits_per_input
-    d_enc = d * width
-    # memoize per distinct value: real data has heavy repetition after rounding
-    cache: dict[float, int] = {}
-    rows: list[BitVec] = []
-    for i in range(n):
-        v = 0
-        pos = 0
-        for j in range(d):
-            xv = float(arr[i, j])
-            enc = cache.get(xv)
-            if enc is None:
-                try:
-                    enc = spec.encode_value(xv).value
-                except ValueError as exc:
-                    raise DataError(f"row {i}, column {j}: {exc}") from exc
-                cache[xv] = enc
-            v |= enc << pos
-            pos += width
-        rows.append(BitVec(d_enc, v))
-    return rows, d_enc
+    values, inverse = np.unique(arr.ravel(), return_inverse=True)
+    code_bytes = -(-width // 8)
+    codes = bytearray()
+    for v in values:
+        try:
+            codes += spec.encode_value(float(v)).value.to_bytes(code_bytes, "little")
+        except ValueError as exc:
+            r, c = np.argwhere(arr == v)[0]
+            raise DataError(f"row {r}, column {c}: {exc}") from exc
+    code_bits = np.unpackbits(
+        np.frombuffer(codes, dtype=np.uint8).reshape(len(values), code_bytes),
+        axis=1, count=width, bitorder="little",
+    )
+    # (N*d, width) codes in row-major order are the (N, d*width) rows
+    return BitMatrix.from01(code_bits[inverse].reshape(n, d * width)), d * width

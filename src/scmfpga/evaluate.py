@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitVec
+from .bits import BitMatrix, BitVec, as_bit_matrix
 from .emulate import predict_fpga_batch
 from .model import ScmModel, predict_float_batch
 
@@ -26,6 +26,7 @@ class EvalReport:
     rmse_fpga: float | None = None
     outputs_pc: np.ndarray | None = None  # (N, m) float64
     outputs_fpga_raw: np.ndarray | None = None  # (N, m) int32
+    saturated: np.ndarray | None = None  # (m,) emulated rows clamped to Q7.25, per output
 
     @property
     def outputs_fpga(self) -> np.ndarray | None:
@@ -55,19 +56,24 @@ def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
 
 
 def evaluate_bits(
-    model: ScmModel, bits: Sequence[BitVec], y: np.ndarray, mode: str = "both"
+    model: ScmModel,
+    bits: BitMatrix | Sequence[BitVec],
+    y: np.ndarray,
+    mode: str = "both",
 ) -> EvalReport:
     """Evaluate encoded samples against targets in the requested mode(s)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    bits = as_bit_matrix(bits, model.d_enc)
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape[0] != len(bits):
         raise ValueError("target row count does not match the sample count")
     rep = EvalReport(n_samples=len(bits))
     if mode in ("pc", "both"):
-        rep.outputs_pc = predict_float_batch(model, list(bits))
+        rep.outputs_pc = predict_float_batch(model, bits)
         rep.rmse_pc = _rmse(rep.outputs_pc, y)
     if mode in ("fpga", "both"):
-        rep.outputs_fpga_raw = predict_fpga_batch(model, list(bits))
+        rep.saturated = np.zeros(model.n_outputs, dtype=np.int64)
+        rep.outputs_fpga_raw = predict_fpga_batch(model, bits, rep.saturated)
         rep.rmse_fpga = _rmse(rep.outputs_fpga, y)
     return rep

@@ -63,6 +63,24 @@ def fx_neg(raw: int) -> int:
     return -raw
 
 
+def fx_neg_array(raw: np.ndarray) -> np.ndarray:
+    """Vectorized fx_neg over raw Q7.25 values; returns int32."""
+    wide = np.asarray(raw, dtype=np.int64)
+    return np.where(wide == RAW_MIN, RAW_MAX, -wide).astype(np.int32)
+
+
+def conditional_sum(select: np.ndarray, on: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per row of an (N, K) 0/1 `select`, the sum over k of on[k] or off[k].
+
+    Row i adds on[k] where select[i, k] is set and off[k] where it is clear;
+    `on` and `off` are (K, m) raw values. The result is (N, m) int64 and
+    exact: it is off's column sum plus the integer product select @ (on - off).
+    """
+    on = np.asarray(on, dtype=np.int64)
+    off = np.asarray(off, dtype=np.int64)
+    return off.sum(axis=0) + np.asarray(select, dtype=np.int64) @ (on - off)
+
+
 def quantize_array(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized fx_from_real over an array.
 
@@ -89,6 +107,11 @@ def saturate_to_fx(acc: int) -> int:
     if acc < RAW_MIN:
         return RAW_MIN
     return int(acc)
+
+
+def saturate_array(acc: np.ndarray) -> np.ndarray:
+    """Vectorized saturate_to_fx over WideAcc values; returns int32."""
+    return np.clip(acc, RAW_MIN, RAW_MAX).astype(np.int32)
 
 
 def fx_to_decimal_string(raw: int) -> str:

@@ -5,6 +5,7 @@ by training and the reference ("PC") evaluation path, and raw Q7.25 integers
 used by the emulated datapath. The emulated evaluation adds the stored weight
 when the input bit is 1 and its two's complement when the bit is 0, then adds
 the intercept, all in the wide accumulator, saturating once at the end.
+mech_wide_fpga does this for a batch; mech_eval_fpga is its one-sample form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitVec
+from .bits import BitMatrix, BitVec, as_bit_matrix
 from .linalg import lasso_fit
 
 SOURCE_LASSO = "lasso"
@@ -64,19 +65,20 @@ class MechanismModel:
         return cls.from_real(np.zeros((d_enc, m)), np.zeros(m), SOURCE_EXTERNAL)
 
 
-def signals_pm1(bits: Sequence[BitVec]) -> np.ndarray:
-    """Stack bit vectors into an (N, d_enc) float64 matrix of -1/+1."""
-    if not bits:
-        return np.zeros((0, 0))
-    return np.stack([b.to_pm1() for b in bits]).astype(np.float64)
+def signals_pm1(bits: BitMatrix | Sequence[BitVec]) -> np.ndarray:
+    """The (N, d_enc) float64 -1/+1 matrix of encoded rows."""
+    s = as_bit_matrix(bits).to01().astype(np.float64)
+    s *= 2.0
+    s -= 1.0
+    return s
 
 
 def fit_mechanism(
-    bits: Sequence[BitVec] | np.ndarray, y: np.ndarray, alpha: float
+    bits: BitMatrix | Sequence[BitVec] | np.ndarray, y: np.ndarray, alpha: float
 ) -> MechanismModel:
     """L1-fit the linear term on the +-1 view of encoded inputs.
 
-    `bits` may be the encoded vectors or an already-built (N, d_enc) +-1
+    `bits` may be the encoded rows or an already-built (N, d_enc) +-1
     matrix. Intercepts are the target column means.
     """
     s = bits if isinstance(bits, np.ndarray) else signals_pm1(bits)
@@ -103,27 +105,21 @@ def mech_eval_float_batch(s: np.ndarray, mech: MechanismModel) -> np.ndarray:
     return s @ mech.weights + mech.intercepts
 
 
-def mech_eval_fpga(x_bits: BitVec, mech: MechanismModel) -> np.ndarray:
-    """Emulated evaluation; returns raw Q7.25 values, one per output.
+def mech_wide_fpga(x01: np.ndarray, mech: MechanismModel) -> np.ndarray:
+    """Emulated sums on an (N, d_enc) 0/1 matrix, before saturation; (N, m) int64.
 
-    Adds the raw weight for set bits and its two's complement for clear bits,
-    then the intercept, in input index order; saturates once at the end.
+    Adds the raw weight for set bits and its two's complement (fx_neg) for
+    clear bits, then the intercept, exactly in the wide accumulator.
+    """
+    w = mech.weights_raw
+    return fx.conditional_sum(x01, w, fx.fx_neg_array(w)) + mech.intercepts_raw
+
+
+def mech_eval_fpga(x_bits: BitVec, mech: MechanismModel) -> np.ndarray:
+    """Emulated evaluation of one sample; returns raw Q7.25 values, one per output.
+
+    The sum of mech_wide_fpga, saturated once at the end.
     """
     if x_bits.n != mech.d_enc:
         raise ValueError(f"input width {x_bits.n} != mechanism width {mech.d_enc}")
-    if np.any(mech.weights_raw == fx.RAW_MIN):
-        # negation saturates at the minimum raw, so take the scalar path
-        out = np.zeros(mech.n_outputs, dtype=np.int64)
-        for q in range(mech.n_outputs):
-            col = mech.weights_raw[:, q]
-            acc = 0
-            for i in range(mech.d_enc):
-                w = int(col[i])
-                acc += w if x_bits.get(i) else fx.fx_neg(w)
-            acc += int(mech.intercepts_raw[q])
-            out[q] = fx.saturate_to_fx(acc)
-        return out.astype(np.int32)
-    # otherwise the conditional negation is exactly a +-1 dot product
-    s = x_bits.to_pm1().astype(np.int64)
-    acc = s @ mech.weights_raw.astype(np.int64) + mech.intercepts_raw.astype(np.int64)
-    return np.array([fx.saturate_to_fx(int(a)) for a in acc], dtype=np.int32)
+    return fx.saturate_array(mech_wide_fpga(x_bits.to01()[None, :], mech)[0])

@@ -152,7 +152,8 @@ def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
 def predict_float_batch(model: ScmModel, bits_or_signals) -> np.ndarray:
     """Reference full-precision prediction for a batch; returns (N, m).
 
-    Accepts a list of encoded BitVecs or a prebuilt (N, d_enc) +-1 matrix.
+    Accepts encoded rows (a BitMatrix, or a list of BitVecs) or a prebuilt
+    (N, d_enc) +-1 matrix.
     """
     s = (
         bits_or_signals

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitVec
+from .bits import BitMatrix, BitVec, as_bit_matrix
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
 from .linalg import least_squares
@@ -96,14 +96,18 @@ class TrainConfig:
 
 @dataclass
 class TrainData:
-    bits_train: list[BitVec]
+    """Encoded training and validation rows (a list of BitVecs is packed once)."""
+
+    bits_train: BitMatrix
     y_train: np.ndarray  # (N, m)
-    bits_val: list[BitVec]
+    bits_val: BitMatrix
     y_val: np.ndarray  # (K, m)
     encoding: EncodingSpec
     n_features: int
 
     def __post_init__(self):
+        self.bits_train = as_bit_matrix(self.bits_train)
+        self.bits_val = as_bit_matrix(self.bits_val)
         self.y_train = np.atleast_2d(np.asarray(self.y_train, dtype=np.float64))
         self.y_val = np.atleast_2d(np.asarray(self.y_val, dtype=np.float64))
         if self.y_train.shape[0] != len(self.bits_train):
@@ -113,7 +117,7 @@ class TrainData:
         if len(self.bits_train) < 1 or len(self.bits_val) < 1:
             raise ValueError("need at least 1 training and 1 validation sample")
         d_enc = self.n_features * self.encoding.bits_per_input
-        for b in list(self.bits_train[:1]) + list(self.bits_val[:1]):
+        for b in (self.bits_train, self.bits_val):
             if b.n != d_enc:
                 raise ValueError(f"encoded width {b.n} != expected {d_enc}")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scmfpga.bits import BitVec
+from scmfpga.bits import BitMatrix, BitVec
 
 
 def test_from_string_and_back():
@@ -75,3 +75,55 @@ def test_roundtrip_property(bits):
     assert v.n == len(bits)
     assert list(v.to01()) == bits
     assert v.popcount() == sum(bits)
+
+
+# -- BitMatrix -------------------------------------------------------------
+
+
+def _rows(n, count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [BitVec.from01(rng.integers(0, 2, size=n)) for _ in range(count)]
+
+
+def test_bit_matrix_layout_is_the_model_file_word_order():
+    rows = _rows(130, 4)
+    m = BitMatrix.from_rows(rows)
+    assert m.words.shape == (4, 3) and m.words.dtype == np.dtype("<u8")
+    for i, r in enumerate(rows):
+        assert m.words[i].tobytes() == r.to_word_bytes()
+
+
+def test_bit_matrix_indexing_keeps_the_row_api():
+    rows = _rows(70, 6)
+    m = BitMatrix.from_rows(rows)
+    assert len(m) == 6
+    assert m[2] == rows[2] and m[-1] == rows[-1]
+    assert list(m) == rows
+    part = m[1:5:2]
+    assert isinstance(part, BitMatrix) and part.n == 70
+    assert list(part) == rows[1:5:2]
+
+
+def test_bit_matrix_empty_rows():
+    assert len(BitMatrix.from_rows([])) == 0
+    m = BitMatrix.from_rows([], 70)
+    assert m.words.shape == (0, 2) and m.to01().shape == (0, 70)
+
+
+def test_bit_matrix_rejects_bad_shapes_and_pad_bits():
+    with pytest.raises(ValueError):
+        BitMatrix.from_rows([BitVec(3), BitVec(4)])
+    with pytest.raises(ValueError):
+        BitMatrix(np.zeros((2, 1), dtype=np.uint64), 65)
+    with pytest.raises(ValueError):
+        BitMatrix(np.array([[1 << 5]], dtype=np.uint64), 5)
+
+
+@given(st.integers(0, 200), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_bit_matrix_from01_matches_rows(n, count, seed):
+    rows = _rows(n, count, seed)
+    a01 = np.array([r.to01() for r in rows], dtype=np.uint8).reshape(count, n)
+    m = BitMatrix.from01(a01)
+    assert np.array_equal(m.words, BitMatrix.from_rows(rows, n).words)
+    assert np.array_equal(m.to01(), a01)
+    assert list(m) == rows

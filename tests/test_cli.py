@@ -2,8 +2,16 @@ import json
 
 import pytest
 
+import numpy as np
+
 from scmfpga import cli
-from scmfpga.modelfile import load_model
+from scmfpga import fixedpoint as fx
+from scmfpga.bits import BitVec
+from scmfpga.datasets import load_dataset
+from scmfpga.encoding import parse_encoding
+from scmfpga.mechanism import external_mechanism
+from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode
+from scmfpga.modelfile import load_model, save_model
 
 
 def run(*argv):
@@ -131,6 +139,27 @@ def test_eval_loads_the_model_once(monkeypatch, db1_files):
     monkeypatch.setattr(cli, "load_model", counting)
     assert run("eval", str(model), str(data), "--mode", "both") == 0
     assert len(calls) == 1
+
+
+def test_eval_prints_output_saturation(capsys, db1_files, tmp_path):
+    _, data, model = db1_files
+    assert run("eval", str(model), str(data), "--mode", "fpga") == 0
+    assert "saturated=" not in capsys.readouterr().out
+    # two SIGN nodes with readouts at RAW_MAX fire on every row whose one
+    # density bit is set (normalized x >= 0.5), so those rows clamp
+    beta_raw = np.array([fx.RAW_MAX], dtype=np.int32)
+    node = ScmNode(BitVec.from_pm1([1]), 0, 0.0, 0, fx.dequantize_array(beta_raw), beta_raw)
+    sat = ScmModel(
+        parse_encoding("density:1"), external_mechanism(np.zeros((1, 1)), np.zeros(1)),
+        [ScmLayer(Activation.SIGN, [node, node])], 1,
+    )
+    path = tmp_path / "sat.scm"
+    save_model(sat, path)
+    assert run("eval", str(path), str(data), "--mode", "fpga") == 0
+    ds = load_dataset(data)
+    expected = int(np.count_nonzero(ds.x_norm(ds.rows("test"))[:, 0] >= 0.5))
+    assert expected > 0
+    assert f"saturated={expected}" in capsys.readouterr().out.splitlines()
 
 
 def test_eval_empty_selection_errors(db1_files, tmp_path):

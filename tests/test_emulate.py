@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from scmfpga import emulate
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitVec
+from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.emulate import (
+    BLOCK_ROWS,
     CycleCosts,
     cycle_estimate,
     memory_report,
     node_forward_fpga,
     ones_count_dot,
     predict_fpga,
+    predict_fpga_batch,
     xnor_count,
 )
 from scmfpga.encoding import parse_encoding
-from scmfpga.mechanism import external_mechanism, mech_eval_fpga
+from scmfpga.evaluate import evaluate_bits
+from scmfpga.mechanism import MechanismModel, external_mechanism, mech_eval_fpga
 from scmfpga.model import Activation, InDomain, ScmLayer, ScmModel, ScmNode
 
 
@@ -205,6 +210,166 @@ def test_predict_fpga_saturates_output():
     )
     out = predict_fpga(model, BitVec.from_pm1([1, 1]))
     assert out[0] == fx.RAW_MAX  # 63 + 50 clamps at the format maximum
+
+
+# -- batch emulator against the scalar oracle ---------------------------------
+
+# raw parameter values: mostly moderate, with the Q7.25 extremes mixed in
+EXTREMES = np.array([fx.RAW_MIN, fx.RAW_MAX], dtype=np.int64)
+
+
+def _raw(rng, size, extreme):
+    raw = rng.integers(-(1 << 27), 1 << 27, size=size)
+    return np.where(rng.random(size) < extreme, rng.choice(EXTREMES, size=size), raw).astype(
+        np.int32
+    )
+
+
+def _random_model(rng, d_enc, acts, sizes, m, extreme):
+    w_raw = _raw(rng, (d_enc, m), extreme)
+    u_raw = _raw(rng, m, extreme)
+    mech = MechanismModel(
+        fx.dequantize_array(w_raw), fx.dequantize_array(u_raw), w_raw, u_raw
+    )
+    layers = []
+    fan_in = d_enc
+    for act, size in zip(acts, sizes):
+        nodes = []
+        for _ in range(size):
+            shift = int(rng.integers(0, 8))
+            # around the dot product's range at this scale, so bits vary; half
+            # the biases are whole multiples of the scale, so some pre-activations
+            # are exactly zero and test the strict threshold
+            if rng.random() < 0.5:
+                bias_raw = int(fx.quantize_array(rng.uniform(-1, 1) * fan_in * (1 << shift))[0])
+            else:
+                bias_raw = fx.saturate_to_fx(int(rng.integers(-fan_in, fan_in + 1)) << (shift + 25))
+            beta_raw = _raw(rng, m, extreme)
+            nodes.append(
+                ScmNode(
+                    w=BitVec.from01(rng.integers(0, 2, size=fan_in)),
+                    shift=shift,
+                    bias=fx.fx_to_real(bias_raw),
+                    bias_raw=bias_raw,
+                    beta=fx.dequantize_array(beta_raw),
+                    beta_raw=beta_raw,
+                )
+            )
+        layers.append(ScmLayer(act, nodes))
+        fan_in = size
+    model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, layers, m)
+    model.validate()
+    return model
+
+
+@st.composite
+def random_models(draw, max_layers=4, max_width=150, max_nodes=70):
+    n_layers = draw(st.integers(0, max_layers))
+    return _random_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        d_enc=draw(st.integers(1, max_width)),
+        acts=draw(st.lists(st.sampled_from(Activation), min_size=n_layers, max_size=n_layers)),
+        sizes=draw(st.lists(st.integers(1, max_nodes), min_size=n_layers, max_size=n_layers)),
+        m=draw(st.integers(1, 3)),
+        extreme=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+    )
+
+
+def _check_batch_against_scalar(model, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    rows = [BitVec.from01(rng.integers(0, 2, size=model.d_enc)) for _ in range(n_rows)]
+    out = predict_fpga_batch(model, BitMatrix.from_rows(rows, model.d_enc))
+    assert out.dtype == np.int32 and out.shape == (n_rows, model.n_outputs)
+    for i, row in enumerate(rows):
+        assert np.array_equal(out[i], predict_fpga(model, row))
+    # a list of BitVecs is packed once and gives the same answer
+    assert np.array_equal(predict_fpga_batch(model, rows), out)
+
+
+@settings(max_examples=60)
+@given(random_models(), st.sampled_from([0, 1, 9]), st.integers(0, 2**32 - 1))
+def test_batch_matches_scalar_emulator(model, n_rows, seed):
+    _check_batch_against_scalar(model, n_rows, seed)
+
+
+@settings(max_examples=3)
+@given(random_models(max_layers=2, max_width=70, max_nodes=8), st.integers(0, 2**32 - 1))
+def test_batch_matches_scalar_emulator_past_a_block(model, seed):
+    _check_batch_against_scalar(model, BLOCK_ROWS + 1, seed)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 150), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_mech_eval_fpga_matches_integer_loop(d_enc, m, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, d_enc, (), (), m, extreme=0.5)
+    mech = model.mechanism
+    x = BitVec.from01(rng.integers(0, 2, size=d_enc))
+    for q in range(m):
+        acc = int(mech.intercepts_raw[q])
+        for i in range(d_enc):
+            w = int(mech.weights_raw[i, q])
+            acc += w if x.get(i) else fx.fx_neg(w)
+        assert mech_eval_fpga(x, mech)[q] == fx.saturate_to_fx(acc)
+
+
+def test_batch_does_not_call_the_scalar_emulator(monkeypatch):
+    model = _deep_model((Activation.STEP, Activation.SIGN))
+    rows = BitMatrix.from01(np.random.default_rng(5).integers(0, 2, size=(20, model.d_enc)))
+    expected = np.stack([predict_fpga(model, r) for r in rows])
+
+    def forbidden(*args):
+        raise AssertionError("predict_fpga called from the batch path")
+
+    monkeypatch.setattr(emulate, "predict_fpga", forbidden)
+    monkeypatch.setattr(emulate, "node_forward_fpga", forbidden)
+    assert np.array_equal(predict_fpga_batch(model, rows), expected)
+
+
+def test_batch_rejects_wrong_width():
+    model = _deep_model((Activation.STEP, Activation.STEP))
+    with pytest.raises(ValueError):
+        predict_fpga_batch(model, BitMatrix.from01(np.zeros((2, model.d_enc + 1), dtype=np.uint8)))
+
+
+def _saturating_model(m_betas):
+    """Two SIGN nodes on one input bit that fire exactly when it is set.
+
+    Together they add 2 * beta, so a readout at RAW_MAX or RAW_MIN drives
+    the sum past the Q7.25 range on exactly the rows whose bit is set.
+    """
+    betas = np.array(m_betas, dtype=np.int32)
+    m = betas.size
+    mech = external_mechanism(np.zeros((1, m)), np.zeros(m))
+    node = ScmNode(
+        w=BitVec.from_pm1([1]), shift=0, bias=0.0, bias_raw=0,
+        beta=fx.dequantize_array(betas), beta_raw=betas,
+    )
+    layer = ScmLayer(Activation.SIGN, [node, node])
+    return ScmModel(parse_encoding("density:1"), mech, [layer], m)
+
+
+def test_saturation_counted_per_output():
+    model = _saturating_model([fx.RAW_MAX, fx.RAW_MIN, 1 << 20])
+    rows = BitMatrix.from01(np.array([[1], [0], [1], [1], [0]]))
+    y = np.zeros((5, 3))
+    rep = evaluate_bits(model, rows, y, "fpga")
+    assert rep.saturated.tolist() == [3, 3, 0]
+    assert rep.outputs_fpga_raw[:, 0].tolist() == [fx.RAW_MAX, 0, fx.RAW_MAX, fx.RAW_MAX, 0]
+    assert rep.outputs_fpga_raw[:, 1].tolist() == [fx.RAW_MIN, 0, fx.RAW_MIN, fx.RAW_MIN, 0]
+    assert evaluate_bits(model, rows, y, "pc").saturated is None
+
+
+def test_mechanism_saturation_is_counted():
+    # the mechanism sum clamps before any node adds to it, as in predict_fpga
+    w_raw = np.full((2, 1), fx.RAW_MAX, dtype=np.int32)
+    mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1), w_raw, np.zeros(1, np.int32))
+    model = ScmModel(parse_encoding("density:2"), mech, [], 1)
+    rows = BitMatrix.from01(np.array([[1, 1], [1, 0], [0, 0]]))
+    saturated = np.zeros(1, dtype=np.int64)
+    out = predict_fpga_batch(model, rows, saturated)
+    assert out[:, 0].tolist() == [fx.RAW_MAX, 0, fx.RAW_MIN]
+    assert saturated.tolist() == [2]
 
 
 # -- cycle model ----------------------------------------------------------

@@ -14,6 +14,7 @@ from scmfpga.encoding import (
     encode_scheme2,
     parse_encoding,
 )
+from scmfpga.bits import BitVec
 from scmfpga.errors import DataError
 
 UNARY_FIELD = re.compile(r"^0*1*$")
@@ -254,3 +255,23 @@ def test_monotone_ones_within_place():
             lo4 = encode_scheme2(k / 100, "V1")
             hi4 = encode_scheme2(j / 100, "V1")
             assert hi4.popcount() >= lo4.popcount()
+
+
+specs = st.one_of(
+    st.integers(1, 255).map(lambda n: EncodingSpec(EncodingKind.DENSITY, n)),
+    st.integers(1, 8).map(lambda u: EncodingSpec(EncodingKind.SCHEME1, u)),
+    st.sampled_from([EncodingSpec(EncodingKind.SCHEME2_V1), EncodingSpec(EncodingKind.SCHEME2_V2)]),
+)
+
+
+@given(specs, st.lists(unit_floats, min_size=1, max_size=6), st.data())
+def test_encode_matrix_rows_match_encode_value(spec, pool, data):
+    # values drawn from a small pool repeat, as rounded real data does
+    n_rows = data.draw(st.integers(0, 5))
+    d = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * d, max_size=n_rows * d))
+    x = np.array(cells, dtype=np.float64).reshape(n_rows, d)
+    bits, d_enc = encode_matrix(x, spec)
+    assert d_enc == d * spec.bits_per_input and len(bits) == n_rows
+    for i in range(n_rows):
+        assert bits[i] == BitVec.join([spec.encode_value(v) for v in x[i]])

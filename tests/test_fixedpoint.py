@@ -77,6 +77,42 @@ def test_saturate_to_fx():
     assert fx.saturate_to_fx(42) == 42
 
 
+raw_values = st.one_of(
+    st.sampled_from([fx.RAW_MIN, fx.RAW_MIN + 1, -1, 0, 1, fx.RAW_MAX]),
+    st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX),
+)
+
+
+@given(st.lists(raw_values, max_size=20))
+def test_neg_array_matches_scalar(raws):
+    out = fx.fx_neg_array(np.array(raws, dtype=np.int32))
+    assert out.dtype == np.int32
+    assert out.tolist() == [fx.fx_neg(r) for r in raws]
+
+
+@given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=20))
+def test_saturate_array_matches_scalar(accs):
+    out = fx.saturate_array(np.array(accs, dtype=np.int64))
+    assert out.dtype == np.int32
+    assert out.tolist() == [fx.saturate_to_fx(a) for a in accs]
+
+
+@given(st.integers(0, 5), st.integers(0, 70), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_conditional_sum_matches_loop(n_rows, k, m, seed):
+    rng = np.random.default_rng(seed)
+    on = rng.choice([fx.RAW_MIN, fx.RAW_MAX, 0, 12345], size=(k, m)).astype(np.int32)
+    off = fx.fx_neg_array(on)
+    select = rng.integers(0, 2, size=(n_rows, k))
+    expected = [
+        [sum(int(on[j, q]) if select[i, j] else int(off[j, q]) for j in range(k))
+         for q in range(m)]
+        for i in range(n_rows)
+    ]
+    out = fx.conditional_sum(select, on, off)
+    assert out.shape == (n_rows, m)
+    assert out.tolist() == expected
+
+
 def test_decimal_string_exact():
     assert fx.fx_to_decimal_string(0) == "0"
     assert fx.fx_to_decimal_string(2**25) == "1"
