@@ -147,7 +147,6 @@ def cmd_train(args) -> int:
         lambda_pool=tuple(int(v) for v in args.lambda_pool.split(",")),
         l_step=args.l_step,
         tau=args.tau,
-        val_fraction=args.val_fraction,
         alpha=args.alpha,
         use_mechanism=not args.no_mechanism,
         seed=args.seed,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec, as_bit_matrix
-from .mechanism import mech_eval_fpga, mech_wide_fpga
+from .mechanism import mech_wide_fpga
 from .model import Activation, InDomain, ScmLayer, ScmModel, ScmNode, feed_domain
 
 
@@ -91,7 +91,7 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
     """
     if x_bits.n != model.d_enc:
         raise ValueError(f"input width {x_bits.n} != model width {model.d_enc}")
-    acc = [int(v) for v in mech_eval_fpga(x_bits, model.mechanism)]
+    acc = [int(v) for v in mech_wide_fpga(x_bits.to01()[None, :], model.mechanism)[0]]
     bits_in = x_bits
     domain = InDomain.PM1
     for layer in model.layers:
@@ -157,16 +157,15 @@ def predict_fpga_batch(
     """Emulated prediction over a batch; returns an (N, m) int32 raw matrix.
 
     Row for row equal to predict_fpga; a list of BitVecs is packed once.
-    Per block of BLOCK_ROWS rows: the mechanism sum, saturated to Q7.25 as
-    mech_eval_fpga returns it; then per layer the XNOR- or AND-popcount dot
-    products, the shift, the bias and the strict threshold. The threshold
-    bits select each node's readout or its clear-bit value (0 for SIGN, the
-    readout's fx_neg for STEP), summed exactly in int64, and are packed as
-    the next layer's input. The sum saturates at the end.
+    Per block of BLOCK_ROWS rows: the unsaturated mechanism sum; then per
+    layer the XNOR- or AND-popcount dot products, the shift, the bias and
+    the strict threshold. The threshold bits select each node's readout or
+    its clear-bit value (0 for SIGN, the readout's fx_neg for STEP), summed
+    exactly in int64, and are packed as the next layer's input. The sum
+    saturates once, at the end.
 
     If `saturated`, an (m,) integer array, is given, the number of rows whose
-    output was clamped (the mechanism sum or the final sum) is added to it
-    per output.
+    output was clamped is added to it per output.
     """
     bits = as_bit_matrix(bits, model.d_enc)
     if bits.n != model.d_enc:
@@ -181,9 +180,7 @@ def predict_fpga_batch(
     out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
-        wide = mech_wide_fpga(x.to01(), model.mechanism)
-        acc = np.clip(wide, fx.RAW_MIN, fx.RAW_MAX)
-        clamped = acc != wide
+        acc = mech_wide_fpga(x.to01(), model.mechanism)
         for packed in layers:
             fired = packed.forward(x)
             acc += fx.conditional_sum(fired, packed.on, packed.off)
@@ -191,7 +188,7 @@ def predict_fpga_batch(
         final = fx.saturate_array(acc)
         out[start : start + BLOCK_ROWS] = final
         if saturated is not None:
-            saturated += np.count_nonzero(clamped | (final != acc), axis=0)
+            saturated += np.count_nonzero(final != acc, axis=0)
     return out
 
 

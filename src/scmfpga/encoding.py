@@ -1,20 +1,25 @@
 """Binary input encodings for normalized values in [0, 1].
 
-Three families turn each real feature into a block of bits (stored as {0,1},
-meaning {-1,+1} in arithmetic):
+Every code is a row of thermometer fields, and one field table defines them
+all (see _layout and _ONES):
 
-* density: one unary code over N+1 evenly divided buckets (N bits).
-* scheme 1: one bit for the integer part plus, per decimal place, a 9-bit
-  right-aligned unary code of the digit (1 + 9*u bits for u places).
-* scheme 2: like scheme 1 but low-significance places collapse to quantized
-  4-bit / 2-bit codes. Variant 1 covers 3 places in 16 bits
-  ([1][9][4][2]); variant 2 covers 4 places in 25 bits ([1][9][9][4][2]).
+* density: one left-aligned unary field of N bits holding the bucket index
+  min(floor(x*(N+1)), N).
+* scheme 1: the integer bit, then per decimal place a 9-bit right-aligned
+  field holding the digit's value in ones (1 + 9*u bits for u places).
+* scheme 2: like scheme 1 but low-significance places collapse to 4-bit and
+  2-bit fields holding fewer ones per digit. Variant 1 covers 3 places in
+  16 bits ([1][9][4][2]); variant 2 covers 4 places in 25 bits
+  ([1][9][9][4][2]).
 
 Digits are read from the value's shortest decimal representation and
 truncated, never rounded: 0.867 encodes as digits 8, 6, 7 even though the
 nearest binary double is slightly below 0.867. Bit order inside a sample is
 feature-major then field-major: feature 0's integer bit is bit 0, the
 most significant pad bit of its first digit field is bit 1, and so on.
+
+encode_matrix is the batch path; encode_value and the scalar encoders are
+one-row calls of the same code.
 """
 
 from __future__ import annotations
@@ -37,6 +42,31 @@ class EncodingKind(IntEnum):
     SCHEME2_V2 = 3
 
 
+def _layout(kind: EncodingKind, param: int) -> tuple[int, ...]:
+    """Field widths of one value's code, in written order.
+
+    Density is one field of N bits; every other kind is the integer bit
+    followed by one field per decimal place.
+    """
+    if kind == EncodingKind.DENSITY:
+        return (param,)
+    if kind == EncodingKind.SCHEME1:
+        return (1,) + (9,) * param
+    return (1, 9, 4, 2) if kind == EncodingKind.SCHEME2_V1 else (1, 9, 9, 4, 2)
+
+
+_DIGIT = np.arange(10, dtype=np.uint8)
+# ones in a digit field of each width, indexed by the digit; width 1 is the
+# integer bit. The 4-bit field maps digit pairs {0,1}..{8,9} to 0..4 ones and
+# the 2-bit field maps {0-3}/{4-6}/{7-9} to 0/1/2.
+_ONES = {
+    1: _DIGIT,
+    9: _DIGIT,
+    4: _DIGIT // 2,
+    2: np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8),
+}
+
+
 @dataclass(frozen=True)
 class EncodingSpec:
     kind: EncodingKind
@@ -51,22 +81,10 @@ class EncodingSpec:
 
     @property
     def bits_per_input(self) -> int:
-        if self.kind == EncodingKind.DENSITY:
-            return self.param
-        if self.kind == EncodingKind.SCHEME1:
-            return 1 + 9 * self.param
-        if self.kind == EncodingKind.SCHEME2_V1:
-            return 16
-        return 25
+        return sum(_layout(self.kind, self.param))
 
     def encode_value(self, x: float) -> BitVec:
-        if self.kind == EncodingKind.DENSITY:
-            return encode_density(x, self.param)
-        if self.kind == EncodingKind.SCHEME1:
-            return encode_scheme1(x, self.param)
-        if self.kind == EncodingKind.SCHEME2_V1:
-            return encode_scheme2(x, "V1")
-        return encode_scheme2(x, "V2")
+        return _encode_one(x, self.kind, self.param)
 
     def to_bytes(self) -> bytes:
         return bytes([int(self.kind), self.param])
@@ -107,31 +125,16 @@ def _check_unit(x: float) -> float:
     return x
 
 
-def encode_density(x: float, n: int) -> BitVec:
-    """Unary bucket code: bucket min(floor(x*(N+1)), N), leading ones."""
-    x = _check_unit(x)
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    level = min(int(x * (n + 1)), n)
-    return BitVec(n, (1 << level) - 1)
-
-
-def _digits(x: float, places: int) -> tuple[int, list[int]]:
-    """Integer part and the first `places` decimal digits of x, truncated.
+def _digits(x: float, places: int) -> list[int]:
+    """Integer part of x, then its first `places` decimal digits, truncated.
 
     Digits come from the shortest decimal form of the float, so a value
     entered as 0.867 yields 8, 6, 7 exactly.
     """
-    d = Decimal(repr(float(x)))
+    d = Decimal(repr(x))
     ones = int(d)
-    frac = d - ones
-    out = []
-    for _ in range(places):
-        frac *= 10
-        dig = int(frac)
-        out.append(dig)
-        frac -= dig
-    return ones, out
+    frac = int((d - ones).scaleb(places))  # exact: the shift only moves the exponent
+    return [ones, *map(int, str(frac).zfill(places))]
 
 
 def decimal_digit(x: float, k: int) -> int:
@@ -139,47 +142,46 @@ def decimal_digit(x: float, k: int) -> int:
     x = _check_unit(x)
     if k < 1:
         raise ValueError("decimal place must be >= 1")
-    return _digits(x, k)[1][k - 1]
+    return _digits(x, k)[k]
 
 
-def _unary9(digit: int) -> int:
-    """9-bit right-aligned unary code of a digit, as a field integer.
+def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
+    """(V, width) bool codes of V values in [0, 1], bits in written order.
 
-    Field bit 0 is the leftmost (pad) position of the written code, so digit
-    6 ('000111111') sets field bits 3..8.
+    Each field is a thermometer holding a count of ones: the density field
+    fills from the left with the bucket index, a digit field fills from the
+    right with its _ONES count for the digit.
     """
-    return ((1 << digit) - 1) << (9 - digit)
+    if kind == EncodingKind.DENSITY:
+        level = np.minimum(values * (param + 1), param).astype(np.int64)
+        return level[:, None] > np.arange(param)
+    widths = _layout(kind, param)
+    digits = np.empty((len(values), len(widths)), dtype=np.uint8)
+    for i in range(len(values)):
+        digits[i] = _digits(values.item(i), len(widths) - 1)
+    ones = np.stack([_ONES[w][digits[:, k]] for k, w in enumerate(widths)], axis=1)
+    field = np.repeat(np.arange(len(widths)), widths)
+    # a bit `rank` places left of its field's right end is set by more than `rank` ones
+    rank = np.repeat(np.cumsum(widths), widths) - 1 - np.arange(len(field))
+    return ones[:, field] > rank
 
 
-def _quant4(digit: int) -> int:
-    ones = digit // 2  # {0,1}->0, {2,3}->1, {4,5}->2, {6,7}->3, {8,9}->4
-    return ((1 << ones) - 1) << (4 - ones)
+def _encode_one(x: float, kind: EncodingKind, param: int) -> BitVec:
+    return BitVec.from01(_codes(np.array([_check_unit(x)]), kind, param)[0])
 
 
-def _quant2(digit: int) -> int:
-    ones = 0 if digit <= 3 else (1 if digit <= 6 else 2)
-    return ((1 << ones) - 1) << (2 - ones)
-
-
-def _pack_fields(fields: list[tuple[int, int]]) -> BitVec:
-    """Concatenate (width, field_value) pairs; field bit 0 goes first."""
-    v = 0
-    pos = 0
-    for width, fv in fields:
-        v |= fv << pos
-        pos += width
-    return BitVec(pos, v)
+def encode_density(x: float, n: int) -> BitVec:
+    """Unary bucket code: bucket min(floor(x*(N+1)), N), leading ones."""
+    if n < 1:
+        raise ValueError("N must be >= 1")
+    return _encode_one(x, EncodingKind.DENSITY, n)
 
 
 def encode_scheme1(x: float, u_places: int) -> BitVec:
     """Digit-wise unary code: [integer bit][9-bit unary per decimal place]."""
-    x = _check_unit(x)
     if u_places < 1:
         raise ValueError("u_places must be >= 1")
-    ones, digs = _digits(x, u_places)
-    fields = [(1, ones)]
-    fields += [(9, _unary9(d)) for d in digs]
-    return _pack_fields(fields)
+    return _encode_one(x, EncodingKind.SCHEME1, u_places)
 
 
 def encode_scheme2(x: float, variant: str) -> BitVec:
@@ -189,22 +191,10 @@ def encode_scheme2(x: float, variant: str) -> BitVec:
     V2: [1][9-bit tenths][9-bit hundredths][4-bit thousandths][2-bit
     ten-thousandths] (25 bits).
     """
-    x = _check_unit(x)
-    if variant == "V1":
-        ones, digs = _digits(x, 3)
-        fields = [(1, ones), (9, _unary9(digs[0])), (4, _quant4(digs[1])), (2, _quant2(digs[2]))]
-    elif variant == "V2":
-        ones, digs = _digits(x, 4)
-        fields = [
-            (1, ones),
-            (9, _unary9(digs[0])),
-            (9, _unary9(digs[1])),
-            (4, _quant4(digs[2])),
-            (2, _quant2(digs[3])),
-        ]
-    else:
+    kinds = {"V1": EncodingKind.SCHEME2_V1, "V2": EncodingKind.SCHEME2_V2}
+    if variant not in kinds:
         raise ValueError("variant must be 'V1' or 'V2'")
-    return _pack_fields(fields)
+    return _encode_one(x, kinds[variant], 0)
 
 
 def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
@@ -234,19 +224,8 @@ def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
         arr = np.clip(arr, 0.0, 1.0)
 
     n, d = arr.shape
-    width = spec.bits_per_input
     values, inverse = np.unique(arr.ravel(), return_inverse=True)
-    code_bytes = -(-width // 8)
-    codes = bytearray()
-    for v in values:
-        try:
-            codes += spec.encode_value(float(v)).value.to_bytes(code_bytes, "little")
-        except ValueError as exc:
-            r, c = np.argwhere(arr == v)[0]
-            raise DataError(f"row {r}, column {c}: {exc}") from exc
-    code_bits = np.unpackbits(
-        np.frombuffer(codes, dtype=np.uint8).reshape(len(values), code_bytes),
-        axis=1, count=width, bitorder="little",
-    )
+    codes = _codes(values, spec.kind, spec.param)
     # (N*d, width) codes in row-major order are the (N, d*width) rows
-    return BitMatrix.from01(code_bits[inverse].reshape(n, d * width)), d * width
+    d_enc = d * codes.shape[1]
+    return BitMatrix.from01(codes[inverse].reshape(n, d_enc)), d_enc

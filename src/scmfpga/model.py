@@ -135,6 +135,15 @@ class ScmModel:
             expected = len(layer.nodes)
 
 
+def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
+    """Float activation values of threshold bits: {0,1} for SIGN, {-1,+1} for STEP."""
+    h = bit.astype(np.float64)
+    if act == Activation.STEP:
+        h *= 2.0  # in place: in the candidate search h is (rows, candidates)
+        h -= 1.0
+    return h
+
+
 def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
     """Activation values of a layer on an (N, fan_in) signal matrix.
 
@@ -143,10 +152,7 @@ def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
     """
     w = layer.weight_matrix()
     pre = (s @ w.T) * layer.lambdas() + layer.biases()
-    bit = pre > 0
-    if layer.activation == Activation.SIGN:
-        return bit.astype(np.float64)
-    return bit.astype(np.float64) * 2.0 - 1.0
+    return activation_values(pre > 0, layer.activation)
 
 
 def predict_float_batch(model: ScmModel, bits_or_signals) -> np.ndarray:

@@ -36,7 +36,7 @@ from .mechanism import (
     mech_eval_float_batch,
     signals_pm1,
 )
-from .model import Activation, ScmLayer, ScmModel, ScmNode
+from .model import Activation, ScmLayer, ScmModel, ScmNode, activation_values
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
 DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -51,7 +51,6 @@ class TrainConfig:
     lambda_pool: tuple[int, ...] = DEFAULT_LAMBDA_POOL
     l_step: int = 20
     tau: float = 0.0
-    val_fraction: float = 0.2
     alpha: float = 1e-4
     use_mechanism: bool = True
     seed: int = 0
@@ -78,8 +77,6 @@ class TrainConfig:
                 raise ValueError("lambda values must be powers of two in 1..128")
         if self.l_step < 1:
             raise ValueError("l_step must be >= 1")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
 
@@ -334,12 +331,7 @@ def add_node(
         b_raw, _ = fx.quantize_array(rng.uniform(-lam, lam))
         b = fx.dequantize_array(b_raw)
 
-        pre = (s_tr @ w.T) * lam + b
-        bit = pre > 0
-        if act == Activation.SIGN:
-            h = bit.astype(np.float64)
-        else:
-            h = bit.astype(np.float64) * 2.0 - 1.0
+        h = activation_values((s_tr @ w.T) * lam + b > 0, act)
         hh = np.einsum("ij,ij->j", h, h)  # (t,)
         eh = e.T @ h  # (m, t)
         valid = hh > 0
@@ -361,12 +353,7 @@ def add_node(
             beta=np.zeros(state.m),
             beta_raw=np.zeros(state.m, dtype=np.int32),
         )
-        pre_v = (s_va @ w[j]) * lam[j] + bias
-        bit_v = pre_v > 0
-        if act == Activation.SIGN:
-            h_v = bit_v.astype(np.float64)
-        else:
-            h_v = bit_v.astype(np.float64) * 2.0 - 1.0
+        h_v = activation_values((s_va @ w[j]) * lam[j] + bias > 0, act)
         state.append_node(node, h[:, j].copy(), h_v)
         return AddResult(
             node=node,

@@ -19,7 +19,7 @@ from scmfpga.emulate import (
 from scmfpga.encoding import parse_encoding
 from scmfpga.evaluate import evaluate_bits
 from scmfpga.mechanism import MechanismModel, external_mechanism, mech_eval_fpga
-from scmfpga.model import Activation, InDomain, ScmLayer, ScmModel, ScmNode
+from scmfpga.model import Activation, InDomain, ScmLayer, ScmModel, ScmNode, quantization_bound
 
 
 # -- bit-level dot products -------------------------------------------------
@@ -361,7 +361,7 @@ def test_saturation_counted_per_output():
 
 
 def test_mechanism_saturation_is_counted():
-    # the mechanism sum clamps before any node adds to it, as in predict_fpga
+    # with no nodes the mechanism sum is the whole output, so it saturates at the end
     w_raw = np.full((2, 1), fx.RAW_MAX, dtype=np.int32)
     mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1), w_raw, np.zeros(1, np.int32))
     model = ScmModel(parse_encoding("density:2"), mech, [], 1)
@@ -370,6 +370,21 @@ def test_mechanism_saturation_is_counted():
     out = predict_fpga_batch(model, rows, saturated)
     assert out[:, 0].tolist() == [fx.RAW_MAX, 0, fx.RAW_MIN]
     assert saturated.tolist() == [2]
+
+
+def test_mechanism_sum_saturates_only_with_the_final_sum():
+    # 2 * RAW_MAX is past the Q7.25 range, but the firing node's RAW_MIN readout
+    # brings the whole sum back inside it, so nothing may clamp
+    w_raw = np.full((2, 1), fx.RAW_MAX, dtype=np.int32)
+    mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1), w_raw, np.zeros(1, np.int32))
+    layer = ScmLayer(Activation.SIGN, [_node([1, 1], beta=(fx.fx_to_real(fx.RAW_MIN),))])
+    model = ScmModel(parse_encoding("density:2"), mech, [layer], 1)
+    rows = BitMatrix.from01(np.array([[1, 1]]))
+    rep = evaluate_bits(model, rows, np.zeros((1, 1)), "both")
+    assert rep.outputs_fpga_raw[0, 0] == 2 * fx.RAW_MAX + fx.RAW_MIN == 2147483646
+    assert predict_fpga(model, rows[0])[0] == 2147483646
+    assert rep.saturated.tolist() == [0]
+    assert rep.max_output_delta <= quantization_bound(model)
 
 
 # -- cycle model ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -259,19 +260,64 @@ def test_monotone_ones_within_place():
 
 specs = st.one_of(
     st.integers(1, 255).map(lambda n: EncodingSpec(EncodingKind.DENSITY, n)),
-    st.integers(1, 8).map(lambda u: EncodingSpec(EncodingKind.SCHEME1, u)),
+    st.integers(1, 40).map(lambda u: EncodingSpec(EncodingKind.SCHEME1, u)),
     st.sampled_from([EncodingSpec(EncodingKind.SCHEME2_V1), EncodingSpec(EncodingKind.SCHEME2_V2)]),
 )
 
+# 0, 1, the smallest double, the largest below 1, and values whose repr is in
+# exponent form
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1 - 2**-53, 1e-4, 9.99e-5, 3.25e-5, 1e-7, 0.867, 0.1999]
+pool_values = st.one_of(unit_floats, st.sampled_from(EDGE_VALUES))
+# ones per digit of each digit-field width, as the README tables state them
+README_ONES = {
+    9: list(range(10)),
+    4: [0, 0, 1, 1, 2, 2, 3, 3, 4, 4],
+    2: [0, 0, 0, 0, 1, 1, 1, 2, 2, 2],
+}
 
-@given(specs, st.lists(unit_floats, min_size=1, max_size=6), st.data())
+
+def _oracle_code(v: float, spec: EncodingSpec) -> str:
+    """One value's code as a '0'/'1' string, built from the README tables."""
+    if spec.kind == EncodingKind.DENSITY:
+        level = min(int(v * (spec.param + 1)), spec.param)
+        return "1" * level + "0" * (spec.param - level)
+    widths = {
+        EncodingKind.SCHEME1: [9] * spec.param,
+        EncodingKind.SCHEME2_V1: [9, 4, 2],
+        EncodingKind.SCHEME2_V2: [9, 9, 4, 2],
+    }[spec.kind]
+    whole, _, frac = format(Decimal(repr(v)), "f").partition(".")
+    code = str(int(whole))
+    for w, ch in zip(widths, frac.ljust(len(widths), "0")):
+        ones = README_ONES[w][int(ch)]
+        code += "0" * (w - ones) + "1" * ones
+    return code
+
+
+def _check_rows_against_oracles(x, spec):
+    bits, d_enc = encode_matrix(x, spec)
+    n_rows, d = x.shape
+    w = spec.bits_per_input
+    assert d_enc == d * w and len(bits) == n_rows
+    for i in range(n_rows):
+        assert bits[i] == BitVec.join([spec.encode_value(v) for v in x[i]])
+        row = bits[i].to_string()
+        for j, v in enumerate(x[i]):
+            assert row[j * w : (j + 1) * w] == _oracle_code(float(v), spec), (v, str(spec))
+
+
+@given(specs, st.lists(pool_values, min_size=1, max_size=6), st.data())
 def test_encode_matrix_rows_match_encode_value(spec, pool, data):
     # values drawn from a small pool repeat, as rounded real data does
     n_rows = data.draw(st.integers(0, 5))
     d = data.draw(st.integers(1, 4))
     cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * d, max_size=n_rows * d))
-    x = np.array(cells, dtype=np.float64).reshape(n_rows, d)
-    bits, d_enc = encode_matrix(x, spec)
-    assert d_enc == d * spec.bits_per_input and len(bits) == n_rows
-    for i in range(n_rows):
-        assert bits[i] == BitVec.join([spec.encode_value(v) for v in x[i]])
+    _check_rows_against_oracles(np.array(cells, dtype=np.float64).reshape(n_rows, d), spec)
+
+
+@pytest.mark.parametrize(
+    "text", ["density:1", "density:255", "s1:1", "s1:3", "s1:20", "s2v1", "s2v2"]
+)
+def test_encode_matrix_edge_values_match_oracle(text):
+    x = np.array(EDGE_VALUES).reshape(-1, 1)
+    _check_rows_against_oracles(np.hstack([x, x[::-1]]), parse_encoding(text))

@@ -398,7 +398,5 @@ def test_config_validation():
         TrainConfig((5, 0, 5), (Activation.STEP,) * 3)
     with pytest.raises(ValueError):
         TrainConfig((5,), ())
-    with pytest.raises(ValueError):
-        TrainConfig((5,), (Activation.STEP,), val_fraction=1.0)
     cfg = TrainConfig.single_layer(0)
     assert not cfg.grows_nodes
