@@ -13,8 +13,6 @@ import scmfpga as s
 
 warnings.filterwarnings("ignore", message="clamped")
 
-tmp = Path(tempfile.mkdtemp(prefix="scmfpga-demo-"))
-
 print("train a small model...")
 ds = s.split(s.gen_db1(seed=1), 0.2, seed=1)
 spec = s.parse_encoding("s2v2")
@@ -24,13 +22,14 @@ data = s.prepare_train_data(
 )
 model = s.train(data, s.TrainConfig.single_layer(10, s.Activation.SIGN, t_max=100, seed=1)).model
 
-path = tmp / "model.scm"
-s.save_model(model, path)
-blob = path.read_bytes()
-print(f"  saved {path} ({len(blob)} bytes, magic {blob[:4]!r}, crc32 at the tail)")
+with tempfile.TemporaryDirectory(prefix="scmfpga-demo-") as tmp:
+    path = Path(tmp) / "model.scm"
+    s.save_model(model, path)
+    blob = path.read_bytes()
+    print(f"  saved {path} ({len(blob)} bytes, magic {blob[:4]!r}, crc32 at the tail)")
 
-back = s.load_model(path)
-print(f"  reload is byte-exact: {s.model_to_bytes(back) == blob}")
+    back = s.load_model(path)
+    print(f"  reload is byte-exact: {s.model_to_bytes(back) == blob}")
 
 lean = s.model_to_bytes(model, include_floats=False)
 print(f"  without the float sidecar the file shrinks to {len(lean)} bytes")

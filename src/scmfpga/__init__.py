@@ -36,7 +36,7 @@ from .encoding import (
 )
 from .errors import DataError, ModelFormatError, ScmError, TrainingFailedError
 from .evaluate import EvalReport, evaluate_bits
-from .linalg import lasso_fit, lasso_objective, least_squares
+from .linalg import LassoFit, lasso_fit, lasso_objective, least_squares
 from .mechanism import (
     MechanismModel,
     external_mechanism,

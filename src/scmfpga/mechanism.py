@@ -10,14 +10,14 @@ mech_wide_fpga does this for a batch; mech_eval_fpga is its one-sample form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec, as_bit_matrix
-from .linalg import lasso_fit
+from .linalg import LassoFit, lasso_fit
 
 SOURCE_LASSO = "lasso"
 SOURCE_EXTERNAL = "external"
@@ -31,6 +31,8 @@ class MechanismModel:
     intercepts_raw: np.ndarray  # (m,) int32
     source: str = SOURCE_LASSO
     alpha: float = 0.0
+    saturated: int = 0  # weights and intercepts clamped by from_real
+    fit: LassoFit | None = field(default=None, repr=False)  # how fit_mechanism converged
 
     def __post_init__(self):
         if self.weights.ndim != 2 or self.intercepts.ndim != 1:
@@ -50,15 +52,20 @@ class MechanismModel:
 
     @classmethod
     def from_real(
-        cls, weights: np.ndarray, intercepts: np.ndarray, source: str, alpha: float = 0.0
+        cls,
+        weights: np.ndarray,
+        intercepts: np.ndarray,
+        source: str,
+        alpha: float = 0.0,
+        fit: LassoFit | None = None,
     ) -> "MechanismModel":
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim == 1:
             w = w[:, None]
         u = np.atleast_1d(np.asarray(intercepts, dtype=np.float64))
-        w_raw, _ = fx.quantize_array(w)
-        u_raw, _ = fx.quantize_array(u)
-        return cls(w, u, w_raw, u_raw, source, alpha)
+        w_raw, w_sat = fx.quantize_array(w)
+        u_raw, u_sat = fx.quantize_array(u)
+        return cls(w, u, w_raw, u_raw, source, alpha, w_sat + u_sat, fit)
 
     @classmethod
     def zero(cls, d_enc: int, m: int) -> "MechanismModel":
@@ -79,11 +86,12 @@ def fit_mechanism(
     """L1-fit the linear term on the +-1 view of encoded inputs.
 
     `bits` may be the encoded rows or an already-built (N, d_enc) +-1
-    matrix. Intercepts are the target column means.
+    matrix. Intercepts are the target column means. The model keeps the
+    LassoFit (sweeps, convergence, objective) as `fit`.
     """
     s = bits if isinstance(bits, np.ndarray) else signals_pm1(bits)
-    p, u = lasso_fit(s, y, alpha)
-    return MechanismModel.from_real(p, u, SOURCE_LASSO, alpha)
+    fit = lasso_fit(s, y, alpha)
+    return MechanismModel.from_real(fit.p, fit.u, SOURCE_LASSO, alpha, fit)
 
 
 def external_mechanism(weights: np.ndarray, intercepts: np.ndarray) -> MechanismModel:

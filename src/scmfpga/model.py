@@ -139,7 +139,7 @@ def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
     """Float activation values of threshold bits: {0,1} for SIGN, {-1,+1} for STEP."""
     h = bit.astype(np.float64)
     if act == Activation.STEP:
-        h *= 2.0  # in place: in the candidate search h is (rows, candidates)
+        h *= 2.0
         h -= 1.0
     return h
 

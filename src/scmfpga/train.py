@@ -20,6 +20,7 @@ integer path compute bit-identical activations.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,12 +145,16 @@ class TrainRecord:
     xi_min: float
     train_rmse: float
     val_rmse: float
+    drawn: int  # candidates drawn for this node, over all r attempts
+    passed: int  # candidates that passed at the accepted r
+    r_attempts: int  # r values tried, the accepted one included
 
     def to_kv(self) -> str:
         return (
             f"layer={self.layer} node={self.node} r={self.r:g} lambda={self.lam} "
             f"xi_sum={self.xi_sum:.6e} xi_min={self.xi_min:.6e} "
-            f"train_rmse={self.train_rmse:.9g} val_rmse={self.val_rmse:.9g}"
+            f"train_rmse={self.train_rmse:.9g} val_rmse={self.val_rmse:.9g} "
+            f"drawn={self.drawn} passed={self.passed} r_attempts={self.r_attempts}"
         )
 
 
@@ -172,6 +177,9 @@ class AddResult:
     r: float
     xi_sum: float
     xi_min: float
+    drawn: int
+    passed: int
+    r_attempts: int
 
 
 def xi_score(e_q: np.ndarray, h: np.ndarray, r: float) -> float | None:
@@ -211,6 +219,11 @@ def early_stop_check(val_errors: Sequence[float], l_step: int, tau: float) -> in
     return n - keep
 
 
+def _outside_q725(values: np.ndarray) -> int:
+    """How many values lie outside the Q7.25 range [-64, 64)."""
+    return int(np.count_nonzero((values < fx.REAL_MIN) | (values >= -fx.REAL_MIN)))
+
+
 def _rmse(resid: np.ndarray) -> float:
     return float(np.sqrt(np.mean(resid * resid))) if resid.size else 0.0
 
@@ -243,6 +256,8 @@ class TrainState:
         self.layer_acts: list[Activation] = []
         self.cur_in_train = self.s1_train
         self.cur_in_val = self.s1_val
+        # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
+        self.bias_saturated = 0
 
     # -- layer lifecycle -------------------------------------------------
 
@@ -288,14 +303,17 @@ class TrainState:
     def val_rmse(self) -> float:
         return _rmse(self.resid_val)
 
-    def finalize(self, encoding: EncodingSpec) -> ScmModel:
+    def finalize(self, encoding: EncodingSpec) -> tuple[ScmModel, int]:
+        """The quantized model, and how many readout weights saturated."""
         layers = []
         g = 0
+        saturated = 0
         for nodes, act in zip(self.layer_nodes, self.layer_acts):
             final_nodes = []
             for node in nodes:
                 beta = self.beta[g].copy()
-                beta_raw, _ = fx.quantize_array(beta)
+                beta_raw, n_sat = fx.quantize_array(beta)
+                saturated += n_sat
                 final_nodes.append(
                     ScmNode(node.w, node.shift, node.bias, node.bias_raw, beta, beta_raw)
                 )
@@ -303,7 +321,28 @@ class TrainState:
             layers.append(ScmLayer(act, final_nodes))
         model = ScmModel(encoding, self.mech, layers, self.m)
         model.validate()
-        return model
+        return model, saturated
+
+
+def threshold_bits(
+    s32: np.ndarray,
+    w32: np.ndarray,
+    lam: np.ndarray,
+    b: np.ndarray,
+    dot: np.ndarray,
+    bit: np.ndarray,
+) -> np.ndarray:
+    """Threshold bits [s . w_k * lam_k + b_k > 0] of t candidates on N rows.
+
+    s32 (N, fan_in) and w32 (t, fan_in) are float32 with entries in
+    {-1, 0, +1}; dot (N, t) float32 and bit (N, t) bool are work buffers, and
+    bit is returned. The test is dot > floor(-b / lam) on the integer dot,
+    which is the same as dot * lam + b > 0: lam is a power of two and b lies
+    on the Q7.25 grid. The float64 pre-activation is exact while
+    fan_in * lam + |b| < 2**28, and the float32 dot while fan_in < 2**24.
+    """
+    np.matmul(s32, w32.T, out=dot)
+    return np.greater(dot, np.floor(-b / lam).astype(np.float32), out=bit)
 
 
 def add_node(
@@ -319,20 +358,32 @@ def add_node(
     act = state.layer_acts[-1]
     s_tr = state.cur_in_train
     s_va = state.cur_in_val
-    fan_in = s_tr.shape[1]
+    n, fan_in = s_tr.shape
+    t = cfg.t_max
     e = state.resid_train
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
     pool = np.array(cfg.lambda_pool, dtype=np.float64)
+    # entries are -1, 0 or +1, so float32 holds them and every dot exactly
+    s32 = s_tr.astype(np.float32)
+    dot = np.empty((n, t), dtype=np.float32)
+    bit = np.empty((n, t), dtype=bool)
+    h = np.empty((n, t))
 
-    for r in cfg.r_schedule:
-        w = rng.integers(0, 2, size=(cfg.t_max, fan_in), dtype=np.int8)
-        w = (w.astype(np.float64) * 2.0 - 1.0)
-        lam = rng.choice(pool, size=cfg.t_max)
-        b_raw, _ = fx.quantize_array(rng.uniform(-lam, lam))
+    for attempt, r in enumerate(cfg.r_schedule, start=1):
+        w = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
+        w = w.astype(np.float32) * 2.0 - 1.0
+        lam = rng.choice(pool, size=t)
+        b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
+        state.bias_saturated += n_sat
         b = fx.dequantize_array(b_raw)
 
-        h = activation_values((s_tr @ w.T) * lam + b > 0, act)
-        hh = np.einsum("ij,ij->j", h, h)  # (t,)
+        np.copyto(h, threshold_bits(s32, w, lam, b, dot, bit))
+        if act == Activation.STEP:
+            h *= 2.0
+            h -= 1.0
+            hh = np.full(t, float(n))
+        else:
+            hh = np.count_nonzero(bit, axis=0)
         eh = e.T @ h  # (m, t)
         valid = hh > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -345,6 +396,7 @@ def add_node(
 
         shift = int(lam[j]).bit_length() - 1
         bias = float(b[j])
+        w_j = w[j].astype(np.float64)
         node = ScmNode(
             w=BitVec.from_pm1(w[j].astype(np.int8)),
             shift=shift,
@@ -353,13 +405,16 @@ def add_node(
             beta=np.zeros(state.m),
             beta_raw=np.zeros(state.m, dtype=np.int32),
         )
-        h_v = activation_values((s_va @ w[j]) * lam[j] + bias > 0, act)
+        h_v = activation_values((s_va @ w_j) * lam[j] + bias > 0, act)
         state.append_node(node, h[:, j].copy(), h_v)
         return AddResult(
             node=node,
             r=r,
             xi_sum=float(xi[:, j].sum()),
             xi_min=float(xi[:, j].min()),
+            drawn=attempt * t,
+            passed=int(np.count_nonzero(passing)),
+            r_attempts=attempt,
         )
     return None
 
@@ -370,11 +425,34 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     The mechanism model is fit first; layers then grow one node at a time
     under the acceptance test, with the readout refit globally after every
     change and early stopping (with trailing-node rollback) per layer.
+
+    Besides the per-node records, the result's events report how the L1
+    fit converged (`l1_fit`) and how many values were clamped to the Q7.25
+    range (`saturation`). Training warns when the L1 fit hits its sweep cap,
+    and when a target or a fitted intercept lies outside [-64, 64), where
+    the emulated outputs saturate.
     """
     rng = np.random.default_rng(cfg.seed)
     state = TrainState(data, cfg)
     records: list[TrainRecord] = []
     events: list[dict] = []
+    fit = state.mech.fit
+    if fit is not None:
+        events.append({"event": "l1_fit", "sweeps": fit.sweeps,
+                       "converged": fit.converged, "objective": fit.objective})
+        if not fit.converged:
+            warnings.warn(
+                f"the L1 mechanism fit stopped at its sweep cap ({fit.sweeps} sweeps) "
+                "without converging", stacklevel=2,
+            )
+    targets_out = _outside_q725(data.y_train)
+    intercepts_out = _outside_q725(state.mech.intercepts)
+    if targets_out or intercepts_out:
+        warnings.warn(
+            f"{targets_out} training targets and {intercepts_out} mechanism intercepts "
+            "lie outside the Q7.25 range [-64, 64); emulated outputs will saturate",
+            stacklevel=2,
+        )
 
     sizes = [s for s in cfg.layer_sizes if s > 0]
     acts = [a for s, a in zip(cfg.layer_sizes, cfg.activations) if s > 0]
@@ -401,6 +479,9 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
                     xi_min=res.xi_min,
                     train_rmse=state.train_rmse(),
                     val_rmse=state.val_rmse(),
+                    drawn=res.drawn,
+                    passed=res.passed,
+                    r_attempts=res.r_attempts,
                 )
             )
             val_hist.append(state.val_rmse())
@@ -418,5 +499,12 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             break
         state.end_layer()
 
-    model = state.finalize(data.encoding)
+    model, readouts_saturated = state.finalize(data.encoding)
+    events.append({
+        "event": "saturation",
+        "targets_outside": targets_out,
+        "mechanism": state.mech.saturated,
+        "bias_draws": state.bias_saturated,
+        "readouts": readouts_saturated,
+    })
     return TrainResult(model=model, records=records, events=events)

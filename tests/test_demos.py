@@ -24,3 +24,4 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("scmfpga-demo-*")), "the demo left its temp directory"

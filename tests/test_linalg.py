@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from scmfpga.linalg import lasso_fit, lasso_objective, least_squares
+from scmfpga.encoding import encode_matrix, parse_encoding
+from scmfpga.linalg import LASSO_MAX_SWEEPS, lasso_fit, lasso_objective, least_squares
+from scmfpga.mechanism import signals_pm1
 
 
 def test_identity_design():
@@ -136,3 +138,77 @@ def test_lasso_large_alpha_kills_coefficients():
     p, u = lasso_fit(x, y, alpha=1e6)
     assert np.all(p == 0.0)
     assert np.allclose(u, y.mean(axis=0))
+
+
+def _cold_lasso(x, yc, alpha, tol=1e-8, max_sweeps=LASSO_MAX_SWEEPS):
+    """Reference: cyclic coordinate descent from zero on the full residual."""
+    n, d = x.shape
+    col_sq = np.einsum("ij,ij->j", x, x)
+    p = np.zeros((d, yc.shape[1]))
+    for out in range(yc.shape[1]):
+        coef = p[:, out]
+        resid = yc[:, out].copy()
+        for _ in range(max_sweeps):
+            max_delta = 0.0
+            for k in range(d):
+                if col_sq[k] == 0.0:
+                    continue
+                old = coef[k]
+                rho = x[:, k] @ resid + col_sq[k] * old
+                new = np.sign(rho) * max(abs(rho) - alpha / 2.0, 0.0) / col_sq[k]
+                if new != old:
+                    resid -= (new - old) * x[:, k]
+                    coef[k] = new
+                    max_delta = max(max_delta, abs(new - old))
+            if max_delta < tol:
+                break
+    return p
+
+
+def _designs():
+    rng = np.random.default_rng(21)
+    plain = rng.choice([-1.0, 1.0], size=(80, 10))
+    constant = plain.copy()
+    constant[:, 3] = 1.0
+    deficient = plain.copy()
+    deficient[:, 5] = deficient[:, 1]
+    deficient[:, 7] = -deficient[:, 2]
+    deficient[:, 9] = 1.0
+    for name, x in [("plain", plain), ("constant", constant), ("deficient", deficient)]:
+        y = x[:, :4] @ rng.normal(size=(4, 2)) + rng.normal(scale=0.3, size=(80, 2))
+        yield name, x, y
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.5, 5.0])
+def test_lasso_warm_start_objective_not_above_cold_start(alpha):
+    for name, x, y in _designs():
+        fit = lasso_fit(x, y, alpha)
+        yc = y - y.mean(axis=0)
+        cold = lasso_objective(x, yc, _cold_lasso(x, yc, alpha), alpha)
+        assert fit.converged, name
+        assert fit.objective == lasso_objective(x, yc, fit.p, alpha)
+        assert fit.objective <= cold + 1e-9 * abs(cold), name
+
+
+def test_lasso_reports_the_sweep_cap():
+    x = np.column_stack([np.ones(20), np.tile([1.0, -1.0], 10)])
+    x = np.column_stack([x, x[:, 1]])  # collinear, so one sweep does not settle
+    y = np.linspace(-1.0, 1.0, 20)[:, None] + x[:, 1:2]
+    capped = lasso_fit(x, y, alpha=0.1, max_sweeps=1)
+    assert (capped.sweeps, capped.converged) == (1, False)
+    full = lasso_fit(x, y, alpha=0.1)
+    assert full.converged and 1 < full.sweeps < LASSO_MAX_SWEEPS
+    p, u = full
+    assert p is full.p and u is full.u
+
+
+def test_lasso_converges_on_a_wide_collinear_design():
+    # 36 features in s2v1 (16 bits each): 576 thermometer columns of rank < 576
+    rng = np.random.default_rng(36)
+    x = rng.uniform(size=(2000, 36))
+    y = np.sin(3.0 * x).mean(axis=1, keepdims=True) + rng.normal(scale=0.01, size=(2000, 1))
+    bits, d_enc = encode_matrix(x, parse_encoding("s2v1"))
+    s = signals_pm1(bits)
+    assert d_enc == 576 and np.linalg.matrix_rank(s) < d_enc
+    fit = lasso_fit(s, y, alpha=1e-4)
+    assert fit.converged and fit.sweeps < LASSO_MAX_SWEEPS

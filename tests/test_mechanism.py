@@ -36,6 +36,7 @@ def test_single_bit_slope_recovered():
     # two-point closed form: slope = (mean(y|+1) - mean(y|-1)) / 2
     assert abs(mech.weights[0, 0] - 0.35) < 1e-6
     assert abs(mech.intercepts[0] - 0.1) < 1e-9
+    assert mech.fit.converged and mech.fit.p is mech.weights
 
 
 def test_external_passthrough():
@@ -46,6 +47,13 @@ def test_external_passthrough():
     assert np.array_equal(mech.weights, p)
     assert np.array_equal(mech.intercepts, u)
     assert np.array_equal(mech.weights_raw[:, 0], [fx.fx_from_real(0.5), fx.fx_from_real(-0.25)])
+
+
+def test_from_real_counts_saturated_values():
+    mech = external_mechanism(np.array([[100.0], [0.5], [-64.0]]), np.array([-70.0]))
+    assert mech.saturated == 2  # 100 and -70; -64 is the format minimum
+    assert mech.weights_raw[0, 0] == fx.RAW_MAX and mech.intercepts_raw[0] == fx.RAW_MIN
+    assert external_mechanism(np.array([[0.5]]), np.array([63.0])).saturated == 0
 
 
 def test_quantized_copies_track_reals():

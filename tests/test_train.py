@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import scmfpga.mechanism
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitVec
+from scmfpga.datasets import gen_db2, split
 from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.errors import TrainingFailedError
+from scmfpga.evaluate import evaluate_bits
+from scmfpga.linalg import lasso_fit
 from scmfpga.mechanism import external_mechanism, signals_pm1
 from scmfpga.model import (
     Activation,
@@ -19,12 +25,14 @@ from scmfpga.model import (
 )
 from scmfpga.modelfile import model_to_bytes
 from scmfpga.train import (
+    DEFAULT_LAMBDA_POOL,
     TrainConfig,
     TrainData,
     TrainState,
     add_node,
     early_stop_check,
     prepare_train_data,
+    threshold_bits,
     train,
     xi_score,
 )
@@ -199,6 +207,85 @@ def test_add_node_xi_recheck_from_parameters():
         assert xi_score(e_before[:, q], h, res.r) > 0
 
 
+def _two_output_data(seed, n_train=120, n_val=30, spec="s2v1"):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n_train + n_val, 1))
+    y = np.column_stack([np.sin(2 * np.pi * x[:, 0]), np.cos(3 * x[:, 0])]) * 0.3 + 0.5
+    y += rng.normal(scale=0.02, size=y.shape)
+    enc = parse_encoding(spec)
+    return prepare_train_data(x[:n_train], y[:n_train], x[n_train:], y[n_train:], enc)
+
+
+@pytest.mark.parametrize(
+    "acts", [(Activation.STEP, Activation.SIGN), (Activation.SIGN, Activation.STEP)]
+)
+def test_add_node_scores_match_the_scalar_oracle(acts):
+    # both activations, fed by +-1 inputs (layer 1) and by the previous
+    # layer's {0,1} or {-1,+1} values (layer 2), with two outputs
+    data = _two_output_data(seed=4)
+    cfg = TrainConfig((4, 2), acts, t_max=200, seed=4, tau=-1.0)
+    state = TrainState(data, cfg)
+    rng = np.random.default_rng(4)
+    for k, (size, act) in enumerate(zip(cfg.layer_sizes, acts)):
+        if k:
+            state.end_layer()
+        state.begin_layer(act)
+        for _ in range(size):
+            e_before = state.resid_train.copy()
+            s = state.cur_in_train
+            res = add_node(state, k, cfg, rng)
+            assert res is not None
+            node = res.node
+            pre = (s @ node.w.to_pm1().astype(np.float64)) * node.lam + node.bias
+            h = (pre > 0).astype(np.float64)
+            if act == Activation.STEP:
+                h = h * 2 - 1
+            assert np.array_equal(state.h_train[-1], h)
+            xi = [xi_score(e_before[:, q], h, res.r) for q in range(state.m)]
+            assert res.xi_sum == pytest.approx(sum(xi), rel=1e-12)
+            assert res.xi_min == pytest.approx(min(xi), rel=1e-12)
+
+
+_SATURATED_BIAS = 128.0 - 2.0**-25
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fan_in=st.integers(1, 600),
+    rows=st.integers(1, 12),
+    zero_one=st.booleans(),
+)
+def test_threshold_bits_equal_the_float64_pre_activation(seed, fan_in, rows, zero_one):
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, size=(rows, fan_in)).astype(np.float64)
+    if not zero_one:
+        s = s * 2.0 - 1.0
+    # every lambda, each with seven biases: +lambda, -lambda, +-saturated, 0,
+    # a random Q7.25 draw, and one that puts row 0 exactly on the threshold
+    pool = np.array(DEFAULT_LAMBDA_POOL, dtype=np.float64)
+    kinds = 7
+    lam = np.repeat(pool, kinds)
+    w = rng.choice([-1.0, 1.0], size=(lam.size, fan_in))
+    b = np.empty(lam.size)
+    b[0::kinds] = pool
+    b[1::kinds] = -pool
+    b[2::kinds] = _SATURATED_BIAS
+    b[3::kinds] = -_SATURATED_BIAS
+    b[4::kinds] = 0.0
+    b[5::kinds] = fx.dequantize_array(fx.quantize_array(rng.uniform(-pool, pool))[0])
+    b[6::kinds] = -(w[6::kinds] @ s[0]) * pool
+    pre = (s @ w.T) * lam + b
+    assert np.all(pre[0, 6::kinds] == 0.0)
+
+    dot = np.empty((rows, lam.size), dtype=np.float32)
+    bit = np.empty((rows, lam.size), dtype=bool)
+    got = threshold_bits(
+        s.astype(np.float32), w.astype(np.float32), lam, b, dot, bit
+    )
+    assert got is bit
+    assert np.array_equal(bit, pre > 0)
+
+
 # -- full training ---------------------------------------------------------
 
 
@@ -275,10 +362,77 @@ def test_train_deep_model_and_log():
     assert result.model.layers[0].fan_in == data.encoding.bits_per_input
     assert result.model.layers[1].fan_in == 10
     lines = result.log_text().splitlines()
-    assert len(lines) == 14
-    assert lines[0].startswith("layer=1 node=1 r=")
-    assert "val_rmse=" in lines[0]
-    assert [ln.split()[0] for ln in lines[-4:]] == ["layer=2"] * 4
+    node_lines = [ln for ln in lines if ln.startswith("layer=")]
+    assert len(node_lines) == 14
+    assert node_lines[0].startswith("layer=1 node=1 r=")
+    assert "val_rmse=" in node_lines[0]
+    assert "r_attempts=" in node_lines[0]
+    assert [ln.split()[0] for ln in node_lines[-4:]] == ["layer=2"] * 4
+    # no early stop here, so the only events are the L1 fit and the saturation counts
+    event_lines = [ln for ln in lines if not ln.startswith("layer=")]
+    assert [ln.split()[0] for ln in event_lines] == ["event=l1_fit", "event=saturation"]
+    assert "converged=True" in event_lines[0]
+    for rec in result.records:
+        assert cfg.r_schedule[rec.r_attempts - 1] == rec.r
+        assert rec.drawn == rec.r_attempts * cfg.t_max
+        assert 1 <= rec.passed <= cfg.t_max
+
+
+def test_train_reports_an_l1_fit_at_its_sweep_cap(monkeypatch):
+    data = _toy_data(seed=10, spec="s2v1")
+
+    def capped(x, y, alpha):
+        return lasso_fit(x, y, alpha, max_sweeps=1)
+
+    monkeypatch.setattr(scmfpga.mechanism, "lasso_fit", capped)
+    cfg = TrainConfig.single_layer(0, seed=10)
+    with pytest.warns(UserWarning, match="sweep cap"):
+        result = train(data, cfg)
+    (fit,) = [ev for ev in result.events if ev["event"] == "l1_fit"]
+    assert fit["sweeps"] == 1 and fit["converged"] is False
+    assert "event=l1_fit sweeps=1 converged=False" in result.log_text()
+
+
+def test_train_counts_saturated_bias_draws():
+    data = _toy_data(seed=11)
+    for pool, clamps in [((1, 2, 4), False), ((128,), True)]:
+        cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, lambda_pool=pool, seed=11)
+        ev = train(data, cfg).events[-1]
+        assert ev["event"] == "saturation"
+        assert (ev["bias_draws"] > 0) == clamps
+        assert ev["targets_outside"] == ev["mechanism"] == ev["readouts"] == 0
+
+
+def test_finalize_counts_saturated_readouts():
+    data = _toy_data(seed=12)
+    cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, seed=12)
+    state = TrainState(data, cfg)
+    state.begin_layer(Activation.STEP)
+    assert add_node(state, 0, cfg, np.random.default_rng(12)) is not None
+    state.beta[:] = 100.0
+    model, saturated = state.finalize(data.encoding)
+    assert saturated == state.m
+    assert model.layers[0].nodes[0].beta_raw[0] == fx.RAW_MAX
+
+
+def test_raw_targets_outside_q725_are_reported():
+    # db2 with raw Rastrigin targets: y reaches ~80, beyond the Q7.25 range
+    ds = split(gen_db2(seed=5, scale=0.02, normalize_targets=False), 0.2, seed=5)
+    assert ds.y.max() > 64.0
+    spec = parse_encoding("s1:3")
+    data = prepare_train_data(
+        ds.x_norm(ds.train_idx), ds.y[ds.train_idx],
+        ds.x_norm(ds.val_idx), ds.y[ds.val_idx], spec,
+    )
+    cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=100, seed=5)
+    with pytest.warns(UserWarning, match=r"training targets .* outside the Q7\.25 range"):
+        result = train(data, cfg)
+    ev = result.events[-1]
+    assert ev["event"] == "saturation"
+    assert ev["targets_outside"] == int(np.count_nonzero(data.y_train >= 64.0)) > 0
+    # the emulated outputs on those rows clamp, and evaluation counts them
+    rep = evaluate_bits(result.model, data.bits_train, data.y_train, "both")
+    assert rep.saturated.sum() > 0
 
 
 def test_train_determinism():
