@@ -191,8 +191,9 @@ def cmd_eval(args) -> int:
         print(f"rmse_pc={rep.rmse_pc:.9g}")
     if rep.rmse_fpga is not None:
         print(f"rmse_fpga={rep.rmse_fpga:.9g}")
-    if rep.saturated is not None and rep.saturated.any():
+    if not rep.bound_applies:
         print("saturated=" + ",".join(str(int(c)) for c in rep.saturated))
+        print("note: outputs saturated, so quantization_bound does not apply to these rows")
     if rep.rmse_difference is not None:
         print(f"rmse_difference={rep.rmse_difference:.6e}")
         print(f"max_output_delta={rep.max_output_delta:.6e}")

@@ -9,7 +9,10 @@ outputs differ only by the stored-parameter rounding.
 
 predict_fpga_batch is the batch path: it runs the datapath vectorized over a
 BitMatrix, whose rows are (W,) little-endian uint64 words with bit 0 =
-input 0 and zero pad bits (see bits.py), in blocks of BLOCK_ROWS rows.
+input 0 and zero pad bits (see bits.py), in blocks of BLOCK_ROWS rows. A
+layer's popcounts accumulate word by word: for each word column j, the
+(rows, nodes) counts of x[:, j] XOR (or AND) every node's word j are added
+into one int64 array, so no (rows, nodes, words) temporary is built.
 predict_fpga, node_forward_fpga, xnor_count and ones_count_dot work on one
 BitVec at a time in plain integer arithmetic and serve as its test oracles.
 """
@@ -106,8 +109,8 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
     return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
 
 
-# rows per block of predict_fpga_batch: bounds its (rows, nodes, words)
-# temporaries, so memory does not grow with the batch
+# rows per block of predict_fpga_batch: bounds its (rows, nodes) temporaries,
+# so memory does not grow with the batch
 BLOCK_ROWS = 1024
 
 
@@ -138,15 +141,26 @@ class _PackedLayer:
 
     def forward(self, x: BitMatrix) -> np.ndarray:
         """(B, K) threshold bits of the nodes on a block of B input rows."""
-        count = lambda a: np.bitwise_count(a).sum(axis=-1, dtype=np.int64)  # noqa: E731
-        words = x.words[:, None, :]
-        if self.domain == InDomain.PM1:
-            # XNOR-count: agreements minus disagreements
-            dot = self.w.n - 2 * count(words ^ self.w.words)
+        pm1 = self.domain == InDomain.PM1
+        op = np.bitwise_xor if pm1 else np.bitwise_and
+        w = self.w.words
+        word = lambda j: np.bitwise_count(op(x.words[:, j, None], w[:, j]))  # noqa: E731
+        # the popcounts add up word by word in one (B, K) int64 array, which
+        # then becomes the pre-activation in place
+        acc = word(0).astype(np.int64)
+        for j in range(1, w.shape[1]):
+            acc += word(j)
+        if pm1:
+            # XNOR-count: agreements minus disagreements, n - 2*count
+            acc *= -2
+            acc += self.w.n
         else:
             # set inputs count +1 under a set weight bit and -1 under a clear one
-            dot = 2 * count(words & self.w.words) - count(x.words)[:, None]
-        return (dot << self.shift) + self.bias > 0
+            acc *= 2
+            acc -= np.bitwise_count(x.words).sum(axis=1, dtype=np.int64)[:, None]
+        acc <<= self.shift
+        acc += self.bias
+        return acc > 0
 
 
 def predict_fpga_batch(

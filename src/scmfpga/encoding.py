@@ -20,6 +20,19 @@ most significant pad bit of its first digit field is bit 1, and so on.
 
 encode_matrix is the batch path; encode_value and the scalar encoders are
 one-row calls of the same code.
+
+Digit rule (_digit_table): the digits of all distinct values come from one
+exact array rule instead of a Decimal per value. At q = min(places, 15)
+places, with p = 10.0**q, y = v*p, m = rint(y) and f = floor(y), the
+truncated digits are t = m where m/p == v, else f where f/p < v, else f - 1;
+digit k is t // 10**k % 10. It is exact because p and t (below 2**53) are
+exact doubles and IEEE multiply and divide round correctly: m/p == v holds
+exactly when a q-place decimal rounds to v, and then the shortest repr is
+that decimal; otherwise no q-place decimal lies between the shortest repr
+and v, so both truncate alike, and the two comparisons undo a product that
+rounded up to the next integer. Past 15 places two such decimals can round
+to one double, so values with a 15-place form get zeros beyond place 15 and
+only the rest go through the scalar _digits, which is also the test oracle.
 """
 
 from __future__ import annotations
@@ -145,6 +158,33 @@ def decimal_digit(x: float, k: int) -> int:
     return _digits(x, k)[k]
 
 
+# places the array digit rule covers: 10**15 and every truncated value fit
+# exactly in a double, and no two 15-place decimals share one double's
+# rounding interval in [0, 1]
+_EXACT_PLACES = 15
+
+
+def _digit_table(values: np.ndarray, places: int) -> np.ndarray:
+    """(V, 1 + places) uint8: _digits of each of V values in [0, 1].
+
+    The exact array rule of the module docstring; past 15 places only the
+    values without a 15-place form call _digits.
+    """
+    q = min(places, _EXACT_PLACES)
+    p = 10.0**q
+    y = values * p
+    m = np.rint(y)
+    f = np.floor(y)
+    exact = m / p == values
+    t = np.where(exact, m, np.where(f / p < values, f, f - 1)).astype(np.int64)
+    digits = np.zeros((len(values), 1 + places), dtype=np.uint8)
+    digits[:, : q + 1] = t[:, None] // 10 ** np.arange(q, -1, -1) % 10
+    if places > q:
+        for i in np.flatnonzero(~exact):
+            digits[i] = _digits(values.item(i), places)
+    return digits
+
+
 def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
     """(V, width) bool codes of V values in [0, 1], bits in written order.
 
@@ -156,9 +196,7 @@ def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
         level = np.minimum(values * (param + 1), param).astype(np.int64)
         return level[:, None] > np.arange(param)
     widths = _layout(kind, param)
-    digits = np.empty((len(values), len(widths)), dtype=np.uint8)
-    for i in range(len(values)):
-        digits[i] = _digits(values.item(i), len(widths) - 1)
+    digits = _digit_table(values, len(widths) - 1)
     ones = np.stack([_ONES[w][digits[:, k]] for k, w in enumerate(widths)], axis=1)
     field = np.repeat(np.arange(len(widths)), widths)
     # a bit `rank` places left of its field's right end is set by more than `rank` ones

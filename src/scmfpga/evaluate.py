@@ -35,6 +35,11 @@ class EvalReport:
         return fx.dequantize_array(self.outputs_fpga_raw)
 
     @property
+    def bound_applies(self) -> bool:
+        """False when any emulated row was clamped, where quantization_bound no longer holds."""
+        return self.saturated is None or not self.saturated.any()
+
+    @property
     def rmse_difference(self) -> float | None:
         if self.rmse_pc is None or self.rmse_fpga is None:
             return None

@@ -78,6 +78,8 @@ class LassoFit:
     `sweeps` is the largest sweep count over the output columns, `converged`
     says every column met the tolerance within the sweep cap, and
     `objective` is lasso_objective at the returned coefficients.
+    `constant_columns` counts the design columns with zero range; each one
+    makes coordinate descent need many more sweeps.
     """
 
     p: np.ndarray  # (d, m)
@@ -85,6 +87,7 @@ class LassoFit:
     sweeps: int
     converged: bool
     objective: float
+    constant_columns: int
 
     def __iter__(self):
         return iter((self.p, self.u))
@@ -155,4 +158,5 @@ def lasso_fit(
         else:
             converged = False
         sweeps = max(sweeps, sweep)
-    return LassoFit(p, u, sweeps, converged, lasso_objective(x, yc, p, alpha))
+    constant = int(np.count_nonzero(np.ptp(x, axis=0) == 0))
+    return LassoFit(p, u, sweeps, converged, lasso_objective(x, yc, p, alpha), constant)

@@ -205,5 +205,10 @@ def node_output_float(
 
 
 def quantization_bound(model: ScmModel) -> float:
-    """Per-output bound on |reference - emulated| from parameter rounding."""
+    """Per-output bound on |reference - emulated| from parameter rounding.
+
+    It holds only when no output saturates: an emulated output clamped to
+    the Q7.25 range can be any distance from the reference one (see
+    EvalReport.saturated and EvalReport.bound_applies).
+    """
     return (model.total_nodes + model.d_enc + model.n_outputs + 1) * fx.RESOLUTION

@@ -438,8 +438,8 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     events: list[dict] = []
     fit = state.mech.fit
     if fit is not None:
-        events.append({"event": "l1_fit", "sweeps": fit.sweeps,
-                       "converged": fit.converged, "objective": fit.objective})
+        events.append({"event": "l1_fit", "sweeps": fit.sweeps, "converged": fit.converged,
+                       "objective": fit.objective, "constant_columns": fit.constant_columns})
         if not fit.converged:
             warnings.warn(
                 f"the L1 mechanism fit stopped at its sweep cap ({fit.sweeps} sweeps) "

@@ -10,7 +10,7 @@ from scmfpga.bits import BitVec
 from scmfpga.datasets import load_dataset
 from scmfpga.encoding import parse_encoding
 from scmfpga.mechanism import external_mechanism
-from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode
+from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode, quantization_bound
 from scmfpga.modelfile import load_model, save_model
 
 
@@ -160,6 +160,33 @@ def test_eval_prints_output_saturation(capsys, db1_files, tmp_path):
     expected = int(np.count_nonzero(ds.x_norm(ds.rows("test"))[:, 0] >= 0.5))
     assert expected > 0
     assert f"saturated={expected}" in capsys.readouterr().out.splitlines()
+
+
+BOUND_NOTE = "note: outputs saturated, so quantization_bound does not apply to these rows"
+
+
+def test_eval_says_when_the_bound_does_not_apply(capsys, db1_files, tmp_path):
+    _, db1, db1_model = db1_files
+    assert run("eval", str(db1_model), str(db1), "--mode", "both") == 0
+    assert BOUND_NOTE not in capsys.readouterr().out
+    # raw Rastrigin targets reach ~80, beyond the Q7.25 range
+    data = tmp_path / "raw.csv"
+    assert run(
+        "gen-data", "db2", "--raw-targets", "--scale", "0.02", "--seed", "3", "--out", str(data)
+    ) == 0
+    model = tmp_path / "raw.scm"
+    with pytest.warns(UserWarning, match=r"outside the Q7\.25 range"):
+        assert run(
+            "train", str(data), "--out", str(model), "--encoding", "s1:3",
+            "--nodes", "3", "--t-max", "100", "--seed", "3",
+        ) == 0
+    capsys.readouterr()
+    assert run("eval", str(model), str(data), "--rows", "train") == 0
+    lines = capsys.readouterr().out.splitlines()
+    sat = [i for i, ln in enumerate(lines) if ln.startswith("saturated=")]
+    assert len(sat) == 1 and lines[sat[0] + 1] == BOUND_NOTE
+    delta = float(next(ln for ln in lines if ln.startswith("max_output_delta=")).split("=")[1])
+    assert delta > quantization_bound(load_model(model))
 
 
 def test_eval_empty_selection_errors(db1_files, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scmfpga import encoding
 from scmfpga.encoding import (
     EncodingKind,
     EncodingSpec,
@@ -14,6 +15,8 @@ from scmfpga.encoding import (
     encode_scheme1,
     encode_scheme2,
     parse_encoding,
+    _digit_table,
+    _digits,
 )
 from scmfpga.bits import BitVec
 from scmfpga.errors import DataError
@@ -321,3 +324,87 @@ def test_encode_matrix_rows_match_encode_value(spec, pool, data):
 def test_encode_matrix_edge_values_match_oracle(text):
     x = np.array(EDGE_VALUES).reshape(-1, 1)
     _check_rows_against_oracles(np.hstack([x, x[::-1]]), parse_encoding(text))
+
+
+# -- the array digit rule ----------------------------------------------
+
+
+def _ulps(x: float, n: int) -> float:
+    """x moved n doubles up (n > 0) or down (n < 0), kept in [0, 1]."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, 2.0 if n > 0 else -1.0))
+    return min(max(x, 0.0), 1.0)
+
+
+def _decimal_neighbours(max_p: int = 15):
+    """k/10^P for P <= max_p, moved 0-3 ulps: where truncation and rounding part ways."""
+    return st.integers(1, max_p).flatmap(
+        lambda p: st.builds(
+            lambda k, n: _ulps(k / 10**p, n), st.integers(0, 10**p), st.integers(-3, 3)
+        )
+    )
+
+
+def _digit_pool(max_p: int = 15):
+    # subnormals and values below 1e-4 have exponent-form reprs
+    return st.one_of(
+        _decimal_neighbours(max_p),
+        unit_floats,
+        st.floats(0.0, 1e-4, exclude_max=True),
+        st.floats(0.0, 2.2250738585072014e-308, exclude_max=True),
+        st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53]),
+    )
+
+
+@given(st.integers(1, 15), st.data())
+def test_digit_table_matches_scalar_digits(places, data):
+    # decimals with at most `places` places can reach every branch of the
+    # rule; the grid test below reaches the f - 1 branch on every run
+    values = data.draw(st.lists(_digit_pool(places), min_size=1, max_size=40))
+    expected = [_digits(x, places) for x in values]
+    assert _digit_table(np.array(values), places).tolist() == expected
+
+
+def test_digit_table_on_every_short_decimal_and_its_neighbours():
+    base = np.concatenate([np.arange(10**p + 1) / 10**p for p in (1, 2, 3)])
+    v = [base]
+    up = down = base
+    for _ in range(3):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+        v += [up, down]
+    v = np.unique(np.clip(np.concatenate(v), 0.0, 1.0))
+    for places in range(1, 16):
+        expected = [_digits(x, places) for x in v.tolist()]
+        assert _digit_table(v, places).tolist() == expected, places
+
+
+@given(st.lists(_digit_pool(), min_size=1, max_size=20), st.sampled_from([16, 20, 255]))
+def test_digit_table_beyond_15_places_matches_scalar_digits(values, places):
+    expected = [_digits(x, places) for x in values]
+    assert _digit_table(np.array(values), places).tolist() == expected
+
+
+all_kinds = st.sampled_from(
+    ["density:1", "density:7", "density:255", "s1:1", "s1:3", "s1:4", "s1:15",
+     "s1:16", "s1:20", "s1:255", "s2v1", "s2v2"]
+).map(parse_encoding)
+
+
+@given(all_kinds, st.lists(_digit_pool(), min_size=1, max_size=12))
+def test_encode_matrix_on_the_digit_pool_matches_encode_value(spec, values):
+    x = np.array(values).reshape(-1, 1)
+    _check_rows_against_oracles(np.hstack([x, x[::-1]]), spec)
+
+
+@pytest.mark.parametrize("text", ["density:7", "s1:3", "s1:4", "s1:15", "s2v1", "s2v2"])
+def test_encode_matrix_has_no_per_value_digit_loop(monkeypatch, text):
+    # up to 15 places the digits come from the array rule alone; the scalar
+    # _digits is the oracle and must not creep back into the batch path
+    def scalar_digits(x, places):
+        raise AssertionError("encode_matrix read digits one value at a time")
+
+    monkeypatch.setattr(encoding, "_digits", scalar_digits)
+    x = np.random.default_rng(0).random((50, 3))
+    x[0] = [0.0, 1.0, 5e-324]
+    bits, d_enc = encode_matrix(x, parse_encoding(text))
+    assert len(bits) == 50 and d_enc == 3 * parse_encoding(text).bits_per_input

@@ -179,6 +179,12 @@ def _designs():
         yield name, x, y
 
 
+def test_lasso_counts_constant_columns():
+    expected = {"plain": 0, "constant": 1, "deficient": 1}
+    for name, x, y in _designs():
+        assert lasso_fit(x, y, 1e-4).constant_columns == expected[name], name
+
+
 @pytest.mark.parametrize("alpha", [1e-4, 0.5, 5.0])
 def test_lasso_warm_start_objective_not_above_cold_start(alpha):
     for name, x, y in _designs():

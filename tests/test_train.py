@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -372,6 +374,12 @@ def test_train_deep_model_and_log():
     event_lines = [ln for ln in lines if not ln.startswith("layer=")]
     assert [ln.split()[0] for ln in event_lines] == ["event=l1_fit", "event=saturation"]
     assert "converged=True" in event_lines[0]
+    # the integer bit is constant: the toy inputs lie in [0, 1) and no row sets it
+    s = signals_pm1(data.bits_train)
+    constant = int(np.count_nonzero((s == s[0]).all(axis=0)))
+    assert constant >= 1
+    assert result.events[0]["constant_columns"] == constant
+    assert event_lines[0].endswith(f" constant_columns={constant}")
     for rec in result.records:
         assert cfg.r_schedule[rec.r_attempts - 1] == rec.r
         assert rec.drawn == rec.r_attempts * cfg.t_max
@@ -433,6 +441,25 @@ def test_raw_targets_outside_q725_are_reported():
     # the emulated outputs on those rows clamp, and evaluation counts them
     rep = evaluate_bits(result.model, data.bits_train, data.y_train, "both")
     assert rep.saturated.sum() > 0
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_eval_report_says_whether_the_bound_applies(normalize):
+    ds = split(gen_db2(seed=6, scale=0.02, normalize_targets=normalize), 0.2, seed=6)
+    data = prepare_train_data(
+        ds.x_norm(ds.train_idx), ds.y[ds.train_idx],
+        ds.x_norm(ds.val_idx), ds.y[ds.val_idx], parse_encoding("s1:3"),
+    )
+    cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=100, seed=6)
+    with warnings.catch_warnings():
+        # test_raw_targets_outside_q725_are_reported checks the raw targets' warning
+        warnings.simplefilter("ignore", UserWarning)
+        model = train(data, cfg).model
+    rep = evaluate_bits(model, data.bits_train, data.y_train, "both")
+    assert rep.bound_applies is normalize
+    assert (rep.max_output_delta <= quantization_bound(model)) is normalize
+    # without the emulated path nothing was clamped
+    assert evaluate_bits(model, data.bits_train, data.y_train, "pc").bound_applies
 
 
 def test_train_determinism():
