@@ -144,6 +144,21 @@ def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
     return h
 
 
+def check_pre_activation(fan_in: int, lam, bias) -> None:
+    """Raise ValueError unless fan_in * lam + |bias| < 2**28 for every node.
+
+    The float pre-activation (s . w) * lam + bias adds an integer dot times a
+    power of two to a bias on the 2**-25 grid. Below 2**28 every such value
+    is a float64, so the test pre > 0 is exact and matches the emulator.
+    """
+    worst = np.max(fan_in * np.asarray(lam, dtype=np.float64) + np.abs(bias))
+    if worst >= 2**28:
+        raise ValueError(
+            f"a pre-activation at fan-in {fan_in} can reach {worst:g}, "
+            "but the float64 path is exact only below 2**28"
+        )
+
+
 def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
     """Activation values of a layer on an (N, fan_in) signal matrix.
 
@@ -159,7 +174,8 @@ def predict_float_batch(model: ScmModel, bits_or_signals) -> np.ndarray:
     """Reference full-precision prediction for a batch; returns (N, m).
 
     Accepts encoded rows (a BitMatrix, or a list of BitVecs) or a prebuilt
-    (N, d_enc) +-1 matrix.
+    (N, d_enc) +-1 matrix. Raises ValueError when a node's pre-activation
+    could leave the exact float64 range (check_pre_activation).
     """
     s = (
         bits_or_signals
@@ -168,6 +184,8 @@ def predict_float_batch(model: ScmModel, bits_or_signals) -> np.ndarray:
     )
     if s.shape[1] != model.d_enc:
         raise ValueError(f"input width {s.shape[1]} != model width {model.d_enc}")
+    for layer in model.layers:
+        check_pre_activation(layer.fan_in, layer.lambdas(), layer.biases())
     out = mech_eval_float_batch(s, model.mechanism)
     for layer in model.layers:
         h = layer_forward_float(s, layer)

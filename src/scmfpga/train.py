@@ -16,6 +16,16 @@ Biases are drawn uniform on [-lambda, +lambda] and snapped to the Q7.25 grid
 at draw time (saturating at the format range): the stored bias must fit the
 32-bit output-path word, and a grid bias makes the float path and the emulated
 integer path compute bit-identical activations.
+
+A candidate's scores are computed without forming h. Its threshold bits are
+written as 0/1 into one float32 work array that the TrainState owns, and one
+float32 GEMM multiplies them by the residual split into integer limbs
+(ResidualLimbs) and by a row of ones. Every partial sum of that GEMM is an
+integer below 2**24, so <e_q, h> is the correctly rounded sum of the selected
+residual entries (each kept to 60 bits below its column's power-of-two bound)
+whatever order the BLAS adds in, and the bit count gives <h, h> for SIGN.
+This holds while the training set has at most 2**23 rows and every fan-in
+keeps the pre-activation exact; train checks both before it starts.
 """
 
 from __future__ import annotations
@@ -37,7 +47,14 @@ from .mechanism import (
     mech_eval_float_batch,
     signals_pm1,
 )
-from .model import Activation, ScmLayer, ScmModel, ScmNode, activation_values
+from .model import (
+    Activation,
+    ScmLayer,
+    ScmModel,
+    ScmNode,
+    activation_values,
+    check_pre_activation,
+)
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
 DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -228,12 +245,25 @@ def _rmse(resid: np.ndarray) -> float:
     return float(np.sqrt(np.mean(resid * resid))) if resid.size else 0.0
 
 
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """a with its column capacity doubled; the new columns are unset."""
+    out = np.empty((a.shape[0], 2 * a.shape[1]))
+    out[:, : a.shape[1]] = a
+    return out
+
+
 class TrainState:
     """Mutable book-keeping while a model is grown.
 
-    Holds the residual matrices, the accumulated hidden-output columns for
-    the global readout refit, the per-layer node lists, and the signal
-    matrices feeding the layer currently under construction.
+    Holds the residual matrices, the hidden-output columns for the global
+    readout refit, the per-layer node lists, the signal matrices feeding the
+    layer currently under construction, and the candidate work array.
+
+    The hidden outputs live in (N, capacity) arrays whose first n_hidden
+    columns are in use; the capacity starts at the configured node count (at
+    most 64) and doubles when full. They are C-ordered because H @ beta then
+    rounds as it does on a stacked matrix, so the residuals (and the model
+    bytes) do not depend on the storage.
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
@@ -247,8 +277,12 @@ class TrainState:
             self.mech = MechanismModel.zero(self.s1_train.shape[1], self.m)
         self.target_train = data.y_train - mech_eval_float_batch(self.s1_train, self.mech)
         self.target_val = data.y_val - mech_eval_float_batch(self.s1_val, self.mech)
-        self.h_train: list[np.ndarray] = []
-        self.h_val: list[np.ndarray] = []
+        # a C-order column write touches every row, so a large configured
+        # node count is not allocated up front
+        capacity = min(max(1, sum(cfg.layer_sizes)), 64)
+        self.H_train = np.empty((len(data.bits_train), capacity))
+        self.H_val = np.empty((len(data.bits_val), capacity))
+        self.n_hidden = 0
         self.beta = np.zeros((0, self.m))
         self.resid_train = self.target_train.copy()
         self.resid_val = self.target_val.copy()
@@ -256,8 +290,16 @@ class TrainState:
         self.layer_acts: list[Activation] = []
         self.cur_in_train = self.s1_train
         self.cur_in_val = self.s1_val
+        # (N, t_max) float32 candidate dots, then their 0/1 threshold bits;
+        # allocated by the first add_node
+        self.work: np.ndarray | None = None
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
+
+    @property
+    def h_train(self) -> np.ndarray:
+        """The hidden outputs on the training rows, one row per node (a view)."""
+        return self.H_train[:, : self.n_hidden].T
 
     # -- layer lifecycle -------------------------------------------------
 
@@ -266,36 +308,41 @@ class TrainState:
         self.layer_acts.append(act)
 
     def end_layer(self) -> None:
-        n = len(self.layer_nodes[-1])
-        self.cur_in_train = np.column_stack(self.h_train[-n:])
-        self.cur_in_val = np.column_stack(self.h_val[-n:])
+        # views: the columns of a finished layer are never written again,
+        # and a doubled H gets copies of them
+        cols = slice(self.n_hidden - len(self.layer_nodes[-1]), self.n_hidden)
+        self.cur_in_train = self.H_train[:, cols]
+        self.cur_in_val = self.H_val[:, cols]
 
     def append_node(self, node: ScmNode, h_tr: np.ndarray, h_va: np.ndarray) -> None:
+        if self.n_hidden == self.H_train.shape[1]:
+            self.H_train = _doubled(self.H_train)
+            self.H_val = _doubled(self.H_val)
+        self.H_train[:, self.n_hidden] = h_tr
+        self.H_val[:, self.n_hidden] = h_va
+        self.n_hidden += 1
         self.layer_nodes[-1].append(node)
-        self.h_train.append(h_tr)
-        self.h_val.append(h_va)
         self.refit_beta()
 
     def remove_trailing(self, n: int) -> None:
         if n <= 0:
             return
         del self.layer_nodes[-1][-n:]
-        del self.h_train[-n:]
-        del self.h_val[-n:]
+        self.n_hidden -= n
         self.refit_beta()
 
     # -- readout ---------------------------------------------------------
 
     def refit_beta(self) -> None:
-        if not self.h_train:
+        if not self.n_hidden:
             self.beta = np.zeros((0, self.m))
             self.resid_train = self.target_train.copy()
             self.resid_val = self.target_val.copy()
             return
-        h = np.column_stack(self.h_train)
+        h = self.H_train[:, : self.n_hidden]
         self.beta = least_squares(h, self.target_train)
         self.resid_train = self.target_train - h @ self.beta
-        self.resid_val = self.target_val - np.column_stack(self.h_val) @ self.beta
+        self.resid_val = self.target_val - self.H_val[:, : self.n_hidden] @ self.beta
 
     def train_rmse(self) -> float:
         return _rmse(self.resid_train)
@@ -324,25 +371,117 @@ class TrainState:
         return model, saturated
 
 
+# bits of each residual column that the limbs keep, below its power-of-two bound
+LIMB_REACH = 60
+
+
+def limb_layout(n: int) -> tuple[int, int, int]:
+    """How residual limbs are laid out for exact sums over n rows.
+
+    Returns (step, count, hi). Limbs are integers of magnitude at most
+    2**(step - 1) <= 2**24 // n, so any sum of them over n rows is an integer
+    of magnitude at most 2**24, which float32 holds exactly. Consecutive limbs
+    are 2**step apart, and `count` of them reach LIMB_REACH bits. The scaled
+    sums of the first `hi` limbs add up exactly in float64, and so do those of
+    the rest. Raises ValueError when n is too large for a limb of one bit.
+    """
+    cap = 2**24 // n
+    if cap < 2:
+        raise ValueError(
+            f"{n} training rows are too many for exact candidate scoring "
+            f"(at most {2**23})"
+        )
+    step = cap.bit_length()
+    return step, -(-LIMB_REACH // step), 1 + 28 // step
+
+
+class ResidualLimbs:
+    """Residual columns split into integer limbs, for exact dots with bit columns.
+
+    Column q of the (N, m) residual e is scaled by 2**-exp[q], where
+    2**exp[q] is the least power of two above max |e[:, q]|, and split into
+    limbs at the scales 2**(1 - step * k), k = 1..count, each limb the
+    scaled remainder rounded to nearest. This is the error-free splitting of
+    Ozaki, Ogita, Oishi & Rump (2012, "Error-free transformations of matrix
+    multiplication by using fast routines of matrix multiplication and its
+    applications", Numer. Algorithms 59), cut off at LIMB_REACH bits: the
+    limbs sum to each entry rounded to the multiple of 2**(exp[q] + 1 -
+    step * count) <= 2**(exp[q] - 59) nearest it.
+
+    The rows of `lhs` are the limbs (output-major) and then a row of ones, so
+    lhs @ bits gives, exactly, every limb's dot with each bit column and the
+    bit counts.
+    """
+
+    def __init__(self, e: np.ndarray):
+        n, m = e.shape
+        step, count, self.hi = limb_layout(n)
+        _, self.exp = np.frexp(np.max(np.abs(e), axis=0))
+        x = np.ldexp(e.T, -self.exp[:, None])  # |x| < 1, exact
+        self.lhs = np.empty((m * count + 1, n), dtype=np.float32)
+        limbs = self.lhs[:-1].reshape(m, count, n)
+        for k in range(count):
+            shift = step * (k + 1) - 1
+            limb = np.rint(np.ldexp(x, shift))
+            x -= np.ldexp(limb, -shift)  # exact: the remainder has <= 53 bits
+            limbs[:, k] = limb
+        self.lhs[-1] = 1.0
+        self.totals = limbs.sum(axis=2, dtype=np.float64)  # exact integers
+        self.scale = np.ldexp(1.0, 1 - step * np.arange(1, count + 1))
+
+    def dots(self, bits: np.ndarray, pm1: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, t) products e^T h and the (t,) bit counts of 0/1 columns.
+
+        `bits` is (N, t) float32 with entries 0 or 1, and h is bits, or
+        2 * bits - 1 when `pm1`. Each product is the correctly rounded sum of
+        the limb-rounded residual entries that h selects, with their signs.
+        """
+        sums = (self.lhs @ bits).astype(np.float64)
+        limb_dots = sums[:-1].reshape(*self.totals.shape, -1)
+        if pm1:
+            # limb . (2 bit - 1) = 2 limb . bit - sum(limb), exact in float64
+            limb_dots *= 2.0
+            limb_dots -= self.totals[:, :, None]
+        limb_dots *= self.scale[:, None]
+        # each group sums exactly, so the one addition rounds the total once
+        eh = limb_dots[:, : self.hi].sum(axis=1) + limb_dots[:, self.hi :].sum(axis=1)
+        return np.ldexp(eh, self.exp[:, None]), sums[-1]
+
+
+def check_exact_scoring(n_rows: int, fan_ins: Sequence[int], lambda_pool: Sequence[int]) -> None:
+    """Raise ValueError unless candidate scoring is exact at these sizes.
+
+    Every fan-in needs an exact float32 dot (below 2**24) and an exact
+    pre-activation at the largest lambda and a bias up to 128 in magnitude
+    (check_pre_activation), and n_rows needs a limb layout (limb_layout).
+    """
+    lam = max(lambda_pool)
+    for fan_in in fan_ins:
+        if fan_in >= 2**24:
+            raise ValueError(f"fan-in {fan_in} is too wide for an exact float32 dot")
+        check_pre_activation(fan_in, lam, 128.0)
+    limb_layout(n_rows)
+
+
 def threshold_bits(
     s32: np.ndarray,
     w32: np.ndarray,
     lam: np.ndarray,
     b: np.ndarray,
-    dot: np.ndarray,
-    bit: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Threshold bits [s . w_k * lam_k + b_k > 0] of t candidates on N rows.
 
     s32 (N, fan_in) and w32 (t, fan_in) are float32 with entries in
-    {-1, 0, +1}; dot (N, t) float32 and bit (N, t) bool are work buffers, and
-    bit is returned. The test is dot > floor(-b / lam) on the integer dot,
-    which is the same as dot * lam + b > 0: lam is a power of two and b lies
-    on the Q7.25 grid. The float64 pre-activation is exact while
-    fan_in * lam + |b| < 2**28, and the float32 dot while fan_in < 2**24.
+    {-1, 0, +1}. The dots go into the (N, t) float32 work array, which is then
+    overwritten in place by the bits as 0.0 or 1.0 and returned. The test is
+    dot > floor(-b / lam) on the integer dot, which is the same as
+    dot * lam + b > 0: lam is a power of two and b lies on the Q7.25 grid. The
+    float64 pre-activation is exact while fan_in * lam + |b| < 2**28, and the
+    float32 dot while fan_in < 2**24.
     """
-    np.matmul(s32, w32.T, out=dot)
-    return np.greater(dot, np.floor(-b / lam).astype(np.float32), out=bit)
+    np.matmul(s32, w32.T, out=work)
+    return np.greater(work, np.floor(-b / lam).astype(np.float32), out=work)
 
 
 def add_node(
@@ -356,18 +495,20 @@ def add_node(
     Returns None when the whole r schedule is exhausted.
     """
     act = state.layer_acts[-1]
+    pm1 = act == Activation.STEP  # h = 2 * bit - 1, else h = bit
     s_tr = state.cur_in_train
     s_va = state.cur_in_val
     n, fan_in = s_tr.shape
     t = cfg.t_max
     e = state.resid_train
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
+    limbs = ResidualLimbs(e)
     pool = np.array(cfg.lambda_pool, dtype=np.float64)
     # entries are -1, 0 or +1, so float32 holds them and every dot exactly
     s32 = s_tr.astype(np.float32)
-    dot = np.empty((n, t), dtype=np.float32)
-    bit = np.empty((n, t), dtype=bool)
-    h = np.empty((n, t))
+    if state.work is None or state.work.shape != (n, t):
+        state.work = np.empty((n, t), dtype=np.float32)
+    work = state.work
 
     for attempt, r in enumerate(cfg.r_schedule, start=1):
         w = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
@@ -377,14 +518,9 @@ def add_node(
         state.bias_saturated += n_sat
         b = fx.dequantize_array(b_raw)
 
-        np.copyto(h, threshold_bits(s32, w, lam, b, dot, bit))
-        if act == Activation.STEP:
-            h *= 2.0
-            h -= 1.0
-            hh = np.full(t, float(n))
-        else:
-            hh = np.count_nonzero(bit, axis=0)
-        eh = e.T @ h  # (m, t)
+        threshold_bits(s32, w, lam, b, work)
+        eh, count = limbs.dots(work, pm1)
+        hh = np.full(t, float(n)) if pm1 else count
         valid = hh > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = np.where(valid, eh * eh / hh, -np.inf) - (1.0 - r) * ee[:, None]
@@ -406,7 +542,7 @@ def add_node(
             beta_raw=np.zeros(state.m, dtype=np.int32),
         )
         h_v = activation_values((s_va @ w_j) * lam[j] + bias > 0, act)
-        state.append_node(node, h[:, j].copy(), h_v)
+        state.append_node(node, activation_values(work[:, j], act), h_v)
         return AddResult(
             node=node,
             r=r,
@@ -432,6 +568,11 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     and when a target or a fitted intercept lies outside [-64, 64), where
     the emulated outputs saturate.
     """
+    sizes = [s for s in cfg.layer_sizes if s > 0]
+    acts = [a for s, a in zip(cfg.layer_sizes, cfg.activations) if s > 0]
+    if sizes:
+        check_exact_scoring(len(data.bits_train), [data.bits_train.n, *sizes[:-1]],
+                            cfg.lambda_pool)
     rng = np.random.default_rng(cfg.seed)
     state = TrainState(data, cfg)
     records: list[TrainRecord] = []
@@ -454,8 +595,6 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             stacklevel=2,
         )
 
-    sizes = [s for s in cfg.layer_sizes if s > 0]
-    acts = [a for s, a in zip(cfg.layer_sizes, cfg.activations) if s > 0]
     for k, (size, act) in enumerate(zip(sizes, acts)):
         state.begin_layer(act)
         val_hist: list[float] = []

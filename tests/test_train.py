@@ -1,4 +1,9 @@
+import copy
+import importlib
+import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from scmfpga.datasets import gen_db2, split
 from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.errors import TrainingFailedError
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.linalg import lasso_fit
+from scmfpga.linalg import lasso_fit, least_squares
 from scmfpga.mechanism import external_mechanism, signals_pm1
 from scmfpga.model import (
     Activation,
@@ -20,6 +25,8 @@ from scmfpga.model import (
     ScmLayer,
     ScmModel,
     ScmNode,
+    activation_values,
+    check_pre_activation,
     node_output_float,
     predict_float,
     predict_float_batch,
@@ -28,11 +35,15 @@ from scmfpga.model import (
 from scmfpga.modelfile import model_to_bytes
 from scmfpga.train import (
     DEFAULT_LAMBDA_POOL,
+    LIMB_REACH,
+    ResidualLimbs,
     TrainConfig,
     TrainData,
     TrainState,
     add_node,
+    check_exact_scoring,
     early_stop_check,
+    limb_layout,
     prepare_train_data,
     threshold_bits,
     train,
@@ -279,13 +290,252 @@ def test_threshold_bits_equal_the_float64_pre_activation(seed, fan_in, rows, zer
     pre = (s @ w.T) * lam + b
     assert np.all(pre[0, 6::kinds] == 0.0)
 
-    dot = np.empty((rows, lam.size), dtype=np.float32)
-    bit = np.empty((rows, lam.size), dtype=bool)
-    got = threshold_bits(
-        s.astype(np.float32), w.astype(np.float32), lam, b, dot, bit
-    )
-    assert got is bit
-    assert np.array_equal(bit, pre > 0)
+    # the bits overwrite the dots in place, as 0.0 and 1.0
+    work = np.empty((rows, lam.size), dtype=np.float32)
+    got = threshold_bits(s.astype(np.float32), w.astype(np.float32), lam, b, work)
+    assert got is work
+    assert np.array_equal(work, (pre > 0).astype(np.float32))
+
+
+# -- exact candidate scores -------------------------------------------------
+
+
+def _limb_rounded(col: np.ndarray) -> list[float]:
+    """Each entry rounded, half to even, to the grid of its column's last limb."""
+    step, count, _ = limb_layout(len(col))
+    top = float(np.max(np.abs(col)))
+    if top == 0.0:
+        return [0.0] * len(col)
+    unit = Fraction(2) ** (math.frexp(top)[1] + 1 - step * count)
+    return [float(round(Fraction(float(v)) / unit) * unit) for v in col]
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096, 20000])
+def test_residual_limb_dots_equal_fsum(n):
+    rng = np.random.default_rng(n)
+    half = n // 2
+    e = np.zeros((n, 4))
+    # on the limb grid: integers over 1024, a third of them zero
+    e[:, 0] = rng.integers(-1000, 1001, size=n) * (rng.random(n) < 2 / 3) / 1024
+    # pairs of arbitrary values that cancel exactly
+    pairs = rng.normal(size=half) * 10.0 ** rng.uniform(-5, 5, size=half)
+    e[: 2 * half, 1] = np.concatenate([pairs, -pairs])
+    # magnitudes spread from 1e-30 to 1e3; column 3 stays all zero
+    e[:, 2] = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-30, 3, size=n)
+    both_of_a_pair = np.zeros(n, dtype=bool)
+    both_of_a_pair[: 2 * half] = np.tile(rng.random(half) < 0.5, 2)
+    bits = np.column_stack(
+        [np.zeros(n), np.ones(n), rng.random(n) < 0.5, rng.random(n) < 0.1, both_of_a_pair]
+    ).astype(np.float32)
+    rounded = [_limb_rounded(e[:, q]) for q in range(4)]
+    # nothing is dropped from the grid columns, so they are the raw entries
+    assert rounded[0] == e[:, 0].tolist() and rounded[3] == e[:, 3].tolist()
+
+    limbs = ResidualLimbs(e)
+    for pm1 in (False, True):
+        eh, count = limbs.dots(bits, pm1)
+        assert np.array_equal(count, bits.sum(axis=0))
+        for j in range(bits.shape[1]):
+            sign = np.where(bits[:, j] > 0, 1.0, -1.0 if pm1 else 0.0)
+            for q in range(4):
+                assert eh[q, j] == math.fsum(sign * rounded[q]), (pm1, j, q)
+        # selected pairs cancel, and so do unselected ones under +-1
+        assert eh[1, 4] == 0.0 and eh[3].tolist() == [0.0] * 5
+
+
+def test_residual_limb_dots_round_once():
+    # many entries below half the second limb's scale, whose sum the lower limbs
+    # carry, and one entry on the second limb's grid that nearly cancels it:
+    # one float64 sum of the scaled limb sums, smallest first, rounds twice here
+    n = 20000
+    step, _, _ = limb_layout(n)
+    rng = np.random.default_rng(0)
+    e = np.zeros((n, 1))
+    e[0] = 0.75  # sets the column's scale, and is not selected
+    e[2:, 0] = 2.0 ** (-2 * step) * (0.9 + 0.09 * rng.random(n - 2))
+    grid = 2.0 ** (1 - 2 * step)
+    e[1] = -np.rint(math.fsum(_limb_rounded(e[:, 0])[2:]) / grid) * grid
+    bits = np.ones((n, 1), dtype=np.float32)
+    bits[0] = 0.0
+    eh, _ = ResidualLimbs(e).dots(bits, pm1=False)
+    assert eh[0, 0] == math.fsum(_limb_rounded(e[:, 0])[1:])
+
+
+def test_limb_layout_keeps_every_sum_exact():
+    for n in [1, 2, 3, 7, 255, 256, 3200, 4096, 20000, 2**20 + 1, 2**22, 2**23]:
+        step, count, hi = limb_layout(n)
+        # a limb has magnitude <= 2**(step - 1), so a sum over n rows fits float32
+        assert n * 2 ** (step - 1) <= 2**24
+        assert step * count >= LIMB_REACH
+        # the two groups of scaled limb sums each add up exactly in float64
+        assert step * (hi - 1) <= 28 and step * (count - hi - 1) <= 28
+    with pytest.raises(ValueError, match="too many"):
+        limb_layout(2**23 + 1)
+
+
+def test_training_checks_the_exactness_preconditions(monkeypatch):
+    check_exact_scoring(2**23, [56, 2**21 - 2], (1, 128))
+    check_exact_scoring(100, [2**24 - 1], (1,))
+    with pytest.raises(ValueError, match=r"2\*\*28"):
+        check_exact_scoring(100, [56, 2**21 - 1], (1, 128))
+    with pytest.raises(ValueError, match="float32"):
+        check_exact_scoring(100, [2**24], (1,))
+    with pytest.raises(ValueError, match="too many"):
+        check_exact_scoring(2**23 + 1, [56], (1,))
+
+    # train checks before it builds anything: layer 2 would have fan-in 2**21
+    def refuse(*args):
+        raise AssertionError("signals built before the check")
+
+    data = _toy_data()
+    monkeypatch.setattr(importlib.import_module("scmfpga.train"), "signals_pm1", refuse)
+    cfg = TrainConfig((2**21, 1), (Activation.STEP, Activation.STEP))
+    with pytest.raises(ValueError, match=r"2\*\*28"):
+        train(data, cfg)
+
+
+def test_predict_float_refuses_an_inexact_pre_activation():
+    check_pre_activation(2**21 - 1, np.array([1.0, 128.0]), np.array([64.0, 127.0]))
+    with pytest.raises(ValueError, match=r"2\*\*28"):
+        check_pre_activation(2**21 - 1, np.array([1.0, 128.0]), np.array([64.0, -128.0]))
+    model = _tiny_model()
+    s = np.ones((1, model.d_enc))
+    predict_float_batch(model, s)
+    model.layers[1].nodes[0].bias = 2.0**28
+    with pytest.raises(ValueError, match=r"2\*\*28"):
+        predict_float_batch(model, s)
+
+
+def _oracle_add_node(state, cfg, rng):
+    """add_node's choice from the same draws, with every e^T h summed by math.fsum."""
+    act = state.layer_acts[-1]
+    s = state.cur_in_train
+    e = state.resid_train
+    fan_in = s.shape[1]
+    ee = np.einsum("ij,ij->j", e, e)
+    pool = np.array(cfg.lambda_pool, dtype=np.float64)
+    for attempt, r in enumerate(cfg.r_schedule, start=1):
+        w = rng.integers(0, 2, size=(cfg.t_max, fan_in), dtype=np.int8) * 2.0 - 1.0
+        lam = rng.choice(pool, size=cfg.t_max)
+        b = fx.dequantize_array(fx.quantize_array(rng.uniform(-lam, lam))[0])
+        best, passed = None, 0
+        for j in range(cfg.t_max):
+            bit = (s @ w[j]) * lam[j] + b[j] > 0
+            h = bit * 2.0 - 1.0 if act == Activation.STEP else bit * 1.0
+            hh = float(h @ h)
+            if hh == 0.0:
+                continue
+            xi = []
+            for q in range(e.shape[1]):
+                eh = math.fsum(e[:, q] * h)
+                xi.append(eh * eh / hh - (1.0 - r) * ee[q])
+            if min(xi) > 0:
+                passed += 1
+                if best is None or sum(xi) > sum(best[1]):
+                    best = (j, xi)
+        if best is not None:
+            j, xi = best
+            return dict(attempt=attempt, w=w[j], lam=lam[j], bias=b[j], passed=passed,
+                        xi_sum=sum(xi))
+    return None
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    act=st.sampled_from([Activation.STEP, Activation.SIGN]),
+    m=st.integers(1, 3),
+    rows=st.integers(2, 40),
+    fan_in=st.integers(1, 4),
+    t_max=st.integers(1, 40),
+    levels=st.integers(1, 8),
+    nodes=st.integers(1, 4),
+)
+def test_add_node_matches_an_fsum_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes):
+    # a thermometer code of fan_in bits has fan_in + 1 distinct rows, so the
+    # draws repeat candidates, and targets on a few levels make exact ties
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(rows + 2, 1))
+    y = rng.integers(0, levels, size=(rows + 2, m)) / 8.0
+    data = prepare_train_data(x[:rows], y[:rows], x[rows:], y[rows:],
+                              parse_encoding(f"density:{fan_in}"))
+    cfg = TrainConfig.single_layer(nodes, act, t_max=t_max, use_mechanism=False, seed=seed)
+    state = TrainState(data, cfg)
+    state.begin_layer(act)
+    for _ in range(nodes):
+        want = _oracle_add_node(state, cfg, copy.deepcopy(rng))
+        got = add_node(state, 0, cfg, rng)
+        if want is None:
+            assert got is None
+            return
+        assert got.r_attempts == want["attempt"] and got.passed == want["passed"]
+        assert np.array_equal(got.node.w.to_pm1(), want["w"])
+        assert got.node.lam == want["lam"] and got.node.bias == want["bias"]
+        assert got.xi_sum == pytest.approx(want["xi_sum"], rel=1e-12)
+
+
+def test_add_node_builds_no_float64_candidate_array():
+    n, t = 3000, 500
+    data = _toy_data(seed=13, n_train=n, n_val=50, spec="s1:3")
+    cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=t, use_mechanism=False, seed=13)
+    state = TrainState(data, cfg)
+    state.begin_layer(Activation.STEP)
+    tracemalloc.start()
+    try:
+        res = add_node(state, 0, cfg, np.random.default_rng(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res is not None
+    assert state.work.shape == (n, t) and state.work.dtype == np.float32
+    # one (N, t) float64 array alone would take 8 * n * t bytes
+    assert peak < 8 * n * t
+
+
+def test_preallocated_readout_matches_column_stack():
+    data = _toy_data(seed=14, n_train=150, n_val=40, spec="s2v1", noise=0.02)
+    cfg = TrainConfig((2, 2), (Activation.STEP, Activation.SIGN), t_max=200, seed=14)
+    state = TrainState(data, cfg)  # capacity 4: the sixth layer-1 node doubles it twice
+    rng = np.random.default_rng(14)
+
+    def columns(s, nodes, act):
+        return [
+            activation_values((s @ nd.w.to_pm1().astype(np.float64)) * nd.lam + nd.bias > 0, act)
+            for nd in nodes
+        ]
+
+    def check():
+        tr, va = [], []
+        s_tr, s_va = state.s1_train, state.s1_val
+        for nodes, act in zip(state.layer_nodes, state.layer_acts):
+            tr_cols, va_cols = columns(s_tr, nodes, act), columns(s_va, nodes, act)
+            tr += tr_cols
+            va += va_cols
+            s_tr, s_va = np.column_stack(tr_cols), np.column_stack(va_cols)
+        h_tr, h_va = np.column_stack(tr), np.column_stack(va)
+        beta = least_squares(h_tr, state.target_train)
+        assert np.array_equal(state.beta, beta)
+        assert np.array_equal(state.resid_train, state.target_train - h_tr @ beta)
+        assert np.array_equal(state.resid_val, state.target_val - h_va @ beta)
+        return h_tr
+
+    state.begin_layer(Activation.STEP)
+    for _ in range(6):
+        assert add_node(state, 0, cfg, rng) is not None
+        check()
+    assert state.H_train.shape[1] == 8
+    state.remove_trailing(2)
+    check()
+    assert add_node(state, 0, cfg, rng) is not None  # rewrites a removed column
+    h_layer1 = check()
+    state.end_layer()
+    assert np.array_equal(state.cur_in_train, h_layer1)
+    state.begin_layer(Activation.SIGN)
+    for _ in range(2):
+        assert add_node(state, 1, cfg, rng) is not None
+        check()
+    # a large configured node count is not allocated up front
+    big = TrainState(data, TrainConfig.single_layer(1000, t_max=10, seed=14))
+    assert big.H_train.shape == (len(data.bits_train), 64)
 
 
 # -- full training ---------------------------------------------------------
