@@ -8,12 +8,13 @@ bit 1 means +1. There are two packed forms:
   j % 64 of words[i, j // 64], so bit 0 is input 0, the order of the model
   file's weight rows; pad bits past `n` are zero. Encoded samples travel in
   this form, and every batch path (signals_pm1, predict_float_batch,
-  predict_fpga_batch, evaluate_bits) consumes it.
+  predict_fpga_batch, evaluate_bits) consumes it. A layer's weights are one
+  BitMatrix too, one row per node, written to the model file as it is.
 * BitVec, the scalar form: one row of `n` bits in a Python integer (bit i of
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
   The per-sample functions that serve as test oracles for the batch paths
-  (predict_fpga, xnor_count, ones_count_dot, ...) take BitVecs, as do node
-  weights.
+  (predict_fpga, xnor_count, ones_count_dot, ...) take BitVecs, as does the
+  ScmNode that ScmLayer.node(i) hands them.
 """
 
 from __future__ import annotations
@@ -128,15 +129,6 @@ class BitVec:
         if len(s) > 40:
             s = s[:37] + "..."
         return f"BitVec({self.n}, '{s}')"
-
-    def to_word_bytes(self, word_bytes: int = 8) -> bytes:
-        """Little-endian bytes, zero-padded up to a whole number of words."""
-        n_words = max(1, -(-self.n // (8 * word_bytes))) if self.n else 0
-        return self.value.to_bytes(n_words * word_bytes, "little")
-
-    @classmethod
-    def from_word_bytes(cls, n: int, data: bytes) -> "BitVec":
-        return cls(n, int.from_bytes(data, "little"))
 
 
 class BitMatrix:

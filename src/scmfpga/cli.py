@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="output model path")
     t.add_argument("--encoding", default="s2v2",
                    help="density:N | s1:U | s2v1 | s2v2")
-    t.add_argument("--nodes", type=int, default=None, help="single-layer node count")
+    t.add_argument("--nodes", dest="n_nodes", type=int, help="single-layer node count")
     t.add_argument("--layers", default=None, help="comma-separated node counts")
     t.add_argument("--act", default="step",
                    help="activation per layer (sign/step, comma-separated or one for all)")
@@ -117,12 +117,12 @@ def cmd_gen_data(args) -> int:
 
 
 def _parse_layer_args(args) -> tuple[tuple[int, ...], tuple]:
-    if args.nodes is not None and args.layers is not None:
+    if args.n_nodes is not None and args.layers is not None:
         raise ValueError("use either --nodes or --layers, not both")
     if args.layers is not None:
         sizes = tuple(int(s) for s in args.layers.split(","))
     else:
-        n = 60 if args.nodes is None else args.nodes
+        n = 60 if args.n_nodes is None else args.n_nodes
         sizes = (n,) if n > 0 else ()
     acts = tuple(parse_activation(a) for a in args.act.split(","))
     if len(acts) == 1 and len(sizes) > 1:

@@ -12,7 +12,9 @@ BitMatrix, whose rows are (W,) little-endian uint64 words with bit 0 =
 input 0 and zero pad bits (see bits.py), in blocks of BLOCK_ROWS rows. A
 layer's popcounts accumulate word by word: for each word column j, the
 (rows, nodes) counts of x[:, j] XOR (or AND) every node's word j are added
-into one int64 array, so no (rows, nodes, words) temporary is built.
+into one int64 array, so no (rows, nodes, words) temporary is built. The
+kernel reads a layer's packed arrays (weight words, scale codes, raw biases
+and readouts) as they are.
 predict_fpga, node_forward_fpga, xnor_count and ones_count_dot work on one
 BitVec at a time in plain integer arithmetic and serve as its test oracles.
 """
@@ -99,12 +101,12 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
     domain = InDomain.PM1
     for layer in model.layers:
         next_bits = 0
-        for i, node in enumerate(layer.nodes):
-            bit, contrib = node_forward_fpga(bits_in, node, layer.activation, domain)
+        for i in range(len(layer)):
+            bit, contrib = node_forward_fpga(bits_in, layer.node(i), layer.activation, domain)
             next_bits |= bit << i
             for q in range(model.n_outputs):
                 acc[q] += int(contrib[q])
-        bits_in = BitVec(len(layer.nodes), next_bits)
+        bits_in = BitVec(len(layer), next_bits)
         domain = feed_domain(layer.activation)
     return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
 
@@ -114,53 +116,28 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
 BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class _PackedLayer:
-    """One hidden layer in the form predict_fpga_batch computes with."""
-
-    w: BitMatrix  # one row of weight bits per node
-    domain: InDomain  # what the layer's input bits stand for
-    shift: np.ndarray  # (K,) int64: scale code + FRAC_BITS
-    bias: np.ndarray  # (K,) int64 raw biases
-    on: np.ndarray  # (K, m) contribution of a node whose bit is set
-    off: np.ndarray  # (K, m) contribution of a node whose bit is clear
-
-    @classmethod
-    def of(cls, layer: ScmLayer, domain: InDomain) -> "_PackedLayer":
-        nodes = layer.nodes
-        on = np.stack([nd.beta_raw for nd in nodes])
-        off = np.zeros_like(on) if layer.activation == Activation.SIGN else fx.fx_neg_array(on)
-        return cls(
-            w=BitMatrix.from_rows([nd.w for nd in nodes]),
-            domain=domain,
-            shift=np.array([nd.shift + fx.FRAC_BITS for nd in nodes], dtype=np.int64),
-            bias=np.array([nd.bias_raw for nd in nodes], dtype=np.int64),
-            on=on,
-            off=off,
-        )
-
-    def forward(self, x: BitMatrix) -> np.ndarray:
-        """(B, K) threshold bits of the nodes on a block of B input rows."""
-        pm1 = self.domain == InDomain.PM1
-        op = np.bitwise_xor if pm1 else np.bitwise_and
-        w = self.w.words
-        word = lambda j: np.bitwise_count(op(x.words[:, j, None], w[:, j]))  # noqa: E731
-        # the popcounts add up word by word in one (B, K) int64 array, which
-        # then becomes the pre-activation in place
-        acc = word(0).astype(np.int64)
-        for j in range(1, w.shape[1]):
-            acc += word(j)
-        if pm1:
-            # XNOR-count: agreements minus disagreements, n - 2*count
-            acc *= -2
-            acc += self.w.n
-        else:
-            # set inputs count +1 under a set weight bit and -1 under a clear one
-            acc *= 2
-            acc -= np.bitwise_count(x.words).sum(axis=1, dtype=np.int64)[:, None]
-        acc <<= self.shift
-        acc += self.bias
-        return acc > 0
+def _layer_bits(layer: ScmLayer, x: BitMatrix, domain: InDomain) -> np.ndarray:
+    """(B, K) threshold bits of a layer's nodes on a block of B input rows."""
+    pm1 = domain == InDomain.PM1
+    op = np.bitwise_xor if pm1 else np.bitwise_and
+    w = layer.w.words
+    word = lambda j: np.bitwise_count(op(x.words[:, j, None], w[:, j]))  # noqa: E731
+    # the popcounts add up word by word in one (B, K) int64 array, which
+    # then becomes the pre-activation in place
+    acc = word(0).astype(np.int64)
+    for j in range(1, w.shape[1]):
+        acc += word(j)
+    if pm1:
+        # XNOR-count: agreements minus disagreements, n - 2*count
+        acc *= -2
+        acc += layer.fan_in
+    else:
+        # set inputs count +1 under a set weight bit and -1 under a clear one
+        acc *= 2
+        acc -= np.bitwise_count(x.words).sum(axis=1, dtype=np.int64)[:, None]
+    acc <<= layer.shift + fx.FRAC_BITS
+    acc += layer.bias_raw
+    return acc > 0
 
 
 def predict_fpga_batch(
@@ -185,20 +162,23 @@ def predict_fpga_batch(
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     model.validate()
-    layers = []
-    domain = InDomain.PM1
-    for layer in model.layers:
-        layers.append(_PackedLayer.of(layer, domain))
-        domain = feed_domain(layer.activation)
+    # the value a node whose bit is clear contributes
+    offs = [
+        np.zeros_like(layer.beta_raw) if layer.activation == Activation.SIGN
+        else fx.fx_neg_array(layer.beta_raw)
+        for layer in model.layers
+    ]
 
     out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
         acc = mech_wide_fpga(x.to01(), model.mechanism)
-        for packed in layers:
-            fired = packed.forward(x)
-            acc += fx.conditional_sum(fired, packed.on, packed.off)
+        domain = InDomain.PM1
+        for layer, off in zip(model.layers, offs):
+            fired = _layer_bits(layer, x, domain)
+            acc += fx.conditional_sum(fired, layer.beta_raw, off)
             x = BitMatrix.from01(fired)
+            domain = feed_domain(layer.activation)
         final = fx.saturate_array(acc)
         out[start : start + BLOCK_ROWS] = final
         if saturated is not None:
@@ -308,7 +288,7 @@ def memory_report(
     fan_real = d
     fan_fpga = d_enc
     for layer in model.layers:
-        n = len(layer.nodes)
+        n = len(layer)
         weight_real += REAL_VALUE_BITS * fan_real * n
         weight_fpga += fan_fpga * n
         fan_real = n

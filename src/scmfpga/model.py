@@ -1,5 +1,11 @@
 """Model structure shared by the trainer, the reference path, and the emulator.
 
+A hidden layer (ScmLayer) is held in the packed form of the model file's
+layer block: a BitMatrix of weight bits, one row per node, and per-node
+arrays of scale codes, biases and readouts. The emulator, the reference path
+and the model file read those arrays as they are; ScmNode, one node's
+scalars, serves the per-sample oracles through ScmLayer.node(i).
+
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
 readout (activation value 0 or 1, so a node contributes 0 or beta), while
@@ -12,13 +18,14 @@ SIGN layer mean literal 0/1 (conditional-count path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitVec
+from .bits import BitMatrix, BitVec
 from .encoding import EncodingSpec
 from .mechanism import MechanismModel, mech_eval_float_batch, signals_pm1
 
@@ -69,28 +76,54 @@ class ScmNode:
         return 1 << self.shift
 
 
-@dataclass
 class ScmLayer:
-    activation: Activation
-    nodes: list[ScmNode] = field(default_factory=list)
+    """One hidden layer of K nodes as a struct of arrays.
+
+    activation: the layer's Activation
+    w: BitMatrix of K rows of fan_in bits; bit 1 means weight +1, bit 0 -1
+    shift: (K,) uint8 scale codes, lambda = 2**shift
+    bias, bias_raw: (K,) float64 biases and their raw Q7.25 int32 values
+    beta, beta_raw: (K, m) float64 readouts and their raw Q7.25 int32 values
+
+    ScmLayer(activation, nodes) packs a list of ScmNodes; from_arrays takes
+    the arrays as they are. len() is K, and node(i) is node i as an ScmNode,
+    the input of the scalar oracles.
+    """
+
+    def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
+        readouts = (len(nodes), len(nodes[0].beta) if nodes else 0)
+        self.activation = activation
+        self.w = BitMatrix.from_rows([nd.w for nd in nodes])
+        self.shift = np.array([nd.shift for nd in nodes], dtype=np.uint8)
+        self.bias = np.array([nd.bias for nd in nodes], dtype=np.float64)
+        self.bias_raw = np.array([nd.bias_raw for nd in nodes], dtype=np.int32)
+        self.beta = np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts)
+        self.beta_raw = np.array([nd.beta_raw for nd in nodes], dtype=np.int32).reshape(readouts)
+
+    @classmethod
+    def from_arrays(cls, activation, w, shift, bias, bias_raw, beta, beta_raw) -> "ScmLayer":
+        """A layer holding these arrays, not copies; dtypes as in the class docstring."""
+        layer = cls(activation)
+        layer.w, layer.shift, layer.bias, layer.bias_raw = w, shift, bias, bias_raw
+        layer.beta, layer.beta_raw = beta, beta_raw
+        return layer
+
+    def __len__(self) -> int:
+        return len(self.w)
 
     @property
     def fan_in(self) -> int:
-        return self.nodes[0].fan_in if self.nodes else 0
+        return self.w.n
 
-    def weight_matrix(self) -> np.ndarray:
-        """(n_nodes, fan_in) matrix of -1/+1 weights."""
-        return np.stack([n.w.to_pm1() for n in self.nodes]).astype(np.float64)
+    @property
+    def lam(self) -> np.ndarray:
+        """(K,) float64 scales 2**shift."""
+        return (1 << self.shift.astype(np.int64)).astype(np.float64)
 
-    def lambdas(self) -> np.ndarray:
-        return np.array([n.lam for n in self.nodes], dtype=np.float64)
-
-    def biases(self) -> np.ndarray:
-        return np.array([n.bias for n in self.nodes], dtype=np.float64)
-
-    def betas(self) -> np.ndarray:
-        """(n_nodes, m) readout weights."""
-        return np.stack([n.beta for n in self.nodes])
+    def node(self, i: int) -> ScmNode:
+        """Node i; its readout arrays are copies."""
+        return ScmNode(self.w[i], int(self.shift[i]), float(self.bias[i]),
+                       int(self.bias_raw[i]), self.beta[i].copy(), self.beta_raw[i].copy())
 
 
 @dataclass
@@ -110,7 +143,7 @@ class ScmModel:
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer.nodes) for layer in self.layers)
+        return tuple(len(layer) for layer in self.layers)
 
     @property
     def total_nodes(self) -> int:
@@ -122,17 +155,15 @@ class ScmModel:
         if self.d_enc % self.encoding.bits_per_input != 0:
             raise ValueError("mechanism width is not a multiple of bits per input")
         expected = self.d_enc
-        for i, layer in enumerate(self.layers):
-            if not layer.nodes:
-                raise ValueError(f"layer {i + 1} has no nodes")
-            for node in layer.nodes:
-                if node.fan_in != expected:
-                    raise ValueError(
-                        f"layer {i + 1} fan-in {node.fan_in} != expected {expected}"
-                    )
-                if node.beta.shape != (self.n_outputs,):
-                    raise ValueError("readout width does not match the output count")
-            expected = len(layer.nodes)
+        for i, layer in enumerate(self.layers, start=1):
+            k = len(layer)
+            if not k:
+                raise ValueError(f"layer {i} has no nodes")
+            if layer.fan_in != expected:
+                raise ValueError(f"layer {i} fan-in {layer.fan_in} != expected {expected}")
+            if {layer.beta.shape, layer.beta_raw.shape} != {(k, self.n_outputs)}:
+                raise ValueError("readout width does not match the output count")
+            expected = k
 
 
 def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
@@ -165,8 +196,12 @@ def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
     The returned (N, n_nodes) matrix is also the signal matrix feeding the
     next layer: {0,1} after SIGN, {-1,+1} after STEP.
     """
-    w = layer.weight_matrix()
-    pre = (s @ w.T) * layer.lambdas() + layer.biases()
+    w = layer.w.to01().astype(np.float64)
+    w *= 2.0
+    w -= 1.0
+    pre = s @ w.T
+    pre *= layer.lam
+    pre += layer.bias
     return activation_values(pre > 0, layer.activation)
 
 
@@ -185,11 +220,11 @@ def predict_float_batch(model: ScmModel, bits_or_signals) -> np.ndarray:
     if s.shape[1] != model.d_enc:
         raise ValueError(f"input width {s.shape[1]} != model width {model.d_enc}")
     for layer in model.layers:
-        check_pre_activation(layer.fan_in, layer.lambdas(), layer.biases())
+        check_pre_activation(layer.fan_in, layer.lam, layer.bias)
     out = mech_eval_float_batch(s, model.mechanism)
     for layer in model.layers:
         h = layer_forward_float(s, layer)
-        out = out + h @ layer.betas()
+        out += h @ layer.beta
         s = h
     return out
 

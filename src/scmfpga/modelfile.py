@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitVec
+from .bits import WORD, WORD_BITS, BitMatrix, BitVec, n_words
 from .encoding import EncodingKind, EncodingSpec
 from .errors import ModelFormatError
 from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, MechanismModel
@@ -67,20 +67,17 @@ def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
     out += _i32_bytes(mech.intercepts_raw)
     out += struct.pack("<H", len(model.layers))
     for layer in model.layers:
-        n = len(layer.nodes)
-        fan_in = layer.fan_in
-        out += struct.pack("<BII", int(layer.activation), n, fan_in)
-        for node in layer.nodes:
-            out += node.w.to_word_bytes()
-        out += bytes(node.shift for node in layer.nodes)
-        out += _i32_bytes(np.array([node.bias_raw for node in layer.nodes]))
-        out += _i32_bytes(np.stack([node.beta_raw for node in layer.nodes]))
+        out += struct.pack("<BII", int(layer.activation), len(layer), layer.fan_in)
+        out += layer.w.words.tobytes()
+        out += layer.shift.tobytes()
+        out += _i32_bytes(layer.bias_raw)
+        out += _i32_bytes(layer.beta_raw)
     if include_floats:
         out += _f64_bytes(mech.weights)
         out += _f64_bytes(mech.intercepts)
         for layer in model.layers:
-            out += _f64_bytes(layer.biases())
-            out += _f64_bytes(layer.betas())
+            out += _f64_bytes(layer.bias)
+            out += _f64_bytes(layer.beta)
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
     return bytes(out)
 
@@ -106,6 +103,14 @@ class _Reader:
     def f64(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
 
+    def words(self, n: int, n_bits: int) -> np.ndarray:
+        """n rows of n_bits bits in whole words, with their pad bits cleared."""
+        w = n_words(n_bits)
+        words = np.frombuffer(self.take(8 * w * n), dtype=WORD).reshape(n, w).copy()
+        if n_bits % WORD_BITS:
+            words[:, -1] &= np.uint64((1 << n_bits % WORD_BITS) - 1)
+        return words
+
 
 def model_from_bytes(data: bytes) -> ScmModel:
     if len(data) < 8 or data[:4] != MAGIC:
@@ -128,32 +133,30 @@ def model_from_bytes(data: bytes) -> ScmModel:
     p_raw = r.i32(d_enc * m).reshape(d_enc, m)
     u_raw = r.i32(m)
     (n_layers,) = r.unpack("<H")
-    raw_layers = []
+    layers = []
     for _ in range(n_layers):
         act, n, fan_in = r.unpack("<BII")
-        row_bytes = max(1, -(-fan_in // 64)) * 8
-        weights = [BitVec.from_word_bytes(fan_in, r.take(row_bytes)) for _ in range(n)]
-        shifts = list(r.take(n))
-        if any(s > 7 for s in shifts):
+        words = r.words(n, fan_in)
+        shift = np.frombuffer(r.take(n), dtype=np.uint8).copy()
+        if np.any(shift > 7):
             raise ModelFormatError("scale code above 7")
-        biases_raw = r.i32(n)
-        betas_raw = r.i32(n * m).reshape(n, m)
-        raw_layers.append((Activation(act), weights, shifts, biases_raw, betas_raw))
+        bias_raw = r.i32(n)
+        beta_raw = r.i32(n * m).reshape(n, m)
+        layers.append(ScmLayer.from_arrays(
+            Activation(act), BitMatrix(words, fan_in), shift,
+            fx.dequantize_array(bias_raw), bias_raw, fx.dequantize_array(beta_raw), beta_raw,
+        ))
 
     if flags & FLAG_FLOAT_SIDECAR:
         p = r.f64(d_enc * m).reshape(d_enc, m)
         u = r.f64(m)
-        layer_floats = []
-        for _, weights, *_ in raw_layers:
-            n = len(weights)
-            layer_floats.append((r.f64(n), r.f64(n * m).reshape(n, m)))
+        # the training-time floats replace the dequantized ones
+        for layer in layers:
+            layer.bias = r.f64(len(layer))
+            layer.beta = r.f64(len(layer) * m).reshape(len(layer), m)
     else:
         p = fx.dequantize_array(p_raw)
         u = fx.dequantize_array(u_raw)
-        layer_floats = [
-            (fx.dequantize_array(b), fx.dequantize_array(bt).reshape(len(w), m))
-            for _, w, _, b, bt in raw_layers
-        ]
     if r.pos != len(r.data):
         raise ModelFormatError("trailing bytes after model body")
 
@@ -165,22 +168,6 @@ def model_from_bytes(data: bytes) -> ScmModel:
         source=_SOURCE_NAMES[source_tag],
         alpha=alpha,
     )
-    layers = []
-    for (act, weights, shifts, biases_raw, betas_raw), (biases, betas) in zip(
-        raw_layers, layer_floats
-    ):
-        nodes = [
-            ScmNode(
-                w=weights[i],
-                shift=shifts[i],
-                bias=float(biases[i]),
-                bias_raw=int(biases_raw[i]),
-                beta=betas[i].copy(),
-                beta_raw=betas_raw[i].copy(),
-            )
-            for i in range(len(weights))
-        ]
-        layers.append(ScmLayer(act, nodes))
     model = ScmModel(encoding=enc, mechanism=mech, layers=layers, n_outputs=m)
     try:
         model.validate()
@@ -234,7 +221,7 @@ def model_to_json(model: ScmModel) -> str:
                         "beta_raw": node.beta_raw.tolist(),
                         "beta": node.beta.tolist(),
                     }
-                    for node in layer.nodes
+                    for node in map(layer.node, range(len(layer)))
                 ],
             }
             for layer in model.layers

@@ -352,20 +352,13 @@ class TrainState:
 
     def finalize(self, encoding: EncodingSpec) -> tuple[ScmModel, int]:
         """The quantized model, and how many readout weights saturated."""
-        layers = []
-        g = 0
-        saturated = 0
-        for nodes, act in zip(self.layer_nodes, self.layer_acts):
-            final_nodes = []
-            for node in nodes:
-                beta = self.beta[g].copy()
-                beta_raw, n_sat = fx.quantize_array(beta)
-                saturated += n_sat
-                final_nodes.append(
-                    ScmNode(node.w, node.shift, node.bias, node.bias_raw, beta, beta_raw)
-                )
-                g += 1
-            layers.append(ScmLayer(act, final_nodes))
+        beta_raw, saturated = fx.quantize_array(self.beta)
+        layers = [ScmLayer(act, nodes) for nodes, act in zip(self.layer_nodes, self.layer_acts)]
+        start = 0
+        for layer in layers:
+            rows = slice(start, start + len(layer))
+            layer.beta, layer.beta_raw = self.beta[rows].copy(), beta_raw[rows]
+            start = rows.stop
         model = ScmModel(encoding, self.mech, layers, self.m)
         model.validate()
         return model, saturated

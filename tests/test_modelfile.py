@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -98,23 +102,44 @@ def test_corrupt_body_fails_crc():
         model_from_bytes(bytes(blob))
 
 
+def _first_layer_pos(model):
+    """Offset of the first layer record in a file without the float sidecar."""
+    # header: 4+2+1+2+2+4+1+8, then the mechanism arrays and the layer count
+    return 24 + 4 * (model.d_enc * model.n_outputs) + 4 * model.n_outputs + 2
+
+
+def _with_crc(body: bytes) -> bytes:
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+
+
 def test_bad_shift_code_rejected():
     model = _model()
     blob = bytearray(model_to_bytes(model, include_floats=False))
     # find the first layer's shift byte block and poison one entry
-    import struct
-    import zlib
-
-    # header: 4+2+1+2+2+4+1+8 then mech arrays
-    pos = 24 + 4 * (model.d_enc * model.n_outputs) + 4 * model.n_outputs + 2
-    pos += 9  # layer header
-    pos += len(model.layers[0].nodes) * 16  # word-aligned 10-bit rows -> 16 bytes... 8
-    # rows are one 64-bit word for fan_in=10
-    pos -= len(model.layers[0].nodes) * 8
+    pos = _first_layer_pos(model) + 9  # past the layer header
+    pos += len(model.layers[0]) * 8  # one 64-bit word per 10-bit weight row
     blob[pos] = 9
-    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
     with pytest.raises(ModelFormatError, match="scale code"):
-        model_from_bytes(bytes(blob))
+        model_from_bytes(_with_crc(blob[:-4]))
+
+
+def test_layer_record_without_nodes_rejected():
+    model = _model(sizes=(3,))
+    pos = _first_layer_pos(model)
+    blob = model_to_bytes(model, include_floats=False)
+    body = blob[:pos] + struct.pack("<BII", int(Activation.STEP), 0, model.d_enc)
+    with pytest.raises(ModelFormatError, match="has no nodes"):
+        model_from_bytes(_with_crc(body))
+
+
+def test_set_pad_bits_in_weight_rows_are_ignored():
+    model = _model()
+    blob = model_to_bytes(model, include_floats=False)
+    body = bytearray(blob[:-4])
+    # the top byte of the first 10-bit row's word holds only pad bits
+    body[_first_layer_pos(model) + 9 + 7] = 0xFF
+    back = model_from_bytes(_with_crc(body))
+    assert model_to_bytes(back, include_floats=False) == blob
 
 
 def test_json_roundtrip_bytes_identical():
@@ -138,6 +163,21 @@ def test_json_floats_only_mechanism():
     assert model.mechanism.weights_raw[0, 0] == fx.fx_from_real(0.5)
     out = predict_float(model, BitVec.from01([1, 1, 1]))
     assert np.allclose(out, [0.5 - 0.25 + 0.125 + 1.0])
+
+
+def test_json_rejects_a_shift_code_above_7():
+    doc = json.loads(model_to_json(_model()))
+    doc["layers"][0]["nodes"][0]["shift"] = 8
+    with pytest.raises(ModelFormatError):
+        model_from_json(json.dumps(doc))
+
+
+def test_json_rejects_weight_rows_of_different_widths():
+    doc = json.loads(model_to_json(_model()))
+    nodes = doc["layers"][0]["nodes"]
+    nodes[1]["weights"] = nodes[1]["weights"][:-1]
+    with pytest.raises(ModelFormatError):
+        model_from_json(json.dumps(doc))
 
 
 def test_json_rejects_garbage():

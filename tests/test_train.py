@@ -401,7 +401,7 @@ def test_predict_float_refuses_an_inexact_pre_activation():
     model = _tiny_model()
     s = np.ones((1, model.d_enc))
     predict_float_batch(model, s)
-    model.layers[1].nodes[0].bias = 2.0**28
+    model.layers[1].bias[0] = 2.0**28
     with pytest.raises(ValueError, match=r"2\*\*28"):
         predict_float_batch(model, s)
 
@@ -670,7 +670,7 @@ def test_finalize_counts_saturated_readouts():
     state.beta[:] = 100.0
     model, saturated = state.finalize(data.encoding)
     assert saturated == state.m
-    assert model.layers[0].nodes[0].beta_raw[0] == fx.RAW_MAX
+    assert model.layers[0].beta_raw[0, 0] == fx.RAW_MAX
 
 
 def test_raw_targets_outside_q725_are_reported():
@@ -771,7 +771,7 @@ def _straight_line_eval(model, x_bits):
     signal = x_bits.to_pm1().astype(float)
     for layer in model.layers:
         next_signal = []
-        for node in layer.nodes:
+        for node in map(layer.node, range(len(layer))):
             pre = node.lam * float(node.w.to_pm1().astype(float) @ signal) + node.bias
             bit = 1 if pre > 0 else 0
             if layer.activation == Activation.SIGN:
