@@ -14,7 +14,6 @@ from .datasets import (
     write_dataset,
 )
 from .emulate import (
-    CycleCosts,
     ResourceReport,
     cycle_estimate,
     memory_report,
@@ -47,11 +46,9 @@ from .mechanism import (
 )
 from .model import (
     Activation,
-    InDomain,
     ScmLayer,
     ScmModel,
     ScmNode,
-    feed_domain,
     node_output_float,
     predict_float,
     predict_float_batch,

@@ -7,9 +7,10 @@ bit 1 means +1. There are two packed forms:
   little-endian uint64 words, W = ceil(n / 64). Bit j of row i is bit
   j % 64 of words[i, j // 64], so bit 0 is input 0, the order of the model
   file's weight rows; pad bits past `n` are zero. Encoded samples travel in
-  this form, and every batch path (signals_pm1, predict_float_batch,
-  predict_fpga_batch, evaluate_bits) consumes it. A layer's weights are one
-  BitMatrix too, one row per node, written to the model file as it is.
+  this form, and it is the only input type of every batch entry point
+  (signals_pm1, TrainData, predict_float_batch, predict_fpga_batch,
+  evaluate_bits). A layer's weights are one BitMatrix too, one row per node,
+  written to the model file as it is.
 * BitVec, the scalar form: one row of `n` bits in a Python integer (bit i of
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
   The per-sample functions that serve as test oracles for the batch paths
@@ -193,7 +194,3 @@ class BitMatrix:
     def __iter__(self) -> Iterator[BitVec]:
         return (self[i] for i in range(len(self)))
 
-
-def as_bit_matrix(bits: BitMatrix | Sequence[BitVec], n: int | None = None) -> BitMatrix:
-    """`bits` itself if it is a BitMatrix, else its rows packed once."""
-    return bits if isinstance(bits, BitMatrix) else BitMatrix.from_rows(bits, n)

@@ -241,18 +241,12 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def load_csv(
-    path: str | Path,
-    target_cols: list[str] | None = None,
-    normalize: bool = True,
-    test_fraction: float = 0.0,
-    seed: int = 0,
-) -> Dataset:
+def load_csv(path: str | Path, target_cols: list[str] | None = None) -> Dataset:
     """Ingest a rectangular numeric CSV with a header row.
 
-    `target_cols` names the target columns (default: the last column).
-    Features are min-max normalized on the training rows; targets stay raw.
-    An optional trailing fraction of shuffled rows becomes the test set.
+    `target_cols` names the target columns (default: the last column). Every
+    row is a training row; features are min-max normalized over all of them,
+    and targets stay raw.
     """
     path = Path(path)
     header, data = _read_csv_numeric(path)
@@ -266,31 +260,19 @@ def load_csv(
     if not f_idx:
         raise DataError("no feature columns left after removing targets")
     x = data[:, f_idx]
-    y = data[:, t_idx]
-    n = x.shape[0]
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValueError("test_fraction must be in [0, 1)")
-    n_test = int(round(n * test_fraction))
-    order = np.random.default_rng(seed).permutation(n) if n_test else np.arange(n)
-    train_idx = np.sort(order[: n - n_test])
-    test_idx = np.sort(order[n - n_test:])
-    if normalize:
-        fmin, fmax = _normalization_from(x, train_idx)
-    else:
-        fmin = np.zeros(x.shape[1])
-        fmax = np.ones(x.shape[1])
+    train_idx = np.arange(x.shape[0])
+    fmin, fmax = _normalization_from(x, train_idx)
     return Dataset(
         x=x,
-        y=y,
+        y=data[:, t_idx],
         train_idx=train_idx,
         val_idx=np.arange(0),
-        test_idx=test_idx,
+        test_idx=np.arange(0),
         feature_min=fmin,
         feature_max=fmax,
         feature_names=[header[j] for j in f_idx],
         target_names=list(target_cols),
         name=path.stem,
-        seed=seed,
     )
 
 

@@ -1,20 +1,21 @@
 """Bit-exact emulation of the hardware datapath, plus cycle and memory models.
 
 The datapath never multiplies: +-1 dot products are an XNOR and two
-popcounts, {0,1}-input dot products are two masked popcounts, the per-node
+popcounts, {0,1}-input dot products are two masked popcounts (a flag `pm1`
+picks the first for the encoded inputs and a STEP layer's bits), the per-node
 scale is a left shift, and the output path sums raw Q7.25 integers in a wide
 accumulator that saturates once at the end. Given the same model file, the
 reference float path and this emulation produce identical activation bits;
 outputs differ only by the stored-parameter rounding.
 
-predict_fpga_batch is the batch path: it runs the datapath vectorized over a
-BitMatrix, whose rows are (W,) little-endian uint64 words with bit 0 =
-input 0 and zero pad bits (see bits.py), in blocks of BLOCK_ROWS rows. A
-layer's popcounts accumulate word by word: for each word column j, the
-(rows, nodes) counts of x[:, j] XOR (or AND) every node's word j are added
-into one int64 array, so no (rows, nodes, words) temporary is built. The
-kernel reads a layer's packed arrays (weight words, scale codes, raw biases
-and readouts) as they are.
+predict_fpga_batch is the batch path: it runs the datapath vectorized over
+the encoded rows, which it takes only as a BitMatrix (rows of (W,)
+little-endian uint64 words, bit 0 = input 0, zero pad bits; see bits.py), in
+blocks of BLOCK_ROWS rows. A layer's popcounts accumulate word by word: for
+each word column j, the (rows, nodes) counts of x[:, j] XOR (or AND) every
+node's word j are added into one int64 array, so no (rows, nodes, words)
+temporary is built. The kernel reads a layer's packed arrays (weight words,
+scale codes, raw biases and readouts) as they are.
 predict_fpga, node_forward_fpga, xnor_count and ones_count_dot work on one
 BitVec at a time in plain integer arithmetic and serve as its test oracles.
 """
@@ -22,14 +23,13 @@ BitVec at a time in plain integer arithmetic and serve as its test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec, as_bit_matrix
+from .bits import BitMatrix, BitVec
 from .mechanism import mech_wide_fpga
-from .model import Activation, InDomain, ScmLayer, ScmModel, ScmNode, feed_domain
+from .model import Activation, ScmLayer, ScmModel, ScmNode
 
 
 def xnor_count(a: BitVec, b: BitVec) -> int:
@@ -57,21 +57,19 @@ def ones_count_dot(a01: BitVec, w: BitVec) -> int:
 
 
 def node_forward_fpga(
-    in_bits: BitVec,
-    node: ScmNode,
-    act: Activation,
-    in_domain: InDomain = InDomain.PM1,
+    in_bits: BitVec, node: ScmNode, act: Activation, pm1: bool = True
 ) -> tuple[int, np.ndarray]:
     """One node in the emulated pipeline: (forwarded bit, raw contributions).
 
     dot -> left shift by the scale code -> promote to the 25-fraction scale
     -> add the quantized bias -> strict threshold at zero. The contribution
     per output is the raw readout (SIGN: beta or 0; STEP: beta or its two's
-    complement).
+    complement). `pm1` says whether the input bits stand for -1/+1
+    (XNOR-count) or for literal 0/1 (conditional count).
     """
     if in_bits.n != node.fan_in:
         raise ValueError(f"input width {in_bits.n} != node fan-in {node.fan_in}")
-    if in_domain == InDomain.PM1:
+    if pm1:
         dot = xnor_count(in_bits, node.w)
     else:
         dot = ones_count_dot(in_bits, node.w)
@@ -98,16 +96,16 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
         raise ValueError(f"input width {x_bits.n} != model width {model.d_enc}")
     acc = [int(v) for v in mech_wide_fpga(x_bits.to01()[None, :], model.mechanism)[0]]
     bits_in = x_bits
-    domain = InDomain.PM1
+    pm1 = True
     for layer in model.layers:
         next_bits = 0
         for i in range(len(layer)):
-            bit, contrib = node_forward_fpga(bits_in, layer.node(i), layer.activation, domain)
+            bit, contrib = node_forward_fpga(bits_in, layer.node(i), layer.activation, pm1)
             next_bits |= bit << i
             for q in range(model.n_outputs):
                 acc[q] += int(contrib[q])
         bits_in = BitVec(len(layer), next_bits)
-        domain = feed_domain(layer.activation)
+        pm1 = layer.activation == Activation.STEP
     return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
 
 
@@ -116,9 +114,8 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
 BLOCK_ROWS = 1024
 
 
-def _layer_bits(layer: ScmLayer, x: BitMatrix, domain: InDomain) -> np.ndarray:
+def _layer_bits(layer: ScmLayer, x: BitMatrix, pm1: bool) -> np.ndarray:
     """(B, K) threshold bits of a layer's nodes on a block of B input rows."""
-    pm1 = domain == InDomain.PM1
     op = np.bitwise_xor if pm1 else np.bitwise_and
     w = layer.w.words
     word = lambda j: np.bitwise_count(op(x.words[:, j, None], w[:, j]))  # noqa: E731
@@ -141,16 +138,13 @@ def _layer_bits(layer: ScmLayer, x: BitMatrix, domain: InDomain) -> np.ndarray:
 
 
 def predict_fpga_batch(
-    model: ScmModel,
-    bits: BitMatrix | Sequence[BitVec],
-    saturated: np.ndarray | None = None,
+    model: ScmModel, bits: BitMatrix, saturated: np.ndarray | None = None
 ) -> np.ndarray:
-    """Emulated prediction over a batch; returns an (N, m) int32 raw matrix.
+    """Emulated prediction over a batch of encoded rows; (N, m) int32 raw values.
 
-    Row for row equal to predict_fpga; a list of BitVecs is packed once.
-    Per block of BLOCK_ROWS rows: the unsaturated mechanism sum; then per
-    layer the XNOR- or AND-popcount dot products, the shift, the bias and
-    the strict threshold. The threshold bits select each node's readout or
+    Row for row equal to predict_fpga. Per block of BLOCK_ROWS rows: the
+    unsaturated mechanism sum; then per layer the XNOR- or AND-popcount dot
+    products, the shift, the bias and the strict threshold. The threshold bits select each node's readout or
     its clear-bit value (0 for SIGN, the readout's fx_neg for STEP), summed
     exactly in int64, and are packed as the next layer's input. The sum
     saturates once, at the end.
@@ -158,7 +152,6 @@ def predict_fpga_batch(
     If `saturated`, an (m,) integer array, is given, the number of rows whose
     output was clamped is added to it per output.
     """
-    bits = as_bit_matrix(bits, model.d_enc)
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     model.validate()
@@ -173,12 +166,12 @@ def predict_fpga_batch(
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
         acc = mech_wide_fpga(x.to01(), model.mechanism)
-        domain = InDomain.PM1
+        pm1 = True
         for layer, off in zip(model.layers, offs):
-            fired = _layer_bits(layer, x, domain)
+            fired = _layer_bits(layer, x, pm1)
             acc += fx.conditional_sum(fired, layer.beta_raw, off)
             x = BitMatrix.from01(fired)
-            domain = feed_domain(layer.activation)
+            pm1 = layer.activation == Activation.STEP
         final = fx.saturate_array(acc)
         out[start : start + BLOCK_ROWS] = final
         if saturated is not None:
@@ -189,39 +182,34 @@ def predict_fpga_batch(
 # -- cycle model ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleCosts:
-    """Per-stage clock-cycle costs of the pipelined evaluator.
-
-    The first layer runs dot/count/shift/bias/threshold stages; wide input
-    vectors need one extra cycle because their adder tree is two levels deep.
-    Later layers overlap with the running summation and cost a flat amount
-    each. The output summation is two cycles for a single-layer model and
-    six when layer sums have to merge.
-    """
-
-    load: int = 1
-    first_layer_narrow: int = 6
-    first_layer_wide: int = 7
-    wide_input_threshold: int = 32  # encoded widths above this use the wide path
-    extra_layer: int = 5
-    output_sum_single: int = 2
-    output_sum_deep: int = 6
-    mech_only: int = 2
+# Per-stage clock-cycle costs of the pipelined evaluator. The first layer
+# runs dot/count/shift/bias/threshold stages; wide input vectors need one
+# extra cycle because their adder tree is two levels deep. Later layers
+# overlap with the running summation and cost a flat amount each. The output
+# summation is two cycles for a single-layer model and six when layer sums
+# have to merge.
+LOAD_CYCLES = 1
+FIRST_LAYER_NARROW_CYCLES = 6
+FIRST_LAYER_WIDE_CYCLES = 7
+WIDE_INPUT_THRESHOLD = 32  # encoded widths above this use the wide path
+EXTRA_LAYER_CYCLES = 5
+OUTPUT_SUM_SINGLE_CYCLES = 2
+OUTPUT_SUM_DEEP_CYCLES = 6
+MECH_ONLY_CYCLES = 2
 
 
-def cycle_estimate(model: ScmModel, costs: CycleCosts = CycleCosts()) -> int:
+def cycle_estimate(model: ScmModel) -> int:
     """Clock cycles to evaluate one input."""
     n_layers = len(model.layers)
     if n_layers == 0:
-        return costs.load + costs.mech_only + costs.output_sum_single
+        return LOAD_CYCLES + MECH_ONLY_CYCLES + OUTPUT_SUM_SINGLE_CYCLES
     first = (
-        costs.first_layer_narrow
-        if model.d_enc <= costs.wide_input_threshold
-        else costs.first_layer_wide
+        FIRST_LAYER_NARROW_CYCLES
+        if model.d_enc <= WIDE_INPUT_THRESHOLD
+        else FIRST_LAYER_WIDE_CYCLES
     )
-    out = costs.output_sum_single if n_layers == 1 else costs.output_sum_deep
-    return costs.load + first + (n_layers - 1) * costs.extra_layer + out
+    out = OUTPUT_SUM_SINGLE_CYCLES if n_layers == 1 else OUTPUT_SUM_DEEP_CYCLES
+    return LOAD_CYCLES + first + (n_layers - 1) * EXTRA_LAYER_CYCLES + out
 
 
 # -- memory model --------------------------------------------------------
@@ -268,11 +256,7 @@ class ResourceReport:
         )
 
 
-def memory_report(
-    model: ScmModel,
-    clock_hz: float = 100e6,
-    costs: CycleCosts = CycleCosts(),
-) -> ResourceReport:
+def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     """Bit counts and reductions versus a float64 software model.
 
     The software side stores one 64-bit value per raw feature and per
@@ -308,6 +292,6 @@ def memory_report(
         input_reduction=reduction(inputs_real, d_enc),
         weight_reduction=reduction(weight_real, weight_fpga),
         beta_reduction=reduction(REAL_VALUE_BITS * n_beta, FX_VALUE_BITS * n_beta),
-        cycles=cycle_estimate(model, costs),
+        cycles=cycle_estimate(model),
         clock_hz=clock_hz,
     )

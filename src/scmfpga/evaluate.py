@@ -1,18 +1,18 @@
 """Batch evaluation helpers shared by the CLI and the test suites.
 
 One loaded model drives both evaluators, so a comparison can never pit two
-different parameter copies against each other.
+different parameter copies against each other. The encoded samples come as
+one BitMatrix (encode_matrix), which both evaluators read as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec, as_bit_matrix
+from .bits import BitMatrix
 from .emulate import predict_fpga_batch
 from .model import ScmModel, predict_float_batch
 
@@ -61,15 +61,11 @@ def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
 
 
 def evaluate_bits(
-    model: ScmModel,
-    bits: BitMatrix | Sequence[BitVec],
-    y: np.ndarray,
-    mode: str = "both",
+    model: ScmModel, bits: BitMatrix, y: np.ndarray, mode: str = "both"
 ) -> EvalReport:
     """Evaluate encoded samples against targets in the requested mode(s)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    bits = as_bit_matrix(bits, model.d_enc)
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape[0] != len(bits):
         raise ValueError("target row count does not match the sample count")

@@ -11,12 +11,11 @@ mech_wide_fpga does this for a batch; mech_eval_fpga is its one-sample form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec, as_bit_matrix
+from .bits import BitMatrix, BitVec
 from .linalg import LassoFit, lasso_fit
 
 SOURCE_LASSO = "lasso"
@@ -72,24 +71,21 @@ class MechanismModel:
         return cls.from_real(np.zeros((d_enc, m)), np.zeros(m), SOURCE_EXTERNAL)
 
 
-def signals_pm1(bits: BitMatrix | Sequence[BitVec]) -> np.ndarray:
+def signals_pm1(bits: BitMatrix) -> np.ndarray:
     """The (N, d_enc) float64 -1/+1 matrix of encoded rows."""
-    s = as_bit_matrix(bits).to01().astype(np.float64)
+    s = bits.to01().astype(np.float64)
     s *= 2.0
     s -= 1.0
     return s
 
 
-def fit_mechanism(
-    bits: BitMatrix | Sequence[BitVec] | np.ndarray, y: np.ndarray, alpha: float
-) -> MechanismModel:
-    """L1-fit the linear term on the +-1 view of encoded inputs.
+def fit_mechanism(s: np.ndarray, y: np.ndarray, alpha: float) -> MechanismModel:
+    """L1-fit the linear term on the (N, d_enc) +-1 matrix of encoded rows.
 
-    `bits` may be the encoded rows or an already-built (N, d_enc) +-1
-    matrix. Intercepts are the target column means. The model keeps the
-    LassoFit (sweeps, convergence, objective) as `fit`.
+    `s` is signals_pm1 of the encoded rows. Intercepts are the target column
+    means. The model keeps the LassoFit (sweeps, convergence, objective) as
+    `fit`.
     """
-    s = bits if isinstance(bits, np.ndarray) else signals_pm1(bits)
     fit = lasso_fit(s, y, alpha)
     return MechanismModel.from_real(fit.p, fit.u, SOURCE_LASSO, alpha, fit)
 

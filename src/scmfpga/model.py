@@ -13,7 +13,9 @@ STEP is the symmetric one (activation value -1 or +1, contribution -beta or
 +beta). Both forward the same threshold bit [pre > 0] to the next layer; the
 difference downstream is only how that bit enters the next dot product: bits
 produced by a STEP layer mean -1/+1 (XNOR-count path), bits produced by a
-SIGN layer mean literal 0/1 (conditional-count path).
+SIGN layer mean literal 0/1 (conditional-count path). Functions that take
+bits say which with a flag `pm1`: True for the encoded inputs and a STEP
+layer's bits, False for a SIGN layer's.
 """
 
 from __future__ import annotations
@@ -33,18 +35,6 @@ from .mechanism import MechanismModel, mech_eval_float_batch, signals_pm1
 class Activation(IntEnum):
     SIGN = 0  # activation value {0, 1}; node output {0, beta}
     STEP = 1  # activation value {-1, +1}; node output {-beta, +beta}
-
-
-class InDomain(IntEnum):
-    """What the bits feeding a layer stand for."""
-
-    PM1 = 0  # {-1, +1}: dot product via XNOR-count
-    ZO1 = 1  # literal {0, 1}: dot product via conditional count
-
-
-def feed_domain(act: Activation) -> InDomain:
-    """Input domain of a layer fed by nodes with activation `act`."""
-    return InDomain.PM1 if act == Activation.STEP else InDomain.ZO1
 
 
 def parse_activation(name: str) -> Activation:
@@ -205,22 +195,17 @@ def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
     return activation_values(pre > 0, layer.activation)
 
 
-def predict_float_batch(model: ScmModel, bits_or_signals) -> np.ndarray:
-    """Reference full-precision prediction for a batch; returns (N, m).
+def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
+    """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
-    Accepts encoded rows (a BitMatrix, or a list of BitVecs) or a prebuilt
-    (N, d_enc) +-1 matrix. Raises ValueError when a node's pre-activation
-    could leave the exact float64 range (check_pre_activation).
+    Raises ValueError when a node's pre-activation could leave the exact
+    float64 range (check_pre_activation).
     """
-    s = (
-        bits_or_signals
-        if isinstance(bits_or_signals, np.ndarray)
-        else signals_pm1(bits_or_signals)
-    )
-    if s.shape[1] != model.d_enc:
-        raise ValueError(f"input width {s.shape[1]} != model width {model.d_enc}")
+    if bits.n != model.d_enc:
+        raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     for layer in model.layers:
         check_pre_activation(layer.fan_in, layer.lam, layer.bias)
+    s = signals_pm1(bits)
     out = mech_eval_float_batch(s, model.mechanism)
     for layer in model.layers:
         h = layer_forward_float(s, layer)
@@ -233,22 +218,20 @@ def predict_float(model: ScmModel, x_bits: BitVec) -> np.ndarray:
     """Reference full-precision prediction for one encoded sample."""
     if x_bits.n != model.d_enc:
         raise ValueError(f"input width {x_bits.n} != model width {model.d_enc}")
-    return predict_float_batch(model, [x_bits])[0]
+    return predict_float_batch(model, BitMatrix.from_rows([x_bits]))[0]
 
 
 def node_output_float(
-    in_bits: BitVec,
-    node: ScmNode,
-    act: Activation,
-    in_domain: InDomain = InDomain.PM1,
+    in_bits: BitVec, node: ScmNode, act: Activation, pm1: bool = True
 ) -> tuple[int, float]:
     """Float-path node evaluation: (forwarded bit, activation value).
 
-    `in_domain` says what the input bits stand for; layer 1 is always PM1.
+    `pm1` says whether the input bits stand for -1/+1 (the encoded inputs
+    and a STEP layer's bits) or for literal 0/1 (a SIGN layer's).
     """
     if in_bits.n != node.fan_in:
         raise ValueError(f"input width {in_bits.n} != node fan-in {node.fan_in}")
-    s = in_bits.to_pm1() if in_domain == InDomain.PM1 else in_bits.to01()
+    s = in_bits.to_pm1() if pm1 else in_bits.to01()
     dot = float(node.w.to_pm1().astype(np.float64) @ s.astype(np.float64))
     pre = node.lam * dot + node.bias
     bit = 1 if pre > 0 else 0

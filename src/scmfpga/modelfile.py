@@ -2,7 +2,7 @@
 
 Layout (all little-endian):
 
-    magic "SCMB" | version u16 | flags u8 (bit0: float sidecar present)
+    magic "SCMB" | version u16 | flags u8 (bit0: float sidecar, others 0)
     encoding kind u8 | encoding param u8 | n_outputs u16 | d_enc u32
     mechanism: source u8 (0 lasso / 1 external) | alpha f64
                | weights i32 x (d_enc*m) | intercepts i32 x m
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .bits import WORD, WORD_BITS, BitMatrix, BitVec, n_words
-from .encoding import EncodingKind, EncodingSpec
+from .encoding import EncodingSpec
 from .errors import ModelFormatError
 from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, MechanismModel
 from .model import Activation, ScmLayer, ScmModel, ScmNode
@@ -125,7 +125,13 @@ def model_from_bytes(data: bytes) -> ScmModel:
     r = _Reader(data[:-4])
     r.take(4 + 2)  # magic + version
     (flags,) = r.unpack("<B")
-    enc = EncodingSpec(EncodingKind(r.take(1)[0]), r.take(1)[0])
+    if flags & ~FLAG_FLOAT_SIDECAR:
+        raise ModelFormatError(f"unknown flag bits {flags:#04x}")
+    spec = r.take(2)
+    try:
+        enc = EncodingSpec.from_bytes(spec)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad encoding spec: {exc}") from exc
     m, d_enc = r.unpack("<HI")
     source_tag, alpha = r.unpack("<Bd")
     if source_tag not in _SOURCE_NAMES:
@@ -136,6 +142,8 @@ def model_from_bytes(data: bytes) -> ScmModel:
     layers = []
     for _ in range(n_layers):
         act, n, fan_in = r.unpack("<BII")
+        if act not in set(Activation):
+            raise ModelFormatError(f"unknown activation code {act}")
         words = r.words(n, fan_in)
         shift = np.frombuffer(r.take(n), dtype=np.uint8).copy()
         if np.any(shift > 7):

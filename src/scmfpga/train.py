@@ -26,6 +26,10 @@ residual entries (each kept to 60 bits below its column's power-of-two bound)
 whatever order the BLAS adds in, and the bit count gives <h, h> for SIGN.
 This holds while the training set has at most 2**23 rows and every fan-in
 keeps the pre-activation exact; train checks both before it starts.
+
+TrainData holds the encoded rows as BitMatrix objects. TrainState builds
+their +-1 signal matrices once and fits the mechanism on the training one;
+add_node returns the accepted node's TrainRecord, which train logs as it is.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec, as_bit_matrix
+from .bits import BitMatrix, BitVec
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
 from .linalg import least_squares
@@ -98,10 +102,6 @@ class TrainConfig:
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
 
-    @property
-    def grows_nodes(self) -> bool:
-        return any(self.layer_sizes)
-
     @classmethod
     def single_layer(cls, nodes: int, activation: Activation = Activation.STEP, **kw):
         if nodes == 0:
@@ -111,7 +111,7 @@ class TrainConfig:
 
 @dataclass
 class TrainData:
-    """Encoded training and validation rows (a list of BitVecs is packed once)."""
+    """Encoded training and validation rows, each a BitMatrix (encode_matrix)."""
 
     bits_train: BitMatrix
     y_train: np.ndarray  # (N, m)
@@ -121,8 +121,6 @@ class TrainData:
     n_features: int
 
     def __post_init__(self):
-        self.bits_train = as_bit_matrix(self.bits_train)
-        self.bits_val = as_bit_matrix(self.bits_val)
         self.y_train = np.atleast_2d(np.asarray(self.y_train, dtype=np.float64))
         self.y_val = np.atleast_2d(np.asarray(self.y_val, dtype=np.float64))
         if self.y_train.shape[0] != len(self.bits_train):
@@ -186,17 +184,6 @@ class TrainResult:
         for ev in self.events:
             lines.append(" ".join(f"{k}={v}" for k, v in ev.items()))
         return "\n".join(lines)
-
-
-@dataclass
-class AddResult:
-    node: ScmNode
-    r: float
-    xi_sum: float
-    xi_min: float
-    drawn: int
-    passed: int
-    r_attempts: int
 
 
 def xi_score(e_q: np.ndarray, h: np.ndarray, r: float) -> float | None:
@@ -295,11 +282,6 @@ class TrainState:
         self.work: np.ndarray | None = None
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
-
-    @property
-    def h_train(self) -> np.ndarray:
-        """The hidden outputs on the training rows, one row per node (a view)."""
-        return self.H_train[:, : self.n_hidden].T
 
     # -- layer lifecycle -------------------------------------------------
 
@@ -479,13 +461,16 @@ def threshold_bits(
 
 def add_node(
     state: TrainState, layer: int, cfg: TrainConfig, rng: np.random.Generator
-) -> AddResult | None:
+) -> TrainRecord | None:
     """Try to add one node to the layer under construction.
 
     Draws cfg.t_max candidates per r value until one passes the acceptance
     test for every output; picks the passing candidate with the largest total
     score (ties broken by draw order), appends it, and refits the readout.
-    Returns None when the whole r schedule is exhausted.
+    Returns the accepted node's TrainRecord, numbered `layer` (counted from
+    1) and by the node's position in that layer; the node itself is
+    state.layer_nodes[-1][-1]. Returns None when the whole r schedule is
+    exhausted.
     """
     act = state.layer_acts[-1]
     pm1 = act == Activation.STEP  # h = 2 * bit - 1, else h = bit
@@ -536,11 +521,15 @@ def add_node(
         )
         h_v = activation_values((s_va @ w_j) * lam[j] + bias > 0, act)
         state.append_node(node, activation_values(work[:, j], act), h_v)
-        return AddResult(
-            node=node,
+        return TrainRecord(
+            layer=layer,
+            node=len(state.layer_nodes[-1]),
             r=r,
+            lam=node.lam,
             xi_sum=float(xi[:, j].sum()),
             xi_min=float(xi[:, j].min()),
+            train_rmse=state.train_rmse(),
+            val_rmse=state.val_rmse(),
             drawn=attempt * t,
             passed=int(np.count_nonzero(passing)),
             r_attempts=attempt,
@@ -588,41 +577,25 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             stacklevel=2,
         )
 
-    for k, (size, act) in enumerate(zip(sizes, acts)):
+    for layer, (size, act) in enumerate(zip(sizes, acts), start=1):
         state.begin_layer(act)
         val_hist: list[float] = []
         for j in range(size):
-            res = add_node(state, k, cfg, rng)
-            if res is None:
-                if k == 0 and j == 0:
+            rec = add_node(state, layer, cfg, rng)
+            if rec is None:
+                if layer == 1 and j == 0:
                     raise TrainingFailedError(
                         "no acceptable candidate for the first node; "
                         "relax the r schedule or enlarge t_max"
                     )
-                events.append({"event": "layer_stop", "layer": k + 1, "reason": "no_candidate"})
+                events.append({"event": "layer_stop", "layer": layer, "reason": "no_candidate"})
                 break
-            records.append(
-                TrainRecord(
-                    layer=k + 1,
-                    node=j + 1,
-                    r=res.r,
-                    lam=res.node.lam,
-                    xi_sum=res.xi_sum,
-                    xi_min=res.xi_min,
-                    train_rmse=state.train_rmse(),
-                    val_rmse=state.val_rmse(),
-                    drawn=res.drawn,
-                    passed=res.passed,
-                    r_attempts=res.r_attempts,
-                )
-            )
-            val_hist.append(state.val_rmse())
+            records.append(rec)
+            val_hist.append(rec.val_rmse)
             stop = early_stop_check(val_hist, cfg.l_step, cfg.tau)
             if stop is not None:
                 state.remove_trailing(stop)
-                events.append(
-                    {"event": "early_stop", "layer": k + 1, "removed": stop}
-                )
+                events.append({"event": "early_stop", "layer": layer, "removed": stop})
                 break
         if not state.layer_nodes[-1]:
             # nothing to feed deeper layers; drop the empty layer and stop

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -257,6 +259,17 @@ def test_bad_model_file_is_data_error(tmp_path, db1_files):
     bad.write_bytes(b"garbage")
     assert run("eval", str(bad), str(data)) == 3
     assert run("report", str(bad)) == 3
+
+
+def test_unknown_encoding_kind_in_a_model_file_is_data_error(tmp_path, capsys, db1_files):
+    # a file whose CRC is valid but whose encoding kind byte names no kind
+    _, _, model = db1_files
+    body = bytearray(model.read_bytes()[:-4])
+    body[7] = 9
+    bad = tmp_path / "bad.scm"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    assert run("report", str(bad)) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_usage_errors_exit_2(db1_files, tmp_path):

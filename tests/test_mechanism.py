@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitVec
+from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.mechanism import (
     MechanismModel,
     external_mechanism,
@@ -14,14 +14,14 @@ from scmfpga.mechanism import (
 
 
 def _random_bits(rng, n, width):
-    return [BitVec.from01(rng.integers(0, 2, size=width)) for _ in range(n)]
+    return BitMatrix.from_rows([BitVec.from01(rng.integers(0, 2, size=width)) for _ in range(n)])
 
 
 def test_constant_target_goes_to_intercept():
     rng = np.random.default_rng(0)
     bits = _random_bits(rng, 30, 8)
     y = np.full((30, 1), 3.25)
-    mech = fit_mechanism(bits, y, alpha=1e3)
+    mech = fit_mechanism(signals_pm1(bits), y, alpha=1e3)
     assert np.allclose(mech.weights, 0.0)
     assert np.allclose(mech.intercepts, [3.25])
 
@@ -29,10 +29,10 @@ def test_constant_target_goes_to_intercept():
 def test_single_bit_slope_recovered():
     rng = np.random.default_rng(1)
     col = rng.permutation([0] * 25 + [1] * 25)  # balanced, so mean(y) is the intercept
-    bits = [BitVec.from01([b]) for b in col]
+    bits = BitMatrix.from_rows([BitVec.from01([b]) for b in col])
     s = signals_pm1(bits)  # -1/+1 column
     y = 0.35 * s + 0.1
-    mech = fit_mechanism(bits, y, alpha=0.0)
+    mech = fit_mechanism(s, y, alpha=0.0)
     # two-point closed form: slope = (mean(y|+1) - mean(y|-1)) / 2
     assert abs(mech.weights[0, 0] - 0.35) < 1e-6
     assert abs(mech.intercepts[0] - 0.1) < 1e-9

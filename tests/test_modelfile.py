@@ -142,6 +142,34 @@ def test_set_pad_bits_in_weight_rows_are_ignored():
     assert model_to_bytes(back, include_floats=False) == blob
 
 
+def _patched(model, pos, value):
+    """The model's file, without the sidecar, with byte `pos` set to `value`
+    and a valid CRC."""
+    body = bytearray(model_to_bytes(model, include_floats=False)[:-4])
+    body[pos] = value
+    return _with_crc(body)
+
+
+@pytest.mark.parametrize(
+    "pos,value,match",
+    [
+        (7, 9, "encoding"),  # encoding kind byte: no kind 9
+        (8, 0, "encoding"),  # density takes a parameter in 1..255
+        (6, 2, "flag"),  # a flag bit other than the float sidecar
+        (6, 0x81, "flag"),
+    ],
+)
+def test_bad_header_bytes_are_format_errors(pos, value, match):
+    with pytest.raises(ModelFormatError, match=match):
+        model_from_bytes(_patched(_model(), pos, value))
+
+
+def test_bad_activation_byte_is_a_format_error():
+    model = _model()
+    with pytest.raises(ModelFormatError, match="activation"):
+        model_from_bytes(_patched(model, _first_layer_pos(model), 2))
+
+
 def test_json_roundtrip_bytes_identical():
     model = _model(seed=4)
     back = model_from_json(model_to_json(model))

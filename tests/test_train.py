@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import scmfpga.mechanism
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitVec
+from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.datasets import gen_db2, split
 from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.errors import TrainingFailedError
@@ -21,7 +21,6 @@ from scmfpga.linalg import lasso_fit, least_squares
 from scmfpga.mechanism import external_mechanism, signals_pm1
 from scmfpga.model import (
     Activation,
-    InDomain,
     ScmLayer,
     ScmModel,
     ScmNode,
@@ -147,7 +146,7 @@ def test_node_output_domains():
     node = _node([-1, 1, -1, 1])
     # {0,1} inputs use the conditional-count dot: (1,0,1,1) -> -1
     bit, h = node_output_float(
-        BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN, InDomain.ZO1
+        BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN, pm1=False
     )
     assert bit == 0 and h == 0.0
     # +-1 inputs use the XNOR dot
@@ -182,7 +181,7 @@ def test_add_node_zero_residual_rejects_everything():
     state.begin_layer(Activation.STEP)
     assert np.allclose(state.resid_train, 0.0)
     rng = np.random.default_rng(0)
-    assert add_node(state, 0, cfg, rng) is None
+    assert add_node(state, 1, cfg, rng) is None
 
 
 def test_add_node_accepts_only_positive_xi_and_residual_drops():
@@ -193,7 +192,7 @@ def test_add_node_accepts_only_positive_xi_and_residual_drops():
     rng = np.random.default_rng(1)
     prev = np.linalg.norm(state.resid_train)
     for _ in range(8):
-        res = add_node(state, 0, cfg, rng)
+        res = add_node(state, 1, cfg, rng)
         if res is None:
             break
         assert res.xi_min > 0
@@ -211,8 +210,8 @@ def test_add_node_xi_recheck_from_parameters():
     state.begin_layer(Activation.STEP)
     e_before = state.resid_train.copy()
     rng = np.random.default_rng(2)
-    res = add_node(state, 0, cfg, rng)
-    node = res.node
+    res = add_node(state, 1, cfg, rng)
+    node = state.layer_nodes[-1][-1]
     s = state.s1_train
     pre = (s @ node.w.to_pm1().astype(np.float64)) * node.lam + node.bias
     h = (pre > 0).astype(np.float64) * 2 - 1
@@ -246,14 +245,14 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
         for _ in range(size):
             e_before = state.resid_train.copy()
             s = state.cur_in_train
-            res = add_node(state, k, cfg, rng)
+            res = add_node(state, k + 1, cfg, rng)
             assert res is not None
-            node = res.node
+            node = state.layer_nodes[-1][-1]
             pre = (s @ node.w.to_pm1().astype(np.float64)) * node.lam + node.bias
             h = (pre > 0).astype(np.float64)
             if act == Activation.STEP:
                 h = h * 2 - 1
-            assert np.array_equal(state.h_train[-1], h)
+            assert np.array_equal(state.H_train[:, state.n_hidden - 1], h)
             xi = [xi_score(e_before[:, q], h, res.r) for q in range(state.m)]
             assert res.xi_sum == pytest.approx(sum(xi), rel=1e-12)
             assert res.xi_min == pytest.approx(min(xi), rel=1e-12)
@@ -399,11 +398,11 @@ def test_predict_float_refuses_an_inexact_pre_activation():
     with pytest.raises(ValueError, match=r"2\*\*28"):
         check_pre_activation(2**21 - 1, np.array([1.0, 128.0]), np.array([64.0, -128.0]))
     model = _tiny_model()
-    s = np.ones((1, model.d_enc))
-    predict_float_batch(model, s)
+    bits = BitMatrix.from01(np.ones((1, model.d_enc), dtype=np.uint8))
+    predict_float_batch(model, bits)
     model.layers[1].bias[0] = 2.0**28
     with pytest.raises(ValueError, match=r"2\*\*28"):
-        predict_float_batch(model, s)
+        predict_float_batch(model, bits)
 
 
 def _oracle_add_node(state, cfg, rng):
@@ -463,13 +462,14 @@ def test_add_node_matches_an_fsum_oracle(seed, act, m, rows, fan_in, t_max, leve
     state.begin_layer(act)
     for _ in range(nodes):
         want = _oracle_add_node(state, cfg, copy.deepcopy(rng))
-        got = add_node(state, 0, cfg, rng)
+        got = add_node(state, 1, cfg, rng)
         if want is None:
             assert got is None
             return
+        node = state.layer_nodes[-1][-1]
         assert got.r_attempts == want["attempt"] and got.passed == want["passed"]
-        assert np.array_equal(got.node.w.to_pm1(), want["w"])
-        assert got.node.lam == want["lam"] and got.node.bias == want["bias"]
+        assert np.array_equal(node.w.to_pm1(), want["w"])
+        assert node.lam == want["lam"] and node.bias == want["bias"]
         assert got.xi_sum == pytest.approx(want["xi_sum"], rel=1e-12)
 
 
@@ -481,7 +481,7 @@ def test_add_node_builds_no_float64_candidate_array():
     state.begin_layer(Activation.STEP)
     tracemalloc.start()
     try:
-        res = add_node(state, 0, cfg, np.random.default_rng(13))
+        res = add_node(state, 1, cfg, np.random.default_rng(13))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,18 +520,18 @@ def test_preallocated_readout_matches_column_stack():
 
     state.begin_layer(Activation.STEP)
     for _ in range(6):
-        assert add_node(state, 0, cfg, rng) is not None
+        assert add_node(state, 1, cfg, rng) is not None
         check()
     assert state.H_train.shape[1] == 8
     state.remove_trailing(2)
     check()
-    assert add_node(state, 0, cfg, rng) is not None  # rewrites a removed column
+    assert add_node(state, 1, cfg, rng) is not None  # rewrites a removed column
     h_layer1 = check()
     state.end_layer()
     assert np.array_equal(state.cur_in_train, h_layer1)
     state.begin_layer(Activation.SIGN)
     for _ in range(2):
-        assert add_node(state, 1, cfg, rng) is not None
+        assert add_node(state, 2, cfg, rng) is not None
         check()
     # a large configured node count is not allocated up front
     big = TrainState(data, TrainConfig.single_layer(1000, t_max=10, seed=14))
@@ -561,6 +561,20 @@ def test_train_zero_residual_fails():
     cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=20, seed=0)
     with pytest.raises(TrainingFailedError):
         train(data, cfg)
+
+
+def test_records_count_nodes_from_1_within_each_layer():
+    # l_step 2 stops both layers early, and each stop removes trailing nodes
+    data = _two_output_data(seed=2)
+    cfg = TrainConfig((8, 6), (Activation.STEP, Activation.SIGN), t_max=100, l_step=2, seed=2)
+    result = train(data, cfg)
+    stops = {ev["layer"]: ev["removed"] for ev in result.events if ev["event"] == "early_stop"}
+    assert set(stops) == {1, 2} and min(stops.values()) > 0
+    for layer, size in enumerate(result.model.layer_sizes, start=1):
+        nodes = [rec.node for rec in result.records if rec.layer == layer]
+        assert nodes == list(range(1, len(nodes) + 1))
+        assert size == len(nodes) - stops[layer]
+    assert [rec.layer for rec in result.records] == sorted(rec.layer for rec in result.records)
 
 
 def test_train_planted_node_recovered():
@@ -666,7 +680,7 @@ def test_finalize_counts_saturated_readouts():
     cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, seed=12)
     state = TrainState(data, cfg)
     state.begin_layer(Activation.STEP)
-    assert add_node(state, 0, cfg, np.random.default_rng(12)) is not None
+    assert add_node(state, 1, cfg, np.random.default_rng(12)) is not None
     state.beta[:] = 100.0
     model, saturated = state.finalize(data.encoding)
     assert saturated == state.m
@@ -829,5 +843,4 @@ def test_config_validation():
         TrainConfig((5, 0, 5), (Activation.STEP,) * 3)
     with pytest.raises(ValueError):
         TrainConfig((5,), ())
-    cfg = TrainConfig.single_layer(0)
-    assert not cfg.grows_nodes
+    assert TrainConfig.single_layer(0).layer_sizes == ()
