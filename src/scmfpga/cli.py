@@ -180,9 +180,10 @@ def cmd_eval(args) -> int:
     rows = ds.rows(args.rows)
     if rows.size == 0:
         raise DataError(f"no rows in the {args.rows!r} selection")
-    if ds.n_features != model.n_features:
+    if (ds.n_features, ds.n_targets) != (model.n_features, model.n_outputs):
         raise DataError(
-            f"dataset has {ds.n_features} features but the model encodes {model.n_features}"
+            f"dataset has {ds.n_features} features and {ds.n_targets} targets, but the model "
+            f"encodes {model.n_features} features and has {model.n_outputs} outputs"
         )
     bits, _ = encode_matrix(ds.x_norm(rows), model.encoding)
     y = ds.y[rows]

@@ -67,8 +67,9 @@ def evaluate_bits(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape[0] != len(bits):
-        raise ValueError("target row count does not match the sample count")
+    if y.shape != (len(bits), model.n_outputs):
+        raise ValueError(f"targets of shape {y.shape}, not (samples, outputs) = "
+                         f"{(len(bits), model.n_outputs)}")
     rep = EvalReport(n_samples=len(bits))
     if mode in ("pc", "both"):
         rep.outputs_pc = predict_float_batch(model, bits)

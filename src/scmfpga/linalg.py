@@ -1,7 +1,9 @@
 """Dense least squares and L1-penalized regression used by training.
 
-The readout solve goes through an SVD-based pseudoinverse (numpy lstsq with
-the max(N, L) * eps singular-value cutoff). The L1 solver minimizes
+least_squares is an SVD-based pseudoinverse (numpy lstsq with the max(N, L) *
+eps singular-value cutoff). It gives the L1 fit its warm start and is the
+test oracle of the readout, which training keeps as an incremental QR
+instead (train.TrainState). The L1 solver minimizes
 
     sum_j (y_j - x_j . p)**2 + alpha * sum_k |p_k|
 

@@ -10,7 +10,8 @@ is positive for every output, and takes the passing candidate with the largest
 total score. The contraction factor r walks a schedule toward 1, so the test
 relaxes before the layer gives up. After every accepted node the readout is
 refit by least squares over all hidden outputs collected so far, which keeps
-the training residual non-increasing.
+the training residual non-increasing. The fit is a thin QR of the hidden
+outputs that gains one Gram-Schmidt column per node (TrainState).
 
 Biases are drawn uniform on [-lambda, +lambda] and snapped to the Q7.25 grid
 at draw time (saturating at the format range): the stored bias must fit the
@@ -44,7 +45,6 @@ from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
-from .linalg import least_squares
 from .mechanism import (
     MechanismModel,
     fit_mechanism,
@@ -232,10 +232,10 @@ def _rmse(resid: np.ndarray) -> float:
     return float(np.sqrt(np.mean(resid * resid))) if resid.size else 0.0
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """a with its column capacity doubled; the new columns are unset."""
-    out = np.empty((a.shape[0], 2 * a.shape[1]))
-    out[:, : a.shape[1]] = a
+def _grown(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """a copied into the leading block of a zero array of the given shape."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, k) for k in a.shape)] = a
     return out
 
 
@@ -251,6 +251,17 @@ class TrainState:
     most 64) and doubles when full. They are C-ordered because H @ beta then
     rounds as it does on a stacked matrix, so the residuals (and the model
     bytes) do not depend on the storage.
+
+    The readout (SC-III of Wang & Li 2017) is kept as a thin QR of H: Q
+    (N, capacity) with orthonormal columns, upper-triangular R and
+    qt = Q^T target. A new column costs one classical Gram-Schmidt step and
+    one reorthogonalization pass (Daniel, Gragg, Kaufman & Stewart 1976),
+    O(N L), and beta solves R beta = qt; remove_trailing drops trailing
+    columns of Q, R and qt, which is exact. A column whose orthogonal
+    remainder is at most max(N, L) * eps * |h| (lstsq's cutoff) gets readout
+    0 and no basis vector; while the residual lies above rounding level,
+    xi > 0 rules that out. The residuals stay target - H @ beta on both row
+    sets, the model's own errors, rather than an update through Q.
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
@@ -269,7 +280,11 @@ class TrainState:
         capacity = min(max(1, sum(cfg.layer_sizes)), 64)
         self.H_train = np.empty((len(data.bits_train), capacity))
         self.H_val = np.empty((len(data.bits_val), capacity))
+        self.Q = np.empty_like(self.H_train)
+        self.R = np.zeros((capacity, capacity))
+        self.qt = np.zeros((capacity, self.m))
         self.n_hidden = 0
+        self.in_basis: list[bool] = []  # per hidden column: owns a basis vector
         self.beta = np.zeros((0, self.m))
         self.resid_train = self.target_train.copy()
         self.resid_val = self.target_val.copy()
@@ -297,33 +312,52 @@ class TrainState:
         self.cur_in_val = self.H_val[:, cols]
 
     def append_node(self, node: ScmNode, h_tr: np.ndarray, h_va: np.ndarray) -> None:
-        if self.n_hidden == self.H_train.shape[1]:
-            self.H_train = _doubled(self.H_train)
-            self.H_val = _doubled(self.H_val)
+        cap = self.H_train.shape[1]
+        if self.n_hidden == cap:
+            self.H_train = _grown(self.H_train, (len(self.H_train), 2 * cap))
+            self.H_val = _grown(self.H_val, (len(self.H_val), 2 * cap))
+            self.Q = _grown(self.Q, self.H_train.shape)
+            self.R = _grown(self.R, (2 * cap, 2 * cap))
+            self.qt = _grown(self.qt, (2 * cap, self.m))
         self.H_train[:, self.n_hidden] = h_tr
         self.H_val[:, self.n_hidden] = h_va
         self.n_hidden += 1
         self.layer_nodes[-1].append(node)
-        self.refit_beta()
+        k = sum(self.in_basis)
+        q = self.Q[:, :k]
+        coef = q.T @ h_tr
+        v = h_tr - q @ coef
+        again = q.T @ v
+        v -= q @ again
+        norm = float(np.linalg.norm(v))
+        dependent = norm <= max(len(v), self.n_hidden) * np.finfo(float).eps * np.linalg.norm(h_tr)
+        self.in_basis.append(not dependent)
+        if dependent:
+            self.beta = np.vstack([self.beta, np.zeros((1, self.m))])
+            return
+        self.Q[:, k] = v / norm
+        self.R[:k, k] = coef + again
+        self.R[k, k] = norm
+        self.qt[k] = self.Q[:, k] @ self.target_train
+        self.solve_readout()
 
     def remove_trailing(self, n: int) -> None:
         if n <= 0:
             return
         del self.layer_nodes[-1][-n:]
+        del self.in_basis[-n:]
         self.n_hidden -= n
-        self.refit_beta()
+        self.solve_readout()
 
     # -- readout ---------------------------------------------------------
 
-    def refit_beta(self) -> None:
-        if not self.n_hidden:
-            self.beta = np.zeros((0, self.m))
-            self.resid_train = self.target_train.copy()
-            self.resid_val = self.target_val.copy()
-            return
-        h = self.H_train[:, : self.n_hidden]
-        self.beta = least_squares(h, self.target_train)
-        self.resid_train = self.target_train - h @ self.beta
+    def solve_readout(self) -> None:
+        """beta from R beta = Q^T target, then the residuals target - H beta."""
+        k = sum(self.in_basis)
+        self.beta = np.zeros((self.n_hidden, self.m))
+        if k:
+            self.beta[np.array(self.in_basis)] = np.linalg.solve(self.R[:k, :k], self.qt[:k])
+        self.resid_train = self.target_train - self.H_train[:, : self.n_hidden] @ self.beta
         self.resid_val = self.target_val - self.H_val[:, : self.n_hidden] @ self.beta
 
     def train_rmse(self) -> float:
@@ -545,10 +579,11 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     change and early stopping (with trailing-node rollback) per layer.
 
     Besides the per-node records, the result's events report how the L1
-    fit converged (`l1_fit`) and how many values were clamped to the Q7.25
-    range (`saturation`). Training warns when the L1 fit hits its sweep cap,
-    and when a target or a fitted intercept lies outside [-64, 64), where
-    the emulated outputs saturate.
+    fit converged (`l1_fit`), how many kept hidden columns were linearly
+    dependent and so got readout 0 (`readout`), and how many values were
+    clamped to the Q7.25 range (`saturation`). Training warns when the L1
+    fit hits its sweep cap, and when a target or a fitted intercept lies
+    outside [-64, 64), where the emulated outputs saturate.
     """
     sizes = [s for s in cfg.layer_sizes if s > 0]
     acts = [a for s, a in zip(cfg.layer_sizes, cfg.activations) if s > 0]
@@ -605,6 +640,7 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
         state.end_layer()
 
     model, readouts_saturated = state.finalize(data.encoding)
+    events.append({"event": "readout", "dependent_columns": state.in_basis.count(False)})
     events.append({
         "event": "saturation",
         "targets_outside": targets_out,

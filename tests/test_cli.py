@@ -9,7 +9,7 @@ import numpy as np
 from scmfpga import cli
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitVec
-from scmfpga.datasets import load_dataset
+from scmfpga.datasets import load_dataset, write_dataset
 from scmfpga.encoding import parse_encoding
 from scmfpga.mechanism import external_mechanism
 from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode, quantization_bound
@@ -79,6 +79,8 @@ def test_train_log_is_key_value(db1_files):
             fields = dict(kv.split("=", 1) for kv in ln.split())
             assert {"layer", "node", "r", "lambda", "xi_sum", "train_rmse", "val_rmse"} <= set(fields)
             assert float(fields["xi_min"]) > 0
+    # every node of this run added rank to the readout
+    assert "event=readout dependent_columns=0" in lines
 
 
 def test_train_mechanism_only(tmp_path, capsys, db1_files):
@@ -203,6 +205,21 @@ def test_eval_feature_mismatch_errors(db1_files, tmp_path):
     other = tmp_path / "wide.csv"
     other.write_text("a,b,y\n0.1,0.2,0.3\n")
     assert run("eval", str(model), str(other), "--rows", "all") == 3
+
+
+def test_eval_target_count_mismatch_errors(db1_files, tmp_path, capsys):
+    _, data, model = db1_files
+    ds = load_dataset(data)
+    ds.y = np.column_stack([ds.y, ds.y])
+    ds.target_names = ["y0", "y1"]
+    two = tmp_path / "two_targets.csv"
+    write_dataset(ds, two)
+    capsys.readouterr()
+    assert run("eval", str(model), str(two)) == 3
+    captured = capsys.readouterr()
+    assert "1 features and 2 targets, but the model encodes 1 features and has 1 outputs" \
+        in captured.err
+    assert "rmse_pc" not in captured.out
 
 
 def test_report_db1_cycles(capsys, tmp_path, db1_files):

@@ -329,6 +329,16 @@ def test_batch_rejects_wrong_width():
         predict_fpga_batch(model, BitMatrix.from01(np.zeros((2, model.d_enc + 1), dtype=np.uint8)))
 
 
+def test_evaluate_rejects_targets_of_the_wrong_width():
+    model = _saturating_model([1 << 20])
+    rows = BitMatrix.from01(np.array([[1], [0], [1]]))
+    assert evaluate_bits(model, rows, np.zeros((3, 1))).rmse_pc is not None
+    with pytest.raises(ValueError, match=r"\(3, 2\), not \(samples, outputs\) = \(3, 1\)"):
+        evaluate_bits(model, rows, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="not"):
+        evaluate_bits(model, rows, np.zeros((2, 1)))
+
+
 def _saturating_model(m_betas):
     """Two SIGN nodes on one input bit that fire exactly when it is set.
 

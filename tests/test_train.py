@@ -1,15 +1,17 @@
 import copy
 import importlib
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scmfpga.linalg
 import scmfpga.mechanism
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitMatrix, BitVec
@@ -512,8 +514,9 @@ def test_preallocated_readout_matches_column_stack():
             va += va_cols
             s_tr, s_va = np.column_stack(tr_cols), np.column_stack(va_cols)
         h_tr, h_va = np.column_stack(tr), np.column_stack(va)
-        beta = least_squares(h_tr, state.target_train)
-        assert np.array_equal(state.beta, beta)
+        # the QR readout is lstsq's far below the Q7.25 resolution (2**-25)
+        beta = state.beta
+        assert np.max(np.abs(beta - least_squares(h_tr, state.target_train))) <= 2.0**-40
         assert np.array_equal(state.resid_train, state.target_train - h_tr @ beta)
         assert np.array_equal(state.resid_val, state.target_val - h_va @ beta)
         return h_tr
@@ -536,6 +539,146 @@ def test_preallocated_readout_matches_column_stack():
     # a large configured node count is not allocated up front
     big = TrainState(data, TrainConfig.single_layer(1000, t_max=10, seed=14))
     assert big.H_train.shape == (len(data.bits_train), 64)
+
+
+def _check_readout(state, before):
+    """The QR readout against the lstsq oracle, and the residuals against beta.
+
+    A dependent column gets readout 0, so the oracle fits only the columns
+    that own a basis vector. `before` is the (resid_train, resid_val) pair of
+    the previous state, or None; after a dependent append the residuals must
+    be exactly those.
+    """
+    cols = np.array(state.in_basis, dtype=bool)
+    h_tr = state.H_train[:, : state.n_hidden]
+    h_va = state.H_val[:, : state.n_hidden]
+    oracle = np.zeros((state.n_hidden, state.m))
+    if cols.any():
+        oracle[cols] = least_squares(h_tr[:, cols], state.target_train)
+    assert np.all(np.abs(state.beta - oracle) <= 2.0**-40 * np.maximum(1.0, np.abs(oracle)))
+    if before is not None and state.in_basis and not state.in_basis[-1]:
+        assert np.array_equal(state.resid_train, before[0])
+        assert np.array_equal(state.resid_val, before[1])
+    else:
+        assert np.array_equal(state.resid_train, state.target_train - h_tr @ state.beta)
+        assert np.array_equal(state.resid_val, state.target_val - h_va @ state.beta)
+    return state.resid_train.copy(), state.resid_val.copy()
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    acts=st.lists(st.sampled_from([Activation.STEP, Activation.SIGN]), min_size=1, max_size=3),
+    sizes=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    drops=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    bits=st.sampled_from([3, 8, 70]),
+    rows=st.integers(6, 60),
+    m=st.integers(1, 2),
+    levels=st.integers(2, 8),
+)
+def test_incremental_readout_matches_the_lstsq_oracle(seed, acts, sizes, drops, bits, rows, m,
+                                                      levels):
+    # density:70 gives layer 1 a fan-in above 64; targets on a few levels
+    # allow exact fits, after which a dependent column can pass
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(rows + 4, 1))
+    y = rng.integers(0, levels, size=(rows + 4, m)) / 8.0
+    data = prepare_train_data(x[:rows], y[:rows], x[rows:], y[rows:],
+                              parse_encoding(f"density:{bits}"))
+    cfg = TrainConfig(tuple(sizes[: len(acts)]), tuple(acts), t_max=40, use_mechanism=False,
+                      seed=seed)
+    state = TrainState(data, cfg)
+    before = _check_readout(state, None)
+    for layer, (act, size, drop) in enumerate(zip(acts, sizes, drops), start=1):
+        state.begin_layer(act)
+        for _ in range(size):
+            rmse = state.train_rmse()
+            if add_node(state, layer, cfg, rng) is None:
+                break
+            before = _check_readout(state, before)
+            assert state.train_rmse() <= rmse + 1e-12
+        kept = len(state.layer_nodes[-1])
+        if kept == 0:
+            return
+        # an early stop that keeps at least one node, then a node that
+        # rewrites a removed column
+        drop = min(drop, kept - 1)
+        if drop:
+            state.remove_trailing(drop)
+            before = _check_readout(state, None)
+            if add_node(state, layer, cfg, rng) is not None:
+                before = _check_readout(state, before)
+        state.end_layer()
+
+
+def test_a_dependent_column_gets_readout_zero():
+    data = _two_output_data(seed=15)
+    cfg = TrainConfig.single_layer(5, Activation.STEP, t_max=100, use_mechanism=False, seed=15)
+    state = TrainState(data, cfg)
+    state.begin_layer(Activation.STEP)
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        assert add_node(state, 1, cfg, rng) is not None
+    beta, before = state.beta.copy(), _check_readout(state, None)
+    # a copy of the second column adds no rank
+    node = state.layer_nodes[-1][1]
+    state.append_node(node, state.H_train[:, 1].copy(), state.H_val[:, 1].copy())
+    assert state.n_hidden == 4 and state.in_basis.count(False) == 1
+    assert state.in_basis == [True, True, True, False]
+    assert np.array_equal(state.beta, np.vstack([beta, np.zeros((1, 2))]))
+    assert np.array_equal(state.resid_train, before[0])
+    assert np.array_equal(state.resid_val, before[1])
+    assert add_node(state, 1, cfg, rng) is not None
+    assert state.in_basis == [True, True, True, False, True]
+    _check_readout(state, None)
+    state.remove_trailing(2)
+    assert state.in_basis.count(False) == 0
+    assert np.array_equal(state.beta, beta)
+    model, _ = state.finalize(data.encoding)
+    assert model.layer_sizes == (3,)
+
+
+def test_reorthogonalization_keeps_q_orthonormal():
+    # column i is one +-1 column with its first i rows flipped, so each new
+    # column is mostly the span of the others; one Gram-Schmidt pass alone
+    # leaves Q^T Q off the identity by about 7e-11 here
+    n = 3200
+    data = _toy_data(seed=17, n_train=n, n_val=10)
+    state = TrainState(data, TrainConfig.single_layer(12, use_mechanism=False))
+    state.begin_layer(Activation.STEP)
+    h = np.random.default_rng(17).choice([-1.0, 1.0], size=n)
+    for i in range(12):
+        col = h.copy()
+        col[:i] *= -1.0
+        state.append_node(_node([1] * 6), col, np.ones(10))
+    assert state.in_basis.count(False) == 0
+    q = state.Q[:, :12]
+    assert np.max(np.abs(q.T @ q - np.eye(12))) <= 1e-12
+    _check_readout(state, None)
+
+
+@pytest.mark.parametrize("use_mechanism, calls", [(True, 1), (False, 0)])
+def test_training_solves_least_squares_only_for_the_lasso_warm_start(
+    monkeypatch, use_mechanism, calls
+):
+    # the readout is an incremental QR; a per-node solve would show up here
+    orig = scmfpga.linalg.least_squares
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "scmfpga" or name.startswith("scmfpga."):
+            for attr in [a for a, v in vars(mod).items() if v is orig]:
+                monkeypatch.setattr(mod, attr, counted)
+    data = _toy_data(seed=16, n_train=150, n_val=40, spec="s2v1", noise=0.02)
+    cfg = TrainConfig((6, 4, 3), (Activation.STEP, Activation.SIGN, Activation.STEP),
+                      t_max=200, use_mechanism=use_mechanism, seed=16, tau=-1.0)
+    result = train(data, cfg)
+    assert len(result.records) == 13
+    assert len(seen) == calls
 
 
 # -- full training ---------------------------------------------------------
@@ -634,9 +777,12 @@ def test_train_deep_model_and_log():
     assert "val_rmse=" in node_lines[0]
     assert "r_attempts=" in node_lines[0]
     assert [ln.split()[0] for ln in node_lines[-4:]] == ["layer=2"] * 4
-    # no early stop here, so the only events are the L1 fit and the saturation counts
+    # no early stop here, so the only events are the L1 fit, the readout's
+    # dependent columns and the saturation counts
     event_lines = [ln for ln in lines if not ln.startswith("layer=")]
-    assert [ln.split()[0] for ln in event_lines] == ["event=l1_fit", "event=saturation"]
+    assert [ln.split()[0] for ln in event_lines] == [
+        "event=l1_fit", "event=readout", "event=saturation"]
+    assert event_lines[1] == "event=readout dependent_columns=0"
     assert "converged=True" in event_lines[0]
     # the integer bit is constant: the toy inputs lie in [0, 1) and no row sets it
     s = signals_pm1(data.bits_train)
