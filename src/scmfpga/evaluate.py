@@ -50,8 +50,6 @@ class EvalReport:
         """Largest per-sample |emulated - reference| over all outputs."""
         if self.outputs_pc is None or self.outputs_fpga_raw is None:
             return None
-        if self.outputs_pc.size == 0:
-            return 0.0
         return float(np.max(np.abs(self.outputs_fpga - self.outputs_pc)))
 
 
@@ -63,9 +61,11 @@ def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
 def evaluate_bits(
     model: ScmModel, bits: BitMatrix, y: np.ndarray, mode: str = "both"
 ) -> EvalReport:
-    """Evaluate encoded samples against targets in the requested mode(s)."""
+    """Evaluate one or more encoded samples against targets in the requested mode(s)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not len(bits):
+        raise ValueError("no samples to evaluate")
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape != (len(bits), model.n_outputs):
         raise ValueError(f"targets of shape {y.shape}, not (samples, outputs) = "

@@ -2,9 +2,11 @@
 
 A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
-arrays of scale codes, biases and readouts. The emulator, the reference path
-and the model file read those arrays as they are; ScmNode, one node's
-scalars, serves the per-sample oracles through ScmLayer.node(i).
+arrays of scale codes, raw biases and readouts. The emulator, the reference
+path and the model file read those arrays as they are; ScmNode, one node's
+scalars, serves the per-sample oracles through ScmLayer.node(i). A node's bit
+depends on its raw bias only: training and the reference path both take it
+from threshold_bits, the emulator's integer test in float32.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -48,7 +50,7 @@ def parse_activation(name: str) -> Activation:
 class ScmNode:
     w: BitVec  # fan_in bits; bit 1 means weight +1, bit 0 means -1
     shift: int  # scale is 2**shift, shift in 0..7
-    bias: float
+    bias: float  # must equal bias_raw / 2**25 exactly
     bias_raw: int
     beta: np.ndarray  # (m,) float64
     beta_raw: np.ndarray  # (m,) int32
@@ -56,6 +58,8 @@ class ScmNode:
     def __post_init__(self):
         if not 0 <= self.shift <= 7:
             raise ValueError("shift code must be in 0..7")
+        if self.bias != fx.fx_to_real(self.bias_raw):
+            raise ValueError(f"bias {self.bias!r} is not bias_raw / 2**25")
 
     @property
     def fan_in(self) -> int:
@@ -72,7 +76,7 @@ class ScmLayer:
     activation: the layer's Activation
     w: BitMatrix of K rows of fan_in bits; bit 1 means weight +1, bit 0 -1
     shift: (K,) uint8 scale codes, lambda = 2**shift
-    bias, bias_raw: (K,) float64 biases and their raw Q7.25 int32 values
+    bias_raw: (K,) int32 raw Q7.25 biases; bias is their exact float64 value
     beta, beta_raw: (K, m) float64 readouts and their raw Q7.25 int32 values
 
     ScmLayer(activation, nodes) packs a list of ScmNodes; from_arrays takes
@@ -85,16 +89,15 @@ class ScmLayer:
         self.activation = activation
         self.w = BitMatrix.from_rows([nd.w for nd in nodes])
         self.shift = np.array([nd.shift for nd in nodes], dtype=np.uint8)
-        self.bias = np.array([nd.bias for nd in nodes], dtype=np.float64)
         self.bias_raw = np.array([nd.bias_raw for nd in nodes], dtype=np.int32)
         self.beta = np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts)
         self.beta_raw = np.array([nd.beta_raw for nd in nodes], dtype=np.int32).reshape(readouts)
 
     @classmethod
-    def from_arrays(cls, activation, w, shift, bias, bias_raw, beta, beta_raw) -> "ScmLayer":
+    def from_arrays(cls, activation, w, shift, bias_raw, beta, beta_raw) -> "ScmLayer":
         """A layer holding these arrays, not copies; dtypes as in the class docstring."""
         layer = cls(activation)
-        layer.w, layer.shift, layer.bias, layer.bias_raw = w, shift, bias, bias_raw
+        layer.w, layer.shift, layer.bias_raw = w, shift, bias_raw
         layer.beta, layer.beta_raw = beta, beta_raw
         return layer
 
@@ -106,14 +109,15 @@ class ScmLayer:
         return self.w.n
 
     @property
-    def lam(self) -> np.ndarray:
-        """(K,) float64 scales 2**shift."""
-        return (1 << self.shift.astype(np.int64)).astype(np.float64)
+    def bias(self) -> np.ndarray:
+        """(K,) float64 biases, bias_raw / 2**25 (an exact product)."""
+        return self.bias_raw * fx.RESOLUTION
 
     def node(self, i: int) -> ScmNode:
         """Node i; its readout arrays are copies."""
-        return ScmNode(self.w[i], int(self.shift[i]), float(self.bias[i]),
-                       int(self.bias_raw[i]), self.beta[i].copy(), self.beta_raw[i].copy())
+        raw = int(self.bias_raw[i])
+        return ScmNode(self.w[i], int(self.shift[i]), fx.fx_to_real(raw), raw,
+                       self.beta[i].copy(), self.beta_raw[i].copy())
 
 
 @dataclass
@@ -151,7 +155,8 @@ class ScmModel:
                 raise ValueError(f"layer {i} has no nodes")
             if layer.fan_in != expected:
                 raise ValueError(f"layer {i} fan-in {layer.fan_in} != expected {expected}")
-            if {layer.beta.shape, layer.beta_raw.shape} != {(k, self.n_outputs)}:
+            readouts = (k, self.n_outputs)
+            if layer.beta.shape != readouts or layer.beta_raw.shape != readouts:
                 raise ValueError("readout width does not match the output count")
             expected = k
 
@@ -165,46 +170,54 @@ def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
     return h
 
 
-def check_pre_activation(fan_in: int, lam, bias) -> None:
-    """Raise ValueError unless fan_in * lam + |bias| < 2**28 for every node.
+def check_fan_in(fan_in: int) -> None:
+    """Raise ValueError unless threshold_bits's float32 dot is exact (fan_in < 2**24)."""
+    if fan_in >= 2**24:
+        raise ValueError(f"fan-in {fan_in} is too wide for an exact float32 dot (below 2**24)")
 
-    The float pre-activation (s . w) * lam + bias adds an integer dot times a
-    power of two to a bias on the 2**-25 grid. Below 2**28 every such value
-    is a float64, so the test pre > 0 is exact and matches the emulator.
+
+def threshold_bits(
+    s32: np.ndarray, w32: np.ndarray, shift: np.ndarray, bias_raw: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Threshold bits of K nodes (scale codes shift, raw biases bias_raw) on N rows.
+
+    s32 (N, fan_in) and w32 (K, fan_in) are float32 in {-1, 0, +1}. The dots
+    go into the (N, K) float32 work array, which the bits then overwrite in
+    place as 0.0 or 1.0. The test dot > floor(-bias_raw / 2**(25 + shift)),
+    whose floor has magnitude at most 64, is the emulator's
+    (dot << shift + 25) + bias_raw > 0 for the integer dot (see check_fan_in).
     """
-    worst = np.max(fan_in * np.asarray(lam, dtype=np.float64) + np.abs(bias))
-    if worst >= 2**28:
-        raise ValueError(
-            f"a pre-activation at fan-in {fan_in} can reach {worst:g}, "
-            "but the float64 path is exact only below 2**28"
-        )
+    np.matmul(s32, w32.T, out=work)
+    # widened first: -RAW_MIN does not fit int32
+    neg = -np.asarray(bias_raw, dtype=np.int64)
+    edge = neg >> (np.asarray(shift, dtype=np.int64) + fx.FRAC_BITS)  # floor division
+    return np.greater(work, edge.astype(np.float32), out=work)
 
 
 def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
     """Activation values of a layer on an (N, fan_in) signal matrix.
 
-    The returned (N, n_nodes) matrix is also the signal matrix feeding the
-    next layer: {0,1} after SIGN, {-1,+1} after STEP.
+    The returned (N, n_nodes) float64 matrix is also the signal matrix
+    feeding the next layer: {0,1} after SIGN, {-1,+1} after STEP.
     """
-    w = layer.w.to01().astype(np.float64)
+    w = layer.w.to01().astype(np.float32)
     w *= 2.0
     w -= 1.0
-    pre = s @ w.T
-    pre *= layer.lam
-    pre += layer.bias
-    return activation_values(pre > 0, layer.activation)
+    work = np.empty((len(s), len(layer)), dtype=np.float32)
+    bits = threshold_bits(s.astype(np.float32), w, layer.shift, layer.bias_raw, work)
+    return activation_values(bits, layer.activation)
 
 
 def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
-    Raises ValueError when a node's pre-activation could leave the exact
-    float64 range (check_pre_activation).
+    Raises ValueError when a layer's fan-in is too wide for threshold_bits
+    (check_fan_in).
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     for layer in model.layers:
-        check_pre_activation(layer.fan_in, layer.lam, layer.bias)
+        check_fan_in(layer.fan_in)
     s = signals_pm1(bits)
     out = mech_eval_float_batch(s, model.mechanism)
     for layer in model.layers:

@@ -17,7 +17,8 @@ Layout (all little-endian):
 
 All i32 fields are raw Q7.25. The sidecar carries the original training-time
 float values so the reference evaluator does not have to reconstruct them
-from the quantized fields; without it, loads fall back to raw / 2**25.
+from the quantized fields; without it, loads fall back to raw / 2**25. A
+sidecar float must round to its raw value, and a bias must equal it exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .bits import WORD, WORD_BITS, BitMatrix, BitVec, n_words
-from .encoding import EncodingSpec
+from .encoding import EncodingSpec, parse_encoding
 from .errors import ModelFormatError
 from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, MechanismModel
 from .model import Activation, ScmLayer, ScmModel, ScmNode
@@ -44,12 +45,17 @@ _SOURCE_TAGS = {SOURCE_LASSO: 0, SOURCE_EXTERNAL: 1}
 _SOURCE_NAMES = {v: k for k, v in _SOURCE_TAGS.items()}
 
 
+# dtype objects, not strings, which a write would parse about 16 times
+_I32 = np.dtype("<i4")
+_F64 = np.dtype("<f8")
+
+
 def _i32_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<i4").tobytes()
+    return np.ascontiguousarray(arr, dtype=_I32).tobytes()
 
 
 def _f64_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return np.ascontiguousarray(arr, dtype=_F64).tobytes()
 
 
 def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
@@ -78,7 +84,7 @@ def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
         for layer in model.layers:
             out += _f64_bytes(layer.bias)
             out += _f64_bytes(layer.beta)
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return bytes(out)
 
 
@@ -152,16 +158,21 @@ def model_from_bytes(data: bytes) -> ScmModel:
         beta_raw = r.i32(n * m).reshape(n, m)
         layers.append(ScmLayer.from_arrays(
             Activation(act), BitMatrix(words, fan_in), shift,
-            fx.dequantize_array(bias_raw), bias_raw, fx.dequantize_array(beta_raw), beta_raw,
+            bias_raw, fx.dequantize_array(beta_raw), beta_raw,
         ))
 
     if flags & FLAG_FLOAT_SIDECAR:
-        p = r.f64(d_enc * m).reshape(d_enc, m)
-        u = r.f64(m)
-        # the training-time floats replace the dequantized ones
-        for layer in layers:
-            layer.bias = r.f64(len(layer))
-            layer.beta = r.f64(len(layer) * m).reshape(len(layer), m)
+        try:
+            p = _rounding_to(r.f64(d_enc * m).reshape(d_enc, m), p_raw)
+            u = _rounding_to(r.f64(m), u_raw)
+            # the training-time floats replace the dequantized ones
+            for layer in layers:
+                if not np.array_equal(r.f64(len(layer)), layer.bias):
+                    raise ValueError("sidecar biases are not bias_raw / 2**25")
+                layer.beta = _rounding_to(r.f64(len(layer) * m).reshape(len(layer), m),
+                                          layer.beta_raw)
+        except ValueError as exc:
+            raise ModelFormatError(f"inconsistent model file: {exc}") from exc
     else:
         p = fx.dequantize_array(p_raw)
         u = fx.dequantize_array(u_raw)
@@ -243,7 +254,8 @@ def model_from_json(text: str) -> ScmModel:
 
     Raw fields may be omitted (they are requantized from the floats), and
     float fields may be omitted (reconstructed from the raw values), which
-    makes hand-written mechanism models practical.
+    makes hand-written mechanism models practical. Pairs obey the sidecar's
+    rules, and a bias given alone is replaced by its grid value.
     """
     try:
         doc = json.loads(text)
@@ -253,8 +265,6 @@ def model_from_json(text: str) -> ScmModel:
         raise ModelFormatError("not a model JSON document")
     if doc.get("version") != VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')}")
-    from .encoding import parse_encoding  # local import keeps module deps flat
-
     try:
         enc = parse_encoding(doc["encoding"])
         m = int(doc["n_outputs"])
@@ -276,24 +286,25 @@ def model_from_json(text: str) -> ScmModel:
             nodes = []
             for nd in ld["nodes"]:
                 beta, beta_raw = _value_pair(nd.get("beta"), nd.get("beta_raw"), (m,))
-                if nd.get("bias") is not None:
-                    bias = float(nd["bias"])
-                    bias_raw = int(nd["bias_raw"]) if "bias_raw" in nd else fx.fx_from_real(bias)
+                bias = nd.get("bias")
+                if bias is not None and "bias_raw" not in nd:
+                    bias_raw = fx.fx_from_real(float(bias))
+                    bias = None  # replaced by its grid value
                 else:
                     bias_raw = int(nd["bias_raw"])
-                    bias = fx.fx_to_real(bias_raw)
                 nodes.append(
                     ScmNode(
                         w=BitVec.from_string(nd["weights"]),
                         shift=int(nd["shift"]),
-                        bias=bias,
+                        # ScmNode refuses a given bias off bias_raw's grid value
+                        bias=fx.fx_to_real(bias_raw) if bias is None else float(bias),
                         bias_raw=bias_raw,
                         beta=beta,
                         beta_raw=beta_raw,
                     )
                 )
             layers.append(ScmLayer(act, nodes))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad model JSON: {exc}") from exc
     model = ScmModel(encoding=enc, mechanism=mech, layers=layers, n_outputs=m)
     try:
@@ -303,16 +314,21 @@ def model_from_json(text: str) -> ScmModel:
     return model
 
 
+def _rounding_to(floats: np.ndarray, raws: np.ndarray) -> np.ndarray:
+    """floats; a ValueError unless they round to raws, as quantization_bound assumes."""
+    if not np.array_equal(fx.quantize_array(floats)[0], raws):
+        raise ValueError("float values do not round to their raw values")
+    return floats
+
+
 def _value_pair(floats, raws, shape) -> tuple[np.ndarray, np.ndarray]:
     if floats is None and raws is None:
         raise ValueError("need float or raw values")
-    if floats is not None:
-        f = np.asarray(floats, dtype=np.float64).reshape(shape)
-        if raws is not None:
-            r = np.asarray(raws, dtype=np.int32).reshape(shape)
-        else:
-            r, _ = fx.quantize_array(f)
-    else:
+    if floats is None:
         r = np.asarray(raws, dtype=np.int32).reshape(shape)
-        f = fx.dequantize_array(r)
-    return f, r
+        return fx.dequantize_array(r), r
+    f = np.asarray(floats, dtype=np.float64).reshape(shape)
+    if raws is None:
+        return f, fx.quantize_array(f)[0]
+    r = np.asarray(raws, dtype=np.int32).reshape(shape)
+    return _rounding_to(f, r), r

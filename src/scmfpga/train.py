@@ -14,9 +14,10 @@ the training residual non-increasing. The fit is a thin QR of the hidden
 outputs that gains one Gram-Schmidt column per node (TrainState).
 
 Biases are drawn uniform on [-lambda, +lambda] and snapped to the Q7.25 grid
-at draw time (saturating at the format range): the stored bias must fit the
-32-bit output-path word, and a grid bias makes the float path and the emulated
-integer path compute bit-identical activations.
+at draw time (saturating at the format range), and a node keeps the raw
+value. Candidates and the accepted node's validation column get their bits
+from model.threshold_bits, the integer test the reference path and the
+emulator also make, so every path computes bit-identical activations.
 
 A candidate's scores are computed without forming h. Its threshold bits are
 written as 0/1 into one float32 work array that the TrainState owns, and one
@@ -26,7 +27,7 @@ integer below 2**24, so <e_q, h> is the correctly rounded sum of the selected
 residual entries (each kept to 60 bits below its column's power-of-two bound)
 whatever order the BLAS adds in, and the bit count gives <h, h> for SIGN.
 This holds while the training set has at most 2**23 rows and every fan-in
-keeps the pre-activation exact; train checks both before it starts.
+is below 2**24 (check_fan_in); train checks both before it starts.
 
 TrainData holds the encoded rows as BitMatrix objects. TrainState builds
 their +-1 signal matrices once and fits the mechanism on the training one;
@@ -57,7 +58,8 @@ from .model import (
     ScmModel,
     ScmNode,
     activation_values,
-    check_pre_activation,
+    check_fan_in,
+    threshold_bits,
 )
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
@@ -265,7 +267,6 @@ class TrainState:
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
-        self.cfg = cfg
         self.m = data.y_train.shape[1]
         self.s1_train = signals_pm1(data.bits_train)
         self.s1_val = signals_pm1(data.bits_val)
@@ -457,42 +458,6 @@ class ResidualLimbs:
         return np.ldexp(eh, self.exp[:, None]), sums[-1]
 
 
-def check_exact_scoring(n_rows: int, fan_ins: Sequence[int], lambda_pool: Sequence[int]) -> None:
-    """Raise ValueError unless candidate scoring is exact at these sizes.
-
-    Every fan-in needs an exact float32 dot (below 2**24) and an exact
-    pre-activation at the largest lambda and a bias up to 128 in magnitude
-    (check_pre_activation), and n_rows needs a limb layout (limb_layout).
-    """
-    lam = max(lambda_pool)
-    for fan_in in fan_ins:
-        if fan_in >= 2**24:
-            raise ValueError(f"fan-in {fan_in} is too wide for an exact float32 dot")
-        check_pre_activation(fan_in, lam, 128.0)
-    limb_layout(n_rows)
-
-
-def threshold_bits(
-    s32: np.ndarray,
-    w32: np.ndarray,
-    lam: np.ndarray,
-    b: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Threshold bits [s . w_k * lam_k + b_k > 0] of t candidates on N rows.
-
-    s32 (N, fan_in) and w32 (t, fan_in) are float32 with entries in
-    {-1, 0, +1}. The dots go into the (N, t) float32 work array, which is then
-    overwritten in place by the bits as 0.0 or 1.0 and returned. The test is
-    dot > floor(-b / lam) on the integer dot, which is the same as
-    dot * lam + b > 0: lam is a power of two and b lies on the Q7.25 grid. The
-    float64 pre-activation is exact while fan_in * lam + |b| < 2**28, and the
-    float32 dot while fan_in < 2**24.
-    """
-    np.matmul(s32, w32.T, out=work)
-    return np.greater(work, np.floor(-b / lam).astype(np.float32), out=work)
-
-
 def add_node(
     state: TrainState, layer: int, cfg: TrainConfig, rng: np.random.Generator
 ) -> TrainRecord | None:
@@ -515,7 +480,7 @@ def add_node(
     e = state.resid_train
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
     limbs = ResidualLimbs(e)
-    pool = np.array(cfg.lambda_pool, dtype=np.float64)
+    shift_pool = np.array([lam.bit_length() - 1 for lam in cfg.lambda_pool])
     # entries are -1, 0 or +1, so float32 holds them and every dot exactly
     s32 = s_tr.astype(np.float32)
     if state.work is None or state.work.shape != (n, t):
@@ -525,12 +490,12 @@ def add_node(
     for attempt, r in enumerate(cfg.r_schedule, start=1):
         w = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
         w = w.astype(np.float32) * 2.0 - 1.0
-        lam = rng.choice(pool, size=t)
+        shift = rng.choice(shift_pool, size=t)
+        lam = np.ldexp(1.0, shift)
         b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
         state.bias_saturated += n_sat
-        b = fx.dequantize_array(b_raw)
 
-        threshold_bits(s32, w, lam, b, work)
+        threshold_bits(s32, w, shift, b_raw, work)
         eh, count = limbs.dots(work, pm1)
         hh = np.full(t, float(n)) if pm1 else count
         valid = hh > 0
@@ -542,19 +507,20 @@ def add_node(
         scores = np.where(passing, xi.sum(axis=0), -np.inf)
         j = int(np.argmax(scores))
 
-        shift = int(lam[j]).bit_length() - 1
-        bias = float(b[j])
-        w_j = w[j].astype(np.float64)
+        bias_raw = int(b_raw[j])
         node = ScmNode(
             w=BitVec.from_pm1(w[j].astype(np.int8)),
-            shift=shift,
-            bias=bias,
-            bias_raw=int(b_raw[j]),
+            shift=int(shift[j]),
+            bias=fx.fx_to_real(bias_raw),
+            bias_raw=bias_raw,
             beta=np.zeros(state.m),
             beta_raw=np.zeros(state.m, dtype=np.int32),
         )
-        h_v = activation_values((s_va @ w_j) * lam[j] + bias > 0, act)
-        state.append_node(node, activation_values(work[:, j], act), h_v)
+        one = slice(j, j + 1)
+        bit_va = threshold_bits(s_va.astype(np.float32), w[one], shift[one], b_raw[one],
+                                np.empty((len(s_va), 1), dtype=np.float32))
+        state.append_node(node, activation_values(work[:, j], act),
+                          activation_values(bit_va[:, 0], act))
         return TrainRecord(
             layer=layer,
             node=len(state.layer_nodes[-1]),
@@ -587,9 +553,10 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     """
     sizes = [s for s in cfg.layer_sizes if s > 0]
     acts = [a for s, a in zip(cfg.layer_sizes, cfg.activations) if s > 0]
-    if sizes:
-        check_exact_scoring(len(data.bits_train), [data.bits_train.n, *sizes[:-1]],
-                            cfg.lambda_pool)
+    if sizes:  # candidate scoring is exact at these sizes
+        for fan_in in [data.bits_train.n, *sizes[:-1]]:
+            check_fan_in(fan_in)
+        limb_layout(len(data.bits_train))
     rng = np.random.default_rng(cfg.seed)
     state = TrainState(data, cfg)
     records: list[TrainRecord] = []

@@ -270,6 +270,30 @@ def test_import_external_mechanism(tmp_path):
     assert model.mechanism.source == "external"
 
 
+@pytest.mark.parametrize(
+    "node,intercept",
+    [
+        ({"bias": 1e-9, "bias_raw": 0, "beta": [1.0]}, {"intercepts": [0.0]}),
+        ({"bias_raw": 0, "beta": [1.0], "beta_raw": [0]},
+         {"intercepts": [0.5], "intercepts_raw": [0]}),
+    ],
+    ids=["bias", "readout-and-intercept"],
+)
+def test_import_refuses_floats_that_disagree_with_their_raw_values(tmp_path, capsys, node,
+                                                                   intercept):
+    doc = {
+        "format": "scmfpga-model", "version": 1, "encoding": "density:2", "n_outputs": 1,
+        "mechanism": {"d_enc": 2, "weights": [[0.0], [0.0]], **intercept},
+        "layers": [{"activation": "step", "nodes": [{"weights": "10", "shift": 0, **node}]}],
+    }
+    j = tmp_path / "m.json"
+    j.write_text(json.dumps(doc))
+    out = tmp_path / "m.scm"
+    assert run("import", str(j), "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_bad_model_file_is_data_error(tmp_path, db1_files):
     _, data, _ = db1_files
     bad = tmp_path / "bad.scm"

@@ -17,8 +17,15 @@ from scmfpga.emulate import (
 )
 from scmfpga.encoding import parse_encoding
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.mechanism import MechanismModel, external_mechanism, mech_eval_fpga
-from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode, quantization_bound
+from scmfpga.mechanism import MechanismModel, external_mechanism, mech_eval_fpga, signals_pm1
+from scmfpga.model import (
+    Activation,
+    ScmLayer,
+    ScmModel,
+    ScmNode,
+    layer_forward_float,
+    quantization_bound,
+)
 
 
 # -- bit-level dot products -------------------------------------------------
@@ -310,6 +317,21 @@ def test_mech_eval_fpga_matches_integer_loop(d_enc, m, seed):
         assert mech_eval_fpga(x, mech)[q] == fx.saturate_to_fx(acc)
 
 
+@settings(max_examples=60)
+@given(random_models(), st.integers(0, 2**32 - 1))
+def test_reference_layer_bits_equal_the_emulated_ones(model, seed):
+    # saturated biases (RAW_MIN's negation overflows int32), exact-zero
+    # pre-activations and fan-ins up to 150, layer by layer
+    x = BitMatrix.from01(np.random.default_rng(seed).integers(0, 2, size=(9, model.d_enc)))
+    s = signals_pm1(x)
+    pm1 = True
+    for layer in model.layers:
+        fired = emulate._layer_bits(layer, x, pm1)
+        s = layer_forward_float(s, layer)
+        assert np.array_equal(s > 0, fired)
+        x, pm1 = BitMatrix.from01(fired), layer.activation == Activation.STEP
+
+
 def test_batch_does_not_call_the_scalar_emulator(monkeypatch):
     model = _deep_model((Activation.STEP, Activation.SIGN))
     rows = BitMatrix.from01(np.random.default_rng(5).integers(0, 2, size=(20, model.d_enc)))
@@ -337,6 +359,14 @@ def test_evaluate_rejects_targets_of_the_wrong_width():
         evaluate_bits(model, rows, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="not"):
         evaluate_bits(model, rows, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("mode", ["pc", "fpga", "both"])
+def test_evaluate_refuses_zero_rows(mode):
+    model = _saturating_model([1 << 20])
+    with pytest.raises(ValueError, match="no samples"):
+        evaluate_bits(model, BitMatrix.from01(np.zeros((0, 1), dtype=np.uint8)),
+                      np.zeros((0, 1)), mode)
 
 
 def _saturating_model(m_betas):

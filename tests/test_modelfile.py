@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitVec
+from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.encoding import parse_encoding
 from scmfpga.errors import ModelFormatError
+from scmfpga.evaluate import evaluate_bits
 from scmfpga.mechanism import external_mechanism
-from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode, predict_float
+from scmfpga.model import (
+    Activation,
+    ScmLayer,
+    ScmModel,
+    ScmNode,
+    predict_float,
+    quantization_bound,
+)
 from scmfpga.modelfile import (
     load_model,
     model_from_bytes,
@@ -213,3 +221,105 @@ def test_json_rejects_garbage():
         model_from_json("{not json")
     with pytest.raises(ModelFormatError):
         model_from_json('{"format": "something-else"}')
+
+
+# -- float values that must agree with their raw values ----------------------
+
+
+def test_a_node_refuses_a_bias_off_its_grid_value():
+    ScmNode(BitVec.from_pm1([1]), 0, 0.5, 1 << 24, np.zeros(1), np.zeros(1, np.int32))
+    with pytest.raises(ValueError, match="bias_raw"):
+        ScmNode(BitVec.from_pm1([1]), 0, 1e-9, 0, np.zeros(1), np.zeros(1, np.int32))
+
+
+def test_a_layer_keeps_only_raw_biases():
+    layer = _model().layers[0]
+    layer.bias_raw[0] += 1
+    assert layer.bias[0] == fx.fx_to_real(int(layer.bias_raw[0]))
+    with pytest.raises(AttributeError):
+        layer.bias = np.zeros(len(layer))
+
+
+def _one_node_json(node: dict, mechanism: dict | None = None) -> str:
+    """A density:2 model with one STEP node on a zero mechanism, unless given."""
+    zero = {"d_enc": 2, "weights": [[0.0], [0.0]], "intercepts": [0.0]}
+    return json.dumps({
+        "format": "scmfpga-model", "version": 1, "encoding": "density:2", "n_outputs": 1,
+        "mechanism": mechanism or zero,
+        "layers": [{"activation": "step", "nodes": [node]}],
+    })
+
+
+def test_json_bias_without_raw_takes_its_grid_value():
+    # 1e-9 rounds to raw 0, where a stored float 1e-9 would flip the bit at dot 0
+    model = model_from_json(_one_node_json({"weights": "10", "shift": 0, "bias": 1e-9,
+                                            "beta": [1.0]}))
+    assert model.layers[0].bias_raw.tolist() == [0] and model.layers[0].bias.tolist() == [0.0]
+    rows = BitMatrix.from01(np.array([[1, 1], [1, 0], [0, 0]]))
+    rep = evaluate_bits(model, rows, np.zeros((3, 1)))
+    assert rep.outputs_pc[:, 0].tolist() == [-1.0, 1.0, -1.0]
+    assert np.array_equal(rep.outputs_pc, rep.outputs_fpga)
+    assert rep.bound_applies and rep.max_output_delta <= quantization_bound(model)
+
+
+@pytest.mark.parametrize(
+    "node,mechanism",
+    [
+        ({"bias": 1e-9, "bias_raw": 0, "beta": [1.0]}, None),
+        ({"bias_raw": 0, "beta": [1.0], "beta_raw": [0]}, None),
+        ({"bias_raw": 0, "beta": [1.0]},
+         {"d_enc": 2, "weights": [[0.0], [0.0]], "intercepts": [0.5], "intercepts_raw": [0]}),
+        ({"bias_raw": 0, "beta": [1.0]},
+         {"d_enc": 2, "weights": [[2.0**-26], [0.0]], "weights_raw": [[1], [0]],
+          "intercepts": [0.0]}),
+    ],
+    ids=["bias", "readout", "intercept", "mechanism-weight"],
+)
+def test_json_refuses_floats_that_disagree_with_their_raw_values(node, mechanism):
+    node = {"weights": "10", "shift": 0, **node}
+    with pytest.raises(ModelFormatError):
+        model_from_json(_one_node_json(node, mechanism))
+
+
+@pytest.mark.parametrize("field", ["bias_raw", "beta_raw"])
+def test_json_refuses_a_raw_value_outside_int32(field):
+    node = {"weights": "10", "shift": 0, "bias_raw": 0, "beta": [1.0]}
+    node[field] = 2**31 if field == "bias_raw" else [2**31]
+    with pytest.raises(ModelFormatError, match="out of bounds"):
+        model_from_json(_one_node_json(node))
+
+
+def test_json_accepts_saturated_and_exact_pairs():
+    # 100 quantizes (saturating) to RAW_MAX, which quantize_array also gives
+    model = model_from_json(_one_node_json({
+        "weights": "10", "shift": 0, "bias": -1.5, "bias_raw": -(3 << 24),
+        "beta": [100.0], "beta_raw": [fx.RAW_MAX],
+    }))
+    assert model.layers[0].beta.tolist() == [[100.0]]
+
+
+def _sidecar_patched(model, index: int, value: float) -> bytes:
+    """The model's file with float `index` of its sidecar set to `value`."""
+    body = bytearray(model_to_bytes(model)[:-4])
+    pos = len(model_to_bytes(model, include_floats=False)) - 4 + 8 * index
+    body[pos : pos + 8] = struct.pack("<d", value)
+    return _with_crc(body)
+
+
+@pytest.mark.parametrize("what", ["mechanism-weight", "intercept", "bias", "readout"])
+@pytest.mark.parametrize("nudge", [2.0**-20, 1e-9, float("nan")])
+def test_sidecar_floats_must_agree_with_their_raw_values(what, nudge):
+    model = _model()
+    p = model.d_enc * model.n_outputs
+    index, value = {
+        "mechanism-weight": (0, model.mechanism.weights[0, 0]),
+        "intercept": (p, model.mechanism.intercepts[0]),
+        "bias": (p + model.n_outputs, model.layers[0].bias[0]),
+        "readout": (p + model.n_outputs + len(model.layers[0]), model.layers[0].beta[0, 0]),
+    }[what]
+    # a bias is its raw value exactly; other floats only need to round to theirs
+    if what != "bias" and nudge == 1e-9:
+        model_from_bytes(_sidecar_patched(model, index, value + nudge))
+        return
+    with pytest.raises(ModelFormatError, match="inconsistent"):
+        model_from_bytes(_sidecar_patched(model, index, value + nudge))

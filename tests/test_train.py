@@ -27,26 +27,24 @@ from scmfpga.model import (
     ScmModel,
     ScmNode,
     activation_values,
-    check_pre_activation,
+    check_fan_in,
     node_output_float,
     predict_float,
     predict_float_batch,
     quantization_bound,
+    threshold_bits,
 )
 from scmfpga.modelfile import model_to_bytes
 from scmfpga.train import (
-    DEFAULT_LAMBDA_POOL,
     LIMB_REACH,
     ResidualLimbs,
     TrainConfig,
     TrainData,
     TrainState,
     add_node,
-    check_exact_scoring,
     early_stop_check,
     limb_layout,
     prepare_train_data,
-    threshold_bits,
     train,
     xi_score,
 )
@@ -260,9 +258,6 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
             assert res.xi_min == pytest.approx(min(xi), rel=1e-12)
 
 
-_SATURATED_BIAS = 128.0 - 2.0**-25
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     fan_in=st.integers(1, 600),
@@ -274,26 +269,31 @@ def test_threshold_bits_equal_the_float64_pre_activation(seed, fan_in, rows, zer
     s = rng.integers(0, 2, size=(rows, fan_in)).astype(np.float64)
     if not zero_one:
         s = s * 2.0 - 1.0
-    # every lambda, each with seven biases: +lambda, -lambda, +-saturated, 0,
-    # a random Q7.25 draw, and one that puts row 0 exactly on the threshold
-    pool = np.array(DEFAULT_LAMBDA_POOL, dtype=np.float64)
+    # every scale code, each with seven raw biases: +-lambda, RAW_MAX, RAW_MIN
+    # (whose negation overflows int32), 0, a random Q7.25 draw, and one that
+    # puts row 0 exactly on the threshold, where it saturates
+    shifts = np.arange(8)
     kinds = 7
-    lam = np.repeat(pool, kinds)
-    w = rng.choice([-1.0, 1.0], size=(lam.size, fan_in))
-    b = np.empty(lam.size)
-    b[0::kinds] = pool
-    b[1::kinds] = -pool
-    b[2::kinds] = _SATURATED_BIAS
-    b[3::kinds] = -_SATURATED_BIAS
-    b[4::kinds] = 0.0
-    b[5::kinds] = fx.dequantize_array(fx.quantize_array(rng.uniform(-pool, pool))[0])
-    b[6::kinds] = -(w[6::kinds] @ s[0]) * pool
-    pre = (s @ w.T) * lam + b
-    assert np.all(pre[0, 6::kinds] == 0.0)
+    shift = np.repeat(shifts, kinds)
+    w = rng.choice([-1.0, 1.0], size=(shift.size, fan_in))
+    raw = np.empty(shift.size, dtype=np.int64)
+    raw[0::kinds] = 1 << (shifts + 25)
+    raw[1::kinds] = -raw[0::kinds]
+    raw[2::kinds] = fx.RAW_MAX
+    raw[3::kinds] = fx.RAW_MIN
+    raw[4::kinds] = 0
+    raw[5::kinds] = fx.quantize_array(rng.uniform(-1.0, 1.0, size=8) * 2.0**shifts)[0]
+    raw[6::kinds] = -(w[6::kinds] @ s[0]).astype(np.int64) << (shifts + 25)
+    bias_raw = fx.saturate_array(raw)
+    # the float64 pre-activation is exact here: |dot| * 128 + 64 < 2**53
+    pre = (s @ w.T) * np.ldexp(1.0, shift) + fx.dequantize_array(bias_raw)
+    on_edge = np.abs(raw[6::kinds]) <= fx.RAW_MAX
+    assert np.all(pre[0, 6::kinds][on_edge] == 0.0)
 
     # the bits overwrite the dots in place, as 0.0 and 1.0
-    work = np.empty((rows, lam.size), dtype=np.float32)
-    got = threshold_bits(s.astype(np.float32), w.astype(np.float32), lam, b, work)
+    work = np.empty((rows, shift.size), dtype=np.float32)
+    got = threshold_bits(s.astype(np.float32), w.astype(np.float32),
+                         shift.astype(np.uint8), bias_raw, work)
     assert got is work
     assert np.array_equal(work, (pre > 0).astype(np.float32))
 
@@ -374,36 +374,36 @@ def test_limb_layout_keeps_every_sum_exact():
         limb_layout(2**23 + 1)
 
 
+def _refuse(*args):
+    raise AssertionError("signals built before the check")
+
+
 def test_training_checks_the_exactness_preconditions(monkeypatch):
-    check_exact_scoring(2**23, [56, 2**21 - 2], (1, 128))
-    check_exact_scoring(100, [2**24 - 1], (1,))
-    with pytest.raises(ValueError, match=r"2\*\*28"):
-        check_exact_scoring(100, [56, 2**21 - 1], (1, 128))
-    with pytest.raises(ValueError, match="float32"):
-        check_exact_scoring(100, [2**24], (1,))
-    with pytest.raises(ValueError, match="too many"):
-        check_exact_scoring(2**23 + 1, [56], (1,))
-
-    # train checks before it builds anything: layer 2 would have fan-in 2**21
-    def refuse(*args):
-        raise AssertionError("signals built before the check")
-
+    # train checks before it builds anything: layer 2 would have fan-in 2**24
     data = _toy_data()
-    monkeypatch.setattr(importlib.import_module("scmfpga.train"), "signals_pm1", refuse)
-    cfg = TrainConfig((2**21, 1), (Activation.STEP, Activation.STEP))
-    with pytest.raises(ValueError, match=r"2\*\*28"):
-        train(data, cfg)
+    monkeypatch.setattr(importlib.import_module("scmfpga.train"), "signals_pm1", _refuse)
+    acts = (Activation.STEP, Activation.STEP)
+    with pytest.raises(ValueError, match="float32"):
+        train(data, TrainConfig((2**24, 1), acts))
+    # one node fewer passes the check and goes on to build the signals
+    with pytest.raises(AssertionError, match="signals built"):
+        train(data, TrainConfig((2**24 - 1, 1), acts))
 
 
-def test_predict_float_refuses_an_inexact_pre_activation():
-    check_pre_activation(2**21 - 1, np.array([1.0, 128.0]), np.array([64.0, 127.0]))
-    with pytest.raises(ValueError, match=r"2\*\*28"):
-        check_pre_activation(2**21 - 1, np.array([1.0, 128.0]), np.array([64.0, -128.0]))
+def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
+    check_fan_in(2**24 - 1)
+    with pytest.raises(ValueError, match="float32"):
+        check_fan_in(2**24)
     model = _tiny_model()
     bits = BitMatrix.from01(np.ones((1, model.d_enc), dtype=np.uint8))
     predict_float_batch(model, bits)
-    model.layers[1].bias[0] = 2.0**28
-    with pytest.raises(ValueError, match=r"2\*\*28"):
+    # layer 2 reads one node of fan-in 2**24, refused before any signal is built
+    model.layers[1] = ScmLayer.from_arrays(
+        Activation.SIGN, BitMatrix.from01(np.ones((1, 2**24), dtype=np.uint8)),
+        np.zeros(1, np.uint8), np.zeros(1, np.int32), np.zeros((1, 1)), np.zeros((1, 1), np.int32),
+    )
+    monkeypatch.setattr(importlib.import_module("scmfpga.model"), "signals_pm1", _refuse)
+    with pytest.raises(ValueError, match="float32"):
         predict_float_batch(model, bits)
 
 
@@ -908,12 +908,15 @@ def _tiny_model(seed=0, layers=((3, Activation.STEP), (2, Activation.SIGN)), m=1
         nodes = []
         for _ in range(n):
             beta = rng.normal(scale=0.5, size=m)
+            w = BitVec.from01(rng.integers(0, 2, size=fan_in))
+            shift = int(rng.integers(0, 4))
+            bias_raw = fx.fx_from_real(rng.uniform(-2, 2))
             nodes.append(
                 ScmNode(
-                    w=BitVec.from01(rng.integers(0, 2, size=fan_in)),
-                    shift=int(rng.integers(0, 4)),
-                    bias=fx.fx_to_real(fx.fx_from_real(rng.uniform(-2, 2))),
-                    bias_raw=fx.fx_from_real(rng.uniform(-2, 2)),
+                    w=w,
+                    shift=shift,
+                    bias=fx.fx_to_real(bias_raw),
+                    bias_raw=bias_raw,
                     beta=beta,
                     beta_raw=fx.quantize_array(beta)[0],
                 )
