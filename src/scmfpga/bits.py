@@ -15,7 +15,7 @@ bit 1 means +1. There are two packed forms:
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
   The per-sample functions that serve as test oracles for the batch paths
   (predict_fpga, xnor_count, ones_count_dot, ...) take BitVecs, as does the
-  ScmNode that ScmLayer.node(i) hands them.
+  ScmNode that ScmLayer.node(i) hands them; training does not build any.
 """
 
 from __future__ import annotations

@@ -204,6 +204,7 @@ def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
 
 
 def _read_csv_numeric(csv_path: Path) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) values; a DataError names a bad cell's line."""
     try:
         fh = open(csv_path, newline="")
     except OSError as exc:
@@ -216,6 +217,7 @@ def _read_csv_numeric(csv_path: Path) -> tuple[list[str], np.ndarray]:
             raise DataError(f"{csv_path}: empty file") from None
         n_cols = len(header)
         rows = []
+        line_nos = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -225,20 +227,20 @@ def _read_csv_numeric(csv_path: Path) -> tuple[list[str], np.ndarray]:
                 )
             try:
                 rows.append([float(c) for c in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise DataError(f"{csv_path}: line {line_no}: non-numeric cell {bad!r}") from None
+            except ValueError as exc:  # names the cell
+                raise DataError(f"{csv_path}: line {line_no}: non-numeric cell ({exc})") from None
+            line_nos.append(line_no)
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
-    return header, np.array(rows, dtype=np.float64)
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+    data = np.array(rows, dtype=np.float64)
+    # refused before any normalization, which one NaN would spread to every row
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(
+            f"{csv_path}: line {line_nos[i]}: non-finite value in column {header[j]!r}"
+        )
+    return header, data
 
 
 def load_csv(path: str | Path, target_cols: list[str] | None = None) -> Dataset:

@@ -2,11 +2,11 @@
 
 A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
-arrays of scale codes, raw biases and readouts. The emulator, the reference
-path and the model file read those arrays as they are; ScmNode, one node's
-scalars, serves the per-sample oracles through ScmLayer.node(i). A node's bit
-depends on its raw bias only: training and the reference path both take it
-from threshold_bits, the emulator's integer test in float32.
+arrays of scale codes, raw biases and readouts. Training and the model file
+build those arrays, and every batch path reads them as they are. ScmNode, one
+node's scalars, serves only the per-sample oracles (ScmLayer.node(i)) and
+hand-built layers. A node's bit depends on its raw bias only: training and the
+reference path both take it from threshold_bits, the emulator's integer test.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the

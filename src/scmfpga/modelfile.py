@@ -31,11 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import WORD, WORD_BITS, BitMatrix, BitVec, n_words
+from .bits import WORD, WORD_BITS, BitMatrix, n_words
 from .encoding import EncodingSpec, parse_encoding
 from .errors import ModelFormatError
 from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, MechanismModel
-from .model import Activation, ScmLayer, ScmModel, ScmNode
+from .model import Activation, ScmLayer, ScmModel
 
 MAGIC = b"SCMB"
 VERSION = 1
@@ -232,15 +232,13 @@ def model_to_json(model: ScmModel) -> str:
                 "activation": layer.activation.name.lower(),
                 "fan_in": layer.fan_in,
                 "nodes": [
-                    {
-                        "weights": node.w.to_string(),
-                        "shift": node.shift,
-                        "bias_raw": node.bias_raw,
-                        "bias": node.bias,
-                        "beta_raw": node.beta_raw.tolist(),
-                        "beta": node.beta.tolist(),
-                    }
-                    for node in map(layer.node, range(len(layer)))
+                    {"weights": row.tobytes().decode("ascii"), "shift": shift,
+                     "bias_raw": bias_raw, "bias": bias, "beta_raw": beta_raw, "beta": beta}
+                    for row, shift, bias_raw, bias, beta_raw, beta in zip(
+                        layer.w.to01() + ord("0"), layer.shift.tolist(),
+                        layer.bias_raw.tolist(), layer.bias.tolist(),
+                        layer.beta_raw.tolist(), layer.beta.tolist(),
+                    )
                 ],
             }
             for layer in model.layers
@@ -255,21 +253,23 @@ def model_from_json(text: str) -> ScmModel:
     Raw fields may be omitted (they are requantized from the floats), and
     float fields may be omitted (reconstructed from the raw values), which
     makes hand-written mechanism models practical. Pairs obey the sidecar's
-    rules, and a bias given alone is replaced by its grid value.
+    rules, and a bias given alone is replaced by its grid value. Integer
+    fields must be JSON integers in range, a float given alone must lie in
+    the Q7.25 range, and a layer's optional fan_in must be its weight width.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"bad JSON: {exc}") from exc
-    if doc.get("format") != "scmfpga-model":
+    if not isinstance(doc, dict) or doc.get("format") != "scmfpga-model":
         raise ModelFormatError("not a model JSON document")
     if doc.get("version") != VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')}")
     try:
         enc = parse_encoding(doc["encoding"])
-        m = int(doc["n_outputs"])
+        m = _int(doc["n_outputs"], "n_outputs", 0, 0xFFFF)
         md = doc["mechanism"]
-        d_enc = int(md["d_enc"])
+        d_enc = _int(md["d_enc"], "d_enc", 0, 0xFFFFFFFF)
         p, p_raw = _value_pair(md.get("weights"), md.get("weights_raw"), (d_enc, m))
         u, u_raw = _value_pair(md.get("intercepts"), md.get("intercepts_raw"), (m,))
         mech = MechanismModel(
@@ -282,29 +282,28 @@ def model_from_json(text: str) -> ScmModel:
         )
         layers = []
         for ld in doc.get("layers", []):
-            act = Activation[ld["activation"].upper()]
-            nodes = []
-            for nd in ld["nodes"]:
-                beta, beta_raw = _value_pair(nd.get("beta"), nd.get("beta_raw"), (m,))
-                bias = nd.get("bias")
-                if bias is not None and "bias_raw" not in nd:
-                    bias_raw = fx.fx_from_real(float(bias))
-                    bias = None  # replaced by its grid value
-                else:
-                    bias_raw = int(nd["bias_raw"])
-                nodes.append(
-                    ScmNode(
-                        w=BitVec.from_string(nd["weights"]),
-                        shift=int(nd["shift"]),
-                        # ScmNode refuses a given bias off bias_raw's grid value
-                        bias=fx.fx_to_real(bias_raw) if bias is None else float(bias),
-                        bias_raw=bias_raw,
-                        beta=beta,
-                        beta_raw=beta_raw,
-                    )
-                )
-            layers.append(ScmLayer(act, nodes))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            nodes = ld["nodes"]
+            # str.encode refuses a non-string, and rows of unequal width are ragged
+            bits = np.array([np.frombuffer(str.encode(nd["weights"], "ascii"), np.uint8)
+                             for nd in nodes]) - ord("0")
+            if bits.ndim != 2 or np.any(bits > 1):  # below '0' wraps past 1; no rows is 1-D
+                raise ValueError("a layer needs one weight string of '0'/'1' per node")
+            w = BitMatrix.from01(bits)
+            if "fan_in" in ld and _int(ld["fan_in"], "fan_in", 0, 0xFFFFFFFF) != w.n:
+                raise ValueError(f"fan_in {ld['fan_in']} != weight width {w.n}")
+            # a bias is its raw value exactly (the layer keeps only bias_raw)
+            bias_raw = [_value_pair(nd.get("bias"), nd.get("bias_raw"), (), exact=True)[1]
+                        for nd in nodes]
+            readouts = [_value_pair(nd.get("beta"), nd.get("beta_raw"), (m,)) for nd in nodes]
+            layers.append(ScmLayer.from_arrays(
+                Activation[ld["activation"].upper()], w,
+                np.array([_int(nd["shift"], "shift", 0, 7) for nd in nodes], dtype=np.uint8),
+                np.array(bias_raw, dtype=np.int32),
+                np.array([f for f, _ in readouts]).reshape(len(nodes), m),
+                np.array([r for _, r in readouts], dtype=np.int32).reshape(len(nodes), m),
+            ))
+    # AttributeError: a JSON value of the wrong type, such as a list for an object
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad model JSON: {exc}") from exc
     model = ScmModel(encoding=enc, mechanism=mech, layers=layers, n_outputs=m)
     try:
@@ -321,14 +320,34 @@ def _rounding_to(floats: np.ndarray, raws: np.ndarray) -> np.ndarray:
     return floats
 
 
-def _value_pair(floats, raws, shape) -> tuple[np.ndarray, np.ndarray]:
+def _int(value, name: str, lo: int = fx.RAW_MIN, hi: int = fx.RAW_MAX) -> int:
+    """value if it is a JSON integer in [lo, hi], else a ValueError (no truncation)."""
+    if type(value) is not int:  # bool is an int subclass, and is refused too
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} is out of bounds [{lo}, {hi}]")
+    return value
+
+
+def _value_pair(floats, raws, shape, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Floats and raw values of one field, either of which may be None.
+
+    Floats given alone must lie in the Q7.25 range. Paired, they must round to
+    the raw values, or equal them exactly when `exact`.
+    """
     if floats is None and raws is None:
         raise ValueError("need float or raw values")
-    if floats is None:
-        r = np.asarray(raws, dtype=np.int32).reshape(shape)
-        return fx.dequantize_array(r), r
+    if raws is not None:
+        cells = np.array(raws, dtype=object).reshape(shape)
+        r = np.array([_int(v, "raw value") for v in cells.flat], dtype=np.int32).reshape(shape)
+        if floats is None:
+            return fx.dequantize_array(r), r
     f = np.asarray(floats, dtype=np.float64).reshape(shape)
     if raws is None:
-        return f, fx.quantize_array(f)[0]
-    r = np.asarray(raws, dtype=np.int32).reshape(shape)
+        r, saturated = fx.quantize_array(f)
+        if saturated:
+            raise ValueError(f"{saturated} values lie outside the Q7.25 range [-64, 64)")
+        return f, r
+    if exact and not np.array_equal(f, fx.dequantize_array(r)):
+        raise ValueError("float values are not their raw values / 2**25")
     return _rounding_to(f, r), r

@@ -30,8 +30,9 @@ This holds while the training set has at most 2**23 rows and every fan-in
 is below 2**24 (check_fan_in); train checks both before it starts.
 
 TrainData holds the encoded rows as BitMatrix objects. TrainState builds
-their +-1 signal matrices once and fits the mechanism on the training one;
-add_node returns the accepted node's TrainRecord, which train logs as it is.
+their +-1 signal matrices once, fits the mechanism on the training one, and
+keeps each accepted node's 0/1 weight row, scale code and raw bias for
+finalize; add_node returns the node's TrainRecord, which train logs as is.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec
+from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
 from .mechanism import (
@@ -56,7 +57,6 @@ from .model import (
     Activation,
     ScmLayer,
     ScmModel,
-    ScmNode,
     activation_values,
     check_fan_in,
     threshold_bits,
@@ -245,8 +245,8 @@ class TrainState:
     """Mutable book-keeping while a model is grown.
 
     Holds the residual matrices, the hidden-output columns for the global
-    readout refit, the per-layer node lists, the signal matrices feeding the
-    layer currently under construction, and the candidate work array.
+    readout refit with each column's node, the layer sizes, the signal matrices
+    feeding the layer under construction, and the candidate work array.
 
     The hidden outputs live in (N, capacity) arrays whose first n_hidden
     columns are in use; the capacity starts at the configured node count (at
@@ -286,10 +286,11 @@ class TrainState:
         self.qt = np.zeros((capacity, self.m))
         self.n_hidden = 0
         self.in_basis: list[bool] = []  # per hidden column: owns a basis vector
+        self.nodes: list[tuple] = []  # per hidden column: 0/1 uint8 weight row, shift, bias_raw
         self.beta = np.zeros((0, self.m))
         self.resid_train = self.target_train.copy()
         self.resid_val = self.target_val.copy()
-        self.layer_nodes: list[list[ScmNode]] = []
+        self.layer_sizes: list[int] = []
         self.layer_acts: list[Activation] = []
         self.cur_in_train = self.s1_train
         self.cur_in_val = self.s1_val
@@ -302,17 +303,17 @@ class TrainState:
     # -- layer lifecycle -------------------------------------------------
 
     def begin_layer(self, act: Activation) -> None:
-        self.layer_nodes.append([])
+        self.layer_sizes.append(0)
         self.layer_acts.append(act)
 
     def end_layer(self) -> None:
         # views: the columns of a finished layer are never written again,
         # and a doubled H gets copies of them
-        cols = slice(self.n_hidden - len(self.layer_nodes[-1]), self.n_hidden)
+        cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
         self.cur_in_train = self.H_train[:, cols]
         self.cur_in_val = self.H_val[:, cols]
 
-    def append_node(self, node: ScmNode, h_tr: np.ndarray, h_va: np.ndarray) -> None:
+    def append_node(self, node: tuple, h_tr: np.ndarray, h_va: np.ndarray) -> None:
         cap = self.H_train.shape[1]
         if self.n_hidden == cap:
             self.H_train = _grown(self.H_train, (len(self.H_train), 2 * cap))
@@ -323,7 +324,8 @@ class TrainState:
         self.H_train[:, self.n_hidden] = h_tr
         self.H_val[:, self.n_hidden] = h_va
         self.n_hidden += 1
-        self.layer_nodes[-1].append(node)
+        self.nodes.append(node)
+        self.layer_sizes[-1] += 1
         k = sum(self.in_basis)
         q = self.Q[:, :k]
         coef = q.T @ h_tr
@@ -345,8 +347,9 @@ class TrainState:
     def remove_trailing(self, n: int) -> None:
         if n <= 0:
             return
-        del self.layer_nodes[-1][-n:]
+        del self.nodes[-n:]
         del self.in_basis[-n:]
+        self.layer_sizes[-1] -= n
         self.n_hidden -= n
         self.solve_readout()
 
@@ -370,11 +373,14 @@ class TrainState:
     def finalize(self, encoding: EncodingSpec) -> tuple[ScmModel, int]:
         """The quantized model, and how many readout weights saturated."""
         beta_raw, saturated = fx.quantize_array(self.beta)
-        layers = [ScmLayer(act, nodes) for nodes, act in zip(self.layer_nodes, self.layer_acts)]
-        start = 0
-        for layer in layers:
-            rows = slice(start, start + len(layer))
-            layer.beta, layer.beta_raw = self.beta[rows].copy(), beta_raw[rows]
+        layers, start = [], 0
+        for act, size in zip(self.layer_acts, self.layer_sizes):
+            rows = slice(start, start + size)
+            w01, shift, bias_raw = zip(*self.nodes[rows])
+            layers.append(ScmLayer.from_arrays(
+                act, BitMatrix.from01(np.array(w01)), np.array(shift, dtype=np.uint8),
+                np.array(bias_raw, dtype=np.int32), self.beta[rows].copy(), beta_raw[rows],
+            ))
             start = rows.stop
         model = ScmModel(encoding, self.mech, layers, self.m)
         model.validate()
@@ -468,7 +474,7 @@ def add_node(
     score (ties broken by draw order), appends it, and refits the readout.
     Returns the accepted node's TrainRecord, numbered `layer` (counted from
     1) and by the node's position in that layer; the node itself is
-    state.layer_nodes[-1][-1]. Returns None when the whole r schedule is
+    state.nodes[-1]. Returns None when the whole r schedule is
     exhausted.
     """
     act = state.layer_acts[-1]
@@ -488,8 +494,8 @@ def add_node(
     work = state.work
 
     for attempt, r in enumerate(cfg.r_schedule, start=1):
-        w = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
-        w = w.astype(np.float32) * 2.0 - 1.0
+        w01 = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
+        w = w01.astype(np.float32) * 2.0 - 1.0
         shift = rng.choice(shift_pool, size=t)
         lam = np.ldexp(1.0, shift)
         b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
@@ -507,25 +513,17 @@ def add_node(
         scores = np.where(passing, xi.sum(axis=0), -np.inf)
         j = int(np.argmax(scores))
 
-        bias_raw = int(b_raw[j])
-        node = ScmNode(
-            w=BitVec.from_pm1(w[j].astype(np.int8)),
-            shift=int(shift[j]),
-            bias=fx.fx_to_real(bias_raw),
-            bias_raw=bias_raw,
-            beta=np.zeros(state.m),
-            beta_raw=np.zeros(state.m, dtype=np.int32),
-        )
         one = slice(j, j + 1)
         bit_va = threshold_bits(s_va.astype(np.float32), w[one], shift[one], b_raw[one],
                                 np.empty((len(s_va), 1), dtype=np.float32))
-        state.append_node(node, activation_values(work[:, j], act),
+        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
+                          activation_values(work[:, j], act),
                           activation_values(bit_va[:, 0], act))
         return TrainRecord(
             layer=layer,
-            node=len(state.layer_nodes[-1]),
+            node=state.layer_sizes[-1],
             r=r,
-            lam=node.lam,
+            lam=1 << int(shift[j]),
             xi_sum=float(xi[:, j].sum()),
             xi_min=float(xi[:, j].min()),
             train_rmse=state.train_rmse(),
@@ -599,9 +597,9 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
                 state.remove_trailing(stop)
                 events.append({"event": "early_stop", "layer": layer, "removed": stop})
                 break
-        if not state.layer_nodes[-1]:
+        if not state.layer_sizes[-1]:
             # nothing to feed deeper layers; drop the empty layer and stop
-            state.layer_nodes.pop()
+            state.layer_sizes.pop()
             state.layer_acts.pop()
             break
         state.end_layer()

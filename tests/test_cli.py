@@ -324,6 +324,19 @@ def test_usage_errors_exit_2(db1_files, tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("col,name", [(0, "x0"), (1, "y0")])
+def test_train_refuses_a_non_finite_cell_as_a_data_error(tmp_path, capsys, col, name):
+    rows = [[f"0.{i}", f"0.{9 - i}"] for i in range(10)]
+    rows[4][col] = "nan"  # data row 5, line 6
+    data = tmp_path / "nan.csv"
+    data.write_text("x0,y0\n" + "".join(",".join(r) + "\n" for r in rows))
+    capsys.readouterr()
+    code = run("train", str(data), "--out", str(tmp_path / "m.scm"), "--nodes", "2",
+               "--t-max", "10")
+    assert code == 3
+    assert f"line 6: non-finite value in column '{name}'" in capsys.readouterr().err
+
+
 def test_training_failure_exit_4(tmp_path):
     flat = tmp_path / "flat.csv"
     rows = "\n".join(f"0.{i % 10}{i},0.25" for i in range(20))

@@ -165,6 +165,33 @@ def test_load_csv_non_numeric(tmp_path):
         load_csv(p)
 
 
+def _csv_with(cell: str, line: int, col: int) -> str:
+    """A 2-feature, 1-target CSV of 8 data rows with `cell` at (line, col)."""
+    rows = [[f"{0.1 * i:g}", f"{0.2 * i:g}", f"{0.3 * i:g}"] for i in range(8)]
+    rows[line - 2][col] = cell  # line 1 is the header
+    return "a,b,y\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("col,name", [(0, "a"), (1, "b"), (2, "y")])
+def test_load_csv_refuses_non_finite_cells_at_their_position(tmp_path, cell, col, name):
+    # data row 5 is line 6; a NaN used to poison the normalization of every row
+    p = tmp_path / "bad.csv"
+    p.write_text(_csv_with(cell, 6, col))
+    with pytest.raises(DataError, match=f"line 6: non-finite value in column '{name}'"):
+        load_csv(p)
+
+
+def test_load_dataset_refuses_a_non_finite_cell(tmp_path):
+    path = tmp_path / "db1.csv"
+    write_dataset(split(gen_db1(seed=4), 0.25, seed=4), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[9] = "nan," + lines[9].split(",", 1)[1]
+    path.write_text("".join(lines))
+    with pytest.raises(DataError, match="line 10: non-finite value in column 'x0'"):
+        load_dataset(path)
+
+
 def test_load_csv_db3_db4_shapes(tmp_path):
     rng = np.random.default_rng(0)
     for d in (36, 14):

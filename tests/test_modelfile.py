@@ -27,6 +27,7 @@ from scmfpga.modelfile import (
     model_to_json,
     save_model,
 )
+from scmfpga.train import TrainConfig, prepare_train_data, train
 
 
 def _model(seed=0, sizes=(3, 2), m=2, d_enc=10):
@@ -223,6 +224,21 @@ def test_json_rejects_garbage():
         model_from_json('{"format": "something-else"}')
 
 
+@pytest.mark.parametrize("path", [(), ("layers", 0, "nodes", 0), ("layers", 0, "activation")])
+def test_json_refuses_a_value_of_the_wrong_type(path):
+    doc = json.loads(model_to_json(_model()))
+    if not path:
+        doc = [doc]
+    else:
+        *parents, key = path
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        parent[key] = [parent[key]]  # an array where an object or a string belongs
+    with pytest.raises(ModelFormatError):
+        model_from_json(json.dumps(doc))
+
+
 # -- float values that must agree with their raw values ----------------------
 
 
@@ -296,6 +312,91 @@ def test_json_accepts_saturated_and_exact_pairs():
         "beta": [100.0], "beta_raw": [fx.RAW_MAX],
     }))
     assert model.layers[0].beta.tolist() == [[100.0]]
+
+
+# -- JSON fields are read exactly ---------------------------------------------
+
+
+_INT_MECHANISM = {"d_enc": 2, "weights_raw": [[0], [0]], "intercepts_raw": [0]}
+
+
+@pytest.mark.parametrize(
+    "node,mechanism",
+    [
+        ({"shift": 1.5}, None),
+        ({"shift": "3"}, None),
+        ({"shift": True}, None),
+        ({"bias_raw": 1.5}, None),
+        ({"beta_raw": [1.5]}, None),
+        ({}, {**_INT_MECHANISM, "weights_raw": [[1.5], [0]]}),
+        ({}, {**_INT_MECHANISM, "intercepts_raw": ["7"]}),
+        ({}, {**_INT_MECHANISM, "d_enc": 2.0}),
+    ],
+    ids=["shift-float", "shift-string", "shift-bool", "bias_raw", "beta_raw", "weights_raw",
+         "intercepts_raw", "d_enc"],
+)
+def test_json_refuses_integer_fields_that_are_not_integers(node, mechanism):
+    node = {"weights": "10", "shift": 0, "bias_raw": 0, "beta_raw": [0], **node}
+    with pytest.raises(ModelFormatError, match="must be an integer"):
+        model_from_json(_one_node_json(node, mechanism))
+
+
+def _with_fan_in(fan_in) -> str:
+    doc = json.loads(_one_node_json({"weights": "10", "shift": 0, "bias_raw": 0, "beta": [1.0]}))
+    doc["layers"][0]["fan_in"] = fan_in
+    return json.dumps(doc)
+
+
+def test_json_fan_in_must_be_the_weight_width():
+    assert model_from_json(_with_fan_in(2)).layers[0].fan_in == 2
+    with pytest.raises(ModelFormatError, match="fan_in 7 != weight width 2"):
+        model_from_json(_with_fan_in(7))
+    with pytest.raises(ModelFormatError, match="must be an integer"):
+        model_from_json(_with_fan_in(2.0))
+
+
+@pytest.mark.parametrize("weights", [["10", "1x"], ["10", "1 "], [], ["10", 10]],
+                         ids=["letter", "space", "no-nodes", "not-a-string"])
+def test_json_refuses_bad_weight_rows(weights):
+    node = {"shift": 0, "bias_raw": 0, "beta": [1.0]}
+    doc = json.loads(_one_node_json({"weights": "10", **node}))
+    doc["layers"][0]["nodes"] = [{"weights": w, **node} for w in weights]
+    with pytest.raises(ModelFormatError):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "node,mechanism",
+    [
+        ({"bias": 100.0}, None),
+        ({"bias": -64.5}, None),
+        ({"bias_raw": 0, "beta": [100.0]}, None),
+        ({"bias_raw": 0}, {"d_enc": 2, "weights": [[-64.5], [0.0]], "intercepts": [0.0]}),
+        ({"bias_raw": 0}, {"d_enc": 2, "weights": [[0.0], [0.0]], "intercepts": [64.0]}),
+    ],
+    ids=["bias", "bias-low", "readout", "mechanism-weight", "intercept"],
+)
+def test_json_refuses_a_lone_float_outside_q725(node, mechanism):
+    node = {"weights": "10", "shift": 0, "beta": [1.0], **node}
+    with pytest.raises(ModelFormatError, match="outside the Q7.25 range"):
+        model_from_json(_one_node_json(node, mechanism))
+
+
+def test_json_roundtrip_of_a_trained_deep_model_with_wide_rows():
+    # three s1:3 features make layer 1's 84-bit weight rows span two 64-bit words
+    rng = np.random.default_rng(21)
+    x = rng.uniform(size=(200, 3))
+    y = np.sin(4.0 * x).sum(axis=1, keepdims=True) * 0.2 + 0.5
+    y += rng.normal(scale=0.02, size=y.shape)
+    data = prepare_train_data(x[:160], y[:160], x[160:], y[160:], parse_encoding("s1:3"))
+    acts = (Activation.STEP, Activation.SIGN, Activation.STEP)
+    model = train(data, TrainConfig((5, 4, 3), acts, t_max=100, seed=21)).model
+    assert model.layer_sizes == (5, 4, 3) and model.layers[0].w.words.shape == (5, 2)
+    text = model_to_json(model)
+    back = model_from_json(text)
+    for include_floats in (True, False):
+        assert model_to_bytes(back, include_floats) == model_to_bytes(model, include_floats)
+    assert model_to_json(back) == text
 
 
 def _sidecar_patched(model, index: int, value: float) -> bytes:

@@ -50,6 +50,13 @@ from scmfpga.train import (
 )
 
 
+def _column_node(state, k=-1):
+    """Hidden column k's node as (+-1 float64 weights, lambda, bias)."""
+    w01, shift, bias_raw = state.nodes[k]
+    assert w01.dtype == np.uint8 and 0 <= shift <= 7
+    return w01 * 2.0 - 1.0, 1 << shift, fx.fx_to_real(bias_raw)
+
+
 def _toy_data(seed=0, n_train=80, n_val=20, spec="density:6", noise=0.05):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n_train + n_val, 1))
@@ -200,7 +207,7 @@ def test_add_node_accepts_only_positive_xi_and_residual_drops():
         cur = np.linalg.norm(state.resid_train)
         assert cur <= prev + 1e-10
         prev = cur
-    assert len(state.layer_nodes[0]) >= 1
+    assert state.layer_sizes == [len(state.nodes)] and len(state.nodes) >= 1
 
 
 def test_add_node_xi_recheck_from_parameters():
@@ -211,9 +218,9 @@ def test_add_node_xi_recheck_from_parameters():
     e_before = state.resid_train.copy()
     rng = np.random.default_rng(2)
     res = add_node(state, 1, cfg, rng)
-    node = state.layer_nodes[-1][-1]
+    w, lam, bias = _column_node(state)
     s = state.s1_train
-    pre = (s @ node.w.to_pm1().astype(np.float64)) * node.lam + node.bias
+    pre = (s @ w) * lam + bias
     h = (pre > 0).astype(np.float64) * 2 - 1
     for q in range(state.m):
         assert xi_score(e_before[:, q], h, res.r) > 0
@@ -247,8 +254,8 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
             s = state.cur_in_train
             res = add_node(state, k + 1, cfg, rng)
             assert res is not None
-            node = state.layer_nodes[-1][-1]
-            pre = (s @ node.w.to_pm1().astype(np.float64)) * node.lam + node.bias
+            w, lam, bias = _column_node(state)
+            pre = (s @ w) * lam + bias
             h = (pre > 0).astype(np.float64)
             if act == Activation.STEP:
                 h = h * 2 - 1
@@ -468,10 +475,10 @@ def test_add_node_matches_an_fsum_oracle(seed, act, m, rows, fan_in, t_max, leve
         if want is None:
             assert got is None
             return
-        node = state.layer_nodes[-1][-1]
+        w, lam, bias = _column_node(state)
         assert got.r_attempts == want["attempt"] and got.passed == want["passed"]
-        assert np.array_equal(node.w.to_pm1(), want["w"])
-        assert node.lam == want["lam"] and node.bias == want["bias"]
+        assert np.array_equal(w, want["w"])
+        assert lam == want["lam"] == got.lam and bias == want["bias"]
         assert got.xi_sum == pytest.approx(want["xi_sum"], rel=1e-12)
 
 
@@ -500,15 +507,15 @@ def test_preallocated_readout_matches_column_stack():
     rng = np.random.default_rng(14)
 
     def columns(s, nodes, act):
-        return [
-            activation_values((s @ nd.w.to_pm1().astype(np.float64)) * nd.lam + nd.bias > 0, act)
-            for nd in nodes
-        ]
+        return [activation_values((s @ w) * lam + bias > 0, act) for w, lam, bias in nodes]
 
     def check():
         tr, va = [], []
         s_tr, s_va = state.s1_train, state.s1_val
-        for nodes, act in zip(state.layer_nodes, state.layer_acts):
+        assert sum(state.layer_sizes) == len(state.nodes) == state.n_hidden
+        ends = np.cumsum(state.layer_sizes)
+        for end, size, act in zip(ends, state.layer_sizes, state.layer_acts):
+            nodes = [_column_node(state, k) for k in range(end - size, end)]
             tr_cols, va_cols = columns(s_tr, nodes, act), columns(s_va, nodes, act)
             tr += tr_cols
             va += va_cols
@@ -549,6 +556,7 @@ def _check_readout(state, before):
     the previous state, or None; after a dependent append the residuals must
     be exactly those.
     """
+    assert len(state.nodes) == len(state.in_basis) == state.n_hidden == sum(state.layer_sizes)
     cols = np.array(state.in_basis, dtype=bool)
     h_tr = state.H_train[:, : state.n_hidden]
     h_va = state.H_val[:, : state.n_hidden]
@@ -597,7 +605,7 @@ def test_incremental_readout_matches_the_lstsq_oracle(seed, acts, sizes, drops, 
                 break
             before = _check_readout(state, before)
             assert state.train_rmse() <= rmse + 1e-12
-        kept = len(state.layer_nodes[-1])
+        kept = state.layer_sizes[-1]
         if kept == 0:
             return
         # an early stop that keeps at least one node, then a node that
@@ -621,8 +629,7 @@ def test_a_dependent_column_gets_readout_zero():
         assert add_node(state, 1, cfg, rng) is not None
     beta, before = state.beta.copy(), _check_readout(state, None)
     # a copy of the second column adds no rank
-    node = state.layer_nodes[-1][1]
-    state.append_node(node, state.H_train[:, 1].copy(), state.H_val[:, 1].copy())
+    state.append_node(state.nodes[1], state.H_train[:, 1].copy(), state.H_val[:, 1].copy())
     assert state.n_hidden == 4 and state.in_basis.count(False) == 1
     assert state.in_basis == [True, True, True, False]
     assert np.array_equal(state.beta, np.vstack([beta, np.zeros((1, 2))]))
