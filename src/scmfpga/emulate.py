@@ -29,7 +29,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec
 from .mechanism import mech_wide_fpga
-from .model import Activation, ScmLayer, ScmModel, ScmNode
+from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, ScmNode
 
 
 def xnor_count(a: BitVec, b: BitVec) -> int:
@@ -107,11 +107,6 @@ def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
         bits_in = BitVec(len(layer), next_bits)
         pm1 = layer.activation == Activation.STEP
     return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
-
-
-# rows per block of predict_fpga_batch: bounds its (rows, nodes) temporaries,
-# so memory does not grow with the batch
-BLOCK_ROWS = 1024
 
 
 def _layer_bits(layer: ScmLayer, x: BitMatrix, pm1: bool) -> np.ndarray:

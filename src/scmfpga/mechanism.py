@@ -40,6 +40,8 @@ class MechanismModel:
             raise ValueError("output count mismatch between weights and intercepts")
         if self.weights_raw.shape != self.weights.shape:
             raise ValueError("quantized weights shape mismatch")
+        if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL):
+            raise ValueError(f"unknown mechanism source {self.source!r}")
 
     @property
     def d_enc(self) -> int:

@@ -161,6 +161,11 @@ class ScmModel:
             expected = k
 
 
+# rows per block of predict_float_batch and the emulator's predict_fpga_batch:
+# bounds their per-row temporaries, so memory does not grow with the batch
+BLOCK_ROWS = 1024
+
+
 def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
     """Float activation values of threshold bits: {0,1} for SIGN, {-1,+1} for STEP."""
     h = bit.astype(np.float64)
@@ -211,19 +216,23 @@ def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
 def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
-    Raises ValueError when a layer's fan-in is too wide for threshold_bits
-    (check_fan_in).
+    Works in blocks of BLOCK_ROWS rows, so its temporaries do not grow with
+    the batch. Raises ValueError when a layer's fan-in is too wide for
+    threshold_bits (check_fan_in).
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     for layer in model.layers:
         check_fan_in(layer.fan_in)
-    s = signals_pm1(bits)
-    out = mech_eval_float_batch(s, model.mechanism)
-    for layer in model.layers:
-        h = layer_forward_float(s, layer)
-        out += h @ layer.beta
-        s = h
+    out = np.empty((len(bits), model.n_outputs))
+    for start in range(0, len(bits), BLOCK_ROWS):
+        s = signals_pm1(bits[start : start + BLOCK_ROWS])
+        acc = mech_eval_float_batch(s, model.mechanism)
+        for layer in model.layers:
+            h = layer_forward_float(s, layer)
+            acc += h @ layer.beta
+            s = h
+        out[start : start + BLOCK_ROWS] = acc
     return out
 
 

@@ -263,8 +263,8 @@ def model_from_json(text: str) -> ScmModel:
         raise ModelFormatError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "scmfpga-model":
         raise ModelFormatError("not a model JSON document")
-    if doc.get("version") != VERSION:
-        raise ModelFormatError(f"unsupported model version {doc.get('version')}")
+    if type(doc.get("version")) is not int or doc["version"] != VERSION:  # True == 1
+        raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
         enc = parse_encoding(doc["encoding"])
         m = _int(doc["n_outputs"], "n_outputs", 0, 0xFFFF)
@@ -277,8 +277,8 @@ def model_from_json(text: str) -> ScmModel:
             intercepts=u,
             weights_raw=p_raw,
             intercepts_raw=u_raw,
-            source=str(md.get("source", SOURCE_EXTERNAL)),
-            alpha=float(md.get("alpha", 0.0)),
+            source=md.get("source", SOURCE_EXTERNAL),
+            alpha=_float(md.get("alpha", 0.0), "alpha"),
         )
         layers = []
         for ld in doc.get("layers", []):
@@ -329,6 +329,19 @@ def _int(value, name: str, lo: int = fx.RAW_MIN, hi: int = fx.RAW_MAX) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """value if it is a JSON number, else a ValueError (bools and strings are refused)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _cells(values, shape, read, name: str, dtype) -> np.ndarray:
+    """An array of the given shape and dtype, each JSON cell passed through read."""
+    cells = np.array(values, dtype=object).reshape(shape)
+    return np.array([read(v, name) for v in cells.flat], dtype=dtype).reshape(shape)
+
+
 def _value_pair(floats, raws, shape, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Floats and raw values of one field, either of which may be None.
 
@@ -338,11 +351,10 @@ def _value_pair(floats, raws, shape, exact: bool = False) -> tuple[np.ndarray, n
     if floats is None and raws is None:
         raise ValueError("need float or raw values")
     if raws is not None:
-        cells = np.array(raws, dtype=object).reshape(shape)
-        r = np.array([_int(v, "raw value") for v in cells.flat], dtype=np.int32).reshape(shape)
+        r = _cells(raws, shape, _int, "raw value", np.int32)
         if floats is None:
             return fx.dequantize_array(r), r
-    f = np.asarray(floats, dtype=np.float64).reshape(shape)
+    f = _cells(floats, shape, _float, "float value", np.float64)
     if raws is None:
         r, saturated = fx.quantize_array(f)
         if saturated:

@@ -19,15 +19,16 @@ value. Candidates and the accepted node's validation column get their bits
 from model.threshold_bits, the integer test the reference path and the
 emulator also make, so every path computes bit-identical activations.
 
-A candidate's scores are computed without forming h. Its threshold bits are
-written as 0/1 into one float32 work array that the TrainState owns, and one
-float32 GEMM multiplies them by the residual split into integer limbs
-(ResidualLimbs) and by a row of ones. Every partial sum of that GEMM is an
-integer below 2**24, so <e_q, h> is the correctly rounded sum of the selected
+A candidate's scores are computed without forming h, over the training rows
+in blocks of SCORE_ROWS. A block's threshold bits are written as 0/1 into a
+small float32 work array that the TrainState owns, and one float32 GEMM
+multiplies them by the block's residual limbs (ResidualLimbs) and a row of
+ones, summed over the blocks. Every partial sum over any rows is an integer
+below 2**24, so <e_q, h> is the correctly rounded sum of the selected
 residual entries (each kept to 60 bits below its column's power-of-two bound)
-whatever order the BLAS adds in, and the bit count gives <h, h> for SIGN.
-This holds while the training set has at most 2**23 rows and every fan-in
-is below 2**24 (check_fan_in); train checks both before it starts.
+whatever order the BLAS and the blocks add in, and the bit count gives
+<h, h> for SIGN. This holds while the training set has at most 2**23 rows
+and every fan-in is below 2**24 (check_fan_in); train checks both first.
 
 TrainData holds the encoded rows as BitMatrix objects. TrainState builds
 their +-1 signal matrices once, fits the mechanism on the training one, and
@@ -64,6 +65,9 @@ from .model import (
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
 DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
+# training rows per scoring block: a (256, 500) float32 block of candidate
+# bits is 512 KB, which stays in L2 between its threshold and its limb GEMM
+SCORE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,8 @@ class TrainState:
 
     Holds the residual matrices, the hidden-output columns for the global
     readout refit with each column's node, the layer sizes, the signal matrices
-    feeding the layer under construction, and the candidate work array.
+    feeding the layer under construction (contiguous float32, made once per
+    layer), and the (SCORE_ROWS, t_max) candidate work array.
 
     The hidden outputs live in (N, capacity) arrays whose first n_hidden
     columns are in use; the capacity starts at the configured node count (at
@@ -292,10 +297,11 @@ class TrainState:
         self.resid_val = self.target_val.copy()
         self.layer_sizes: list[int] = []
         self.layer_acts: list[Activation] = []
-        self.cur_in_train = self.s1_train
-        self.cur_in_val = self.s1_val
-        # (N, t_max) float32 candidate dots, then their 0/1 threshold bits;
-        # allocated by the first add_node
+        # entries are -1, 0 or +1, so float32 holds them and every dot exactly
+        self.cur_in_train = self.s1_train.astype(np.float32)
+        self.cur_in_val = self.s1_val.astype(np.float32)
+        # (SCORE_ROWS, t_max) float32 candidate dots of a row block, then their
+        # 0/1 threshold bits; allocated by the first add_node
         self.work: np.ndarray | None = None
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
@@ -307,11 +313,9 @@ class TrainState:
         self.layer_acts.append(act)
 
     def end_layer(self) -> None:
-        # views: the columns of a finished layer are never written again,
-        # and a doubled H gets copies of them
         cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
-        self.cur_in_train = self.H_train[:, cols]
-        self.cur_in_val = self.H_val[:, cols]
+        self.cur_in_train = np.ascontiguousarray(self.H_train[:, cols], np.float32)
+        self.cur_in_val = np.ascontiguousarray(self.H_val[:, cols], np.float32)
 
     def append_node(self, node: tuple, h_tr: np.ndarray, h_va: np.ndarray) -> None:
         cap = self.H_train.shape[1]
@@ -426,7 +430,8 @@ class ResidualLimbs:
 
     The rows of `lhs` are the limbs (output-major) and then a row of ones, so
     lhs @ bits gives, exactly, every limb's dot with each bit column and the
-    bit counts.
+    bit counts; so does the sum of lhs[:, rows] @ bits[rows] over any
+    partition of the rows, added in any order.
     """
 
     def __init__(self, e: np.ndarray):
@@ -445,14 +450,15 @@ class ResidualLimbs:
         self.totals = limbs.sum(axis=2, dtype=np.float64)  # exact integers
         self.scale = np.ldexp(1.0, 1 - step * np.arange(1, count + 1))
 
-    def dots(self, bits: np.ndarray, pm1: bool) -> tuple[np.ndarray, np.ndarray]:
+    def dots(self, sums: np.ndarray, pm1: bool) -> tuple[np.ndarray, np.ndarray]:
         """The (m, t) products e^T h and the (t,) bit counts of 0/1 columns.
 
-        `bits` is (N, t) float32 with entries 0 or 1, and h is bits, or
-        2 * bits - 1 when `pm1`. Each product is the correctly rounded sum of
-        the limb-rounded residual entries that h selects, with their signs.
+        `sums` is the float32 product lhs @ bits, where bits is (N, t) with
+        entries 0 or 1, and h is bits, or 2 * bits - 1 when `pm1`. Each
+        product is the correctly rounded sum of the limb-rounded residual
+        entries that h selects, with their signs.
         """
-        sums = (self.lhs @ bits).astype(np.float64)
+        sums = sums.astype(np.float64)
         limb_dots = sums[:-1].reshape(*self.totals.shape, -1)
         if pm1:
             # limb . (2 bit - 1) = 2 limb . bit - sum(limb), exact in float64
@@ -487,11 +493,8 @@ def add_node(
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
     limbs = ResidualLimbs(e)
     shift_pool = np.array([lam.bit_length() - 1 for lam in cfg.lambda_pool])
-    # entries are -1, 0 or +1, so float32 holds them and every dot exactly
-    s32 = s_tr.astype(np.float32)
-    if state.work is None or state.work.shape != (n, t):
-        state.work = np.empty((n, t), dtype=np.float32)
-    work = state.work
+    if state.work is None or state.work.shape[1] != t:
+        state.work = np.empty((SCORE_ROWS, t), dtype=np.float32)
 
     for attempt, r in enumerate(cfg.r_schedule, start=1):
         w01 = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
@@ -501,8 +504,12 @@ def add_node(
         b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
         state.bias_saturated += n_sat
 
-        threshold_bits(s32, w, shift, b_raw, work)
-        eh, count = limbs.dots(work, pm1)
+        sums = np.zeros((len(limbs.lhs), t), dtype=np.float32)
+        for a in range(0, n, SCORE_ROWS):
+            blk = slice(a, min(a + SCORE_ROWS, n))
+            bits = threshold_bits(s_tr[blk], w, shift, b_raw, state.work[: blk.stop - a])
+            sums += limbs.lhs[:, blk] @ bits
+        eh, count = limbs.dots(sums, pm1)
         hh = np.full(t, float(n)) if pm1 else count
         valid = hh > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -514,11 +521,13 @@ def add_node(
         j = int(np.argmax(scores))
 
         one = slice(j, j + 1)
-        bit_va = threshold_bits(s_va.astype(np.float32), w[one], shift[one], b_raw[one],
-                                np.empty((len(s_va), 1), dtype=np.float32))
-        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
-                          activation_values(work[:, j], act),
-                          activation_values(bit_va[:, 0], act))
+        # the work array holds only the last block: rebuild the accepted column
+        h_tr, h_va = (
+            activation_values(threshold_bits(s, w[one], shift[one], b_raw[one],
+                                             np.empty((len(s), 1), np.float32))[:, 0], act)
+            for s in (s_tr, s_va)
+        )
+        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])), h_tr, h_va)
         return TrainRecord(
             layer=layer,
             node=state.layer_sizes[-1],

@@ -294,6 +294,21 @@ def test_import_refuses_floats_that_disagree_with_their_raw_values(tmp_path, cap
     assert not out.exists()
 
 
+def test_import_refuses_an_unknown_mechanism_source(tmp_path, capsys):
+    doc = {
+        "format": "scmfpga-model", "version": 1, "encoding": "density:2", "n_outputs": 1,
+        "mechanism": {"source": "foo", "d_enc": 2, "weights": [[0.0], [0.0]],
+                      "intercepts": [0.0]},
+        "layers": [],
+    }
+    j = tmp_path / "m.json"
+    j.write_text(json.dumps(doc))
+    out = tmp_path / "m.scm"
+    assert run("import", str(j), "--out", str(out)) == 3
+    assert "unknown mechanism source 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_model_file_is_data_error(tmp_path, db1_files):
     _, data, _ = db1_files
     bad = tmp_path / "bad.scm"

@@ -24,6 +24,8 @@ from scmfpga.model import (
     ScmModel,
     ScmNode,
     layer_forward_float,
+    predict_float,
+    predict_float_batch,
     quantization_bound,
 )
 
@@ -300,6 +302,17 @@ def test_batch_matches_scalar_emulator(model, n_rows, seed):
 @given(random_models(max_layers=2, max_width=70, max_nodes=8), st.integers(0, 2**32 - 1))
 def test_batch_matches_scalar_emulator_past_a_block(model, seed):
     _check_batch_against_scalar(model, BLOCK_ROWS + 1, seed)
+
+
+@settings(max_examples=3)
+@given(random_models(max_layers=2, max_width=70, max_nodes=8), st.integers(0, 2**32 - 1))
+def test_reference_batch_matches_one_row_at_a_time_past_a_block(model, seed):
+    rng = np.random.default_rng(seed)
+    bits = BitMatrix.from01(rng.integers(0, 2, size=(BLOCK_ROWS + 1, model.d_enc)))
+    out = predict_float_batch(model, bits)
+    assert out.shape == (BLOCK_ROWS + 1, model.n_outputs)
+    for i in range(len(bits)):
+        assert np.array_equal(out[i], predict_float(model, bits[i]))
 
 
 @settings(max_examples=30)

@@ -341,6 +341,45 @@ def test_json_refuses_integer_fields_that_are_not_integers(node, mechanism):
         model_from_json(_one_node_json(node, mechanism))
 
 
+_ZERO_MECHANISM = {"d_enc": 2, "weights": [[0.0], [0.0]], "intercepts": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "node,mechanism",
+    [
+        ({"bias": "0.0005"}, None),
+        ({"bias_raw": 0, "beta": ["0.5"]}, None),
+        ({"bias_raw": 0, "beta": [True]}, None),
+        ({"bias_raw": 0}, {**_ZERO_MECHANISM, "weights": [["0.5"], [0.0]]}),
+        ({"bias_raw": 0}, {**_ZERO_MECHANISM, "alpha": "0.5"}),
+        ({"bias_raw": 0}, {**_ZERO_MECHANISM, "alpha": False}),
+    ],
+    ids=["bias", "beta", "beta-bool", "weights", "alpha", "alpha-bool"],
+)
+def test_json_refuses_float_fields_that_are_not_numbers(node, mechanism):
+    node = {"weights": "10", "shift": 0, "beta": [1.0], **node}
+    with pytest.raises(ModelFormatError, match="must be a number"):
+        model_from_json(_one_node_json(node, mechanism))
+
+
+def test_json_float_fields_take_integers():
+    model = model_from_json(_one_node_json(
+        {"weights": "10", "shift": 0, "bias": 1, "beta": [-2]},
+        {**_ZERO_MECHANISM, "weights": [[1], [0]], "alpha": 0},
+    ))
+    assert model.layers[0].bias.tolist() == [1.0] and model.layers[0].beta.tolist() == [[-2.0]]
+    assert model.mechanism.weights.tolist() == [[1.0], [0.0]] and model.mechanism.alpha == 0.0
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_json_version_must_be_the_integer_1(version):
+    doc = json.loads(_one_node_json({"weights": "10", "shift": 0, "bias_raw": 0, "beta": [1.0]}))
+    assert model_from_json(json.dumps(doc)).layer_sizes == (1,)
+    doc["version"] = version
+    with pytest.raises(ModelFormatError, match="unsupported model version"):
+        model_from_json(json.dumps(doc))
+
+
 def _with_fan_in(fan_in) -> str:
     doc = json.loads(_one_node_json({"weights": "10", "shift": 0, "bias_raw": 0, "beta": [1.0]}))
     doc["layers"][0]["fan_in"] = fan_in

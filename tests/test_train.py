@@ -37,6 +37,7 @@ from scmfpga.model import (
 from scmfpga.modelfile import model_to_bytes
 from scmfpga.train import (
     LIMB_REACH,
+    SCORE_ROWS,
     ResidualLimbs,
     TrainConfig,
     TrainData,
@@ -341,7 +342,7 @@ def test_residual_limb_dots_equal_fsum(n):
 
     limbs = ResidualLimbs(e)
     for pm1 in (False, True):
-        eh, count = limbs.dots(bits, pm1)
+        eh, count = limbs.dots(limbs.lhs @ bits, pm1)
         assert np.array_equal(count, bits.sum(axis=0))
         for j in range(bits.shape[1]):
             sign = np.where(bits[:, j] > 0, 1.0, -1.0 if pm1 else 0.0)
@@ -365,8 +366,34 @@ def test_residual_limb_dots_round_once():
     e[1] = -np.rint(math.fsum(_limb_rounded(e[:, 0])[2:]) / grid) * grid
     bits = np.ones((n, 1), dtype=np.float32)
     bits[0] = 0.0
-    eh, _ = ResidualLimbs(e).dots(bits, pm1=False)
+    limbs = ResidualLimbs(e)
+    eh, _ = limbs.dots(limbs.lhs @ bits, pm1=False)
     assert eh[0, 0] == math.fsum(_limb_rounded(e[:, 0])[1:])
+
+
+def test_residual_limb_dots_equal_fsum_over_uneven_row_blocks():
+    # the limb sums of uneven row blocks, added in float32 in reverse order,
+    # are the one product's sums, so the products stay the correctly rounded
+    # sums of the selected entries
+    n = 2 * SCORE_ROWS + 3
+    rng = np.random.default_rng(5)
+    e = rng.choice([-1.0, 1.0], size=(n, 2)) * 10.0 ** rng.uniform(-12, 2, size=(n, 2))
+    bits = (rng.random((n, 6)) < [0.0, 1.0, 0.5, 0.5, 0.1, 0.9]).astype(np.float32)
+    rounded = [_limb_rounded(e[:, q]) for q in range(2)]
+    limbs = ResidualLimbs(e)
+    cuts = [0, 1, 200, SCORE_ROWS + 7, n - 1, n]
+    blocks = [limbs.lhs[:, a:b] @ bits[a:b] for a, b in zip(cuts, cuts[1:])]
+    sums = np.zeros_like(blocks[0])
+    for part in reversed(blocks):
+        sums += part
+    assert np.array_equal(sums, limbs.lhs @ bits)
+    for pm1 in (False, True):
+        eh, count = limbs.dots(sums, pm1)
+        assert np.array_equal(count, bits.sum(axis=0))
+        for j in range(bits.shape[1]):
+            sign = np.where(bits[:, j] > 0, 1.0, -1.0 if pm1 else 0.0)
+            for q in range(2):
+                assert eh[q, j] == math.fsum(sign * rounded[q]), (pm1, j, q)
 
 
 def test_limb_layout_keeps_every_sum_exact():
@@ -459,6 +486,19 @@ def _oracle_add_node(state, cfg, rng):
     nodes=st.integers(1, 4),
 )
 def test_add_node_matches_an_fsum_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes):
+    _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes)
+
+
+@pytest.mark.parametrize("act", [Activation.STEP, Activation.SIGN])
+def test_add_node_matches_an_fsum_oracle_across_score_blocks(act):
+    # two full blocks of SCORE_ROWS training rows and a partial one of 3
+    accepted = _check_add_node_against_the_oracle(
+        seed=7, act=act, m=2, rows=2 * SCORE_ROWS + 3, fan_in=12, t_max=40, levels=8, nodes=3)
+    assert accepted == 3
+
+
+def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes):
+    """add_node against _oracle_add_node on the same draws; the nodes accepted."""
     # a thermometer code of fan_in bits has fan_in + 1 distinct rows, so the
     # draws repeat candidates, and targets on a few levels make exact ties
     rng = np.random.default_rng(seed)
@@ -469,17 +509,18 @@ def test_add_node_matches_an_fsum_oracle(seed, act, m, rows, fan_in, t_max, leve
     cfg = TrainConfig.single_layer(nodes, act, t_max=t_max, use_mechanism=False, seed=seed)
     state = TrainState(data, cfg)
     state.begin_layer(act)
-    for _ in range(nodes):
+    for k in range(nodes):
         want = _oracle_add_node(state, cfg, copy.deepcopy(rng))
         got = add_node(state, 1, cfg, rng)
         if want is None:
             assert got is None
-            return
+            return k
         w, lam, bias = _column_node(state)
         assert got.r_attempts == want["attempt"] and got.passed == want["passed"]
         assert np.array_equal(w, want["w"])
         assert lam == want["lam"] == got.lam and bias == want["bias"]
         assert got.xi_sum == pytest.approx(want["xi_sum"], rel=1e-12)
+    return nodes
 
 
 def test_add_node_builds_no_float64_candidate_array():
@@ -495,9 +536,10 @@ def test_add_node_builds_no_float64_candidate_array():
     finally:
         tracemalloc.stop()
     assert res is not None
-    assert state.work.shape == (n, t) and state.work.dtype == np.float32
-    # one (N, t) float64 array alone would take 8 * n * t bytes
-    assert peak < 8 * n * t
+    assert state.work.shape == (SCORE_ROWS, t) and state.work.dtype == np.float32
+    # rows are scored in blocks: one (N, t) float32 array alone would take
+    # 4 * n * t bytes
+    assert peak < n * t
 
 
 def test_preallocated_readout_matches_column_stack():
