@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, report, export, import. Exit codes:
-0 success, 2 usage error, 3 data error, 4 training failed. All randomness
+0 success, 2 usage error, 3 data or file error, 4 training failed. All randomness
 sits behind --seed, so identical invocations produce identical files.
 """
 
@@ -107,11 +107,7 @@ def cmd_gen_data(args) -> int:
             normalize_targets=not args.raw_targets,
             grid_test=not args.random_test,
         )
-    try:
-        files = write_dataset(ds, args.out)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from exc
-    for f in files:
+    for f in write_dataset(ds, args.out):
         print(f"wrote {f}")
     return 0
 
@@ -239,11 +235,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_import(args) -> int:
-    try:
-        text = Path(args.json).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {args.json}: {exc}") from exc
-    model = model_from_json(text)
+    model = model_from_json(Path(args.json).read_text())
     save_model(model, args.out, include_floats=not args.no_floats)
     print(f"wrote {args.out}")
     return 0
@@ -254,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TrainingFailedError as exc:

@@ -10,6 +10,7 @@ the normalization parameters, so a write/load round trip is exact.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -278,6 +279,17 @@ def load_csv(path: str | Path, target_cols: list[str] | None = None) -> Dataset:
     )
 
 
+def _manifest_value(kv: dict[str, str], key: str, kind: type):
+    """kv[key] as a count at least 0 (kind int) or a finite float, else a ValueError.
+
+    A negative count could still sum to the row count and make row sets overlap.
+    """
+    value = kind(kv[key])
+    if not (value >= 0 if kind is int else math.isfinite(value)):
+        raise ValueError(f"{key}={kv[key]} is {'negative' if kind is int else 'not finite'}")
+    return value
+
+
 def load_dataset(csv_path: str | Path) -> Dataset:
     """Load a CSV written by write_dataset, using its manifest when present.
 
@@ -296,13 +308,11 @@ def load_dataset(csv_path: str | Path) -> Dataset:
             kv[k] = v
     header, data = _read_csv_numeric(csv_path)
     try:
-        d = int(kv["n_features"])
-        m = int(kv["n_targets"])
-        n_train = int(kv["n_train"])
-        n_val = int(kv["n_val"])
-        n_test = int(kv["n_test"])
-        fmin = np.array([float(kv[f"feature_{j}_min"]) for j in range(d)])
-        fmax = np.array([float(kv[f"feature_{j}_max"]) for j in range(d)])
+        counts = ("n_features", "n_targets", "n_train", "n_val", "n_test")
+        d, m, n_train, n_val, n_test = (_manifest_value(kv, k, int) for k in counts)
+        fmin = np.array([_manifest_value(kv, f"feature_{j}_min", float) for j in range(d)])
+        fmax = np.array([_manifest_value(kv, f"feature_{j}_max", float) for j in range(d)])
+        seed = int(kv.get("seed", "0"))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{mpath}: bad manifest: {exc}") from exc
     if data.shape[1] != d + m:
@@ -320,5 +330,5 @@ def load_dataset(csv_path: str | Path) -> Dataset:
         feature_names=header[:d],
         target_names=header[d:],
         name=kv.get("name", csv_path.stem),
-        seed=int(kv.get("seed", "0")),
+        seed=seed,
     )

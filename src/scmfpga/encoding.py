@@ -97,7 +97,7 @@ class EncodingSpec:
         return sum(_layout(self.kind, self.param))
 
     def encode_value(self, x: float) -> BitVec:
-        return _encode_one(x, self.kind, self.param)
+        return BitVec.from01(_codes(np.array([_check_unit(x)]), self.kind, self.param)[0])
 
     def to_bytes(self) -> bytes:
         return bytes([int(self.kind), self.param])
@@ -204,22 +204,14 @@ def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
     return ones[:, field] > rank
 
 
-def _encode_one(x: float, kind: EncodingKind, param: int) -> BitVec:
-    return BitVec.from01(_codes(np.array([_check_unit(x)]), kind, param)[0])
-
-
 def encode_density(x: float, n: int) -> BitVec:
-    """Unary bucket code: bucket min(floor(x*(N+1)), N), leading ones."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    return _encode_one(x, EncodingKind.DENSITY, n)
+    """Unary bucket code: bucket min(floor(x*(N+1)), N), leading ones; N in 1..255."""
+    return EncodingSpec(EncodingKind.DENSITY, n).encode_value(x)
 
 
 def encode_scheme1(x: float, u_places: int) -> BitVec:
-    """Digit-wise unary code: [integer bit][9-bit unary per decimal place]."""
-    if u_places < 1:
-        raise ValueError("u_places must be >= 1")
-    return _encode_one(x, EncodingKind.SCHEME1, u_places)
+    """Digit-wise unary code: [integer bit][9-bit unary per decimal place]; 1..255 places."""
+    return EncodingSpec(EncodingKind.SCHEME1, u_places).encode_value(x)
 
 
 def encode_scheme2(x: float, variant: str) -> BitVec:
@@ -232,7 +224,7 @@ def encode_scheme2(x: float, variant: str) -> BitVec:
     kinds = {"V1": EncodingKind.SCHEME2_V1, "V2": EncodingKind.SCHEME2_V2}
     if variant not in kinds:
         raise ValueError("variant must be 'V1' or 'V2'")
-    return _encode_one(x, kinds[variant], 0)
+    return EncodingSpec(kinds[variant]).encode_value(x)
 
 
 def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:

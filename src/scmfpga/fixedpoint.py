@@ -89,7 +89,8 @@ def quantize_array(values: np.ndarray) -> tuple[np.ndarray, int]:
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("fixed-point conversion requires finite values")
-    scaled = np.rint(arr * SCALE)  # rint: half to even
+    with np.errstate(over="ignore"):  # a finite value past 2**1000 saturates like any other
+        scaled = np.rint(arr * SCALE)  # rint: half to even
     clipped = np.clip(scaled, RAW_MIN, RAW_MAX)
     n_sat = int(np.count_nonzero(scaled != clipped))
     return clipped.astype(np.int32), n_sat

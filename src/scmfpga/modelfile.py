@@ -17,13 +17,14 @@ Layout (all little-endian):
 
 All i32 fields are raw Q7.25. The sidecar carries the original training-time
 float values so the reference evaluator does not have to reconstruct them
-from the quantized fields; without it, loads fall back to raw / 2**25. A
-sidecar float must round to its raw value, and a bias must equal it exactly.
+from the quantized fields. model_from_bytes and model_from_json only parse;
+_assemble applies every rule the two forms share and builds the model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -103,19 +104,55 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def i32(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<i4").copy()
-
-    def f64(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+    def array(self, dtype: np.dtype, *shape: int) -> np.ndarray:
+        chunk = self.take(dtype.itemsize * math.prod(shape))
+        return np.frombuffer(chunk, dtype).reshape(shape).copy()
 
     def words(self, n: int, n_bits: int) -> np.ndarray:
         """n rows of n_bits bits in whole words, with their pad bits cleared."""
-        w = n_words(n_bits)
-        words = np.frombuffer(self.take(8 * w * n), dtype=WORD).reshape(n, w).copy()
+        words = self.array(WORD, n, n_words(n_bits))
         if n_bits % WORD_BITS:
             words[:, -1] &= np.uint64((1 << n_bits % WORD_BITS) - 1)
         return words
+
+
+def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmModel:
+    """The model of one parsed form ("file" or "JSON"); any failure is a ModelFormatError.
+
+    weights and intercepts are (floats or None, raws) pairs. A layer is
+    (activation, weight BitMatrix, scale codes, bias, readouts), where bias and
+    readouts are lists of pairs over consecutive node blocks: one in the file,
+    one per node in JSON.
+    """
+    try:
+        built = []
+        for act, w, shift, bias, beta in layers:
+            if np.any(shift > 7):
+                raise ValueError("scale code above 7")
+            # a bias is its raw value exactly (the layer keeps only bias_raw)
+            if any(f is not None and not np.array_equal(f, fx.dequantize_array(r))
+                   for f, r in bias):
+                raise ValueError("bias values are not bias_raw / 2**25")
+            bias_raw = np.concatenate([r for _, r in bias])
+            built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, *_resolved(beta)))
+        p, p_raw = _resolved([weights])
+        u, u_raw = _resolved([intercepts])
+        mech = MechanismModel(p, u, p_raw, u_raw, source, alpha)
+        model = ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
+        model.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"inconsistent model {form}: {exc}") from exc
+    return model
+
+
+def _resolved(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Floats and raws of a field from its blocks: a missing float is raw / 2**25,
+    and a given one must round to its raw value, as quantization_bound assumes."""
+    f = np.concatenate([fx.dequantize_array(r) if f is None else f for f, r in blocks])
+    r = np.concatenate([r for _, r in blocks])
+    if not np.array_equal(fx.quantize_array(f)[0], r):
+        raise ValueError("float values do not round to their raw values")
+    return f, r
 
 
 def model_from_bytes(data: bytes) -> ScmModel:
@@ -133,66 +170,35 @@ def model_from_bytes(data: bytes) -> ScmModel:
     (flags,) = r.unpack("<B")
     if flags & ~FLAG_FLOAT_SIDECAR:
         raise ModelFormatError(f"unknown flag bits {flags:#04x}")
-    spec = r.take(2)
     try:
-        enc = EncodingSpec.from_bytes(spec)
+        enc = EncodingSpec.from_bytes(r.take(2))
     except ValueError as exc:
         raise ModelFormatError(f"bad encoding spec: {exc}") from exc
     m, d_enc = r.unpack("<HI")
     source_tag, alpha = r.unpack("<Bd")
     if source_tag not in _SOURCE_NAMES:
         raise ModelFormatError(f"unknown mechanism source tag {source_tag}")
-    p_raw = r.i32(d_enc * m).reshape(d_enc, m)
-    u_raw = r.i32(m)
+    p_raw, u_raw = r.array(_I32, d_enc, m), r.array(_I32, m)
     (n_layers,) = r.unpack("<H")
-    layers = []
+    records = []
     for _ in range(n_layers):
         act, n, fan_in = r.unpack("<BII")
         if act not in set(Activation):
             raise ModelFormatError(f"unknown activation code {act}")
-        words = r.words(n, fan_in)
-        shift = np.frombuffer(r.take(n), dtype=np.uint8).copy()
-        if np.any(shift > 7):
-            raise ModelFormatError("scale code above 7")
-        bias_raw = r.i32(n)
-        beta_raw = r.i32(n * m).reshape(n, m)
-        layers.append(ScmLayer.from_arrays(
-            Activation(act), BitMatrix(words, fan_in), shift,
-            bias_raw, fx.dequantize_array(beta_raw), beta_raw,
-        ))
+        w = BitMatrix(r.words(n, fan_in), fan_in)
+        shift = r.array(np.dtype(np.uint8), n)
+        records.append((Activation(act), w, shift, r.array(_I32, n), r.array(_I32, n, m)))
 
-    if flags & FLAG_FLOAT_SIDECAR:
-        try:
-            p = _rounding_to(r.f64(d_enc * m).reshape(d_enc, m), p_raw)
-            u = _rounding_to(r.f64(m), u_raw)
-            # the training-time floats replace the dequantized ones
-            for layer in layers:
-                if not np.array_equal(r.f64(len(layer)), layer.bias):
-                    raise ValueError("sidecar biases are not bias_raw / 2**25")
-                layer.beta = _rounding_to(r.f64(len(layer) * m).reshape(len(layer), m),
-                                          layer.beta_raw)
-        except ValueError as exc:
-            raise ModelFormatError(f"inconsistent model file: {exc}") from exc
-    else:
-        p = fx.dequantize_array(p_raw)
-        u = fx.dequantize_array(u_raw)
+    def floats(*shape):  # the sidecar's next values, read in file order
+        return r.array(_F64, *shape) if flags & FLAG_FLOAT_SIDECAR else None
+
+    weights, intercepts = (floats(d_enc, m), p_raw), (floats(m), u_raw)
+    layers = [(act, w, shift, [(floats(len(w)), bias_raw)], [(floats(len(w), m), beta_raw)])
+              for act, w, shift, bias_raw, beta_raw in records]
     if r.pos != len(r.data):
         raise ModelFormatError("trailing bytes after model body")
-
-    mech = MechanismModel(
-        weights=p,
-        intercepts=u,
-        weights_raw=p_raw,
-        intercepts_raw=u_raw,
-        source=_SOURCE_NAMES[source_tag],
-        alpha=alpha,
-    )
-    model = ScmModel(encoding=enc, mechanism=mech, layers=layers, n_outputs=m)
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ModelFormatError(f"inconsistent model file: {exc}") from exc
-    return model
+    return _assemble("file", enc, m, _SOURCE_NAMES[source_tag], alpha, weights, intercepts,
+                     layers)
 
 
 def save_model(model: ScmModel, path: str | Path, include_floats: bool = True) -> None:
@@ -270,16 +276,9 @@ def model_from_json(text: str) -> ScmModel:
         m = _int(doc["n_outputs"], "n_outputs", 0, 0xFFFF)
         md = doc["mechanism"]
         d_enc = _int(md["d_enc"], "d_enc", 0, 0xFFFFFFFF)
-        p, p_raw = _value_pair(md.get("weights"), md.get("weights_raw"), (d_enc, m))
-        u, u_raw = _value_pair(md.get("intercepts"), md.get("intercepts_raw"), (m,))
-        mech = MechanismModel(
-            weights=p,
-            intercepts=u,
-            weights_raw=p_raw,
-            intercepts_raw=u_raw,
-            source=md.get("source", SOURCE_EXTERNAL),
-            alpha=_float(md.get("alpha", 0.0), "alpha"),
-        )
+        weights = _value_pair(md.get("weights"), md.get("weights_raw"), (d_enc, m))
+        intercepts = _value_pair(md.get("intercepts"), md.get("intercepts_raw"), (m,))
+        alpha = _float(md.get("alpha", 0.0), "alpha")
         layers = []
         for ld in doc.get("layers", []):
             nodes = ld["nodes"]
@@ -291,33 +290,17 @@ def model_from_json(text: str) -> ScmModel:
             w = BitMatrix.from01(bits)
             if "fan_in" in ld and _int(ld["fan_in"], "fan_in", 0, 0xFFFFFFFF) != w.n:
                 raise ValueError(f"fan_in {ld['fan_in']} != weight width {w.n}")
-            # a bias is its raw value exactly (the layer keeps only bias_raw)
-            bias_raw = [_value_pair(nd.get("bias"), nd.get("bias_raw"), (), exact=True)[1]
-                        for nd in nodes]
-            readouts = [_value_pair(nd.get("beta"), nd.get("beta_raw"), (m,)) for nd in nodes]
-            layers.append(ScmLayer.from_arrays(
+            layers.append((
                 Activation[ld["activation"].upper()], w,
-                np.array([_int(nd["shift"], "shift", 0, 7) for nd in nodes], dtype=np.uint8),
-                np.array(bias_raw, dtype=np.int32),
-                np.array([f for f, _ in readouts]).reshape(len(nodes), m),
-                np.array([r for _, r in readouts], dtype=np.int32).reshape(len(nodes), m),
+                np.array([_int(nd["shift"], "shift", 0, 0xFF) for nd in nodes], dtype=np.uint8),
+                [_bias_pair(nd) for nd in nodes],
+                [_value_pair(nd.get("beta"), nd.get("beta_raw"), (1, m)) for nd in nodes],
             ))
     # AttributeError: a JSON value of the wrong type, such as a list for an object
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad model JSON: {exc}") from exc
-    model = ScmModel(encoding=enc, mechanism=mech, layers=layers, n_outputs=m)
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ModelFormatError(f"inconsistent model JSON: {exc}") from exc
-    return model
-
-
-def _rounding_to(floats: np.ndarray, raws: np.ndarray) -> np.ndarray:
-    """floats; a ValueError unless they round to raws, as quantization_bound assumes."""
-    if not np.array_equal(fx.quantize_array(floats)[0], raws):
-        raise ValueError("float values do not round to their raw values")
-    return floats
+    return _assemble("JSON", enc, m, md.get("source", SOURCE_EXTERNAL), alpha, weights,
+                     intercepts, layers)
 
 
 def _int(value, name: str, lo: int = fx.RAW_MIN, hi: int = fx.RAW_MAX) -> int:
@@ -342,24 +325,24 @@ def _cells(values, shape, read, name: str, dtype) -> np.ndarray:
     return np.array([read(v, name) for v in cells.flat], dtype=dtype).reshape(shape)
 
 
-def _value_pair(floats, raws, shape, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Floats and raw values of one field, either of which may be None.
+def _value_pair(floats, raws, shape) -> tuple[np.ndarray | None, np.ndarray]:
+    """(floats or None, raw values) of one JSON field, either of which may be omitted.
 
-    Floats given alone must lie in the Q7.25 range. Paired, they must round to
-    the raw values, or equal them exactly when `exact`.
+    Floats given alone must lie in the Q7.25 range, and their raw values are
+    their rounded ones.
     """
     if floats is None and raws is None:
         raise ValueError("need float or raw values")
-    if raws is not None:
-        r = _cells(raws, shape, _int, "raw value", np.int32)
-        if floats is None:
-            return fx.dequantize_array(r), r
-    f = _cells(floats, shape, _float, "float value", np.float64)
-    if raws is None:
+    r = None if raws is None else _cells(raws, shape, _int, "raw value", np.int32)
+    f = None if floats is None else _cells(floats, shape, _float, "float value", np.float64)
+    if r is None:
         r, saturated = fx.quantize_array(f)
         if saturated:
             raise ValueError(f"{saturated} values lie outside the Q7.25 range [-64, 64)")
-        return f, r
-    if exact and not np.array_equal(f, fx.dequantize_array(r)):
-        raise ValueError("float values are not their raw values / 2**25")
-    return _rounding_to(f, r), r
+    return f, r
+
+
+def _bias_pair(node: dict) -> tuple[np.ndarray | None, np.ndarray]:
+    """A node's bias pair; a bias given alone keeps only its grid value."""
+    f, r = _value_pair(node.get("bias"), node.get("bias_raw"), (1,))
+    return (None if node.get("bias_raw") is None else f), r

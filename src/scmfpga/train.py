@@ -273,14 +273,15 @@ class TrainState:
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
         self.m = data.y_train.shape[1]
-        self.s1_train = signals_pm1(data.bits_train)
-        self.s1_val = signals_pm1(data.bits_val)
+        # float64 -1/+1 inputs, needed only while the state is built
+        s1_train = signals_pm1(data.bits_train)
+        s1_val = signals_pm1(data.bits_val)
         if cfg.use_mechanism:
-            self.mech = fit_mechanism(self.s1_train, data.y_train, cfg.alpha)
+            self.mech = fit_mechanism(s1_train, data.y_train, cfg.alpha)
         else:
-            self.mech = MechanismModel.zero(self.s1_train.shape[1], self.m)
-        self.target_train = data.y_train - mech_eval_float_batch(self.s1_train, self.mech)
-        self.target_val = data.y_val - mech_eval_float_batch(self.s1_val, self.mech)
+            self.mech = MechanismModel.zero(s1_train.shape[1], self.m)
+        self.target_train = data.y_train - mech_eval_float_batch(s1_train, self.mech)
+        self.target_val = data.y_val - mech_eval_float_batch(s1_val, self.mech)
         # a C-order column write touches every row, so a large configured
         # node count is not allocated up front
         capacity = min(max(1, sum(cfg.layer_sizes)), 64)
@@ -298,8 +299,8 @@ class TrainState:
         self.layer_sizes: list[int] = []
         self.layer_acts: list[Activation] = []
         # entries are -1, 0 or +1, so float32 holds them and every dot exactly
-        self.cur_in_train = self.s1_train.astype(np.float32)
-        self.cur_in_val = self.s1_val.astype(np.float32)
+        self.cur_in_train = s1_train.astype(np.float32)
+        self.cur_in_val = s1_val.astype(np.float32)
         # (SCORE_ROWS, t_max) float32 candidate dots of a row block, then their
         # 0/1 threshold bits; allocated by the first add_node
         self.work: np.ndarray | None = None

@@ -361,3 +361,29 @@ def test_training_failure_exit_4(tmp_path):
         "--nodes", "3", "--t-max", "10", "--seed", "0",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "{data}", "--out", "{bad}", "--nodes", "2", "--t-max", "20"],
+        ["train", "{data}", "--out", "{good}", "--log", "{bad}", "--nodes", "2", "--t-max", "20"],
+        ["eval", "{model}", "{data}", "--out", "{bad}"],
+        ["export", "{model}", "--out", "{bad}"],
+        ["import", "{json}", "--out", "{bad}"],
+        ["import", "{bad}", "--out", "{good}"],
+        ["gen-data", "db1", "--out", "{bad}"],
+    ],
+    ids=["train-out", "train-log", "eval-out", "export-out", "import-out", "import-in",
+         "gen-data-out"],
+)
+def test_a_file_that_cannot_be_read_or_written_is_a_data_error(tmp_path, capsys, db1_files,
+                                                               argv):
+    _, data, model = db1_files
+    paths = dict(data=data, model=model, json=tmp_path / "m.json", good=tmp_path / "good",
+                 bad=tmp_path / "missing" / "file")
+    assert run("export", str(model), "--out", str(paths["json"])) == 0
+    capsys.readouterr()
+    assert run(*(a.format(**paths) for a in argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths["bad"]) in err

@@ -215,3 +215,28 @@ def test_load_dataset_without_manifest(tmp_path):
     ds = load_dataset(p)
     assert ds.rows("train").size == 2
     assert ds.rows("test").size == 0
+
+
+@pytest.mark.parametrize(
+    "edits,field",
+    [
+        # the counts still sum to the 1300 rows, but test rows 900-1299 would
+        # overlap training rows 900-999
+        ({"n_val": "-100", "n_test": "400"}, "n_val=-100"),
+        ({"n_train": "-1", "n_test": "301"}, "n_train=-1"),
+        ({"feature_0_min": "nan"}, "feature_0_min=nan"),
+        ({"feature_0_max": "inf"}, "feature_0_max=inf"),
+        ({"seed": "abc"}, "invalid literal"),  # a ValueError, which the CLI calls a usage error
+    ],
+    ids=["n_val", "n_train", "min-nan", "max-inf", "seed"],
+)
+def test_load_dataset_refuses_a_manifest_that_lies(tmp_path, edits, field):
+    path = tmp_path / "db1.csv"
+    write_dataset(gen_db1(seed=1), path)
+    manifest = tmp_path / "db1.manifest"
+    lines = manifest.read_text().splitlines()
+    for key, value in edits.items():
+        lines = [f"{key}={value}" if ln.startswith(key + "=") else ln for ln in lines]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="db1.manifest: bad manifest: " + field):
+        load_dataset(path)

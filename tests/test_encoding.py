@@ -157,6 +157,15 @@ def test_scheme2_bad_variant():
         encode_scheme2(0.5, "V3")
 
 
+@pytest.mark.parametrize("encode,width", [(encode_density, 255), (encode_scheme1, 1 + 9 * 255)])
+def test_one_value_encoders_refuse_a_parameter_no_spec_takes(encode, width):
+    # EncodingSpec, and so a model file's one parameter byte, takes 1..255
+    assert encode(0.5, 255).n == width
+    for bad in (0, 256, 300):
+        with pytest.raises(ValueError, match="parameter in 1..255"):
+            encode(0.5, bad)
+
+
 # -- spec + matrix -------------------------------------------------------
 
 

@@ -54,6 +54,12 @@ def test_roundtrip_random_raws():
     assert np.array_equal(back.astype(np.int64), raws)
 
 
+def test_quantize_array_saturates_the_largest_finite_values():
+    # their products with 2**25 overflow to inf, which saturates like 100.0
+    back, n_sat = fx.quantize_array(np.array([1e308, -1e308, 100.0]))
+    assert back.tolist() == [fx.RAW_MAX, fx.RAW_MIN, fx.RAW_MAX] and n_sat == 3
+
+
 @given(st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX))
 def test_roundtrip_property(raw):
     assert fx.fx_from_real(fx.fx_to_real(raw)) == raw

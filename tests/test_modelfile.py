@@ -1,21 +1,24 @@
+import functools
 import json
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scmfpga import fixedpoint as fx
+from scmfpga import emulate, fixedpoint as fx
 from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.encoding import parse_encoding
 from scmfpga.errors import ModelFormatError
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.mechanism import external_mechanism
+from scmfpga.mechanism import external_mechanism, signals_pm1
 from scmfpga.model import (
     Activation,
     ScmLayer,
     ScmModel,
     ScmNode,
+    layer_forward_float,
     predict_float,
     quantization_bound,
 )
@@ -421,15 +424,21 @@ def test_json_refuses_a_lone_float_outside_q725(node, mechanism):
         model_from_json(_one_node_json(node, mechanism))
 
 
-def test_json_roundtrip_of_a_trained_deep_model_with_wide_rows():
-    # three s1:3 features make layer 1's 84-bit weight rows span two 64-bit words
+@functools.cache
+def _trained_deep_file() -> bytes:
+    """The file of a trained STEP/SIGN/STEP model; three s1:3 features make
+    layer 1's 84-bit weight rows span two 64-bit words."""
     rng = np.random.default_rng(21)
     x = rng.uniform(size=(200, 3))
     y = np.sin(4.0 * x).sum(axis=1, keepdims=True) * 0.2 + 0.5
     y += rng.normal(scale=0.02, size=y.shape)
     data = prepare_train_data(x[:160], y[:160], x[160:], y[160:], parse_encoding("s1:3"))
     acts = (Activation.STEP, Activation.SIGN, Activation.STEP)
-    model = train(data, TrainConfig((5, 4, 3), acts, t_max=100, seed=21)).model
+    return model_to_bytes(train(data, TrainConfig((5, 4, 3), acts, t_max=100, seed=21)).model)
+
+
+def test_json_roundtrip_of_a_trained_deep_model_with_wide_rows():
+    model = model_from_bytes(_trained_deep_file())
     assert model.layer_sizes == (5, 4, 3) and model.layers[0].w.words.shape == (5, 2)
     text = model_to_json(model)
     back = model_from_json(text)
@@ -447,7 +456,7 @@ def _sidecar_patched(model, index: int, value: float) -> bytes:
 
 
 @pytest.mark.parametrize("what", ["mechanism-weight", "intercept", "bias", "readout"])
-@pytest.mark.parametrize("nudge", [2.0**-20, 1e-9, float("nan")])
+@pytest.mark.parametrize("nudge", [2.0**-20, 1e-9, float("nan"), 1e308])
 def test_sidecar_floats_must_agree_with_their_raw_values(what, nudge):
     model = _model()
     p = model.d_enc * model.n_outputs
@@ -463,3 +472,78 @@ def test_sidecar_floats_must_agree_with_their_raw_values(what, nudge):
         return
     with pytest.raises(ModelFormatError, match="inconsistent"):
         model_from_bytes(_sidecar_patched(model, index, value + nudge))
+
+
+# -- every loadable input is a sound model --------------------------------------
+
+
+def _check_sound(model):
+    """The loaded model keeps the promises: both paths fire the same bits layer by
+    layer, outputs stay within quantization_bound unless one saturates, and the
+    writers and the report accept it."""
+    rows = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(16, model.d_enc)))
+    x, s, pm1 = rows, signals_pm1(rows), True
+    for layer in model.layers:
+        fired = emulate._layer_bits(layer, x, pm1)
+        s = layer_forward_float(s, layer)
+        assert np.array_equal(s > 0, fired)
+        x, pm1 = BitMatrix.from01(fired), layer.activation == Activation.STEP
+    rep = evaluate_bits(model, rows, np.zeros((len(rows), model.n_outputs)))
+    assert not rep.bound_applies or rep.max_output_delta <= quantization_bound(model)
+    model_to_bytes(model)
+    model_to_bytes(model, include_floats=False)
+    model_to_json(model)
+    emulate.memory_report(model)
+
+
+@settings(max_examples=200)
+@given(st.booleans(), st.data())
+def test_a_file_with_one_byte_set_is_refused_or_a_sound_model(sidecar, data):
+    body = bytearray(model_to_bytes(model_from_bytes(_trained_deep_file()), sidecar)[:-4])
+    pos = data.draw(st.integers(0, len(body) - 1), label="pos")
+    body[pos] = data.draw(st.integers(0, 255), label="value")
+    try:
+        model = model_from_bytes(_with_crc(body))
+    except ModelFormatError:
+        return
+    _check_sound(model)
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_json_with_one_field_perturbed_is_refused_or_a_sound_model(data):
+    doc = json.loads(model_to_json(model_from_bytes(_trained_deep_file())))
+    *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    parent = functools.reduce(lambda node, k: node[k], parents, doc)
+    value = parent[key]
+    changes = ["delete", "type"]
+    if type(value) in (int, float):
+        changes += ["sign", "magnitude"]
+    change = data.draw(st.sampled_from(changes), label="change")
+    if change == "delete":
+        del parent[key]
+    elif change == "type":
+        parent[key] = data.draw(st.sampled_from([None, True, "1", 1.5, [value], {"v": value}]))
+    elif change == "sign":
+        parent[key] = -value
+    else:
+        factor = data.draw(st.sampled_from([0, 2, 3, 1000, 2**31, 2.0**1020, 0.5, 2.0**-25]))
+        parent[key] = value * factor + data.draw(st.sampled_from([0, 1]))
+    try:
+        model = model_from_json(json.dumps(doc))
+    except ModelFormatError:
+        return
+    _check_sound(model)

@@ -220,7 +220,7 @@ def test_add_node_xi_recheck_from_parameters():
     rng = np.random.default_rng(2)
     res = add_node(state, 1, cfg, rng)
     w, lam, bias = _column_node(state)
-    s = state.s1_train
+    s = signals_pm1(data.bits_train)
     pre = (s @ w) * lam + bias
     h = (pre > 0).astype(np.float64) * 2 - 1
     for q in range(state.m):
@@ -553,7 +553,7 @@ def test_preallocated_readout_matches_column_stack():
 
     def check():
         tr, va = [], []
-        s_tr, s_va = state.s1_train, state.s1_val
+        s_tr, s_va = signals_pm1(data.bits_train), signals_pm1(data.bits_val)
         assert sum(state.layer_sizes) == len(state.nodes) == state.n_hidden
         ends = np.cumsum(state.layer_sizes)
         for end, size, act in zip(ends, state.layer_sizes, state.layer_acts):
