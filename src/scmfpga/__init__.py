@@ -17,7 +17,6 @@ from .emulate import (
     ResourceReport,
     cycle_estimate,
     memory_report,
-    node_forward_fpga,
     ones_count_dot,
     predict_fpga,
     predict_fpga_batch,
@@ -40,8 +39,6 @@ from .mechanism import (
     MechanismModel,
     external_mechanism,
     fit_mechanism,
-    mech_eval_float,
-    mech_eval_fpga,
     signals_pm1,
 )
 from .model import (
@@ -50,7 +47,6 @@ from .model import (
     ScmModel,
     ScmNode,
     node_output_float,
-    predict_float,
     predict_float_batch,
     quantization_bound,
 )

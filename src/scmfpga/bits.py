@@ -13,9 +13,10 @@ bit 1 means +1. There are two packed forms:
   written to the model file as it is.
 * BitVec, the scalar form: one row of `n` bits in a Python integer (bit i of
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
-  The per-sample functions that serve as test oracles for the batch paths
-  (predict_fpga, xnor_count, ones_count_dot, ...) take BitVecs, as does the
-  ScmNode that ScmLayer.node(i) hands them; training does not build any.
+  Only the scalar test oracles of the batch paths take BitVecs: predict_fpga
+  (which indexes a layer's weight rows for xnor_count and ones_count_dot) and
+  node_output_float (which takes the ScmNode of ScmLayer.node(i)). Training
+  does not build any.
 """
 
 from __future__ import annotations

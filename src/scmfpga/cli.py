@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -119,7 +120,7 @@ def _parse_layer_args(args) -> tuple[tuple[int, ...], tuple]:
         sizes = tuple(int(s) for s in args.layers.split(","))
     else:
         n = 60 if args.n_nodes is None else args.n_nodes
-        sizes = (n,) if n > 0 else ()
+        sizes = (n,) if n else ()
     acts = tuple(parse_activation(a) for a in args.act.split(","))
     if len(acts) == 1 and len(sizes) > 1:
         acts = acts * len(sizes)
@@ -130,7 +131,18 @@ def _parse_layer_args(args) -> tuple[tuple[int, ...], tuple]:
     return sizes, acts
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless path can be a file in a writable directory; it is not touched."""
+    parent = Path(path).parent
+    if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: not a file name in a writable directory")
+
+
 def cmd_train(args) -> int:
+    # refused before the training, which may take minutes, and not after it
+    for path in (args.out, args.log):
+        if path:
+            _check_writable(path)
     ds = load_dataset(args.data)
     ds = split(ds, args.val_fraction, args.seed)
     spec = parse_encoding(args.encoding)

@@ -16,8 +16,10 @@ each word column j, the (rows, nodes) counts of x[:, j] XOR (or AND) every
 node's word j are added into one int64 array, so no (rows, nodes, words)
 temporary is built. The kernel reads a layer's packed arrays (weight words,
 scale codes, raw biases and readouts) as they are.
-predict_fpga, node_forward_fpga, xnor_count and ones_count_dot work on one
-BitVec at a time in plain integer arithmetic and serve as its test oracles.
+predict_fpga is its test oracle: one BitVec at a time, in Python integers
+through xnor_count, ones_count_dot and fixedpoint's scalar fx_neg and
+saturate_to_fx. It shares no kernel with the batch path, so a fault in one
+cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ import numpy as np
 from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec
 from .mechanism import mech_wide_fpga
-from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, ScmNode
+from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel
 
 
 def xnor_count(a: BitVec, b: BitVec) -> int:
     """Dot product of two {-1,+1} vectors stored as bits.
 
     popcount(XNOR) counts agreeing positions; disagreements count -1 each.
+    Vectors of different lengths raise ValueError, as every BitVec operation does.
     """
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
     agree = (a ^ b).invert().popcount()
     return 2 * agree - a.n
 
@@ -49,63 +50,39 @@ def ones_count_dot(a01: BitVec, w: BitVec) -> int:
     Only positions with a set input bit contribute: +1 where the weight bit
     is set, -1 where it is clear.
     """
-    if a01.n != w.n:
-        raise ValueError(f"length mismatch: {a01.n} vs {w.n}")
     plus = (a01 & w).popcount()
     minus = (a01 & w.invert()).popcount()
     return plus - minus
 
 
-def node_forward_fpga(
-    in_bits: BitVec, node: ScmNode, act: Activation, pm1: bool = True
-) -> tuple[int, np.ndarray]:
-    """One node in the emulated pipeline: (forwarded bit, raw contributions).
-
-    dot -> left shift by the scale code -> promote to the 25-fraction scale
-    -> add the quantized bias -> strict threshold at zero. The contribution
-    per output is the raw readout (SIGN: beta or 0; STEP: beta or its two's
-    complement). `pm1` says whether the input bits stand for -1/+1
-    (XNOR-count) or for literal 0/1 (conditional count).
-    """
-    if in_bits.n != node.fan_in:
-        raise ValueError(f"input width {in_bits.n} != node fan-in {node.fan_in}")
-    if pm1:
-        dot = xnor_count(in_bits, node.w)
-    else:
-        dot = ones_count_dot(in_bits, node.w)
-    pre = ((dot << node.shift) << fx.FRAC_BITS) + node.bias_raw
-    bit = 1 if pre > 0 else 0
-    if act == Activation.SIGN:
-        contrib = node.beta_raw if bit else np.zeros_like(node.beta_raw)
-    else:
-        if bit:
-            contrib = node.beta_raw
-        else:
-            contrib = fx.fx_neg_array(node.beta_raw)
-    return bit, contrib
-
-
 def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
     """Emulated prediction for one encoded sample; returns raw Q7.25 per output.
 
-    The mechanism part and every node contribution accumulate in the wide
-    integer in a fixed order (layer-major, then node index), with a single
-    saturation at the end, so results are bit-reproducible.
+    The test oracle of predict_fpga_batch, on Python integers only. The wide
+    sums start at the raw intercepts and add each raw mechanism weight for a
+    set input bit or its fx_neg for a clear one. Then, node by node, the XNOR-
+    or AND-count dot is shifted by the scale code and promoted to the 25-bit
+    fraction, the raw bias is added, and the strict threshold gives the bit;
+    the node adds its raw readout for a set bit, and for a clear one nothing
+    (SIGN) or the readout's fx_neg (STEP). The sums saturate once, at the end.
     """
     if x_bits.n != model.d_enc:
         raise ValueError(f"input width {x_bits.n} != model width {model.d_enc}")
-    acc = [int(v) for v in mech_wide_fpga(x_bits.to01()[None, :], model.mechanism)[0]]
-    bits_in = x_bits
-    pm1 = True
+    mech = model.mechanism
+    acc = mech.intercepts_raw.tolist()
+    for i, weights in enumerate(mech.weights_raw.tolist()):
+        acc = [a + (w if x_bits.get(i) else fx.fx_neg(w)) for a, w in zip(acc, weights)]
+    bits_in, pm1 = x_bits, True
     for layer in model.layers:
+        step = layer.activation == Activation.STEP
         next_bits = 0
-        for i in range(len(layer)):
-            bit, contrib = node_forward_fpga(bits_in, layer.node(i), layer.activation, pm1)
+        for i, beta in enumerate(layer.beta_raw.tolist()):
+            dot = (xnor_count if pm1 else ones_count_dot)(bits_in, layer.w[i])
+            bit = (dot << int(layer.shift[i]) + fx.FRAC_BITS) + int(layer.bias_raw[i]) > 0
             next_bits |= bit << i
-            for q in range(model.n_outputs):
-                acc[q] += int(contrib[q])
-        bits_in = BitVec(len(layer), next_bits)
-        pm1 = layer.activation == Activation.STEP
+            if bit or step:
+                acc = [a + (b if bit else fx.fx_neg(b)) for a, b in zip(acc, beta)]
+        bits_in, pm1 = BitVec(len(layer), next_bits), step
     return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
 
 

@@ -75,7 +75,7 @@ def _soft_threshold(rho: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class LassoFit:
-    """Result of lasso_fit; it unpacks as (p, u).
+    """Result of lasso_fit: coefficients p and intercepts u.
 
     `sweeps` is the largest sweep count over the output columns, `converged`
     says every column met the tolerance within the sweep cap, and
@@ -91,18 +91,8 @@ class LassoFit:
     objective: float
     constant_columns: int
 
-    def __iter__(self):
-        return iter((self.p, self.u))
 
-
-def lasso_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    *,
-    tol: float = LASSO_TOL,
-    max_sweeps: int = LASSO_MAX_SWEEPS,
-) -> LassoFit:
+def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
     """Fit an L1-penalized linear model with per-output intercepts.
 
     Parameters
@@ -113,11 +103,11 @@ def lasso_fit(
 
     Returns
     -------
-    A LassoFit that unpacks as (p, u): u[i] is the mean of y[:, i] and p is
-    the (d, m) coefficient matrix fit on the mean-centered targets by cyclic
-    coordinate descent from the least-squares solution. A column has
-    converged when the largest coefficient change in a sweep is below `tol`;
-    it gives up after `max_sweeps` sweeps.
+    A LassoFit: u[i] is the mean of y[:, i] and p is the (d, m) coefficient
+    matrix fit on the mean-centered targets by cyclic coordinate descent from
+    the least-squares solution. A column has converged when the largest
+    coefficient change in a sweep is below LASSO_TOL; it gives up after
+    LASSO_MAX_SWEEPS sweeps.
     """
     x = _as_2d(x, "X")
     y = _as_2d(y, "Y")
@@ -142,7 +132,7 @@ def lasso_fit(
         coef = p[:, out]
         c_out = c[:, out].tolist()
         q = g @ coef
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, LASSO_MAX_SWEEPS + 1):
             max_delta = 0.0
             for k in range(d):
                 g_kk = diag[k]
@@ -155,7 +145,7 @@ def lasso_fit(
                     q += (new - old) * g[k]  # G is symmetric: row k is column k
                     coef[k] = new
                     max_delta = max(max_delta, abs(new - old))
-            if max_delta < tol:
+            if max_delta < LASSO_TOL:
                 break
         else:
             converged = False

@@ -5,7 +5,8 @@ by training and the reference ("PC") evaluation path, and raw Q7.25 integers
 used by the emulated datapath. The emulated evaluation adds the stored weight
 when the input bit is 1 and its two's complement when the bit is 0, then adds
 the intercept, all in the wide accumulator, saturating once at the end.
-mech_wide_fpga does this for a batch; mech_eval_fpga is its one-sample form.
+mech_wide_fpga does this for a batch, before the saturation; the emulator's
+scalar oracle, emulate.predict_fpga, runs the same sum on Python integers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec
+from .bits import BitMatrix
 from .linalg import LassoFit, lasso_fit
 
 SOURCE_LASSO = "lasso"
@@ -40,6 +41,8 @@ class MechanismModel:
             raise ValueError("output count mismatch between weights and intercepts")
         if self.weights_raw.shape != self.weights.shape:
             raise ValueError("quantized weights shape mismatch")
+        if (self.weights_raw.dtype, self.intercepts_raw.dtype) != (np.int32, np.int32):
+            raise ValueError("raw weights and intercepts must be int32, as in the model file")
         if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL):
             raise ValueError(f"unknown mechanism source {self.source!r}")
 
@@ -97,13 +100,6 @@ def external_mechanism(weights: np.ndarray, intercepts: np.ndarray) -> Mechanism
     return MechanismModel.from_real(weights, intercepts, SOURCE_EXTERNAL)
 
 
-def mech_eval_float(x_bits: BitVec, mech: MechanismModel) -> np.ndarray:
-    if x_bits.n != mech.d_enc:
-        raise ValueError(f"input width {x_bits.n} != mechanism width {mech.d_enc}")
-    s = x_bits.to_pm1().astype(np.float64)
-    return s @ mech.weights + mech.intercepts
-
-
 def mech_eval_float_batch(s: np.ndarray, mech: MechanismModel) -> np.ndarray:
     """Evaluate on an (N, d_enc) +-1 matrix; returns (N, m)."""
     if s.shape[1] != mech.d_enc:
@@ -119,13 +115,3 @@ def mech_wide_fpga(x01: np.ndarray, mech: MechanismModel) -> np.ndarray:
     """
     w = mech.weights_raw
     return fx.conditional_sum(x01, w, fx.fx_neg_array(w)) + mech.intercepts_raw
-
-
-def mech_eval_fpga(x_bits: BitVec, mech: MechanismModel) -> np.ndarray:
-    """Emulated evaluation of one sample; returns raw Q7.25 values, one per output.
-
-    The sum of mech_wide_fpga, saturated once at the end.
-    """
-    if x_bits.n != mech.d_enc:
-        raise ValueError(f"input width {x_bits.n} != mechanism width {mech.d_enc}")
-    return fx.saturate_array(mech_wide_fpga(x_bits.to01()[None, :], mech)[0])

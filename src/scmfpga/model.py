@@ -3,10 +3,11 @@
 A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
 arrays of scale codes, raw biases and readouts. Training and the model file
-build those arrays, and every batch path reads them as they are. ScmNode, one
-node's scalars, serves only the per-sample oracles (ScmLayer.node(i)) and
-hand-built layers. A node's bit depends on its raw bias only: training and the
-reference path both take it from threshold_bits, the emulator's integer test.
+build those arrays, and every batch path reads them as they are, as does the
+emulator's scalar oracle. ScmNode, one node's scalars, serves only
+node_output_float (ScmLayer.node(i)) and hand-built layers. A node's bit
+depends on its raw bias only: training and the reference path both take it
+from threshold_bits, the emulator's integer test.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -62,10 +63,6 @@ class ScmNode:
             raise ValueError(f"bias {self.bias!r} is not bias_raw / 2**25")
 
     @property
-    def fan_in(self) -> int:
-        return self.w.n
-
-    @property
     def lam(self) -> int:
         return 1 << self.shift
 
@@ -80,8 +77,8 @@ class ScmLayer:
     beta, beta_raw: (K, m) float64 readouts and their raw Q7.25 int32 values
 
     ScmLayer(activation, nodes) packs a list of ScmNodes; from_arrays takes
-    the arrays as they are. len() is K, and node(i) is node i as an ScmNode,
-    the input of the scalar oracles.
+    the arrays as they are, and refuses any the model file cannot hold. len()
+    is K, and node(i) is node i as an ScmNode, the input of node_output_float.
     """
 
     def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
@@ -95,7 +92,16 @@ class ScmLayer:
 
     @classmethod
     def from_arrays(cls, activation, w, shift, bias_raw, beta, beta_raw) -> "ScmLayer":
-        """A layer holding these arrays, not copies; dtypes as in the class docstring."""
+        """A layer holding these arrays, not copies; ValueError for any the model
+        file cannot hold (dtypes and shapes as in the class docstring, codes 0..7)."""
+        k = len(w)
+        dtypes = [getattr(a, "dtype", None) for a in (shift, bias_raw, beta_raw)]
+        if dtypes != [np.uint8, np.int32, np.int32]:
+            raise ValueError("shift, bias_raw and beta_raw must be uint8, int32 and int32 arrays")
+        if (shift.shape, bias_raw.shape, beta_raw.shape[:-1]) != ((k,), (k,), (k,)):
+            raise ValueError(f"shift and bias_raw must be ({k},) arrays and beta_raw ({k}, m)")
+        if np.any(shift > 7):
+            raise ValueError("scale code above 7")
         layer = cls(activation)
         layer.w, layer.shift, layer.bias_raw = w, shift, bias_raw
         layer.beta, layer.beta_raw = beta, beta_raw
@@ -236,13 +242,6 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     return out
 
 
-def predict_float(model: ScmModel, x_bits: BitVec) -> np.ndarray:
-    """Reference full-precision prediction for one encoded sample."""
-    if x_bits.n != model.d_enc:
-        raise ValueError(f"input width {x_bits.n} != model width {model.d_enc}")
-    return predict_float_batch(model, BitMatrix.from_rows([x_bits]))[0]
-
-
 def node_output_float(
     in_bits: BitVec, node: ScmNode, act: Activation, pm1: bool = True
 ) -> tuple[int, float]:
@@ -251,8 +250,8 @@ def node_output_float(
     `pm1` says whether the input bits stand for -1/+1 (the encoded inputs
     and a STEP layer's bits) or for literal 0/1 (a SIGN layer's).
     """
-    if in_bits.n != node.fan_in:
-        raise ValueError(f"input width {in_bits.n} != node fan-in {node.fan_in}")
+    if in_bits.n != node.w.n:
+        raise ValueError(f"input width {in_bits.n} != node fan-in {node.w.n}")
     s = in_bits.to_pm1() if pm1 else in_bits.to01()
     dot = float(node.w.to_pm1().astype(np.float64) @ s.astype(np.float64))
     pre = node.lam * dot + node.bias

@@ -127,8 +127,6 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
     try:
         built = []
         for act, w, shift, bias, beta in layers:
-            if np.any(shift > 7):
-                raise ValueError("scale code above 7")
             # a bias is its raw value exactly (the layer keeps only bias_raw)
             if any(f is not None and not np.array_equal(f, fx.dequantize_array(r))
                    for f, r in bias):

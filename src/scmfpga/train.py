@@ -86,10 +86,8 @@ class TrainConfig:
     def __post_init__(self):
         if len(self.layer_sizes) != len(self.activations):
             raise ValueError("need one activation per layer")
-        if any(s < 0 for s in self.layer_sizes):
-            raise ValueError("layer sizes must be non-negative")
-        if any(s == 0 for s in self.layer_sizes) and any(self.layer_sizes):
-            raise ValueError("zero-node layers are only allowed as an all-zero config")
+        if any(s < 1 for s in self.layer_sizes):
+            raise ValueError("layer sizes must be >= 1; a mechanism-only model has no layers")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if not self.r_schedule:
@@ -559,10 +557,8 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     fit hits its sweep cap, and when a target or a fitted intercept lies
     outside [-64, 64), where the emulated outputs saturate.
     """
-    sizes = [s for s in cfg.layer_sizes if s > 0]
-    acts = [a for s, a in zip(cfg.layer_sizes, cfg.activations) if s > 0]
-    if sizes:  # candidate scoring is exact at these sizes
-        for fan_in in [data.bits_train.n, *sizes[:-1]]:
+    if cfg.layer_sizes:  # candidate scoring is exact at these sizes
+        for fan_in in [data.bits_train.n, *cfg.layer_sizes[:-1]]:
             check_fan_in(fan_in)
         limb_layout(len(data.bits_train))
     rng = np.random.default_rng(cfg.seed)
@@ -587,7 +583,7 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             stacklevel=2,
         )
 
-    for layer, (size, act) in enumerate(zip(sizes, acts), start=1):
+    for layer, (size, act) in enumerate(zip(cfg.layer_sizes, cfg.activations), start=1):
         state.begin_layer(act)
         val_hist: list[float] = []
         for j in range(size):

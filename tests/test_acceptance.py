@@ -325,7 +325,7 @@ def test_criterion_10_solver_oracles():
 
     x = rng.choice([-1.0, 1.0], size=(60, 8))
     y = rng.normal(size=(60, 2))
-    p, u = s.lasso_fit(x, y, alpha=0.0)
+    p = s.lasso_fit(x, y, alpha=0.0).p
     ols = s.least_squares(x, y - y.mean(axis=0))
     ok &= float(np.max(np.abs(p - ols))) < 1e-6
 

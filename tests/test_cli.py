@@ -110,6 +110,38 @@ def test_train_layers_flag(tmp_path, db1_files):
     assert len(model.layer_sizes) <= 2 and model.layer_sizes[0] == 8
 
 
+@pytest.mark.parametrize("layers", ["0", "0,0", "4,0"])
+def test_train_refuses_a_layer_of_zero_nodes(tmp_path, capsys, monkeypatch, db1_files, layers):
+    # a mechanism-only model is --nodes 0
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "m.scm"
+    code = run("train", str(data), "--out", str(out), "--layers", layers, "--act", "step")
+    assert code == 2 and not out.exists()
+    assert ">= 1" in capsys.readouterr().err
+
+
+def _no_training(*args):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("flag,bad", [("--out", "missing/file"), ("--log", "missing/file"),
+                                      ("--out", "a-directory")])
+def test_train_checks_its_output_paths_before_training(tmp_path, capsys, monkeypatch,
+                                                       db1_files, flag, bad):
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    (tmp_path / "a-directory").mkdir()
+    paths = {"--out": tmp_path / "m.scm", "--log": tmp_path / "log"}
+    paths[flag] = tmp_path / bad
+    code = run("train", str(data), "--out", str(paths["--out"]), "--log", str(paths["--log"]),
+               "--nodes", "2", "--t-max", "20")
+    assert code == 3
+    assert str(paths[flag]) in capsys.readouterr().err
+    # the other file is not created early
+    assert not any(p.exists() for f, p in paths.items() if f != flag)
+
+
 def test_eval_both_modes(capsys, db1_files, tmp_path):
     _, data, model = db1_files
     out_csv = tmp_path / "outputs.csv"

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scmfpga import emulate
+from scmfpga import emulate, mechanism
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.emulate import (
     BLOCK_ROWS,
     cycle_estimate,
     memory_report,
-    node_forward_fpga,
     ones_count_dot,
     predict_fpga,
     predict_fpga_batch,
@@ -17,14 +16,13 @@ from scmfpga.emulate import (
 )
 from scmfpga.encoding import parse_encoding
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.mechanism import MechanismModel, external_mechanism, mech_eval_fpga, signals_pm1
+from scmfpga.mechanism import MechanismModel, external_mechanism, mech_wide_fpga, signals_pm1
 from scmfpga.model import (
     Activation,
     ScmLayer,
     ScmModel,
     ScmNode,
     layer_forward_float,
-    predict_float,
     predict_float_batch,
     quantization_bound,
 )
@@ -98,10 +96,30 @@ def _node(w_pm1, shift=0, bias=0.0, beta=(1.0,)):
     )
 
 
+def _one_node(in_bits, node, act, pm1=True):
+    """(bit, raw contribution) of one node on in_bits, through predict_fpga.
+
+    The model's mechanism weights and intercepts are zero, so its output is
+    the node's contribution, which tells its bit (the readouts are nonzero).
+    For pm1=False, a SIGN layer forwards in_bits as literal 0/1: its nodes
+    have zero readouts and biases far past their one-input dots.
+    """
+    m = len(node.beta_raw)
+    layers = [ScmLayer(act, [node])]
+    if not pm1:
+        forced = [_node([1], bias=2.0 if b else -2.0, beta=[0.0] * m) for b in in_bits.to01()]
+        layers.insert(0, ScmLayer(Activation.SIGN, forced))
+        in_bits = BitVec.from01([1])
+    mech = external_mechanism(np.zeros((in_bits.n, m)), np.zeros(m))
+    model = ScmModel(parse_encoding(f"density:{in_bits.n}"), mech, layers, m)
+    contrib = predict_fpga(model, in_bits)
+    return int(np.array_equal(contrib, node.beta_raw)), contrib
+
+
 def test_node_forward_shift_semantics():
     # dot = 2, shift 3 -> pre is 16.0 at wide scale, bit set
     node = _node([1, 1, 1, 1], shift=3)
-    bit, contrib = node_forward_fpga(BitVec.from_pm1([1, 1, 1, -1]), node, Activation.STEP)
+    bit, contrib = _one_node(BitVec.from_pm1([1, 1, 1, -1]), node, Activation.STEP)
     assert bit == 1
     assert contrib[0] == fx.fx_from_real(1.0)
 
@@ -114,20 +132,20 @@ def test_node_forward_pre_is_exact_wide_value():
     at_zero = _node([1, 1, 1, 1], shift=3, bias=-16.0)
     just_over = _node([1, 1, 1, 1], shift=3, bias=-16.0 + eps)
     x = BitVec.from_pm1([1, 1, 1, -1])
-    assert node_forward_fpga(x, at_zero, Activation.STEP)[0] == 0
-    assert node_forward_fpga(x, just_over, Activation.STEP)[0] == 1
+    assert _one_node(x, at_zero, Activation.STEP)[0] == 0
+    assert _one_node(x, just_over, Activation.STEP)[0] == 1
 
 
 def test_node_forward_zero_pre_gives_zero_bit():
     node = _node([1, 1], shift=0, bias=0.0)
-    bit, contrib = node_forward_fpga(BitVec.from_pm1([1, -1]), node, Activation.STEP)
+    bit, contrib = _one_node(BitVec.from_pm1([1, -1]), node, Activation.STEP)
     assert bit == 0
     assert contrib[0] == -fx.fx_from_real(1.0)  # two's complement of beta
 
 
 def test_node_forward_sign_gates_contribution():
     node = _node([1, 1], shift=0, bias=-10.0, beta=(0.5,))
-    bit, contrib = node_forward_fpga(BitVec.from_pm1([1, 1]), node, Activation.SIGN)
+    bit, contrib = _one_node(BitVec.from_pm1([1, 1]), node, Activation.SIGN)
     assert bit == 0
     assert contrib[0] == 0
 
@@ -135,10 +153,10 @@ def test_node_forward_sign_gates_contribution():
 def test_node_forward_conditional_domain():
     node = _node([-1, 1, -1, 1], bias=1.5)
     # {0,1} input (1,0,1,1): dot -1, pre = -1 + 1.5 > 0
-    bit, _ = node_forward_fpga(
-        BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN, pm1=False
-    )
+    bit, _ = _one_node(BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN, pm1=False)
     assert bit == 1
+    # read as -1/+1 instead, the same bits give dot -2 and pre -0.5
+    assert _one_node(BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN)[0] == 0
 
 
 # -- whole-model emulation ----------------------------------------------------
@@ -150,7 +168,8 @@ def test_mechanism_only_model_matches_mech_eval():
     model = ScmModel(parse_encoding("density:10"), mech, [], 2)
     for _ in range(20):
         b = BitVec.from01(rng.integers(0, 2, size=10))
-        assert np.array_equal(predict_fpga(model, b), mech_eval_fpga(b, mech))
+        wide = mech_wide_fpga(b.to01()[None, :], mech)
+        assert np.array_equal(predict_fpga(model, b), fx.saturate_array(wide)[0])
 
 
 def _deep_model(acts, d_enc=12, sizes=(4, 3), seed=0, m=2):
@@ -190,13 +209,11 @@ def _deep_model(acts, d_enc=12, sizes=(4, 3), seed=0, m=2):
     ],
 )
 def test_emulated_bits_match_float_path(acts):
-    from scmfpga.model import predict_float
-
     model = _deep_model(acts)
     rng = np.random.default_rng(3)
     for _ in range(100):
         b = BitVec.from01(rng.integers(0, 2, size=model.d_enc))
-        f = predict_float(model, b)
+        f = predict_float_batch(model, BitMatrix.from_rows([b]))[0]
         g = fx.dequantize_array(predict_fpga(model, b))
         # biases sit on the grid, so only readout rounding separates the paths
         assert np.max(np.abs(f - g)) <= (model.total_nodes + model.d_enc + 3) * fx.RESOLUTION
@@ -312,7 +329,7 @@ def test_reference_batch_matches_one_row_at_a_time_past_a_block(model, seed):
     out = predict_float_batch(model, bits)
     assert out.shape == (BLOCK_ROWS + 1, model.n_outputs)
     for i in range(len(bits)):
-        assert np.array_equal(out[i], predict_float(model, bits[i]))
+        assert np.array_equal(out[i], predict_float_batch(model, bits[i : i + 1])[0])
 
 
 @settings(max_examples=30)
@@ -322,12 +339,13 @@ def test_mech_eval_fpga_matches_integer_loop(d_enc, m, seed):
     model = _random_model(rng, d_enc, (), (), m, extreme=0.5)
     mech = model.mechanism
     x = BitVec.from01(rng.integers(0, 2, size=d_enc))
+    wide = mech_wide_fpga(x.to01()[None, :], mech)
     for q in range(m):
         acc = int(mech.intercepts_raw[q])
         for i in range(d_enc):
             w = int(mech.weights_raw[i, q])
             acc += w if x.get(i) else fx.fx_neg(w)
-        assert mech_eval_fpga(x, mech)[q] == fx.saturate_to_fx(acc)
+        assert wide[0, q] == acc
 
 
 @settings(max_examples=60)
@@ -354,8 +372,27 @@ def test_batch_does_not_call_the_scalar_emulator(monkeypatch):
         raise AssertionError("predict_fpga called from the batch path")
 
     monkeypatch.setattr(emulate, "predict_fpga", forbidden)
-    monkeypatch.setattr(emulate, "node_forward_fpga", forbidden)
     assert np.array_equal(predict_fpga_batch(model, rows), expected)
+
+
+def test_the_scalar_emulator_calls_no_batch_kernel(monkeypatch):
+    # a deep STEP/SIGN mix with a mechanism and Q7.25 extremes, so every
+    # kernel the batch path uses is on the way
+    rng = np.random.default_rng(6)
+    acts = (Activation.STEP, Activation.SIGN, Activation.STEP, Activation.SIGN)
+    model = _random_model(rng, 70, acts, (9, 7, 5, 3), 2, extreme=0.2)
+    rows = BitMatrix.from01(rng.integers(0, 2, size=(40, model.d_enc)))
+    expected = predict_fpga_batch(model, rows)
+
+    def forbidden(*args):
+        raise AssertionError("a batch kernel called from predict_fpga")
+
+    for module, name in [(mechanism, "mech_wide_fpga"), (emulate, "mech_wide_fpga"),
+                         (fx, "conditional_sum"), (fx, "fx_neg_array"),
+                         (fx, "saturate_array"), (emulate, "_layer_bits")]:
+        monkeypatch.setattr(module, name, forbidden)
+    for i, row in enumerate(rows):
+        assert np.array_equal(predict_fpga(model, row), expected[i])
 
 
 def test_batch_rejects_wrong_width():

@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and every public function has a caller.
 
-No linter ships with the package's toolchain, so this stands in for the
-unused-import check: each src/scmfpga/*.py but __init__.py (which imports to
-re-export) is parsed with ast, and an imported name that no expression of the
-module reads fails the test.
+No linter ships with the package's toolchain, so this stands in for two
+checks. Each src/scmfpga/*.py but __init__.py (which imports to re-export) is
+parsed with ast. An imported name that no expression of the module reads
+fails the first check. A public top-level function or class fails the second
+unless another package module, bench/ or demos/ references it, its own module
+references it outside its own body, or it is a test oracle on ORACLES.
 """
 
 import ast
@@ -11,8 +13,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scmfpga"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "scmfpga"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+
+# public names that only the tests call, each kept as an oracle or as the
+# paper's one-value form of a batch function
+ORACLES = {
+    "xi_score": "scalar oracle of add_node's candidate scores",
+    "node_output_float": "scalar oracle of the reference path's node bits",
+    "fx_from_real": "one-value form of quantize_array, the oracle of its rounding",
+    "decimal_digit": "the paper's digit rule on one value, the oracle of the array digits",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +52,59 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names that tree reads, as a name, an attribute or an import, outside skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def uncalled(source: str, elsewhere: set[str]) -> list[str]:
+    """Public top-level functions and classes of source that nothing references.
+
+    elsewhere holds the names that the other modules and scripts reference.
+    """
+    tree = ast.parse(source)
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in elsewhere and node.name not in referenced(tree, skip=node)
+    ]
+
+
+def test_the_check_finds_an_uncalled_function():
+    source = ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else used()\n"
+              "def _private():\n    pass\n"
+              "class Called:\n    pass\n"
+              "def external():\n    pass\n"
+              "X = Called()\n")
+    assert uncalled(source, {"external"}) == ["recursive"]
+
+
+def test_every_public_function_has_a_caller():
+    trees = {p: ast.parse(p.read_text()) for p in [*MODULES, *SCRIPTS]}
+    flagged = []
+    for path in MODULES:
+        elsewhere = set().union(*(referenced(tree) for p, tree in trees.items() if p != path))
+        flagged += [name for name in uncalled(path.read_text(), elsewhere) if name not in ORACLES]
+    assert flagged == []
+
+
+def test_every_oracle_is_a_public_name_of_the_package():
+    defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ORACLES) <= defined

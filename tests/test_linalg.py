@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scmfpga import linalg
 from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.linalg import LASSO_MAX_SWEEPS, lasso_fit, lasso_objective, least_squares
 from scmfpga.mechanism import signals_pm1
@@ -62,7 +63,8 @@ def test_lasso_zero_penalty_is_ols():
     rng = np.random.default_rng(11)
     x = rng.choice([-1.0, 1.0], size=(40, 6))
     y = rng.normal(size=(40, 2))
-    p, u = lasso_fit(x, y, alpha=0.0)
+    fit = lasso_fit(x, y, alpha=0.0)
+    p, u = fit.p, fit.u
     yc = y - y.mean(axis=0)
     ols = least_squares(x, yc)
     assert np.allclose(u, y.mean(axis=0), atol=1e-12)
@@ -78,7 +80,7 @@ def test_lasso_soft_threshold_closed_form():
     y = (y - y.mean()) / y.std()
     rho = float(x @ y) / n  # correlation of the standardized pair
     for alpha in (0.0, 1.0, 10.0, 2 * n * abs(rho), 4 * n * abs(rho)):
-        p, _ = lasso_fit(x[:, None], y[:, None], alpha)
+        p = lasso_fit(x[:, None], y[:, None], alpha).p
         # unnormalized objective: threshold is alpha / (2 * sum x^2)
         expected = np.sign(rho) * max(abs(rho) - alpha / (2 * n), 0.0)
         assert abs(p[0, 0] - expected) < 1e-9
@@ -91,8 +93,9 @@ def test_lasso_duplicate_columns_brute_force():
     x = np.column_stack([c, c])
     y = rng.normal(loc=0.4, size=(n, 1))
     alpha = 0.5
-    p, u = lasso_fit(x, y, alpha)
-    single, _ = lasso_fit(c[:, None], y, alpha)
+    fit = lasso_fit(x, y, alpha)
+    p, u = fit.p, fit.u
+    single = lasso_fit(c[:, None], y, alpha).p
     # cyclic order puts all the weight on the first column
     assert abs(p[:, 0].sum() - single[0, 0]) < 1e-9
     assert p[1, 0] == 0.0
@@ -112,7 +115,8 @@ def test_lasso_objective_not_worse_than_baselines():
     x = rng.choice([-1.0, 1.0], size=(30, 5))
     y = rng.normal(size=(30, 1))
     alpha = 0.7
-    p, u = lasso_fit(x, y, alpha)
+    fit = lasso_fit(x, y, alpha)
+    p, u = fit.p, fit.u
     yc = y - u
     ols = least_squares(x, yc)
     obj = lasso_objective(x, yc, p, alpha)
@@ -135,7 +139,8 @@ def test_lasso_large_alpha_kills_coefficients():
     rng = np.random.default_rng(17)
     x = rng.choice([-1.0, 1.0], size=(25, 4))
     y = rng.normal(size=(25, 1))
-    p, u = lasso_fit(x, y, alpha=1e6)
+    fit = lasso_fit(x, y, alpha=1e6)
+    p, u = fit.p, fit.u
     assert np.all(p == 0.0)
     assert np.allclose(u, y.mean(axis=0))
 
@@ -196,16 +201,16 @@ def test_lasso_warm_start_objective_not_above_cold_start(alpha):
         assert fit.objective <= cold + 1e-9 * abs(cold), name
 
 
-def test_lasso_reports_the_sweep_cap():
+def test_lasso_reports_the_sweep_cap(monkeypatch):
     x = np.column_stack([np.ones(20), np.tile([1.0, -1.0], 10)])
     x = np.column_stack([x, x[:, 1]])  # collinear, so one sweep does not settle
     y = np.linspace(-1.0, 1.0, 20)[:, None] + x[:, 1:2]
-    capped = lasso_fit(x, y, alpha=0.1, max_sweeps=1)
-    assert (capped.sweeps, capped.converged) == (1, False)
     full = lasso_fit(x, y, alpha=0.1)
     assert full.converged and 1 < full.sweeps < LASSO_MAX_SWEEPS
-    p, u = full
-    assert p is full.p and u is full.u
+    # the cap is read at call time
+    monkeypatch.setattr(linalg, "LASSO_MAX_SWEEPS", 1)
+    capped = lasso_fit(x, y, alpha=0.1)
+    assert (capped.sweeps, capped.converged) == (1, False)
 
 
 def test_lasso_converges_on_a_wide_collinear_design():

@@ -7,10 +7,20 @@ from scmfpga.mechanism import (
     MechanismModel,
     external_mechanism,
     fit_mechanism,
-    mech_eval_float,
-    mech_eval_fpga,
+    mech_eval_float_batch,
+    mech_wide_fpga,
     signals_pm1,
 )
+
+
+def mech_eval_float(x_bits, mech):
+    """The reference mechanism output of one encoded row."""
+    return mech_eval_float_batch(signals_pm1(BitMatrix.from_rows([x_bits])), mech)[0]
+
+
+def mech_eval_fpga(x_bits, mech):
+    """The emulated mechanism output of one encoded row: the wide sum, saturated."""
+    return fx.saturate_array(mech_wide_fpga(x_bits.to01()[None, :], mech))[0]
 
 
 def _random_bits(rng, n, width):
@@ -152,3 +162,12 @@ def test_length_mismatch():
         mech_eval_float(BitVec(2), mech)
     with pytest.raises(ValueError):
         mech_eval_fpga(BitVec(5), mech)
+
+
+def test_raw_values_must_be_int32():
+    # the model file holds them as int32, where 2**31 would read back as -2**31
+    p = np.array([[0.5]])
+    for w_raw, u_raw in [(np.array([[2**31]]), np.zeros(1, np.int32)),
+                         (np.array([[0]], np.int32), np.zeros(1))]:
+        with pytest.raises(ValueError, match="int32"):
+            MechanismModel(p, np.zeros(1), w_raw, u_raw)

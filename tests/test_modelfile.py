@@ -19,7 +19,7 @@ from scmfpga.model import (
     ScmModel,
     ScmNode,
     layer_forward_float,
-    predict_float,
+    predict_float_batch,
     quantization_bound,
 )
 from scmfpga.modelfile import (
@@ -71,10 +71,8 @@ def test_file_roundtrip(tmp_path):
     save_model(model, p)
     back = load_model(p)
     assert model_to_bytes(back) == p.read_bytes()
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        b = BitVec.from01(rng.integers(0, 2, size=model.d_enc))
-        assert np.array_equal(predict_float(model, b), predict_float(back, b))
+    bits = BitMatrix.from01(np.random.default_rng(2).integers(0, 2, size=(10, model.d_enc)))
+    assert np.array_equal(predict_float_batch(model, bits), predict_float_batch(back, bits))
 
 
 def test_roundtrip_without_sidecar():
@@ -131,7 +129,7 @@ def test_bad_shift_code_rejected():
     pos = _first_layer_pos(model) + 9  # past the layer header
     pos += len(model.layers[0]) * 8  # one 64-bit word per 10-bit weight row
     blob[pos] = 9
-    with pytest.raises(ModelFormatError, match="scale code"):
+    with pytest.raises(ModelFormatError, match="inconsistent model file: scale code above 7"):
         model_from_bytes(_with_crc(blob[:-4]))
 
 
@@ -201,7 +199,7 @@ def test_json_floats_only_mechanism():
     model = model_from_json(text)
     assert model.mechanism.source == "external"
     assert model.mechanism.weights_raw[0, 0] == fx.fx_from_real(0.5)
-    out = predict_float(model, BitVec.from01([1, 1, 1]))
+    out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from01([1, 1, 1])]))[0]
     assert np.allclose(out, [0.5 - 0.25 + 0.125 + 1.0])
 
 
@@ -257,6 +255,41 @@ def test_a_layer_keeps_only_raw_biases():
     assert layer.bias[0] == fx.fx_to_real(int(layer.bias_raw[0]))
     with pytest.raises(AttributeError):
         layer.bias = np.zeros(len(layer))
+
+
+def _from_arrays(**change):
+    """ScmLayer.from_arrays on a valid layer's arrays, with some of them replaced."""
+    layer = _model().layers[0]
+    args = dict(activation=layer.activation, w=layer.w, shift=layer.shift,
+                bias_raw=layer.bias_raw, beta=layer.beta, beta_raw=layer.beta_raw)
+    return ScmLayer.from_arrays(**{**args, **change})
+
+
+def test_a_layer_refuses_a_scale_code_above_7():
+    # the reader refuses the file as "inconsistent model file: scale code above 7"
+    assert _from_arrays(shift=np.array([7, 0, 1], np.uint8)).shift.max() == 7
+    with pytest.raises(ValueError, match="scale code above 7"):
+        _from_arrays(shift=np.array([8, 0, 1], np.uint8))
+
+
+def test_a_layer_refuses_scale_codes_of_more_than_one_byte():
+    # int64 codes would be written 8 bytes each, and the reader find trailing bytes
+    with pytest.raises(ValueError, match="must be uint8"):
+        _from_arrays(shift=np.array([1, 0, 1], np.int64))
+    with pytest.raises(ValueError, match=r"must be \(3,\) arrays"):
+        _from_arrays(shift=np.array([1, 0], np.uint8))
+
+
+def test_a_layer_refuses_raw_values_that_are_not_int32():
+    # an int64 bias of 2**31 would be refused on load, or wrap to -2**31
+    with pytest.raises(ValueError, match="uint8, int32 and int32"):
+        _from_arrays(bias_raw=np.array([2**31, 0, 0], np.int64))
+    with pytest.raises(ValueError, match="uint8, int32 and int32"):
+        _from_arrays(beta_raw=np.zeros((3, 2), np.int64))
+    for bias_raw, beta_raw in [(np.zeros(2, np.int32), np.zeros((3, 2), np.int32)),
+                               (np.zeros(3, np.int32), np.zeros(3, np.int32))]:
+        with pytest.raises(ValueError, match=r"\(3,\) arrays and beta_raw \(3, m\)"):
+            _from_arrays(bias_raw=bias_raw, beta_raw=beta_raw)
 
 
 def _one_node_json(node: dict, mechanism: dict | None = None) -> str:

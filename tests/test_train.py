@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scmfpga.linalg
-import scmfpga.mechanism
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.datasets import gen_db2, split
 from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.errors import TrainingFailedError
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.linalg import lasso_fit, least_squares
+from scmfpga.linalg import least_squares
 from scmfpga.mechanism import external_mechanism, signals_pm1
 from scmfpga.model import (
     Activation,
@@ -29,7 +28,6 @@ from scmfpga.model import (
     activation_values,
     check_fan_in,
     node_output_float,
-    predict_float,
     predict_float_batch,
     quantization_bound,
     threshold_bits,
@@ -848,10 +846,7 @@ def test_train_deep_model_and_log():
 def test_train_reports_an_l1_fit_at_its_sweep_cap(monkeypatch):
     data = _toy_data(seed=10, spec="s2v1")
 
-    def capped(x, y, alpha):
-        return lasso_fit(x, y, alpha, max_sweeps=1)
-
-    monkeypatch.setattr(scmfpga.mechanism, "lasso_fit", capped)
+    monkeypatch.setattr(scmfpga.linalg, "LASSO_MAX_SWEEPS", 1)
     cfg = TrainConfig.single_layer(0, seed=10)
     with pytest.warns(UserWarning, match="sweep cap"):
         result = train(data, cfg)
@@ -940,7 +935,7 @@ def test_train_quantization_delta_bound():
     width = model.d_enc
     for _ in range(200):
         b = BitVec.from01(rng.integers(0, 2, size=width))
-        f = predict_float(model, b)
+        f = predict_float_batch(model, BitMatrix.from_rows([b]))[0]
         g = fx.dequantize_array(predict_fpga(model, b))
         assert np.max(np.abs(f - g)) <= bound
 
@@ -1001,7 +996,8 @@ def test_predict_float_matches_straight_line_oracle():
     rng = np.random.default_rng(1)
     for _ in range(50):
         b = BitVec.from01(rng.integers(0, 2, size=model.d_enc))
-        assert np.max(np.abs(predict_float(model, b) - _straight_line_eval(model, b))) < 1e-12
+        f = predict_float_batch(model, BitMatrix.from_rows([b]))[0]
+        assert np.max(np.abs(f - _straight_line_eval(model, b))) < 1e-12
 
 
 def test_predict_float_single_node_adds_beta():
@@ -1017,14 +1013,15 @@ def test_predict_float_single_node_adds_beta():
     model = ScmModel(
         parse_encoding("density:2"), mech, [ScmLayer(Activation.STEP, [node])], 1
     )
-    out = predict_float(model, BitVec.from_pm1([1, 1]))  # pre = 2.5 > 0 -> h = 1
+    out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from_pm1([1, 1])]))
+    assert out.shape == (1, 1)  # pre = 2.5 > 0 -> h = 1
     assert np.allclose(out, [1.25])
 
 
 def test_predict_width_check():
     model = _tiny_model()
     with pytest.raises(ValueError):
-        predict_float(model, BitVec(4))
+        predict_float_batch(model, BitMatrix.from_rows([BitVec(4)]))
 
 
 # -- config validation ------------------------------------------------------
@@ -1039,6 +1036,10 @@ def test_config_validation():
         TrainConfig((5,), (Activation.STEP,), lambda_pool=(3,))
     with pytest.raises(ValueError):
         TrainConfig((5, 0, 5), (Activation.STEP,) * 3)
+    # no layer may be empty: a mechanism-only model is layer_sizes=()
+    for sizes in [(0,), (0, 0), (-1,)]:
+        with pytest.raises(ValueError, match=">= 1"):
+            TrainConfig(sizes, (Activation.STEP, Activation.SIGN)[: len(sizes)])
     with pytest.raises(ValueError):
         TrainConfig((5,), ())
     assert TrainConfig.single_layer(0).layer_sizes == ()
