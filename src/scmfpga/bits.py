@@ -15,8 +15,7 @@ bit 1 means +1. There are two packed forms:
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
   Only the scalar test oracles of the batch paths take BitVecs: predict_fpga
   (which indexes a layer's weight rows for xnor_count and ones_count_dot) and
-  node_output_float (which takes the ScmNode of ScmLayer.node(i)). Training
-  does not build any.
+  node_output_float (which takes an ScmNode). Training does not build any.
 """
 
 from __future__ import annotations

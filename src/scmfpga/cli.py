@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -31,6 +32,21 @@ from .modelfile import (
 from .train import TrainConfig, prepare_train_data, train
 
 DEFAULT_CLOCK_HZ = 100e6
+# train options named after TrainConfig fields, whose defaults TrainConfig states
+CONFIG_OPTIONS = ("t_max", "r_schedule", "lambda_pool", "l_step", "tau", "alpha", "seed")
+
+
+def _option_type(default):
+    """The argparse type of an option with this default; a tuple's takes comma-separated values."""
+    if not isinstance(default, tuple):
+        return type(default)
+    kind = type(default[0])
+
+    def values(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
+
+    values.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in errors
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,14 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--layers", default=None, help="comma-separated node counts")
     t.add_argument("--act", default="step",
                    help="activation per layer (sign/step, comma-separated or one for all)")
-    t.add_argument("--t-max", type=int, default=500)
-    t.add_argument("--r-schedule", default="0.9,0.99,0.999,0.9999")
-    t.add_argument("--lambda-pool", default="1,2,4,8,16,32,64,128")
-    t.add_argument("--l-step", type=int, default=20)
-    t.add_argument("--tau", type=float, default=0.0)
-    t.add_argument("--alpha", type=float, default=1e-4)
+    for f in dataclasses.fields(TrainConfig):
+        if f.name in CONFIG_OPTIONS:
+            t.add_argument("--" + f.name.replace("_", "-"), type=_option_type(f.default),
+                           default=f.default)
     t.add_argument("--val-fraction", type=float, default=0.2)
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--no-mechanism", action="store_true")
     t.add_argument("--no-floats", action="store_true",
                    help="omit the float sidecar from the model file")
@@ -147,18 +160,8 @@ def cmd_train(args) -> int:
     ds = split(ds, args.val_fraction, args.seed)
     spec = parse_encoding(args.encoding)
     sizes, acts = _parse_layer_args(args)
-    cfg = TrainConfig(
-        layer_sizes=sizes,
-        activations=acts,
-        t_max=args.t_max,
-        r_schedule=tuple(float(r) for r in args.r_schedule.split(",")),
-        lambda_pool=tuple(int(v) for v in args.lambda_pool.split(",")),
-        l_step=args.l_step,
-        tau=args.tau,
-        alpha=args.alpha,
-        use_mechanism=not args.no_mechanism,
-        seed=args.seed,
-    )
+    cfg = TrainConfig(layer_sizes=sizes, activations=acts, use_mechanism=not args.no_mechanism,
+                      **{name: getattr(args, name) for name in CONFIG_OPTIONS})
     data = prepare_train_data(
         ds.x_norm(ds.train_idx),
         ds.y[ds.train_idx],

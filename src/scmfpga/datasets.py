@@ -1,17 +1,17 @@
 """Benchmark dataset generation, CSV ingestion, normalization, and splits.
 
-A Dataset keeps features in their original units together with per-feature
-min/max recorded from the non-test rows; consumers ask for the normalized
+A Dataset keeps features in their original units and computes their
+per-feature min/max from its non-test rows; consumers ask for the normalized
 view. On disk a dataset is a plain CSV (header row, rows ordered
-train/val/test) plus a key=value manifest holding the counts, the seed, and
-the normalization parameters, so a write/load round trip is exact.
+train/val/test) plus a key=value manifest of the counts, the name and the
+seed; the CSV's repr-exact values make a write/load round trip exact.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,6 @@ class Dataset:
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    feature_min: np.ndarray  # (d,) from non-test rows
-    feature_max: np.ndarray
     feature_names: list[str] = field(default_factory=list)
     target_names: list[str] = field(default_factory=list)
     name: str = ""
@@ -49,6 +47,17 @@ class Dataset:
     def n_targets(self) -> int:
         return self.y.shape[1]
 
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-feature (min, max) of the train and validation rows (all rows if none),
+        computed on first use: split's replace reruns __post_init__."""
+        fit = np.concatenate([self.train_idx, self.val_idx])
+        rows = self.x[fit] if fit.size else self.x
+        return rows.min(axis=0), rows.max(axis=0)
+
+    feature_min = property(lambda self: self._bounds[0])  # (d,)
+    feature_max = property(lambda self: self._bounds[1])
+
     def x_norm(self, idx: np.ndarray) -> np.ndarray:
         """Min-max normalized features for the given rows (not clamped)."""
         span = self.feature_max - self.feature_min
@@ -61,11 +70,6 @@ class Dataset:
                     "all": np.arange(self.x.shape[0])}[which]
         except KeyError:
             raise ValueError(f"unknown row selector {which!r}") from None
-
-
-def _normalization_from(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = x[idx] if idx.size else x
-    return rows.min(axis=0), rows.max(axis=0)
 
 
 def db1_function(x: np.ndarray) -> np.ndarray:
@@ -90,17 +94,12 @@ def gen_db1(seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=1300)
     y = db1_function(x)
-    train_idx = np.arange(1000)
-    test_idx = np.arange(1000, 1300)
-    fmin, fmax = _normalization_from(x[:, None], train_idx)
     return Dataset(
         x=x[:, None],
         y=y[:, None],
-        train_idx=train_idx,
+        train_idx=np.arange(1000),
         val_idx=np.arange(0),
-        test_idx=test_idx,
-        feature_min=fmin,
-        feature_max=fmax,
+        test_idx=np.arange(1000, 1300),
         name="db1",
         seed=seed,
     )
@@ -137,17 +136,12 @@ def gen_db2(
         y_tr = y[:n_train]
         ymin, ymax = y_tr.min(), y_tr.max()
         y = (y - ymin) / (ymax - ymin)
-    train_idx = np.arange(n_train)
-    test_idx = np.arange(n_train, n_train + x_test.shape[0])
-    fmin, fmax = _normalization_from(x, train_idx)
     return Dataset(
         x=x,
         y=y[:, None],
-        train_idx=train_idx,
+        train_idx=np.arange(n_train),
         val_idx=np.arange(0),
-        test_idx=test_idx,
-        feature_min=fmin,
-        feature_max=fmax,
+        test_idx=np.arange(n_train, n_train + x_test.shape[0]),
         name="db2",
         seed=seed,
     )
@@ -171,10 +165,6 @@ def split(ds: Dataset, val_fraction: float, seed: int = 0) -> Dataset:
 # -- CSV + manifest i/o ----------------------------------------------------
 
 
-def _manifest_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".manifest")
-
-
 def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
     """Write `<path>` CSV (rows ordered train/val/test) and `<path>.manifest`."""
     csv_path = Path(csv_path)
@@ -193,13 +183,8 @@ def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
         f"n_train={ds.train_idx.size}",
         f"n_val={ds.val_idx.size}",
         f"n_test={ds.test_idx.size}",
-        "feature_names=" + ",".join(ds.feature_names),
-        "target_names=" + ",".join(ds.target_names),
     ]
-    for j in range(ds.n_features):
-        lines.append(f"feature_{j}_min={float(ds.feature_min[j])!r}")
-        lines.append(f"feature_{j}_max={float(ds.feature_max[j])!r}")
-    mpath = _manifest_path(csv_path)
+    mpath = csv_path.with_suffix(".manifest")
     mpath.write_text("\n".join(lines) + "\n")
     return [csv_path, mpath]
 
@@ -262,42 +247,38 @@ def load_csv(path: str | Path, target_cols: list[str] | None = None) -> Dataset:
     f_idx = [j for j in range(len(header)) if j not in t_idx]
     if not f_idx:
         raise DataError("no feature columns left after removing targets")
-    x = data[:, f_idx]
-    train_idx = np.arange(x.shape[0])
-    fmin, fmax = _normalization_from(x, train_idx)
     return Dataset(
-        x=x,
+        x=data[:, f_idx],
         y=data[:, t_idx],
-        train_idx=train_idx,
+        train_idx=np.arange(data.shape[0]),
         val_idx=np.arange(0),
         test_idx=np.arange(0),
-        feature_min=fmin,
-        feature_max=fmax,
         feature_names=[header[j] for j in f_idx],
         target_names=list(target_cols),
         name=path.stem,
     )
 
 
-def _manifest_value(kv: dict[str, str], key: str, kind: type):
-    """kv[key] as a count at least 0 (kind int) or a finite float, else a ValueError.
+def _manifest_count(kv: dict[str, str], key: str) -> int:
+    """kv[key] as a count at least 0, else a ValueError.
 
     A negative count could still sum to the row count and make row sets overlap.
     """
-    value = kind(kv[key])
-    if not (value >= 0 if kind is int else math.isfinite(value)):
-        raise ValueError(f"{key}={kv[key]} is {'negative' if kind is int else 'not finite'}")
+    value = int(kv[key])
+    if value < 0:
+        raise ValueError(f"{key}={kv[key]} is negative")
     return value
 
 
 def load_dataset(csv_path: str | Path) -> Dataset:
     """Load a CSV written by write_dataset, using its manifest when present.
 
-    Without a manifest every row is a training row and normalization comes
-    from the whole file.
+    The manifest gives the row counts, the name and the seed; any other key,
+    such as the bounds and names older manifests held, is ignored. Without a
+    manifest every row is a training row.
     """
     csv_path = Path(csv_path)
-    mpath = _manifest_path(csv_path)
+    mpath = csv_path.with_suffix(".manifest")
     if not mpath.exists():
         return load_csv(csv_path)
     kv: dict[str, str] = {}
@@ -309,9 +290,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     header, data = _read_csv_numeric(csv_path)
     try:
         counts = ("n_features", "n_targets", "n_train", "n_val", "n_test")
-        d, m, n_train, n_val, n_test = (_manifest_value(kv, k, int) for k in counts)
-        fmin = np.array([_manifest_value(kv, f"feature_{j}_min", float) for j in range(d)])
-        fmax = np.array([_manifest_value(kv, f"feature_{j}_max", float) for j in range(d)])
+        d, m, n_train, n_val, n_test = (_manifest_count(kv, k) for k in counts)
         seed = int(kv.get("seed", "0"))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{mpath}: bad manifest: {exc}") from exc
@@ -325,8 +304,6 @@ def load_dataset(csv_path: str | Path) -> Dataset:
         train_idx=np.arange(n_train),
         val_idx=np.arange(n_train, n_train + n_val),
         test_idx=np.arange(n_train + n_val, n_train + n_val + n_test),
-        feature_min=fmin,
-        feature_max=fmax,
         feature_names=header[:d],
         target_names=header[d:],
         name=kv.get("name", csv_path.stem),

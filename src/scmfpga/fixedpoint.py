@@ -24,31 +24,13 @@ REAL_MAX = RAW_MAX / SCALE  # 64 - 2**-25
 RESOLUTION = 1.0 / SCALE
 
 
-def fx_from_real_flagged(x: float) -> tuple[int, bool]:
-    """Convert a real to raw Q7.25 with round-half-even; flag saturation.
-
-    Returns (raw, saturated). Saturated means the rounded value fell outside
-    the 32-bit range and was clamped; it is signalled, never raised.
-    """
+def fx_from_real(x: float) -> int:
+    """Raw Q7.25 value nearest to x (ties to even), clamped to the 32-bit range."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("fixed-point conversion requires a finite value")
-    scaled = x * SCALE
-    if scaled >= RAW_MAX + 0.5:
-        return RAW_MAX, True
-    if scaled < RAW_MIN - 0.5:
-        return RAW_MIN, True
-    raw = round(scaled)  # Python round: half to even
-    if raw > RAW_MAX:
-        return RAW_MAX, True
-    if raw < RAW_MIN:
-        return RAW_MIN, True
-    return raw, False
-
-
-def fx_from_real(x: float) -> int:
-    """Raw Q7.25 value nearest to x (ties to even), saturating silently."""
-    return fx_from_real_flagged(x)[0]
+    # clamped before rounding (the bounds are integers), so x * SCALE = inf is no error
+    return round(min(max(x * SCALE, RAW_MIN), RAW_MAX))  # Python round: half to even
 
 
 def fx_to_real(raw: int) -> float:
@@ -94,6 +76,12 @@ def quantize_array(values: np.ndarray) -> tuple[np.ndarray, int]:
     clipped = np.clip(scaled, RAW_MIN, RAW_MAX)
     n_sat = int(np.count_nonzero(scaled != clipped))
     return clipped.astype(np.int32), n_sat
+
+
+def check_rounds_to(values: np.ndarray, raw: np.ndarray) -> None:
+    """ValueError unless values round to raw, as quantization_bound assumes."""
+    if not np.array_equal(quantize_array(values)[0], raw):
+        raise ValueError("float values do not round to their raw values")
 
 
 def dequantize_array(raw: np.ndarray) -> np.ndarray:

@@ -43,6 +43,8 @@ class MechanismModel:
             raise ValueError("quantized weights shape mismatch")
         if (self.weights_raw.dtype, self.intercepts_raw.dtype) != (np.int32, np.int32):
             raise ValueError("raw weights and intercepts must be int32, as in the model file")
+        fx.check_rounds_to(self.weights, self.weights_raw)
+        fx.check_rounds_to(self.intercepts, self.intercepts_raw)
         if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL):
             raise ValueError(f"unknown mechanism source {self.source!r}")
 

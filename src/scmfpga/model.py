@@ -4,10 +4,10 @@ A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
 arrays of scale codes, raw biases and readouts. Training and the model file
 build those arrays, and every batch path reads them as they are, as does the
-emulator's scalar oracle. ScmNode, one node's scalars, serves only
-node_output_float (ScmLayer.node(i)) and hand-built layers. A node's bit
-depends on its raw bias only: training and the reference path both take it
-from threshold_bits, the emulator's integer test.
+emulator's scalar oracle. ScmNode, one node's scalars, serves only the
+node_output_float oracle and hand-built layers, which ScmLayer packs through
+the same checks. A node's bit depends on its raw bias only: training and the
+reference path both take it from threshold_bits, the emulator's integer test.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -76,24 +76,29 @@ class ScmLayer:
     bias_raw: (K,) int32 raw Q7.25 biases; bias is their exact float64 value
     beta, beta_raw: (K, m) float64 readouts and their raw Q7.25 int32 values
 
-    ScmLayer(activation, nodes) packs a list of ScmNodes; from_arrays takes
-    the arrays as they are, and refuses any the model file cannot hold. len()
-    is K, and node(i) is node i as an ScmNode, the input of node_output_float.
+    ScmLayer(activation, nodes) packs a list of ScmNodes, and from_arrays
+    takes the arrays as they are; both refuse values the model file cannot
+    hold. len() is K.
     """
 
     def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
         readouts = (len(nodes), len(nodes[0].beta) if nodes else 0)
-        self.activation = activation
-        self.w = BitMatrix.from_rows([nd.w for nd in nodes])
-        self.shift = np.array([nd.shift for nd in nodes], dtype=np.uint8)
-        self.bias_raw = np.array([nd.bias_raw for nd in nodes], dtype=np.int32)
-        self.beta = np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts)
-        self.beta_raw = np.array([nd.beta_raw for nd in nodes], dtype=np.int32).reshape(readouts)
+        self._hold(activation, BitMatrix.from_rows([nd.w for nd in nodes]),
+                   np.array([nd.shift for nd in nodes], dtype=np.uint8),
+                   _int32([nd.bias_raw for nd in nodes]).reshape(len(nodes)),
+                   np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts),
+                   _int32([nd.beta_raw for nd in nodes]).reshape(readouts))
 
     @classmethod
     def from_arrays(cls, activation, w, shift, bias_raw, beta, beta_raw) -> "ScmLayer":
         """A layer holding these arrays, not copies; ValueError for any the model
-        file cannot hold (dtypes and shapes as in the class docstring, codes 0..7)."""
+        file cannot hold (dtypes and shapes as in the class docstring, codes 0..7,
+        readouts that round to their raw values)."""
+        layer = cls.__new__(cls)
+        layer._hold(activation, w, shift, bias_raw, beta, beta_raw)
+        return layer
+
+    def _hold(self, activation, w, shift, bias_raw, beta, beta_raw) -> None:
         k = len(w)
         dtypes = [getattr(a, "dtype", None) for a in (shift, bias_raw, beta_raw)]
         if dtypes != [np.uint8, np.int32, np.int32]:
@@ -102,10 +107,9 @@ class ScmLayer:
             raise ValueError(f"shift and bias_raw must be ({k},) arrays and beta_raw ({k}, m)")
         if np.any(shift > 7):
             raise ValueError("scale code above 7")
-        layer = cls(activation)
-        layer.w, layer.shift, layer.bias_raw = w, shift, bias_raw
-        layer.beta, layer.beta_raw = beta, beta_raw
-        return layer
+        fx.check_rounds_to(beta, beta_raw)
+        self.activation, self.w, self.shift, self.bias_raw = activation, w, shift, bias_raw
+        self.beta, self.beta_raw = beta, beta_raw
 
     def __len__(self) -> int:
         return len(self.w)
@@ -119,11 +123,13 @@ class ScmLayer:
         """(K,) float64 biases, bias_raw / 2**25 (an exact product)."""
         return self.bias_raw * fx.RESOLUTION
 
-    def node(self, i: int) -> ScmNode:
-        """Node i; its readout arrays are copies."""
-        raw = int(self.bias_raw[i])
-        return ScmNode(self.w[i], int(self.shift[i]), fx.fx_to_real(raw), raw,
-                       self.beta[i].copy(), self.beta_raw[i].copy())
+
+def _int32(values) -> np.ndarray:
+    """values as int32; a ValueError, not a wrapped value, for any outside int32."""
+    wide = np.array(values, dtype=np.int64)
+    if np.any((wide < fx.RAW_MIN) | (wide > fx.RAW_MAX)):
+        raise ValueError("raw values must lie in the int32 range")
+    return wide.astype(np.int32)
 
 
 @dataclass

@@ -144,13 +144,10 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
 
 
 def _resolved(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Floats and raws of a field from its blocks: a missing float is raw / 2**25,
-    and a given one must round to its raw value, as quantization_bound assumes."""
+    """Floats and raws of a field from its blocks; a missing float is raw / 2**25.
+    ScmLayer and MechanismModel check that the floats round to the raws."""
     f = np.concatenate([fx.dequantize_array(r) if f is None else f for f, r in blocks])
-    r = np.concatenate([r for _, r in blocks])
-    if not np.array_equal(fx.quantize_array(f)[0], r):
-        raise ValueError("float values do not round to their raw values")
-    return f, r
+    return f, np.concatenate([r for _, r in blocks])
 
 
 def model_from_bytes(data: bytes) -> ScmModel:

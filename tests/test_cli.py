@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import zlib
@@ -14,6 +15,7 @@ from scmfpga.encoding import parse_encoding
 from scmfpga.mechanism import external_mechanism
 from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode, quantization_bound
 from scmfpga.modelfile import load_model, save_model
+from scmfpga.train import TrainConfig
 
 
 def run(*argv):
@@ -267,6 +269,21 @@ def test_report_db1_cycles(capsys, tmp_path, db1_files):
     assert "cycles per evaluation: 9" in text
     assert "90 ns" in text
     assert "60.9375%" in text  # single-feature 25-bit input reduction
+
+
+@pytest.mark.parametrize("clock", ["0", "-5", "nan", "inf"])
+def test_report_refuses_a_clock_that_is_not_positive_and_finite(capsys, db1_files, clock):
+    # unchecked, 0 divides by zero and the others print -1.8e+09, nan or 0 ns
+    assert run("report", str(db1_files[2]), "--clock", clock) == 2
+    assert "is not positive and finite" in capsys.readouterr().err
+
+
+def test_train_option_defaults_are_the_train_config_defaults():
+    args = cli._build_parser().parse_args(["train", "data.csv", "--out", "m.scm"])
+    shared = [f for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)]
+    assert len(shared) == 7
+    for f in shared:
+        assert getattr(args, f.name) == f.default, f.name
 
 
 def test_export_import_roundtrip(tmp_path, db1_files):

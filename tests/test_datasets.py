@@ -11,6 +11,7 @@ from scmfpga.datasets import (
     split,
     write_dataset,
 )
+from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.errors import DataError
 
 
@@ -224,11 +225,9 @@ def test_load_dataset_without_manifest(tmp_path):
         # overlap training rows 900-999
         ({"n_val": "-100", "n_test": "400"}, "n_val=-100"),
         ({"n_train": "-1", "n_test": "301"}, "n_train=-1"),
-        ({"feature_0_min": "nan"}, "feature_0_min=nan"),
-        ({"feature_0_max": "inf"}, "feature_0_max=inf"),
         ({"seed": "abc"}, "invalid literal"),  # a ValueError, which the CLI calls a usage error
     ],
-    ids=["n_val", "n_train", "min-nan", "max-inf", "seed"],
+    ids=["n_val", "n_train", "seed"],
 )
 def test_load_dataset_refuses_a_manifest_that_lies(tmp_path, edits, field):
     path = tmp_path / "db1.csv"
@@ -240,3 +239,44 @@ def test_load_dataset_refuses_a_manifest_that_lies(tmp_path, edits, field):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="db1.manifest: bad manifest: " + field):
         load_dataset(path)
+
+
+def test_load_dataset_ignores_the_bounds_and_names_of_an_older_manifest(tmp_path):
+    # older manifests stored the bounds; read back, one edited to a far maximum
+    # would squash every training row into one encoded row
+    ds = gen_db1(seed=1)
+    path = tmp_path / "db1.csv"
+    write_dataset(ds, path)
+    manifest = tmp_path / "db1.manifest"
+    older = ["feature_names=a", "target_names=b", "feature_0_min=0.0", "feature_0_max=1000000.0"]
+    manifest.write_text(manifest.read_text() + "\n".join(older) + "\n")
+    back = load_dataset(path)
+    assert back.feature_max[0] == ds.x[ds.train_idx].max() < 1.0
+    assert (back.feature_names, back.target_names) == (["x0"], ["y0"])
+    for role in ("train", "test"):
+        assert np.array_equal(back.x_norm(back.rows(role)), ds.x_norm(ds.rows(role)))
+    bits, _ = encode_matrix(back.x_norm(back.train_idx), parse_encoding("s1:3"))
+    assert np.unique(bits.words, axis=0).shape[0] > 1
+
+
+def test_load_dataset_reads_every_key_that_write_dataset_writes(tmp_path):
+    # written under another name and with a nonzero seed, so that a key the
+    # loader dropped would change what it returns
+    ds = split(gen_db1(seed=4), 0.25, seed=4)
+    path = tmp_path / "data.csv"
+    write_dataset(ds, path)
+    manifest = tmp_path / "data.manifest"
+    lines = manifest.read_text().splitlines()
+
+    def loaded():
+        try:
+            back = load_dataset(path)
+        except DataError as exc:
+            return str(exc)
+        return back.name, back.seed, back.train_idx.size, back.val_idx.size, back.test_idx.size
+
+    full = loaded()
+    assert full == ("db1", 4, 750, 250, 300)
+    for i, line in enumerate(lines):
+        manifest.write_text("\n".join(lines[:i] + lines[i + 1 :]) + "\n")
+        assert loaded() != full, f"load_dataset does not read {line!r}"

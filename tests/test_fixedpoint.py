@@ -24,12 +24,12 @@ def test_range_endpoints():
 
 @pytest.mark.parametrize(
     "x,saturated",
-    [(100.0, True), (-100.0, True), (64.0, True), (0.5, False), (-64.0, False)],
+    [(100.0, True), (-100.0, True), (64.0, True), (0.5, False), (-64.0, False),
+     (1e308, True), (-1e308, True)],  # x * 2**25 is inf
 )
 def test_saturation_flag(x, saturated):
-    raw, flag = fx.fx_from_real_flagged(x)
-    assert flag == saturated
-    assert fx.RAW_MIN <= raw <= fx.RAW_MAX
+    clamped = fx.RAW_MAX if x > 0 else fx.RAW_MIN
+    assert fx.fx_from_real(x) == (clamped if saturated else x * fx.SCALE)
 
 
 def test_nonfinite_rejected():

@@ -171,3 +171,11 @@ def test_raw_values_must_be_int32():
                          (np.array([[0]], np.int32), np.zeros(1))]:
         with pytest.raises(ValueError, match="int32"):
             MechanismModel(p, np.zeros(1), w_raw, u_raw)
+
+
+@pytest.mark.parametrize("p,u", [(5.0, 0.0), (0.0, 5.0), (np.nan, 0.0)])
+def test_floats_must_round_to_their_raw_values(p, u):
+    # such a mechanism's model would claim a quantization bound it does not meet
+    zero = np.zeros((1, 1), np.int32)
+    with pytest.raises(ValueError, match="round to their raw values|finite"):
+        MechanismModel(np.array([[p]]), np.array([u]), zero, zero[0])

@@ -292,6 +292,48 @@ def test_a_layer_refuses_raw_values_that_are_not_int32():
             _from_arrays(bias_raw=bias_raw, beta_raw=beta_raw)
 
 
+def test_a_layer_refuses_readouts_that_do_not_round_to_their_raw_values():
+    # such a layer's model would claim the quantization bound with an output gap
+    # of 5.0, and its file with the float sidecar could not be read back
+    one = BitMatrix.from01(np.ones((1, 1), np.uint8))
+    with pytest.raises(ValueError, match="float values do not round to their raw values"):
+        ScmLayer.from_arrays(Activation.STEP, one, np.zeros(1, np.uint8), np.zeros(1, np.int32),
+                             np.array([[5.0]]), np.array([[0]], np.int32))
+
+
+def test_a_layer_refuses_a_nan_readout():
+    beta = _model().layers[0].beta.copy()
+    beta[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _from_arrays(beta=beta)
+
+
+def _packed(bias_raw=0, beta=0.0, beta_raw=0):
+    """ScmLayer(activation, nodes) on one node, its raw values int64 as a caller may give."""
+    node = ScmNode(BitVec.from_pm1([1]), 0, fx.fx_to_real(bias_raw), bias_raw,
+                   np.array([beta]), np.array([beta_raw], np.int64))
+    return ScmLayer(Activation.STEP, [node])
+
+
+def test_packed_nodes_refuse_a_readout_past_int32():
+    # packed with dtype int32, it would wrap to -2**31
+    assert _packed(beta=64.0 - fx.RESOLUTION, beta_raw=fx.RAW_MAX).beta_raw[0, 0] == fx.RAW_MAX
+    with pytest.raises(ValueError, match="int32 range"):
+        _packed(beta=64.0, beta_raw=2**31)
+
+
+def test_packed_nodes_refuse_a_bias_past_int32():
+    # packed with dtype int32, it would raise OverflowError, which the CLI does not catch
+    assert _packed(bias_raw=fx.RAW_MIN).bias_raw[0] == fx.RAW_MIN
+    with pytest.raises(ValueError, match="int32 range"):
+        _packed(bias_raw=2**31)
+
+
+def test_packed_nodes_refuse_readouts_that_do_not_round_to_their_raw_values():
+    with pytest.raises(ValueError, match="float values do not round to their raw values"):
+        _packed(beta=5.0, beta_raw=0)
+
+
 def _one_node_json(node: dict, mechanism: dict | None = None) -> str:
     """A density:2 model with one STEP node on a zero mechanism, unless given."""
     zero = {"d_enc": 2, "weights": [[0.0], [0.0]], "intercepts": [0.0]}

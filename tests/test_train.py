@@ -978,14 +978,15 @@ def _straight_line_eval(model, x_bits):
     signal = x_bits.to_pm1().astype(float)
     for layer in model.layers:
         next_signal = []
-        for node in map(layer.node, range(len(layer))):
-            pre = node.lam * float(node.w.to_pm1().astype(float) @ signal) + node.bias
+        for i in range(len(layer)):
+            lam, w = 1 << int(layer.shift[i]), layer.w[i].to_pm1().astype(float)
+            pre = lam * float(w @ signal) + layer.bias[i]
             bit = 1 if pre > 0 else 0
             if layer.activation == Activation.SIGN:
                 h = float(bit)
             else:
                 h = 1.0 if bit else -1.0
-            out = out + node.beta * h
+            out = out + layer.beta[i] * h
             next_signal.append(h)
         signal = np.array(next_signal)
     return out
