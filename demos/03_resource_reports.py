@@ -18,12 +18,11 @@ def shape_model(spec_text, d, sizes):
     layers = []
     fan_in = d_enc
     for n in sizes:
-        nodes = [
-            s.ScmNode(w=s.BitVec(fan_in, 0), shift=0, bias=0.0, bias_raw=0,
-                      beta=np.zeros(1), beta_raw=np.zeros(1, dtype=np.int32))
-            for _ in range(n)
-        ]
-        layers.append(s.ScmLayer(s.Activation.STEP, nodes))
+        # all-zero weight bits, scale codes, biases and readouts: a report reads only shapes
+        w = s.BitMatrix.from01(np.zeros((n, fan_in), bool))
+        layers.append(s.ScmLayer.from_arrays(
+            s.Activation.STEP, w, np.zeros(n, np.uint8), np.zeros(n, np.int32),
+            np.zeros((n, 1)), np.zeros((n, 1), np.int32)))
         fan_in = n
     return s.ScmModel(spec, mech, layers, 1)
 

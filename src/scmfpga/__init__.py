@@ -25,11 +25,7 @@ from .emulate import (
 from .encoding import (
     EncodingKind,
     EncodingSpec,
-    decimal_digit,
-    encode_density,
     encode_matrix,
-    encode_scheme1,
-    encode_scheme2,
     parse_encoding,
 )
 from .errors import DataError, ModelFormatError, ScmError, TrainingFailedError

@@ -15,7 +15,9 @@ bit 1 means +1. There are two packed forms:
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
   Only the scalar test oracles of the batch paths take BitVecs: predict_fpga
   (which indexes a layer's weight rows for xnor_count and ones_count_dot) and
-  node_output_float (which takes an ScmNode). Training does not build any.
+  node_output_float (which reads node i of a layer the same way). The
+  benchmark's synthetic model still packs one BitVec per node into ScmNode
+  records. Training does not build any.
 """
 
 from __future__ import annotations
@@ -51,14 +53,6 @@ class BitVec:
             raise ValueError("from01 expects only 0/1 values")
         packed = np.packbits(arr.astype(np.uint8), bitorder="little")
         return cls(int(arr.size), int.from_bytes(packed.tobytes(), "little"))
-
-    @classmethod
-    def from_pm1(cls, values: Iterable[int] | np.ndarray) -> "BitVec":
-        """Build from a {-1,+1} vector; +1 becomes bit 1."""
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-        if arr.size and not np.isin(arr, (-1, 1)).all():
-            raise ValueError("from_pm1 expects only -1/+1 values")
-        return cls.from01((arr > 0).astype(np.uint8))
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
@@ -105,10 +99,6 @@ class BitVec:
     def __and__(self, other: "BitVec") -> "BitVec":
         self._check(other)
         return BitVec(self.n, self.value & other.value)
-
-    def __or__(self, other: "BitVec") -> "BitVec":
-        self._check(other)
-        return BitVec(self.n, self.value | other.value)
 
     def _check(self, other: "BitVec") -> None:
         if self.n != other.n:

@@ -120,8 +120,10 @@ def gen_db2(
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
-    rng = np.random.default_rng(seed)
     n_train = int(round(40000 * scale))
+    if n_train < 2:  # one row leaves the target scaling no spread
+        raise ValueError(f"scale {scale} leaves {n_train} training rows; at least 2 are needed")
+    rng = np.random.default_rng(seed)
     lo, hi = -5.12, 5.12
     x_train = rng.uniform(lo, hi, size=(n_train, 2))
     if grid_test:

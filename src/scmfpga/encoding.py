@@ -18,8 +18,9 @@ nearest binary double is slightly below 0.867. Bit order inside a sample is
 feature-major then field-major: feature 0's integer bit is bit 0, the
 most significant pad bit of its first digit field is bit 1, and so on.
 
-encode_matrix is the batch path; encode_value and the scalar encoders are
-one-row calls of the same code.
+encode_matrix is the batch path, and EncodingSpec.encode_value, the one
+encoder of a single value (parse_encoding(text).encode_value(x)), is a
+one-row call of the same code.
 
 Digit rule (_digit_table): the digits of all distinct values come from one
 exact array rule instead of a Decimal per value. At q = min(places, 15)
@@ -150,14 +151,6 @@ def _digits(x: float, places: int) -> list[int]:
     return [ones, *map(int, str(frac).zfill(places))]
 
 
-def decimal_digit(x: float, k: int) -> int:
-    """The k-th decimal digit (k >= 1) of x in [0, 1], truncating."""
-    x = _check_unit(x)
-    if k < 1:
-        raise ValueError("decimal place must be >= 1")
-    return _digits(x, k)[k]
-
-
 # places the array digit rule covers: 10**15 and every truncated value fit
 # exactly in a double, and no two 15-place decimals share one double's
 # rounding interval in [0, 1]
@@ -202,29 +195,6 @@ def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
     # a bit `rank` places left of its field's right end is set by more than `rank` ones
     rank = np.repeat(np.cumsum(widths), widths) - 1 - np.arange(len(field))
     return ones[:, field] > rank
-
-
-def encode_density(x: float, n: int) -> BitVec:
-    """Unary bucket code: bucket min(floor(x*(N+1)), N), leading ones; N in 1..255."""
-    return EncodingSpec(EncodingKind.DENSITY, n).encode_value(x)
-
-
-def encode_scheme1(x: float, u_places: int) -> BitVec:
-    """Digit-wise unary code: [integer bit][9-bit unary per decimal place]; 1..255 places."""
-    return EncodingSpec(EncodingKind.SCHEME1, u_places).encode_value(x)
-
-
-def encode_scheme2(x: float, variant: str) -> BitVec:
-    """Digit-wise code with quantized low places.
-
-    V1: [1][9-bit tenths][4-bit hundredths][2-bit thousandths] (16 bits).
-    V2: [1][9-bit tenths][9-bit hundredths][4-bit thousandths][2-bit
-    ten-thousandths] (25 bits).
-    """
-    kinds = {"V1": EncodingKind.SCHEME2_V1, "V2": EncodingKind.SCHEME2_V2}
-    if variant not in kinds:
-        raise ValueError("variant must be 'V1' or 'V2'")
-    return EncodingSpec(kinds[variant]).encode_value(x)
 
 
 def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:

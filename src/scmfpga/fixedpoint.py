@@ -78,12 +78,6 @@ def quantize_array(values: np.ndarray) -> tuple[np.ndarray, int]:
     return clipped.astype(np.int32), n_sat
 
 
-def check_rounds_to(values: np.ndarray, raw: np.ndarray) -> None:
-    """ValueError unless values round to raw, as quantization_bound assumes."""
-    if not np.array_equal(quantize_array(values)[0], raw):
-        raise ValueError("float values do not round to their raw values")
-
-
 def dequantize_array(raw: np.ndarray) -> np.ndarray:
     """Exact float64 values of an array of raw Q7.25 integers."""
     return np.asarray(raw, dtype=np.float64) / SCALE

@@ -1,10 +1,13 @@
 """Linear mechanism model over encoded +-1 inputs.
 
-The model keeps two synchronized copies of its parameters: float64 values used
-by training and the reference ("PC") evaluation path, and raw Q7.25 integers
-used by the emulated datapath. The emulated evaluation adds the stored weight
-when the input bit is 1 and its two's complement when the bit is 0, then adds
-the intercept, all in the wide accumulator, saturating once at the end.
+A model is built from its float64 weights and intercepts, which training and
+the reference ("PC") evaluation path use. The constructor derives their raw
+Q7.25 integers, which the emulated datapath uses, once, and counts the values
+it clamped to the format's range; the model file stores the raw integers, and
+its reader requires them to equal the derived ones. The emulated evaluation
+adds the stored weight when the input bit is 1 and its two's complement when
+the bit is 0, then adds the intercept, all in the wide accumulator,
+saturating once at the end.
 mech_wide_fpga does this for a batch, before the saturation; the emulator's
 scalar oracle, emulate.predict_fpga, runs the same sum on Python integers.
 """
@@ -27,26 +30,26 @@ SOURCE_EXTERNAL = "external"
 class MechanismModel:
     weights: np.ndarray  # (d_enc, m) float64
     intercepts: np.ndarray  # (m,) float64
-    weights_raw: np.ndarray  # (d_enc, m) int32
-    intercepts_raw: np.ndarray  # (m,) int32
     source: str = SOURCE_LASSO
     alpha: float = 0.0
-    saturated: int = 0  # weights and intercepts clamped by from_real
     fit: LassoFit | None = field(default=None, repr=False)  # how fit_mechanism converged
+    # derived from weights and intercepts by __post_init__
+    weights_raw: np.ndarray = field(init=False)  # (d_enc, m) int32
+    intercepts_raw: np.ndarray = field(init=False)  # (m,) int32
+    saturated: int = field(init=False)  # weights and intercepts clamped to the Q7.25 range
 
     def __post_init__(self):
         if self.weights.ndim != 2 or self.intercepts.ndim != 1:
             raise ValueError("weights must be (d_enc, m), intercepts (m,)")
         if self.weights.shape[1] != self.intercepts.shape[0]:
             raise ValueError("output count mismatch between weights and intercepts")
-        if self.weights_raw.shape != self.weights.shape:
-            raise ValueError("quantized weights shape mismatch")
-        if (self.weights_raw.dtype, self.intercepts_raw.dtype) != (np.int32, np.int32):
-            raise ValueError("raw weights and intercepts must be int32, as in the model file")
-        fx.check_rounds_to(self.weights, self.weights_raw)
-        fx.check_rounds_to(self.intercepts, self.intercepts_raw)
         if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL):
             raise ValueError(f"unknown mechanism source {self.source!r}")
+        w_raw, w_sat = fx.quantize_array(self.weights)
+        u_raw, u_sat = fx.quantize_array(self.intercepts)
+        object.__setattr__(self, "weights_raw", w_raw)  # the dataclass is frozen
+        object.__setattr__(self, "intercepts_raw", u_raw)
+        object.__setattr__(self, "saturated", w_sat + u_sat)
 
     @property
     def d_enc(self) -> int:
@@ -55,27 +58,6 @@ class MechanismModel:
     @property
     def n_outputs(self) -> int:
         return self.weights.shape[1]
-
-    @classmethod
-    def from_real(
-        cls,
-        weights: np.ndarray,
-        intercepts: np.ndarray,
-        source: str,
-        alpha: float = 0.0,
-        fit: LassoFit | None = None,
-    ) -> "MechanismModel":
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim == 1:
-            w = w[:, None]
-        u = np.atleast_1d(np.asarray(intercepts, dtype=np.float64))
-        w_raw, w_sat = fx.quantize_array(w)
-        u_raw, u_sat = fx.quantize_array(u)
-        return cls(w, u, w_raw, u_raw, source, alpha, w_sat + u_sat, fit)
-
-    @classmethod
-    def zero(cls, d_enc: int, m: int) -> "MechanismModel":
-        return cls.from_real(np.zeros((d_enc, m)), np.zeros(m), SOURCE_EXTERNAL)
 
 
 def signals_pm1(bits: BitMatrix) -> np.ndarray:
@@ -94,12 +76,13 @@ def fit_mechanism(s: np.ndarray, y: np.ndarray, alpha: float) -> MechanismModel:
     `fit`.
     """
     fit = lasso_fit(s, y, alpha)
-    return MechanismModel.from_real(fit.p, fit.u, SOURCE_LASSO, alpha, fit)
+    return MechanismModel(fit.p, fit.u, SOURCE_LASSO, alpha, fit)
 
 
 def external_mechanism(weights: np.ndarray, intercepts: np.ndarray) -> MechanismModel:
-    """Wrap user-supplied linear weights (e.g. a plant model) unchanged."""
-    return MechanismModel.from_real(weights, intercepts, SOURCE_EXTERNAL)
+    """Wrap user-supplied (d_enc, m) weights and (m,) intercepts (e.g. a plant model)."""
+    return MechanismModel(np.asarray(weights, dtype=np.float64),
+                          np.asarray(intercepts, dtype=np.float64), SOURCE_EXTERNAL)
 
 
 def mech_eval_float_batch(s: np.ndarray, mech: MechanismModel) -> np.ndarray:

@@ -3,11 +3,13 @@
 A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
 arrays of scale codes, raw biases and readouts. Training and the model file
-build those arrays, and every batch path reads them as they are, as does the
-emulator's scalar oracle. ScmNode, one node's scalars, serves only the
-node_output_float oracle and hand-built layers, which ScmLayer packs through
-the same checks. A node's bit depends on its raw bias only: training and the
-reference path both take it from threshold_bits, the emulator's integer test.
+build those arrays (ScmLayer.from_arrays), and every batch path reads them as
+they are, as do the scalar oracles: the emulator's predict_fpga, and
+node_output_float, which reads node i of a layer. ScmNode, one node's
+scalars, stays only as the record that the benchmark's synthetic model packs
+with ScmLayer(activation, nodes), through the same checks. A node's bit
+depends on its raw bias only: training and the reference path both take it
+from threshold_bits, the emulator's integer test.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -62,10 +64,6 @@ class ScmNode:
         if self.bias != fx.fx_to_real(self.bias_raw):
             raise ValueError(f"bias {self.bias!r} is not bias_raw / 2**25")
 
-    @property
-    def lam(self) -> int:
-        return 1 << self.shift
-
 
 class ScmLayer:
     """One hidden layer of K nodes as a struct of arrays.
@@ -76,9 +74,9 @@ class ScmLayer:
     bias_raw: (K,) int32 raw Q7.25 biases; bias is their exact float64 value
     beta, beta_raw: (K, m) float64 readouts and their raw Q7.25 int32 values
 
-    ScmLayer(activation, nodes) packs a list of ScmNodes, and from_arrays
-    takes the arrays as they are; both refuse values the model file cannot
-    hold. len() is K.
+    from_arrays takes the arrays as they are, and ScmLayer(activation, nodes)
+    packs a list of ScmNodes (the benchmark's synthetic model); both refuse
+    values the model file cannot hold. len() is K.
     """
 
     def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
@@ -107,7 +105,9 @@ class ScmLayer:
             raise ValueError(f"shift and bias_raw must be ({k},) arrays and beta_raw ({k}, m)")
         if np.any(shift > 7):
             raise ValueError("scale code above 7")
-        fx.check_rounds_to(beta, beta_raw)
+        # quantization_bound assumes that the readouts round to their raw values
+        if not np.array_equal(fx.quantize_array(beta)[0], beta_raw):
+            raise ValueError("float values do not round to their raw values")
         self.activation, self.w, self.shift, self.bias_raw = activation, w, shift, bias_raw
         self.beta, self.beta_raw = beta, beta_raw
 
@@ -249,20 +249,20 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
 
 
 def node_output_float(
-    in_bits: BitVec, node: ScmNode, act: Activation, pm1: bool = True
+    in_bits: BitVec, layer: ScmLayer, i: int, pm1: bool = True
 ) -> tuple[int, float]:
-    """Float-path node evaluation: (forwarded bit, activation value).
+    """Float-path evaluation of node i of a layer: (forwarded bit, activation value).
 
     `pm1` says whether the input bits stand for -1/+1 (the encoded inputs
     and a STEP layer's bits) or for literal 0/1 (a SIGN layer's).
     """
-    if in_bits.n != node.w.n:
-        raise ValueError(f"input width {in_bits.n} != node fan-in {node.w.n}")
+    if in_bits.n != layer.fan_in:
+        raise ValueError(f"input width {in_bits.n} != node fan-in {layer.fan_in}")
     s = in_bits.to_pm1() if pm1 else in_bits.to01()
-    dot = float(node.w.to_pm1().astype(np.float64) @ s.astype(np.float64))
-    pre = node.lam * dot + node.bias
+    dot = float(layer.w[i].to_pm1().astype(np.float64) @ s.astype(np.float64))
+    pre = (1 << int(layer.shift[i])) * dot + layer.bias[i]
     bit = 1 if pre > 0 else 0
-    if act == Activation.SIGN:
+    if layer.activation == Activation.SIGN:
         return bit, float(bit)
     return bit, 1.0 if bit else -1.0
 

@@ -133,9 +133,11 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
                 raise ValueError("bias values are not bias_raw / 2**25")
             bias_raw = np.concatenate([r for _, r in bias])
             built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, *_resolved(beta)))
-        p, p_raw = _resolved([weights])
-        u, u_raw = _resolved([intercepts])
-        mech = MechanismModel(p, u, p_raw, u_raw, source, alpha)
+        (p, p_raw), (u, u_raw) = _resolved([weights]), _resolved([intercepts])
+        mech = MechanismModel(p, u, source, alpha)
+        if not (np.array_equal(mech.weights_raw, p_raw)
+                and np.array_equal(mech.intercepts_raw, u_raw)):
+            raise ValueError("float values do not round to their raw values")
         model = ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
         model.validate()
     except ValueError as exc:
@@ -145,7 +147,8 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
 
 def _resolved(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Floats and raws of a field from its blocks; a missing float is raw / 2**25.
-    ScmLayer and MechanismModel check that the floats round to the raws."""
+    ScmLayer checks that the floats round to the raws, and _assemble compares
+    the mechanism's raws with the ones MechanismModel derives from its floats."""
     f = np.concatenate([fx.dequantize_array(r) if f is None else f for f, r in blocks])
     return f, np.concatenate([r for _, r in blocks])
 

@@ -49,7 +49,7 @@ from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
 from .mechanism import (
-    MechanismModel,
+    external_mechanism,
     fit_mechanism,
     mech_eval_float_batch,
     signals_pm1,
@@ -103,8 +103,10 @@ class TrainConfig:
                 raise ValueError("lambda values must be powers of two in 1..128")
         if self.l_step < 1:
             raise ValueError("l_step must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, not {self.tau}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and non-negative, not {self.alpha}")
 
     @classmethod
     def single_layer(cls, nodes: int, activation: Activation = Activation.STEP, **kw):
@@ -277,7 +279,8 @@ class TrainState:
         if cfg.use_mechanism:
             self.mech = fit_mechanism(s1_train, data.y_train, cfg.alpha)
         else:
-            self.mech = MechanismModel.zero(s1_train.shape[1], self.m)
+            d_enc = s1_train.shape[1]
+            self.mech = external_mechanism(np.zeros((d_enc, self.m)), np.zeros(self.m))
         self.target_train = data.y_train - mech_eval_float_batch(s1_train, self.mech)
         self.target_val = data.y_val - mech_eval_float_batch(s1_val, self.mech)
         # a C-order column write touches every row, so a large configured

@@ -38,8 +38,9 @@ def test_criterion_1_bit_op_oracles():
     t0 = time.time()
     rng = np.random.default_rng(2024)
 
-    fig1 = s.xnor_count(s.BitVec.from_pm1([-1, 1, 1, -1]), s.BitVec.from_pm1([-1, 1, -1, -1]))
-    fig5 = s.ones_count_dot(s.BitVec.from01([1, 0, 1, 1]), s.BitVec.from_pm1([-1, 1, -1, 1]))
+    # the figures' -1/+1 vectors as bit strings: bit 1 stands for +1
+    fig1 = s.xnor_count(s.BitVec.from_string("0110"), s.BitVec.from_string("0100"))
+    fig5 = s.ones_count_dot(s.BitVec.from01([1, 0, 1, 1]), s.BitVec.from_string("0101"))
     ok = fig1 == 2 and fig5 == -1
 
     # 1e5 random pairs, lengths up to 1024, grouped by length so the dense
@@ -111,10 +112,10 @@ def test_criterion_1_bit_op_oracles():
 def test_criterion_2_encoding_golden_vectors():
     ok = True
     detail = []
-    v1 = s.encode_scheme1(0.867, 3).to_string()
+    v1 = s.parse_encoding("s1:3").encode_value(0.867).to_string()
     expect1 = "0" + "011111111" + "000111111" + "001111111"
     ok &= v1 == expect1
-    v2 = s.encode_scheme2(0.8674, "V2").to_string()
+    v2 = s.parse_encoding("s2v2").encode_value(0.8674).to_string()
     expect2 = "0" + "011111111" + "000111111" + "0111" + "01"
     ok &= v2 == expect2
     counts = []

@@ -55,6 +55,19 @@ def test_gen_data_db2_desk_scale(tmp_path):
     assert "n_test=4489" in manifest
 
 
+@pytest.mark.parametrize("scale", ["1e-9", "2.5e-5"])
+def test_gen_data_db2_refuses_a_scale_of_fewer_than_two_training_rows(tmp_path, capsys, scale):
+    # unchecked, no rows failed inside numpy, and one row wrote nan and inf targets
+    out = tmp_path / "d.csv"
+    assert run("gen-data", "db2", "--scale", scale, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("training rows; at least 2 are needed")
+    # two rows are enough, and load back
+    assert run("gen-data", "db2", "--scale", "5e-5", "--out", str(out)) == 0
+    assert load_dataset(out).train_idx.size == 2
+
+
 def test_gen_data_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run("gen-data", "db1", "--seed", "7", "--out", str(a))
@@ -127,6 +140,22 @@ def _no_training(*args):
     raise AssertionError("training started")
 
 
+@pytest.mark.parametrize("option,value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                          ("--tau", "nan")])
+def test_train_refuses_a_non_finite_alpha_or_tau(tmp_path, capsys, monkeypatch, db1_files,
+                                                 option, value):
+    # unchecked, alpha nan trains and writes alpha=nan into the model, alpha inf
+    # warns from lasso_objective, and tau nan makes early stopping keep one node
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "m.scm"
+    code = run("train", str(data), "--out", str(out), "--nodes", "30", "--t-max", "50",
+               option, value)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {option[2:]} must be finite")
+
+
 @pytest.mark.parametrize("flag,bad", [("--out", "missing/file"), ("--log", "missing/file"),
                                       ("--out", "a-directory")])
 def test_train_checks_its_output_paths_before_training(tmp_path, capsys, monkeypatch,
@@ -186,7 +215,7 @@ def test_eval_prints_output_saturation(capsys, db1_files, tmp_path):
     # two SIGN nodes with readouts at RAW_MAX fire on every row whose one
     # density bit is set (normalized x >= 0.5), so those rows clamp
     beta_raw = np.array([fx.RAW_MAX], dtype=np.int32)
-    node = ScmNode(BitVec.from_pm1([1]), 0, 0.0, 0, fx.dequantize_array(beta_raw), beta_raw)
+    node = ScmNode(BitVec.from_string("1"), 0, 0.0, 0, fx.dequantize_array(beta_raw), beta_raw)
     sat = ScmModel(
         parse_encoding("density:1"), external_mechanism(np.zeros((1, 1)), np.zeros(1)),
         [ScmLayer(Activation.SIGN, [node, node])], 1,

@@ -32,8 +32,8 @@ from scmfpga.model import (
 
 
 def test_xnor_count_known_vectors():
-    a = BitVec.from_pm1([-1, 1, 1, -1])
-    b = BitVec.from_pm1([-1, 1, -1, -1])
+    a = BitVec.from_string("0110")
+    b = BitVec.from_string("0100")
     assert xnor_count(a, b) == 2
 
 
@@ -55,12 +55,12 @@ def test_xnor_count_random_oracle():
 
 def test_ones_count_dot_known_vectors():
     a = BitVec.from01([1, 0, 1, 1])
-    w = BitVec.from_pm1([-1, 1, -1, 1])
+    w = BitVec.from_string("0101")
     assert ones_count_dot(a, w) == -1
 
 
 def test_ones_count_dot_zero_input():
-    w = BitVec.from_pm1([1, -1, 1])
+    w = BitVec.from_string("101")
     assert ones_count_dot(BitVec(3), w) == 0
 
 
@@ -87,7 +87,7 @@ def test_dot_length_mismatch():
 def _node(w_pm1, shift=0, bias=0.0, beta=(1.0,)):
     beta = np.asarray(beta, dtype=np.float64)
     return ScmNode(
-        w=BitVec.from_pm1(w_pm1),
+        w=BitVec.from01(np.array(w_pm1) > 0),
         shift=shift,
         bias=bias,
         bias_raw=fx.fx_from_real(bias),
@@ -119,7 +119,7 @@ def _one_node(in_bits, node, act, pm1=True):
 def test_node_forward_shift_semantics():
     # dot = 2, shift 3 -> pre is 16.0 at wide scale, bit set
     node = _node([1, 1, 1, 1], shift=3)
-    bit, contrib = _one_node(BitVec.from_pm1([1, 1, 1, -1]), node, Activation.STEP)
+    bit, contrib = _one_node(BitVec.from_string("1110"), node, Activation.STEP)
     assert bit == 1
     assert contrib[0] == fx.fx_from_real(1.0)
 
@@ -131,21 +131,21 @@ def test_node_forward_pre_is_exact_wide_value():
     eps = fx.RESOLUTION
     at_zero = _node([1, 1, 1, 1], shift=3, bias=-16.0)
     just_over = _node([1, 1, 1, 1], shift=3, bias=-16.0 + eps)
-    x = BitVec.from_pm1([1, 1, 1, -1])
+    x = BitVec.from_string("1110")
     assert _one_node(x, at_zero, Activation.STEP)[0] == 0
     assert _one_node(x, just_over, Activation.STEP)[0] == 1
 
 
 def test_node_forward_zero_pre_gives_zero_bit():
     node = _node([1, 1], shift=0, bias=0.0)
-    bit, contrib = _one_node(BitVec.from_pm1([1, -1]), node, Activation.STEP)
+    bit, contrib = _one_node(BitVec.from_string("10"), node, Activation.STEP)
     assert bit == 0
     assert contrib[0] == -fx.fx_from_real(1.0)  # two's complement of beta
 
 
 def test_node_forward_sign_gates_contribution():
     node = _node([1, 1], shift=0, bias=-10.0, beta=(0.5,))
-    bit, contrib = _one_node(BitVec.from_pm1([1, 1]), node, Activation.SIGN)
+    bit, contrib = _one_node(BitVec.from_string("11"), node, Activation.SIGN)
     assert bit == 0
     assert contrib[0] == 0
 
@@ -233,7 +233,7 @@ def test_predict_fpga_saturates_output():
     model = ScmModel(
         parse_encoding("density:2"), mech, [ScmLayer(Activation.STEP, nodes)], 1
     )
-    out = predict_fpga(model, BitVec.from_pm1([1, 1]))
+    out = predict_fpga(model, BitVec.from_string("11"))
     assert out[0] == fx.RAW_MAX  # 63 + 50 clamps at the format maximum
 
 
@@ -253,9 +253,7 @@ def _raw(rng, size, extreme):
 def _random_model(rng, d_enc, acts, sizes, m, extreme):
     w_raw = _raw(rng, (d_enc, m), extreme)
     u_raw = _raw(rng, m, extreme)
-    mech = MechanismModel(
-        fx.dequantize_array(w_raw), fx.dequantize_array(u_raw), w_raw, u_raw
-    )
+    mech = MechanismModel(fx.dequantize_array(w_raw), fx.dequantize_array(u_raw))
     layers = []
     fan_in = d_enc
     for act, size in zip(acts, sizes):
@@ -429,7 +427,7 @@ def _saturating_model(m_betas):
     m = betas.size
     mech = external_mechanism(np.zeros((1, m)), np.zeros(m))
     node = ScmNode(
-        w=BitVec.from_pm1([1]), shift=0, bias=0.0, bias_raw=0,
+        w=BitVec.from_string("1"), shift=0, bias=0.0, bias_raw=0,
         beta=fx.dequantize_array(betas), beta_raw=betas,
     )
     layer = ScmLayer(Activation.SIGN, [node, node])
@@ -450,7 +448,7 @@ def test_saturation_counted_per_output():
 def test_mechanism_saturation_is_counted():
     # with no nodes the mechanism sum is the whole output, so it saturates at the end
     w_raw = np.full((2, 1), fx.RAW_MAX, dtype=np.int32)
-    mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1), w_raw, np.zeros(1, np.int32))
+    mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1))
     model = ScmModel(parse_encoding("density:2"), mech, [], 1)
     rows = BitMatrix.from01(np.array([[1, 1], [1, 0], [0, 0]]))
     saturated = np.zeros(1, dtype=np.int64)
@@ -463,7 +461,7 @@ def test_mechanism_sum_saturates_only_with_the_final_sum():
     # 2 * RAW_MAX is past the Q7.25 range, but the firing node's RAW_MIN readout
     # brings the whole sum back inside it, so nothing may clamp
     w_raw = np.full((2, 1), fx.RAW_MAX, dtype=np.int32)
-    mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1), w_raw, np.zeros(1, np.int32))
+    mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1))
     layer = ScmLayer(Activation.SIGN, [_node([1, 1], beta=(fx.fx_to_real(fx.RAW_MIN),))])
     model = ScmModel(parse_encoding("density:2"), mech, [layer], 1)
     rows = BitMatrix.from01(np.array([[1, 1]]))

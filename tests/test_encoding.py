@@ -9,11 +9,7 @@ from scmfpga import encoding
 from scmfpga.encoding import (
     EncodingKind,
     EncodingSpec,
-    decimal_digit,
-    encode_density,
     encode_matrix,
-    encode_scheme1,
-    encode_scheme2,
     parse_encoding,
     _digit_table,
     _digits,
@@ -24,21 +20,26 @@ from scmfpga.errors import DataError
 UNARY_FIELD = re.compile(r"^0*1*$")
 
 
+def code(text, x):
+    """The code of one value x under the encoding text names, as a '0'/'1' string."""
+    return parse_encoding(text).encode_value(x).to_string()
+
+
 # -- density -----------------------------------------------------------
 
 
 def test_density_buckets_n3():
-    assert encode_density(0.3, 3).to_string() == "100"
-    assert encode_density(0.0, 3).to_string() == "000"
-    assert encode_density(0.2499, 3).to_string() == "000"
-    assert encode_density(0.25, 3).to_string() == "100"
-    assert encode_density(0.5, 3).to_string() == "110"
-    assert encode_density(0.75, 3).to_string() == "111"
-    assert encode_density(1.0, 3).to_string() == "111"
+    assert code("density:3", 0.3) == "100"
+    assert code("density:3", 0.0) == "000"
+    assert code("density:3", 0.2499) == "000"
+    assert code("density:3", 0.25) == "100"
+    assert code("density:3", 0.5) == "110"
+    assert code("density:3", 0.75) == "111"
+    assert code("density:3", 1.0) == "111"
 
 
 def test_density_top_clamps():
-    assert encode_density(1.0, 10).to_string() == "1111111111"
+    assert code("density:10", 1.0) == "1111111111"
 
 
 def test_density_matches_bucket_enumeration():
@@ -48,37 +49,34 @@ def test_density_matches_bucket_enumeration():
     for x in np.linspace(0, 1, 1001):
         level = sum(x >= e for e in edges)
         expected = "1" * level + "0" * (n - level)
-        assert encode_density(float(x), n).to_string() == expected
+        assert code(f"density:{n}", float(x)) == expected
 
 
 def test_density_errors():
     with pytest.raises(ValueError):
-        encode_density(-0.01, 3)
+        code("density:3", -0.01)
     with pytest.raises(ValueError):
-        encode_density(1.01, 3)
+        code("density:3", 1.01)
     with pytest.raises(ValueError):
-        encode_density(0.5, 0)
+        parse_encoding("density:0")
 
 
 # -- digit extraction ----------------------------------------------------
 
 
 def test_digits_of_0867():
-    assert decimal_digit(0.867, 1) == 8
-    assert decimal_digit(0.867, 2) == 6
-    assert decimal_digit(0.867, 3) == 7
+    assert _digits(0.867, 3) == [0, 8, 6, 7]
 
 
 def test_digit_zero_and_one():
-    for k in (1, 2, 5):
-        assert decimal_digit(0.0, k) == 0
-        assert decimal_digit(1.0, k) == 0
+    assert _digits(0.0, 5) == [0, 0, 0, 0, 0, 0]
+    assert _digits(1.0, 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_digit_truncates_not_rounds():
-    assert decimal_digit(0.9999999, 3) == 9
-    assert decimal_digit(0.129, 2) == 2
-    assert decimal_digit(0.1999, 1) == 1
+    assert _digits(0.9999999, 3)[3] == 9
+    assert _digits(0.129, 2)[2] == 2
+    assert _digits(0.1999, 1)[1] == 1
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), st.integers(1, 6))
@@ -94,48 +92,41 @@ def test_digit_matches_string_format_oracle(x, k):
     else:
         frac = s.split(".", 1)[1] if "." in s else ""
         expected = int(frac[k - 1]) if k <= len(frac) else 0
-    assert decimal_digit(x, k) == expected
+    assert _digits(x, k)[k] == expected
 
 
 # -- scheme 1 ------------------------------------------------------------
 
 
 def test_scheme1_golden_0867():
-    v = encode_scheme1(0.867, 3)
-    assert v.n == 28
-    assert v.to_string() == "0" + "011111111" + "000111111" + "001111111"
+    assert code("s1:3", 0.867) == "0" + "011111111" + "000111111" + "001111111"
 
 
 def test_scheme1_zero_and_one():
-    assert encode_scheme1(0.0, 3).to_string() == "0" * 28
-    v = encode_scheme1(1.0, 3)
-    assert v.to_string() == "1" + "0" * 27
+    assert code("s1:3", 0.0) == "0" * 28
+    assert code("s1:3", 1.0) == "1" + "0" * 27
     # cross-check: after the ones bit every digit is zero
-    assert all(decimal_digit(1.0, k) == 0 for k in (1, 2, 3))
+    assert _digits(1.0, 3) == [1, 0, 0, 0]
 
 
 def test_scheme1_widths():
     for u in (1, 2, 3, 4, 7):
-        assert encode_scheme1(0.5, u).n == 1 + 9 * u
+        assert len(code(f"s1:{u}", 0.5)) == 1 + 9 * u
 
 
 # -- scheme 2 ------------------------------------------------------------
 
 
 def test_scheme2_v2_golden_08674():
-    v = encode_scheme2(0.8674, "V2")
-    assert v.n == 25
-    assert v.to_string() == "0" + "011111111" + "000111111" + "0111" + "01"
+    assert code("s2v2", 0.8674) == "0" + "011111111" + "000111111" + "0111" + "01"
 
 
 def test_scheme2_v1_golden_025():
-    v = encode_scheme2(0.25, "V1")
-    assert v.n == 16
-    assert v.to_string() == "0" + "000000011" + "0011" + "00"
+    assert code("s2v1", 0.25) == "0" + "000000011" + "0011" + "00"
 
 
 def test_scheme2_v1_zero():
-    assert encode_scheme2(0.0, "V1").to_string() == "0" * 16
+    assert code("s2v1", 0.0) == "0" * 16
 
 
 def test_scheme2_quant_tables():
@@ -144,26 +135,24 @@ def test_scheme2_quant_tables():
                 6: "0111", 7: "0111", 8: "1111", 9: "1111"}
     two_bit = {0: "00", 1: "00", 2: "00", 3: "00", 4: "01", 5: "01", 6: "01",
                7: "11", 8: "11", 9: "11"}
-    for d, code in four_bit.items():
-        s = encode_scheme2(d / 100, "V1").to_string()
-        assert s[10:14] == code, f"digit {d}"
-    for d, code in two_bit.items():
-        s = encode_scheme2(d / 1000, "V1").to_string()
-        assert s[14:16] == code, f"digit {d}"
+    for d, want in four_bit.items():
+        assert code("s2v1", d / 100)[10:14] == want, f"digit {d}"
+    for d, want in two_bit.items():
+        assert code("s2v1", d / 1000)[14:16] == want, f"digit {d}"
 
 
 def test_scheme2_bad_variant():
     with pytest.raises(ValueError):
-        encode_scheme2(0.5, "V3")
+        parse_encoding("s2v3")
 
 
-@pytest.mark.parametrize("encode,width", [(encode_density, 255), (encode_scheme1, 1 + 9 * 255)])
-def test_one_value_encoders_refuse_a_parameter_no_spec_takes(encode, width):
-    # EncodingSpec, and so a model file's one parameter byte, takes 1..255
-    assert encode(0.5, 255).n == width
+@pytest.mark.parametrize("name,width", [("density", 255), ("s1", 1 + 9 * 255)])
+def test_a_spec_takes_a_parameter_in_1_to_255(name, width):
+    # a model file holds the parameter in one byte
+    assert len(code(f"{name}:255", 0.5)) == width
     for bad in (0, 256, 300):
         with pytest.raises(ValueError, match="parameter in 1..255"):
-            encode(0.5, bad)
+            parse_encoding(f"{name}:{bad}")
 
 
 # -- spec + matrix -------------------------------------------------------
@@ -240,34 +229,28 @@ def test_width_always_matches_spec(x):
 
 @given(unit_floats)
 def test_unary_fields_are_right_aligned(x):
-    s = encode_scheme1(x, 3).to_string()
+    s = code("s1:3", x)
     for k in range(3):
         field = s[1 + 9 * k : 10 + 9 * k]
         assert UNARY_FIELD.match(field)
-    s2 = encode_scheme2(x, "V2").to_string()
+    s2 = code("s2v2", x)
     for field in (s2[1:10], s2[10:19], s2[19:23], s2[23:25]):
         assert UNARY_FIELD.match(field)
 
 
 @given(unit_floats, unit_floats)
 def test_same_digits_same_encoding(a, b):
-    da = [int(a), *(decimal_digit(a, k) for k in (1, 2, 3))]
-    db = [int(b), *(decimal_digit(b, k) for k in (1, 2, 3))]
-    if da == db:
-        assert encode_scheme1(a, 3) == encode_scheme1(b, 3)
-        assert encode_scheme2(a, "V1") == encode_scheme2(b, "V1")
+    if _digits(a, 3) == _digits(b, 3):
+        assert code("s1:3", a) == code("s1:3", b)
+        assert code("s2v1", a) == code("s2v1", b)
 
 
 def test_monotone_ones_within_place():
     # larger digit in one place never yields fewer ones in that field
     for k in range(10):
         for j in range(k, 10):
-            lo = encode_scheme1(k / 10, 1)
-            hi = encode_scheme1(j / 10, 1)
-            assert hi.popcount() >= lo.popcount()
-            lo4 = encode_scheme2(k / 100, "V1")
-            hi4 = encode_scheme2(j / 100, "V1")
-            assert hi4.popcount() >= lo4.popcount()
+            assert code("s1:1", j / 10).count("1") >= code("s1:1", k / 10).count("1")
+            assert code("s2v1", j / 100).count("1") >= code("s2v1", k / 100).count("1")
 
 
 specs = st.one_of(

@@ -3,9 +3,11 @@
 No linter ships with the package's toolchain, so this stands in for two
 checks. Each src/scmfpga/*.py but __init__.py (which imports to re-export) is
 parsed with ast. An imported name that no expression of the module reads
-fails the first check. A public top-level function or class fails the second
-unless another package module, bench/ or demos/ references it, its own module
-references it outside its own body, or it is a test oracle on ORACLES.
+fails the first check. A public top-level function or class, or a public
+method or property of a public class, fails the second unless another
+package module, bench/ or demos/ references it, its own module references it
+outside its own body, or it is a test oracle on ORACLES. A method counts as
+referenced wherever an attribute of its name is read.
 """
 
 import ast
@@ -24,7 +26,6 @@ ORACLES = {
     "xi_score": "scalar oracle of add_node's candidate scores",
     "node_output_float": "scalar oracle of the reference path's node bits",
     "fx_from_real": "one-value form of quantize_array, the oracle of its rounding",
-    "decimal_digit": "the paper's digit rule on one value, the oracle of the array digits",
 }
 
 
@@ -72,27 +73,38 @@ def referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def _public(body: list[ast.stmt]) -> list[ast.FunctionDef | ast.ClassDef]:
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def uncalled(source: str, elsewhere: set[str]) -> list[str]:
-    """Public top-level functions and classes of source that nothing references.
+    """Public top-level functions and classes of source, and public methods and
+    properties of its public classes (as Class.name), that nothing references.
 
     elsewhere holds the names that the other modules and scripts reference.
     """
     tree = ast.parse(source)
-    return [
-        node.name for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and node.name not in elsewhere and node.name not in referenced(tree, skip=node)
-    ]
+    named = [(node.name, node) for node in _public(tree.body)]
+    named += [(f"{cls.name}.{node.name}", node) for cls in _public(tree.body)
+              if isinstance(cls, ast.ClassDef) for node in _public(cls.body)]
+    return [name for name, node in named
+            if node.name not in elsewhere and node.name not in referenced(tree, skip=node)]
 
 
 def test_the_check_finds_an_uncalled_function():
     source = ("def used():\n    return 1\n"
               "def recursive(n):\n    return recursive(n - 1) if n else used()\n"
               "def _private():\n    pass\n"
-              "class Called:\n    pass\n"
+              "class Called:\n"
+              "    def method(self):\n        return self.prop\n"
+              "    @property\n    def prop(self):\n        return 1\n"
+              "    def unread(self):\n        return self.unread()\n"
+              "    def external(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"
               "def external():\n    pass\n"
-              "X = Called()\n")
-    assert uncalled(source, {"external"}) == ["recursive"]
+              "X = Called().method()\n")
+    assert uncalled(source, {"external"}) == ["recursive", "Called.unread"]
 
 
 def test_every_public_function_has_a_caller():

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitMatrix, BitVec
+from scmfpga.errors import ModelFormatError
 from scmfpga.mechanism import (
     MechanismModel,
     external_mechanism,
@@ -11,6 +14,7 @@ from scmfpga.mechanism import (
     mech_wide_fpga,
     signals_pm1,
 )
+from scmfpga.modelfile import model_from_json
 
 
 def mech_eval_float(x_bits, mech):
@@ -59,7 +63,7 @@ def test_external_passthrough():
     assert np.array_equal(mech.weights_raw[:, 0], [fx.fx_from_real(0.5), fx.fx_from_real(-0.25)])
 
 
-def test_from_real_counts_saturated_values():
+def test_a_mechanism_counts_saturated_values():
     mech = external_mechanism(np.array([[100.0], [0.5], [-64.0]]), np.array([-70.0]))
     assert mech.saturated == 2  # 100 and -70; -64 is the format minimum
     assert mech.weights_raw[0, 0] == fx.RAW_MAX and mech.intercepts_raw[0] == fx.RAW_MIN
@@ -145,12 +149,8 @@ def test_eval_fpga_sign_flip_symmetry():
 
 
 def test_eval_fpga_min_raw_weight_saturates_negation():
-    mech = MechanismModel(
-        weights=np.array([[-64.0]]),
-        intercepts=np.array([0.0]),
-        weights_raw=np.array([[fx.RAW_MIN]], dtype=np.int32),
-        intercepts_raw=np.array([0], dtype=np.int32),
-    )
+    mech = MechanismModel(np.array([[-64.0]]), np.array([0.0]))
+    assert mech.weights_raw[0, 0] == fx.RAW_MIN
     # clear bit: two's complement of RAW_MIN saturates to RAW_MAX
     assert mech_eval_fpga(BitVec.from01([0]), mech)[0] == fx.RAW_MAX
     assert mech_eval_fpga(BitVec.from01([1]), mech)[0] == fx.RAW_MIN
@@ -164,18 +164,18 @@ def test_length_mismatch():
         mech_eval_fpga(BitVec(5), mech)
 
 
-def test_raw_values_must_be_int32():
-    # the model file holds them as int32, where 2**31 would read back as -2**31
-    p = np.array([[0.5]])
-    for w_raw, u_raw in [(np.array([[2**31]]), np.zeros(1, np.int32)),
-                         (np.array([[0]], np.int32), np.zeros(1))]:
-        with pytest.raises(ValueError, match="int32"):
-            MechanismModel(p, np.zeros(1), w_raw, u_raw)
-
-
 @pytest.mark.parametrize("p,u", [(5.0, 0.0), (0.0, 5.0), (np.nan, 0.0)])
 def test_floats_must_round_to_their_raw_values(p, u):
-    # such a mechanism's model would claim a quantization bound it does not meet
-    zero = np.zeros((1, 1), np.int32)
-    with pytest.raises(ValueError, match="round to their raw values|finite"):
-        MechanismModel(np.array([[p]]), np.array([u]), zero, zero[0])
+    # such a mechanism's model would claim a quantization bound it does not meet;
+    # the reader compares the raw values it reads with the ones the floats give
+    doc = {"format": "scmfpga-model", "version": 1, "encoding": "density:1", "n_outputs": 1,
+           "mechanism": {"d_enc": 1, "weights": [[p]], "weights_raw": [[0]],
+                         "intercepts": [u], "intercepts_raw": [0]}}
+    with pytest.raises(ModelFormatError, match="round to their raw values|finite"):
+        model_from_json(json.dumps(doc))
+
+
+def test_a_mechanism_refuses_a_nan_weight():
+    # a NaN has no raw value
+    with pytest.raises(ValueError, match="finite"):
+        MechanismModel(np.array([[np.nan]]), np.zeros(1))

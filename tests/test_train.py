@@ -123,55 +123,57 @@ def test_early_stop_can_remove_zero():
 # -- node output (float path) --------------------------------------------
 
 
-def _node(w_pm1, shift=0, bias=0.0, m=1):
-    return ScmNode(
-        w=BitVec.from_pm1(w_pm1),
-        shift=shift,
-        bias=bias,
-        bias_raw=fx.fx_from_real(bias),
-        beta=np.zeros(m),
-        beta_raw=np.zeros(m, dtype=np.int32),
-    )
+def _layer(w, act=Activation.STEP, shift=0, bias=0.0):
+    """A layer of one node: weight bits w ('1' is +1), scale code, bias, zero readout."""
+    return ScmLayer.from_arrays(
+        act, BitMatrix.from_rows([BitVec.from_string(w)]), np.array([shift], np.uint8),
+        np.array([fx.fx_from_real(bias)], np.int32), np.zeros((1, 1)), np.zeros((1, 1), np.int32))
 
 
 def test_node_output_all_ones():
-    node = _node([1, 1, 1, 1])
-    bit, h = node_output_float(BitVec.from_pm1([1, 1, 1, 1]), node, Activation.STEP)
+    bit, h = node_output_float(BitVec.from_string("1111"), _layer("1111"), 0)
     assert bit == 1 and h == 1.0
 
 
 def test_node_output_strict_threshold():
-    node = _node([1, 1])  # s=(+1,-1) -> dot 0, bias 0 -> pre exactly 0
-    bit, h = node_output_float(BitVec.from_pm1([1, -1]), node, Activation.STEP)
+    # s=(+1,-1) -> dot 0, bias 0 -> pre exactly 0
+    bit, h = node_output_float(BitVec.from_string("10"), _layer("11"), 0)
     assert bit == 0 and h == -1.0
-    bit, h = node_output_float(BitVec.from_pm1([1, -1]), node, Activation.SIGN)
+    bit, h = node_output_float(BitVec.from_string("10"), _layer("11", Activation.SIGN), 0)
     assert bit == 0 and h == 0.0
 
 
 def test_node_output_domains():
-    node = _node([-1, 1, -1, 1])
+    layer = _layer("0101", Activation.SIGN)
     # {0,1} inputs use the conditional-count dot: (1,0,1,1) -> -1
-    bit, h = node_output_float(
-        BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN, pm1=False
-    )
+    bit, h = node_output_float(BitVec.from01([1, 0, 1, 1]), layer, 0, pm1=False)
     assert bit == 0 and h == 0.0
     # +-1 inputs use the XNOR dot
-    bit, _ = node_output_float(
-        BitVec.from_pm1([-1, 1, 1, -1]), _node([-1, 1, -1, -1]), Activation.STEP
-    )
+    bit, _ = node_output_float(BitVec.from_string("0110"), _layer("0100"), 0)
     assert bit == 1  # dot = 2, lambda 1, bias 0
 
 
 def test_node_output_scaling_and_bias():
-    node = _node([1, 1, 1, 1], shift=3, bias=-17.0)
+    layer = _layer("1111", shift=3, bias=-17.0)
     # dot=2 -> 2*8=16, bias -17 -> pre -1 -> bit 0
-    bit, _ = node_output_float(BitVec.from_pm1([1, 1, 1, -1]), node, Activation.STEP)
+    bit, _ = node_output_float(BitVec.from_string("1110"), layer, 0)
     assert bit == 0
+
+
+def test_node_output_reads_node_i_of_a_layer():
+    # three nodes on the same input: a +1 weight row, a -1 one, and a +1 one
+    # whose bias outweighs its dot
+    w = BitMatrix.from01(np.array([[1, 1], [0, 0], [1, 1]]))
+    bias_raw = np.array([0, 0, fx.fx_from_real(-3.0)], np.int32)
+    layer = ScmLayer.from_arrays(Activation.STEP, w, np.zeros(3, np.uint8), bias_raw,
+                                 np.zeros((3, 1)), np.zeros((3, 1), np.int32))
+    bits = [node_output_float(BitVec.from_string("11"), layer, i)[0] for i in range(3)]
+    assert bits == [1, 0, 0]
 
 
 def test_node_output_length_check():
     with pytest.raises(ValueError):
-        node_output_float(BitVec(3), _node([1, 1]), Activation.STEP)
+        node_output_float(BitVec(3), _layer("11"), 0)
 
 
 # -- add_node -------------------------------------------------------------
@@ -697,7 +699,7 @@ def test_reorthogonalization_keeps_q_orthonormal():
     for i in range(12):
         col = h.copy()
         col[:i] *= -1.0
-        state.append_node(_node([1] * 6), col, np.ones(10))
+        state.append_node((np.ones(6, np.uint8), 0, 0), col, np.ones(10))
     assert state.in_basis.count(False) == 0
     q = state.Q[:, :12]
     assert np.max(np.abs(q.T @ q - np.eye(12))) <= 1e-12
@@ -742,6 +744,14 @@ def test_train_mechanism_only():
     s = signals_pm1(bits)
     expected = s @ model.mechanism.weights + model.mechanism.intercepts
     assert np.allclose(out, expected, atol=1e-12)
+
+
+def test_train_without_the_mechanism_keeps_an_all_zero_external_one():
+    # the model file records the mechanism's source, so its bytes depend on it
+    cfg = TrainConfig.single_layer(3, t_max=50, use_mechanism=False, seed=0)
+    mech = train(_toy_data(), cfg).model.mechanism
+    assert mech.source == "external" and mech.saturated == 0
+    assert not mech.weights_raw.any() and not mech.intercepts_raw.any()
 
 
 def test_train_zero_residual_fails():
@@ -1004,7 +1014,7 @@ def test_predict_float_matches_straight_line_oracle():
 def test_predict_float_single_node_adds_beta():
     mech = external_mechanism(np.zeros((2, 1)), np.array([0.25]))
     node = ScmNode(
-        w=BitVec.from_pm1([1, 1]),
+        w=BitVec.from_string("11"),
         shift=0,
         bias=0.5,
         bias_raw=fx.fx_from_real(0.5),
@@ -1014,7 +1024,7 @@ def test_predict_float_single_node_adds_beta():
     model = ScmModel(
         parse_encoding("density:2"), mech, [ScmLayer(Activation.STEP, [node])], 1
     )
-    out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from_pm1([1, 1])]))
+    out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from_string("11")]))
     assert out.shape == (1, 1)  # pre = 2.5 > 0 -> h = 1
     assert np.allclose(out, [1.25])
 
