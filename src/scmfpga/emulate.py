@@ -11,15 +11,19 @@ outputs differ only by the stored-parameter rounding.
 predict_fpga_batch is the batch path: it runs the datapath vectorized over
 the encoded rows, which it takes only as a BitMatrix (rows of (W,)
 little-endian uint64 words, bit 0 = input 0, zero pad bits; see bits.py), in
-blocks of BLOCK_ROWS rows. A layer's popcounts accumulate word by word: for
-each word column j, the (rows, nodes) counts of x[:, j] XOR (or AND) every
-node's word j are added into one int64 array, so no (rows, nodes, words)
-temporary is built. The kernel reads a layer's packed arrays (weight words,
-scale codes, raw biases and readouts) as they are.
+blocks of BLOCK_ROWS rows. A layer's popcounts add up word by word into one
+(nodes, rows) int32 array, and one compare with a per-node limit stands for
+the shift, the bias and the strict threshold: (dot << shift + 25) + bias_raw
+> 0 says dot * 2**(25 + shift) > -bias_raw, which for an integer dot is
+dot > edge = floor(-bias_raw / 2**(25 + shift)) (model.threshold_edge). A
++-1 dot is fan_in - 2*count, so the node fires when 2*count < fan_in - edge;
+a {0,1} dot is 2*count - ones(x), so it fires when 2*count - ones(x) > edge.
+The bits, as float64 0/1, select the readouts (fixedpoint.conditional_sum)
+and, times powers of two, pack into the next layer's words, both exactly.
 predict_fpga is its test oracle: one BitVec at a time, in Python integers
-through xnor_count, ones_count_dot and fixedpoint's scalar fx_neg and
-saturate_to_fx. It shares no kernel with the batch path, so a fault in one
-cannot hide in the other.
+through xnor_count, ones_count_dot, the literal shift and bias, and
+fixedpoint's scalar fx_neg and saturate_to_fx. It shares no kernel with the
+batch path, so a fault in one cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import BitMatrix, BitVec
+from .bits import WORD, BitMatrix, BitVec, n_words
 from .mechanism import mech_wide_fpga
-from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel
+from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, threshold_edge
 
 
 def xnor_count(a: BitVec, b: BitVec) -> int:
@@ -90,23 +94,25 @@ def _layer_bits(layer: ScmLayer, x: BitMatrix, pm1: bool) -> np.ndarray:
     """(B, K) threshold bits of a layer's nodes on a block of B input rows."""
     op = np.bitwise_xor if pm1 else np.bitwise_and
     w = layer.w.words
-    word = lambda j: np.bitwise_count(op(x.words[:, j, None], w[:, j]))  # noqa: E731
-    # the popcounts add up word by word in one (B, K) int64 array, which
-    # then becomes the pre-activation in place
-    acc = word(0).astype(np.int64)
+    xt = x.words.T.copy()  # node-major, so each op runs along the B rows
+    word = lambda j: np.bitwise_count(op(w[:, j, None], xt[j]))  # noqa: E731
+    count = word(0).astype(np.int32)  # (K, B) popcounts, added word by word
     for j in range(1, w.shape[1]):
-        acc += word(j)
-    if pm1:
-        # XNOR-count: agreements minus disagreements, n - 2*count
-        acc *= -2
-        acc += layer.fan_in
-    else:
-        # set inputs count +1 under a set weight bit and -1 under a clear one
-        acc *= 2
-        acc -= np.bitwise_count(x.words).sum(axis=1, dtype=np.int64)[:, None]
-    acc <<= layer.shift + fx.FRAC_BITS
-    acc += layer.bias_raw
-    return acc > 0
+        count += word(j)
+    edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.int32)[:, None]
+    if pm1:  # 2*count < fan_in - edge
+        return (count < (layer.fan_in - edge + 1) >> 1).T
+    # 2*count - ones(x) > edge
+    ones = np.bitwise_count(x.words).sum(axis=1, dtype=np.int32)
+    return (count > (ones + edge) >> 1).T
+
+
+def _packer(k: int) -> np.ndarray:
+    """(k, 2W) float64 P with 2**(i % 32) at [i, i // 32]: the exact product bits01 @ P
+    holds each row's 32-bit halves, which read as little-endian uint32 are its words."""
+    p, i = np.zeros((k, 2 * n_words(k))), np.arange(k)
+    p[i, i // 32] = np.ldexp(1.0, i % 32)
+    return p
 
 
 def predict_fpga_batch(
@@ -115,11 +121,12 @@ def predict_fpga_batch(
     """Emulated prediction over a batch of encoded rows; (N, m) int32 raw values.
 
     Row for row equal to predict_fpga. Per block of BLOCK_ROWS rows: the
-    unsaturated mechanism sum; then per layer the XNOR- or AND-popcount dot
-    products, the shift, the bias and the strict threshold. The threshold bits select each node's readout or
-    its clear-bit value (0 for SIGN, the readout's fx_neg for STEP), summed
-    exactly in int64, and are packed as the next layer's input. The sum
-    saturates once, at the end.
+    unsaturated mechanism sum; then per layer the XNOR- or AND-popcounts,
+    compared with a per-node limit that is the datapath's shift, bias and
+    strict threshold (see _layer_bits). The threshold bits select each node's
+    readout or its clear-bit value (0 for SIGN, the readout's fx_neg for
+    STEP), summed exactly (fixedpoint.conditional_sum), and are packed as the
+    next layer's input. The sum saturates once, at the end.
 
     If `saturated`, an (m,) integer array, is given, the number of rows whose
     output was clamped is added to it per output.
@@ -127,22 +134,20 @@ def predict_fpga_batch(
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     model.validate()
-    # the value a node whose bit is clear contributes
-    offs = [
-        np.zeros_like(layer.beta_raw) if layer.activation == Activation.SIGN
-        else fx.fx_neg_array(layer.beta_raw)
-        for layer in model.layers
-    ]
+    # per layer the value a clear bit contributes, and the packing product
+    plans = [(layer, np.zeros_like(layer.beta_raw) if layer.activation == Activation.SIGN
+              else fx.fx_neg_array(layer.beta_raw), _packer(len(layer)))
+             for layer in model.layers]
 
     out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
         acc = mech_wide_fpga(x.to01(), model.mechanism)
         pm1 = True
-        for layer, off in zip(model.layers, offs):
-            fired = _layer_bits(layer, x, pm1)
+        for layer, off, packer in plans:
+            fired = _layer_bits(layer, x, pm1).astype(np.float64)
             acc += fx.conditional_sum(fired, layer.beta_raw, off)
-            x = BitMatrix.from01(fired)
+            x = BitMatrix((fired @ packer).astype("<u4").view(WORD), len(layer))
             pm1 = layer.activation == Activation.STEP
         final = fx.saturate_array(acc)
         out[start : start + BLOCK_ROWS] = final

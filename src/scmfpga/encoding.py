@@ -71,14 +71,13 @@ def _layout(kind: EncodingKind, param: int) -> tuple[int, ...]:
 
 _DIGIT = np.arange(10, dtype=np.uint8)
 # ones in a digit field of each width, indexed by the digit; width 1 is the
-# integer bit. The 4-bit field maps digit pairs {0,1}..{8,9} to 0..4 ones and
-# the 2-bit field maps {0-3}/{4-6}/{7-9} to 0/1/2.
-_ONES = {
-    1: _DIGIT,
-    9: _DIGIT,
-    4: _DIGIT // 2,
-    2: np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8),
-}
+# integer bit, whose digit is 0 or 1. The 4-bit field maps digit pairs
+# {0,1}..{8,9} to 0..4 ones and the 2-bit field maps {0-3}/{4-6}/{7-9} to 0/1/2.
+_ONES = {1: _DIGIT[:2], 9: _DIGIT, 4: _DIGIT // 2,
+         2: np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8)}
+# a field's bits for each digit: row c of np.tri(w + 1, w, -1) holds c ones
+# from the left, and reversed c ones from the right
+_FIELD_BITS = {w: np.tri(w + 1, w, -1, dtype=bool)[ones, ::-1] for w, ones in _ONES.items()}
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,8 @@ def _digit_table(values: np.ndarray, places: int) -> np.ndarray:
     exact = m / p == values
     t = np.where(exact, m, np.where(f / p < values, f, f - 1)).astype(np.int64)
     digits = np.zeros((len(values), 1 + places), dtype=np.uint8)
-    digits[:, : q + 1] = t[:, None] // 10 ** np.arange(q, -1, -1) % 10
+    for k in range(q, -1, -1):  # the last place first
+        t, digits[:, k] = np.divmod(t, 10)
     if places > q:
         for i in np.flatnonzero(~exact):
             digits[i] = _digits(values.item(i), places)
@@ -183,18 +183,15 @@ def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
 
     Each field is a thermometer holding a count of ones: the density field
     fills from the left with the bucket index, a digit field fills from the
-    right with its _ONES count for the digit.
+    right with its _ONES count for the digit (a row of _FIELD_BITS).
     """
     if kind == EncodingKind.DENSITY:
         level = np.minimum(values * (param + 1), param).astype(np.int64)
         return level[:, None] > np.arange(param)
     widths = _layout(kind, param)
     digits = _digit_table(values, len(widths) - 1)
-    ones = np.stack([_ONES[w][digits[:, k]] for k, w in enumerate(widths)], axis=1)
-    field = np.repeat(np.arange(len(widths)), widths)
-    # a bit `rank` places left of its field's right end is set by more than `rank` ones
-    rank = np.repeat(np.cumsum(widths), widths) - 1 - np.arange(len(field))
-    return ones[:, field] > rank
+    return np.hstack([np.take(_FIELD_BITS[w], digits[:, k], axis=0)
+                      for k, w in enumerate(widths)])
 
 
 def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:

@@ -45,6 +45,8 @@ class MechanismModel:
             raise ValueError("output count mismatch between weights and intercepts")
         if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL):
             raise ValueError(f"unknown mechanism source {self.source!r}")
+        if not 0.0 <= self.alpha < np.inf:  # also refuses NaN
+            raise ValueError(f"mechanism alpha {self.alpha!r} is not finite and non-negative")
         w_raw, w_sat = fx.quantize_array(self.weights)
         u_raw, u_sat = fx.quantize_array(self.intercepts)
         object.__setattr__(self, "weights_raw", w_raw)  # the dataclass is frozen

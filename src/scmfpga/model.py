@@ -8,8 +8,8 @@ they are, as do the scalar oracles: the emulator's predict_fpga, and
 node_output_float, which reads node i of a layer. ScmNode, one node's
 scalars, stays only as the record that the benchmark's synthetic model packs
 with ScmLayer(activation, nodes), through the same checks. A node's bit
-depends on its raw bias only: training and the reference path both take it
-from threshold_bits, the emulator's integer test.
+depends on its raw bias only, through threshold_edge: training and the
+reference path test dot > edge in threshold_bits, the emulator in popcounts.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -193,57 +193,69 @@ def check_fan_in(fan_in: int) -> None:
         raise ValueError(f"fan-in {fan_in} is too wide for an exact float32 dot (below 2**24)")
 
 
-def threshold_bits(
-    s32: np.ndarray, w32: np.ndarray, shift: np.ndarray, bias_raw: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Threshold bits of K nodes (scale codes shift, raw biases bias_raw) on N rows.
-
-    s32 (N, fan_in) and w32 (K, fan_in) are float32 in {-1, 0, +1}. The dots
-    go into the (N, K) float32 work array, which the bits then overwrite in
-    place as 0.0 or 1.0. The test dot > floor(-bias_raw / 2**(25 + shift)),
-    whose floor has magnitude at most 64, is the emulator's
-    (dot << shift + 25) + bias_raw > 0 for the integer dot (see check_fan_in).
-    """
-    np.matmul(s32, w32.T, out=work)
+def threshold_edge(shift: np.ndarray, bias_raw: np.ndarray) -> np.ndarray:
+    """(K,) int64 edges floor(-bias_raw / 2**(25 + shift)), each in [-64, 64]: an
+    integer dot passes the datapath's (dot << shift + 25) + bias_raw > 0 iff dot > edge."""
     # widened first: -RAW_MIN does not fit int32
     neg = -np.asarray(bias_raw, dtype=np.int64)
-    edge = neg >> (np.asarray(shift, dtype=np.int64) + fx.FRAC_BITS)  # floor division
-    return np.greater(work, edge.astype(np.float32), out=work)
+    return neg >> (np.asarray(shift, dtype=np.int64) + fx.FRAC_BITS)  # floor division
 
 
-def layer_forward_float(s: np.ndarray, layer: ScmLayer) -> np.ndarray:
-    """Activation values of a layer on an (N, fan_in) signal matrix.
+def threshold_bits(
+    s32: np.ndarray, w32: np.ndarray, edge32: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Threshold bits of K nodes on N rows.
 
-    The returned (N, n_nodes) float64 matrix is also the signal matrix
-    feeding the next layer: {0,1} after SIGN, {-1,+1} after STEP.
+    s32 (N, fan_in) and w32 (K, fan_in) are float32 in {-1, 0, +1}, and
+    edge32 is the nodes' threshold_edge in float32. The dots go into the
+    (N, K) float32 work array, which the bits then overwrite in place as 0.0
+    or 1.0. Dots (see check_fan_in) and edges are exact integers in float32.
     """
+    np.matmul(s32, w32.T, out=work)
+    return np.greater(work, edge32, out=work)
+
+
+def layer_forward_float(layer: ScmLayer) -> Callable[[np.ndarray], np.ndarray]:
+    """A layer's reference function, built once: from an (N, fan_in) signal
+    matrix to the (N, n_nodes) float32 activation values, which also feed the
+    next layer: {0,1} after SIGN, {-1,+1} after STEP (exact in float32). Raises
+    ValueError when the fan-in is too wide for threshold_bits (check_fan_in)."""
+    check_fan_in(layer.fan_in)
     w = layer.w.to01().astype(np.float32)
     w *= 2.0
     w -= 1.0
-    work = np.empty((len(s), len(layer)), dtype=np.float32)
-    bits = threshold_bits(s.astype(np.float32), w, layer.shift, layer.bias_raw, work)
-    return activation_values(bits, layer.activation)
+    edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.float32)
+    step = layer.activation == Activation.STEP
+
+    def forward(s: np.ndarray) -> np.ndarray:
+        h = threshold_bits(s.astype(np.float32, copy=False), w, edge,
+                           np.empty((len(s), len(w)), dtype=np.float32))
+        if step:
+            h *= 2.0
+            h -= 1.0
+        return h
+
+    return forward
 
 
 def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
     Works in blocks of BLOCK_ROWS rows, so its temporaries do not grow with
-    the batch. Raises ValueError when a layer's fan-in is too wide for
-    threshold_bits (check_fan_in).
+    the batch. Signals between layers stay float32; the mechanism and the
+    readouts multiply in float64. Raises ValueError when a layer's fan-in is
+    too wide for threshold_bits (check_fan_in), before any signal is built.
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
-    for layer in model.layers:
-        check_fan_in(layer.fan_in)
+    forwards = [(layer_forward_float(layer), layer.beta) for layer in model.layers]
     out = np.empty((len(bits), model.n_outputs))
     for start in range(0, len(bits), BLOCK_ROWS):
         s = signals_pm1(bits[start : start + BLOCK_ROWS])
         acc = mech_eval_float_batch(s, model.mechanism)
-        for layer in model.layers:
-            h = layer_forward_float(s, layer)
-            acc += h @ layer.beta
-            s = h
+        for forward, beta in forwards:
+            s = forward(s)
+            acc += s.astype(np.float64) @ beta
         out[start : start + BLOCK_ROWS] = acc
     return out
 

@@ -48,20 +48,9 @@ from . import fixedpoint as fx
 from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
-from .mechanism import (
-    external_mechanism,
-    fit_mechanism,
-    mech_eval_float_batch,
-    signals_pm1,
-)
-from .model import (
-    Activation,
-    ScmLayer,
-    ScmModel,
-    activation_values,
-    check_fan_in,
-    threshold_bits,
-)
+from .mechanism import external_mechanism, fit_mechanism, mech_eval_float_batch, signals_pm1
+from .model import (Activation, ScmLayer, ScmModel, activation_values, check_fan_in,
+                    threshold_bits, threshold_edge)
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
 DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -187,8 +176,9 @@ class TrainResult:
 
     def log_text(self) -> str:
         lines = [rec.to_kv() for rec in self.records]
-        for ev in self.events:
-            lines.append(" ".join(f"{k}={v}" for k, v in ev.items()))
+        for ev in self.events:  # floats at %.9g, as in the records
+            lines.append(" ".join(f"{k}={v:.9g}" if isinstance(v, float) else f"{k}={v}"
+                                  for k, v in ev.items()))
         return "\n".join(lines)
 
 
@@ -505,11 +495,12 @@ def add_node(
         lam = np.ldexp(1.0, shift)
         b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
         state.bias_saturated += n_sat
+        edge = threshold_edge(shift, b_raw).astype(np.float32)
 
         sums = np.zeros((len(limbs.lhs), t), dtype=np.float32)
         for a in range(0, n, SCORE_ROWS):
             blk = slice(a, min(a + SCORE_ROWS, n))
-            bits = threshold_bits(s_tr[blk], w, shift, b_raw, state.work[: blk.stop - a])
+            bits = threshold_bits(s_tr[blk], w, edge, state.work[: blk.stop - a])
             sums += limbs.lhs[:, blk] @ bits
         eh, count = limbs.dots(sums, pm1)
         hh = np.full(t, float(n)) if pm1 else count
@@ -525,7 +516,7 @@ def add_node(
         one = slice(j, j + 1)
         # the work array holds only the last block: rebuild the accepted column
         h_tr, h_va = (
-            activation_values(threshold_bits(s, w[one], shift[one], b_raw[one],
+            activation_values(threshold_bits(s, w[one], edge[one],
                                              np.empty((len(s), 1), np.float32))[:, 0], act)
             for s in (s_tr, s_va)
         )

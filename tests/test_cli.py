@@ -387,6 +387,34 @@ def test_import_refuses_an_unknown_mechanism_source(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-1"])
+def test_import_refuses_a_mechanism_alpha_that_is_not_finite_and_non_negative(
+        tmp_path, capsys, alpha):
+    j = tmp_path / "m.json"
+    j.write_text(
+        '{"format": "scmfpga-model", "version": 1, "encoding": "density:2", "n_outputs": 1, '
+        f'"mechanism": {{"d_enc": 2, "weights": [[0.0], [0.0]], "intercepts": [0.0], '
+        f'"alpha": {alpha}}}, "layers": []}}'
+    )
+    out = tmp_path / "m.scm"
+    assert run("import", str(j), "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "alpha" in err[0]
+    assert not out.exists()
+
+
+def test_eval_and_report_refuse_a_model_file_with_a_nan_alpha(tmp_path, capsys, db1_files):
+    _, data, model = db1_files
+    body = bytearray(model.read_bytes()[:-4])
+    body[16:24] = struct.pack("<d", float("nan"))  # the mechanism's f64 alpha
+    bad = tmp_path / "bad.scm"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    for argv in (("eval", str(bad), str(data)), ("report", str(bad))):
+        assert run(*argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "alpha nan" in err[0]
+
+
 def test_bad_model_file_is_data_error(tmp_path, db1_files):
     _, data, _ = db1_files
     bad = tmp_path / "bad.scm"

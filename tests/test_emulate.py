@@ -356,9 +356,81 @@ def test_reference_layer_bits_equal_the_emulated_ones(model, seed):
     pm1 = True
     for layer in model.layers:
         fired = emulate._layer_bits(layer, x, pm1)
-        s = layer_forward_float(s, layer)
+        s = layer_forward_float(layer)(s)
         assert np.array_equal(s > 0, fired)
         x, pm1 = BitMatrix.from01(fired), layer.activation == Activation.STEP
+
+
+# -- the popcount limit at every threshold edge ------------------------------
+
+EDGE_FAN_INS = (1, 63, 64, 65, 130)
+
+
+def _edge_biases(shift: int) -> list[int]:
+    """Raw biases at each whole multiple k * 2**(shift + 25) in int32, one raw
+    step either side of each, and RAW_MIN and RAW_MAX."""
+    unit = 1 << (shift + fx.FRAC_BITS)
+    whole = range(fx.RAW_MIN // unit * unit, fx.RAW_MAX + 1, unit)
+    near = {b + d for b in whole for d in (-1, 0, 1)} | {fx.RAW_MIN, fx.RAW_MAX}
+    return sorted(b for b in near if fx.RAW_MIN <= b <= fx.RAW_MAX)
+
+
+def _edge_layer(rng, fan_in: int, act: Activation) -> ScmLayer:
+    """One node per scale code 0..7 and edge bias, three times: with all weights
+    +1, all -1 and random. Small positive readouts keep every output sum in
+    range, so each bit shows in the output."""
+    pairs = [(shift, b) for shift in range(8) for b in _edge_biases(shift)]
+    k = 3 * len(pairs)
+    w01 = np.vstack([np.ones((len(pairs), fan_in)), np.zeros((len(pairs), fan_in)),
+                     rng.integers(0, 2, size=(len(pairs), fan_in))]).astype(np.uint8)
+    beta_raw = rng.integers(1, 2**19, size=(k, 1)).astype(np.int32)
+    return ScmLayer.from_arrays(
+        act, BitMatrix.from01(w01), np.array([p[0] for p in pairs] * 3, dtype=np.uint8),
+        np.array([p[1] for p in pairs] * 3, dtype=np.int32), fx.dequantize_array(beta_raw),
+        beta_raw,
+    )
+
+
+def _sweep_rows(rng, width: int, n_random: int = 16) -> np.ndarray:
+    """Rows with 0..width ones, then random rows: under all-+1 or all--1
+    weights the first rows give every dot from -width to width."""
+    return np.vstack([np.tri(width + 1, width, -1, dtype=np.uint8),
+                      rng.integers(0, 2, size=(n_random, width), dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("pm1", [True, False], ids=["pm1", "zero-one"])
+@pytest.mark.parametrize("fan_in", EDGE_FAN_INS)
+def test_layer_bits_at_every_threshold_edge(fan_in, pm1):
+    rng = np.random.default_rng(fan_in)
+    layer = _edge_layer(rng, fan_in, Activation.STEP)
+    x01 = _sweep_rows(rng, fan_in)
+    # the datapath's literal stages in int64: the dot, the shift, the bias and
+    # the strict threshold
+    x, w = x01.astype(np.int64), layer.w.to01().astype(np.int64) * 2 - 1
+    dot = (2 * x - 1 if pm1 else x) @ w.T
+    pre = (dot << layer.shift.astype(np.int64) + fx.FRAC_BITS) + layer.bias_raw
+    assert np.any(pre == 0)  # some pre-activations lie on the edge
+    fired = emulate._layer_bits(layer, BitMatrix.from01(x01), pm1)
+    assert fired.shape == pre.shape and fired.dtype == bool
+    assert np.array_equal(fired, pre > 0)
+
+
+@pytest.mark.parametrize("pm1", [True, False], ids=["pm1", "zero-one"])
+@pytest.mark.parametrize("fan_in", EDGE_FAN_INS)
+def test_batch_matches_scalar_at_every_threshold_edge(fan_in, pm1):
+    # the edge layer reads the encoded +-1 inputs, or the 0/1 bits of a SIGN
+    # layer of fan_in random nodes
+    rng = np.random.default_rng(fan_in)
+    d_enc = fan_in if pm1 else 12
+    layers = [] if pm1 else [_random_model(rng, d_enc, (Activation.SIGN,), (fan_in,), 1,
+                                           0.0).layers[0]]
+    layers.append(_edge_layer(rng, fan_in, Activation.STEP))
+    mech = MechanismModel(np.zeros((d_enc, 1)), np.zeros(1))
+    model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, layers, 1)
+    rows = BitMatrix.from01(_sweep_rows(rng, d_enc, n_random=4))
+    out = predict_fpga_batch(model, rows)
+    for i, row in enumerate(rows):
+        assert np.array_equal(out[i], predict_fpga(model, row))
 
 
 def test_batch_does_not_call_the_scalar_emulator(monkeypatch):

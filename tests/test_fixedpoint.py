@@ -119,6 +119,23 @@ def test_conditional_sum_matches_loop(n_rows, k, m, seed):
     assert out.tolist() == expected
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 4, 7])
+def test_conditional_sum_adds_its_chunks_exactly(monkeypatch, k):
+    # three columns per product, so the chunk loop runs; on and off at the
+    # raw extremes
+    monkeypatch.setattr(fx, "EXACT_TERMS", 3)
+    rng = np.random.default_rng(k)
+    on = rng.choice([fx.RAW_MIN, fx.RAW_MAX], size=(k, 2)).astype(np.int32)
+    off = rng.choice([fx.RAW_MIN, fx.RAW_MAX, 0], size=(k, 2)).astype(np.int32)
+    select = rng.integers(0, 2, size=(6, k)).astype(bool)
+    select[0], select[1] = True, False
+    expected = [[sum(int(on[j, q] if row[j] else off[j, q]) for j in range(k)) for q in range(2)]
+                for row in select]
+    out = fx.conditional_sum(select, on, off)
+    assert out.dtype == np.int64 and out.shape == (6, 2)
+    assert out.tolist() == expected
+
+
 def test_decimal_string_exact():
     assert fx.fx_to_decimal_string(0) == "0"
     assert fx.fx_to_decimal_string(2**25) == "1"

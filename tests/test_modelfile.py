@@ -440,6 +440,30 @@ def test_json_refuses_float_fields_that_are_not_numbers(node, mechanism):
         model_from_json(_one_node_json(node, mechanism))
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1],
+                         ids=["NaN", "Infinity", "minus-1"])
+def test_json_refuses_a_mechanism_alpha_that_is_not_finite_and_non_negative(alpha):
+    text = _one_node_json({"weights": "10", "shift": 0, "bias_raw": 0, "beta": [1.0]},
+                          {**_ZERO_MECHANISM, "alpha": alpha})
+    assert f'"alpha": {json.dumps(alpha)}' in text  # NaN and Infinity as JSON spells them
+    with pytest.raises(ModelFormatError, match="alpha"):
+        model_from_json(text)
+
+
+# offset of the mechanism's f64 alpha: magic, version, flags, encoding,
+# n_outputs, d_enc and the source tag come first
+ALPHA_POS = 4 + 2 + 1 + 2 + 2 + 4 + 1
+
+
+def test_a_model_file_refuses_a_nan_alpha():
+    model = _model()
+    body = bytearray(model_to_bytes(model)[:-4])
+    assert struct.unpack_from("<d", body, ALPHA_POS)[0] == model.mechanism.alpha
+    body[ALPHA_POS : ALPHA_POS + 8] = struct.pack("<d", float("nan"))
+    with pytest.raises(ModelFormatError, match="alpha nan"):
+        model_from_bytes(_with_crc(body))
+
+
 def test_json_float_fields_take_integers():
     model = model_from_json(_one_node_json(
         {"weights": "10", "shift": 0, "bias": 1, "beta": [-2]},
@@ -560,7 +584,7 @@ def _check_sound(model):
     x, s, pm1 = rows, signals_pm1(rows), True
     for layer in model.layers:
         fired = emulate._layer_bits(layer, x, pm1)
-        s = layer_forward_float(s, layer)
+        s = layer_forward_float(layer)(s)
         assert np.array_equal(s > 0, fired)
         x, pm1 = BitMatrix.from01(fired), layer.activation == Activation.STEP
     rep = evaluate_bits(model, rows, np.zeros((len(rows), model.n_outputs)))

@@ -31,6 +31,7 @@ from scmfpga.model import (
     predict_float_batch,
     quantization_bound,
     threshold_bits,
+    threshold_edge,
 )
 from scmfpga.modelfile import model_to_bytes
 from scmfpga.train import (
@@ -300,8 +301,8 @@ def test_threshold_bits_equal_the_float64_pre_activation(seed, fan_in, rows, zer
 
     # the bits overwrite the dots in place, as 0.0 and 1.0
     work = np.empty((rows, shift.size), dtype=np.float32)
-    got = threshold_bits(s.astype(np.float32), w.astype(np.float32),
-                         shift.astype(np.uint8), bias_raw, work)
+    edge = threshold_edge(shift.astype(np.uint8), bias_raw)
+    got = threshold_bits(s.astype(np.float32), w.astype(np.float32), edge.astype(np.float32), work)
     assert got is work
     assert np.array_equal(work, (pre > 0).astype(np.float32))
 
@@ -841,6 +842,8 @@ def test_train_deep_model_and_log():
         "event=l1_fit", "event=readout", "event=saturation"]
     assert event_lines[1] == "event=readout dependent_columns=0"
     assert "converged=True" in event_lines[0]
+    # the objective prints at %.9g, as the records' floats do
+    assert f" objective={result.events[0]['objective']:.9g} " in event_lines[0]
     # the integer bit is constant: the toy inputs lie in [0, 1) and no row sets it
     s = signals_pm1(data.bits_train)
     constant = int(np.count_nonzero((s == s[0]).all(axis=0)))
