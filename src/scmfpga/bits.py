@@ -15,9 +15,9 @@ bit 1 means +1. There are two packed forms:
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
   Only the scalar test oracles of the batch paths take BitVecs: predict_fpga
   (which indexes a layer's weight rows for xnor_count and ones_count_dot) and
-  node_output_float (which reads node i of a layer the same way). The
-  benchmark's synthetic model still packs one BitVec per node into ScmNode
-  records. Training does not build any.
+  node_output_float (which reads node i of a layer the same way). Only the
+  benchmark's synthetic model packs BitVecs into a layer, one per ScmNode
+  record. Training does not build any.
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ class BitVec:
     def from_string(cls, s: str) -> "BitVec":
         """Build from a '0'/'1' string read left to right (char i -> bit i)."""
         return cls.from01([int(c) for c in s])
-
-    @classmethod
-    def join(cls, parts: Sequence["BitVec"]) -> "BitVec":
-        out_n = 0
-        out_v = 0
-        for p in parts:
-            out_v |= p.value << out_n
-            out_n += p.n
-        return cls(out_n, out_v)
 
     def to01(self) -> np.ndarray:
         if self.n == 0:

@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # such as the candidate work array of a huge --t-max
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except TrainingFailedError as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 4

@@ -34,11 +34,6 @@ def fx_from_real(x: float) -> int:
     return round(min(max(x * SCALE, RAW_MIN), RAW_MAX))  # Python round: half to even
 
 
-def fx_to_real(raw: int) -> float:
-    """Exact real value of a raw Q7.25 integer (raw / 2**25)."""
-    return raw / SCALE
-
-
 def fx_neg(raw: int) -> int:
     """Two's-complement negation; the minimum raw saturates to the maximum."""
     if raw == RAW_MIN:

@@ -6,8 +6,9 @@ arrays of scale codes, raw biases and readouts. Training and the model file
 build those arrays (ScmLayer.from_arrays), and every batch path reads them as
 they are, as do the scalar oracles: the emulator's predict_fpga, and
 node_output_float, which reads node i of a layer. ScmNode, one node's
-scalars, stays only as the record that the benchmark's synthetic model packs
-with ScmLayer(activation, nodes), through the same checks. A node's bit
+scalars, and ScmLayer(activation, nodes), which packs a list of them through
+the same checks, stay only for the benchmark's synthetic model; everything
+else, the tests included, builds layers with from_arrays. A node's bit
 depends on its raw bias only, through threshold_edge: training and the
 reference path test dot > edge in threshold_bits, the emulator in popcounts.
 
@@ -61,7 +62,7 @@ class ScmNode:
     def __post_init__(self):
         if not 0 <= self.shift <= 7:
             raise ValueError("shift code must be in 0..7")
-        if self.bias != fx.fx_to_real(self.bias_raw):
+        if self.bias != self.bias_raw * fx.RESOLUTION:
             raise ValueError(f"bias {self.bias!r} is not bias_raw / 2**25")
 
 
@@ -176,15 +177,6 @@ class ScmModel:
 # rows per block of predict_float_batch and the emulator's predict_fpga_batch:
 # bounds their per-row temporaries, so memory does not grow with the batch
 BLOCK_ROWS = 1024
-
-
-def activation_values(bit: np.ndarray, act: Activation) -> np.ndarray:
-    """Float activation values of threshold bits: {0,1} for SIGN, {-1,+1} for STEP."""
-    h = bit.astype(np.float64)
-    if act == Activation.STEP:
-        h *= 2.0
-        h -= 1.0
-    return h
 
 
 def check_fan_in(fan_in: int) -> None:

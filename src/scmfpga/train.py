@@ -49,7 +49,7 @@ from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix
 from .errors import TrainingFailedError
 from .mechanism import external_mechanism, fit_mechanism, mech_eval_float_batch, signals_pm1
-from .model import (Activation, ScmLayer, ScmModel, activation_values, check_fan_in,
+from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
                     threshold_bits, threshold_edge)
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
@@ -263,6 +263,10 @@ class TrainState:
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
         self.m = data.y_train.shape[1]
+        # (SCORE_ROWS, t_max) float32 candidate dots of a row block, then their
+        # 0/1 threshold bits; allocated before the L1 fit, so a t_max too large
+        # to hold fails at once
+        self.work = np.empty((SCORE_ROWS, cfg.t_max) if cfg.layer_sizes else (0, 0), np.float32)
         # float64 -1/+1 inputs, needed only while the state is built
         s1_train = signals_pm1(data.bits_train)
         s1_val = signals_pm1(data.bits_val)
@@ -292,9 +296,6 @@ class TrainState:
         # entries are -1, 0 or +1, so float32 holds them and every dot exactly
         self.cur_in_train = s1_train.astype(np.float32)
         self.cur_in_val = s1_val.astype(np.float32)
-        # (SCORE_ROWS, t_max) float32 candidate dots of a row block, then their
-        # 0/1 threshold bits; allocated by the first add_node
-        self.work: np.ndarray | None = None
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
 
@@ -475,8 +476,7 @@ def add_node(
     state.nodes[-1]. Returns None when the whole r schedule is
     exhausted.
     """
-    act = state.layer_acts[-1]
-    pm1 = act == Activation.STEP  # h = 2 * bit - 1, else h = bit
+    pm1 = state.layer_acts[-1] == Activation.STEP  # h = 2 * bit - 1, else h = bit
     s_tr = state.cur_in_train
     s_va = state.cur_in_val
     n, fan_in = s_tr.shape
@@ -485,8 +485,6 @@ def add_node(
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
     limbs = ResidualLimbs(e)
     shift_pool = np.array([lam.bit_length() - 1 for lam in cfg.lambda_pool])
-    if state.work is None or state.work.shape[1] != t:
-        state.work = np.empty((SCORE_ROWS, t), dtype=np.float32)
 
     for attempt, r in enumerate(cfg.r_schedule, start=1):
         w01 = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
@@ -514,13 +512,15 @@ def add_node(
         j = int(np.argmax(scores))
 
         one = slice(j, j + 1)
-        # the work array holds only the last block: rebuild the accepted column
+        # the work array holds only the last block: rebuild the accepted column h
         h_tr, h_va = (
-            activation_values(threshold_bits(s, w[one], edge[one],
-                                             np.empty((len(s), 1), np.float32))[:, 0], act)
+            threshold_bits(s, w[one], edge[one], np.empty((len(s), 1), np.float32))[:, 0]
             for s in (s_tr, s_va)
         )
-        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])), h_tr, h_va)
+        if pm1:
+            h_tr, h_va = 2 * h_tr - 1, 2 * h_va - 1
+        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
+                          h_tr.astype(np.float64), h_va.astype(np.float64))
         return TrainRecord(
             layer=layer,
             node=state.layer_sizes[-1],

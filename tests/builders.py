@@ -1,0 +1,45 @@
+"""Models for the tests, built from plain arrays through ScmLayer.from_arrays."""
+
+import numpy as np
+
+from scmfpga import fixedpoint as fx
+from scmfpga.bits import BitMatrix
+from scmfpga.encoding import parse_encoding
+from scmfpga.mechanism import external_mechanism
+from scmfpga.model import ScmLayer, ScmModel
+
+
+def layer(act, w01, shift=0, bias_raw=0, beta=(0.0,)) -> ScmLayer:
+    """A layer of K nodes from (K, fan_in) 0/1 weight rows (1 is +1).
+
+    shift (scale codes) and bias_raw (raw Q7.25 biases) are one value per
+    node or one for all; beta is (K, m) float readouts or one (m,) row for
+    all, and the raw readouts are beta rounded by quantize_array.
+    """
+    w01 = np.asarray(w01, dtype=np.uint8)
+    k = len(w01)
+    beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), (k, np.shape(beta)[-1])).copy()
+    return ScmLayer.from_arrays(
+        act, BitMatrix.from01(w01), np.broadcast_to(shift, k).astype(np.uint8),
+        np.broadcast_to(bias_raw, k).astype(np.int32), beta, fx.quantize_array(beta)[0],
+    )
+
+
+def random_model(seed, d_enc, layers, m=1) -> ScmModel:
+    """A validated model on density:d_enc inputs with a random external
+    mechanism and one random layer per (size, activation) pair in layers:
+    random weight bits and scale codes, biases on the Q7.25 grid in (-2, 2)
+    and normal readouts."""
+    rng = np.random.default_rng(seed)
+    mech = external_mechanism(rng.normal(scale=0.2, size=(d_enc, m)), rng.normal(size=m))
+    built, fan_in = [], d_enc
+    for size, act in layers:
+        built.append(layer(
+            act, rng.integers(0, 2, size=(size, fan_in)), rng.integers(0, 8, size=size),
+            fx.quantize_array(rng.uniform(-2, 2, size=size))[0],
+            rng.normal(scale=0.4, size=(size, m)),
+        ))
+        fan_in = size
+    model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, built, m)
+    model.validate()
+    return model

@@ -14,6 +14,8 @@ import pytest
 
 import scmfpga as s
 
+from builders import layer
+
 warnings.filterwarnings("ignore", message="clamped")
 
 
@@ -137,18 +139,8 @@ def _shape_model(spec_text, d, sizes):
     spec = s.parse_encoding(spec_text)
     d_enc = d * spec.bits_per_input
     mech = s.external_mechanism(np.zeros((d_enc, 1)), np.zeros(1))
-    layers = []
-    fan_in = d_enc
-    for n in sizes:
-        nodes = [
-            s.ScmNode(
-                w=s.BitVec(fan_in, 0), shift=0, bias=0.0, bias_raw=0,
-                beta=np.zeros(1), beta_raw=np.zeros(1, dtype=np.int32),
-            )
-            for _ in range(n)
-        ]
-        layers.append(s.ScmLayer(s.Activation.STEP, nodes))
-        fan_in = n
+    layers = [layer(s.Activation.STEP, np.zeros((n, fan_in)))
+              for fan_in, n in zip((d_enc, *sizes), sizes)]
     return s.ScmModel(spec, mech, layers, 1)
 
 
@@ -299,6 +291,13 @@ def test_criterion_8_early_stop_vectors():
 
 
 def test_criterion_9_determinism(tmp_path):
+    """Two identical runs in one process give byte-identical model files.
+
+    The promise holds within one BLAS build. Across builds (another OpenBLAS
+    core type or thread count) only the file without its float sidecar and
+    the training records are reproducible; test_train.py's
+    test_raw_model_and_records_do_not_depend_on_the_blas_build checks that.
+    """
     from scmfpga.cli import main as cli_main
 
     data = tmp_path / "db1.csv"

@@ -42,11 +42,6 @@ def test_length_mismatch_raises():
         BitVec(3) ^ BitVec(4)
 
 
-def test_join():
-    v = BitVec.join([BitVec.from_string("10"), BitVec.from_string("011")])
-    assert v.to_string() == "10011"
-
-
 def test_out_of_range_values_rejected():
     with pytest.raises(ValueError):
         BitVec.from01([0, 2])

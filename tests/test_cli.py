@@ -9,13 +9,14 @@ import numpy as np
 
 from scmfpga import cli
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitVec
 from scmfpga.datasets import load_dataset, write_dataset
 from scmfpga.encoding import parse_encoding
 from scmfpga.mechanism import external_mechanism
-from scmfpga.model import Activation, ScmLayer, ScmModel, ScmNode, quantization_bound
+from scmfpga.model import Activation, ScmModel, quantization_bound
 from scmfpga.modelfile import load_model, save_model
 from scmfpga.train import TrainConfig
+
+from builders import layer
 
 
 def run(*argv):
@@ -214,12 +215,9 @@ def test_eval_prints_output_saturation(capsys, db1_files, tmp_path):
     assert "saturated=" not in capsys.readouterr().out
     # two SIGN nodes with readouts at RAW_MAX fire on every row whose one
     # density bit is set (normalized x >= 0.5), so those rows clamp
-    beta_raw = np.array([fx.RAW_MAX], dtype=np.int32)
-    node = ScmNode(BitVec.from_string("1"), 0, 0.0, 0, fx.dequantize_array(beta_raw), beta_raw)
-    sat = ScmModel(
-        parse_encoding("density:1"), external_mechanism(np.zeros((1, 1)), np.zeros(1)),
-        [ScmLayer(Activation.SIGN, [node, node])], 1,
-    )
+    nodes = layer(Activation.SIGN, np.ones((2, 1)), beta=(fx.REAL_MAX,))
+    sat = ScmModel(parse_encoding("density:1"),
+                   external_mechanism(np.zeros((1, 1)), np.zeros(1)), [nodes], 1)
     path = tmp_path / "sat.scm"
     save_model(sat, path)
     assert run("eval", str(path), str(data), "--mode", "fpga") == 0
@@ -413,6 +411,22 @@ def test_eval_and_report_refuse_a_model_file_with_a_nan_alpha(tmp_path, capsys, 
         assert run(*argv) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "alpha nan" in err[0]
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, db1_files):
+    # numpy raises MemoryError for an array it cannot allocate, such as the
+    # (256, t_max) candidate work array at --t-max 100000000 (95 GiB)
+    _, data, _ = db1_files
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 95.4 GiB for an array")
+
+    monkeypatch.setattr(cli, "train", out_of_memory)
+    out = tmp_path / "m.scm"
+    assert run("train", str(data), "--out", str(out), "--t-max", "100000000") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 95.4 GiB for an array"]
+    assert not out.exists()
 
 
 def test_bad_model_file_is_data_error(tmp_path, db1_files):

@@ -21,11 +21,12 @@ from scmfpga.model import (
     Activation,
     ScmLayer,
     ScmModel,
-    ScmNode,
     layer_forward_float,
     predict_float_batch,
     quantization_bound,
 )
+
+from builders import layer, random_model
 
 
 # -- bit-level dot products -------------------------------------------------
@@ -84,42 +85,31 @@ def test_dot_length_mismatch():
 # -- node pipeline ------------------------------------------------------------
 
 
-def _node(w_pm1, shift=0, bias=0.0, beta=(1.0,)):
-    beta = np.asarray(beta, dtype=np.float64)
-    return ScmNode(
-        w=BitVec.from01(np.array(w_pm1) > 0),
-        shift=shift,
-        bias=bias,
-        bias_raw=fx.fx_from_real(bias),
-        beta=beta,
-        beta_raw=fx.quantize_array(beta)[0],
-    )
-
-
-def _one_node(in_bits, node, act, pm1=True):
-    """(bit, raw contribution) of one node on in_bits, through predict_fpga.
+def _one_node(in_bits, act, w_pm1, shift=0, bias=0.0, beta=(1.0,), pm1=True):
+    """(bit, raw contribution) on in_bits, through predict_fpga, of one node
+    with weights w_pm1 (+1 or -1), scale code shift, bias and readouts beta.
 
     The model's mechanism weights and intercepts are zero, so its output is
     the node's contribution, which tells its bit (the readouts are nonzero).
     For pm1=False, a SIGN layer forwards in_bits as literal 0/1: its nodes
     have zero readouts and biases far past their one-input dots.
     """
-    m = len(node.beta_raw)
-    layers = [ScmLayer(act, [node])]
+    node = layer(act, [np.array(w_pm1) > 0], shift, fx.fx_from_real(bias), beta)
+    m = len(beta)
+    layers = [node]
     if not pm1:
-        forced = [_node([1], bias=2.0 if b else -2.0, beta=[0.0] * m) for b in in_bits.to01()]
-        layers.insert(0, ScmLayer(Activation.SIGN, forced))
+        forced = np.where(in_bits.to01(), 2 << fx.FRAC_BITS, -2 << fx.FRAC_BITS)
+        layers.insert(0, layer(Activation.SIGN, np.ones((in_bits.n, 1)), 0, forced, np.zeros(m)))
         in_bits = BitVec.from01([1])
     mech = external_mechanism(np.zeros((in_bits.n, m)), np.zeros(m))
     model = ScmModel(parse_encoding(f"density:{in_bits.n}"), mech, layers, m)
     contrib = predict_fpga(model, in_bits)
-    return int(np.array_equal(contrib, node.beta_raw)), contrib
+    return int(np.array_equal(contrib, node.beta_raw[0])), contrib
 
 
 def test_node_forward_shift_semantics():
     # dot = 2, shift 3 -> pre is 16.0 at wide scale, bit set
-    node = _node([1, 1, 1, 1], shift=3)
-    bit, contrib = _one_node(BitVec.from_string("1110"), node, Activation.STEP)
+    bit, contrib = _one_node(BitVec.from_string("1110"), Activation.STEP, [1, 1, 1, 1], shift=3)
     assert bit == 1
     assert contrib[0] == fx.fx_from_real(1.0)
 
@@ -128,35 +118,30 @@ def test_node_forward_pre_is_exact_wide_value():
     # dot=2 with shift 3 must give pre exactly 16.0 at the wide scale:
     # a bias of -16.0 cancels it to 0 (bit clear under the strict threshold)
     # and one raw step above tips it positive
-    eps = fx.RESOLUTION
-    at_zero = _node([1, 1, 1, 1], shift=3, bias=-16.0)
-    just_over = _node([1, 1, 1, 1], shift=3, bias=-16.0 + eps)
     x = BitVec.from_string("1110")
-    assert _one_node(x, at_zero, Activation.STEP)[0] == 0
-    assert _one_node(x, just_over, Activation.STEP)[0] == 1
+    assert _one_node(x, Activation.STEP, [1, 1, 1, 1], shift=3, bias=-16.0)[0] == 0
+    assert _one_node(x, Activation.STEP, [1, 1, 1, 1], shift=3, bias=-16.0 + fx.RESOLUTION)[0] == 1
 
 
 def test_node_forward_zero_pre_gives_zero_bit():
-    node = _node([1, 1], shift=0, bias=0.0)
-    bit, contrib = _one_node(BitVec.from_string("10"), node, Activation.STEP)
+    bit, contrib = _one_node(BitVec.from_string("10"), Activation.STEP, [1, 1], shift=0, bias=0.0)
     assert bit == 0
     assert contrib[0] == -fx.fx_from_real(1.0)  # two's complement of beta
 
 
 def test_node_forward_sign_gates_contribution():
-    node = _node([1, 1], shift=0, bias=-10.0, beta=(0.5,))
-    bit, contrib = _one_node(BitVec.from_string("11"), node, Activation.SIGN)
+    bit, contrib = _one_node(BitVec.from_string("11"), Activation.SIGN, [1, 1], bias=-10.0,
+                             beta=(0.5,))
     assert bit == 0
     assert contrib[0] == 0
 
 
 def test_node_forward_conditional_domain():
-    node = _node([-1, 1, -1, 1], bias=1.5)
+    x, node = BitVec.from01([1, 0, 1, 1]), dict(w_pm1=[-1, 1, -1, 1], bias=1.5)
     # {0,1} input (1,0,1,1): dot -1, pre = -1 + 1.5 > 0
-    bit, _ = _one_node(BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN, pm1=False)
-    assert bit == 1
+    assert _one_node(x, Activation.SIGN, **node, pm1=False)[0] == 1
     # read as -1/+1 instead, the same bits give dot -2 and pre -0.5
-    assert _one_node(BitVec.from01([1, 0, 1, 1]), node, Activation.SIGN)[0] == 0
+    assert _one_node(x, Activation.SIGN, **node)[0] == 0
 
 
 # -- whole-model emulation ----------------------------------------------------
@@ -172,31 +157,9 @@ def test_mechanism_only_model_matches_mech_eval():
         assert np.array_equal(predict_fpga(model, b), fx.saturate_array(wide)[0])
 
 
-def _deep_model(acts, d_enc=12, sizes=(4, 3), seed=0, m=2):
-    rng = np.random.default_rng(seed)
-    mech = external_mechanism(rng.normal(scale=0.1, size=(d_enc, m)), rng.normal(size=m))
-    layers = []
-    fan_in = d_enc
-    for n, act in zip(sizes, acts):
-        nodes = []
-        for _ in range(n):
-            beta = rng.normal(scale=0.4, size=m)
-            bias = fx.fx_to_real(fx.fx_from_real(rng.uniform(-3, 3)))
-            nodes.append(
-                ScmNode(
-                    w=BitVec.from01(rng.integers(0, 2, size=fan_in)),
-                    shift=int(rng.integers(0, 4)),
-                    bias=bias,
-                    bias_raw=fx.fx_from_real(bias),
-                    beta=beta,
-                    beta_raw=fx.quantize_array(beta)[0],
-                )
-            )
-        layers.append(ScmLayer(act, nodes))
-        fan_in = n
-    model = ScmModel(parse_encoding("density:12"), mech, layers, m)
-    model.validate()
-    return model
+def _deep_model(acts):
+    """Two layers of 4 and 3 nodes with these activations on 12 inputs, 2 outputs."""
+    return random_model(0, 12, zip((4, 3), acts), m=2)
 
 
 @pytest.mark.parametrize(
@@ -229,10 +192,8 @@ def test_predict_fpga_deterministic():
 
 def test_predict_fpga_saturates_output():
     mech = external_mechanism(np.zeros((2, 1)), np.array([63.0]))
-    nodes = [_node([1, 1], bias=1.0, beta=(50.0,))]
-    model = ScmModel(
-        parse_encoding("density:2"), mech, [ScmLayer(Activation.STEP, nodes)], 1
-    )
+    nodes = layer(Activation.STEP, [[1, 1]], 0, fx.fx_from_real(1.0), (50.0,))
+    model = ScmModel(parse_encoding("density:2"), mech, [nodes], 1)
     out = predict_fpga(model, BitVec.from_string("11"))
     assert out[0] == fx.RAW_MAX  # 63 + 50 clamps at the format maximum
 
@@ -257,28 +218,15 @@ def _random_model(rng, d_enc, acts, sizes, m, extreme):
     layers = []
     fan_in = d_enc
     for act, size in zip(acts, sizes):
-        nodes = []
-        for _ in range(size):
-            shift = int(rng.integers(0, 8))
-            # around the dot product's range at this scale, so bits vary; half
-            # the biases are whole multiples of the scale, so some pre-activations
-            # are exactly zero and test the strict threshold
-            if rng.random() < 0.5:
-                bias_raw = int(fx.quantize_array(rng.uniform(-1, 1) * fan_in * (1 << shift))[0])
-            else:
-                bias_raw = fx.saturate_to_fx(int(rng.integers(-fan_in, fan_in + 1)) << (shift + 25))
-            beta_raw = _raw(rng, m, extreme)
-            nodes.append(
-                ScmNode(
-                    w=BitVec.from01(rng.integers(0, 2, size=fan_in)),
-                    shift=shift,
-                    bias=fx.fx_to_real(bias_raw),
-                    bias_raw=bias_raw,
-                    beta=fx.dequantize_array(beta_raw),
-                    beta_raw=beta_raw,
-                )
-            )
-        layers.append(ScmLayer(act, nodes))
+        shift = rng.integers(0, 8, size=size)
+        # around the dot product's range at this scale, so bits vary; half
+        # the biases are whole multiples of the scale, so some pre-activations
+        # are exactly zero and test the strict threshold
+        near = fx.quantize_array(rng.uniform(-1, 1, size=size) * fan_in * (1 << shift))[0]
+        whole = rng.integers(-fan_in, fan_in + 1, size=size) << (shift + fx.FRAC_BITS)
+        bias_raw = np.where(rng.random(size) < 0.5, near, np.clip(whole, fx.RAW_MIN, fx.RAW_MAX))
+        layers.append(layer(act, rng.integers(0, 2, size=(size, fan_in)), shift, bias_raw,
+                            fx.dequantize_array(_raw(rng, (size, m), extreme))))
         fan_in = size
     model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, layers, m)
     model.validate()
@@ -380,15 +328,10 @@ def _edge_layer(rng, fan_in: int, act: Activation) -> ScmLayer:
     +1, all -1 and random. Small positive readouts keep every output sum in
     range, so each bit shows in the output."""
     pairs = [(shift, b) for shift in range(8) for b in _edge_biases(shift)]
-    k = 3 * len(pairs)
     w01 = np.vstack([np.ones((len(pairs), fan_in)), np.zeros((len(pairs), fan_in)),
-                     rng.integers(0, 2, size=(len(pairs), fan_in))]).astype(np.uint8)
-    beta_raw = rng.integers(1, 2**19, size=(k, 1)).astype(np.int32)
-    return ScmLayer.from_arrays(
-        act, BitMatrix.from01(w01), np.array([p[0] for p in pairs] * 3, dtype=np.uint8),
-        np.array([p[1] for p in pairs] * 3, dtype=np.int32), fx.dequantize_array(beta_raw),
-        beta_raw,
-    )
+                     rng.integers(0, 2, size=(len(pairs), fan_in))])
+    beta = fx.dequantize_array(rng.integers(1, 2**19, size=(3 * len(pairs), 1)))
+    return layer(act, w01, [p[0] for p in pairs] * 3, [p[1] for p in pairs] * 3, beta)
 
 
 def _sweep_rows(rng, width: int, n_random: int = 16) -> np.ndarray:
@@ -495,15 +438,10 @@ def _saturating_model(m_betas):
     Together they add 2 * beta, so a readout at RAW_MAX or RAW_MIN drives
     the sum past the Q7.25 range on exactly the rows whose bit is set.
     """
-    betas = np.array(m_betas, dtype=np.int32)
-    m = betas.size
+    m = len(m_betas)
     mech = external_mechanism(np.zeros((1, m)), np.zeros(m))
-    node = ScmNode(
-        w=BitVec.from_string("1"), shift=0, bias=0.0, bias_raw=0,
-        beta=fx.dequantize_array(betas), beta_raw=betas,
-    )
-    layer = ScmLayer(Activation.SIGN, [node, node])
-    return ScmModel(parse_encoding("density:1"), mech, [layer], m)
+    nodes = layer(Activation.SIGN, np.ones((2, 1)), beta=fx.dequantize_array(m_betas))
+    return ScmModel(parse_encoding("density:1"), mech, [nodes], m)
 
 
 def test_saturation_counted_per_output():
@@ -534,8 +472,8 @@ def test_mechanism_sum_saturates_only_with_the_final_sum():
     # brings the whole sum back inside it, so nothing may clamp
     w_raw = np.full((2, 1), fx.RAW_MAX, dtype=np.int32)
     mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1))
-    layer = ScmLayer(Activation.SIGN, [_node([1, 1], beta=(fx.fx_to_real(fx.RAW_MIN),))])
-    model = ScmModel(parse_encoding("density:2"), mech, [layer], 1)
+    model = ScmModel(parse_encoding("density:2"), mech,
+                     [layer(Activation.SIGN, [[1, 1]], beta=(fx.REAL_MIN,))], 1)
     rows = BitMatrix.from01(np.array([[1, 1]]))
     rep = evaluate_bits(model, rows, np.zeros((1, 1)), "both")
     assert rep.outputs_fpga_raw[0, 0] == 2 * fx.RAW_MAX + fx.RAW_MIN == 2147483646
@@ -547,19 +485,15 @@ def test_mechanism_sum_saturates_only_with_the_final_sum():
 # -- cycle model ----------------------------------------------------------
 
 
-def _shape_stub(d_enc, sizes, acts=None, m=1):
+# the reference hardware's encoding at each of its encoded widths
+SPECS = {25: "s2v2", 56: "s1:3", 576: "s2v1", 224: "s2v1"}
+
+
+def _shape_stub(d_enc, sizes, act=Activation.STEP):
     """Model with the right widths/shapes; parameter values are irrelevant."""
-    acts = acts or [Activation.STEP] * len(sizes)
-    mech = external_mechanism(np.zeros((d_enc, m)), np.zeros(m))
-    layers = []
-    fan_in = d_enc
-    for n, act in zip(sizes, acts):
-        nodes = [_node([1] * fan_in, beta=[0.0] * m) for _ in range(n)]
-        layers.append(ScmLayer(act, nodes))
-        fan_in = n
-    enc = parse_encoding(f"density:{d_enc}") if d_enc <= 255 else parse_encoding("s2v1")
-    model = ScmModel(enc, mech, layers, m)
-    return model
+    mech = external_mechanism(np.zeros((d_enc, 1)), np.zeros(1))
+    layers = [layer(act, np.ones((n, fan_in))) for fan_in, n in zip((d_enc, *sizes), sizes)]
+    return ScmModel(parse_encoding(SPECS[d_enc]), mech, layers, 1)
 
 
 # reference hardware rows: (encoded width, layer sizes, expected cycles)
@@ -610,9 +544,7 @@ def test_memory_inputs_table():
         (224, 14, 75.0),
     ]
     for d_enc, d, pct in rows:
-        spec = {25: "s2v2", 56: "s1:3", 576: "s2v1", 224: "s2v1"}[d_enc]
-        mech = external_mechanism(np.zeros((d_enc, 1)), np.zeros(1))
-        model = ScmModel(parse_encoding(spec), mech, [], 1)
+        model = _shape_stub(d_enc, ())
         assert model.n_features == d
         rep = memory_report(model)
         assert rep.inputs_real_bits == 64 * d
@@ -629,13 +561,8 @@ def test_memory_weights_table():
         ("s2v1", 14, 25, 22400, 5600, 75.0),
     ]
     for spec_text, d, n, real_bits, fpga_bits, pct in rows:
-        spec = parse_encoding(spec_text)
-        d_enc = d * spec.bits_per_input
-        mech = external_mechanism(np.zeros((d_enc, 1)), np.zeros(1))
-        model = ScmModel(spec, mech, [ScmLayer(Activation.STEP, [
-            _node([1] * d_enc) for _ in range(n)
-        ])], 1)
-        rep = memory_report(model)
+        rep = memory_report(_shape_stub(d * parse_encoding(spec_text).bits_per_input, (n,)))
+        assert SPECS[rep.inputs_fpga_bits] == spec_text
         assert rep.weight_real_bits == real_bits
         assert rep.weight_fpga_bits == fpga_bits
         assert round(rep.weight_reduction * 100, 4) == pct
@@ -653,14 +580,7 @@ def test_memory_deep_weight_bits_match_power_table():
         (224, (20, 18), 4840),
     ]
     for d_enc, sizes, expected in cases:
-        spec = {25: "s2v2", 56: "s1:3", 576: "s2v1", 224: "s2v1"}[d_enc]
-        mech = external_mechanism(np.zeros((d_enc, 1)), np.zeros(1))
-        layers = []
-        fan_in = d_enc
-        for n in sizes:
-            layers.append(ScmLayer(Activation.SIGN, [_node([1] * fan_in) for _ in range(n)]))
-            fan_in = n
-        model = ScmModel(parse_encoding(spec), mech, layers, 1)
+        model = _shape_stub(d_enc, sizes, Activation.SIGN)
         assert memory_report(model).weight_fpga_bits == expected
 
 

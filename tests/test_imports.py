@@ -8,6 +8,10 @@ method or property of a public class, fails the second unless another
 package module, bench/ or demos/ references it, its own module references it
 outside its own body, or it is a test oracle on ORACLES. A method counts as
 referenced wherever an attribute of its name is read.
+
+A third check keeps layers built from arrays: only model.py, bench/ and the
+test functions on NODE_LIST_CALLERS, which pin that path while the benchmark's
+synthetic model uses it, call ScmNode(...) or ScmLayer(activation, nodes).
 """
 
 import ast
@@ -120,3 +124,42 @@ def test_every_oracle_is_a_public_name_of_the_package():
     defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(ORACLES) <= defined
+
+
+# test file -> its top-level functions that may call ScmNode or ScmLayer
+NODE_LIST_CALLERS = {
+    "test_modelfile.py": {"_packed", "test_a_node_refuses_a_bias_off_its_grid_value"},
+}
+
+
+def node_list_calls(source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Calls of ScmNode or ScmLayer, by name or as an attribute, outside the
+    top-level functions named in allowed. ScmLayer.from_arrays is not one."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("ScmNode", "ScmLayer"):
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_the_check_finds_a_node_list_constructor():
+    source = ("import scmfpga as s\nfrom scmfpga.model import ScmLayer, ScmNode\n"
+              "def pin():\n    return ScmLayer(1, [ScmNode()])\n"
+              "def other():\n    return s.ScmLayer(1, [])\n"
+              "def arrays():\n    return ScmLayer.from_arrays(1, w, shift, bias, beta, raw)\n")
+    assert node_list_calls(source) == ["line 4: ScmLayer", "line 4: ScmNode", "line 6: ScmLayer"]
+    assert node_list_calls(source, {"pin"}) == ["line 6: ScmLayer"]
+
+
+def test_layers_are_built_from_arrays_outside_the_benchmark_path():
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "model.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    flagged = {p.name: node_list_calls(p.read_text(), NODE_LIST_CALLERS.get(p.name, set()))
+               for p in files}
+    assert {name: calls for name, calls in flagged.items() if calls} == {}

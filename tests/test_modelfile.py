@@ -12,11 +12,10 @@ from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.encoding import parse_encoding
 from scmfpga.errors import ModelFormatError
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.mechanism import external_mechanism, signals_pm1
+from scmfpga.mechanism import signals_pm1
 from scmfpga.model import (
     Activation,
     ScmLayer,
-    ScmModel,
     ScmNode,
     layer_forward_float,
     predict_float_batch,
@@ -32,30 +31,12 @@ from scmfpga.modelfile import (
 )
 from scmfpga.train import TrainConfig, prepare_train_data, train
 
+from builders import random_model
 
-def _model(seed=0, sizes=(3, 2), m=2, d_enc=10):
-    rng = np.random.default_rng(seed)
-    mech = external_mechanism(rng.normal(scale=0.2, size=(d_enc, m)), rng.normal(size=m))
-    layers = []
-    fan_in = d_enc
-    for i, n in enumerate(sizes):
-        nodes = []
-        for _ in range(n):
-            beta = rng.normal(scale=0.4, size=m)
-            bias = fx.fx_to_real(fx.fx_from_real(rng.uniform(-2, 2)))
-            nodes.append(
-                ScmNode(
-                    w=BitVec.from01(rng.integers(0, 2, size=fan_in)),
-                    shift=int(rng.integers(0, 8)),
-                    bias=bias,
-                    bias_raw=fx.fx_from_real(bias),
-                    beta=beta,
-                    beta_raw=fx.quantize_array(beta)[0],
-                )
-            )
-        layers.append(ScmLayer(Activation.STEP if i % 2 == 0 else Activation.SIGN, nodes))
-        fan_in = n
-    return ScmModel(parse_encoding("density:10"), mech, layers, m)
+
+def _model(seed=0, sizes=(3, 2)):
+    """Layers of these sizes, STEP then SIGN, on 10 inputs with 2 outputs."""
+    return random_model(seed, 10, zip(sizes, (Activation.STEP, Activation.SIGN)), m=2)
 
 
 def test_bytes_roundtrip_exact():
@@ -252,7 +233,7 @@ def test_a_node_refuses_a_bias_off_its_grid_value():
 def test_a_layer_keeps_only_raw_biases():
     layer = _model().layers[0]
     layer.bias_raw[0] += 1
-    assert layer.bias[0] == fx.fx_to_real(int(layer.bias_raw[0]))
+    assert layer.bias[0] == int(layer.bias_raw[0]) / 2**25
     with pytest.raises(AttributeError):
         layer.bias = np.zeros(len(layer))
 
@@ -310,7 +291,7 @@ def test_a_layer_refuses_a_nan_readout():
 
 def _packed(bias_raw=0, beta=0.0, beta_raw=0):
     """ScmLayer(activation, nodes) on one node, its raw values int64 as a caller may give."""
-    node = ScmNode(BitVec.from_string("1"), 0, fx.fx_to_real(bias_raw), bias_raw,
+    node = ScmNode(BitVec.from_string("1"), 0, bias_raw / 2**25, bias_raw,
                    np.array([beta]), np.array([beta_raw], np.int64))
     return ScmLayer(Activation.STEP, [node])
 

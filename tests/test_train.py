@@ -1,10 +1,13 @@
 import copy
 import importlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,7 @@ from scmfpga.linalg import least_squares
 from scmfpga.mechanism import external_mechanism, signals_pm1
 from scmfpga.model import (
     Activation,
-    ScmLayer,
     ScmModel,
-    ScmNode,
-    activation_values,
     check_fan_in,
     node_output_float,
     predict_float_batch,
@@ -49,12 +49,14 @@ from scmfpga.train import (
     xi_score,
 )
 
+from builders import layer, random_model
+
 
 def _column_node(state, k=-1):
     """Hidden column k's node as (+-1 float64 weights, lambda, bias)."""
     w01, shift, bias_raw = state.nodes[k]
     assert w01.dtype == np.uint8 and 0 <= shift <= 7
-    return w01 * 2.0 - 1.0, 1 << shift, fx.fx_to_real(bias_raw)
+    return w01 * 2.0 - 1.0, 1 << shift, bias_raw / 2**25
 
 
 def _toy_data(seed=0, n_train=80, n_val=20, spec="density:6", noise=0.05):
@@ -126,9 +128,7 @@ def test_early_stop_can_remove_zero():
 
 def _layer(w, act=Activation.STEP, shift=0, bias=0.0):
     """A layer of one node: weight bits w ('1' is +1), scale code, bias, zero readout."""
-    return ScmLayer.from_arrays(
-        act, BitMatrix.from_rows([BitVec.from_string(w)]), np.array([shift], np.uint8),
-        np.array([fx.fx_from_real(bias)], np.int32), np.zeros((1, 1)), np.zeros((1, 1), np.int32))
+    return layer(act, [BitVec.from_string(w).to01()], shift, fx.fx_from_real(bias))
 
 
 def test_node_output_all_ones():
@@ -164,11 +164,8 @@ def test_node_output_scaling_and_bias():
 def test_node_output_reads_node_i_of_a_layer():
     # three nodes on the same input: a +1 weight row, a -1 one, and a +1 one
     # whose bias outweighs its dot
-    w = BitMatrix.from01(np.array([[1, 1], [0, 0], [1, 1]]))
-    bias_raw = np.array([0, 0, fx.fx_from_real(-3.0)], np.int32)
-    layer = ScmLayer.from_arrays(Activation.STEP, w, np.zeros(3, np.uint8), bias_raw,
-                                 np.zeros((3, 1)), np.zeros((3, 1), np.int32))
-    bits = [node_output_float(BitVec.from_string("11"), layer, i)[0] for i in range(3)]
+    nodes = layer(Activation.STEP, [[1, 1], [0, 0], [1, 1]], 0, [0, 0, fx.fx_from_real(-3.0)])
+    bits = [node_output_float(BitVec.from_string("11"), nodes, i)[0] for i in range(3)]
     assert bits == [1, 0, 0]
 
 
@@ -433,10 +430,7 @@ def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
     bits = BitMatrix.from01(np.ones((1, model.d_enc), dtype=np.uint8))
     predict_float_batch(model, bits)
     # layer 2 reads one node of fan-in 2**24, refused before any signal is built
-    model.layers[1] = ScmLayer.from_arrays(
-        Activation.SIGN, BitMatrix.from01(np.ones((1, 2**24), dtype=np.uint8)),
-        np.zeros(1, np.uint8), np.zeros(1, np.int32), np.zeros((1, 1)), np.zeros((1, 1), np.int32),
-    )
+    model.layers[1] = layer(Activation.SIGN, np.ones((1, 2**24), np.uint8))
     monkeypatch.setattr(importlib.import_module("scmfpga.model"), "signals_pm1", _refuse)
     with pytest.raises(ValueError, match="float32"):
         predict_float_batch(model, bits)
@@ -550,7 +544,9 @@ def test_preallocated_readout_matches_column_stack():
     rng = np.random.default_rng(14)
 
     def columns(s, nodes, act):
-        return [activation_values((s @ w) * lam + bias > 0, act) for w, lam, bias in nodes]
+        # activation values: {0, 1} for SIGN, {-1, +1} for STEP
+        bits = [((s @ w) * lam + bias > 0).astype(np.float64) for w, lam, bias in nodes]
+        return [2.0 * b - 1.0 for b in bits] if act == Activation.STEP else bits
 
     def check():
         tr, va = [], []
@@ -937,6 +933,45 @@ def test_train_determinism():
     assert model_to_bytes(m1) == model_to_bytes(m2)
 
 
+# trains a two-layer model with the mechanism on, then prints its file without
+# the float sidecar and its per-node records
+BLAS_RUN = """
+import scmfpga as s
+ds = s.split(s.gen_db2(seed=3, scale=0.05), 0.2, seed=3)
+data = s.prepare_train_data(ds.x_norm(ds.train_idx), ds.y[ds.train_idx],
+                            ds.x_norm(ds.val_idx), ds.y[ds.val_idx], s.parse_encoding("s1:3"))
+cfg = s.TrainConfig((12, 8), (s.Activation.STEP, s.Activation.SIGN), t_max=200, seed=3)
+result = s.train(data, cfg)
+print(s.model_to_bytes(result.model, include_floats=False).hex())
+print(*(rec.to_kv() for rec in result.records), sep="\\n")
+"""
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
+def test_raw_model_and_records_do_not_depend_on_the_blas_build():
+    # another OpenBLAS core or thread count may round the float sidecar
+    # differently (the L1 fit and the readout refit), but not the raw
+    # parameters or the records
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+
+    def run(**setting):
+        return subprocess.run([sys.executable, "-c", BLAS_RUN], env={**env, **setting},
+                              capture_output=True, text=True, check=True).stdout
+
+    default = run()
+    assert "layer=2 node=1 " in default  # both layers grew
+    assert run(OPENBLAS_CORETYPE="Sandybridge") == default
+    assert run(OPENBLAS_CORETYPE="Prescott") == default
+    assert run(OPENBLAS_NUM_THREADS="2") == default
+
+
 def test_train_quantization_delta_bound():
     data = _toy_data(seed=9)
     cfg = TrainConfig.single_layer(8, Activation.STEP, t_max=100, seed=9)
@@ -956,33 +991,8 @@ def test_train_quantization_delta_bound():
 # -- reference prediction --------------------------------------------------
 
 
-def _tiny_model(seed=0, layers=((3, Activation.STEP), (2, Activation.SIGN)), m=1, d_enc=6):
-    rng = np.random.default_rng(seed)
-    mech = external_mechanism(rng.normal(scale=0.1, size=(d_enc, m)), rng.normal(size=m))
-    built = []
-    fan_in = d_enc
-    for n, act in layers:
-        nodes = []
-        for _ in range(n):
-            beta = rng.normal(scale=0.5, size=m)
-            w = BitVec.from01(rng.integers(0, 2, size=fan_in))
-            shift = int(rng.integers(0, 4))
-            bias_raw = fx.fx_from_real(rng.uniform(-2, 2))
-            nodes.append(
-                ScmNode(
-                    w=w,
-                    shift=shift,
-                    bias=fx.fx_to_real(bias_raw),
-                    bias_raw=bias_raw,
-                    beta=beta,
-                    beta_raw=fx.quantize_array(beta)[0],
-                )
-            )
-        built.append(ScmLayer(act, nodes))
-        fan_in = n
-    model = ScmModel(parse_encoding("density:6"), mech, built, m)
-    model.validate()
-    return model
+def _tiny_model():
+    return random_model(0, 6, ((3, Activation.STEP), (2, Activation.SIGN)))
 
 
 def _straight_line_eval(model, x_bits):
@@ -1016,17 +1026,8 @@ def test_predict_float_matches_straight_line_oracle():
 
 def test_predict_float_single_node_adds_beta():
     mech = external_mechanism(np.zeros((2, 1)), np.array([0.25]))
-    node = ScmNode(
-        w=BitVec.from_string("11"),
-        shift=0,
-        bias=0.5,
-        bias_raw=fx.fx_from_real(0.5),
-        beta=np.array([1.0]),
-        beta_raw=fx.quantize_array(np.array([1.0]))[0],
-    )
-    model = ScmModel(
-        parse_encoding("density:2"), mech, [ScmLayer(Activation.STEP, [node])], 1
-    )
+    node = layer(Activation.STEP, [[1, 1]], 0, fx.fx_from_real(0.5), (1.0,))
+    model = ScmModel(parse_encoding("density:2"), mech, [node], 1)
     out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from_string("11")]))
     assert out.shape == (1, 1)  # pre = 2.5 > 0 -> h = 1
     assert np.allclose(out, [1.25])
