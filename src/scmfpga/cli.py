@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # unreadable, unwritable, not text
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # such as the candidate work array of a huge --t-max

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoding import samples_2d
 from .errors import DataError
 
 
@@ -32,8 +33,8 @@ class Dataset:
     seed: int = 0
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
+        self.x = samples_2d(self.x)
+        self.y = samples_2d(self.y)
         if not self.feature_names:
             self.feature_names = [f"x{j}" for j in range(self.x.shape[1])]
         if not self.target_names:

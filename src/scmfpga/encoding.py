@@ -194,6 +194,12 @@ def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
                       for k, w in enumerate(widths)])
 
 
+def samples_2d(a: np.ndarray) -> np.ndarray:
+    """a as float64 with one sample per row: a 1-D array is one column, a scalar one sample."""
+    a = np.array(a, dtype=np.float64, copy=None, ndmin=1)
+    return a[:, None] if a.ndim == 1 else a
+
+
 def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
     """Encode an (N, d) matrix row-wise into (rows, d_enc); features concatenate in order.
 
@@ -203,9 +209,7 @@ def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
     rows) are clamped with a single warning carrying the clamp count;
     non-finite values raise DataError with their position.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = samples_2d(x)
     if arr.ndim != 2:
         raise DataError("encode_matrix expects a 2-D matrix")
     bad = np.argwhere(~np.isfinite(arr))

@@ -14,6 +14,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .bits import BitMatrix
 from .emulate import predict_fpga_batch
+from .encoding import samples_2d
 from .model import ScmModel, predict_float_batch
 
 MODES = ("pc", "fpga", "both")
@@ -66,7 +67,7 @@ def evaluate_bits(
         raise ValueError(f"mode must be one of {MODES}")
     if not len(bits):
         raise ValueError("no samples to evaluate")
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    y = samples_2d(y)
     if y.shape != (len(bits), model.n_outputs):
         raise ValueError(f"targets of shape {y.shape}, not (samples, outputs) = "
                          f"{(len(bits), model.n_outputs)}")

@@ -13,6 +13,7 @@ products (BLAS), exactly.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -105,14 +106,9 @@ def saturate_array(acc: np.ndarray) -> np.ndarray:
 
 
 def fx_to_decimal_string(raw: int) -> str:
-    """Exact decimal string of raw / 2**25 (dyadic, so it terminates)."""
-    if raw == 0:
-        return "0"
-    sign = "-" if raw < 0 else ""
-    mag = abs(raw)
-    int_part, frac_part = divmod(mag, SCALE)
-    if frac_part == 0:
-        return f"{sign}{int_part}"
-    # frac/2**25 = frac*5**25 / 10**25, then strip trailing zeros
-    digits = f"{frac_part * 5**FRAC_BITS:025d}".rstrip("0")
-    return f"{sign}{int_part}.{digits}"
+    """Exact decimal string of raw / 2**25.
+
+    The quotient of an int32 by 2**25 is an exact double, and Decimal
+    converts a float exactly, so no digit is rounded.
+    """
+    return format(Decimal(raw / SCALE), "f")

@@ -28,12 +28,13 @@ below 2**24, so <e_q, h> is the correctly rounded sum of the selected
 residual entries (each kept to 60 bits below its column's power-of-two bound)
 whatever order the BLAS and the blocks add in, and the bit count gives
 <h, h> for SIGN. This holds while the training set has at most 2**23 rows
-and every fan-in is below 2**24 (check_fan_in); train checks both first.
+and every fan-in is below 2**24 (check_fan_in); TrainState checks both first.
 
-TrainData holds the encoded rows as BitMatrix objects. TrainState builds
-their +-1 signal matrices once, fits the mechanism on the training one, and
-keeps each accepted node's 0/1 weight row, scale code and raw bias for
-finalize; add_node returns the node's TrainRecord, which train logs as is.
+TrainData holds the encoded rows as BitMatrix objects. TrainState(data, cfg)
+keeps its inputs, so add_node(state), begin_layer() and finalize() take no
+others; it builds the +-1 signal matrices once, fits the mechanism on the
+training one, and keeps each accepted node's 0/1 weight row, scale code and
+raw bias; add_node returns the node's TrainRecord, which train logs as is.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .bits import BitMatrix
-from .encoding import EncodingSpec, encode_matrix
+from .encoding import EncodingSpec, encode_matrix, samples_2d
 from .errors import TrainingFailedError
 from .mechanism import external_mechanism, fit_mechanism, mech_eval_float_batch, signals_pm1
 from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
@@ -113,21 +114,20 @@ class TrainData:
     bits_val: BitMatrix
     y_val: np.ndarray  # (K, m)
     encoding: EncodingSpec
-    n_features: int
 
     def __post_init__(self):
-        self.y_train = np.atleast_2d(np.asarray(self.y_train, dtype=np.float64))
-        self.y_val = np.atleast_2d(np.asarray(self.y_val, dtype=np.float64))
+        self.y_train = samples_2d(self.y_train)
+        self.y_val = samples_2d(self.y_val)
         if self.y_train.shape[0] != len(self.bits_train):
             raise ValueError("training targets do not match training inputs")
         if self.y_val.shape[0] != len(self.bits_val):
             raise ValueError("validation targets do not match validation inputs")
         if len(self.bits_train) < 1 or len(self.bits_val) < 1:
             raise ValueError("need at least 1 training and 1 validation sample")
-        d_enc = self.n_features * self.encoding.bits_per_input
-        for b in (self.bits_train, self.bits_val):
-            if b.n != d_enc:
-                raise ValueError(f"encoded width {b.n} != expected {d_enc}")
+        width, per = self.bits_train.n, self.encoding.bits_per_input
+        if self.bits_val.n != width or width % per:
+            raise ValueError(f"encoded widths {width} (training) and {self.bits_val.n} "
+                             f"(validation) must be one multiple of {per} bits per input")
 
 
 def prepare_train_data(
@@ -138,11 +138,9 @@ def prepare_train_data(
     spec: EncodingSpec,
 ) -> TrainData:
     """Encode normalized feature matrices into a TrainData bundle."""
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
-    x_val = np.atleast_2d(np.asarray(x_val, dtype=np.float64))
     bits_tr, _ = encode_matrix(x_train, spec)
     bits_va, _ = encode_matrix(x_val, spec)
-    return TrainData(bits_tr, y_train, bits_va, y_val, spec, x_train.shape[1])
+    return TrainData(bits_tr, y_train, bits_va, y_val, spec)
 
 
 @dataclass
@@ -238,10 +236,12 @@ def _grown(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class TrainState:
     """Mutable book-keeping while a model is grown.
 
-    Holds the residual matrices, the hidden-output columns for the global
-    readout refit with each column's node, the layer sizes, the signal matrices
-    feeding the layer under construction (contiguous float32, made once per
-    layer), and the (SCORE_ROWS, t_max) candidate work array.
+    Checks the exactness limits before it allocates, then keeps the config,
+    the encoding, the generator seeded by cfg.seed, the residual matrices, the
+    hidden-output columns for the global readout refit with each column's
+    node, the layer sizes, the signal matrices feeding the layer under
+    construction (contiguous float32, made once per layer), and the
+    (SCORE_ROWS, t_max) candidate work array.
 
     The hidden outputs live in (N, capacity) arrays whose first n_hidden
     columns are in use; the capacity starts at the configured node count (at
@@ -262,6 +262,13 @@ class TrainState:
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
+        if cfg.layer_sizes:  # candidate scoring is exact at these sizes
+            for fan_in in [data.bits_train.n, *cfg.layer_sizes[:-1]]:
+                check_fan_in(fan_in)
+            limb_layout(len(data.bits_train))
+        self.cfg = cfg
+        self.encoding = data.encoding
+        self.rng = np.random.default_rng(cfg.seed)
         self.m = data.y_train.shape[1]
         # (SCORE_ROWS, t_max) float32 candidate dots of a row block, then their
         # 0/1 threshold bits; allocated before the L1 fit, so a t_max too large
@@ -291,8 +298,7 @@ class TrainState:
         self.beta = np.zeros((0, self.m))
         self.resid_train = self.target_train.copy()
         self.resid_val = self.target_val.copy()
-        self.layer_sizes: list[int] = []
-        self.layer_acts: list[Activation] = []
+        self.layer_sizes: list[int] = []  # layer k has activation cfg.activations[k]
         # entries are -1, 0 or +1, so float32 holds them and every dot exactly
         self.cur_in_train = s1_train.astype(np.float32)
         self.cur_in_val = s1_val.astype(np.float32)
@@ -301,14 +307,13 @@ class TrainState:
 
     # -- layer lifecycle -------------------------------------------------
 
-    def begin_layer(self, act: Activation) -> None:
+    def begin_layer(self) -> None:
+        """Start the next configured layer, fed by the last layer's columns if any."""
+        if self.layer_sizes:
+            cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
+            self.cur_in_train = np.ascontiguousarray(self.H_train[:, cols], np.float32)
+            self.cur_in_val = np.ascontiguousarray(self.H_val[:, cols], np.float32)
         self.layer_sizes.append(0)
-        self.layer_acts.append(act)
-
-    def end_layer(self) -> None:
-        cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
-        self.cur_in_train = np.ascontiguousarray(self.H_train[:, cols], np.float32)
-        self.cur_in_val = np.ascontiguousarray(self.H_val[:, cols], np.float32)
 
     def append_node(self, node: tuple, h_tr: np.ndarray, h_va: np.ndarray) -> None:
         cap = self.H_train.shape[1]
@@ -367,11 +372,11 @@ class TrainState:
     def val_rmse(self) -> float:
         return _rmse(self.resid_val)
 
-    def finalize(self, encoding: EncodingSpec) -> tuple[ScmModel, int]:
+    def finalize(self) -> tuple[ScmModel, int]:
         """The quantized model, and how many readout weights saturated."""
         beta_raw, saturated = fx.quantize_array(self.beta)
         layers, start = [], 0
-        for act, size in zip(self.layer_acts, self.layer_sizes):
+        for act, size in zip(self.cfg.activations, self.layer_sizes):
             rows = slice(start, start + size)
             w01, shift, bias_raw = zip(*self.nodes[rows])
             layers.append(ScmLayer.from_arrays(
@@ -379,7 +384,7 @@ class TrainState:
                 np.array(bias_raw, dtype=np.int32), self.beta[rows].copy(), beta_raw[rows],
             ))
             start = rows.stop
-        model = ScmModel(encoding, self.mech, layers, self.m)
+        model = ScmModel(self.encoding, self.mech, layers, self.m)
         model.validate()
         return model, saturated
 
@@ -463,20 +468,19 @@ class ResidualLimbs:
         return np.ldexp(eh, self.exp[:, None]), sums[-1]
 
 
-def add_node(
-    state: TrainState, layer: int, cfg: TrainConfig, rng: np.random.Generator
-) -> TrainRecord | None:
+def add_node(state: TrainState) -> TrainRecord | None:
     """Try to add one node to the layer under construction.
 
-    Draws cfg.t_max candidates per r value until one passes the acceptance
-    test for every output; picks the passing candidate with the largest total
-    score (ties broken by draw order), appends it, and refits the readout.
-    Returns the accepted node's TrainRecord, numbered `layer` (counted from
-    1) and by the node's position in that layer; the node itself is
-    state.nodes[-1]. Returns None when the whole r schedule is
-    exhausted.
+    Draws state.cfg.t_max candidates per r value from state.rng until one
+    passes the acceptance test for every output; picks the passing candidate
+    with the largest total score (ties broken by draw order), appends it, and
+    refits the readout. Returns the accepted node's TrainRecord, numbered by
+    its layer (counted from 1) and its position in that layer; the node itself
+    is state.nodes[-1]. Returns None when the whole r schedule is exhausted.
     """
-    pm1 = state.layer_acts[-1] == Activation.STEP  # h = 2 * bit - 1, else h = bit
+    cfg, rng = state.cfg, state.rng
+    layer = len(state.layer_sizes)
+    pm1 = cfg.activations[layer - 1] == Activation.STEP  # h = 2 * bit - 1, else h = bit
     s_tr = state.cur_in_train
     s_va = state.cur_in_val
     n, fan_in = s_tr.shape
@@ -551,11 +555,6 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
     fit hits its sweep cap, and when a target or a fitted intercept lies
     outside [-64, 64), where the emulated outputs saturate.
     """
-    if cfg.layer_sizes:  # candidate scoring is exact at these sizes
-        for fan_in in [data.bits_train.n, *cfg.layer_sizes[:-1]]:
-            check_fan_in(fan_in)
-        limb_layout(len(data.bits_train))
-    rng = np.random.default_rng(cfg.seed)
     state = TrainState(data, cfg)
     records: list[TrainRecord] = []
     events: list[dict] = []
@@ -577,11 +576,11 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             stacklevel=2,
         )
 
-    for layer, (size, act) in enumerate(zip(cfg.layer_sizes, cfg.activations), start=1):
-        state.begin_layer(act)
+    for layer, size in enumerate(cfg.layer_sizes, start=1):
+        state.begin_layer()
         val_hist: list[float] = []
         for j in range(size):
-            rec = add_node(state, layer, cfg, rng)
+            rec = add_node(state)
             if rec is None:
                 if layer == 1 and j == 0:
                     raise TrainingFailedError(
@@ -600,11 +599,9 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
         if not state.layer_sizes[-1]:
             # nothing to feed deeper layers; drop the empty layer and stop
             state.layer_sizes.pop()
-            state.layer_acts.pop()
             break
-        state.end_layer()
 
-    model, readouts_saturated = state.finalize(data.encoding)
+    model, readouts_saturated = state.finalize()
     events.append({"event": "readout", "dependent_columns": state.in_basis.count(False)})
     events.append({
         "event": "saturation",

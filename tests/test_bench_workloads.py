@@ -5,7 +5,8 @@ writes them with model_to_bytes. This checks that the model it builds for
 run seed 1 still has the bytes recorded in bench/baseline.json, and that the
 file reads back to the same bytes, and pins the read path's integer results
 (encoded words and emulated outputs) on that case. It also checks that every function the
-traced run (bench/run.py --trace 1) wraps still exists.
+traced run (bench/run.py --trace 1) wraps still exists, and that each one records a span
+when a small training case runs through the benchmark's two steps.
 """
 
 import hashlib
@@ -64,3 +65,27 @@ def test_trace_targets_name_package_functions(monkeypatch):
         mod_name, fn_name = qual.rsplit(".", 1)
         fn = getattr(importlib.import_module(f"scmfpga.{mod_name}"), fn_name, None)
         assert inspect.isfunction(fn), qual
+
+
+def test_every_trace_target_records_a_span(monkeypatch):
+    # a function the package reaches other than through a module attribute
+    # (a method, a default argument) bypasses its wrapper and would report
+    # zero seconds and zero calls
+    monkeypatch.syspath_prepend(str(BENCH))
+    harness = importlib.import_module("harness")
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    ds = s.gen_db1(seed=0)
+    x, y = ds.x_norm(ds.train_idx[:250]), ds.y[ds.train_idx[:250]]
+    case = workloads.Case(
+        spec=s.parse_encoding("s1:3"), x_eval=x, y_eval=y,
+        cfg=s.TrainConfig.single_layer(3, s.Activation.STEP, t_max=50, seed=0),
+        x_train=x[:200], y_train=y[:200], x_val=x[200:], y_val=y[200:],
+    )
+    with tracing.Tracer().installed(harness.TRACE_TARGETS) as tracer:
+        blob, result = workloads.make_model(case)
+        workloads.evaluate(blob, case.x_eval, case.y_eval)
+    assert result.model.layer_sizes == (3,)
+    calls = {name: n for name, (_, n) in tracer.self_times().items()}
+    assert {qual: calls.get(qual, 0) > 0 for qual in harness.TRACE_TARGETS} == \
+        dict.fromkeys(harness.TRACE_TARGETS, True)

@@ -429,6 +429,22 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["import-model", "eval-csv", "eval-manifest"])
+def test_a_file_that_is_not_utf8_text_is_a_data_error(tmp_path, capsys, db1_files, case):
+    _, data, model = db1_files
+    binary = b"\xff\xfe\x80 not text\n"
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(binary if case == "eval-csv" else data.read_bytes())
+    if case == "eval-manifest":
+        csv_path.with_suffix(".manifest").write_bytes(binary)
+    argv = (["import", str(model), "--out", str(tmp_path / "x.scm")] if case == "import-model"
+            else ["eval", str(model), str(csv_path)])
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "utf-8" in err[0]
+
+
 def test_bad_model_file_is_data_error(tmp_path, db1_files):
     _, data, _ = db1_files
     bad = tmp_path / "bad.scm"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scmfpga.datasets import (
+    Dataset,
     db1_function,
     gen_db1,
     gen_db2,
@@ -208,6 +209,16 @@ def test_load_csv_db3_db4_shapes(tmp_path):
         ds = load_csv(p, target_cols=["target"])
         assert ds.n_features == d
         assert ds.n_targets == 1
+
+
+def test_one_dimensional_features_and_targets_are_one_column():
+    x = np.linspace(0.0, 1.0, 50)
+    ds = Dataset(x=x, y=2 * x, train_idx=np.arange(40), val_idx=np.arange(40, 45),
+                 test_idx=np.arange(45, 50))
+    assert ds.x.shape == ds.y.shape == (50, 1)
+    assert (ds.n_features, ds.n_targets) == (1, 1)
+    # one feature, whose bounds come from the train and validation rows
+    assert ds.feature_min.tolist() == [0.0] and ds.feature_max.tolist() == [x[44]]
 
 
 def test_load_dataset_without_manifest(tmp_path):

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -142,3 +145,11 @@ def test_decimal_string_exact():
     assert fx.fx_to_decimal_string(1) == "0." + f"{5**25:025d}".rstrip("0")
     assert fx.fx_to_decimal_string(-(2**24)) == "-0.5"
     assert float(fx.fx_to_decimal_string(12345678)) == 12345678 / 2**25
+
+
+@given(st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX))
+def test_decimal_string_is_raw_over_2_25_without_exponent_or_trailing_zero(raw):
+    out = fx.fx_to_decimal_string(raw)
+    assert Fraction(Decimal(out)) == Fraction(raw, 2**25)
+    assert "e" not in out.lower()
+    assert "." not in out or not out.endswith(("0", "."))

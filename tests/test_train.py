@@ -184,21 +184,19 @@ def test_add_node_zero_residual_rejects_everything():
     data.y_val[:] = 0.25
     cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=50, seed=0)
     state = TrainState(data, cfg)
-    state.begin_layer(Activation.STEP)
+    state.begin_layer()
     assert np.allclose(state.resid_train, 0.0)
-    rng = np.random.default_rng(0)
-    assert add_node(state, 1, cfg, rng) is None
+    assert add_node(state) is None
 
 
 def test_add_node_accepts_only_positive_xi_and_residual_drops():
     data = _toy_data(seed=1)
     cfg = TrainConfig.single_layer(8, Activation.STEP, t_max=100, seed=1)
     state = TrainState(data, cfg)
-    state.begin_layer(Activation.STEP)
-    rng = np.random.default_rng(1)
+    state.begin_layer()
     prev = np.linalg.norm(state.resid_train)
     for _ in range(8):
-        res = add_node(state, 1, cfg, rng)
+        res = add_node(state)
         if res is None:
             break
         assert res.xi_min > 0
@@ -213,10 +211,9 @@ def test_add_node_xi_recheck_from_parameters():
     data = _toy_data(seed=2)
     cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=200, seed=2)
     state = TrainState(data, cfg)
-    state.begin_layer(Activation.STEP)
+    state.begin_layer()
     e_before = state.resid_train.copy()
-    rng = np.random.default_rng(2)
-    res = add_node(state, 1, cfg, rng)
+    res = add_node(state)
     w, lam, bias = _column_node(state)
     s = signals_pm1(data.bits_train)
     pre = (s @ w) * lam + bias
@@ -243,16 +240,13 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
     data = _two_output_data(seed=4)
     cfg = TrainConfig((4, 2), acts, t_max=200, seed=4, tau=-1.0)
     state = TrainState(data, cfg)
-    rng = np.random.default_rng(4)
     for k, (size, act) in enumerate(zip(cfg.layer_sizes, acts)):
-        if k:
-            state.end_layer()
-        state.begin_layer(act)
+        state.begin_layer()
         for _ in range(size):
             e_before = state.resid_train.copy()
             s = state.cur_in_train
-            res = add_node(state, k + 1, cfg, rng)
-            assert res is not None
+            res = add_node(state)
+            assert res is not None and res.layer == k + 1
             w, lam, bias = _column_node(state)
             pre = (s @ w) * lam + bias
             h = (pre > 0).astype(np.float64)
@@ -411,15 +405,53 @@ def _refuse(*args):
 
 
 def test_training_checks_the_exactness_preconditions(monkeypatch):
-    # train checks before it builds anything: layer 2 would have fan-in 2**24
+    # the state checks before it allocates anything: layer 2 would have
+    # fan-in 2**24, and t_max 10**5 makes a 100 MB work array
     data = _toy_data()
     monkeypatch.setattr(importlib.import_module("scmfpga.train"), "signals_pm1", _refuse)
     acts = (Activation.STEP, Activation.STEP)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="float32"):
+            TrainState(data, TrainConfig((2**24, 1), acts, t_max=10**5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     with pytest.raises(ValueError, match="float32"):
         train(data, TrainConfig((2**24, 1), acts))
     # one node fewer passes the check and goes on to build the signals
     with pytest.raises(AssertionError, match="signals built"):
         train(data, TrainConfig((2**24 - 1, 1), acts))
+
+
+def test_train_data_widths_are_equal_multiples_of_the_encoding():
+    enc = parse_encoding("density:4")
+    bits, _ = encode_matrix(np.random.default_rng(18).uniform(size=(10, 2)), enc)
+    y = np.zeros(10)
+    assert TrainData(bits[:6], y[:6], bits[6:], y[6:], enc).bits_train.n == 8
+    narrow = BitMatrix.from01(np.ones((4, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"widths 8 \(training\) and 4 \(validation\)"):
+        TrainData(bits[:6], y[:6], narrow, y[6:], enc)
+    odd = BitMatrix.from01(np.ones((10, 6), dtype=np.uint8))
+    with pytest.raises(ValueError, match="multiple of 4 bits"):
+        TrainData(odd[:6], y[:6], odd[6:], y[6:], enc)
+
+
+def test_one_dimensional_samples_are_one_column():
+    rng = np.random.default_rng(19)
+    x = rng.uniform(size=50)
+    y = np.sin(3 * x)
+    enc = parse_encoding("density:4")
+    flat = prepare_train_data(x[:25], y[:25], x[25:], y[25:], enc)
+    cols = prepare_train_data(x[:25, None], y[:25, None], x[25:, None], y[25:, None], enc)
+    for a, b in [(flat.bits_train, cols.bits_train), (flat.bits_val, cols.bits_val)]:
+        assert (len(a), a.n) == (25, 4) and np.array_equal(a.words, b.words)
+    assert flat.y_train.shape == flat.y_val.shape == (25, 1)
+    assert np.array_equal(flat.y_train, cols.y_train) and np.array_equal(flat.y_val, cols.y_val)
+    model = random_model(19, 4, [(3, Activation.STEP)])
+    assert evaluate_bits(model, flat.bits_val, y[25:]).rmse_fpga == \
+        evaluate_bits(model, flat.bits_val, y[25:, None]).rmse_fpga
 
 
 def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
@@ -436,9 +468,10 @@ def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
         predict_float_batch(model, bits)
 
 
-def _oracle_add_node(state, cfg, rng):
+def _oracle_add_node(state, rng):
     """add_node's choice from the same draws, with every e^T h summed by math.fsum."""
-    act = state.layer_acts[-1]
+    cfg = state.cfg
+    act = cfg.activations[len(state.layer_sizes) - 1]
     s = state.cur_in_train
     e = state.resid_train
     fan_in = s.shape[1]
@@ -503,10 +536,10 @@ def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels
                               parse_encoding(f"density:{fan_in}"))
     cfg = TrainConfig.single_layer(nodes, act, t_max=t_max, use_mechanism=False, seed=seed)
     state = TrainState(data, cfg)
-    state.begin_layer(act)
+    state.begin_layer()
     for k in range(nodes):
-        want = _oracle_add_node(state, cfg, copy.deepcopy(rng))
-        got = add_node(state, 1, cfg, rng)
+        want = _oracle_add_node(state, copy.deepcopy(state.rng))
+        got = add_node(state)
         if want is None:
             assert got is None
             return k
@@ -523,10 +556,10 @@ def test_add_node_builds_no_float64_candidate_array():
     data = _toy_data(seed=13, n_train=n, n_val=50, spec="s1:3")
     cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=t, use_mechanism=False, seed=13)
     state = TrainState(data, cfg)
-    state.begin_layer(Activation.STEP)
+    state.begin_layer()
     tracemalloc.start()
     try:
-        res = add_node(state, 1, cfg, np.random.default_rng(13))
+        res = add_node(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,7 +574,6 @@ def test_preallocated_readout_matches_column_stack():
     data = _toy_data(seed=14, n_train=150, n_val=40, spec="s2v1", noise=0.02)
     cfg = TrainConfig((2, 2), (Activation.STEP, Activation.SIGN), t_max=200, seed=14)
     state = TrainState(data, cfg)  # capacity 4: the sixth layer-1 node doubles it twice
-    rng = np.random.default_rng(14)
 
     def columns(s, nodes, act):
         # activation values: {0, 1} for SIGN, {-1, +1} for STEP
@@ -553,7 +585,7 @@ def test_preallocated_readout_matches_column_stack():
         s_tr, s_va = signals_pm1(data.bits_train), signals_pm1(data.bits_val)
         assert sum(state.layer_sizes) == len(state.nodes) == state.n_hidden
         ends = np.cumsum(state.layer_sizes)
-        for end, size, act in zip(ends, state.layer_sizes, state.layer_acts):
+        for end, size, act in zip(ends, state.layer_sizes, cfg.activations):
             nodes = [_column_node(state, k) for k in range(end - size, end)]
             tr_cols, va_cols = columns(s_tr, nodes, act), columns(s_va, nodes, act)
             tr += tr_cols
@@ -567,20 +599,19 @@ def test_preallocated_readout_matches_column_stack():
         assert np.array_equal(state.resid_val, state.target_val - h_va @ beta)
         return h_tr
 
-    state.begin_layer(Activation.STEP)
+    state.begin_layer()
     for _ in range(6):
-        assert add_node(state, 1, cfg, rng) is not None
+        assert add_node(state) is not None
         check()
     assert state.H_train.shape[1] == 8
     state.remove_trailing(2)
     check()
-    assert add_node(state, 1, cfg, rng) is not None  # rewrites a removed column
+    assert add_node(state) is not None  # rewrites a removed column
     h_layer1 = check()
-    state.end_layer()
+    state.begin_layer()  # layer 2 reads layer 1's columns
     assert np.array_equal(state.cur_in_train, h_layer1)
-    state.begin_layer(Activation.SIGN)
     for _ in range(2):
-        assert add_node(state, 2, cfg, rng) is not None
+        assert add_node(state).layer == 2
         check()
     # a large configured node count is not allocated up front
     big = TrainState(data, TrainConfig.single_layer(1000, t_max=10, seed=14))
@@ -636,11 +667,11 @@ def test_incremental_readout_matches_the_lstsq_oracle(seed, acts, sizes, drops, 
                       seed=seed)
     state = TrainState(data, cfg)
     before = _check_readout(state, None)
-    for layer, (act, size, drop) in enumerate(zip(acts, sizes, drops), start=1):
-        state.begin_layer(act)
+    for size, drop in zip(cfg.layer_sizes, drops):
+        state.begin_layer()
         for _ in range(size):
             rmse = state.train_rmse()
-            if add_node(state, layer, cfg, rng) is None:
+            if add_node(state) is None:
                 break
             before = _check_readout(state, before)
             assert state.train_rmse() <= rmse + 1e-12
@@ -653,19 +684,17 @@ def test_incremental_readout_matches_the_lstsq_oracle(seed, acts, sizes, drops, 
         if drop:
             state.remove_trailing(drop)
             before = _check_readout(state, None)
-            if add_node(state, layer, cfg, rng) is not None:
+            if add_node(state) is not None:
                 before = _check_readout(state, before)
-        state.end_layer()
 
 
 def test_a_dependent_column_gets_readout_zero():
     data = _two_output_data(seed=15)
     cfg = TrainConfig.single_layer(5, Activation.STEP, t_max=100, use_mechanism=False, seed=15)
     state = TrainState(data, cfg)
-    state.begin_layer(Activation.STEP)
-    rng = np.random.default_rng(15)
+    state.begin_layer()
     for _ in range(3):
-        assert add_node(state, 1, cfg, rng) is not None
+        assert add_node(state) is not None
     beta, before = state.beta.copy(), _check_readout(state, None)
     # a copy of the second column adds no rank
     state.append_node(state.nodes[1], state.H_train[:, 1].copy(), state.H_val[:, 1].copy())
@@ -674,13 +703,13 @@ def test_a_dependent_column_gets_readout_zero():
     assert np.array_equal(state.beta, np.vstack([beta, np.zeros((1, 2))]))
     assert np.array_equal(state.resid_train, before[0])
     assert np.array_equal(state.resid_val, before[1])
-    assert add_node(state, 1, cfg, rng) is not None
+    assert add_node(state) is not None
     assert state.in_basis == [True, True, True, False, True]
     _check_readout(state, None)
     state.remove_trailing(2)
     assert state.in_basis.count(False) == 0
     assert np.array_equal(state.beta, beta)
-    model, _ = state.finalize(data.encoding)
+    model, _ = state.finalize()
     assert model.layer_sizes == (3,)
 
 
@@ -691,7 +720,7 @@ def test_reorthogonalization_keeps_q_orthonormal():
     n = 3200
     data = _toy_data(seed=17, n_train=n, n_val=10)
     state = TrainState(data, TrainConfig.single_layer(12, use_mechanism=False))
-    state.begin_layer(Activation.STEP)
+    state.begin_layer()
     h = np.random.default_rng(17).choice([-1.0, 1.0], size=n)
     for i in range(12):
         col = h.copy()
@@ -783,7 +812,7 @@ def test_train_planted_node_recovered():
     w = np.array([1, -1, 1, 1], dtype=np.float64)
     h = ((s @ w + 0.3) > 0).astype(np.float64) * 2 - 1
     y = (0.7 * h)[:, None]
-    data = TrainData(bits[:100], y[:100], bits[100:], y[100:], enc, 1)
+    data = TrainData(bits[:100], y[:100], bits[100:], y[100:], enc)
     cfg = TrainConfig.single_layer(
         1, Activation.STEP, t_max=2000, lambda_pool=(1,), use_mechanism=False, seed=3
     )
@@ -878,10 +907,10 @@ def test_finalize_counts_saturated_readouts():
     data = _toy_data(seed=12)
     cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, seed=12)
     state = TrainState(data, cfg)
-    state.begin_layer(Activation.STEP)
-    assert add_node(state, 1, cfg, np.random.default_rng(12)) is not None
+    state.begin_layer()
+    assert add_node(state) is not None
     state.beta[:] = 100.0
-    model, saturated = state.finalize(data.encoding)
+    model, saturated = state.finalize()
     assert saturated == state.m
     assert model.layers[0].beta_raw[0, 0] == fx.RAW_MAX
 
