@@ -29,6 +29,10 @@ residual entries (each kept to 60 bits below its column's power-of-two bound)
 whatever order the BLAS and the blocks add in, and the bit count gives
 <h, h> for SIGN. This holds while the training set has at most 2**23 rows
 and every fan-in is below 2**24 (check_fan_in); TrainState checks both first.
+The rows are scored largest residual first, and after each block a candidate
+is dropped once a bound over the unscored rows shows it cannot pass (add_node
+states the bounds and their slack); an attempt with none left fails at once.
+Dropped candidates could not have passed, so the decisions are unchanged.
 
 TrainData holds the encoded rows as BitMatrix objects. TrainState(data, cfg)
 keeps its inputs, so add_node(state), begin_layer() and finalize() take no
@@ -240,8 +244,8 @@ class TrainState:
     the encoding, the generator seeded by cfg.seed, the residual matrices, the
     hidden-output columns for the global readout refit with each column's
     node, the layer sizes, the signal matrices feeding the layer under
-    construction (contiguous float32, made once per layer), and the
-    (SCORE_ROWS, t_max) candidate work array.
+    construction (contiguous float32, made once per layer, and a buffer for
+    add_node's row order), and the (SCORE_ROWS, t_max) candidate work array.
 
     The hidden outputs live in (N, capacity) arrays whose first n_hidden
     columns are in use; the capacity starts at the configured node count (at
@@ -313,6 +317,7 @@ class TrainState:
             cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
             self.cur_in_train = np.ascontiguousarray(self.H_train[:, cols], np.float32)
             self.cur_in_val = np.ascontiguousarray(self.H_val[:, cols], np.float32)
+        self.in_ordered = np.empty_like(self.cur_in_train)
         self.layer_sizes.append(0)
 
     def append_node(self, node: tuple, h_tr: np.ndarray, h_va: np.ndarray) -> None:
@@ -477,17 +482,43 @@ def add_node(state: TrainState) -> TrainRecord | None:
     refits the readout. Returns the accepted node's TrainRecord, numbered by
     its layer (counted from 1) and its position in that layer; the node itself
     is state.nodes[-1]. Returns None when the whole r schedule is exhausted.
+
+    Rows are scored by decreasing max_q e_q**2 / <e_q, e_q> (stable; by |e|
+    when m is 1). After each block but the last, a candidate is dropped when
+    for some q a bound on its score, however the unscored rows go, is <=
+    (1 - r) <e_q, e_q> (1 - 1e-9). STEP: g = 2 e^T bit - sum(e) from the bits
+    so far counts every unscored row as h = -1, so <e_q, h> ends within S of
+    g + U, U and S the unscored sums of e_q and |e_q|, and the score is at
+    most (|g + U| + S)**2 / N. SIGN: with dot d and count c so far,
+    Cauchy-Schwarz gives (d + E sqrt(c'))**2 / (c + c') <= d**2 / c + E**2
+    for c' more bits, E**2 the unscored sum of e_q**2 (E**2 alone when c is
+    0). Limb sums are exact over any rows, so g and d are rounded once; S gets
+    a slack of 1e-9 sum |e_q| for that, the limbs' cut (at most N 2**-59
+    max |e_q|) and the float64 tail sums, and the factor 1 - 1e-9 covers the
+    scores' rounding. Dropped candidates could not pass: the accepted node,
+    `passed` and the scores are unchanged.
     """
     cfg, rng = state.cfg, state.rng
     layer = len(state.layer_sizes)
     pm1 = cfg.activations[layer - 1] == Activation.STEP  # h = 2 * bit - 1, else h = bit
-    s_tr = state.cur_in_train
-    s_va = state.cur_in_val
-    n, fan_in = s_tr.shape
-    t = cfg.t_max
+    n, fan_in = state.cur_in_train.shape
+    t, m = cfg.t_max, state.m
     e = state.resid_train
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
+    order = np.argsort(-np.divide(e * e, ee, out=np.zeros_like(e), where=ee > 0).max(axis=1),
+                       kind="stable")
+    e = e[order]
     limbs = ResidualLimbs(e)
+    # every index is valid, and "clip" writes into out without a temporary copy
+    s_tr = np.take(state.cur_in_train, order, axis=0, out=state.in_ordered, mode="clip")
+    # what the rows after each block can still add, and the least value the
+    # bound can take then: no check is made while that passes every limit
+    starts = np.arange(0, n, SCORE_ROWS)
+    per_row = np.hstack([e, np.abs(e)]) if pm1 else e * e
+    tail = np.cumsum(np.add.reduceat(per_row, starts)[::-1], axis=0)[::-1]
+    tail = np.vstack([tail[1:], np.zeros_like(tail[:1])])
+    slack = 1e-9 * np.abs(e).sum(axis=0)
+    floor = (tail[:, m:] + slack) ** 2 / n if pm1 else tail
     shift_pool = np.array([lam.bit_length() - 1 for lam in cfg.lambda_pool])
 
     for attempt, r in enumerate(cfg.r_schedule, start=1):
@@ -499,13 +530,30 @@ def add_node(state: TrainState) -> TrainRecord | None:
         state.bias_saturated += n_sat
         edge = threshold_edge(shift, b_raw).astype(np.float32)
 
+        limit = (1.0 - r) * ee * (1.0 - 1e-9)
+        live, w_live, edge_live = np.arange(t), w, edge  # the survivors, in draw order
         sums = np.zeros((len(limbs.lhs), t), dtype=np.float32)
-        for a in range(0, n, SCORE_ROWS):
+        for b, a in enumerate(starts):
             blk = slice(a, min(a + SCORE_ROWS, n))
-            bits = threshold_bits(s_tr[blk], w, edge, state.work[: blk.stop - a])
-            sums += limbs.lhs[:, blk] @ bits
+            work = state.work.reshape(-1)[: (blk.stop - a) * live.size].reshape(-1, live.size)
+            sums += limbs.lhs[:, blk] @ threshold_bits(s_tr[blk], w_live, edge_live, work)
+            if blk.stop == n or not (floor[b] <= limit).any():
+                continue
+            eh, count = limbs.dots(sums, pm1)
+            if pm1:
+                reach = np.abs(eh + tail[b, :m, None]) + tail[b, m:, None] + slack[:, None]
+                bound = reach * reach / n
+            else:
+                bound = np.divide(eh * eh, count, out=np.zeros_like(eh), where=count > 0)
+                bound += tail[b, :, None]
+            alive = ~(bound <= limit[:, None]).any(axis=0)
+            if not alive.all():
+                live, w_live, edge_live = live[alive], w_live[alive], edge_live[alive]
+                sums = sums[:, alive]
+                if not live.size:
+                    break
         eh, count = limbs.dots(sums, pm1)
-        hh = np.full(t, float(n)) if pm1 else count
+        hh = np.full(live.size, float(n)) if pm1 else count
         valid = hh > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = np.where(valid, eh * eh / hh, -np.inf) - (1.0 - r) * ee[:, None]
@@ -513,13 +561,14 @@ def add_node(state: TrainState) -> TrainRecord | None:
         if not passing.any():
             continue
         scores = np.where(passing, xi.sum(axis=0), -np.inf)
-        j = int(np.argmax(scores))
+        best = int(np.argmax(scores))
+        j = int(live[best])
 
         one = slice(j, j + 1)
         # the work array holds only the last block: rebuild the accepted column h
         h_tr, h_va = (
             threshold_bits(s, w[one], edge[one], np.empty((len(s), 1), np.float32))[:, 0]
-            for s in (s_tr, s_va)
+            for s in (state.cur_in_train, state.cur_in_val)
         )
         if pm1:
             h_tr, h_va = 2 * h_tr - 1, 2 * h_va - 1
@@ -530,8 +579,8 @@ def add_node(state: TrainState) -> TrainRecord | None:
             node=state.layer_sizes[-1],
             r=r,
             lam=1 << int(shift[j]),
-            xi_sum=float(xi[:, j].sum()),
-            xi_min=float(xi[:, j].min()),
+            xi_sum=float(xi[:, best].sum()),
+            xi_min=float(xi[:, best].min()),
             train_rmse=state.train_rmse(),
             val_rmse=state.val_rmse(),
             drawn=attempt * t,

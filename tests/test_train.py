@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib
 import math
 import os
@@ -8,6 +9,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -517,12 +519,41 @@ def test_add_node_matches_an_fsum_oracle(seed, act, m, rows, fan_in, t_max, leve
     _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    act=st.sampled_from([Activation.STEP, Activation.SIGN]),
+    m=st.integers(1, 3),
+    rows=st.integers(2, 60),
+    fan_in=st.integers(1, 4),
+    t_max=st.integers(1, 40),
+    levels=st.integers(1, 8),
+    nodes=st.integers(1, 4),
+    block=st.integers(1, 7),
+)
+def test_add_node_matches_an_fsum_oracle_in_small_score_blocks(seed, act, m, rows, fan_in, t_max,
+                                                               levels, nodes, block):
+    # blocks of 1 to 7 rows, so candidates are dropped between blocks
+    with mock.patch.object(importlib.import_module("scmfpga.train"), "SCORE_ROWS", block):
+        _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes)
+
+
 @pytest.mark.parametrize("act", [Activation.STEP, Activation.SIGN])
-def test_add_node_matches_an_fsum_oracle_across_score_blocks(act):
+def test_add_node_matches_an_fsum_oracle_across_score_blocks(act, monkeypatch):
+    widths = []  # (rows, candidates) of each threshold_bits call
+
+    def spy(s32, w32, edge32, work):
+        widths.append(work.shape)
+        return threshold_bits(s32, w32, edge32, work)
+
+    monkeypatch.setattr(importlib.import_module("scmfpga.train"), "threshold_bits", spy)
     # two full blocks of SCORE_ROWS training rows and a partial one of 3
     accepted = _check_add_node_against_the_oracle(
         seed=7, act=act, m=2, rows=2 * SCORE_ROWS + 3, fan_in=12, t_max=40, levels=8, nodes=3)
     assert accepted == 3
+    # an attempt's first block scores all 40 candidates; later blocks fewer
+    # once some provably cannot pass
+    later = [k for rows, k in widths if rows in (SCORE_ROWS, 3)]
+    assert max(later) == 40 and min(later) < 40
 
 
 def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes):
@@ -960,6 +991,29 @@ def test_train_determinism():
     m1 = train(data, cfg).model
     m2 = train(data, cfg).model
     assert model_to_bytes(m1) == model_to_bytes(m2)
+
+
+@pytest.mark.parametrize("spec, cfg, model_sha, records_sha", [
+    ("s1:3", TrainConfig.single_layer(12, Activation.STEP, seed=2),
+     "6047f6965f36e67465d9c88dd4bf56e3bccc696aa27ac6365629c8fc7ce9e9d3",
+     "434db224e0a9f7e2d662bdbfe6d1bae8ef202bb319aece8bc8f78470ebde9005"),
+    ("s1:4", TrainConfig((6, 6, 6), (Activation.STEP, Activation.SIGN, Activation.STEP),
+                         use_mechanism=False, seed=2),
+     "1a0a0b93a3f02ebf73cff952196500757ae67b057d91d7bfaf15699fa96c001f",
+     "25119d1c11b6e457f8886b03887da068b356db7d1dbb82f172d1f1804a56b65e"),
+], ids=["one-step-layer", "step-sign-step"])
+def test_trained_model_bytes_and_records_match_the_pins(spec, cfg, model_sha, records_sha):
+    # the benchmark's shapes at 640 training rows: the hardware model and the
+    # per-node records, which do not depend on the BLAS build, are pinned, so
+    # a change to candidate scoring cannot change which nodes are accepted
+    ds = split(gen_db2(seed=2, scale=0.02), 0.2, seed=2)
+    data = prepare_train_data(ds.x_norm(ds.train_idx), ds.y[ds.train_idx], ds.x_norm(ds.val_idx),
+                              ds.y[ds.val_idx], parse_encoding(spec))
+    result = train(data, cfg)
+    blob = model_to_bytes(result.model, include_floats=False)
+    records = "\n".join(rec.to_kv() for rec in result.records)
+    assert hashlib.sha256(blob).hexdigest() == model_sha
+    assert hashlib.sha256(records.encode()).hexdigest() == records_sha
 
 
 # trains a two-layer model with the mechanism on, then prints its file without
