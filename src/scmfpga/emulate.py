@@ -239,7 +239,10 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     The software side stores one 64-bit value per raw feature and per
     raw-feature x node weight; the packed side stores one bit per encoded
     input and per encoded-input x node weight, 32-bit readouts, and a 3-bit
-    scale code per node. clock_hz must be positive and finite (else a ValueError).
+    scale code per node. Neither side counts the per-node 32-bit raw biases
+    or the mechanism's d_enc x m weights and m intercepts, which the emulated
+    datapath also reads; test_criterion_3_memory_tables pins the counted
+    quantities. clock_hz must be positive and finite (else a ValueError).
     """
     if not 0 < clock_hz < float("inf"):  # also refuses NaN
         raise ValueError(f"clock {clock_hz!r} Hz is not positive and finite")

@@ -28,6 +28,7 @@ class EvalReport:
     outputs_pc: np.ndarray | None = None  # (N, m) float64
     outputs_fpga_raw: np.ndarray | None = None  # (N, m) int32
     saturated: np.ndarray | None = None  # (m,) emulated rows clamped to Q7.25, per output
+    clamped: int = 0  # mechanism values and readouts clamped to Q7.25; set with `saturated`
 
     @property
     def outputs_fpga(self) -> np.ndarray | None:
@@ -37,8 +38,9 @@ class EvalReport:
 
     @property
     def bound_applies(self) -> bool:
-        """False when any emulated row was clamped, where quantization_bound no longer holds."""
-        return self.saturated is None or not self.saturated.any()
+        """False when any emulated row or model parameter was clamped, where
+        quantization_bound no longer holds."""
+        return self.saturated is None or not (self.clamped or self.saturated.any())
 
     @property
     def rmse_difference(self) -> float | None:
@@ -77,6 +79,8 @@ def evaluate_bits(
         rep.rmse_pc = _rmse(rep.outputs_pc, y)
     if mode in ("fpga", "both"):
         rep.saturated = np.zeros(model.n_outputs, dtype=np.int64)
+        rep.clamped = model.mechanism.saturated + sum(
+            fx.quantize_array(layer.beta)[1] for layer in model.layers)
         rep.outputs_fpga_raw = predict_fpga_batch(model, bits, rep.saturated)
         rep.rmse_fpga = _rmse(rep.outputs_fpga, y)
     return rep

@@ -15,9 +15,9 @@ outputs that gains one Gram-Schmidt column per node (TrainState).
 
 Biases are drawn uniform on [-lambda, +lambda] and snapped to the Q7.25 grid
 at draw time (saturating at the format range), and a node keeps the raw
-value. Candidates and the accepted node's validation column get their bits
-from model.threshold_bits, the integer test the reference path and the
-emulator also make, so every path computes bit-identical activations.
+value. Candidates and the accepted node's column get their bits from
+model.threshold_bits, the integer test the reference path and the emulator
+also make, so every path computes bit-identical activations.
 
 A candidate's scores are computed without forming h, over the training rows
 in blocks of SCORE_ROWS. A block's threshold bits are written as 0/1 into a
@@ -34,11 +34,12 @@ is dropped once a bound over the unscored rows shows it cannot pass (add_node
 states the bounds and their slack); an attempt with none left fails at once.
 Dropped candidates could not have passed, so the decisions are unchanged.
 
-TrainData holds the encoded rows as BitMatrix objects. TrainState(data, cfg)
-keeps its inputs, so add_node(state), begin_layer() and finalize() take no
-others; it builds the +-1 signal matrices once, fits the mechanism on the
-training one, and keeps each accepted node's 0/1 weight row, scale code and
-raw bias; add_node returns the node's TrainRecord, which train logs as is.
+TrainData holds the encoded training rows and then the validation rows in one
+BitMatrix. TrainState(data, cfg) keeps its inputs, so add_node(state),
+begin_layer() and finalize() take no others; it builds the +-1 signal matrix
+once, fits the mechanism on its training rows, and keeps each accepted node's
+0/1 weight row, scale code and raw bias; add_node returns the node's
+TrainRecord, which train logs as is.
 """
 
 from __future__ import annotations
@@ -111,27 +112,22 @@ class TrainConfig:
 
 @dataclass
 class TrainData:
-    """Encoded training and validation rows, each a BitMatrix (encode_matrix)."""
+    """Encoded rows (encode_matrix) and targets; the first n_train are the training rows."""
 
-    bits_train: BitMatrix
-    y_train: np.ndarray  # (N, m)
-    bits_val: BitMatrix
-    y_val: np.ndarray  # (K, m)
+    bits: BitMatrix
+    y: np.ndarray  # (N + K, m)
+    n_train: int  # N
     encoding: EncodingSpec
 
     def __post_init__(self):
-        self.y_train = samples_2d(self.y_train)
-        self.y_val = samples_2d(self.y_val)
-        if self.y_train.shape[0] != len(self.bits_train):
-            raise ValueError("training targets do not match training inputs")
-        if self.y_val.shape[0] != len(self.bits_val):
-            raise ValueError("validation targets do not match validation inputs")
-        if len(self.bits_train) < 1 or len(self.bits_val) < 1:
+        self.y = samples_2d(self.y)
+        if self.y.shape[0] != len(self.bits):
+            raise ValueError(f"{self.y.shape[0]} targets do not match {len(self.bits)} inputs")
+        if not 1 <= self.n_train < len(self.bits):
             raise ValueError("need at least 1 training and 1 validation sample")
-        width, per = self.bits_train.n, self.encoding.bits_per_input
-        if self.bits_val.n != width or width % per:
-            raise ValueError(f"encoded widths {width} (training) and {self.bits_val.n} "
-                             f"(validation) must be one multiple of {per} bits per input")
+        if self.bits.n % self.encoding.bits_per_input:
+            raise ValueError(f"encoded width {self.bits.n} must be a multiple of "
+                             f"{self.encoding.bits_per_input} bits per input")
 
 
 def prepare_train_data(
@@ -141,10 +137,15 @@ def prepare_train_data(
     y_val: np.ndarray,
     spec: EncodingSpec,
 ) -> TrainData:
-    """Encode normalized feature matrices into a TrainData bundle."""
-    bits_tr, _ = encode_matrix(x_train, spec)
-    bits_va, _ = encode_matrix(x_val, spec)
-    return TrainData(bits_tr, y_train, bits_va, y_val, spec)
+    """Encode normalized feature matrices, training rows first, into a TrainData bundle."""
+    x = [samples_2d(x_train), samples_2d(x_val)]
+    y = [samples_2d(y_train), samples_2d(y_val)]
+    if x[0].shape[1] != x[1].shape[1]:
+        raise ValueError(f"{x[0].shape[1]} training features against {x[1].shape[1]} validation")
+    if [len(a) for a in x] != [len(a) for a in y]:
+        raise ValueError("targets do not match inputs")
+    bits, _ = encode_matrix(np.vstack(x), spec)
+    return TrainData(bits, np.vstack(y), len(x[0]), spec)
 
 
 @dataclass
@@ -241,71 +242,67 @@ class TrainState:
     """Mutable book-keeping while a model is grown.
 
     Checks the exactness limits before it allocates, then keeps the config,
-    the encoding, the generator seeded by cfg.seed, the residual matrices, the
-    hidden-output columns for the global readout refit with each column's
-    node, the layer sizes, the signal matrices feeding the layer under
-    construction (contiguous float32, made once per layer, and a buffer for
-    add_node's row order), and the (SCORE_ROWS, t_max) candidate work array.
+    the encoding, the generator seeded by cfg.seed, the targets and residuals,
+    the hidden-output columns for the global readout refit with each column's
+    node, the layer sizes, the signals feeding the layer under construction
+    (contiguous float32, made once per layer, and a buffer for add_node's row
+    order), and the (SCORE_ROWS, t_max) candidate work array. Rows are in
+    TrainData's order; Q, the L1 fit and candidate scoring read [:n_train].
 
-    The hidden outputs live in (N, capacity) arrays whose first n_hidden
-    columns are in use; the capacity starts at the configured node count (at
-    most 64) and doubles when full. They are C-ordered because H @ beta then
-    rounds as it does on a stacked matrix, so the residuals (and the model
-    bytes) do not depend on the storage.
+    The hidden outputs live in an (N + K, capacity) array H whose first
+    n_hidden columns are in use; the capacity starts at the configured node
+    count (at most 64) and doubles when full. It is C-ordered because H @ beta
+    then rounds as it does on a stacked matrix, so the residuals (and the
+    model bytes) do not depend on the storage.
 
-    The readout (SC-III of Wang & Li 2017) is kept as a thin QR of H: Q
-    (N, capacity) with orthonormal columns, upper-triangular R and
-    qt = Q^T target. A new column costs one classical Gram-Schmidt step and
-    one reorthogonalization pass (Daniel, Gragg, Kaufman & Stewart 1976),
-    O(N L), and beta solves R beta = qt; remove_trailing drops trailing
-    columns of Q, R and qt, which is exact. A column whose orthogonal
+    The readout (SC-III of Wang & Li 2017) is kept as a thin QR of H[:n_train]:
+    Q (N, capacity) with orthonormal columns, upper-triangular R and
+    qt = Q^T target[:n_train]. A new column costs one classical Gram-Schmidt
+    step and one reorthogonalization pass (Daniel, Gragg, Kaufman & Stewart
+    1976), O(N L), and beta solves R beta = qt; remove_trailing drops
+    trailing columns of Q, R and qt, which is exact. A column whose orthogonal
     remainder is at most max(N, L) * eps * |h| (lstsq's cutoff) gets readout
     0 and no basis vector; while the residual lies above rounding level,
-    xi > 0 rules that out. The residuals stay target - H @ beta on both row
-    sets, the model's own errors, rather than an update through Q.
+    xi > 0 rules that out. The residuals on every row stay target - H @ beta,
+    the model's own errors, rather than an update through Q.
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
+        n = self.n_train = data.n_train
         if cfg.layer_sizes:  # candidate scoring is exact at these sizes
-            for fan_in in [data.bits_train.n, *cfg.layer_sizes[:-1]]:
+            for fan_in in [data.bits.n, *cfg.layer_sizes[:-1]]:
                 check_fan_in(fan_in)
-            limb_layout(len(data.bits_train))
+            limb_layout(n)
         self.cfg = cfg
         self.encoding = data.encoding
         self.rng = np.random.default_rng(cfg.seed)
-        self.m = data.y_train.shape[1]
+        self.m = data.y.shape[1]
         # (SCORE_ROWS, t_max) float32 candidate dots of a row block, then their
         # 0/1 threshold bits; allocated before the L1 fit, so a t_max too large
         # to hold fails at once
         self.work = np.empty((SCORE_ROWS, cfg.t_max) if cfg.layer_sizes else (0, 0), np.float32)
         # float64 -1/+1 inputs, needed only while the state is built
-        s1_train = signals_pm1(data.bits_train)
-        s1_val = signals_pm1(data.bits_val)
+        s1 = signals_pm1(data.bits)
         if cfg.use_mechanism:
-            self.mech = fit_mechanism(s1_train, data.y_train, cfg.alpha)
+            self.mech = fit_mechanism(s1[:n], data.y[:n], cfg.alpha)
         else:
-            d_enc = s1_train.shape[1]
-            self.mech = external_mechanism(np.zeros((d_enc, self.m)), np.zeros(self.m))
-        self.target_train = data.y_train - mech_eval_float_batch(s1_train, self.mech)
-        self.target_val = data.y_val - mech_eval_float_batch(s1_val, self.mech)
+            self.mech = external_mechanism(np.zeros((s1.shape[1], self.m)), np.zeros(self.m))
+        self.target = data.y - mech_eval_float_batch(s1, self.mech)
         # a C-order column write touches every row, so a large configured
         # node count is not allocated up front
         capacity = min(max(1, sum(cfg.layer_sizes)), 64)
-        self.H_train = np.empty((len(data.bits_train), capacity))
-        self.H_val = np.empty((len(data.bits_val), capacity))
-        self.Q = np.empty_like(self.H_train)
+        self.H = np.empty((len(data.bits), capacity))
+        self.Q = np.empty((n, capacity))
         self.R = np.zeros((capacity, capacity))
         self.qt = np.zeros((capacity, self.m))
         self.n_hidden = 0
         self.in_basis: list[bool] = []  # per hidden column: owns a basis vector
         self.nodes: list[tuple] = []  # per hidden column: 0/1 uint8 weight row, shift, bias_raw
         self.beta = np.zeros((0, self.m))
-        self.resid_train = self.target_train.copy()
-        self.resid_val = self.target_val.copy()
+        self.resid = self.target.copy()
         self.layer_sizes: list[int] = []  # layer k has activation cfg.activations[k]
         # entries are -1, 0 or +1, so float32 holds them and every dot exactly
-        self.cur_in_train = s1_train.astype(np.float32)
-        self.cur_in_val = s1_val.astype(np.float32)
+        self.cur_in = s1.astype(np.float32)
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
 
@@ -315,26 +312,24 @@ class TrainState:
         """Start the next configured layer, fed by the last layer's columns if any."""
         if self.layer_sizes:
             cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
-            self.cur_in_train = np.ascontiguousarray(self.H_train[:, cols], np.float32)
-            self.cur_in_val = np.ascontiguousarray(self.H_val[:, cols], np.float32)
-        self.in_ordered = np.empty_like(self.cur_in_train)
+            self.cur_in = np.ascontiguousarray(self.H[:, cols], np.float32)
+        self.in_ordered = np.empty((self.n_train, self.cur_in.shape[1]), np.float32)
         self.layer_sizes.append(0)
 
-    def append_node(self, node: tuple, h_tr: np.ndarray, h_va: np.ndarray) -> None:
-        cap = self.H_train.shape[1]
+    def append_node(self, node: tuple, h: np.ndarray) -> None:
+        """Add a hidden column h, on every row, and refit the readout."""
+        cap = self.H.shape[1]
         if self.n_hidden == cap:
-            self.H_train = _grown(self.H_train, (len(self.H_train), 2 * cap))
-            self.H_val = _grown(self.H_val, (len(self.H_val), 2 * cap))
-            self.Q = _grown(self.Q, self.H_train.shape)
+            self.H = _grown(self.H, (len(self.H), 2 * cap))
+            self.Q = _grown(self.Q, (self.n_train, 2 * cap))
             self.R = _grown(self.R, (2 * cap, 2 * cap))
             self.qt = _grown(self.qt, (2 * cap, self.m))
-        self.H_train[:, self.n_hidden] = h_tr
-        self.H_val[:, self.n_hidden] = h_va
+        self.H[:, self.n_hidden] = h
         self.n_hidden += 1
         self.nodes.append(node)
         self.layer_sizes[-1] += 1
         k = sum(self.in_basis)
-        q = self.Q[:, :k]
+        q, h_tr = self.Q[:, :k], h[: self.n_train]
         coef = q.T @ h_tr
         v = h_tr - q @ coef
         again = q.T @ v
@@ -348,7 +343,7 @@ class TrainState:
         self.Q[:, k] = v / norm
         self.R[:k, k] = coef + again
         self.R[k, k] = norm
-        self.qt[k] = self.Q[:, k] @ self.target_train
+        self.qt[k] = self.Q[:, k] @ self.target[: self.n_train]
         self.solve_readout()
 
     def remove_trailing(self, n: int) -> None:
@@ -368,14 +363,13 @@ class TrainState:
         self.beta = np.zeros((self.n_hidden, self.m))
         if k:
             self.beta[np.array(self.in_basis)] = np.linalg.solve(self.R[:k, :k], self.qt[:k])
-        self.resid_train = self.target_train - self.H_train[:, : self.n_hidden] @ self.beta
-        self.resid_val = self.target_val - self.H_val[:, : self.n_hidden] @ self.beta
+        self.resid = self.target - self.H[:, : self.n_hidden] @ self.beta
 
     def train_rmse(self) -> float:
-        return _rmse(self.resid_train)
+        return _rmse(self.resid[: self.n_train])
 
     def val_rmse(self) -> float:
-        return _rmse(self.resid_val)
+        return _rmse(self.resid[self.n_train :])
 
     def finalize(self) -> tuple[ScmModel, int]:
         """The quantized model, and how many readout weights saturated."""
@@ -501,16 +495,16 @@ def add_node(state: TrainState) -> TrainRecord | None:
     cfg, rng = state.cfg, state.rng
     layer = len(state.layer_sizes)
     pm1 = cfg.activations[layer - 1] == Activation.STEP  # h = 2 * bit - 1, else h = bit
-    n, fan_in = state.cur_in_train.shape
+    n, fan_in = state.n_train, state.cur_in.shape[1]
     t, m = cfg.t_max, state.m
-    e = state.resid_train
+    e = state.resid[:n]
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
     order = np.argsort(-np.divide(e * e, ee, out=np.zeros_like(e), where=ee > 0).max(axis=1),
                        kind="stable")
     e = e[order]
     limbs = ResidualLimbs(e)
     # every index is valid, and "clip" writes into out without a temporary copy
-    s_tr = np.take(state.cur_in_train, order, axis=0, out=state.in_ordered, mode="clip")
+    s_tr = np.take(state.cur_in, order, axis=0, out=state.in_ordered, mode="clip")
     # what the rows after each block can still add, and the least value the
     # bound can take then: no check is made while that passes every limit
     starts = np.arange(0, n, SCORE_ROWS)
@@ -566,14 +560,10 @@ def add_node(state: TrainState) -> TrainRecord | None:
 
         one = slice(j, j + 1)
         # the work array holds only the last block: rebuild the accepted column h
-        h_tr, h_va = (
-            threshold_bits(s, w[one], edge[one], np.empty((len(s), 1), np.float32))[:, 0]
-            for s in (state.cur_in_train, state.cur_in_val)
-        )
-        if pm1:
-            h_tr, h_va = 2 * h_tr - 1, 2 * h_va - 1
+        s = state.cur_in
+        h = threshold_bits(s, w[one], edge[one], np.empty((len(s), 1), np.float32))[:, 0]
         state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
-                          h_tr.astype(np.float64), h_va.astype(np.float64))
+                          (2 * h - 1 if pm1 else h).astype(np.float64))
         return TrainRecord(
             layer=layer,
             node=state.layer_sizes[-1],
@@ -616,7 +606,7 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
                 f"the L1 mechanism fit stopped at its sweep cap ({fit.sweeps} sweeps) "
                 "without converging", stacklevel=2,
             )
-    targets_out = _outside_q725(data.y_train)
+    targets_out = _outside_q725(data.y[: data.n_train])
     intercepts_out = _outside_q725(state.mech.intercepts)
     if targets_out or intercepts_out:
         warnings.warn(

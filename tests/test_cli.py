@@ -227,7 +227,7 @@ def test_eval_prints_output_saturation(capsys, db1_files, tmp_path):
     assert f"saturated={expected}" in capsys.readouterr().out.splitlines()
 
 
-BOUND_NOTE = "note: outputs saturated, so quantization_bound does not apply to these rows"
+BOUND_NOTE = "note: outputs or parameters saturated, so quantization_bound does not apply"
 
 
 def test_eval_says_when_the_bound_does_not_apply(capsys, db1_files, tmp_path):

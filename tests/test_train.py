@@ -182,12 +182,11 @@ def test_node_output_length_check():
 def test_add_node_zero_residual_rejects_everything():
     data = _toy_data()
     # constant targets: the mechanism absorbs them exactly, E = 0
-    data.y_train[:] = 0.25
-    data.y_val[:] = 0.25
+    data.y[:] = 0.25
     cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=50, seed=0)
     state = TrainState(data, cfg)
     state.begin_layer()
-    assert np.allclose(state.resid_train, 0.0)
+    assert np.allclose(state.resid, 0.0)
     assert add_node(state) is None
 
 
@@ -196,14 +195,14 @@ def test_add_node_accepts_only_positive_xi_and_residual_drops():
     cfg = TrainConfig.single_layer(8, Activation.STEP, t_max=100, seed=1)
     state = TrainState(data, cfg)
     state.begin_layer()
-    prev = np.linalg.norm(state.resid_train)
+    prev = np.linalg.norm(state.resid[: state.n_train])
     for _ in range(8):
         res = add_node(state)
         if res is None:
             break
         assert res.xi_min > 0
         # recompute the score from the stored state to cross-check the log
-        cur = np.linalg.norm(state.resid_train)
+        cur = np.linalg.norm(state.resid[: state.n_train])
         assert cur <= prev + 1e-10
         prev = cur
     assert state.layer_sizes == [len(state.nodes)] and len(state.nodes) >= 1
@@ -214,10 +213,10 @@ def test_add_node_xi_recheck_from_parameters():
     cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=200, seed=2)
     state = TrainState(data, cfg)
     state.begin_layer()
-    e_before = state.resid_train.copy()
+    e_before = state.resid[: data.n_train].copy()
     res = add_node(state)
     w, lam, bias = _column_node(state)
-    s = signals_pm1(data.bits_train)
+    s = signals_pm1(data.bits[: data.n_train])
     pre = (s @ w) * lam + bias
     h = (pre > 0).astype(np.float64) * 2 - 1
     for q in range(state.m):
@@ -245,8 +244,8 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
     for k, (size, act) in enumerate(zip(cfg.layer_sizes, acts)):
         state.begin_layer()
         for _ in range(size):
-            e_before = state.resid_train.copy()
-            s = state.cur_in_train
+            e_before = state.resid[: state.n_train].copy()
+            s = state.cur_in
             res = add_node(state)
             assert res is not None and res.layer == k + 1
             w, lam, bias = _column_node(state)
@@ -254,8 +253,9 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
             h = (pre > 0).astype(np.float64)
             if act == Activation.STEP:
                 h = h * 2 - 1
-            assert np.array_equal(state.H_train[:, state.n_hidden - 1], h)
-            xi = [xi_score(e_before[:, q], h, res.r) for q in range(state.m)]
+            # the column on every row, scored on the training rows
+            assert np.array_equal(state.H[:, state.n_hidden - 1], h)
+            xi = [xi_score(e_before[:, q], h[: state.n_train], res.r) for q in range(state.m)]
             assert res.xi_sum == pytest.approx(sum(xi), rel=1e-12)
             assert res.xi_min == pytest.approx(min(xi), rel=1e-12)
 
@@ -427,17 +427,37 @@ def test_training_checks_the_exactness_preconditions(monkeypatch):
         train(data, TrainConfig((2**24 - 1, 1), acts))
 
 
-def test_train_data_widths_are_equal_multiples_of_the_encoding():
+def test_train_data_width_is_a_multiple_of_the_encoding():
     enc = parse_encoding("density:4")
     bits, _ = encode_matrix(np.random.default_rng(18).uniform(size=(10, 2)), enc)
     y = np.zeros(10)
-    assert TrainData(bits[:6], y[:6], bits[6:], y[6:], enc).bits_train.n == 8
-    narrow = BitMatrix.from01(np.ones((4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError, match=r"widths 8 \(training\) and 4 \(validation\)"):
-        TrainData(bits[:6], y[:6], narrow, y[6:], enc)
+    assert TrainData(bits, y, 6, enc).bits.n == 8
     odd = BitMatrix.from01(np.ones((10, 6), dtype=np.uint8))
     with pytest.raises(ValueError, match="multiple of 4 bits"):
-        TrainData(odd[:6], y[:6], odd[6:], y[6:], enc)
+        TrainData(odd, y, 6, enc)
+
+
+def test_train_data_is_one_row_set_with_the_training_rows_first():
+    enc = parse_encoding("s1:2")
+    rng = np.random.default_rng(20)
+    x_tr, x_va = rng.uniform(size=(7, 3)), rng.uniform(size=(4, 3))
+    y_tr, y_va = rng.normal(size=(7, 2)), rng.normal(size=(4, 2))
+    data = prepare_train_data(x_tr, y_tr, x_va, y_va, enc)
+    # each set encoded alone gives the same bits, stacked in this order
+    alone = [encode_matrix(x, enc)[0].to01() for x in (x_tr, x_va)]
+    assert data.n_train == 7 and np.array_equal(data.bits.to01(), np.vstack(alone))
+    assert np.array_equal(data.y, np.vstack([y_tr, y_va]))
+    # at least one row on each side of n_train, and one target per row
+    for n_train in (-1, 0, 11, 12):
+        with pytest.raises(ValueError, match="at least 1 training and 1 validation"):
+            TrainData(data.bits, data.y, n_train, enc)
+    with pytest.raises(ValueError, match="10 targets do not match 11 inputs"):
+        TrainData(data.bits, data.y[:10], 7, enc)
+    with pytest.raises(ValueError, match="targets do not match inputs"):
+        prepare_train_data(x_tr, y_tr[:6], x_va, np.vstack([y_va, y_va[:1]]), enc)
+    # the two sets must have the same features
+    with pytest.raises(ValueError, match="3 training features against 2 validation"):
+        prepare_train_data(x_tr, y_tr, x_va[:, :2], y_va, enc)
 
 
 def test_one_dimensional_samples_are_one_column():
@@ -447,13 +467,13 @@ def test_one_dimensional_samples_are_one_column():
     enc = parse_encoding("density:4")
     flat = prepare_train_data(x[:25], y[:25], x[25:], y[25:], enc)
     cols = prepare_train_data(x[:25, None], y[:25, None], x[25:, None], y[25:, None], enc)
-    for a, b in [(flat.bits_train, cols.bits_train), (flat.bits_val, cols.bits_val)]:
-        assert (len(a), a.n) == (25, 4) and np.array_equal(a.words, b.words)
-    assert flat.y_train.shape == flat.y_val.shape == (25, 1)
-    assert np.array_equal(flat.y_train, cols.y_train) and np.array_equal(flat.y_val, cols.y_val)
+    assert flat.n_train == cols.n_train == 25
+    assert (len(flat.bits), flat.bits.n) == (50, 4)
+    assert np.array_equal(flat.bits.words, cols.bits.words)
+    assert flat.y.shape == (50, 1) and np.array_equal(flat.y, cols.y)
     model = random_model(19, 4, [(3, Activation.STEP)])
-    assert evaluate_bits(model, flat.bits_val, y[25:]).rmse_fpga == \
-        evaluate_bits(model, flat.bits_val, y[25:, None]).rmse_fpga
+    assert evaluate_bits(model, flat.bits[25:], y[25:]).rmse_fpga == \
+        evaluate_bits(model, flat.bits[25:], y[25:, None]).rmse_fpga
 
 
 def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
@@ -474,8 +494,8 @@ def _oracle_add_node(state, rng):
     """add_node's choice from the same draws, with every e^T h summed by math.fsum."""
     cfg = state.cfg
     act = cfg.activations[len(state.layer_sizes) - 1]
-    s = state.cur_in_train
-    e = state.resid_train
+    s = state.cur_in[: state.n_train]
+    e = state.resid[: state.n_train]
     fan_in = s.shape[1]
     ee = np.einsum("ij,ij->j", e, e)
     pool = np.array(cfg.lambda_pool, dtype=np.float64)
@@ -612,66 +632,61 @@ def test_preallocated_readout_matches_column_stack():
         return [2.0 * b - 1.0 for b in bits] if act == Activation.STEP else bits
 
     def check():
-        tr, va = [], []
-        s_tr, s_va = signals_pm1(data.bits_train), signals_pm1(data.bits_val)
+        # every column on every row, the training rows first
+        cols, s, n = [], signals_pm1(data.bits), data.n_train
         assert sum(state.layer_sizes) == len(state.nodes) == state.n_hidden
         ends = np.cumsum(state.layer_sizes)
         for end, size, act in zip(ends, state.layer_sizes, cfg.activations):
             nodes = [_column_node(state, k) for k in range(end - size, end)]
-            tr_cols, va_cols = columns(s_tr, nodes, act), columns(s_va, nodes, act)
-            tr += tr_cols
-            va += va_cols
-            s_tr, s_va = np.column_stack(tr_cols), np.column_stack(va_cols)
-        h_tr, h_va = np.column_stack(tr), np.column_stack(va)
+            layer_cols = columns(s, nodes, act)
+            cols += layer_cols
+            s = np.column_stack(layer_cols)
+        h = np.column_stack(cols)
         # the QR readout is lstsq's far below the Q7.25 resolution (2**-25)
         beta = state.beta
-        assert np.max(np.abs(beta - least_squares(h_tr, state.target_train))) <= 2.0**-40
-        assert np.array_equal(state.resid_train, state.target_train - h_tr @ beta)
-        assert np.array_equal(state.resid_val, state.target_val - h_va @ beta)
-        return h_tr
+        assert np.max(np.abs(beta - least_squares(h[:n], state.target[:n]))) <= 2.0**-40
+        assert np.array_equal(state.resid, state.target - h @ beta)
+        return h
 
     state.begin_layer()
     for _ in range(6):
         assert add_node(state) is not None
         check()
-    assert state.H_train.shape[1] == 8
+    assert state.H.shape[1] == 8
     state.remove_trailing(2)
     check()
     assert add_node(state) is not None  # rewrites a removed column
     h_layer1 = check()
     state.begin_layer()  # layer 2 reads layer 1's columns
-    assert np.array_equal(state.cur_in_train, h_layer1)
+    assert np.array_equal(state.cur_in, h_layer1)
     for _ in range(2):
         assert add_node(state).layer == 2
         check()
     # a large configured node count is not allocated up front
     big = TrainState(data, TrainConfig.single_layer(1000, t_max=10, seed=14))
-    assert big.H_train.shape == (len(data.bits_train), 64)
+    assert big.H.shape == (len(data.bits), 64)
 
 
 def _check_readout(state, before):
     """The QR readout against the lstsq oracle, and the residuals against beta.
 
     A dependent column gets readout 0, so the oracle fits only the columns
-    that own a basis vector. `before` is the (resid_train, resid_val) pair of
-    the previous state, or None; after a dependent append the residuals must
-    be exactly those.
+    that own a basis vector; it fits the training rows, the first n_train.
+    `before` is the residual of the previous state, on every row, or None;
+    after a dependent append the residuals must be exactly those.
     """
     assert len(state.nodes) == len(state.in_basis) == state.n_hidden == sum(state.layer_sizes)
     cols = np.array(state.in_basis, dtype=bool)
-    h_tr = state.H_train[:, : state.n_hidden]
-    h_va = state.H_val[:, : state.n_hidden]
+    n, h = state.n_train, state.H[:, : state.n_hidden]
     oracle = np.zeros((state.n_hidden, state.m))
     if cols.any():
-        oracle[cols] = least_squares(h_tr[:, cols], state.target_train)
+        oracle[cols] = least_squares(h[:n, cols], state.target[:n])
     assert np.all(np.abs(state.beta - oracle) <= 2.0**-40 * np.maximum(1.0, np.abs(oracle)))
     if before is not None and state.in_basis and not state.in_basis[-1]:
-        assert np.array_equal(state.resid_train, before[0])
-        assert np.array_equal(state.resid_val, before[1])
+        assert np.array_equal(state.resid, before)
     else:
-        assert np.array_equal(state.resid_train, state.target_train - h_tr @ state.beta)
-        assert np.array_equal(state.resid_val, state.target_val - h_va @ state.beta)
-    return state.resid_train.copy(), state.resid_val.copy()
+        assert np.array_equal(state.resid, state.target - h @ state.beta)
+    return state.resid.copy()
 
 
 @settings(max_examples=60)
@@ -728,12 +743,11 @@ def test_a_dependent_column_gets_readout_zero():
         assert add_node(state) is not None
     beta, before = state.beta.copy(), _check_readout(state, None)
     # a copy of the second column adds no rank
-    state.append_node(state.nodes[1], state.H_train[:, 1].copy(), state.H_val[:, 1].copy())
+    state.append_node(state.nodes[1], state.H[:, 1].copy())
     assert state.n_hidden == 4 and state.in_basis.count(False) == 1
     assert state.in_basis == [True, True, True, False]
     assert np.array_equal(state.beta, np.vstack([beta, np.zeros((1, 2))]))
-    assert np.array_equal(state.resid_train, before[0])
-    assert np.array_equal(state.resid_val, before[1])
+    assert np.array_equal(state.resid, before)
     assert add_node(state) is not None
     assert state.in_basis == [True, True, True, False, True]
     _check_readout(state, None)
@@ -756,7 +770,7 @@ def test_reorthogonalization_keeps_q_orthonormal():
     for i in range(12):
         col = h.copy()
         col[:i] *= -1.0
-        state.append_node((np.ones(6, np.uint8), 0, 0), col, np.ones(10))
+        state.append_node((np.ones(6, np.uint8), 0, 0), np.concatenate([col, np.ones(10)]))
     assert state.in_basis.count(False) == 0
     q = state.Q[:, :12]
     assert np.max(np.abs(q.T @ q - np.eye(12))) <= 1e-12
@@ -796,7 +810,7 @@ def test_train_mechanism_only():
     result = train(data, cfg)
     model = result.model
     assert model.layer_sizes == ()
-    bits = data.bits_val
+    bits = data.bits[data.n_train :]
     out = predict_float_batch(model, bits)
     s = signals_pm1(bits)
     expected = s @ model.mechanism.weights + model.mechanism.intercepts
@@ -813,8 +827,7 @@ def test_train_without_the_mechanism_keeps_an_all_zero_external_one():
 
 def test_train_zero_residual_fails():
     data = _toy_data()
-    data.y_train[:] = 0.25
-    data.y_val[:] = 0.25
+    data.y[:] = 0.25
     cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=20, seed=0)
     with pytest.raises(TrainingFailedError):
         train(data, cfg)
@@ -843,7 +856,7 @@ def test_train_planted_node_recovered():
     w = np.array([1, -1, 1, 1], dtype=np.float64)
     h = ((s @ w + 0.3) > 0).astype(np.float64) * 2 - 1
     y = (0.7 * h)[:, None]
-    data = TrainData(bits[:100], y[:100], bits[100:], y[100:], enc)
+    data = TrainData(bits, y, 100, enc)
     cfg = TrainConfig.single_layer(
         1, Activation.STEP, t_max=2000, lambda_pool=(1,), use_mechanism=False, seed=3
     )
@@ -901,7 +914,7 @@ def test_train_deep_model_and_log():
     # the objective prints at %.9g, as the records' floats do
     assert f" objective={result.events[0]['objective']:.9g} " in event_lines[0]
     # the integer bit is constant: the toy inputs lie in [0, 1) and no row sets it
-    s = signals_pm1(data.bits_train)
+    s = signals_pm1(data.bits[: data.n_train])
     constant = int(np.count_nonzero((s == s[0]).all(axis=0)))
     assert constant >= 1
     assert result.events[0]["constant_columns"] == constant
@@ -960,9 +973,10 @@ def test_raw_targets_outside_q725_are_reported():
         result = train(data, cfg)
     ev = result.events[-1]
     assert ev["event"] == "saturation"
-    assert ev["targets_outside"] == int(np.count_nonzero(data.y_train >= 64.0)) > 0
+    n = data.n_train
+    assert ev["targets_outside"] == int(np.count_nonzero(data.y[:n] >= 64.0)) > 0
     # the emulated outputs on those rows clamp, and evaluation counts them
-    rep = evaluate_bits(result.model, data.bits_train, data.y_train, "both")
+    rep = evaluate_bits(result.model, data.bits[:n], data.y[:n], "both")
     assert rep.saturated.sum() > 0
 
 
@@ -978,11 +992,12 @@ def test_eval_report_says_whether_the_bound_applies(normalize):
         # test_raw_targets_outside_q725_are_reported checks the raw targets' warning
         warnings.simplefilter("ignore", UserWarning)
         model = train(data, cfg).model
-    rep = evaluate_bits(model, data.bits_train, data.y_train, "both")
+    bits, y = data.bits[: data.n_train], data.y[: data.n_train]
+    rep = evaluate_bits(model, bits, y, "both")
     assert rep.bound_applies is normalize
     assert (rep.max_output_delta <= quantization_bound(model)) is normalize
     # without the emulated path nothing was clamped
-    assert evaluate_bits(model, data.bits_train, data.y_train, "pc").bound_applies
+    assert evaluate_bits(model, bits, y, "pc").bound_applies
 
 
 def test_train_determinism():
