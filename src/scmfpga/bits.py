@@ -167,8 +167,10 @@ class BitMatrix:
         return self.words.shape[0]
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return BitMatrix(self.words[key], self.n)
+        if isinstance(key, slice):  # rows of a checked matrix need no pad-bit scan
+            out = object.__new__(BitMatrix)
+            out.words, out.n = self.words[key], self.n
+            return out
         row = self.words[operator.index(key)]
         return BitVec(self.n, int.from_bytes(row.tobytes(), "little"))
 

@@ -1,7 +1,7 @@
 """Binary input encodings for normalized values in [0, 1].
 
 Every code is a row of thermometer fields, and one field table defines them
-all (see _layout and _ONES):
+all (see _fields and _ONES):
 
 * density: one left-aligned unary field of N bits holding the bucket index
   min(floor(x*(N+1)), N).
@@ -18,12 +18,13 @@ nearest binary double is slightly below 0.867. Bit order inside a sample is
 feature-major then field-major: feature 0's integer bit is bit 0, the
 most significant pad bit of its first digit field is bit 1, and so on.
 
-encode_matrix is the batch path, and EncodingSpec.encode_value, the one
-encoder of a single value (parse_encoding(text).encode_value(x)), is a
-one-row call of the same code.
+encode_matrix is the batch path: a field's bits depend only on its digit
+(density: its bucket), so it ORs table[digit] into each packed word the
+field touches (_word_tables). EncodingSpec.encode_value, the one encoder of
+a single value (parse_encoding(text).encode_value(x)), is a one-row call.
 
-Digit rule (_digit_table): the digits of all distinct values come from one
-exact array rule instead of a Decimal per value. At q = min(places, 15)
+Digit rule (_digit_table): the digits of all values come from one exact
+array rule instead of a Decimal per value. At q = min(places, 15)
 places, with p = 10.0**q, y = v*p, m = rint(y) and f = floor(y), the
 truncated digits are t = m where m/p == v, else f where f/p < v, else f - 1;
 digit k is t // 10**k % 10. It is exact because p and t (below 2**53) are
@@ -33,7 +34,7 @@ that decimal; otherwise no q-place decimal lies between the shortest repr
 and v, so both truncate alike, and the two comparisons undo a product that
 rounded up to the next integer. Past 15 places two such decimals can round
 to one double, so values with a 15-place form get zeros beyond place 15 and
-only the rest go through the scalar _digits, which is also the test oracle.
+each other distinct value goes once through the scalar _digits, the oracle.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import IntEnum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bits import BitMatrix, BitVec
+from .bits import WORD, WORD_BITS, BitMatrix, BitVec, n_words
 from .errors import DataError
 
 
@@ -56,28 +58,29 @@ class EncodingKind(IntEnum):
     SCHEME2_V2 = 3
 
 
-def _layout(kind: EncodingKind, param: int) -> tuple[int, ...]:
-    """Field widths of one value's code, in written order.
-
-    Density is one field of N bits; every other kind is the integer bit
-    followed by one field per decimal place.
-    """
-    if kind == EncodingKind.DENSITY:
-        return (param,)
-    if kind == EncodingKind.SCHEME1:
-        return (1,) + (9,) * param
-    return (1, 9, 4, 2) if kind == EncodingKind.SCHEME2_V1 else (1, 9, 9, 4, 2)
-
-
-_DIGIT = np.arange(10, dtype=np.uint8)
 # ones in a digit field of each width, indexed by the digit; width 1 is the
 # integer bit, whose digit is 0 or 1. The 4-bit field maps digit pairs
 # {0,1}..{8,9} to 0..4 ones and the 2-bit field maps {0-3}/{4-6}/{7-9} to 0/1/2.
-_ONES = {1: _DIGIT[:2], 9: _DIGIT, 4: _DIGIT // 2,
-         2: np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.uint8)}
-# a field's bits for each digit: row c of np.tri(w + 1, w, -1) holds c ones
-# from the left, and reversed c ones from the right
-_FIELD_BITS = {w: np.tri(w + 1, w, -1, dtype=bool)[ones, ::-1] for w, ones in _ONES.items()}
+_ONES = {1: [0, 1], 9: list(range(10)), 4: [c // 2 for c in range(10)],
+         2: [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]}
+
+
+@lru_cache(maxsize=64)
+def _fields(spec: EncodingSpec) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Width and codes of each field of one value's code, in written order.
+
+    codes[c] is the field's bits for index c, as an integer with bit 0
+    first. Density is one field of N bits whose bucket c sets c ones from the
+    left; every other kind is the integer bit and one field per decimal
+    place, whose digit c sets _ONES[w][c] ones from the right of its w bits.
+    """
+    if spec.kind == EncodingKind.DENSITY:
+        return ((spec.param, tuple((1 << c) - 1 for c in range(spec.param + 1))),)
+    if spec.kind == EncodingKind.SCHEME1:
+        widths = (1,) + (9,) * spec.param
+    else:
+        widths = (1, 9, 4, 2) if spec.kind == EncodingKind.SCHEME2_V1 else (1, 9, 9, 4, 2)
+    return tuple((w, tuple((1 << w) - (1 << w - c) for c in _ONES[w])) for w in widths)
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,12 @@ class EncodingSpec:
         elif self.param != 0:
             raise ValueError(f"{self.kind.name} takes no parameter")
 
-    @property
+    @cached_property
     def bits_per_input(self) -> int:
-        return sum(_layout(self.kind, self.param))
+        return sum(w for w, _ in _fields(self))
 
     def encode_value(self, x: float) -> BitVec:
-        return BitVec.from01(_codes(np.array([_check_unit(x)]), self.kind, self.param)[0])
+        return encode_matrix(np.array([[_check_unit(x)]]), self)[0][0]
 
     def to_bytes(self) -> bytes:
         return bytes([int(self.kind), self.param])
@@ -166,32 +169,37 @@ def _digit_table(values: np.ndarray, places: int) -> np.ndarray:
     p = 10.0**q
     y = values * p
     m = np.rint(y)
-    f = np.floor(y)
+    f = np.floor(y, out=y)
     exact = m / p == values
-    t = np.where(exact, m, np.where(f / p < values, f, f - 1)).astype(np.int64)
-    digits = np.zeros((len(values), 1 + places), dtype=np.uint8)
+    f -= f / p >= values
+    np.copyto(f, m, where=exact)
+    t = f.astype(np.uint32 if q <= 9 else np.uint64)  # u32 divides faster
+    digits = np.zeros((1 + places, len(values)), dtype=np.uint8)  # each place contiguous
     for k in range(q, -1, -1):  # the last place first
-        t, digits[:, k] = np.divmod(t, 10)
-    if places > q:
-        for i in np.flatnonzero(~exact):
-            digits[i] = _digits(values.item(i), places)
-    return digits
+        np.divmod(t, 10, out=(t, digits[k]))
+    if places > q:  # each distinct value without a 15-place form reads its digits once
+        odd, inverse = np.unique(values[~exact], return_inverse=True)
+        odd_digits = np.array([_digits(v, places) for v in odd.tolist()], dtype=np.uint8)
+        digits[:, ~exact] = odd_digits.reshape(-1, 1 + places)[inverse].T
+    return digits.T
 
 
-def _codes(values: np.ndarray, kind: EncodingKind, param: int) -> np.ndarray:
-    """(V, width) bool codes of V values in [0, 1], bits in written order.
+@lru_cache(maxsize=64)
+def _word_tables(spec: EncodingSpec, d: int) -> tuple[tuple[int, int, int, np.ndarray], ...]:
+    """(feature, field, word, table) for each packed word a field of d features touches.
 
-    Each field is a thermometer holding a count of ones: the density field
-    fills from the left with the bucket index, a digit field fills from the
-    right with its _ONES count for the digit (a row of _FIELD_BITS).
+    table[c] holds the bits of _fields' codes[c] that fall in that word, in
+    place. A field crossing a word boundary has one table per word.
     """
-    if kind == EncodingKind.DENSITY:
-        level = np.minimum(values * (param + 1), param).astype(np.int64)
-        return level[:, None] > np.arange(param)
-    widths = _layout(kind, param)
-    digits = _digit_table(values, len(widths) - 1)
-    return np.hstack([np.take(_FIELD_BITS[w], digits[:, k], axis=0)
-                      for k, w in enumerate(widths)])
+    tables, start = [], 0
+    for j in range(d):
+        for k, (width, codes) in enumerate(_fields(spec)):
+            n = n_words(start % WORD_BITS + width)
+            raw = b"".join((c << start % WORD_BITS).to_bytes(8 * n, "little") for c in codes)
+            words = np.frombuffer(raw, WORD).reshape(len(codes), n)  # read-only, as cached
+            tables += [(j, k, start // WORD_BITS + t, words[:, t]) for t in range(n)]
+            start += width
+    return tuple(tables)
 
 
 def samples_2d(a: np.ndarray) -> np.ndarray:
@@ -203,11 +211,10 @@ def samples_2d(a: np.ndarray) -> np.ndarray:
 def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
     """Encode an (N, d) matrix row-wise into (rows, d_enc); features concatenate in order.
 
-    Each distinct value is encoded once (real data repeats heavily after
-    rounding); the codes are gathered into rows and packed, with no loop
-    over rows. Values marginally outside [0, 1] (normalization drift on test
-    rows) are clamped with a single warning carrying the clamp count;
-    non-finite values raise DataError with their position.
+    Each field's digit or bucket picks its bits from _word_tables straight into
+    the packed words, with no loop over rows. Values marginally outside [0, 1]
+    (normalization drift on test rows) are clamped with a single warning
+    carrying the clamp count; non-finite values raise DataError with their position.
     """
     arr = samples_2d(x)
     if arr.ndim != 2:
@@ -225,8 +232,13 @@ def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
         arr = np.clip(arr, 0.0, 1.0)
 
     n, d = arr.shape
-    values, inverse = np.unique(arr.ravel(), return_inverse=True)
-    codes = _codes(values, spec.kind, spec.param)
-    # (N*d, width) codes in row-major order are the (N, d*width) rows
-    d_enc = d * codes.shape[1]
-    return BitMatrix.from01(codes[inverse].reshape(n, d_enc)), d_enc
+    values = arr.T.ravel()  # feature-major, and words word-major, so each OR is contiguous
+    if spec.kind == EncodingKind.DENSITY:  # the bucket index
+        index = np.minimum(values * (spec.param + 1), spec.param).astype(np.uint8)[:, None]
+    else:
+        index = _digit_table(values, len(_fields(spec)) - 1)
+    d_enc = d * spec.bits_per_input
+    words = np.zeros((n_words(d_enc), n), dtype=WORD)
+    for j, k, w, table in _word_tables(spec, d):
+        words[w] |= np.take(table, index[j * n : (j + 1) * n, k])
+    return BitMatrix(np.ascontiguousarray(words.T), d_enc), d_enc

@@ -103,6 +103,20 @@ def test_bit_matrix_rejects_bad_shapes_and_pad_bits():
         BitMatrix(np.array([[1 << 5]], dtype=np.uint64), 5)
 
 
+def test_a_row_slice_shares_its_parents_words():
+    m = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(9, 70)))
+    part = m[2:7]
+    assert part.n == 70 and len(part) == 5
+    assert np.shares_memory(part.words, m.words)
+    assert list(part) == list(m)[2:7]
+    assert len(m[5:5]) == 0 and list(m[::3]) == list(m)[::3]
+    # the constructor still scans the pad bits of words from elsewhere
+    bad = m.words[2:7].copy()
+    bad[1, -1] |= np.uint64(1 << 63)
+    with pytest.raises(ValueError, match="pad bits"):
+        BitMatrix(bad, 70)
+
+
 @given(st.integers(0, 200), st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_bit_matrix_from01_matches_rows(n, count, seed):
     rows = _rows(n, count, seed)

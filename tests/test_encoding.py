@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scmfpga import encoding
+from scmfpga.bits import BitMatrix
 from scmfpga.encoding import (
     EncodingKind,
     EncodingSpec,
@@ -13,6 +14,7 @@ from scmfpga.encoding import (
     parse_encoding,
     _digit_table,
     _digits,
+    _word_tables,
 )
 from scmfpga.errors import DataError
 
@@ -317,6 +319,36 @@ def test_encode_matrix_edge_values_match_oracle(text):
     _check_rows_against_oracles(np.hstack([x, x[::-1]]), parse_encoding(text))
 
 
+# every digit in every one of three places, 0, 1 and exponent-form reprs
+EVERY_DIGIT = [0.0, 1.0, 0.012, 0.123, 0.234, 0.345, 0.456, 0.567, 0.678, 0.789,
+               0.891, 0.901, 0.999, 5e-324, 1e-4]
+
+
+@pytest.mark.parametrize(
+    "text,d,feature,field,words",
+    [
+        # feature 2 starts at bit 56, so its first digit field covers bits 57-65
+        ("s1:3", 3, 2, 1, {0, 1}),
+        # feature 1 covers bits 70-139
+        ("density:70", 2, 1, 0, {1, 2}),
+    ],
+)
+def test_fields_straddling_a_word_boundary_match_the_oracle(text, d, feature, field, words):
+    spec = parse_encoding(text)
+    assert {w for j, k, w, _ in _word_tables(spec, d) if (j, k) == (feature, field)} == words
+    values = EVERY_DIGIT + [(c + 0.5) / 71 for c in range(71)]  # every density level
+    x = np.array([np.roll(values, 7 * j) for j in range(d)]).T
+    _check_rows_against_oracles(x, spec)
+
+
+@pytest.mark.parametrize("text", ["density:70", "s1:3", "s1:20", "s2v2"])
+def test_a_matrix_of_no_rows_encodes_to_no_rows(text):
+    spec = parse_encoding(text)
+    bits, d_enc = encode_matrix(np.zeros((0, 3)), spec)
+    assert d_enc == 3 * spec.bits_per_input
+    assert len(bits) == 0 and bits.n == d_enc and bits.words.shape == (0, -(-d_enc // 64))
+
+
 # -- the array digit rule ----------------------------------------------
 
 
@@ -399,3 +431,50 @@ def test_encode_matrix_has_no_per_value_digit_loop(monkeypatch, text):
     x[0] = [0.0, 1.0, 5e-324]
     bits, d_enc = encode_matrix(x, parse_encoding(text))
     assert len(bits) == 50 and d_enc == 3 * parse_encoding(text).bits_per_input
+
+
+def test_encode_matrix_packs_words_without_a_bool_matrix(monkeypatch):
+    # the words are ORed from per-field tables: nothing packs an (N, d_enc)
+    # bool matrix, whether through BitMatrix.from01 or np.packbits
+    n_rows = 300  # more rows than any field table (at most 256)
+    pack = np.packbits
+
+    def from01(bits01):
+        raise AssertionError("encode_matrix packed a bool matrix through BitMatrix.from01")
+
+    def small_packbits(a, *args, **kwargs):
+        if np.ndim(a) == 2 and np.shape(a)[0] >= n_rows:
+            raise AssertionError(f"encode_matrix packed a {np.shape(a)} bool matrix")
+        return pack(a, *args, **kwargs)
+
+    monkeypatch.setattr(BitMatrix, "from01", from01)
+    monkeypatch.setattr(np, "packbits", small_packbits)
+    x = np.random.default_rng(1).random((n_rows, 3))
+    for text in ["density:7", "density:255", "s1:3", "s1:15", "s1:20", "s2v1", "s2v2"]:
+        spec = parse_encoding(text)
+        _word_tables.cache_clear()  # build the tables under the guard too
+        bits, d_enc = encode_matrix(x, spec)
+        assert len(bits) == n_rows and d_enc == 3 * spec.bits_per_input
+
+
+def test_values_without_a_15_place_form_read_their_digits_once_each(monkeypatch):
+    # the Decimal fallback past 15 places runs once per distinct value, not per cell
+    values = [float(np.nextafter(k / 10, 1.0)) for k in range(1, 6)]  # 0.10000000000000002, ...
+    assert all(len(repr(v).partition(".")[2]) > 15 for v in values)
+    x = np.tile(values, (200, 1))
+    spec = parse_encoding("s1:20")
+    expected = [spec.encode_value(v) for v in values]
+    calls = []
+    scalar_digits = encoding._digits
+
+    def counted_digits(v, places):
+        calls.append(v)
+        return scalar_digits(v, places)
+
+    monkeypatch.setattr(encoding, "_digits", counted_digits)
+    bits, _ = encode_matrix(x, spec)
+    assert x.size == 1000 and len(calls) <= 5
+    w = spec.bits_per_input
+    for row in (bits[0], bits[199]):
+        s = row.to_string()
+        assert [s[j * w : (j + 1) * w] for j in range(5)] == [e.to_string() for e in expected]
