@@ -22,7 +22,7 @@ def shape_model(spec_text, d, sizes):
         w = s.BitMatrix.from01(np.zeros((n, fan_in), bool))
         layers.append(s.ScmLayer.from_arrays(
             s.Activation.STEP, w, np.zeros(n, np.uint8), np.zeros(n, np.int32),
-            np.zeros((n, 1)), np.zeros((n, 1), np.int32)))
+            np.zeros((n, 1))))
         fan_in = n
     return s.ScmModel(spec, mech, layers, 1)
 

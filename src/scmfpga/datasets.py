@@ -263,13 +263,13 @@ def load_csv(path: str | Path, target_cols: list[str] | None = None) -> Dataset:
 
 
 def _manifest_count(kv: dict[str, str], key: str) -> int:
-    """kv[key] as a count at least 0, else a ValueError.
-
-    A negative count could still sum to the row count and make row sets overlap.
-    """
+    """kv[key] as a count, else a ValueError: at least 1 feature and 1 target
+    column, and no negative row count, which could still sum to the row count
+    and make row sets overlap."""
     value = int(kv[key])
-    if value < 0:
-        raise ValueError(f"{key}={kv[key]} is negative")
+    least = 1 if key in ("n_features", "n_targets") else 0
+    if value < least:
+        raise ValueError(f"{key}={kv[key]} is below {least}")
     return value
 
 

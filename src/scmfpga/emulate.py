@@ -249,16 +249,10 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     d = model.n_features
     d_enc = model.d_enc
 
-    weight_real = 0
-    weight_fpga = 0
-    fan_real = d
-    fan_fpga = d_enc
-    for layer in model.layers:
-        n = len(layer)
-        weight_real += REAL_VALUE_BITS * fan_real * n
-        weight_fpga += fan_fpga * n
-        fan_real = n
-        fan_fpga = n
+    # a layer's real fan-in is the raw feature count or the last layer's size
+    sizes = model.layer_sizes
+    weight_real = REAL_VALUE_BITS * sum(a * b for a, b in zip((d, *sizes), sizes))
+    weight_fpga = sum(layer.fan_in * len(layer) for layer in model.layers)
 
     n_beta = model.total_nodes * model.n_outputs
     inputs_real = REAL_VALUE_BITS * d

@@ -3,14 +3,16 @@
 A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
 arrays of scale codes, raw biases and readouts. Training and the model file
-build those arrays (ScmLayer.from_arrays), and every batch path reads them as
-they are, as do the scalar oracles: the emulator's predict_fpga, and
-node_output_float, which reads node i of a layer. ScmNode, one node's
-scalars, and ScmLayer(activation, nodes), which packs a list of them through
-the same checks, stay only for the benchmark's synthetic model; everything
-else, the tests included, builds layers with from_arrays. A node's bit
-depends on its raw bias only, through threshold_edge: training and the
-reference path test dot > edge in threshold_bits, the emulator in popcounts.
+build those arrays (ScmLayer.from_arrays); like a MechanismModel, a layer is
+given float readouts and derives their raw Q7.25 values and clamp count once.
+Every batch path reads the arrays as they are, as do the scalar oracles: the
+emulator's predict_fpga, and node_output_float, which reads node i of a
+layer. ScmNode, one node's scalars, and ScmLayer(activation, nodes), which
+packs a list of them through the same checks, stay only for the benchmark's
+synthetic model; everything else, the tests included, builds layers with
+from_arrays. A node's bit depends on its raw bias only, through
+threshold_edge: training and the reference path test dot > edge in
+threshold_bits, the emulator in popcounts.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -73,11 +75,13 @@ class ScmLayer:
     w: BitMatrix of K rows of fan_in bits; bit 1 means weight +1, bit 0 -1
     shift: (K,) uint8 scale codes, lambda = 2**shift
     bias_raw: (K,) int32 raw Q7.25 biases; bias is their exact float64 value
-    beta, beta_raw: (K, m) float64 readouts and their raw Q7.25 int32 values
+    beta: (K, m) float64 readouts, from which the layer derives, once, beta_raw,
+    their (K, m) int32 raw Q7.25 values, and saturated, how many it clamped
 
     from_arrays takes the arrays as they are, and ScmLayer(activation, nodes)
-    packs a list of ScmNodes (the benchmark's synthetic model); both refuse
-    values the model file cannot hold. len() is K.
+    packs a list of ScmNodes (the benchmark's synthetic model), whose raw
+    readouts must be the derived ones; both refuse values the model file
+    cannot hold. len() is K.
     """
 
     def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
@@ -85,32 +89,30 @@ class ScmLayer:
         self._hold(activation, BitMatrix.from_rows([nd.w for nd in nodes]),
                    np.array([nd.shift for nd in nodes], dtype=np.uint8),
                    _int32([nd.bias_raw for nd in nodes]).reshape(len(nodes)),
-                   np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts),
-                   _int32([nd.beta_raw for nd in nodes]).reshape(readouts))
+                   np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts))
+        if not np.array_equal(_int32([nd.beta_raw for nd in nodes]).reshape(readouts),
+                              self.beta_raw):
+            raise ValueError("float values do not round to their raw values")
 
     @classmethod
-    def from_arrays(cls, activation, w, shift, bias_raw, beta, beta_raw) -> "ScmLayer":
+    def from_arrays(cls, activation, w, shift, bias_raw, beta) -> "ScmLayer":
         """A layer holding these arrays, not copies; ValueError for any the model
-        file cannot hold (dtypes and shapes as in the class docstring, codes 0..7,
-        readouts that round to their raw values)."""
+        file cannot hold (dtypes and shapes as in the class docstring, codes 0..7)."""
         layer = cls.__new__(cls)
-        layer._hold(activation, w, shift, bias_raw, beta, beta_raw)
+        layer._hold(activation, w, shift, bias_raw, beta)
         return layer
 
-    def _hold(self, activation, w, shift, bias_raw, beta, beta_raw) -> None:
+    def _hold(self, activation, w, shift, bias_raw, beta) -> None:
         k = len(w)
-        dtypes = [getattr(a, "dtype", None) for a in (shift, bias_raw, beta_raw)]
-        if dtypes != [np.uint8, np.int32, np.int32]:
-            raise ValueError("shift, bias_raw and beta_raw must be uint8, int32 and int32 arrays")
-        if (shift.shape, bias_raw.shape, beta_raw.shape[:-1]) != ((k,), (k,), (k,)):
-            raise ValueError(f"shift and bias_raw must be ({k},) arrays and beta_raw ({k}, m)")
+        if [getattr(a, "dtype", None) for a in (shift, bias_raw)] != [np.uint8, np.int32]:
+            raise ValueError("shift and bias_raw must be uint8 and int32 arrays")
+        if (shift.shape, bias_raw.shape, np.shape(beta)[:-1]) != ((k,), (k,), (k,)):
+            raise ValueError(f"shift and bias_raw must be ({k},) arrays and beta ({k}, m)")
         if np.any(shift > 7):
             raise ValueError("scale code above 7")
-        # quantization_bound assumes that the readouts round to their raw values
-        if not np.array_equal(fx.quantize_array(beta)[0], beta_raw):
-            raise ValueError("float values do not round to their raw values")
         self.activation, self.w, self.shift, self.bias_raw = activation, w, shift, bias_raw
-        self.beta, self.beta_raw = beta, beta_raw
+        self.beta = beta
+        self.beta_raw, self.saturated = fx.quantize_array(beta)
 
     def __len__(self) -> int:
         return len(self.w)
@@ -168,8 +170,7 @@ class ScmModel:
                 raise ValueError(f"layer {i} has no nodes")
             if layer.fan_in != expected:
                 raise ValueError(f"layer {i} fan-in {layer.fan_in} != expected {expected}")
-            readouts = (k, self.n_outputs)
-            if layer.beta.shape != readouts or layer.beta_raw.shape != readouts:
+            if layer.beta.shape != (k, self.n_outputs):
                 raise ValueError("readout width does not match the output count")
             expected = k
 

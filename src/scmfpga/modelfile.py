@@ -125,18 +125,20 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
     one per node in JSON.
     """
     try:
-        built = []
+        built, raws = [], []  # raws: (derived, given) raw values of every part
         for act, w, shift, bias, beta in layers:
             # a bias is its raw value exactly (the layer keeps only bias_raw)
             if any(f is not None and not np.array_equal(f, fx.dequantize_array(r))
                    for f, r in bias):
                 raise ValueError("bias values are not bias_raw / 2**25")
             bias_raw = np.concatenate([r for _, r in bias])
-            built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, *_resolved(beta)))
+            beta, beta_raw = _resolved(beta)
+            built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, beta))
+            raws.append((built[-1].beta_raw, beta_raw))
         (p, p_raw), (u, u_raw) = _resolved([weights]), _resolved([intercepts])
         mech = MechanismModel(p, u, source, alpha)
-        if not (np.array_equal(mech.weights_raw, p_raw)
-                and np.array_equal(mech.intercepts_raw, u_raw)):
+        raws += [(mech.weights_raw, p_raw), (mech.intercepts_raw, u_raw)]
+        if not all(np.array_equal(derived, given) for derived, given in raws):
             raise ValueError("float values do not round to their raw values")
         model = ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
         model.validate()
@@ -146,9 +148,8 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
 
 
 def _resolved(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Floats and raws of a field from its blocks; a missing float is raw / 2**25.
-    ScmLayer checks that the floats round to the raws, and _assemble compares
-    the mechanism's raws with the ones MechanismModel derives from its floats."""
+    """Floats and raws of a field from its blocks; a missing float is raw / 2**25
+    (_assemble compares the raws with those derived from the floats)."""
     f = np.concatenate([fx.dequantize_array(r) if f is None else f for f, r in blocks])
     return f, np.concatenate([r for _, r in blocks])
 

@@ -125,6 +125,8 @@ class TrainData:
             raise ValueError(f"{self.y.shape[0]} targets do not match {len(self.bits)} inputs")
         if not 1 <= self.n_train < len(self.bits):
             raise ValueError("need at least 1 training and 1 validation sample")
+        if not (self.bits.n and self.y.shape[1]):
+            raise ValueError("need at least 1 encoded bit and 1 target column")
         if self.bits.n % self.encoding.bits_per_input:
             raise ValueError(f"encoded width {self.bits.n} must be a multiple of "
                              f"{self.encoding.bits_per_input} bits per input")
@@ -228,7 +230,8 @@ def _outside_q725(values: np.ndarray) -> int:
 
 
 def _rmse(resid: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(resid * resid))) if resid.size else 0.0
+    """RMSE of residual rows; TrainData keeps both row sets and the targets non-empty."""
+    return float(np.sqrt(np.mean(resid * resid)))
 
 
 def _grown(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -241,13 +244,14 @@ def _grown(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class TrainState:
     """Mutable book-keeping while a model is grown.
 
-    Checks the exactness limits before it allocates, then keeps the config,
-    the encoding, the generator seeded by cfg.seed, the targets and residuals,
-    the hidden-output columns for the global readout refit with each column's
-    node, the layer sizes, the signals feeding the layer under construction
-    (contiguous float32, made once per layer, and a buffer for add_node's row
-    order), and the (SCORE_ROWS, t_max) candidate work array. Rows are in
-    TrainData's order; Q, the L1 fit and candidate scoring read [:n_train].
+    Checks the row count the L1 fit needs and the exactness limits before it
+    allocates, then keeps the config, the encoding, the generator seeded by
+    cfg.seed, the targets and residuals, the hidden-output columns for the
+    global readout refit with each column's node, the layer sizes, the signals
+    feeding the layer under construction (contiguous float32, made once per
+    layer, and a buffer for add_node's row order), and the (SCORE_ROWS, t_max)
+    candidate work array. Rows are in TrainData's order; Q, the L1 fit and
+    candidate scoring read [:n_train].
 
     The hidden outputs live in an (N + K, capacity) array H whose first
     n_hidden columns are in use; the capacity starts at the configured node
@@ -269,6 +273,8 @@ class TrainState:
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
         n = self.n_train = data.n_train
+        if cfg.use_mechanism and n < 2:
+            raise ValueError(f"the L1 mechanism fit needs at least 2 training rows, not {n}")
         if cfg.layer_sizes:  # candidate scoring is exact at these sizes
             for fan_in in [data.bits.n, *cfg.layer_sizes[:-1]]:
                 check_fan_in(fan_in)
@@ -371,21 +377,19 @@ class TrainState:
     def val_rmse(self) -> float:
         return _rmse(self.resid[self.n_train :])
 
-    def finalize(self) -> tuple[ScmModel, int]:
-        """The quantized model, and how many readout weights saturated."""
-        beta_raw, saturated = fx.quantize_array(self.beta)
+    def finalize(self) -> ScmModel:
+        """The model; each layer rounds its readouts and counts the clamped ones."""
         layers, start = [], 0
         for act, size in zip(self.cfg.activations, self.layer_sizes):
             rows = slice(start, start + size)
             w01, shift, bias_raw = zip(*self.nodes[rows])
             layers.append(ScmLayer.from_arrays(
                 act, BitMatrix.from01(np.array(w01)), np.array(shift, dtype=np.uint8),
-                np.array(bias_raw, dtype=np.int32), self.beta[rows].copy(), beta_raw[rows],
-            ))
+                np.array(bias_raw, dtype=np.int32), self.beta[rows].copy()))
             start = rows.stop
         model = ScmModel(self.encoding, self.mech, layers, self.m)
         model.validate()
-        return model, saturated
+        return model
 
 
 # bits of each residual column that the limbs keep, below its power-of-two bound
@@ -640,13 +644,13 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             state.layer_sizes.pop()
             break
 
-    model, readouts_saturated = state.finalize()
+    model = state.finalize()
     events.append({"event": "readout", "dependent_columns": state.in_basis.count(False)})
     events.append({
         "event": "saturation",
         "targets_outside": targets_out,
         "mechanism": state.mech.saturated,
         "bias_draws": state.bias_saturated,
-        "readouts": readouts_saturated,
+        "readouts": sum(layer.saturated for layer in model.layers),
     })
     return TrainResult(model=model, records=records, events=events)

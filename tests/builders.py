@@ -14,14 +14,14 @@ def layer(act, w01, shift=0, bias_raw=0, beta=(0.0,)) -> ScmLayer:
 
     shift (scale codes) and bias_raw (raw Q7.25 biases) are one value per
     node or one for all; beta is (K, m) float readouts or one (m,) row for
-    all, and the raw readouts are beta rounded by quantize_array.
+    all, which the layer rounds to its raw readouts.
     """
     w01 = np.asarray(w01, dtype=np.uint8)
     k = len(w01)
     beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), (k, np.shape(beta)[-1])).copy()
     return ScmLayer.from_arrays(
         act, BitMatrix.from01(w01), np.broadcast_to(shift, k).astype(np.uint8),
-        np.broadcast_to(bias_raw, k).astype(np.int32), beta, fx.quantize_array(beta)[0],
+        np.broadcast_to(bias_raw, k).astype(np.int32), beta,
     )
 
 

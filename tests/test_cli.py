@@ -157,6 +157,37 @@ def test_train_refuses_a_non_finite_alpha_or_tau(tmp_path, capsys, monkeypatch, 
     assert len(err) == 1 and err[0].startswith(f"usage error: {option[2:]} must be finite")
 
 
+@pytest.mark.parametrize("field,options", [("n_features", []),
+                                           ("n_features", ["--no-mechanism"]),
+                                           ("n_targets", [])])
+def test_train_refuses_a_manifest_without_feature_or_target_columns(tmp_path, capsys, field,
+                                                                    options):
+    # unchecked, no features failed in the L1 fit, or saved nodes of fan-in 0
+    # without the mechanism, and no targets failed inside numpy
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n0.9,1.0\n")
+    counts = {"n_features": 2, "n_targets": 2, field: 0}
+    data.with_suffix(".manifest").write_text(
+        "".join(f"{k}={v}\n" for k, v in counts.items()) + "n_train=5\nn_val=0\nn_test=0\n")
+    out = tmp_path / "m.scm"
+    assert run("train", str(data), "--out", str(out), "--nodes", "2", *options) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"bad manifest: {field}=0 is below 1")
+
+
+def test_train_names_the_l1_fit_when_too_few_rows_are_left_to_train(tmp_path, capsys):
+    # three rows at --val-fraction 0.5 leave one training row
+    data = tmp_path / "three.csv"
+    data.write_text("x,y\n0.1,0.2\n0.5,0.4\n0.9,0.8\n")
+    out = tmp_path / "m.scm"
+    assert run("train", str(data), "--out", str(out), "--val-fraction", "0.5") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: the L1 mechanism fit needs at least 2 training rows, not 1"]
+    assert run("train", str(data), "--out", str(out), "--val-fraction", "0.5",
+               "--no-mechanism", "--nodes", "1", "--r-schedule", "0.5") == 0
+
+
 @pytest.mark.parametrize("flag,bad", [("--out", "missing/file"), ("--log", "missing/file"),
                                       ("--out", "a-directory")])
 def test_train_checks_its_output_paths_before_training(tmp_path, capsys, monkeypatch,

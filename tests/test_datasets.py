@@ -237,8 +237,11 @@ def test_load_dataset_without_manifest(tmp_path):
         ({"n_val": "-100", "n_test": "400"}, "n_val=-100"),
         ({"n_train": "-1", "n_test": "301"}, "n_train=-1"),
         ({"seed": "abc"}, "invalid literal"),  # a ValueError, which the CLI calls a usage error
+        # a model needs a feature and a target column
+        ({"n_features": "0", "n_targets": "2"}, "n_features=0 is below 1"),
+        ({"n_features": "2", "n_targets": "0"}, "n_targets=0 is below 1"),
     ],
-    ids=["n_val", "n_train", "seed"],
+    ids=["n_val", "n_train", "seed", "n_features", "n_targets"],
 )
 def test_load_dataset_refuses_a_manifest_that_lies(tmp_path, edits, field):
     path = tmp_path / "db1.csv"

@@ -12,6 +12,9 @@ referenced wherever an attribute of its name is read.
 A third check keeps layers built from arrays: only model.py, bench/ and the
 test functions on NODE_LIST_CALLERS, which pin that path while the benchmark's
 synthetic model uses it, call ScmNode(...) or ScmLayer(activation, nodes).
+
+A fourth keeps each Q7.25 value rounded in one place: in the package, only
+the functions on QUANTIZE_CALLERS call quantize_array.
 """
 
 import ast
@@ -141,11 +144,15 @@ def node_list_calls(source: str, allowed: set[str] = frozenset()) -> list[str]:
             continue
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                name = _called(node)
                 if name in ("ScmNode", "ScmLayer"):
                     found.append(f"line {node.lineno}: {name}")
     return found
+
+
+def _called(call: ast.Call) -> str | None:
+    """The name a call calls, by name or as an attribute."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
 def test_the_check_finds_a_node_list_constructor():
@@ -162,4 +169,46 @@ def test_layers_are_built_from_arrays_outside_the_benchmark_path():
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     flagged = {p.name: node_list_calls(p.read_text(), NODE_LIST_CALLERS.get(p.name, set()))
                for p in files}
+    assert {name: calls for name, calls in flagged.items() if calls} == {}
+
+
+# package module -> its functions (methods as Class.name) that may call quantize_array
+QUANTIZE_CALLERS = {
+    "mechanism.py": {"MechanismModel.__post_init__"},  # the mechanism's raw values
+    "model.py": {"ScmLayer._hold"},  # a layer's raw readouts
+    "modelfile.py": {"_value_pair"},  # a JSON float given alone
+    "train.py": {"add_node"},  # the candidates' bias draws
+}
+
+
+def quantize_calls(source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Calls of quantize_array, by name or as an attribute, outside the top-level
+    functions and the methods (as Class.name) named in allowed."""
+    scopes = []  # (name, top-level statement or method), a class by its methods
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+        else:
+            scopes.append((getattr(top, "name", "module level"), top))
+    return [f"line {node.lineno}: {name}" for name, scope in scopes if name not in allowed
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and _called(node) == "quantize_array"]
+
+
+def test_the_check_finds_a_quantize_call():
+    source = ("from . import fixedpoint as fx\n"
+              "class Model:\n"
+              "    def __post_init__(self):\n        self.raw = fx.quantize_array(self.w)\n"
+              "    def again(self):\n        return quantize_array(self.w)[1]\n"
+              "def draw(x):\n    return fx.quantize_array(x)\n"
+              "RAW = fx.quantize_array([0.5])\n")
+    assert quantize_calls(source) == ["line 4: Model.__post_init__", "line 6: Model.again",
+                                      "line 8: draw", "line 9: module level"]
+    assert quantize_calls(source, {"Model.__post_init__", "draw"}) == [
+        "line 6: Model.again", "line 9: module level"]
+
+
+def test_values_are_rounded_to_q725_only_where_they_are_made():
+    flagged = {p.name: quantize_calls(p.read_text(), QUANTIZE_CALLERS.get(p.name, set()))
+               for p in PACKAGE.glob("*.py")}
     assert {name: calls for name, calls in flagged.items() if calls} == {}

@@ -242,7 +242,7 @@ def _from_arrays(**change):
     """ScmLayer.from_arrays on a valid layer's arrays, with some of them replaced."""
     layer = _model().layers[0]
     args = dict(activation=layer.activation, w=layer.w, shift=layer.shift,
-                bias_raw=layer.bias_raw, beta=layer.beta, beta_raw=layer.beta_raw)
+                bias_raw=layer.bias_raw, beta=layer.beta)
     return ScmLayer.from_arrays(**{**args, **change})
 
 
@@ -263,23 +263,25 @@ def test_a_layer_refuses_scale_codes_of_more_than_one_byte():
 
 def test_a_layer_refuses_raw_values_that_are_not_int32():
     # an int64 bias of 2**31 would be refused on load, or wrap to -2**31
-    with pytest.raises(ValueError, match="uint8, int32 and int32"):
+    with pytest.raises(ValueError, match="uint8 and int32"):
         _from_arrays(bias_raw=np.array([2**31, 0, 0], np.int64))
-    with pytest.raises(ValueError, match="uint8, int32 and int32"):
-        _from_arrays(beta_raw=np.zeros((3, 2), np.int64))
-    for bias_raw, beta_raw in [(np.zeros(2, np.int32), np.zeros((3, 2), np.int32)),
-                               (np.zeros(3, np.int32), np.zeros(3, np.int32))]:
-        with pytest.raises(ValueError, match=r"\(3,\) arrays and beta_raw \(3, m\)"):
-            _from_arrays(bias_raw=bias_raw, beta_raw=beta_raw)
+    for change in [{"bias_raw": np.zeros(2, np.int32)}, {"beta": np.zeros(3)}]:
+        with pytest.raises(ValueError, match=r"\(3,\) arrays and beta \(3, m\)"):
+            _from_arrays(**change)
 
 
-def test_a_layer_refuses_readouts_that_do_not_round_to_their_raw_values():
-    # such a layer's model would claim the quantization bound with an output gap
-    # of 5.0, and its file with the float sidecar could not be read back
-    one = BitMatrix.from01(np.ones((1, 1), np.uint8))
-    with pytest.raises(ValueError, match="float values do not round to their raw values"):
-        ScmLayer.from_arrays(Activation.STEP, one, np.zeros(1, np.uint8), np.zeros(1, np.int32),
-                             np.array([[5.0]]), np.array([[0]], np.int32))
+def test_a_layer_clamps_readouts_past_q725_and_counts_them():
+    model = _model()
+    beta = model.layers[0].beta.copy()
+    beta[0] = [100.0, -100.0]
+    beta[1] = [64.0, -64.0]  # the range is [-64, 64 - 2**-25], so only 64.0 is past it
+    model.layers[0] = _from_arrays(beta=beta)
+    assert [layer.saturated for layer in model.layers] == [3, 0]
+    assert model.layers[0].beta_raw[:2].tolist() == [[fx.RAW_MAX, fx.RAW_MIN]] * 2
+    bits = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(4, model.d_enc)))
+    rep = evaluate_bits(model, bits, np.zeros((4, 2)), "fpga")
+    assert rep.clamped == model.mechanism.saturated + 3 == 3
+    assert not rep.bound_applies
 
 
 def test_a_layer_refuses_a_nan_readout():

@@ -437,6 +437,28 @@ def test_train_data_width_is_a_multiple_of_the_encoding():
         TrainData(odd, y, 6, enc)
 
 
+def test_train_data_needs_an_encoded_bit_and_a_target_column():
+    enc = parse_encoding("density:4")
+    x, y = np.random.default_rng(21).uniform(size=(10, 1)), np.zeros((10, 1))
+    bits, _ = encode_matrix(x, enc)
+    none = BitMatrix.from01(np.zeros((10, 0), np.uint8))
+    for b, targets in [(none, y), (bits, y[:, :0])]:
+        with pytest.raises(ValueError, match="at least 1 encoded bit and 1 target column"):
+            TrainData(b, targets, 6, enc)
+    with pytest.raises(ValueError, match="at least 1 encoded bit"):
+        prepare_train_data(x[:6, :0], y[:6], x[6:, :0], y[6:], enc)
+
+
+def test_the_state_refuses_too_few_rows_for_the_l1_fit_before_it_allocates(monkeypatch):
+    data = _toy_data(n_train=1, n_val=3)
+    monkeypatch.setattr(importlib.import_module("scmfpga.train"), "signals_pm1", _refuse)
+    with pytest.raises(ValueError, match="L1 mechanism fit needs at least 2 training rows, not 1"):
+        TrainState(data, TrainConfig.single_layer(2))
+    # without the mechanism one training row is enough
+    with pytest.raises(AssertionError, match="signals built"):
+        TrainState(data, TrainConfig.single_layer(2, use_mechanism=False))
+
+
 def test_train_data_is_one_row_set_with_the_training_rows_first():
     enc = parse_encoding("s1:2")
     rng = np.random.default_rng(20)
@@ -754,8 +776,7 @@ def test_a_dependent_column_gets_readout_zero():
     state.remove_trailing(2)
     assert state.in_basis.count(False) == 0
     assert np.array_equal(state.beta, beta)
-    model, _ = state.finalize()
-    assert model.layer_sizes == (3,)
+    assert state.finalize().layer_sizes == (3,)
 
 
 def test_reorthogonalization_keeps_q_orthonormal():
@@ -954,8 +975,8 @@ def test_finalize_counts_saturated_readouts():
     state.begin_layer()
     assert add_node(state) is not None
     state.beta[:] = 100.0
-    model, saturated = state.finalize()
-    assert saturated == state.m
+    model = state.finalize()
+    assert model.layers[0].saturated == state.m
     assert model.layers[0].beta_raw[0, 0] == fx.RAW_MAX
 
 
