@@ -133,7 +133,6 @@ def predict_fpga_batch(
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
-    model.validate()
     # per layer the value a clear bit contributes, and the packing product
     plans = [(layer, np.zeros_like(layer.beta_raw) if layer.activation == Activation.SIGN
               else fx.fx_neg_array(layer.beta_raw), _packer(len(layer)))

@@ -52,6 +52,8 @@ class MechanismModel:
         object.__setattr__(self, "weights_raw", w_raw)  # the dataclass is frozen
         object.__setattr__(self, "intercepts_raw", u_raw)
         object.__setattr__(self, "saturated", w_sat + u_sat)
+        for held in (self.weights, self.intercepts, w_raw, u_raw):
+            held.flags.writeable = False
 
     @property
     def d_enc(self) -> int:
@@ -82,9 +84,9 @@ def fit_mechanism(s: np.ndarray, y: np.ndarray, alpha: float) -> MechanismModel:
 
 
 def external_mechanism(weights: np.ndarray, intercepts: np.ndarray) -> MechanismModel:
-    """Wrap user-supplied (d_enc, m) weights and (m,) intercepts (e.g. a plant model)."""
-    return MechanismModel(np.asarray(weights, dtype=np.float64),
-                          np.asarray(intercepts, dtype=np.float64), SOURCE_EXTERNAL)
+    """Copies of user-supplied (d_enc, m) weights and (m,) intercepts (e.g. a plant model)."""
+    return MechanismModel(np.array(weights, dtype=np.float64),
+                          np.array(intercepts, dtype=np.float64), SOURCE_EXTERNAL)
 
 
 def mech_eval_float_batch(s: np.ndarray, mech: MechanismModel) -> np.ndarray:

@@ -4,15 +4,15 @@ A hidden layer (ScmLayer) is held in the packed form of the model file's
 layer block: a BitMatrix of weight bits, one row per node, and per-node
 arrays of scale codes, raw biases and readouts. Training and the model file
 build those arrays (ScmLayer.from_arrays); like a MechanismModel, a layer is
-given float readouts and derives their raw Q7.25 values and clamp count once.
-Every batch path reads the arrays as they are, as do the scalar oracles: the
-emulator's predict_fpga, and node_output_float, which reads node i of a
-layer. ScmNode, one node's scalars, and ScmLayer(activation, nodes), which
-packs a list of them through the same checks, stay only for the benchmark's
-synthetic model; everything else, the tests included, builds layers with
-from_arrays. A node's bit depends on its raw bias only, through
-threshold_edge: training and the reference path test dot > edge in
-threshold_bits, the emulator in popcounts.
+given float readouts, derives their raw Q7.25 values and clamp count once,
+then holds every array read-only and refuses to rebind an attribute. A frozen
+ScmModel checks once, when it is built, that its parts fit (validate), so no
+reader checks it again. Every batch path reads the arrays as they are, as do
+the scalar oracles predict_fpga and node_output_float. ScmNode and
+ScmLayer(activation, nodes), which packs a list of them through the same
+checks, stay only for the benchmark's synthetic model. A node's bit depends
+on its raw bias only, through threshold_edge: training and the reference
+path test dot > edge in threshold_bits, the emulator in popcounts.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -78,10 +78,10 @@ class ScmLayer:
     beta: (K, m) float64 readouts, from which the layer derives, once, beta_raw,
     their (K, m) int32 raw Q7.25 values, and saturated, how many it clamped
 
-    from_arrays takes the arrays as they are, and ScmLayer(activation, nodes)
+    from_arrays holds the arrays as they are, and ScmLayer(activation, nodes)
     packs a list of ScmNodes (the benchmark's synthetic model), whose raw
     readouts must be the derived ones; both refuse values the model file
-    cannot hold. len() is K.
+    cannot hold. The arrays are read-only and the attributes fixed. len() is K.
     """
 
     def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
@@ -96,8 +96,8 @@ class ScmLayer:
 
     @classmethod
     def from_arrays(cls, activation, w, shift, bias_raw, beta) -> "ScmLayer":
-        """A layer holding these arrays, not copies; ValueError for any the model
-        file cannot hold (dtypes and shapes as in the class docstring, codes 0..7)."""
+        """A layer holding these arrays, not copies, marked read-only; ValueError for
+        any the model file cannot hold (dtypes and shapes as above, codes 0..7)."""
         layer = cls.__new__(cls)
         layer._hold(activation, w, shift, bias_raw, beta)
         return layer
@@ -110,9 +110,13 @@ class ScmLayer:
             raise ValueError(f"shift and bias_raw must be ({k},) arrays and beta ({k}, m)")
         if np.any(shift > 7):
             raise ValueError("scale code above 7")
-        self.activation, self.w, self.shift, self.bias_raw = activation, w, shift, bias_raw
-        self.beta = beta
-        self.beta_raw, self.saturated = fx.quantize_array(beta)
+        vars(self).update(activation=activation, w=w, shift=shift, bias_raw=bias_raw, beta=beta)
+        vars(self)["beta_raw"], vars(self)["saturated"] = fx.quantize_array(beta)
+        for held in (w.words, shift, bias_raw, beta, self.beta_raw):
+            held.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a layer's {name} cannot be rebound")
 
     def __len__(self) -> int:
         return len(self.w)
@@ -135,12 +139,16 @@ def _int32(values) -> np.ndarray:
     return wide.astype(np.int32)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScmModel:
     encoding: EncodingSpec
     mechanism: MechanismModel
-    layers: list[ScmLayer]
+    layers: tuple[ScmLayer, ...]  # any sequence, held as a tuple
     n_outputs: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))  # the dataclass is frozen
+        self.validate()
 
     @property
     def d_enc(self) -> int:
@@ -214,9 +222,7 @@ def layer_forward_float(layer: ScmLayer) -> Callable[[np.ndarray], np.ndarray]:
     next layer: {0,1} after SIGN, {-1,+1} after STEP (exact in float32). Raises
     ValueError when the fan-in is too wide for threshold_bits (check_fan_in)."""
     check_fan_in(layer.fan_in)
-    w = layer.w.to01().astype(np.float32)
-    w *= 2.0
-    w -= 1.0
+    w = signals_pm1(layer.w).astype(np.float32)
     edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.float32)
     step = layer.activation == Activation.STEP
 

@@ -60,7 +60,6 @@ def _f64_bytes(arr: np.ndarray) -> bytes:
 
 
 def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
-    model.validate()
     m = model.n_outputs
     mech = model.mechanism
     flags = FLAG_FLOAT_SIDECAR if include_floats else 0
@@ -140,11 +139,9 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
         raws += [(mech.weights_raw, p_raw), (mech.intercepts_raw, u_raw)]
         if not all(np.array_equal(derived, given) for derived, given in raws):
             raise ValueError("float values do not round to their raw values")
-        model = ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
-        model.validate()
+        return ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent model {form}: {exc}") from exc
-    return model
 
 
 def _resolved(blocks) -> tuple[np.ndarray, np.ndarray]:

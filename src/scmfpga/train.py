@@ -123,6 +123,9 @@ class TrainData:
         self.y = samples_2d(self.y)
         if self.y.shape[0] != len(self.bits):
             raise ValueError(f"{self.y.shape[0]} targets do not match {len(self.bits)} inputs")
+        bad = np.argwhere(~np.isfinite(self.y))
+        if bad.size:
+            raise ValueError(f"non-finite target at row {bad[0, 0]}, column {bad[0, 1]}")
         if not 1 <= self.n_train < len(self.bits):
             raise ValueError("need at least 1 training and 1 validation sample")
         if not (self.bits.n and self.y.shape[1]):
@@ -387,9 +390,7 @@ class TrainState:
                 act, BitMatrix.from01(np.array(w01)), np.array(shift, dtype=np.uint8),
                 np.array(bias_raw, dtype=np.int32), self.beta[rows].copy()))
             start = rows.stop
-        model = ScmModel(self.encoding, self.mech, layers, self.m)
-        model.validate()
-        return model
+        return ScmModel(self.encoding, self.mech, layers, self.m)
 
 
 # bits of each residual column that the limbs keep, below its power-of-two bound
@@ -585,7 +586,7 @@ def add_node(state: TrainState) -> TrainRecord | None:
 
 
 def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
-    """Grow, validate, and quantize a model according to the config.
+    """Grow a model according to the config and quantize it into a frozen ScmModel.
 
     The mechanism model is fit first; layers then grow one node at a time
     under the acceptance test, with the readout refit globally after every

@@ -40,6 +40,4 @@ def random_model(seed, d_enc, layers, m=1) -> ScmModel:
             rng.normal(scale=0.4, size=(size, m)),
         ))
         fan_in = size
-    model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, built, m)
-    model.validate()
-    return model
+    return ScmModel(parse_encoding(f"density:{d_enc}"), mech, built, m)

@@ -228,9 +228,7 @@ def _random_model(rng, d_enc, acts, sizes, m, extreme):
         layers.append(layer(act, rng.integers(0, 2, size=(size, fan_in)), shift, bias_raw,
                             fx.dequantize_array(_raw(rng, (size, m), extreme))))
         fan_in = size
-    model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, layers, m)
-    model.validate()
-    return model
+    return ScmModel(parse_encoding(f"density:{d_enc}"), mech, layers, m)
 
 
 @st.composite

@@ -15,6 +15,9 @@ synthetic model uses it, call ScmNode(...) or ScmLayer(activation, nodes).
 
 A fourth keeps each Q7.25 value rounded in one place: in the package, only
 the functions on QUANTIZE_CALLERS call quantize_array.
+
+A fifth keeps a model checked in one place, when it is built: in the
+package, only ScmModel.__post_init__ calls .validate().
 """
 
 import ast
@@ -181,8 +184,8 @@ QUANTIZE_CALLERS = {
 }
 
 
-def quantize_calls(source: str, allowed: set[str] = frozenset()) -> list[str]:
-    """Calls of quantize_array, by name or as an attribute, outside the top-level
+def calls_of(callee: str, source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Calls of callee, by name or as an attribute, outside the top-level
     functions and the methods (as Class.name) named in allowed."""
     scopes = []  # (name, top-level statement or method), a class by its methods
     for top in ast.parse(source).body:
@@ -192,7 +195,7 @@ def quantize_calls(source: str, allowed: set[str] = frozenset()) -> list[str]:
             scopes.append((getattr(top, "name", "module level"), top))
     return [f"line {node.lineno}: {name}" for name, scope in scopes if name not in allowed
             for node in ast.walk(scope)
-            if isinstance(node, ast.Call) and _called(node) == "quantize_array"]
+            if isinstance(node, ast.Call) and _called(node) == callee]
 
 
 def test_the_check_finds_a_quantize_call():
@@ -202,13 +205,34 @@ def test_the_check_finds_a_quantize_call():
               "    def again(self):\n        return quantize_array(self.w)[1]\n"
               "def draw(x):\n    return fx.quantize_array(x)\n"
               "RAW = fx.quantize_array([0.5])\n")
-    assert quantize_calls(source) == ["line 4: Model.__post_init__", "line 6: Model.again",
-                                      "line 8: draw", "line 9: module level"]
-    assert quantize_calls(source, {"Model.__post_init__", "draw"}) == [
+    assert calls_of("quantize_array", source) == [
+        "line 4: Model.__post_init__", "line 6: Model.again", "line 8: draw",
+        "line 9: module level"]
+    assert calls_of("quantize_array", source, {"Model.__post_init__", "draw"}) == [
         "line 6: Model.again", "line 9: module level"]
 
 
 def test_values_are_rounded_to_q725_only_where_they_are_made():
-    flagged = {p.name: quantize_calls(p.read_text(), QUANTIZE_CALLERS.get(p.name, set()))
+    flagged = {p.name: calls_of("quantize_array", p.read_text(),
+                                QUANTIZE_CALLERS.get(p.name, set()))
+               for p in PACKAGE.glob("*.py")}
+    assert {name: calls for name, calls in flagged.items() if calls} == {}
+
+
+# package module -> its methods that may call validate
+VALIDATE_CALLERS = {"model.py": {"ScmModel.__post_init__"}}  # a model checks itself once
+
+
+def test_the_check_finds_a_validate_call():
+    source = ("class Model:\n"
+              "    def __post_init__(self):\n        self.validate()\n"
+              "    def validate(self):\n        pass\n"
+              "def write(model):\n    model.validate()\n    return b''\n")
+    assert calls_of("validate", source) == ["line 3: Model.__post_init__", "line 7: write"]
+    assert calls_of("validate", source, {"Model.__post_init__"}) == ["line 7: write"]
+
+
+def test_a_model_is_validated_only_when_it_is_built():
+    flagged = {p.name: calls_of("validate", p.read_text(), VALIDATE_CALLERS.get(p.name, set()))
                for p in PACKAGE.glob("*.py")}
     assert {name: calls for name, calls in flagged.items() if calls} == {}

@@ -63,6 +63,16 @@ def test_external_passthrough():
     assert np.array_equal(mech.weights_raw[:, 0], [fx.fx_from_real(0.5), fx.fx_from_real(-0.25)])
 
 
+def test_external_mechanism_holds_read_only_copies_of_its_inputs():
+    p, u = np.array([[0.5], [-0.25]]), np.array([1.5])
+    mech = external_mechanism(p, u)
+    p[0, 0] = u[0] = 2.0  # the caller's arrays stay writable and apart from the model
+    assert mech.weights[0, 0] == 0.5 and mech.intercepts[0] == 1.5
+    for held in (mech.weights, mech.intercepts, mech.weights_raw, mech.intercepts_raw):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] += 1
+
+
 def test_a_mechanism_counts_saturated_values():
     mech = external_mechanism(np.array([[100.0], [0.5], [-64.0]]), np.array([-70.0]))
     assert mech.saturated == 2  # 100 and -70; -64 is the format minimum

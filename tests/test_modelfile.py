@@ -16,6 +16,7 @@ from scmfpga.mechanism import signals_pm1
 from scmfpga.model import (
     Activation,
     ScmLayer,
+    ScmModel,
     ScmNode,
     layer_forward_float,
     predict_float_batch,
@@ -31,7 +32,7 @@ from scmfpga.modelfile import (
 )
 from scmfpga.train import TrainConfig, prepare_train_data, train
 
-from builders import random_model
+from builders import layer, random_model
 
 
 def _model(seed=0, sizes=(3, 2)):
@@ -232,10 +233,48 @@ def test_a_node_refuses_a_bias_off_its_grid_value():
 
 def test_a_layer_keeps_only_raw_biases():
     layer = _model().layers[0]
-    layer.bias_raw[0] += 1
-    assert layer.bias[0] == int(layer.bias_raw[0]) / 2**25
+    with pytest.raises(ValueError, match="read-only"):
+        layer.bias_raw[0] += 1
+    assert np.array_equal(layer.bias, layer.bias_raw / 2**25)
     with pytest.raises(AttributeError):
         layer.bias = np.zeros(len(layer))
+
+
+def test_a_model_refuses_parts_that_do_not_fit_when_it_is_built():
+    model = _model()  # 10 inputs, layers of 3 STEP and 2 SIGN nodes, 2 outputs
+    first, second = model.layers
+    faults = {
+        # the reference path would broadcast a 1-output mechanism to 2 outputs
+        "mechanism output count": dict(mechanism=random_model(0, 10, [], m=1).mechanism),
+        "not a multiple of bits per input": dict(encoding=parse_encoding("density:4")),
+        "layer 2 has no nodes": dict(layers=[first, layer(Activation.SIGN, np.ones((0, 3)))]),
+        # swapped fan-ins would fail inside numpy's matmul on the reference path
+        "layer 1 fan-in 3 != expected 10": dict(layers=[second, first]),
+        "readout width": dict(layers=[first, layer(Activation.SIGN, np.ones((2, 3)))]),
+    }
+    parts = dict(encoding=model.encoding, mechanism=model.mechanism, layers=model.layers,
+                 n_outputs=model.n_outputs)
+    assert ScmModel(**parts).layers == model.layers
+    for message, change in faults.items():
+        with pytest.raises(ValueError, match=message):
+            ScmModel(**{**parts, **change})
+
+
+def test_a_built_model_cannot_be_edited():
+    # an edit in place would leave stale raw values, in a file that does not read back
+    model = _model()
+    blob = model_to_bytes(model)
+    first, mech = model.layers[0], model.mechanism
+    for held in (first.w.words, first.shift, first.bias_raw, first.beta, first.beta_raw,
+                 mech.weights, mech.intercepts, mech.weights_raw, mech.intercepts_raw):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] += 1
+    for part, name in [(first, "beta"), (first, "w"), (first, "saturated"),
+                       (model, "layers"), (model, "mechanism")]:
+        with pytest.raises(AttributeError):
+            setattr(part, name, getattr(part, name))
+    assert isinstance(model.layers, tuple)
+    assert model_to_bytes(model) == blob == model_to_bytes(model_from_bytes(blob))
 
 
 def _from_arrays(**change):
@@ -244,6 +283,12 @@ def _from_arrays(**change):
     args = dict(activation=layer.activation, w=layer.w, shift=layer.shift,
                 bias_raw=layer.bias_raw, beta=layer.beta)
     return ScmLayer.from_arrays(**{**args, **change})
+
+
+def test_a_layer_holds_its_arrays_read_only():
+    beta = np.zeros((3, 2))
+    held = _from_arrays(beta=beta)
+    assert held.beta is beta and not beta.flags.writeable
 
 
 def test_a_layer_refuses_a_scale_code_above_7():
@@ -275,7 +320,8 @@ def test_a_layer_clamps_readouts_past_q725_and_counts_them():
     beta = model.layers[0].beta.copy()
     beta[0] = [100.0, -100.0]
     beta[1] = [64.0, -64.0]  # the range is [-64, 64 - 2**-25], so only 64.0 is past it
-    model.layers[0] = _from_arrays(beta=beta)
+    model = ScmModel(model.encoding, model.mechanism, (_from_arrays(beta=beta), model.layers[1]),
+                     model.n_outputs)
     assert [layer.saturated for layer in model.layers] == [3, 0]
     assert model.layers[0].beta_raw[:2].tolist() == [[fx.RAW_MAX, fx.RAW_MIN]] * 2
     bits = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(4, model.d_enc)))

@@ -29,6 +29,7 @@ from scmfpga.model import (
     Activation,
     ScmModel,
     check_fan_in,
+    layer_forward_float,
     node_output_float,
     predict_float_batch,
     quantization_bound,
@@ -449,6 +450,20 @@ def test_train_data_needs_an_encoded_bit_and_a_target_column():
         prepare_train_data(x[:6, :0], y[:6], x[6:, :0], y[6:], enc)
 
 
+@pytest.mark.parametrize("use_mechanism", [True, False])
+@pytest.mark.parametrize("row", [5, 33], ids=["training", "validation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_train_data_refuses_a_non_finite_target(value, row, use_mechanism):
+    # a NaN validation target would make every validation RMSE NaN, which early
+    # stopping reads as no improvement, so each layer would end at one node
+    rng = np.random.default_rng(22)
+    x, y = rng.uniform(size=(40, 2)), rng.normal(size=(40, 2))
+    y[row, 1] = value
+    cfg = TrainConfig.single_layer(30, Activation.STEP, use_mechanism=use_mechanism)
+    with pytest.raises(ValueError, match=f"non-finite target at row {row}, column 1"):
+        train(prepare_train_data(x[:30], y[:30], x[30:], y[30:], parse_encoding("s1:2")), cfg)
+
+
 def test_the_state_refuses_too_few_rows_for_the_l1_fit_before_it_allocates(monkeypatch):
     data = _toy_data(n_train=1, n_val=3)
     monkeypatch.setattr(importlib.import_module("scmfpga.train"), "signals_pm1", _refuse)
@@ -505,11 +520,11 @@ def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
     model = _tiny_model()
     bits = BitMatrix.from01(np.ones((1, model.d_enc), dtype=np.uint8))
     predict_float_batch(model, bits)
-    # layer 2 reads one node of fan-in 2**24, refused before any signal is built
-    model.layers[1] = layer(Activation.SIGN, np.ones((1, 2**24), np.uint8))
+    # a layer of one node of fan-in 2**24 is refused before any signal is built
+    wide = layer(Activation.SIGN, np.ones((1, 2**24), np.uint8))
     monkeypatch.setattr(importlib.import_module("scmfpga.model"), "signals_pm1", _refuse)
     with pytest.raises(ValueError, match="float32"):
-        predict_float_batch(model, bits)
+        layer_forward_float(wide)
 
 
 def _oracle_add_node(state, rng):
