@@ -116,11 +116,9 @@ class BitVec:
 class BitMatrix:
     """A batch of `n`-bit rows packed into an (N, W) little-endian uint64 matrix.
 
-    See the module docstring for the layout. len() is the row count;
-    m[i] is row i as a BitVec, m[a:b] a BitMatrix of those rows.
+    See the module docstring for the layout; words and n cannot be rebound.
+    len() is the row count; m[i] is row i as a BitVec, m[a:b] a BitMatrix of those rows.
     """
-
-    __slots__ = ("words", "n")
 
     def __init__(self, words: np.ndarray, n: int):
         words = np.asarray(words, dtype=WORD)
@@ -128,8 +126,7 @@ class BitMatrix:
             raise ValueError(f"words of shape {words.shape} do not hold {n}-bit rows")
         if n % WORD_BITS and words.size and np.any(words[:, -1] >> np.uint64(n % WORD_BITS)):
             raise ValueError("pad bits past the row width must be zero")
-        self.words = words
-        self.n = n
+        vars(self).update(words=words, n=n)
 
     @classmethod
     def from01(cls, bits01: np.ndarray) -> "BitMatrix":
@@ -157,6 +154,9 @@ class BitMatrix:
         data = bytearray().join(r.value.to_bytes(word_bytes, "little") for r in rows)
         return cls(np.frombuffer(data, dtype=WORD).reshape(len(rows), n_words(n)), n)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a bit matrix's {name} cannot be rebound")
+
     def to01(self) -> np.ndarray:
         """(N, n) uint8 matrix of the bits."""
         return np.unpackbits(
@@ -169,7 +169,7 @@ class BitMatrix:
     def __getitem__(self, key):
         if isinstance(key, slice):  # rows of a checked matrix need no pad-bit scan
             out = object.__new__(BitMatrix)
-            out.words, out.n = self.words[key], self.n
+            vars(out).update(words=self.words[key], n=self.n)
             return out
         row = self.words[operator.index(key)]
         return BitVec(self.n, int.from_bytes(row.tobytes(), "little"))

@@ -2,8 +2,8 @@
 
 least_squares is an SVD-based pseudoinverse (numpy lstsq with the max(N, L) *
 eps singular-value cutoff). It gives the L1 fit its warm start and is the
-test oracle of the readout, which training keeps as an incremental QR
-instead (train.TrainState). The L1 solver minimizes
+test oracle of the readout, which training keeps as the growing triangle R
+of a QR, without its basis (train.TrainState). The L1 solver minimizes
 
     sum_j (y_j - x_j . p)**2 + alpha * sum_k |p_k|
 
@@ -73,7 +73,7 @@ def _soft_threshold(rho: float, t: float) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields hold arrays
 class LassoFit:
     """Result of lasso_fit: coefficients p and intercepts u.
 

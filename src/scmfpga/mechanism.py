@@ -26,7 +26,7 @@ SOURCE_LASSO = "lasso"
 SOURCE_EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields hold arrays
 class MechanismModel:
     weights: np.ndarray  # (d_enc, m) float64
     intercepts: np.ndarray  # (m,) float64

@@ -139,7 +139,7 @@ def _int32(values) -> np.ndarray:
     return wide.astype(np.int32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields hold arrays
 class ScmModel:
     encoding: EncodingSpec
     mechanism: MechanismModel

@@ -124,31 +124,33 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
     one per node in JSON.
     """
     try:
-        built, raws = [], []  # raws: (derived, given) raw values of every part
+        built, agree = [], []
         for act, w, shift, bias, beta in layers:
             # a bias is its raw value exactly (the layer keeps only bias_raw)
             if any(f is not None and not np.array_equal(f, fx.dequantize_array(r))
                    for f, r in bias):
                 raise ValueError("bias values are not bias_raw / 2**25")
             bias_raw = np.concatenate([r for _, r in bias])
-            beta, beta_raw = _resolved(beta)
-            built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, beta))
-            raws.append((built[-1].beta_raw, beta_raw))
-        (p, p_raw), (u, u_raw) = _resolved([weights]), _resolved([intercepts])
-        mech = MechanismModel(p, u, source, alpha)
-        raws += [(mech.weights_raw, p_raw), (mech.intercepts_raw, u_raw)]
-        if not all(np.array_equal(derived, given) for derived, given in raws):
+            built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, _floats(beta)))
+            agree.append(_agree(built[-1].beta_raw, beta))
+        mech = MechanismModel(_floats([weights]), _floats([intercepts]), source, alpha)
+        agree += [_agree(mech.weights_raw, [weights]), _agree(mech.intercepts_raw, [intercepts])]
+        if not all(agree):
             raise ValueError("float values do not round to their raw values")
         return ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent model {form}: {exc}") from exc
 
 
-def _resolved(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Floats and raws of a field from its blocks; a missing float is raw / 2**25
-    (_assemble compares the raws with those derived from the floats)."""
-    f = np.concatenate([fx.dequantize_array(r) if f is None else f for f, r in blocks])
-    return f, np.concatenate([r for _, r in blocks])
+def _floats(blocks) -> np.ndarray:
+    """A field's floats from its blocks; a missing float is raw / 2**25."""
+    return np.concatenate([fx.dequantize_array(r) if f is None else f for f, r in blocks])
+
+
+def _agree(derived: np.ndarray, blocks) -> bool:
+    """Whether the derived raws equal those given beside floats, block by block."""
+    parts = np.split(derived, np.cumsum([len(f if r is None else r) for f, r in blocks])[:-1])
+    return all(f is None or r is None or np.array_equal(d, r) for d, (f, r) in zip(parts, blocks))
 
 
 def model_from_bytes(data: bytes) -> ScmModel:
@@ -252,7 +254,7 @@ def model_to_json(model: ScmModel) -> str:
 def model_from_json(text: str) -> ScmModel:
     """Rebuild a model from its JSON form.
 
-    Raw fields may be omitted (they are requantized from the floats), and
+    Raw fields may be omitted (the model derives them from the floats), and
     float fields may be omitted (reconstructed from the raw values), which
     makes hand-written mechanism models practical. Pairs obey the sidecar's
     rules, and a bias given alone is replaced by its grid value. Integer
@@ -321,24 +323,22 @@ def _cells(values, shape, read, name: str, dtype) -> np.ndarray:
     return np.array([read(v, name) for v in cells.flat], dtype=dtype).reshape(shape)
 
 
-def _value_pair(floats, raws, shape) -> tuple[np.ndarray | None, np.ndarray]:
-    """(floats or None, raw values) of one JSON field, either of which may be omitted.
-
-    Floats given alone must lie in the Q7.25 range, and their raw values are
-    their rounded ones.
-    """
+def _value_pair(floats, raws, shape) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(floats or None, raws or None) of one JSON field, at least one given; floats
+    given alone must round into the Q7.25 range, and the model derives their raws."""
     if floats is None and raws is None:
         raise ValueError("need float or raw values")
     r = None if raws is None else _cells(raws, shape, _int, "raw value", np.int32)
     f = None if floats is None else _cells(floats, shape, _float, "float value", np.float64)
-    if r is None:
-        r, saturated = fx.quantize_array(f)
-        if saturated:
-            raise ValueError(f"{saturated} values lie outside the Q7.25 range [-64, 64)")
+    if r is None:  # f * 2**25 rounds (half to even) into [RAW_MIN, RAW_MAX]
+        half = fx.RESOLUTION / 2
+        outside = np.count_nonzero(~((f >= fx.REAL_MIN - half) & (f < -fx.REAL_MIN - half)))
+        if outside:
+            raise ValueError(f"{outside} values lie outside the Q7.25 range [-64, 64)")
     return f, r
 
 
 def _bias_pair(node: dict) -> tuple[np.ndarray | None, np.ndarray]:
     """A node's bias pair; a bias given alone keeps only its grid value."""
     f, r = _value_pair(node.get("bias"), node.get("bias_raw"), (1,))
-    return (None if node.get("bias_raw") is None else f), r
+    return (f, r) if r is not None else (None, fx.quantize_array(f)[0])

@@ -10,8 +10,8 @@ is positive for every output, and takes the passing candidate with the largest
 total score. The contraction factor r walks a schedule toward 1, so the test
 relaxes before the layer gives up. After every accepted node the readout is
 refit by least squares over all hidden outputs collected so far, which keeps
-the training residual non-increasing. The fit is a thin QR of the hidden
-outputs that gains one Gram-Schmidt column per node (TrainState).
+the training residual non-increasing. The fit keeps the triangle R of a thin
+QR of the int8 hidden outputs, one column per node, without Q (TrainState).
 
 Biases are drawn uniform on [-lambda, +lambda] and snapped to the Q7.25 grid
 at draw time (saturating at the format range), and a node keeps the raw
@@ -63,6 +63,7 @@ DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
 # training rows per scoring block: a (256, 500) float32 block of candidate
 # bits is 512 KB, which stays in L2 between its threshold and its limb GEMM
 SCORE_ROWS = 256
+READOUT_ROWS = 1024  # rows of H per float64 copy in the readout's products
 
 
 @dataclass(frozen=True)
@@ -239,9 +240,7 @@ def _rmse(resid: np.ndarray) -> float:
 
 def _grown(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """a copied into the leading block of a zero array of the given shape."""
-    out = np.zeros(shape)
-    out[tuple(slice(0, k) for k in a.shape)] = a
-    return out
+    return np.pad(a, [(0, size - k) for size, k in zip(shape, a.shape)])
 
 
 class TrainState:
@@ -253,25 +252,24 @@ class TrainState:
     global readout refit with each column's node, the layer sizes, the signals
     feeding the layer under construction (contiguous float32, made once per
     layer, and a buffer for add_node's row order), and the (SCORE_ROWS, t_max)
-    candidate work array. Rows are in TrainData's order; Q, the L1 fit and
+    candidate work array. Rows are in TrainData's order; R, the L1 fit and
     candidate scoring read [:n_train].
 
-    The hidden outputs live in an (N + K, capacity) array H whose first
-    n_hidden columns are in use; the capacity starts at the configured node
-    count (at most 64) and doubles when full. It is C-ordered because H @ beta
-    then rounds as it does on a stacked matrix, so the residuals (and the
-    model bytes) do not depend on the storage.
+    The hidden outputs live in an int8 (N + K, capacity) array H (entries
+    +-1 or 0/1) whose first n_hidden columns are in use; the capacity starts
+    at the configured node count (at most 64) and doubles when full.
 
-    The readout (SC-III of Wang & Li 2017) is kept as a thin QR of H[:n_train]:
-    Q (N, capacity) with orthonormal columns, upper-triangular R and
-    qt = Q^T target[:n_train]. A new column costs one classical Gram-Schmidt
-    step and one reorthogonalization pass (Daniel, Gragg, Kaufman & Stewart
-    1976), O(N L), and beta solves R beta = qt; remove_trailing drops
-    trailing columns of Q, R and qt, which is exact. A column whose orthogonal
-    remainder is at most max(N, L) * eps * |h| (lstsq's cutoff) gets readout
-    0 and no basis vector; while the residual lies above rounding level,
-    xi > 0 rules that out. The residuals on every row stay target - H @ beta,
-    the model's own errors, rather than an update through Q.
+    The readout (SC-III of Wang & Li 2017) keeps R and qt = Q^T target[:n_train]
+    of a thin QR H_B[:n_train] = Q R of the basis columns H_B, but not Q. A new
+    column h gets coef = R^-T (H_B^T h) and v = h - H_B R^-1 coef, and one
+    correction pass repeats both on v: corrected seminormal equations (Bjorck
+    1987), O(N L). beta solves R beta = qt; remove_trailing drops trailing
+    columns of R and qt, which is exact. A column whose remainder is at most
+    max(N, L) * eps * |h| (lstsq's cutoff) gets readout 0 and no column of R;
+    while the residual lies above rounding level, xi > 0 rules that out. The
+    residuals on every row stay target - H @ beta, the model's own errors.
+    Products with H run over float64 copies of READOUT_ROWS rows at a time,
+    so no float64 array of H's size is held.
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
@@ -300,12 +298,11 @@ class TrainState:
         # a C-order column write touches every row, so a large configured
         # node count is not allocated up front
         capacity = min(max(1, sum(cfg.layer_sizes)), 64)
-        self.H = np.empty((len(data.bits), capacity))
-        self.Q = np.empty((n, capacity))
+        self.H = np.empty((len(data.bits), capacity), np.int8)
         self.R = np.zeros((capacity, capacity))
         self.qt = np.zeros((capacity, self.m))
         self.n_hidden = 0
-        self.in_basis: list[bool] = []  # per hidden column: owns a basis vector
+        self.in_basis: list[bool] = []  # per hidden column: has a column of R
         self.nodes: list[tuple] = []  # per hidden column: 0/1 uint8 weight row, shift, bias_raw
         self.beta = np.zeros((0, self.m))
         self.resid = self.target.copy()
@@ -326,33 +323,36 @@ class TrainState:
         self.layer_sizes.append(0)
 
     def append_node(self, node: tuple, h: np.ndarray) -> None:
-        """Add a hidden column h, on every row, and refit the readout."""
+        """Add a hidden column h (int8, on every row) and refit the readout."""
         cap = self.H.shape[1]
         if self.n_hidden == cap:
             self.H = _grown(self.H, (len(self.H), 2 * cap))
-            self.Q = _grown(self.Q, (self.n_train, 2 * cap))
             self.R = _grown(self.R, (2 * cap, 2 * cap))
             self.qt = _grown(self.qt, (2 * cap, self.m))
+        k, n = sum(self.in_basis), self.n_train
+        basis = slice(0, k) if all(self.in_basis) else np.flatnonzero(self.in_basis)
         self.H[:, self.n_hidden] = h
         self.n_hidden += 1
         self.nodes.append(node)
         self.layer_sizes[-1] += 1
-        k = sum(self.in_basis)
-        q, h_tr = self.Q[:, :k], h[: self.n_train]
-        coef = q.T @ h_tr
-        v = h_tr - q @ coef
-        again = q.T @ v
-        v -= q @ again
+        r, v, col = self.R[:k, :k], h[:n].astype(np.float64), np.zeros(k)
+        hv = sum(hb.T @ v[rows] for rows, hb in self._blocks(basis, n))  # H_B^T h, exact
+        for correct in (True, False):  # the projection, then one correction pass
+            step = np.linalg.solve(r.T, hv)
+            col += step
+            x, hv = np.linalg.solve(r, step), np.zeros(k)
+            for rows, hb in self._blocks(basis, n):
+                v[rows] -= hb @ x
+                if correct:  # H_B^T v, for the correction pass
+                    hv += hb.T @ v[rows]
         norm = float(np.linalg.norm(v))
-        dependent = norm <= max(len(v), self.n_hidden) * np.finfo(float).eps * np.linalg.norm(h_tr)
+        dependent = norm <= max(n, self.n_hidden) * np.finfo(float).eps * np.linalg.norm(h[:n])
         self.in_basis.append(not dependent)
         if dependent:
             self.beta = np.vstack([self.beta, np.zeros((1, self.m))])
             return
-        self.Q[:, k] = v / norm
-        self.R[:k, k] = coef + again
-        self.R[k, k] = norm
-        self.qt[k] = self.Q[:, k] @ self.target[: self.n_train]
+        self.R[: k + 1, k] = np.append(col, norm)
+        self.qt[k] = v / norm @ self.target[:n]
         self.solve_readout()
 
     def remove_trailing(self, n: int) -> None:
@@ -367,12 +367,19 @@ class TrainState:
     # -- readout ---------------------------------------------------------
 
     def solve_readout(self) -> None:
-        """beta from R beta = Q^T target, then the residuals target - H beta."""
+        """beta from R beta = qt, then the residuals target - H beta."""
         k = sum(self.in_basis)
         self.beta = np.zeros((self.n_hidden, self.m))
         if k:
             self.beta[np.array(self.in_basis)] = np.linalg.solve(self.R[:k, :k], self.qt[:k])
-        self.resid = self.target - self.H[:, : self.n_hidden] @ self.beta
+        self.resid = np.vstack([self.target[rows] - hb @ self.beta
+                                for rows, hb in self._blocks(slice(0, self.n_hidden), len(self.H))])
+
+    def _blocks(self, cols, n: int):
+        """(rows, float64 copy of H[rows, cols]) over the first n rows, READOUT_ROWS at a time."""
+        for a in range(0, n, READOUT_ROWS):
+            rows = slice(a, min(a + READOUT_ROWS, n))
+            yield rows, self.H[rows, cols].astype(np.float64)
 
     def train_rmse(self) -> float:
         return _rmse(self.resid[: self.n_train])
@@ -409,10 +416,8 @@ def limb_layout(n: int) -> tuple[int, int, int]:
     """
     cap = 2**24 // n
     if cap < 2:
-        raise ValueError(
-            f"{n} training rows are too many for exact candidate scoring "
-            f"(at most {2**23})"
-        )
+        raise ValueError(f"{n} training rows are too many for exact candidate scoring "
+                         f"(at most {2**23})")
     step = cap.bit_length()
     return step, -(-LIMB_REACH // step), 1 + 28 // step
 
@@ -563,12 +568,11 @@ def add_node(state: TrainState) -> TrainRecord | None:
         best = int(np.argmax(scores))
         j = int(live[best])
 
-        one = slice(j, j + 1)
         # the work array holds only the last block: rebuild the accepted column h
         s = state.cur_in
-        h = threshold_bits(s, w[one], edge[one], np.empty((len(s), 1), np.float32))[:, 0]
+        h = threshold_bits(s, w[[j]], edge[[j]], np.empty((len(s), 1), np.float32))[:, 0]
         state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
-                          (2 * h - 1 if pm1 else h).astype(np.float64))
+                          (2 * h - 1 if pm1 else h).astype(np.int8))
         return TrainRecord(
             layer=layer,
             node=state.layer_sizes[-1],
@@ -607,18 +611,14 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
         events.append({"event": "l1_fit", "sweeps": fit.sweeps, "converged": fit.converged,
                        "objective": fit.objective, "constant_columns": fit.constant_columns})
         if not fit.converged:
-            warnings.warn(
-                f"the L1 mechanism fit stopped at its sweep cap ({fit.sweeps} sweeps) "
-                "without converging", stacklevel=2,
-            )
+            warnings.warn(f"the L1 mechanism fit stopped at its sweep cap ({fit.sweeps} sweeps) "
+                          "without converging", stacklevel=2)
     targets_out = _outside_q725(data.y[: data.n_train])
     intercepts_out = _outside_q725(state.mech.intercepts)
     if targets_out or intercepts_out:
-        warnings.warn(
-            f"{targets_out} training targets and {intercepts_out} mechanism intercepts "
-            "lie outside the Q7.25 range [-64, 64); emulated outputs will saturate",
-            stacklevel=2,
-        )
+        warnings.warn(f"{targets_out} training targets and {intercepts_out} mechanism intercepts "
+                      "lie outside the Q7.25 range [-64, 64); emulated outputs will saturate",
+                      stacklevel=2)
 
     for layer, size in enumerate(cfg.layer_sizes, start=1):
         state.begin_layer()
@@ -627,10 +627,8 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             rec = add_node(state)
             if rec is None:
                 if layer == 1 and j == 0:
-                    raise TrainingFailedError(
-                        "no acceptable candidate for the first node; "
-                        "relax the r schedule or enlarge t_max"
-                    )
+                    raise TrainingFailedError("no acceptable candidate for the first node; "
+                                              "relax the r schedule or enlarge t_max")
                 events.append({"event": "layer_stop", "layer": layer, "reason": "no_candidate"})
                 break
             records.append(rec)

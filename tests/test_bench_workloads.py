@@ -4,21 +4,26 @@ bench/workloads.py packs ScmNode lists with ScmLayer(activation, nodes) and
 writes them with model_to_bytes. This checks that the model it builds for
 run seed 1 still has the bytes recorded in bench/baseline.json, and that the
 file reads back to the same bytes, and pins the read path's integer results
-(encoded words and emulated outputs) on that case. It also checks that every function the
+(encoded words and emulated outputs) on that case. It pins what training gives on
+the first case of db2-desk and deep-mix, and bounds the memory that case takes to
+train. It also checks that every function the
 traced run (bench/run.py --trace 1) wraps still exists, and that each one records a span
 when a small training case runs through the benchmark's two steps.
 """
 
+import functools
 import hashlib
 import importlib
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scmfpga as s
+from scmfpga.train import TrainState
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -55,6 +60,61 @@ def test_eval_full_read_path_integers_match_the_pins(monkeypatch):
     assert hashlib.sha256(bits.words.tobytes()).hexdigest() == EVAL_FULL_WORDS_SHA256
     raw = np.ascontiguousarray(rep.outputs_fpga_raw, dtype="<i4")
     assert hashlib.sha256(raw.tobytes()).hexdigest() == EVAL_FULL_FPGA_RAW_SHA256
+
+
+# sha256 of the model file without its float sidecar and of log_text() for case
+# 0 of each training workload at run seed 1. Neither depends on the BLAS build,
+# so a change to the readout or to candidate scoring cannot change which nodes
+# the 3200-row cases accept.
+TRAIN_PINS = {
+    "db2-desk": ("360072bdc38f65995f27b9d8336b096f8f2632d5331ee84cc0f9fb5863402db8",
+                 "8de784fdf4231319d0b4a6fba000a05b8e3581dce1f5e4d91c5f920a097e670e"),
+    "deep-mix": ("14422c393af1a34c4828bcb166b30377475b9ae86eb0a12f6adde718d8e0b88b",
+                 "5d7db0c962b57fcb6aecd6f9c8357a63fdaad2745ccec8b1a7773d3a8eb03520"),
+}
+
+
+@functools.cache
+def _first_case(name: str) -> tuple[s.TrainData, s.TrainConfig]:
+    """The TrainData and config of a workload's first case at run seed 1."""
+    workloads = importlib.import_module("workloads")
+    wl = workloads.WORKLOADS[name]
+    case = wl.setup(wl.case_seeds(1)[0])
+    data = s.prepare_train_data(case.x_train, case.y_train, case.x_val, case.y_val, case.spec)
+    return data, case.cfg
+
+
+@functools.cache
+def _traced_training(name: str) -> tuple[s.TrainResult, int]:
+    """train on the first case, and the peak bytes that tracemalloc saw it allocate."""
+    data, cfg = _first_case(name)
+    tracemalloc.start()
+    try:
+        result = s.train(data, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_PINS))
+def test_the_first_training_case_matches_the_pins(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH))
+    result, _ = _traced_training(name)
+    model_sha, log_sha = TRAIN_PINS[name]
+    assert hashlib.sha256(s.model_to_bytes(result.model, include_floats=False)).hexdigest() \
+        == model_sha
+    assert hashlib.sha256(result.log_text().encode()).hexdigest() == log_sha
+
+
+def test_training_the_first_desk_case_holds_hidden_outputs_as_int8(monkeypatch):
+    # 3200 + 800 rows by 60 nodes: a float64 H and its float64 Gram-Schmidt
+    # basis took 3.7 MB of a 6.44 MiB traced peak; int8 H and no basis take
+    # about 3.8 MiB
+    monkeypatch.syspath_prepend(str(BENCH))
+    _, peak = _traced_training("db2-desk")
+    assert peak <= 5 * 2**20
+    assert TrainState(*_first_case("db2-desk")).H.dtype == np.int8
 
 
 def test_trace_targets_name_package_functions(monkeypatch):

@@ -125,3 +125,12 @@ def test_bit_matrix_from01_matches_rows(n, count, seed):
     assert np.array_equal(m.words, BitMatrix.from_rows(rows, n).words)
     assert np.array_equal(m.to01(), a01)
     assert list(m) == rows
+
+
+def test_a_bit_matrix_and_its_row_slices_refuse_rebinding():
+    m = BitMatrix.from01(np.eye(3, dtype=np.uint8))
+    for part in (m, m[1:]):
+        for name in ("words", "n"):
+            with pytest.raises(AttributeError, match="cannot be rebound"):
+                setattr(part, name, getattr(part, name))
+    assert m[1:].n == 3 and np.array_equal(m[1:].to01(), np.eye(3)[1:])

@@ -179,7 +179,7 @@ def test_layers_are_built_from_arrays_outside_the_benchmark_path():
 QUANTIZE_CALLERS = {
     "mechanism.py": {"MechanismModel.__post_init__"},  # the mechanism's raw values
     "model.py": {"ScmLayer._hold"},  # a layer's raw readouts
-    "modelfile.py": {"_value_pair"},  # a JSON float given alone
+    "modelfile.py": {"_bias_pair"},  # a JSON bias given alone (a layer keeps only raws)
     "train.py": {"add_node"},  # the candidates' bias draws
 }
 

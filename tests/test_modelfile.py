@@ -12,6 +12,7 @@ from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.encoding import parse_encoding
 from scmfpga.errors import ModelFormatError
 from scmfpga.evaluate import evaluate_bits
+from scmfpga.linalg import lasso_fit
 from scmfpga.mechanism import signals_pm1
 from scmfpga.model import (
     Activation,
@@ -275,6 +276,29 @@ def test_a_built_model_cannot_be_edited():
             setattr(part, name, getattr(part, name))
     assert isinstance(model.layers, tuple)
     assert model_to_bytes(model) == blob == model_to_bytes(model_from_bytes(blob))
+
+
+def test_a_layer_weight_words_cannot_be_rebound():
+    model = _model()
+    blob, w = model_to_bytes(model), model.layers[0].w
+    with pytest.raises(AttributeError, match="cannot be rebound"):
+        w.words = np.zeros_like(w.words)
+    with pytest.raises(AttributeError, match="cannot be rebound"):
+        w.n = w.n + 1
+    assert model_to_bytes(model) == blob
+
+
+def test_two_loads_of_one_file_compare_without_raising():
+    # the fields hold arrays, so == is identity, not an ambiguous array test
+    blob = model_to_bytes(_model())
+    a, b = model_from_bytes(blob), model_from_bytes(blob)
+    assert a == a and a != b
+    assert ScmModel(a.encoding, a.mechanism, a.layers, a.n_outputs) != a  # the same parts
+    assert a.mechanism == a.mechanism and a.mechanism != b.mechanism
+    assert len({a, b, a.mechanism, b.mechanism}) == 4
+    x, y = np.eye(4), np.arange(4.0)[:, None]
+    fit = lasso_fit(x, y, 0.1)
+    assert fit == fit and fit != lasso_fit(x, y, 0.1)
 
 
 def _from_arrays(**change):

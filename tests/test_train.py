@@ -708,7 +708,7 @@ def _check_readout(state, before):
     """The QR readout against the lstsq oracle, and the residuals against beta.
 
     A dependent column gets readout 0, so the oracle fits only the columns
-    that own a basis vector; it fits the training rows, the first n_train.
+    that have a column of R; it fits the training rows, the first n_train.
     `before` is the residual of the previous state, on every row, or None;
     after a dependent append the residuals must be exactly those.
     """
@@ -794,10 +794,10 @@ def test_a_dependent_column_gets_readout_zero():
     assert state.finalize().layer_sizes == (3,)
 
 
-def test_reorthogonalization_keeps_q_orthonormal():
+def test_an_ill_conditioned_column_sequence_matches_the_lstsq_oracle():
     # column i is one +-1 column with its first i rows flipped, so each new
-    # column is mostly the span of the others; one Gram-Schmidt pass alone
-    # leaves Q^T Q off the identity by about 7e-11 here
+    # column is mostly the span of the others; the readout's correction pass
+    # keeps beta at the oracle and the residuals at target - H beta
     n = 3200
     data = _toy_data(seed=17, n_train=n, n_val=10)
     state = TrainState(data, TrainConfig.single_layer(12, use_mechanism=False))
@@ -808,8 +808,6 @@ def test_reorthogonalization_keeps_q_orthonormal():
         col[:i] *= -1.0
         state.append_node((np.ones(6, np.uint8), 0, 0), np.concatenate([col, np.ones(10)]))
     assert state.in_basis.count(False) == 0
-    q = state.Q[:, :12]
-    assert np.max(np.abs(q.T @ q - np.eye(12))) <= 1e-12
     _check_readout(state, None)
 
 
