@@ -5,25 +5,26 @@ eps singular-value cutoff). It gives the L1 fit its warm start and is the
 test oracle of the readout, which training keeps as the growing triangle R
 of a QR, without its basis (train.TrainState). The L1 solver minimizes
 
-    sum_j (y_j - x_j . p)**2 + alpha * sum_k |p_k|
+    sum_j (y_j - u - x_j . p)**2 + alpha * sum_k |p_k|
 
-per output column, after removing the column-mean intercept. The residual
-term is an unnormalized sum of squares, so the soft threshold for a
-coordinate with squared column norm G_kk is alpha / (2 * G_kk).
+per output column, with an unpenalized intercept u = mean(y) - mean(x) . p,
+so p fits the centred targets on the centred columns. The soft threshold
+for a coordinate with centred squared column norm G_kk is alpha / (2 G_kk).
 
 It is cyclic coordinate descent in the covariance form of Friedman, Hastie
 and Tibshirani (2010, "Regularization paths for generalized linear models
-via coordinate descent", JSS 33(1)): G = X^T X and c = X^T y are formed
-once and q = G p is kept up to date, so a coordinate step costs O(d), not
-O(N). The sweeps start from the minimum-norm least-squares solution, not
-from zero: with a small alpha against a sum over thousands of rows the
-optimum lies close to least squares, while the strongly collinear
-thermometer columns of the encoded inputs make descent from zero crawl for
-thousands of sweeps.
+via coordinate descent", JSS 33(1)): the centred Gram G = X^T X - s s^T / N
+(s the column sums) and c = X^T (y - mean(y)) are formed once and q = G p
+is kept up to date, so a step costs O(d), not O(N). On +-1 entries G is
+rounded once, and a constant column's row of G is exactly zero: it gets
+coefficient 0 and no steps. The sweeps start from the minimum-norm solution
+of G p = c, not from zero: the optimum lies close to least squares, and the
+collinear thermometer columns of encoded inputs make descent crawl.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,10 @@ def least_squares(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return beta
 
 
-def lasso_objective(x: np.ndarray, y_centered: np.ndarray, p: np.ndarray, alpha: float) -> float:
-    """Unnormalized L1 objective summed over output columns."""
-    resid = y_centered - x @ p
+def lasso_objective(x: np.ndarray, y: np.ndarray, p: np.ndarray, u: np.ndarray,
+                    alpha: float) -> float:
+    """Unnormalized L1 objective with intercepts u, summed over output columns."""
+    resid = y - x @ p - u
     return float(np.sum(resid * resid) + alpha * np.sum(np.abs(p)))
 
 
@@ -78,10 +80,9 @@ class LassoFit:
     """Result of lasso_fit: coefficients p and intercepts u.
 
     `sweeps` is the largest sweep count over the output columns, `converged`
-    says every column met the tolerance within the sweep cap, and
-    `objective` is lasso_objective at the returned coefficients.
-    `constant_columns` counts the design columns with zero range; each one
-    makes coordinate descent need many more sweeps.
+    says every column met the tolerance within the sweep cap, `objective` is
+    lasso_objective at p and u, and `constant_columns` counts the columns
+    whose centred Gram diagonal is zero (coefficient 0, no sweeps).
     """
 
     p: np.ndarray  # (d, m)
@@ -103,11 +104,11 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
 
     Returns
     -------
-    A LassoFit: u[i] is the mean of y[:, i] and p is the (d, m) coefficient
-    matrix fit on the mean-centered targets by cyclic coordinate descent from
-    the least-squares solution. A column has converged when the largest
-    coefficient change in a sweep is below LASSO_TOL; it gives up after
-    LASSO_MAX_SWEEPS sweeps.
+    A LassoFit. p is the (d, m) coefficient matrix fit on the centred
+    columns and targets by cyclic coordinate descent from the least-squares
+    solution, and u[i] = mean(y[:, i]) - s . p[:, i] / N, s the column sums.
+    A column has converged when the largest coefficient change in a sweep is
+    below LASSO_TOL; it gives up after LASSO_MAX_SWEEPS sweeps.
     """
     x = _as_2d(x, "X")
     y = _as_2d(y, "Y")
@@ -120,12 +121,13 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
         raise ValueError(f"row mismatch: X has {n} rows, Y has {y.shape[0]}")
     m = y.shape[1]
 
-    u = y.mean(axis=0)
-    yc = y - u
-    g = x.T @ x
-    c = x.T @ yc
+    y_mean = y.mean(axis=0)
+    s = x.sum(axis=0)
+    g = (n * (x.T @ x) - np.outer(s, s)) / n  # the centred Gram, rounded once
+    c = x.T @ (y - y_mean)
     diag = np.diag(g).tolist()
-    p = np.array(least_squares(x, yc), order="F")  # warm start; columns are views
+    p = np.array(least_squares(g, c), order="F")  # warm start; columns are views
+    p[np.diag(g) == 0.0] = 0.0  # constant columns: the SVD leaves rounding noise
     sweep = sweeps = 0
     converged = True
     for out in range(m):
@@ -150,5 +152,5 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
         else:
             converged = False
         sweeps = max(sweeps, sweep)
-    constant = int(np.count_nonzero(np.ptp(x, axis=0) == 0))
-    return LassoFit(p, u, sweeps, converged, lasso_objective(x, yc, p, alpha), constant)
+    u = np.array([y_mean[i] - math.fsum(s * p[:, i]) / n for i in range(m)])
+    return LassoFit(p, u, sweeps, converged, lasso_objective(x, y, p, u, alpha), diag.count(0.0))

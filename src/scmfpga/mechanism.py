@@ -75,9 +75,8 @@ def signals_pm1(bits: BitMatrix) -> np.ndarray:
 def fit_mechanism(s: np.ndarray, y: np.ndarray, alpha: float) -> MechanismModel:
     """L1-fit the linear term on the (N, d_enc) +-1 matrix of encoded rows.
 
-    `s` is signals_pm1 of the encoded rows. Intercepts are the target column
-    means. The model keeps the LassoFit (sweeps, convergence, objective) as
-    `fit`.
+    `s` is signals_pm1 of the encoded rows; the intercepts are the lasso's own,
+    mean(y) - mean(s) . weights. The model keeps the LassoFit as `fit`.
     """
     fit = lasso_fit(s, y, alpha)
     return MechanismModel(fit.p, fit.u, SOURCE_LASSO, alpha, fit)

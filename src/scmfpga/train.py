@@ -217,15 +217,11 @@ def early_stop_check(val_errors: Sequence[float], l_step: int, tau: float) -> in
     # a zero validation error cannot improve further, so it always stops
     if last > 0.0 and (val_errors[-1 - l_step] - last) / last > tau:
         return None
-    keep = n
-    while keep >= 2:
-        cur = val_errors[keep - 1]
-        prev = val_errors[keep - 2]
-        improved = (prev - cur) / cur > tau if cur > 0.0 else prev > cur
-        if improved:
-            break
-        keep -= 1
-    return n - keep
+    for keep in range(n, 1, -1):
+        prev, cur = val_errors[keep - 2], val_errors[keep - 1]
+        if (prev - cur) / cur > tau if cur > 0.0 else prev > cur:
+            return n - keep
+    return n - 1
 
 
 def _outside_q725(values: np.ndarray) -> int:
@@ -487,10 +483,11 @@ def add_node(state: TrainState) -> TrainRecord | None:
     its layer (counted from 1) and its position in that layer; the node itself
     is state.nodes[-1]. Returns None when the whole r schedule is exhausted.
 
-    Rows are scored by decreasing max_q e_q**2 / <e_q, e_q> (stable; by |e|
-    when m is 1). After each block but the last, a candidate is dropped when
-    for some q a bound on its score, however the unscored rows go, is <=
-    (1 - r) <e_q, e_q> (1 - 1e-9). STEP: g = 2 e^T bit - sum(e) from the bits
+    Rows are scored by decreasing max_q e_q**2 / <e_q, e_q> (by |e| when m is
+    1) to 8 significant bits, the high half of its float32: a uint16 key that
+    the stable sort radix-sorts. After each block but the last, a candidate is
+    dropped when for some q a bound on its score, however the unscored rows
+    go, is <= (1 - r) <e_q, e_q> (1 - 1e-9). STEP: g = 2 e^T bit - sum(e) from the bits
     so far counts every unscored row as h = -1, so <e_q, h> ends within S of
     g + U, U and S the unscored sums of e_q and |e_q|, and the score is at
     most (|g + U| + S)**2 / N. SIGN: with dot d and count c so far,
@@ -509,8 +506,8 @@ def add_node(state: TrainState) -> TrainRecord | None:
     t, m = cfg.t_max, state.m
     e = state.resid[:n]
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
-    order = np.argsort(-np.divide(e * e, ee, out=np.zeros_like(e), where=ee > 0).max(axis=1),
-                       kind="stable")
+    share = np.divide(e * e, ee, out=np.zeros_like(e), where=ee > 0).max(axis=1).astype(np.float32)
+    order = np.argsort(~(share.view(np.uint32) >> 16).astype(np.uint16), kind="stable")
     e = e[order]
     limbs = ResidualLimbs(e)
     # every index is valid, and "clip" writes into out without a temporary copy
@@ -627,8 +624,9 @@ def train(data: TrainData, cfg: TrainConfig) -> TrainResult:
             rec = add_node(state)
             if rec is None:
                 if layer == 1 and j == 0:
-                    raise TrainingFailedError("no acceptable candidate for the first node; "
-                                              "relax the r schedule or enlarge t_max")
+                    why = "; the mechanism may leave nothing a node can fit" * cfg.use_mechanism
+                    raise TrainingFailedError("no acceptable candidate for the first node; relax "
+                                              f"the r schedule or enlarge t_max{why}")
                 events.append({"event": "layer_stop", "layer": layer, "reason": "no_candidate"})
                 break
             records.append(rec)

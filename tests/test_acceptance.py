@@ -325,9 +325,10 @@ def test_criterion_10_solver_oracles():
 
     x = rng.choice([-1.0, 1.0], size=(60, 8))
     y = rng.normal(size=(60, 2))
-    p = s.lasso_fit(x, y, alpha=0.0).p
-    ols = s.least_squares(x, y - y.mean(axis=0))
-    ok &= float(np.max(np.abs(p - ols))) < 1e-6
+    fit = s.lasso_fit(x, y, alpha=0.0)
+    ols = s.least_squares(x - x.mean(axis=0), y - y.mean(axis=0))  # the centred problem
+    ok &= float(np.max(np.abs(fit.p - ols))) < 1e-6
+    ok &= float(np.max(np.abs(fit.u - (y.mean(axis=0) - x.mean(axis=0) @ ols)))) < 1e-6
 
     worst = 0.0
     for _ in range(50):

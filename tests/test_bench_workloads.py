@@ -5,8 +5,8 @@ writes them with model_to_bytes. This checks that the model it builds for
 run seed 1 still has the bytes recorded in bench/baseline.json, and that the
 file reads back to the same bytes, and pins the read path's integer results
 (encoded words and emulated outputs) on that case. It pins what training gives on
-the first case of db2-desk and deep-mix, and bounds the memory that case takes to
-train. It also checks that every function the
+the first case of db2-desk and deep-mix, bounds the memory that case takes to
+train and the sweeps its L1 fit takes. It also checks that every function the
 traced run (bench/run.py --trace 1) wraps still exists, and that each one records a span
 when a small training case runs through the benchmark's two steps.
 """
@@ -67,8 +67,8 @@ def test_eval_full_read_path_integers_match_the_pins(monkeypatch):
 # so a change to the readout or to candidate scoring cannot change which nodes
 # the 3200-row cases accept.
 TRAIN_PINS = {
-    "db2-desk": ("360072bdc38f65995f27b9d8336b096f8f2632d5331ee84cc0f9fb5863402db8",
-                 "8de784fdf4231319d0b4a6fba000a05b8e3581dce1f5e4d91c5f920a097e670e"),
+    "db2-desk": ("6554ef66ec7fe325c39d205a063a7554c49e3e54fcf99d6948deabaeb6b31b37",
+                 "0c0ae76fe8e02b039f15010d5102a86ece2d9f6fc440328820481b9f916c7459"),
     "deep-mix": ("14422c393af1a34c4828bcb166b30377475b9ae86eb0a12f6adde718d8e0b88b",
                  "5d7db0c962b57fcb6aecd6f9c8357a63fdaad2745ccec8b1a7773d3a8eb03520"),
 }
@@ -115,6 +115,17 @@ def test_training_the_first_desk_case_holds_hidden_outputs_as_int8(monkeypatch):
     _, peak = _traced_training("db2-desk")
     assert peak <= 5 * 2**20
     assert TrainState(*_first_case("db2-desk")).H.dtype == np.int8
+
+
+def test_the_first_desk_case_fits_the_mechanism_in_few_sweeps(monkeypatch):
+    # the slow desk case: its constant integer-bit column took 937 sweeps when
+    # the L1 fit centred the targets but not the columns; sweeps do not
+    # depend on timing
+    monkeypatch.syspath_prepend(str(BENCH))
+    result, _ = _traced_training("db2-desk")
+    (fit,) = [ev for ev in result.events if ev["event"] == "l1_fit"]
+    assert fit["converged"] and fit["constant_columns"] == 1
+    assert fit["sweeps"] <= 20
 
 
 def test_trace_targets_name_package_functions(monkeypatch):

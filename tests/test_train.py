@@ -63,6 +63,13 @@ def _column_node(state, k=-1):
 
 
 def _toy_data(seed=0, n_train=80, n_val=20, spec="density:6", noise=0.05):
+    """One feature, y = 0.3 sin(2 pi x) + 0.5 plus noise.
+
+    density:6 gives seven codes, which the mechanism's six columns and its
+    intercept span: with the mechanism on nothing is left for a node to fit
+    (test_a_mechanism_that_spans_every_code_leaves_no_first_node). Tests
+    that train nodes with the mechanism on use s2v1.
+    """
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n_train + n_val, 1))
     y = np.sin(2 * np.pi * x) * 0.3 + 0.5 + rng.normal(scale=noise, size=x.shape)
@@ -192,7 +199,7 @@ def test_add_node_zero_residual_rejects_everything():
 
 
 def test_add_node_accepts_only_positive_xi_and_residual_drops():
-    data = _toy_data(seed=1)
+    data = _toy_data(seed=1, spec="s2v1")
     cfg = TrainConfig.single_layer(8, Activation.STEP, t_max=100, seed=1)
     state = TrainState(data, cfg)
     state.begin_layer()
@@ -210,7 +217,7 @@ def test_add_node_accepts_only_positive_xi_and_residual_drops():
 
 
 def test_add_node_xi_recheck_from_parameters():
-    data = _toy_data(seed=2)
+    data = _toy_data(seed=2, spec="s2v1")
     cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=200, seed=2)
     state = TrainState(data, cfg)
     state.begin_layer()
@@ -811,17 +818,38 @@ def test_an_ill_conditioned_column_sequence_matches_the_lstsq_oracle():
     _check_readout(state, None)
 
 
+def test_a_near_exact_fit_of_near_collinear_columns_needs_the_correction_pass():
+    # column i is one +-1 column with row i - 1 flipped, so the 40 columns are
+    # nearly collinear (cond(R) about 1.1e3), and the target lies in their span
+    # up to 1e-6 noise. Without append_node's correction pass the seminormal
+    # equations miss the oracle by about 1e-11, above 2**-40; with it, by 1e-13
+    n, k = 3200, 40
+    data = _toy_data(seed=17, n_train=n, n_val=10)
+    rng = np.random.default_rng(17)
+    cols = np.ones((n + 10, k), np.int8)
+    cols[:n] = rng.choice([-1, 1], size=(n, 1))
+    cols[np.arange(k - 1), np.arange(1, k)] *= -1
+    data.y[:, 0] = cols @ rng.uniform(-1.0, 1.0, size=k) + rng.normal(scale=1e-6, size=n + 10)
+    state = TrainState(data, TrainConfig.single_layer(k, use_mechanism=False))
+    state.begin_layer()
+    for i in range(k):
+        state.append_node((np.ones(6, np.uint8), 0, 0), cols[:, i])
+    assert state.in_basis.count(False) == 0 and np.linalg.cond(state.R[:k, :k]) > 1e3
+    _check_readout(state, None)
+
+
 @pytest.mark.parametrize("use_mechanism, calls", [(True, 1), (False, 0)])
 def test_training_solves_least_squares_only_for_the_lasso_warm_start(
     monkeypatch, use_mechanism, calls
 ):
-    # the readout is an incremental QR; a per-node solve would show up here
+    # the readout is an incremental QR; a per-node solve would show up here.
+    # The warm start solves the d x d centred Gram, not the N x d design
     orig = scmfpga.linalg.least_squares
     seen = []
 
-    def counted(*args, **kwargs):
-        seen.append(1)
-        return orig(*args, **kwargs)
+    def counted(h, t):
+        seen.append(h.shape)
+        return orig(h, t)
 
     for name, mod in list(sys.modules.items()):
         if name == "scmfpga" or name.startswith("scmfpga."):
@@ -832,7 +860,8 @@ def test_training_solves_least_squares_only_for_the_lasso_warm_start(
                       t_max=200, use_mechanism=use_mechanism, seed=16, tau=-1.0)
     result = train(data, cfg)
     assert len(result.records) == 13
-    assert len(seen) == calls
+    d = data.bits.n
+    assert seen == [(d, d)] * calls
 
 
 # -- full training ---------------------------------------------------------
@@ -865,6 +894,35 @@ def test_train_zero_residual_fails():
     cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=20, seed=0)
     with pytest.raises(TrainingFailedError):
         train(data, cfg)
+
+
+def _per_code_rms(data):
+    """The rms of the mechanism's training residual, and after removing its mean per input code."""
+    n = data.n_train
+    resid = TrainState(data, TrainConfig.single_layer(1)).resid[:n, 0]
+    _, code = np.unique(data.bits[:n].to01(), axis=0, return_inverse=True)
+    means = np.bincount(code, resid) / np.bincount(code)
+    return np.sqrt(np.mean(resid * resid)), np.sqrt(np.mean((resid - means[code]) ** 2))
+
+
+def test_a_mechanism_that_spans_every_code_leaves_no_first_node():
+    # density:6 on one feature has seven codes; six +-1 thermometer columns and
+    # the intercept span every function of them, so the mechanism's residual
+    # is orthogonal to every candidate: up to the L1 penalty's shrinkage, its
+    # per-code means are zero and removing them leaves its rms as it is.
+    # s2v1's columns do not span its codes, which is why the tests that train
+    # nodes with the mechanism on use it
+    before, after = _per_code_rms(_toy_data())
+    assert after == pytest.approx(before, rel=1e-8)
+    before, after = _per_code_rms(_toy_data(spec="s2v1"))
+    assert after < 0.7 * before
+    data = _toy_data()
+    cfg = TrainConfig.single_layer(3, Activation.STEP, t_max=100, seed=0)
+    with pytest.raises(TrainingFailedError, match="the mechanism may leave nothing"):
+        train(data, cfg)
+    off = train(data, TrainConfig.single_layer(3, Activation.STEP, t_max=100,
+                                               use_mechanism=False, seed=0))
+    assert off.model.layer_sizes[0] >= 1
 
 
 def test_records_count_nodes_from_1_within_each_layer():
@@ -900,7 +958,7 @@ def test_train_planted_node_recovered():
 
 
 def test_train_residual_monotone():
-    data = _toy_data(seed=5)
+    data = _toy_data(seed=5, spec="s2v1")
     cfg = TrainConfig.single_layer(10, Activation.STEP, t_max=100, seed=5, tau=-1.0)
     result = train(data, cfg)
     rmses = [r.train_rmse for r in result.records]
@@ -909,7 +967,7 @@ def test_train_residual_monotone():
 
 
 def test_train_rollback_path():
-    data = _toy_data(seed=6)
+    data = _toy_data(seed=6, spec="s2v1")
     cfg = TrainConfig.single_layer(10, Activation.STEP, t_max=100, seed=6, l_step=2, tau=1e9)
     result = train(data, cfg)
     assert any(ev["event"] == "early_stop" for ev in result.events)
@@ -972,7 +1030,7 @@ def test_train_reports_an_l1_fit_at_its_sweep_cap(monkeypatch):
 
 
 def test_train_counts_saturated_bias_draws():
-    data = _toy_data(seed=11)
+    data = _toy_data(seed=11, spec="s2v1")
     for pool, clamps in [((1, 2, 4), False), ((128,), True)]:
         cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, lambda_pool=pool, seed=11)
         ev = train(data, cfg).events[-1]
@@ -982,7 +1040,7 @@ def test_train_counts_saturated_bias_draws():
 
 
 def test_finalize_counts_saturated_readouts():
-    data = _toy_data(seed=12)
+    data = _toy_data(seed=12, spec="s2v1")
     cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, seed=12)
     state = TrainState(data, cfg)
     state.begin_layer()
@@ -1035,7 +1093,7 @@ def test_eval_report_says_whether_the_bound_applies(normalize):
 
 
 def test_train_determinism():
-    data = _toy_data(seed=8)
+    data = _toy_data(seed=8, spec="s2v1")
     cfg = TrainConfig.single_layer(6, Activation.STEP, t_max=50, seed=8)
     m1 = train(data, cfg).model
     m2 = train(data, cfg).model
@@ -1044,8 +1102,8 @@ def test_train_determinism():
 
 @pytest.mark.parametrize("spec, cfg, model_sha, records_sha", [
     ("s1:3", TrainConfig.single_layer(12, Activation.STEP, seed=2),
-     "6047f6965f36e67465d9c88dd4bf56e3bccc696aa27ac6365629c8fc7ce9e9d3",
-     "434db224e0a9f7e2d662bdbfe6d1bae8ef202bb319aece8bc8f78470ebde9005"),
+     "0a242a91838d79320d325bfefdebca233da6d901778f1fb5d7675466e14de1ea",
+     "32fa11f0a5c7af17ff8b0a7987d3f3ac06f1adf0bf209e728af847e075861e83"),
     ("s1:4", TrainConfig((6, 6, 6), (Activation.STEP, Activation.SIGN, Activation.STEP),
                          use_mechanism=False, seed=2),
      "1a0a0b93a3f02ebf73cff952196500757ae67b057d91d7bfaf15699fa96c001f",
@@ -1105,7 +1163,7 @@ def test_raw_model_and_records_do_not_depend_on_the_blas_build():
 
 
 def test_train_quantization_delta_bound():
-    data = _toy_data(seed=9)
+    data = _toy_data(seed=9, spec="s2v1")
     cfg = TrainConfig.single_layer(8, Activation.STEP, t_max=100, seed=9)
     model = train(data, cfg).model
     from scmfpga.emulate import predict_fpga
