@@ -16,10 +16,11 @@ and Tibshirani (2010, "Regularization paths for generalized linear models
 via coordinate descent", JSS 33(1)): the centred Gram G = X^T X - s s^T / N
 (s the column sums) and c = X^T (y - mean(y)) are formed once and q = G p
 is kept up to date, so a step costs O(d), not O(N). On +-1 entries G is
-rounded once, and a constant column's row of G is exactly zero: it gets
-coefficient 0 and no steps. The sweeps start from the minimum-norm solution
-of G p = c, not from zero: the optimum lies close to least squares, and the
-collinear thermometer columns of encoded inputs make descent crawl.
+rounded once. A constant column (zero range) gets its row and column of G
+set to zero, so coefficient 0 and no steps; on +-1 entries they are exactly
+zero already. The sweeps start from the minimum-norm solution of G p = c,
+not from zero: the optimum lies close to least squares, and the collinear
+thermometer columns of encoded inputs make descent crawl.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
     s = x.sum(axis=0)
     g = (n * (x.T @ x) - np.outer(s, s)) / n  # the centred Gram, rounded once
     c = x.T @ (y - y_mean)
+    # a constant column centres to zero, but off +-1 its products need not cancel
+    constant = np.ptp(x, axis=0) == 0
+    g[constant] = g[:, constant] = 0.0
     diag = np.diag(g).tolist()
     p = np.array(least_squares(g, c), order="F")  # warm start; columns are views
     p[np.diag(g) == 0.0] = 0.0  # constant columns: the SVD leaves rounding noise

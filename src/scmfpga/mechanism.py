@@ -64,11 +64,11 @@ class MechanismModel:
         return self.weights.shape[1]
 
 
-def signals_pm1(bits: BitMatrix) -> np.ndarray:
-    """The (N, d_enc) float64 -1/+1 matrix of encoded rows."""
-    s = bits.to01().astype(np.float64)
-    s *= 2.0
-    s -= 1.0
+def signals_pm1(bits: BitMatrix, dtype=np.float64) -> np.ndarray:
+    """The (N, d_enc) -1/+1 matrix of encoded rows, in dtype (a float type)."""
+    s = bits.to01().astype(dtype)
+    s *= 2
+    s -= 1
     return s
 
 

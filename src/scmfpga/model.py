@@ -222,7 +222,7 @@ def layer_forward_float(layer: ScmLayer) -> Callable[[np.ndarray], np.ndarray]:
     next layer: {0,1} after SIGN, {-1,+1} after STEP (exact in float32). Raises
     ValueError when the fan-in is too wide for threshold_bits (check_fan_in)."""
     check_fan_in(layer.fan_in)
-    w = signals_pm1(layer.w).astype(np.float32)
+    w = signals_pm1(layer.w, np.float32)
     edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.float32)
     step = layer.activation == Activation.STEP
 

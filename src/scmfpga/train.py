@@ -36,10 +36,10 @@ Dropped candidates could not have passed, so the decisions are unchanged.
 
 TrainData holds the encoded training rows and then the validation rows in one
 BitMatrix. TrainState(data, cfg) keeps its inputs, so add_node(state),
-begin_layer() and finalize() take no others; it builds the +-1 signal matrix
-once, fits the mechanism on its training rows, and keeps each accepted node's
-0/1 weight row, scale code and raw bias; add_node returns the node's
-TrainRecord, which train logs as is.
+begin_layer() and finalize() take no others; it fits the mechanism on its
+training rows, builds the float32 +-1 signal matrix once, and keeps each
+accepted node's 0/1 weight row, scale code and raw bias; add_node returns the
+node's TrainRecord, which train logs as is.
 """
 
 from __future__ import annotations
@@ -247,9 +247,11 @@ class TrainState:
     cfg.seed, the targets and residuals, the hidden-output columns for the
     global readout refit with each column's node, the layer sizes, the signals
     feeding the layer under construction (contiguous float32, made once per
-    layer, and a buffer for add_node's row order), and the (SCORE_ROWS, t_max)
-    candidate work array. Rows are in TrainData's order; R, the L1 fit and
-    candidate scoring read [:n_train].
+    layer, and a (SCORE_ROWS, fan_in) buffer that add_node gathers each
+    scored block's rows into), and the (SCORE_ROWS, t_max) candidate work
+    array. Only the L1 fit and its targets read float64 -1/+1 signals. Rows
+    are in TrainData's order; R, the L1 fit and candidate scoring read
+    [:n_train].
 
     The hidden outputs live in an int8 (N + K, capacity) array H (entries
     +-1 or 0/1) whose first n_hidden columns are in use; the capacity starts
@@ -284,13 +286,14 @@ class TrainState:
         # 0/1 threshold bits; allocated before the L1 fit, so a t_max too large
         # to hold fails at once
         self.work = np.empty((SCORE_ROWS, cfg.t_max) if cfg.layer_sizes else (0, 0), np.float32)
-        # float64 -1/+1 inputs, needed only while the state is built
-        s1 = signals_pm1(data.bits)
         if cfg.use_mechanism:
+            s1 = signals_pm1(data.bits)  # dropped before the float32 signals are built
             self.mech = fit_mechanism(s1[:n], data.y[:n], cfg.alpha)
+            self.target = data.y - mech_eval_float_batch(s1, self.mech)
+            del s1
         else:
-            self.mech = external_mechanism(np.zeros((s1.shape[1], self.m)), np.zeros(self.m))
-        self.target = data.y - mech_eval_float_batch(s1, self.mech)
+            self.mech = external_mechanism(np.zeros((data.bits.n, self.m)), np.zeros(self.m))
+            self.target = data.y  # the zero mechanism would subtract exactly +0.0
         # a C-order column write touches every row, so a large configured
         # node count is not allocated up front
         capacity = min(max(1, sum(cfg.layer_sizes)), 64)
@@ -304,7 +307,7 @@ class TrainState:
         self.resid = self.target.copy()
         self.layer_sizes: list[int] = []  # layer k has activation cfg.activations[k]
         # entries are -1, 0 or +1, so float32 holds them and every dot exactly
-        self.cur_in = s1.astype(np.float32)
+        self.cur_in = signals_pm1(data.bits, np.float32)
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
 
@@ -315,7 +318,7 @@ class TrainState:
         if self.layer_sizes:
             cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
             self.cur_in = np.ascontiguousarray(self.H[:, cols], np.float32)
-        self.in_ordered = np.empty((self.n_train, self.cur_in.shape[1]), np.float32)
+        self.block_in = np.empty((SCORE_ROWS, self.cur_in.shape[1]), np.float32)
         self.layer_sizes.append(0)
 
     def append_node(self, node: tuple, h: np.ndarray) -> None:
@@ -510,8 +513,6 @@ def add_node(state: TrainState) -> TrainRecord | None:
     order = np.argsort(~(share.view(np.uint32) >> 16).astype(np.uint16), kind="stable")
     e = e[order]
     limbs = ResidualLimbs(e)
-    # every index is valid, and "clip" writes into out without a temporary copy
-    s_tr = np.take(state.cur_in, order, axis=0, out=state.in_ordered, mode="clip")
     # what the rows after each block can still add, and the least value the
     # bound can take then: no check is made while that passes every limit
     starts = np.arange(0, n, SCORE_ROWS)
@@ -537,7 +538,10 @@ def add_node(state: TrainState) -> TrainRecord | None:
         for b, a in enumerate(starts):
             blk = slice(a, min(a + SCORE_ROWS, n))
             work = state.work.reshape(-1)[: (blk.stop - a) * live.size].reshape(-1, live.size)
-            sums += limbs.lhs[:, blk] @ threshold_bits(s_tr[blk], w_live, edge_live, work)
+            # every index is valid, and "clip" writes into out without a temporary copy
+            s_blk = np.take(state.cur_in, order[blk], axis=0, out=state.block_in[: blk.stop - a],
+                            mode="clip")
+            sums += limbs.lhs[:, blk] @ threshold_bits(s_blk, w_live, edge_live, work)
             if blk.stop == n or not (floor[b] <= limit).any():
                 continue
             eh, count = limbs.dots(sums, pm1)

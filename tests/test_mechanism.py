@@ -31,6 +31,16 @@ def _random_bits(rng, n, width):
     return BitMatrix.from_rows([BitVec.from01(rng.integers(0, 2, size=width)) for _ in range(n)])
 
 
+@pytest.mark.parametrize("rows", [0, 7])
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+def test_float32_signals_are_the_float64_signals_cast(width, rows):
+    bits = BitMatrix.from01(np.random.default_rng(width).integers(0, 2, size=(rows, width),
+                                                                  dtype=np.uint8))
+    s32 = signals_pm1(bits, np.float32)
+    assert s32.dtype == np.float32 and s32.shape == (rows, width)
+    assert np.array_equal(s32, signals_pm1(bits).astype(np.float32))
+
+
 def test_constant_target_goes_to_intercept():
     rng = np.random.default_rng(0)
     bits = _random_bits(rng, 30, 8)

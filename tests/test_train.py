@@ -665,6 +665,31 @@ def test_add_node_builds_no_float64_candidate_array():
     assert peak < n * t
 
 
+@pytest.mark.parametrize("use_mechanism", [False, True])
+def test_training_holds_one_signal_matrix_at_a_time(use_mechanism):
+    n, k = 3000, 500
+    rng = np.random.default_rng(23)
+    x = rng.uniform(size=(n + k, 8))
+    y = np.sin(2 * np.pi * x.sum(axis=1, keepdims=True)) * 0.3 + 0.5
+    data = prepare_train_data(x[:n], y[:n], x[n:], y[n:], parse_encoding("s2v1"))
+    f64 = 8 * len(data.bits) * data.bits.n  # one float64 (N + K, d_enc) matrix
+    cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=100,
+                                   use_mechanism=use_mechanism, seed=23)
+    tracemalloc.start()
+    try:
+        state = TrainState(data, cfg)
+        state.begin_layer()
+        res = add_node(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res is not None and not hasattr(state, "in_ordered")
+    # without the mechanism no float64 signals are built, and the float32 ones
+    # take half that; with it, the float64 ones are gone before the float32
+    # ones are built, so the two are never held together
+    assert peak < (f64 * 3 // 2 if use_mechanism else f64)
+
+
 def test_preallocated_readout_matches_column_stack():
     data = _toy_data(seed=14, n_train=150, n_val=40, spec="s2v1", noise=0.02)
     cfg = TrainConfig((2, 2), (Activation.STEP, Activation.SIGN), t_max=200, seed=14)
