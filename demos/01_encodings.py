@@ -11,7 +11,7 @@ from scmfpga import encode_matrix, parse_encoding
 
 
 def show(label, spec_text, x):
-    vec = parse_encoding(spec_text).encode_value(x)
+    vec = encode_matrix(np.array([[x]]), parse_encoding(spec_text))[0][0]
     print(f"  {label:<28} {vec.to_string()}   ({vec.n} bits)")
 
 

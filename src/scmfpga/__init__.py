@@ -42,7 +42,6 @@ from .model import (
     ScmLayer,
     ScmModel,
     ScmNode,
-    node_output_float,
     predict_float_batch,
     quantization_bound,
 )
@@ -64,7 +63,6 @@ from .train import (
     early_stop_check,
     prepare_train_data,
     train,
-    xi_score,
 )
 
 __version__ = "0.1.0"

@@ -13,11 +13,10 @@ bit 1 means +1. There are two packed forms:
   written to the model file as it is.
 * BitVec, the scalar form: one row of `n` bits in a Python integer (bit i of
   the integer is bit i of the vector). Indexing a BitMatrix row gives one.
-  Only the scalar test oracles of the batch paths take BitVecs: predict_fpga
-  (which indexes a layer's weight rows for xnor_count and ones_count_dot) and
-  node_output_float (which reads node i of a layer the same way). Only the
-  benchmark's synthetic model packs BitVecs into a layer, one per ScmNode
-  record. Training does not build any.
+  Only predict_fpga, the scalar test oracle of the emulator's batch path,
+  takes BitVecs: it indexes a layer's weight rows for xnor_count and
+  ones_count_dot. Only the benchmark's synthetic model packs BitVecs into a
+  layer, one per ScmNode record. Training does not build any.
 """
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ class BitVec:
         n_bytes = -(-self.n // 8)
         raw = np.frombuffer(self.value.to_bytes(n_bytes, "little"), dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[: self.n]
-
-    def to_pm1(self) -> np.ndarray:
-        return (self.to01().astype(np.int8) * 2 - 1).astype(np.int8)
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.n:

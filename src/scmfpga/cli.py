@@ -21,7 +21,7 @@ from .datasets import gen_db1, gen_db2, load_dataset, split, write_dataset
 from .emulate import memory_report
 from .encoding import encode_matrix, parse_encoding
 from .errors import DataError, TrainingFailedError
-from .evaluate import evaluate_bits
+from .evaluate import MODES, evaluate_bits
 from .model import parse_activation
 from .modelfile import (
     load_model,
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a model on a dataset")
     e.add_argument("model")
     e.add_argument("data")
-    e.add_argument("--mode", choices=["pc", "fpga", "both"], default="both")
+    e.add_argument("--mode", choices=MODES, default="both")
     e.add_argument("--rows", choices=["test", "train", "val", "all"], default="test")
     e.add_argument("--out", default=None, help="per-sample outputs CSV")
     e.set_defaults(func=cmd_eval)

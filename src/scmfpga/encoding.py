@@ -20,8 +20,8 @@ most significant pad bit of its first digit field is bit 1, and so on.
 
 encode_matrix is the batch path: a field's bits depend only on its digit
 (density: its bucket), so it ORs table[digit] into each packed word the
-field touches (_word_tables). EncodingSpec.encode_value, the one encoder of
-a single value (parse_encoding(text).encode_value(x)), is a one-row call.
+field touches (_word_tables). One value's code is a one-row call: row 0 of
+encode_matrix([[x]], spec)'s matrix.
 
 Digit rule (_digit_table): the digits of all values come from one exact
 array rule instead of a Decimal per value. At q = min(places, 15)
@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bits import WORD, WORD_BITS, BitMatrix, BitVec, n_words
+from .bits import WORD, WORD_BITS, BitMatrix, n_words
 from .errors import DataError
 
 
@@ -99,9 +99,6 @@ class EncodingSpec:
     def bits_per_input(self) -> int:
         return sum(w for w, _ in _fields(self))
 
-    def encode_value(self, x: float) -> BitVec:
-        return encode_matrix(np.array([[_check_unit(x)]]), self)[0][0]
-
     def to_bytes(self) -> bytes:
         return bytes([int(self.kind), self.param])
 
@@ -132,13 +129,6 @@ def parse_encoding(text: str) -> EncodingSpec:
     if name == "s1":
         return EncodingSpec(EncodingKind.SCHEME1, int(arg) if arg else 3)
     raise ValueError(f"unknown encoding {text!r}")
-
-
-def _check_unit(x: float) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"value {x!r} outside [0, 1]")
-    return x
 
 
 def _digits(x: float, places: int) -> list[int]:

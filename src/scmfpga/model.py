@@ -7,8 +7,8 @@ build those arrays (ScmLayer.from_arrays); like a MechanismModel, a layer is
 given float readouts, derives their raw Q7.25 values and clamp count once,
 then holds every array read-only and refuses to rebind an attribute. A frozen
 ScmModel checks once, when it is built, that its parts fit (validate), so no
-reader checks it again. Every batch path reads the arrays as they are, as do
-the scalar oracles predict_fpga and node_output_float. ScmNode and
+reader checks it again. Every batch path reads the arrays as they are, as
+does the emulator's scalar oracle predict_fpga. ScmNode and
 ScmLayer(activation, nodes), which packs a list of them through the same
 checks, stay only for the benchmark's synthetic model. A node's bit depends
 on its raw bias only, through threshold_edge: training and the reference
@@ -257,25 +257,6 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
             acc += s.astype(np.float64) @ beta
         out[start : start + BLOCK_ROWS] = acc
     return out
-
-
-def node_output_float(
-    in_bits: BitVec, layer: ScmLayer, i: int, pm1: bool = True
-) -> tuple[int, float]:
-    """Float-path evaluation of node i of a layer: (forwarded bit, activation value).
-
-    `pm1` says whether the input bits stand for -1/+1 (the encoded inputs
-    and a STEP layer's bits) or for literal 0/1 (a SIGN layer's).
-    """
-    if in_bits.n != layer.fan_in:
-        raise ValueError(f"input width {in_bits.n} != node fan-in {layer.fan_in}")
-    s = in_bits.to_pm1() if pm1 else in_bits.to01()
-    dot = float(layer.w[i].to_pm1().astype(np.float64) @ s.astype(np.float64))
-    pre = (1 << int(layer.shift[i])) * dot + layer.bias[i]
-    bit = 1 if pre > 0 else 0
-    if layer.activation == Activation.SIGN:
-        return bit, float(bit)
-    return bit, 1.0 if bit else -1.0
 
 
 def quantization_bound(model: ScmModel) -> float:

@@ -106,8 +106,6 @@ class TrainConfig:
 
     @classmethod
     def single_layer(cls, nodes: int, activation: Activation = Activation.STEP, **kw):
-        if nodes == 0:
-            return cls(layer_sizes=(), activations=(), **kw)
         return cls(layer_sizes=(nodes,), activations=(activation,), **kw)
 
 
@@ -189,17 +187,6 @@ class TrainResult:
             lines.append(" ".join(f"{k}={v:.9g}" if isinstance(v, float) else f"{k}={v}"
                                   for k, v in ev.items()))
         return "\n".join(lines)
-
-
-def xi_score(e_q: np.ndarray, h: np.ndarray, r: float) -> float | None:
-    """Candidate score for one output; None signals a rejected zero vector."""
-    h = np.asarray(h, dtype=np.float64)
-    e_q = np.asarray(e_q, dtype=np.float64)
-    hh = float(h @ h)
-    if hh == 0.0:
-        return None
-    eh = float(e_q @ h)
-    return eh * eh / hh - (1.0 - r) * float(e_q @ e_q)
 
 
 def early_stop_check(val_errors: Sequence[float], l_step: int, tau: float) -> int | None:

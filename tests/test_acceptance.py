@@ -114,10 +114,10 @@ def test_criterion_1_bit_op_oracles():
 def test_criterion_2_encoding_golden_vectors():
     ok = True
     detail = []
-    v1 = s.parse_encoding("s1:3").encode_value(0.867).to_string()
+    v1 = s.encode_matrix(np.array([[0.867]]), s.parse_encoding("s1:3"))[0][0].to_string()
     expect1 = "0" + "011111111" + "000111111" + "001111111"
     ok &= v1 == expect1
-    v2 = s.parse_encoding("s2v2").encode_value(0.8674).to_string()
+    v2 = s.encode_matrix(np.array([[0.8674]]), s.parse_encoding("s2v2"))[0][0].to_string()
     expect2 = "0" + "011111111" + "000111111" + "0111" + "01"
     ok &= v2 == expect2
     counts = []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scmfpga.bits import BitMatrix, BitVec, n_words
+from scmfpga.mechanism import signals_pm1
 
 
 def test_from_string_and_back():
@@ -15,7 +16,7 @@ def test_from_string_and_back():
 def test_from01_pm1_consistency():
     v = BitVec.from01([1, 0, 1, 1])
     assert np.array_equal(v.to01(), [1, 0, 1, 1])
-    assert np.array_equal(v.to_pm1(), [1, -1, 1, 1])
+    assert np.array_equal(signals_pm1(BitMatrix.from_rows([v])), [[1, -1, 1, 1]])
 
 
 def test_popcount_zerocount():

@@ -348,12 +348,15 @@ def test_layer_bits_at_every_threshold_edge(fan_in, pm1):
     # the datapath's literal stages in int64: the dot, the shift, the bias and
     # the strict threshold
     x, w = x01.astype(np.int64), layer.w.to01().astype(np.int64) * 2 - 1
-    dot = (2 * x - 1 if pm1 else x) @ w.T
+    signal = 2 * x - 1 if pm1 else x
+    dot = signal @ w.T
     pre = (dot << layer.shift.astype(np.int64) + fx.FRAC_BITS) + layer.bias_raw
     assert np.any(pre == 0)  # some pre-activations lie on the edge
     fired = emulate._layer_bits(layer, BitMatrix.from01(x01), pm1)
     assert fired.shape == pre.shape and fired.dtype == bool
     assert np.array_equal(fired, pre > 0)
+    # the reference path fires on the same edges
+    assert np.array_equal(layer_forward_float(layer)(signal) > 0, pre > 0)
 
 
 @pytest.mark.parametrize("pm1", [True, False], ids=["pm1", "zero-one"])

@@ -23,7 +23,7 @@ UNARY_FIELD = re.compile(r"^0*1*$")
 
 def code(text, x):
     """The code of one value x under the encoding text names, as a '0'/'1' string."""
-    return parse_encoding(text).encode_value(x).to_string()
+    return encode_matrix(np.array([[x]]), parse_encoding(text))[0][0].to_string()
 
 
 # -- density -----------------------------------------------------------
@@ -54,10 +54,11 @@ def test_density_matches_bucket_enumeration():
 
 
 def test_density_errors():
-    with pytest.raises(ValueError):
-        code("density:3", -0.01)
-    with pytest.raises(ValueError):
-        code("density:3", 1.01)
+    # a value outside [0, 1] is clamped with a warning, not refused
+    with pytest.warns(UserWarning, match="clamped 1"):
+        assert code("density:3", -0.01) == "000"
+    with pytest.warns(UserWarning, match="clamped 1"):
+        assert code("density:3", 1.01) == "111"
     with pytest.raises(ValueError):
         parse_encoding("density:0")
 
@@ -202,8 +203,8 @@ def test_encode_matrix_clamps_with_warning():
     spec = parse_encoding("s2v1")
     with pytest.warns(UserWarning, match="clamped 2"):
         bits, _ = encode_matrix(np.array([[-0.01], [1.2], [0.5]]), spec)
-    assert bits[0] == spec.encode_value(0.0)
-    assert bits[1] == spec.encode_value(1.0)
+    assert bits[0].to_string() == code("s2v1", 0.0)
+    assert bits[1].to_string() == code("s2v1", 1.0)
 
 
 def test_encode_matrix_nonfinite_reports_position():
@@ -225,7 +226,7 @@ def test_width_always_matches_spec(x):
         EncodingSpec(EncodingKind.SCHEME2_V1),
         EncodingSpec(EncodingKind.SCHEME2_V2),
     ):
-        assert spec.encode_value(x).n == spec.bits_per_input
+        assert encode_matrix(np.array([[x]]), spec)[0].n == spec.bits_per_input
 
 
 @given(unit_floats)
@@ -297,7 +298,6 @@ def _check_rows_against_oracles(x, spec):
     assert d_enc == d * w and len(bits) == n_rows
     for i in range(n_rows):
         row = bits[i].to_string()
-        assert row == "".join(spec.encode_value(v).to_string() for v in x[i])
         for j, v in enumerate(x[i]):
             assert row[j * w : (j + 1) * w] == _oracle_code(float(v), spec), (v, str(spec))
 
@@ -463,7 +463,7 @@ def test_values_without_a_15_place_form_read_their_digits_once_each(monkeypatch)
     assert all(len(repr(v).partition(".")[2]) > 15 for v in values)
     x = np.tile(values, (200, 1))
     spec = parse_encoding("s1:20")
-    expected = [spec.encode_value(v) for v in values]
+    expected = "".join(_oracle_code(v, spec) for v in values)
     calls = []
     scalar_digits = encoding._digits
 
@@ -474,7 +474,4 @@ def test_values_without_a_15_place_form_read_their_digits_once_each(monkeypatch)
     monkeypatch.setattr(encoding, "_digits", counted_digits)
     bits, _ = encode_matrix(x, spec)
     assert x.size == 1000 and len(calls) <= 5
-    w = spec.bits_per_input
-    for row in (bits[0], bits[199]):
-        s = row.to_string()
-        assert [s[j * w : (j + 1) * w] for j in range(5)] == [e.to_string() for e in expected]
+    assert bits[0].to_string() == bits[199].to_string() == expected

@@ -6,8 +6,9 @@ parsed with ast. An imported name that no expression of the module reads
 fails the first check. A public top-level function or class, or a public
 method or property of a public class, fails the second unless another
 package module, bench/ or demos/ references it, its own module references it
-outside its own body, or it is a test oracle on ORACLES. A method counts as
-referenced wherever an attribute of its name is read.
+outside its own body, or it is a test oracle on ORACLES, which a tests/*.py
+file must reference. A method counts as referenced wherever an attribute of
+its name is read.
 
 A third check keeps layers built from arrays: only model.py, bench/ and the
 test functions on NODE_LIST_CALLERS, which pin that path while the benchmark's
@@ -30,11 +31,8 @@ PACKAGE = ROOT / "src" / "scmfpga"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
-# public names that only the tests call, each kept as an oracle or as the
-# paper's one-value form of a batch function
+# public names that only the tests call, each kept as the oracle of a batch function
 ORACLES = {
-    "xi_score": "scalar oracle of add_node's candidate scores",
-    "node_output_float": "scalar oracle of the reference path's node bits",
     "fx_from_real": "one-value form of quantize_array, the oracle of its rounding",
 }
 
@@ -130,6 +128,10 @@ def test_every_oracle_is_a_public_name_of_the_package():
     defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(ORACLES) <= defined
+    # an oracle that no test reads is as dead as an uncalled function
+    tests = set().union(*(referenced(ast.parse(p.read_text()))
+                          for p in (ROOT / "tests").glob("*.py")))
+    assert set(ORACLES) - tests == set()
 
 
 # test file -> its top-level functions that may call ScmNode or ScmLayer

@@ -112,7 +112,7 @@ def test_eval_float_matches_dense_oracle():
     mech = external_mechanism(rng.normal(size=(12, 3)), rng.normal(size=3))
     for _ in range(20):
         bits = BitVec.from01(rng.integers(0, 2, size=12))
-        s = bits.to_pm1().astype(float)
+        s = bits.to01() * 2.0 - 1.0
         oracle = s @ mech.weights + mech.intercepts
         assert np.max(np.abs(mech_eval_float(bits, mech) - oracle)) < 1e-12
 

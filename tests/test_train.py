@@ -30,7 +30,6 @@ from scmfpga.model import (
     ScmModel,
     check_fan_in,
     layer_forward_float,
-    node_output_float,
     predict_float_batch,
     quantization_bound,
     threshold_bits,
@@ -49,7 +48,6 @@ from scmfpga.train import (
     limb_layout,
     prepare_train_data,
     train,
-    xi_score,
 )
 
 from builders import layer, random_model
@@ -75,31 +73,6 @@ def _toy_data(seed=0, n_train=80, n_val=20, spec="density:6", noise=0.05):
     y = np.sin(2 * np.pi * x) * 0.3 + 0.5 + rng.normal(scale=noise, size=x.shape)
     enc = parse_encoding(spec)
     return prepare_train_data(x[:n_train], y[:n_train], x[n_train:], y[n_train:], enc)
-
-
-# -- xi score ------------------------------------------------------------
-
-
-def test_xi_collinear():
-    e = np.array([0.5, -1.0, 2.0])
-    for r in (0.5, 0.9, 0.99):
-        got = xi_score(e, e, r)
-        assert got == pytest.approx(r * float(e @ e))
-        assert got > 0
-
-
-def test_xi_orthogonal_negative():
-    e = np.array([1.0, 0.0])
-    h = np.array([0.0, 1.0])
-    assert xi_score(e, h, 0.9) < 0
-
-
-def test_xi_hand_example():
-    assert xi_score(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 0.9) == pytest.approx(0.5)
-
-
-def test_xi_zero_h_rejected():
-    assert xi_score(np.array([1.0, 2.0]), np.zeros(2), 0.9) is None
 
 
 # -- early stopping -------------------------------------------------------
@@ -131,57 +104,6 @@ def test_early_stop_can_remove_zero():
     hist = [0.9, 0.85, 1.0, 0.8]
     # window (0.9-0.8)/0.8 = 0.125 <= 0.2 but the last step improved by 25%
     assert early_stop_check(hist, l_step=3, tau=0.2) == 0
-
-
-# -- node output (float path) --------------------------------------------
-
-
-def _layer(w, act=Activation.STEP, shift=0, bias=0.0):
-    """A layer of one node: weight bits w ('1' is +1), scale code, bias, zero readout."""
-    return layer(act, [BitVec.from_string(w).to01()], shift, fx.fx_from_real(bias))
-
-
-def test_node_output_all_ones():
-    bit, h = node_output_float(BitVec.from_string("1111"), _layer("1111"), 0)
-    assert bit == 1 and h == 1.0
-
-
-def test_node_output_strict_threshold():
-    # s=(+1,-1) -> dot 0, bias 0 -> pre exactly 0
-    bit, h = node_output_float(BitVec.from_string("10"), _layer("11"), 0)
-    assert bit == 0 and h == -1.0
-    bit, h = node_output_float(BitVec.from_string("10"), _layer("11", Activation.SIGN), 0)
-    assert bit == 0 and h == 0.0
-
-
-def test_node_output_domains():
-    layer = _layer("0101", Activation.SIGN)
-    # {0,1} inputs use the conditional-count dot: (1,0,1,1) -> -1
-    bit, h = node_output_float(BitVec.from01([1, 0, 1, 1]), layer, 0, pm1=False)
-    assert bit == 0 and h == 0.0
-    # +-1 inputs use the XNOR dot
-    bit, _ = node_output_float(BitVec.from_string("0110"), _layer("0100"), 0)
-    assert bit == 1  # dot = 2, lambda 1, bias 0
-
-
-def test_node_output_scaling_and_bias():
-    layer = _layer("1111", shift=3, bias=-17.0)
-    # dot=2 -> 2*8=16, bias -17 -> pre -1 -> bit 0
-    bit, _ = node_output_float(BitVec.from_string("1110"), layer, 0)
-    assert bit == 0
-
-
-def test_node_output_reads_node_i_of_a_layer():
-    # three nodes on the same input: a +1 weight row, a -1 one, and a +1 one
-    # whose bias outweighs its dot
-    nodes = layer(Activation.STEP, [[1, 1], [0, 0], [1, 1]], 0, [0, 0, fx.fx_from_real(-3.0)])
-    bits = [node_output_float(BitVec.from_string("11"), nodes, i)[0] for i in range(3)]
-    assert bits == [1, 0, 0]
-
-
-def test_node_output_length_check():
-    with pytest.raises(ValueError):
-        node_output_float(BitVec(3), _layer("11"), 0)
 
 
 # -- add_node -------------------------------------------------------------
@@ -227,8 +149,9 @@ def test_add_node_xi_recheck_from_parameters():
     s = signals_pm1(data.bits[: data.n_train])
     pre = (s @ w) * lam + bias
     h = (pre > 0).astype(np.float64) * 2 - 1
-    for q in range(state.m):
-        assert xi_score(e_before[:, q], h, res.r) > 0
+    # xi_q = (e_q . h)^2 / (h . h) - (1 - r) e_q . e_q (Wang & Li, 2017)
+    xi = (e_before.T @ h) ** 2 / (h @ h) - (1 - res.r) * (e_before**2).sum(axis=0)
+    assert np.all(xi > 0)
 
 
 def _two_output_data(seed, n_train=120, n_val=30, spec="s2v1"):
@@ -263,9 +186,10 @@ def test_add_node_scores_match_the_scalar_oracle(acts):
                 h = h * 2 - 1
             # the column on every row, scored on the training rows
             assert np.array_equal(state.H[:, state.n_hidden - 1], h)
-            xi = [xi_score(e_before[:, q], h[: state.n_train], res.r) for q in range(state.m)]
-            assert res.xi_sum == pytest.approx(sum(xi), rel=1e-12)
-            assert res.xi_min == pytest.approx(min(xi), rel=1e-12)
+            h = h[: state.n_train]
+            xi = (e_before.T @ h) ** 2 / (h @ h) - (1 - res.r) * (e_before**2).sum(axis=0)
+            assert res.xi_sum == pytest.approx(xi.sum(), rel=1e-12)
+            assert res.xi_min == pytest.approx(xi.min(), rel=1e-12)
 
 
 @given(
@@ -894,7 +818,7 @@ def test_training_solves_least_squares_only_for_the_lasso_warm_start(
 
 def test_train_mechanism_only():
     data = _toy_data()
-    cfg = TrainConfig.single_layer(0, seed=0)
+    cfg = TrainConfig((), (), seed=0)
     result = train(data, cfg)
     model = result.model
     assert model.layer_sizes == ()
@@ -1046,7 +970,7 @@ def test_train_reports_an_l1_fit_at_its_sweep_cap(monkeypatch):
     data = _toy_data(seed=10, spec="s2v1")
 
     monkeypatch.setattr(scmfpga.linalg, "LASSO_MAX_SWEEPS", 1)
-    cfg = TrainConfig.single_layer(0, seed=10)
+    cfg = TrainConfig((), (), seed=10)
     with pytest.warns(UserWarning, match="sweep cap"):
         result = train(data, cfg)
     (fit,) = [ev for ev in result.events if ev["event"] == "l1_fit"]
@@ -1212,12 +1136,12 @@ def _tiny_model():
 
 def _straight_line_eval(model, x_bits):
     """Independent scalar evaluator following the model definition."""
-    out = x_bits.to_pm1().astype(float) @ model.mechanism.weights + model.mechanism.intercepts
-    signal = x_bits.to_pm1().astype(float)
+    signal = x_bits.to01() * 2.0 - 1.0
+    out = signal @ model.mechanism.weights + model.mechanism.intercepts
     for layer in model.layers:
         next_signal = []
         for i in range(len(layer)):
-            lam, w = 1 << int(layer.shift[i]), layer.w[i].to_pm1().astype(float)
+            lam, w = 1 << int(layer.shift[i]), layer.w[i].to01() * 2.0 - 1.0
             pre = lam * float(w @ signal) + layer.bias[i]
             bit = 1 if pre > 0 else 0
             if layer.activation == Activation.SIGN:
@@ -1272,4 +1196,6 @@ def test_config_validation():
             TrainConfig(sizes, (Activation.STEP, Activation.SIGN)[: len(sizes)])
     with pytest.raises(ValueError):
         TrainConfig((5,), ())
-    assert TrainConfig.single_layer(0).layer_sizes == ()
+    assert TrainConfig((), ()).layer_sizes == ()
+    with pytest.raises(ValueError, match="a mechanism-only model has no layers"):
+        TrainConfig.single_layer(0)
