@@ -204,6 +204,8 @@ class ResourceReport:
     beta_real_bits: int
     beta_fpga_bits: int
     lambda_fpga_bits: int
+    bias_fpga_bits: int
+    mechanism_fpga_bits: int
     input_reduction: float  # fractions in [0, 1]
     weight_reduction: float
     beta_reduction: float
@@ -226,6 +228,8 @@ class ResourceReport:
                 f"readout: {self.beta_real_bits} bits real -> "
                 f"{self.beta_fpga_bits} bits fixed   (reduction {pct(self.beta_reduction)})",
                 f"scale codes: {self.lambda_fpga_bits} bits",
+                f"biases: {self.bias_fpga_bits} bits fixed",
+                f"mechanism: {self.mechanism_fpga_bits} bits fixed",
                 f"cycles per evaluation: {self.cycles}",
                 f"time per evaluation at {self.clock_hz / 1e6:g} MHz: {ns:g} ns",
             ]
@@ -238,10 +242,9 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     The software side stores one 64-bit value per raw feature and per
     raw-feature x node weight; the packed side stores one bit per encoded
     input and per encoded-input x node weight, 32-bit readouts, and a 3-bit
-    scale code per node. Neither side counts the per-node 32-bit raw biases
-    or the mechanism's d_enc x m weights and m intercepts, which the emulated
-    datapath also reads; test_criterion_3_memory_tables pins the counted
-    quantities. clock_hz must be positive and finite (else a ValueError).
+    scale code per node; its 32-bit raw biases and mechanism values, which the
+    emulated datapath also reads, are counted apart from the reductions.
+    clock_hz must be positive and finite (else a ValueError).
     """
     if not 0 < clock_hz < float("inf"):  # also refuses NaN
         raise ValueError(f"clock {clock_hz!r} Hz is not positive and finite")
@@ -264,6 +267,8 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
         beta_real_bits=REAL_VALUE_BITS * n_beta,
         beta_fpga_bits=FX_VALUE_BITS * n_beta,
         lambda_fpga_bits=LAMBDA_CODE_BITS * model.total_nodes,
+        bias_fpga_bits=FX_VALUE_BITS * model.total_nodes,
+        mechanism_fpga_bits=FX_VALUE_BITS * (d_enc + 1) * model.n_outputs,
         input_reduction=reduction(inputs_real, d_enc),
         weight_reduction=reduction(weight_real, weight_fpga),
         beta_reduction=reduction(REAL_VALUE_BITS * n_beta, FX_VALUE_BITS * n_beta),

@@ -15,12 +15,14 @@ It is cyclic coordinate descent in the covariance form of Friedman, Hastie
 and Tibshirani (2010, "Regularization paths for generalized linear models
 via coordinate descent", JSS 33(1)): the centred Gram G = X^T X - s s^T / N
 (s the column sums) and c = X^T (y - mean(y)) are formed once and q = G p
-is kept up to date, so a step costs O(d), not O(N). On +-1 entries G is
-rounded once. A constant column (zero range) gets its row and column of G
-set to zero, so coefficient 0 and no steps; on +-1 entries they are exactly
-zero already. The sweeps start from the minimum-norm solution of G p = c,
-not from zero: the optimum lies close to least squares, and the collinear
-thermometer columns of encoded inputs make descent crawl.
+is kept up to date, so a step costs O(d), not O(N). X^T X and c are summed
+over float64 copies of BLOCK_ROWS rows (row_blocks), so X may be int8 +-1
+signals (s is summed in float64). On +-1 entries G is rounded once. A
+constant column (zero range) gets its row and column of G set to zero, so
+coefficient 0 and no steps; on +-1 entries they are exactly zero already.
+The sweeps start from the minimum-norm solution of G p = c, not from zero:
+the optimum lies close to least squares, and the collinear thermometer
+columns of encoded inputs make descent crawl.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ import numpy as np
 
 LASSO_TOL = 1e-8
 LASSO_MAX_SWEEPS = 10_000
+BLOCK_ROWS = 256  # rows per float64 copy in row_blocks
 
 
 def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.asarray(a)
+    arr = arr if arr.dtype.kind in "iu" else arr.astype(np.float64, copy=False)  # int8 stays int8
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -43,6 +47,12 @@ def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def row_blocks(x: np.ndarray):
+    """(rows, float64 copy of x[rows]) over x, BLOCK_ROWS rows at a time."""
+    for a in range(0, len(x), BLOCK_ROWS):
+        yield slice(a, a + BLOCK_ROWS), x[a : a + BLOCK_ROWS].astype(np.float64, copy=False)
 
 
 def least_squares(h: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -64,7 +74,7 @@ def least_squares(h: np.ndarray, t: np.ndarray) -> np.ndarray:
 def lasso_objective(x: np.ndarray, y: np.ndarray, p: np.ndarray, u: np.ndarray,
                     alpha: float) -> float:
     """Unnormalized L1 objective with intercepts u, summed over output columns."""
-    resid = y - x @ p - u
+    resid = np.vstack([y[rows] - xb @ p - u for rows, xb in row_blocks(x)])
     return float(np.sum(resid * resid) + alpha * np.sum(np.abs(p)))
 
 
@@ -99,7 +109,7 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
 
     Parameters
     ----------
-    x : (N, d) design matrix (typically the +-1 view of encoded inputs).
+    x : (N, d) design matrix (typically the int8 +-1 signals of encoded inputs).
     y : (N, m) targets.
     alpha : L1 penalty weight, >= 0.
 
@@ -123,9 +133,12 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
     m = y.shape[1]
 
     y_mean = y.mean(axis=0)
-    s = x.sum(axis=0)
-    g = (n * (x.T @ x) - np.outer(s, s)) / n  # the centred Gram, rounded once
-    c = x.T @ (y - y_mean)
+    s = x.sum(axis=0, dtype=np.float64)
+    g, c, yc = np.zeros((d, d)), np.zeros((d, m)), y - y_mean
+    for rows, xb in row_blocks(x):
+        g += xb.T @ xb
+        c += xb.T @ yc[rows]
+    g = (n * g - np.outer(s, s)) / n  # the centred Gram, rounded once
     # a constant column centres to zero, but off +-1 its products need not cancel
     constant = np.ptp(x, axis=0) == 0
     g[constant] = g[:, constant] = 0.0

@@ -65,7 +65,7 @@ class MechanismModel:
 
 
 def signals_pm1(bits: BitMatrix, dtype=np.float64) -> np.ndarray:
-    """The (N, d_enc) -1/+1 matrix of encoded rows, in dtype (a float type)."""
+    """The (N, d_enc) -1/+1 matrix of encoded rows, in dtype (a float type or int8)."""
     s = bits.to01().astype(dtype)
     s *= 2
     s -= 1

@@ -19,25 +19,25 @@ value. Candidates and the accepted node's column get their bits from
 model.threshold_bits, the integer test the reference path and the emulator
 also make, so every path computes bit-identical activations.
 
-A candidate's scores are computed without forming h, over the training rows
-in blocks of SCORE_ROWS. A block's threshold bits are written as 0/1 into a
-small float32 work array that the TrainState owns, and one float32 GEMM
-multiplies them by the block's residual limbs (ResidualLimbs) and a row of
-ones, summed over the blocks. Every partial sum over any rows is an integer
-below 2**24, so <e_q, h> is the correctly rounded sum of the selected
+A candidate's scores are computed without forming h, over the training rows in
+blocks of SCORE_ROWS. A block's signals, copied to float32, give its threshold
+bits as 0/1 in a small float32 work array that the TrainState owns, and one
+float32 GEMM multiplies them by the block's residual limbs (ResidualLimbs) and
+a row of ones, summed over the blocks. Every partial sum over any rows is an
+integer below 2**24, so <e_q, h> is the correctly rounded sum of the selected
 residual entries (each kept to 60 bits below its column's power-of-two bound)
-whatever order the BLAS and the blocks add in, and the bit count gives
-<h, h> for SIGN. This holds while the training set has at most 2**23 rows
-and every fan-in is below 2**24 (check_fan_in); TrainState checks both first.
-The rows are scored largest residual first, and after each block a candidate
-is dropped once a bound over the unscored rows shows it cannot pass (add_node
-states the bounds and their slack); an attempt with none left fails at once.
-Dropped candidates could not have passed, so the decisions are unchanged.
+whatever order the BLAS and the blocks add in, and the bit count gives <h, h>
+for SIGN. This holds while the training set has at most 2**23 rows and every
+fan-in is below 2**24 (check_fan_in); TrainState checks both first. The rows
+are scored largest residual first, and after each block a candidate is dropped
+once a bound over the unscored rows shows it cannot pass (add_node states the
+bounds and their slack); an attempt with none left fails at once. Dropped
+candidates could not have passed, so the decisions are unchanged.
 
 TrainData holds the encoded training rows and then the validation rows in one
 BitMatrix. TrainState(data, cfg) keeps its inputs, so add_node(state),
 begin_layer() and finalize() take no others; it fits the mechanism on its
-training rows, builds the float32 +-1 signal matrix once, and keeps each
+training rows, builds the int8 +-1 signal matrix once, and keeps each
 accepted node's 0/1 weight row, scale code and raw bias; add_node returns the
 node's TrainRecord, which train logs as is.
 """
@@ -54,6 +54,7 @@ from . import fixedpoint as fx
 from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix, samples_2d
 from .errors import TrainingFailedError
+from .linalg import row_blocks
 from .mechanism import external_mechanism, fit_mechanism, mech_eval_float_batch, signals_pm1
 from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
                     threshold_bits, threshold_edge)
@@ -233,12 +234,12 @@ class TrainState:
     allocates, then keeps the config, the encoding, the generator seeded by
     cfg.seed, the targets and residuals, the hidden-output columns for the
     global readout refit with each column's node, the layer sizes, the signals
-    feeding the layer under construction (contiguous float32, made once per
-    layer, and a (SCORE_ROWS, fan_in) buffer that add_node gathers each
-    scored block's rows into), and the (SCORE_ROWS, t_max) candidate work
-    array. Only the L1 fit and its targets read float64 -1/+1 signals. Rows
-    are in TrainData's order; R, the L1 fit and candidate scoring read
-    [:n_train].
+    feeding the layer under construction (one contiguous int8 matrix, which
+    the L1 fit and its targets also read, and an int8 and a float32
+    (SCORE_ROWS, fan_in) buffer that add_node gathers rows into), and
+    the (SCORE_ROWS, t_max) candidate work array; no float copy of the
+    signals is made. Rows are in TrainData's order; R, the L1 fit and
+    candidate scoring read [:n_train].
 
     The hidden outputs live in an int8 (N + K, capacity) array H (entries
     +-1 or 0/1) whose first n_hidden columns are in use; the capacity starts
@@ -273,11 +274,12 @@ class TrainState:
         # 0/1 threshold bits; allocated before the L1 fit, so a t_max too large
         # to hold fails at once
         self.work = np.empty((SCORE_ROWS, cfg.t_max) if cfg.layer_sizes else (0, 0), np.float32)
+        # entries are -1, 0 or +1, so float32 copies hold them and every dot exactly
+        self.cur_in = signals_pm1(data.bits, np.int8)
         if cfg.use_mechanism:
-            s1 = signals_pm1(data.bits)  # dropped before the float32 signals are built
-            self.mech = fit_mechanism(s1[:n], data.y[:n], cfg.alpha)
-            self.target = data.y - mech_eval_float_batch(s1, self.mech)
-            del s1
+            self.mech = fit_mechanism(self.cur_in[:n], data.y[:n], cfg.alpha)
+            self.target = np.vstack([data.y[rows] - mech_eval_float_batch(s, self.mech)
+                                     for rows, s in row_blocks(self.cur_in)])
         else:
             self.mech = external_mechanism(np.zeros((data.bits.n, self.m)), np.zeros(self.m))
             self.target = data.y  # the zero mechanism would subtract exactly +0.0
@@ -293,8 +295,6 @@ class TrainState:
         self.beta = np.zeros((0, self.m))
         self.resid = self.target.copy()
         self.layer_sizes: list[int] = []  # layer k has activation cfg.activations[k]
-        # entries are -1, 0 or +1, so float32 holds them and every dot exactly
-        self.cur_in = signals_pm1(data.bits, np.float32)
         # drawn candidate biases clamped to the Q7.25 range (by design at lambda 128)
         self.bias_saturated = 0
 
@@ -304,8 +304,9 @@ class TrainState:
         """Start the next configured layer, fed by the last layer's columns if any."""
         if self.layer_sizes:
             cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
-            self.cur_in = np.ascontiguousarray(self.H[:, cols], np.float32)
-        self.block_in = np.empty((SCORE_ROWS, self.cur_in.shape[1]), np.float32)
+            self.cur_in = self.H[:, cols].copy()
+        self.block_i8 = np.empty((SCORE_ROWS, self.cur_in.shape[1]), np.int8)
+        self.block_in = np.empty(self.block_i8.shape, np.float32)
         self.layer_sizes.append(0)
 
     def append_node(self, node: tuple, h: np.ndarray) -> None:
@@ -526,8 +527,9 @@ def add_node(state: TrainState) -> TrainRecord | None:
             blk = slice(a, min(a + SCORE_ROWS, n))
             work = state.work.reshape(-1)[: (blk.stop - a) * live.size].reshape(-1, live.size)
             # every index is valid, and "clip" writes into out without a temporary copy
-            s_blk = np.take(state.cur_in, order[blk], axis=0, out=state.block_in[: blk.stop - a],
-                            mode="clip")
+            s_blk = state.block_in[: blk.stop - a]
+            s_blk[...] = np.take(state.cur_in, order[blk], axis=0, mode="clip",
+                                 out=state.block_i8[: blk.stop - a])
             sums += limbs.lhs[:, blk] @ threshold_bits(s_blk, w_live, edge_live, work)
             if blk.stop == n or not (floor[b] <= limit).any():
                 continue
@@ -557,8 +559,12 @@ def add_node(state: TrainState) -> TrainRecord | None:
         j = int(live[best])
 
         # the work array holds only the last block: rebuild the accepted column h
-        s = state.cur_in
-        h = threshold_bits(s, w[[j]], edge[[j]], np.empty((len(s), 1), np.float32))[:, 0]
+        # from float32 copies of SCORE_ROWS rows at a time
+        h = np.empty((len(state.cur_in), 1), np.float32)
+        for a in range(0, len(h), SCORE_ROWS):
+            rows = slice(a, a + SCORE_ROWS)
+            threshold_bits(state.cur_in[rows].astype(np.float32), w[[j]], edge[[j]], h[rows])
+        h = h[:, 0]
         state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
                           (2 * h - 1 if pm1 else h).astype(np.int8))
         return TrainRecord(

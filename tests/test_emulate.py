@@ -594,6 +594,20 @@ def test_memory_beta_reduction_is_half():
     assert rep.lambda_fpga_bits == 3 * 60
 
 
+def test_memory_counts_the_raw_biases_and_the_mechanism():
+    # 32 bits per node bias, per mechanism weight (d_enc x m) and per intercept
+    shapes = [(_shape_stub(25, (60,)), 25, (60,), 1), (_shape_stub(25, ()), 25, (), 1),
+              (_shape_stub(56, (40, 40, 40)), 56, (40, 40, 40), 1),
+              (random_model(3, 12, [(5, Activation.STEP), (4, Activation.SIGN)], m=3), 12, (5, 4), 3)]
+    for model, d_enc, sizes, m in shapes:
+        rep = memory_report(model)
+        assert rep.bias_fpga_bits == 32 * sum(sizes)
+        assert rep.mechanism_fpga_bits == 32 * (d_enc * m + m)
+        lines = rep.text().splitlines()
+        assert f"biases: {rep.bias_fpga_bits} bits fixed" in lines
+        assert f"mechanism: {rep.mechanism_fpga_bits} bits fixed" in lines
+
+
 def test_report_text_and_time():
     model = _shape_stub(25, (60,))
     rep = memory_report(model, clock_hz=100e6)

@@ -19,6 +19,9 @@ the functions on QUANTIZE_CALLERS call quantize_array.
 
 A fifth keeps a model checked in one place, when it is built: in the
 package, only ScmModel.__post_init__ calls .validate().
+
+A sixth keeps training's signals one byte an entry: every signals_pm1 call
+in train.py passes np.int8.
 """
 
 import ast
@@ -238,3 +241,27 @@ def test_a_model_is_validated_only_when_it_is_built():
     flagged = {p.name: calls_of("validate", p.read_text(), VALIDATE_CALLERS.get(p.name, set()))
                for p in PACKAGE.glob("*.py")}
     assert {name: calls for name, calls in flagged.items() if calls} == {}
+
+
+def float_signal_calls(source: str) -> list[str]:
+    """Calls of signals_pm1 whose dtype, positional or by keyword, is not np.int8."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called(node) == "signals_pm1":
+            dtype = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "dtype")]
+            if [ast.unparse(d) for d in dtype] != ["np.int8"]:
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_the_check_finds_a_float_signal_matrix():
+    source = ("import numpy as np\nfrom .mechanism import signals_pm1\n"
+              "a = signals_pm1(bits)\nb = signals_pm1(bits, np.float32)\n"
+              "c = signals_pm1(bits, np.int8)\nd = m.signals_pm1(bits, dtype=np.int8)\n"
+              "e = m.signals_pm1(bits, dtype=np.float64)\n")
+    assert float_signal_calls(source) == ["line 3", "line 4", "line 7"]
+
+
+def test_training_builds_its_signals_in_int8():
+    source = (PACKAGE / "train.py").read_text()
+    assert "signals_pm1(" in source and float_signal_calls(source) == []

@@ -3,7 +3,8 @@ import pytest
 
 from scmfpga import linalg
 from scmfpga.encoding import encode_matrix, parse_encoding
-from scmfpga.linalg import LASSO_MAX_SWEEPS, lasso_fit, lasso_objective, least_squares
+from scmfpga.linalg import (BLOCK_ROWS, LASSO_MAX_SWEEPS, lasso_fit, lasso_objective,
+                            least_squares)
 from scmfpga.mechanism import signals_pm1
 
 
@@ -258,3 +259,25 @@ def test_lasso_fits_the_wide_s2v1_shape_in_few_sweeps():
     fit = lasso_fit(signals_pm1(bits), y, alpha=1e-4)
     assert d_enc == 576 and fit.constant_columns > 0
     assert fit.converged and fit.sweeps <= 100
+
+
+def test_lasso_gives_the_same_fit_on_int8_and_float64_signals():
+    # two outputs over more rows than one block; column 0 is constant and
+    # column 1 is +1 on most rows, so int8 column sums would wrap
+    rng = np.random.default_rng(30)
+    n = 2 * BLOCK_ROWS + 37
+    s8 = rng.choice(np.array([-1, 1], np.int8), size=(n, 8))
+    s8[:, 0] = 1
+    s8[:, 1] = 1
+    s8[:50, 1] = -1
+    assert np.count_nonzero(s8[:, 1] == 1) > 127
+    assert s8[:, 1].sum(dtype=np.int8) != n - 100
+    y = s8[:, 1:5] @ rng.normal(size=(4, 2)) + rng.normal(scale=0.3, size=(n, 2))
+    s64 = s8.astype(np.float64)
+    for alpha in (0.0, 1e-4, 0.5):
+        got, want = lasso_fit(s8, y, alpha), lasso_fit(s64, y, alpha)
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.u, want.u)
+        assert (got.sweeps, got.converged, got.objective, got.constant_columns) == \
+            (want.sweeps, want.converged, want.objective, want.constant_columns)
+        assert got.constant_columns == 1
+        assert lasso_objective(s8, y, got.p, got.u, alpha) == got.objective

@@ -36,9 +36,10 @@ def _random_bits(rng, n, width):
 def test_float32_signals_are_the_float64_signals_cast(width, rows):
     bits = BitMatrix.from01(np.random.default_rng(width).integers(0, 2, size=(rows, width),
                                                                   dtype=np.uint8))
-    s32 = signals_pm1(bits, np.float32)
-    assert s32.dtype == np.float32 and s32.shape == (rows, width)
-    assert np.array_equal(s32, signals_pm1(bits).astype(np.float32))
+    for dtype in (np.float32, np.int8):  # int8: training's signals
+        s = signals_pm1(bits, dtype)
+        assert s.dtype == dtype and s.shape == (rows, width)
+        assert np.array_equal(s, signals_pm1(bits).astype(dtype))
 
 
 def test_constant_target_goes_to_intercept():

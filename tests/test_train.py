@@ -597,21 +597,25 @@ def test_training_holds_one_signal_matrix_at_a_time(use_mechanism):
     y = np.sin(2 * np.pi * x.sum(axis=1, keepdims=True)) * 0.3 + 0.5
     data = prepare_train_data(x[:n], y[:n], x[n:], y[n:], parse_encoding("s2v1"))
     f64 = 8 * len(data.bits) * data.bits.n  # one float64 (N + K, d_enc) matrix
-    cfg = TrainConfig.single_layer(1, Activation.STEP, t_max=100,
-                                   use_mechanism=use_mechanism, seed=23)
+    cfg = TrainConfig((3, 1), (Activation.STEP, Activation.STEP), t_max=100,
+                      use_mechanism=use_mechanism, seed=23)
     tracemalloc.start()
     try:
         state = TrainState(data, cfg)
-        state.begin_layer()
-        res = add_node(state)
+        dtypes, added = [], []
+        for size in cfg.layer_sizes:
+            state.begin_layer()
+            dtypes.append(state.cur_in.dtype)
+            added += [add_node(state) for _ in range(size)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res is not None and not hasattr(state, "in_ordered")
-    # without the mechanism no float64 signals are built, and the float32 ones
-    # take half that; with it, the float64 ones are gone before the float32
-    # ones are built, so the two are never held together
-    assert peak < (f64 * 3 // 2 if use_mechanism else f64)
+    assert None not in added and not hasattr(state, "in_ordered")
+    # each layer's signals are one int8 matrix, and the L1 fit, its targets
+    # and candidate scoring read float copies of a few rows at a time, so no
+    # float signal matrix is built: one int8 matrix takes an eighth of f64
+    assert dtypes == [np.int8, np.int8]
+    assert peak < f64 // 2
 
 
 def test_preallocated_readout_matches_column_stack():
