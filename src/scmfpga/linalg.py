@@ -16,8 +16,9 @@ and Tibshirani (2010, "Regularization paths for generalized linear models
 via coordinate descent", JSS 33(1)): the centred Gram G = X^T X - s s^T / N
 (s the column sums) and c = X^T (y - mean(y)) are formed once and q = G p
 is kept up to date, so a step costs O(d), not O(N). X^T X and c are summed
-over float64 copies of BLOCK_ROWS rows (row_blocks), so X may be int8 +-1
-signals (s is summed in float64). On +-1 entries G is rounded once. A
+over float64 copies of BLOCK_ROWS rows (row_blocks, which training's readout
+reads its int8 H through too), so X may be int8 +-1 signals (s is summed in
+float64), and G is centred in place. On +-1 entries G is rounded once. A
 constant column (zero range) gets its row and column of G set to zero, so
 coefficient 0 and no steps; on +-1 entries they are exactly zero already.
 The sweeps start from the minimum-norm solution of G p = c, not from zero:
@@ -50,7 +51,7 @@ def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def row_blocks(x: np.ndarray):
-    """(rows, float64 copy of x[rows]) over x, BLOCK_ROWS rows at a time."""
+    """(rows, float64 x[rows]) over x, BLOCK_ROWS rows at a time; a view if x is float64."""
     for a in range(0, len(x), BLOCK_ROWS):
         yield slice(a, a + BLOCK_ROWS), x[a : a + BLOCK_ROWS].astype(np.float64, copy=False)
 
@@ -138,7 +139,9 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
     for rows, xb in row_blocks(x):
         g += xb.T @ xb
         c += xb.T @ yc[rows]
-    g = (n * g - np.outer(s, s)) / n  # the centred Gram, rounded once
+    g *= n  # the centred Gram (n g - s s^T) / n, rounded once, in place
+    g -= np.outer(s, s)
+    g /= n
     # a constant column centres to zero, but off +-1 its products need not cancel
     constant = np.ptp(x, axis=0) == 0
     g[constant] = g[:, constant] = 0.0

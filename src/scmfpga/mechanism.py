@@ -65,8 +65,8 @@ class MechanismModel:
 
 
 def signals_pm1(bits: BitMatrix, dtype=np.float64) -> np.ndarray:
-    """The (N, d_enc) -1/+1 matrix of encoded rows, in dtype (a float type or int8)."""
-    s = bits.to01().astype(dtype)
+    """The (N, d_enc) -1/+1 matrix of encoded rows in dtype: a float type, or int8 made in place."""
+    s = bits.to01().view(np.int8) if np.dtype(dtype) == np.int8 else bits.to01().astype(dtype)
     s *= 2
     s -= 1
     return s

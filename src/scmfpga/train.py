@@ -64,7 +64,6 @@ DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
 # training rows per scoring block: a (256, 500) float32 block of candidate
 # bits is 512 KB, which stays in L2 between its threshold and its limb GEMM
 SCORE_ROWS = 256
-READOUT_ROWS = 1024  # rows of H per float64 copy in the readout's products
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,9 @@ class TrainConfig:
             raise ValueError("need one activation per layer")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be >= 1; a mechanism-only model has no layers")
+        if not (self.layer_sizes or self.use_mechanism):
+            raise ValueError("no layers (layer_sizes, --nodes 0) and no mechanism "
+                             "(use_mechanism, --no-mechanism) leave nothing to train")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if not self.r_schedule:
@@ -254,8 +256,8 @@ class TrainState:
     max(N, L) * eps * |h| (lstsq's cutoff) gets readout 0 and no column of R;
     while the residual lies above rounding level, xi > 0 rules that out. The
     residuals on every row stay target - H @ beta, the model's own errors.
-    Products with H run over float64 copies of READOUT_ROWS rows at a time,
-    so no float64 array of H's size is held.
+    Products with H run over its float64 row_blocks, so no float64 copy of
+    H is held, and the targets and residuals are written in place.
     """
 
     def __init__(self, data: TrainData, cfg: TrainConfig):
@@ -278,8 +280,9 @@ class TrainState:
         self.cur_in = signals_pm1(data.bits, np.int8)
         if cfg.use_mechanism:
             self.mech = fit_mechanism(self.cur_in[:n], data.y[:n], cfg.alpha)
-            self.target = np.vstack([data.y[rows] - mech_eval_float_batch(s, self.mech)
-                                     for rows, s in row_blocks(self.cur_in)])
+            self.target = data.y.copy()
+            for rows, s in row_blocks(self.cur_in):
+                self.target[rows] -= mech_eval_float_batch(s, self.mech)
         else:
             self.mech = external_mechanism(np.zeros((data.bits.n, self.m)), np.zeros(self.m))
             self.target = data.y  # the zero mechanism would subtract exactly +0.0
@@ -322,13 +325,13 @@ class TrainState:
         self.n_hidden += 1
         self.nodes.append(node)
         self.layer_sizes[-1] += 1
-        r, v, col = self.R[:k, :k], h[:n].astype(np.float64), np.zeros(k)
-        hv = sum(hb.T @ v[rows] for rows, hb in self._blocks(basis, n))  # H_B^T h, exact
+        r, v, col, h_b = self.R[:k, :k], h[:n].astype(np.float64), np.zeros(k), self.H[:n, basis]
+        hv = sum(hb.T @ v[rows] for rows, hb in row_blocks(h_b))  # H_B^T h, exact
         for correct in (True, False):  # the projection, then one correction pass
             step = np.linalg.solve(r.T, hv)
             col += step
             x, hv = np.linalg.solve(r, step), np.zeros(k)
-            for rows, hb in self._blocks(basis, n):
+            for rows, hb in row_blocks(h_b):
                 v[rows] -= hb @ x
                 if correct:  # H_B^T v, for the correction pass
                     hv += hb.T @ v[rows]
@@ -359,14 +362,8 @@ class TrainState:
         self.beta = np.zeros((self.n_hidden, self.m))
         if k:
             self.beta[np.array(self.in_basis)] = np.linalg.solve(self.R[:k, :k], self.qt[:k])
-        self.resid = np.vstack([self.target[rows] - hb @ self.beta
-                                for rows, hb in self._blocks(slice(0, self.n_hidden), len(self.H))])
-
-    def _blocks(self, cols, n: int):
-        """(rows, float64 copy of H[rows, cols]) over the first n rows, READOUT_ROWS at a time."""
-        for a in range(0, n, READOUT_ROWS):
-            rows = slice(a, min(a + READOUT_ROWS, n))
-            yield rows, self.H[rows, cols].astype(np.float64)
+        for rows, hb in row_blocks(self.H[:, : self.n_hidden]):
+            np.subtract(self.target[rows], hb @ self.beta, out=self.resid[rows])
 
     def train_rmse(self) -> float:
         return _rmse(self.resid[: self.n_train])
@@ -559,14 +556,14 @@ def add_node(state: TrainState) -> TrainRecord | None:
         j = int(live[best])
 
         # the work array holds only the last block: rebuild the accepted column h
-        # from float32 copies of SCORE_ROWS rows at a time
-        h = np.empty((len(state.cur_in), 1), np.float32)
+        # SCORE_ROWS rows at a time, through the block buffers and the work array
+        h = np.empty(len(state.cur_in), np.int8)
         for a in range(0, len(h), SCORE_ROWS):
-            rows = slice(a, a + SCORE_ROWS)
-            threshold_bits(state.cur_in[rows].astype(np.float32), w[[j]], edge[[j]], h[rows])
-        h = h[:, 0]
-        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])),
-                          (2 * h - 1 if pm1 else h).astype(np.int8))
+            s_blk = state.block_in[: min(SCORE_ROWS, len(h) - a)]
+            s_blk[...] = state.cur_in[a : a + SCORE_ROWS]
+            bit = threshold_bits(s_blk, w[[j]], edge[[j]], state.work.ravel()[: len(s_blk), None])
+            h[a : a + SCORE_ROWS] = 2 * bit[:, 0] - 1 if pm1 else bit[:, 0]
+        state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])), h)
         return TrainRecord(
             layer=layer,
             node=state.layer_sizes[-1],

@@ -113,6 +113,17 @@ def test_train_mechanism_only(tmp_path, capsys, db1_files):
     assert delta <= (model.d_enc + 1) * 2.0**-25
 
 
+def test_train_refuses_no_nodes_and_no_mechanism(tmp_path, capsys, monkeypatch, db1_files):
+    # unchecked, this saved a model with no layers and a zero mechanism
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "m.scm"
+    assert run("train", str(data), "--out", str(out), "--nodes", "0", "--no-mechanism") == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--nodes 0" in err[0] and "--no-mechanism" in err[0]
+
+
 def test_train_layers_flag(tmp_path, db1_files):
     _, data, _ = db1_files
     out = tmp_path / "deep.scm"

@@ -22,6 +22,10 @@ package, only ScmModel.__post_init__ calls .validate().
 
 A sixth keeps training's signals one byte an entry: every signals_pm1 call
 in train.py passes np.int8.
+
+A seventh keeps training's float copies of its hidden outputs one block at a
+time: train.py reads H in float64 only through linalg.row_blocks, so no
+.astype call is made on a subscript of an attribute named H.
 """
 
 import ast
@@ -265,3 +269,25 @@ def test_the_check_finds_a_float_signal_matrix():
 def test_training_builds_its_signals_in_int8():
     source = (PACKAGE / "train.py").read_text()
     assert "signals_pm1(" in source and float_signal_calls(source) == []
+
+
+def hidden_output_casts(source: str) -> list[str]:
+    """.astype calls on a subscript of an attribute named H, such as self.H[rows]."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype" and isinstance(node.func.value, ast.Subscript)
+            and getattr(node.func.value.value, "attr", None) == "H"]
+
+
+def test_the_check_finds_a_float_copy_of_the_hidden_outputs():
+    source = ("import numpy as np\n"
+              "a = self.H[rows, cols].astype(np.float64)\n"
+              "b = state.H[:n].astype(np.float32, copy=False)\n"
+              "c = H[rows].astype(np.float64)\nd = self.H.astype(np.float64)\n"
+              "e = h[:n].astype(np.float64)\nf = row_blocks(self.H[:, :k])\n")
+    assert hidden_output_casts(source) == ["line 2", "line 3"]
+
+
+def test_training_reads_its_hidden_outputs_through_row_blocks():
+    source = (PACKAGE / "train.py").read_text()
+    assert "row_blocks(self.H" in source and hidden_output_casts(source) == []

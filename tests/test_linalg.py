@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,25 @@ def test_lasso_fits_the_wide_s2v1_shape_in_few_sweeps():
     fit = lasso_fit(signals_pm1(bits), y, alpha=1e-4)
     assert d_enc == 576 and fit.constant_columns > 0
     assert fit.converged and fit.sweeps <= 100
+
+
+def test_lasso_holds_few_gram_sized_arrays_at_once():
+    # the 36-feature s2v1 shape: a float64 576 x 576 Gram is 2.5 MiB, and the
+    # int8 design rows come in float64 blocks of BLOCK_ROWS; centring the Gram
+    # out of place held about 3.3 Grams at once, in place about 2.5
+    rng = np.random.default_rng(1)
+    x = np.round(rng.uniform(size=(3200, 36)), 3)
+    y = (np.sin(3.0 * x[:, :1]) + x[:, 1:2] * x[:, 2:3] + 0.5 * np.cos(2.0 * x[:, 3:4])) / 3.0
+    bits, d_enc = encode_matrix(x, parse_encoding("s2v1"))
+    s = signals_pm1(bits, np.int8)
+    tracemalloc.start()
+    try:
+        lasso_fit(s, y, alpha=1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (3200, 576) and s.dtype == np.int8
+    assert peak < 2.75 * d_enc * d_enc * 8
 
 
 def test_lasso_gives_the_same_fit_on_int8_and_float64_signals():

@@ -1201,5 +1201,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig((5,), ())
     assert TrainConfig((), ()).layer_sizes == ()
+    # no layers and no mechanism would save a model that outputs 0 for every row
+    with pytest.raises(ValueError, match="--nodes 0.*--no-mechanism"):
+        TrainConfig((), (), use_mechanism=False)
     with pytest.raises(ValueError, match="a mechanism-only model has no layers"):
         TrainConfig.single_layer(0)
