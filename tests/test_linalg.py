@@ -250,27 +250,29 @@ def test_lasso_converges_on_a_wide_collinear_design():
     assert fit.converged and fit.sweeps < LASSO_MAX_SWEEPS
 
 
-def test_lasso_fits_the_wide_s2v1_shape_in_few_sweeps():
-    # 36 features in s2v1 over 3200 rows rounded to 3 places, constant columns
-    # included: on uncentred columns this took about 5000 sweeps; sweeps do
-    # not depend on timing
+def _wide_s2v1_shape():
+    """36 features in s2v1 (576 bits) over 3200 rows rounded to 3 places, and a smooth target."""
     rng = np.random.default_rng(1)
     x = np.round(rng.uniform(size=(3200, 36)), 3)
     y = (np.sin(3.0 * x[:, :1]) + x[:, 1:2] * x[:, 2:3] + 0.5 * np.cos(2.0 * x[:, 3:4])) / 3.0
     bits, d_enc = encode_matrix(x, parse_encoding("s2v1"))
+    return bits, d_enc, y
+
+
+def test_lasso_fits_the_wide_s2v1_shape_in_few_sweeps():
+    # constant columns included: on uncentred columns this took about 5000
+    # sweeps; sweeps do not depend on timing
+    bits, d_enc, y = _wide_s2v1_shape()
     fit = lasso_fit(signals_pm1(bits), y, alpha=1e-4)
     assert d_enc == 576 and fit.constant_columns > 0
     assert fit.converged and fit.sweeps <= 100
 
 
 def test_lasso_holds_few_gram_sized_arrays_at_once():
-    # the 36-feature s2v1 shape: a float64 576 x 576 Gram is 2.5 MiB, and the
-    # int8 design rows come in float64 blocks of BLOCK_ROWS; centring the Gram
-    # out of place held about 3.3 Grams at once, in place about 2.5
-    rng = np.random.default_rng(1)
-    x = np.round(rng.uniform(size=(3200, 36)), 3)
-    y = (np.sin(3.0 * x[:, :1]) + x[:, 1:2] * x[:, 2:3] + 0.5 * np.cos(2.0 * x[:, 3:4])) / 3.0
-    bits, d_enc = encode_matrix(x, parse_encoding("s2v1"))
+    # a float64 576 x 576 Gram is 2.5 MiB, and the int8 design rows come in
+    # float64 blocks of BLOCK_ROWS; centring the Gram out of place held about
+    # 3.3 Grams at once, in place about 2.5
+    bits, d_enc, y = _wide_s2v1_shape()
     s = signals_pm1(bits, np.int8)
     tracemalloc.start()
     try:
