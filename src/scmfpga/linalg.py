@@ -1,9 +1,9 @@
-"""Dense least squares and L1-penalized regression used by training.
+"""L1-penalized regression used by training, and SVD least squares for its tests.
 
 least_squares is an SVD-based pseudoinverse (numpy lstsq with the max(N, L) *
-eps singular-value cutoff). It gives the L1 fit its warm start and is the
-test oracle of the readout, which training keeps as the growing triangle R
-of a QR, without its basis (train.TrainState). The L1 solver minimizes
+eps singular-value cutoff). No package path calls it: it is the test oracle
+of the readout, which training keeps as the growing triangle R of a QR,
+without its basis (train.TrainState). The L1 solver minimizes
 
     sum_j (y_j - u - x_j . p)**2 + alpha * sum_k |p_k|
 
@@ -21,9 +21,10 @@ reads its int8 H through too), so X may be int8 +-1 signals (s is summed in
 float64), and G is centred in place. On +-1 entries G is rounded once. A
 constant column (zero range) gets its row and column of G set to zero, so
 coefficient 0 and no steps; on +-1 entries they are exactly zero already.
-The sweeps start from the minimum-norm solution of G p = c, not from zero:
-the optimum lies close to least squares, and the collinear thermometer
-columns of encoded inputs make descent crawl.
+The sweeps start from the solution of (G + delta I) p = c, delta = 1e-9
+max(1, max G_kk), not from zero: the optimum lies close to least squares,
+and the collinear thermometer columns of encoded inputs make descent crawl.
+The shift makes the semidefinite G definite: one LU solve, and no SVD.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix")
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr)):  # integers are finite
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -57,10 +58,10 @@ def row_blocks(x: np.ndarray):
 
 
 def least_squares(h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of H @ beta ~= T.
+    """Minimum-norm least-squares solution of H @ beta ~= T, by SVD.
 
-    Rank-revealing: singular values below max(N, L) * eps * sigma_max are
-    treated as zero, so rank-deficient H is handled.
+    The readout's test oracle (no package path calls it). Singular values below
+    max(N, L) * eps * sigma_max count as zero, so rank-deficient H is handled.
     """
     h = _as_2d(h, "H")
     t = _as_2d(t, "T")
@@ -75,7 +76,9 @@ def least_squares(h: np.ndarray, t: np.ndarray) -> np.ndarray:
 def lasso_objective(x: np.ndarray, y: np.ndarray, p: np.ndarray, u: np.ndarray,
                     alpha: float) -> float:
     """Unnormalized L1 objective with intercepts u, summed over output columns."""
-    resid = np.vstack([y[rows] - xb @ p - u for rows, xb in row_blocks(x)])
+    resid = np.empty(y.shape)
+    for rows, xb in row_blocks(x):
+        resid[rows] = y[rows] - xb @ p - u
     return float(np.sum(resid * resid) + alpha * np.sum(np.abs(p)))
 
 
@@ -112,20 +115,20 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
     ----------
     x : (N, d) design matrix (typically the int8 +-1 signals of encoded inputs).
     y : (N, m) targets.
-    alpha : L1 penalty weight, >= 0.
+    alpha : L1 penalty weight, finite and >= 0.
 
     Returns
     -------
     A LassoFit. p is the (d, m) coefficient matrix fit on the centred
-    columns and targets by cyclic coordinate descent from the least-squares
+    columns and targets by cyclic coordinate descent from a ridge least-squares
     solution, and u[i] = mean(y[:, i]) - s . p[:, i] / N, s the column sums.
     A column has converged when the largest coefficient change in a sweep is
     below LASSO_TOL; it gives up after LASSO_MAX_SWEEPS sweeps.
     """
     x = _as_2d(x, "X")
     y = _as_2d(y, "Y")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not 0.0 <= alpha < np.inf:  # also refuses NaN
+        raise ValueError(f"alpha {alpha!r} is not finite and non-negative")
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -146,8 +149,10 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> LassoFit:
     constant = np.ptp(x, axis=0) == 0
     g[constant] = g[:, constant] = 0.0
     diag = np.diag(g).tolist()
-    p = np.array(least_squares(g, c), order="F")  # warm start; columns are views
-    p[np.diag(g) == 0.0] = 0.0  # constant columns: the SVD leaves rounding noise
+    np.fill_diagonal(g, np.add(diag, 1e-9 * max([1.0, *diag])))  # G + delta I: definite
+    p = np.array(np.linalg.solve(g, c), order="F")  # the warm start; columns are views
+    np.fill_diagonal(g, diag)
+    p[np.diag(g) == 0.0] = 0.0  # constant columns: c_k / delta is rounding noise
     sweep = sweeps = 0
     converged = True
     for out in range(m):

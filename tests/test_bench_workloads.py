@@ -7,8 +7,9 @@ file reads back to the same bytes, and pins the read path's integer results
 (encoded words and emulated outputs) on that case. It pins what training gives on
 the first case of db2-desk and deep-mix, bounds the memory that case takes to
 train and the sweeps its L1 fit takes. It also checks that every function the
-traced run (bench/run.py --trace 1) wraps still exists, and that each one records a span
-when a small training case runs through the benchmark's two steps.
+traced run (bench/run.py --trace 1) wraps still exists, and that each one but
+linalg.least_squares, which training no longer calls, records a span when a
+small training case runs through the benchmark's two steps.
 """
 
 import functools
@@ -68,7 +69,7 @@ def test_eval_full_read_path_integers_match_the_pins(monkeypatch):
 # the 3200-row cases accept.
 TRAIN_PINS = {
     "db2-desk": ("6554ef66ec7fe325c39d205a063a7554c49e3e54fcf99d6948deabaeb6b31b37",
-                 "0c0ae76fe8e02b039f15010d5102a86ece2d9f6fc440328820481b9f916c7459"),
+                 "6c22662b42dac3ff01663bb880485e2e3d8a6c597f58e2b098ca9040b444cf65"),
     "deep-mix": ("14422c393af1a34c4828bcb166b30377475b9ae86eb0a12f6adde718d8e0b88b",
                  "5d7db0c962b57fcb6aecd6f9c8357a63fdaad2745ccec8b1a7773d3a8eb03520"),
 }
@@ -142,7 +143,8 @@ def test_trace_targets_name_package_functions(monkeypatch):
 def test_every_trace_target_records_a_span(monkeypatch):
     # a function the package reaches other than through a module attribute
     # (a method, a default argument) bypasses its wrapper and would report
-    # zero seconds and zero calls
+    # zero seconds and zero calls. least_squares is the exception: training
+    # solves no least-squares problem, so it must record none
     monkeypatch.syspath_prepend(str(BENCH))
     harness = importlib.import_module("harness")
     tracing = importlib.import_module("tracing")
@@ -160,4 +162,4 @@ def test_every_trace_target_records_a_span(monkeypatch):
     assert result.model.layer_sizes == (3,)
     calls = {name: n for name, (_, n) in tracer.self_times().items()}
     assert {qual: calls.get(qual, 0) > 0 for qual in harness.TRACE_TARGETS} == \
-        dict.fromkeys(harness.TRACE_TARGETS, True)
+        {qual: qual != "linalg.least_squares" for qual in harness.TRACE_TARGETS}

@@ -26,6 +26,10 @@ in train.py passes np.int8.
 A seventh keeps training's float copies of its hidden outputs one block at a
 time: train.py reads H in float64 only through linalg.row_blocks, so no
 .astype call is made on a subscript of an attribute named H.
+
+An eighth keeps the package's paths free of SVDs: it uses np.linalg only
+through solve (an LU factorization) and norm, apart from the lstsq in
+least_squares, the readout's test oracle, which no package function calls.
 """
 
 import ast
@@ -41,6 +45,7 @@ SCRIPTS = sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")
 # public names that only the tests call, each kept as the oracle of a batch function
 ORACLES = {
     "fx_from_real": "one-value form of quantize_array, the oracle of its rounding",
+    "least_squares": "SVD least squares: the readout's test oracle",
 }
 
 
@@ -193,16 +198,21 @@ QUANTIZE_CALLERS = {
 }
 
 
-def calls_of(callee: str, source: str, allowed: set[str] = frozenset()) -> list[str]:
-    """Calls of callee, by name or as an attribute, outside the top-level
-    functions and the methods (as Class.name) named in allowed."""
-    scopes = []  # (name, top-level statement or method), a class by its methods
+def _scopes(source: str) -> list[tuple[str, ast.AST]]:
+    """(name, top-level statement or method) over source, a class by its methods."""
+    scopes = []
     for top in ast.parse(source).body:
         if isinstance(top, ast.ClassDef):
             scopes += [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
         else:
             scopes.append((getattr(top, "name", "module level"), top))
-    return [f"line {node.lineno}: {name}" for name, scope in scopes if name not in allowed
+    return scopes
+
+
+def calls_of(callee: str, source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Calls of callee, by name or as an attribute, outside the top-level
+    functions and the methods (as Class.name) named in allowed."""
+    return [f"line {node.lineno}: {name}" for name, scope in _scopes(source) if name not in allowed
             for node in ast.walk(scope)
             if isinstance(node, ast.Call) and _called(node) == callee]
 
@@ -291,3 +301,48 @@ def test_the_check_finds_a_float_copy_of_the_hidden_outputs():
 def test_training_reads_its_hidden_outputs_through_row_blocks():
     source = (PACKAGE / "train.py").read_text()
     assert "row_blocks(self.H" in source and hidden_output_casts(source) == []
+
+
+# package module -> its functions that may use an np.linalg routine other than solve and norm
+LINALG_USERS = {"linalg.py": {"least_squares"}}  # lstsq, in the readout's SVD test oracle
+
+
+def svd_uses(source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Reads of np.linalg (or numpy.linalg) routines other than solve and norm,
+    imports from numpy.linalg, and calls of least_squares, outside the
+    top-level functions and the methods (as Class.name) named in allowed."""
+    found = []
+    for name, scope in _scopes(source):
+        if name in allowed:
+            continue
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and node.attr not in ("solve", "norm") \
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"):
+                found.append(f"line {node.lineno}: {name} reads np.linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found.append(f"line {node.lineno}: {name} imports from numpy.linalg")
+            elif isinstance(node, ast.Call) and _called(node) == "least_squares":
+                found.append(f"line {node.lineno}: {name} calls least_squares")
+    return found
+
+
+def test_the_check_finds_an_svd():
+    source = ("import numpy as np\n"
+              "def fit(g, c):\n    return np.linalg.solve(g, c) / np.linalg.norm(c)\n"
+              "def least_squares(h, t):\n    return np.linalg.lstsq(h, t, rcond=None)[0]\n"
+              "class Readout:\n    def start(self, g):\n        return np.linalg.svd(g)\n"
+              "    def warm(self, g, c):\n        return linalg.least_squares(g, c)\n"
+              "from numpy.linalg import pinv\n")
+    assert svd_uses(source) == [
+        "line 5: least_squares reads np.linalg.lstsq", "line 8: Readout.start reads np.linalg.svd",
+        "line 10: Readout.warm calls least_squares",
+        "line 11: module level imports from numpy.linalg"]
+    assert svd_uses(source, {"least_squares"}) == [
+        "line 8: Readout.start reads np.linalg.svd", "line 10: Readout.warm calls least_squares",
+        "line 11: module level imports from numpy.linalg"]
+
+
+def test_the_package_runs_no_svd():
+    flagged = {p.name: svd_uses(p.read_text(), LINALG_USERS.get(p.name, set()))
+               for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in flagged.items() if found} == {}

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from scmfpga import linalg
 from scmfpga.encoding import encode_matrix, parse_encoding
-from scmfpga.linalg import (BLOCK_ROWS, LASSO_MAX_SWEEPS, lasso_fit, lasso_objective,
+from scmfpga.linalg import (BLOCK_ROWS, LASSO_MAX_SWEEPS, LASSO_TOL, lasso_fit, lasso_objective,
                             least_squares)
 from scmfpga.mechanism import signals_pm1
 
@@ -133,12 +135,79 @@ def test_lasso_objective_not_worse_than_baselines():
 def test_lasso_invalid_inputs():
     x = np.ones((4, 2))
     y = np.ones((4, 1))
-    with pytest.raises(ValueError):
-        lasso_fit(x, y, alpha=-1.0)
+    # NaN gave p = 0 with a NaN objective, and inf a RuntimeWarning from inf * 0
+    for alpha in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            lasso_fit(x, y, alpha)
     with pytest.raises(ValueError):
         lasso_fit(x[:1], y[:1], alpha=0.1)
     with pytest.raises(ValueError):
         lasso_fit(x * np.nan, y, alpha=0.1)
+
+
+def test_an_integer_design_is_checked_without_a_copy():
+    # np.isfinite of the wide shape's 3200 x 576 int8 signals made a bool
+    # temporary as large as the design on every fit
+    s = np.ones((3200, 576), np.int8)
+    tracemalloc.start()
+    try:
+        checked = linalg._as_2d(s, "X")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checked is s and peak < s.nbytes / 8
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_lasso_fits_a_design_without_live_columns(d):
+    # no columns at all, or only constant ones: the intercepts are the means
+    x = np.ones((5, d))
+    y = np.arange(10.0).reshape(5, 2)
+    fit = lasso_fit(x, y, 1e-4)
+    assert fit.p.shape == (d, 2) and np.all(fit.p == 0.0) and fit.constant_columns == d
+    assert np.array_equal(fit.u, y.mean(axis=0)) and fit.converged
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    extra_rows=st.integers(1, 40),
+    m=st.integers(1, 2),
+    constant=st.booleans(),
+    duplicate=st.sampled_from([0, 1, -1]),
+    alpha=st.sampled_from([1e-4, 1e-2]),
+)
+def test_lasso_meets_the_kkt_conditions(seed, d, extra_rows, m, constant, duplicate, alpha):
+    # the optimum has |c - G p|_k <= alpha / 2 on every non-constant column k,
+    # with equality and the sign of p_k on the support. Each step meets its
+    # own coordinate's condition exactly; the later steps of the last sweep,
+    # each under LASSO_TOL, then move (G p)_k by at most LASSO_TOL * |G_k|_1.
+    # That, plus 1e-12 for the rounding of G and of the running G p, is tol.
+    # The draws have N > 2d rows and full rank but for the planted constant
+    # and duplicated columns: other dependent columns can make descent crawl
+    # (6 rows of 5 columns of centred rank 4 ran to the 10000-sweep cap)
+    rng = np.random.default_rng(seed)
+    n = 2 * d + extra_rows
+    x = rng.choice(np.array([-1, 1], np.int8), size=(n, d))
+    assume(np.linalg.matrix_rank(x - x.mean(axis=0)) == d)
+    if constant:
+        x[:, rng.integers(d)] = rng.choice([-1, 1])
+    if duplicate and d > 1:  # a copy or a negated copy: G is singular
+        i, j = rng.choice(d, size=2, replace=False)
+        x[:, j] = duplicate * x[:, i]
+    y = x @ (rng.normal(size=(d, m)) * (rng.random((d, 1)) < 0.5))  # a sparse truth
+    y += rng.normal(scale=0.3, size=(n, m))
+    fit = lasso_fit(x, y, alpha)
+    assert fit.converged
+    xc = x - x.mean(axis=0)
+    g = xc.T @ xc
+    grad = xc.T @ (y - y.mean(axis=0)) - g @ fit.p
+    tol = LASSO_TOL * np.abs(g).sum(axis=1, keepdims=True) + 1e-12
+    live = np.ptp(x, axis=0) > 0
+    assert np.all(fit.p[~live] == 0.0)
+    assert np.all((np.abs(grad) <= alpha / 2 + tol)[live])
+    support = fit.p != 0.0
+    assert np.all((np.abs(grad - alpha / 2 * np.sign(fit.p)) <= tol)[support])
 
 
 def test_lasso_large_alpha_kills_coefficients():
