@@ -11,8 +11,8 @@ from scmfpga import encode_matrix, parse_encoding
 
 
 def show(label, spec_text, x):
-    vec = encode_matrix(np.array([[x]]), parse_encoding(spec_text))[0][0]
-    print(f"  {label:<28} {vec.to_string()}   ({vec.n} bits)")
+    bits, d_enc = encode_matrix(np.array([[x]]), parse_encoding(spec_text))
+    print(f"  {label:<28} {''.join(map(str, bits.to01()[0]))}   ({d_enc} bits)")
 
 
 print("Density encoding: unary bucket code, N evenly divided levels")

@@ -59,8 +59,8 @@ external = {
     "layers": [],
 }
 mech_model = s.model_from_json(json.dumps(external))
-x = s.BitVec.from_string("1011")
-raw = int(s.predict_fpga(mech_model, x)[0])
-pc = float(s.predict_float_batch(mech_model, s.BitMatrix.from_rows([x]))[0, 0])
+x = s.BitMatrix.from01([[1, 0, 1, 1]])  # one row
+raw = int(s.predict_fpga_batch(mech_model, x)[0, 0])
+pc = float(s.predict_float_batch(mech_model, x)[0, 0])
 print(f"  inputs 1011 -> {pc} (float path)")
 print(f"  emulated raw: {raw} (= {raw / 2**25})")

@@ -4,7 +4,6 @@ encodings, and a bit-exact emulation of the hardware datapath."""
 from .bits import BitMatrix, BitVec
 from .datasets import (
     Dataset,
-    db1_function,
     gen_db1,
     gen_db2,
     load_csv,
@@ -13,24 +12,11 @@ from .datasets import (
     split,
     write_dataset,
 )
-from .emulate import (
-    ResourceReport,
-    cycle_estimate,
-    memory_report,
-    ones_count_dot,
-    predict_fpga,
-    predict_fpga_batch,
-    xnor_count,
-)
-from .encoding import (
-    EncodingKind,
-    EncodingSpec,
-    encode_matrix,
-    parse_encoding,
-)
+from .emulate import ResourceReport, memory_report, predict_fpga_batch
+from .encoding import EncodingSpec, encode_matrix, parse_encoding
 from .errors import DataError, ModelFormatError, ScmError, TrainingFailedError
 from .evaluate import EvalReport, evaluate_bits
-from .linalg import LassoFit, lasso_fit, lasso_objective, least_squares
+from .linalg import lasso_fit, least_squares
 from .mechanism import (
     MechanismModel,
     external_mechanism,
@@ -56,11 +42,9 @@ from .modelfile import (
 from .train import (
     TrainConfig,
     TrainData,
-    TrainRecord,
     TrainResult,
     TrainState,
     add_node,
-    early_stop_check,
     prepare_train_data,
     train,
 )

@@ -11,18 +11,15 @@ bit 1 means +1. There are two packed forms:
   (signals_pm1, TrainData, predict_float_batch, predict_fpga_batch,
   evaluate_bits). A layer's weights are one BitMatrix too, one row per node,
   written to the model file as it is.
-* BitVec, the scalar form: one row of `n` bits in a Python integer (bit i of
-  the integer is bit i of the vector). Indexing a BitMatrix row gives one.
-  Only predict_fpga, the scalar test oracle of the emulator's batch path,
-  takes BitVecs: it indexes a layer's weight rows for xnor_count and
-  ones_count_dot. Only the benchmark's synthetic model packs BitVecs into a
-  layer, one per ScmNode record. Training does not build any.
+* BitVec, one row of `n` bits in a Python integer (bit i of the integer is
+  bit i of the row): the weight record of an ScmNode, which only the
+  benchmark's synthetic model builds; BitMatrix.from_rows packs them into a
+  layer's weights. Nothing else in the package makes or reads one.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,67 +50,13 @@ class BitVec:
         packed = np.packbits(arr.astype(np.uint8), bitorder="little")
         return cls(int(arr.size), int.from_bytes(packed.tobytes(), "little"))
 
-    @classmethod
-    def from_string(cls, s: str) -> "BitVec":
-        """Build from a '0'/'1' string read left to right (char i -> bit i)."""
-        return cls.from01([int(c) for c in s])
-
-    def to01(self) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        n_bytes = -(-self.n // 8)
-        raw = np.frombuffer(self.value.to_bytes(n_bytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.n]
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError("bit index out of range")
-        return (self.value >> i) & 1
-
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
-    def to_string(self) -> str:
-        return "".join(str((self.value >> i) & 1) for i in range(self.n))
-
-    def invert(self) -> "BitVec":
-        return BitVec(self.n, ~self.value)
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        self._check(other)
-        return BitVec(self.n, self.value ^ other.value)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        self._check(other)
-        return BitVec(self.n, self.value & other.value)
-
-    def _check(self, other: "BitVec") -> None:
-        if self.n != other.n:
-            raise ValueError(f"bit vector length mismatch: {self.n} vs {other.n}")
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitVec) and self.n == other.n and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
-
-    def __repr__(self) -> str:
-        s = self.to_string()
-        if len(s) > 40:
-            s = s[:37] + "..."
-        return f"BitVec({self.n}, '{s}')"
-
 
 class BitMatrix:
     """A batch of `n`-bit rows packed into an (N, W) little-endian uint64 matrix.
 
     See the module docstring for the layout; words and n cannot be rebound.
-    len() is the row count; m[i] is row i as a BitVec, m[a:b] a BitMatrix of those rows.
+    len() is the row count; m[a:b] is a BitMatrix of those rows, and any key but
+    a slice is a TypeError.
     """
 
     def __init__(self, words: np.ndarray, n: int):
@@ -140,10 +83,9 @@ class BitMatrix:
         return cls(out.view(WORD), n)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVec], n: int | None = None) -> "BitMatrix":
-        """Pack BitVecs of one width (`n`, default the first row's, else 0)."""
-        if n is None:
-            n = rows[0].n if len(rows) else 0
+    def from_rows(cls, rows: Sequence[BitVec]) -> "BitMatrix":
+        """Pack BitVecs of one width, the first row's (0 bits for no rows)."""
+        n = rows[0].n if rows else 0
         if any(r.n != n for r in rows):
             raise ValueError(f"every row must be {n} bits wide")
         word_bytes = 8 * n_words(n)
@@ -162,14 +104,9 @@ class BitMatrix:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):  # rows of a checked matrix need no pad-bit scan
-            out = object.__new__(BitMatrix)
-            vars(out).update(words=self.words[key], n=self.n)
-            return out
-        row = self.words[operator.index(key)]
-        return BitVec(self.n, int.from_bytes(row.tobytes(), "little"))
-
-    def __iter__(self) -> Iterator[BitVec]:
-        return (self[i] for i in range(len(self)))
-
+    def __getitem__(self, rows: slice) -> "BitMatrix":
+        if not isinstance(rows, slice):  # words[i] would be 1-D and skip the shape check
+            raise TypeError(f"a bit matrix takes row slices, not {type(rows).__name__}")
+        out = object.__new__(BitMatrix)  # rows of a checked matrix need no pad-bit scan
+        vars(out).update(words=self.words[rows], n=self.n)
+        return out

@@ -169,8 +169,14 @@ def split(ds: Dataset, val_fraction: float, seed: int = 0) -> Dataset:
 
 
 def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
-    """Write `<path>` CSV (rows ordered train/val/test) and `<path>.manifest`."""
-    csv_path = Path(csv_path)
+    """Write `<path>` CSV (rows ordered train/val/test) and `<path>.manifest`.
+
+    A path that is its own manifest path (`*.manifest`) is a ValueError,
+    raised before anything is written.
+    """
+    csv_path, mpath = Path(csv_path), Path(csv_path).with_suffix(".manifest")
+    if csv_path == mpath:
+        raise ValueError(f"{csv_path}: the dataset would be overwritten by its manifest")
     order = np.concatenate([ds.train_idx, ds.val_idx, ds.test_idx])
     header = list(ds.feature_names) + list(ds.target_names)
     with open(csv_path, "w", newline="") as fh:
@@ -187,7 +193,6 @@ def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
         f"n_val={ds.val_idx.size}",
         f"n_test={ds.test_idx.size}",
     ]
-    mpath = csv_path.with_suffix(".manifest")
     mpath.write_text("\n".join(lines) + "\n")
     return [csv_path, mpath]
 

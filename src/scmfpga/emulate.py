@@ -20,10 +20,9 @@ dot > edge = floor(-bias_raw / 2**(25 + shift)) (model.threshold_edge). A
 a {0,1} dot is 2*count - ones(x), so it fires when 2*count - ones(x) > edge.
 The bits, as float64 0/1, select the readouts (fixedpoint.conditional_sum)
 and, times powers of two, pack into the next layer's words, both exactly.
-predict_fpga is its test oracle: one BitVec at a time, in Python integers
-through xnor_count, ones_count_dot, the literal shift and bias, and
-fixedpoint's scalar fx_neg and saturate_to_fx. It shares no kernel with the
-batch path, so a fault in one cannot hide in the other.
+Its scalar test oracle (tests/oracles.py) takes one row at a time as a
+Python integer and keeps the literal shift and bias. It shares no kernel
+with the batch path, so a fault in one cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -33,72 +32,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import WORD, BitMatrix, BitVec, n_words
+from .bits import WORD, BitMatrix, n_words
 from .mechanism import mech_wide_fpga
 from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, threshold_edge
 
 
-def xnor_count(a: BitVec, b: BitVec) -> int:
-    """Dot product of two {-1,+1} vectors stored as bits.
-
-    popcount(XNOR) counts agreeing positions; disagreements count -1 each.
-    Vectors of different lengths raise ValueError, as every BitVec operation does.
-    """
-    agree = (a ^ b).invert().popcount()
-    return 2 * agree - a.n
-
-
-def ones_count_dot(a01: BitVec, w: BitVec) -> int:
-    """Dot product of a literal {0,1} vector with a {-1,+1} weight vector.
-
-    Only positions with a set input bit contribute: +1 where the weight bit
-    is set, -1 where it is clear.
-    """
-    plus = (a01 & w).popcount()
-    minus = (a01 & w.invert()).popcount()
-    return plus - minus
-
-
-def predict_fpga(model: ScmModel, x_bits: BitVec) -> np.ndarray:
-    """Emulated prediction for one encoded sample; returns raw Q7.25 per output.
-
-    The test oracle of predict_fpga_batch, on Python integers only. The wide
-    sums start at the raw intercepts and add each raw mechanism weight for a
-    set input bit or its fx_neg for a clear one. Then, node by node, the XNOR-
-    or AND-count dot is shifted by the scale code and promoted to the 25-bit
-    fraction, the raw bias is added, and the strict threshold gives the bit;
-    the node adds its raw readout for a set bit, and for a clear one nothing
-    (SIGN) or the readout's fx_neg (STEP). The sums saturate once, at the end.
-    """
-    if x_bits.n != model.d_enc:
-        raise ValueError(f"input width {x_bits.n} != model width {model.d_enc}")
-    mech = model.mechanism
-    acc = mech.intercepts_raw.tolist()
-    for i, weights in enumerate(mech.weights_raw.tolist()):
-        acc = [a + (w if x_bits.get(i) else fx.fx_neg(w)) for a, w in zip(acc, weights)]
-    bits_in, pm1 = x_bits, True
-    for layer in model.layers:
-        step = layer.activation == Activation.STEP
-        next_bits = 0
-        for i, beta in enumerate(layer.beta_raw.tolist()):
-            dot = (xnor_count if pm1 else ones_count_dot)(bits_in, layer.w[i])
-            bit = (dot << int(layer.shift[i]) + fx.FRAC_BITS) + int(layer.bias_raw[i]) > 0
-            next_bits |= bit << i
-            if bit or step:
-                acc = [a + (b if bit else fx.fx_neg(b)) for a, b in zip(acc, beta)]
-        bits_in, pm1 = BitVec(len(layer), next_bits), step
-    return np.array([fx.saturate_to_fx(a) for a in acc], dtype=np.int32)
+def _counts(w: np.ndarray, x: np.ndarray, pm1: bool) -> np.ndarray:
+    """(K, B) int32 popcounts of w XOR x (pm1) or w AND x, between K rows of
+    weight words and B rows of input words, added word by word."""
+    op, xt = np.bitwise_xor if pm1 else np.bitwise_and, x.T.copy()  # each op runs along B
+    count = np.bitwise_count(op(w[:, 0, None], xt[0])).astype(np.int32)
+    for j in range(1, w.shape[1]):
+        count += np.bitwise_count(op(w[:, j, None], xt[j]))
+    return count
 
 
 def _layer_bits(layer: ScmLayer, x: BitMatrix, pm1: bool) -> np.ndarray:
     """(B, K) threshold bits of a layer's nodes on a block of B input rows."""
-    op = np.bitwise_xor if pm1 else np.bitwise_and
-    w = layer.w.words
-    xt = x.words.T.copy()  # node-major, so each op runs along the B rows
-    word = lambda j: np.bitwise_count(op(w[:, j, None], xt[j]))  # noqa: E731
-    count = word(0).astype(np.int32)  # (K, B) popcounts, added word by word
-    for j in range(1, w.shape[1]):
-        count += word(j)
+    count = _counts(layer.w.words, x.words, pm1)
     edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.int32)[:, None]
     if pm1:  # 2*count < fan_in - edge
         return (count < (layer.fan_in - edge + 1) >> 1).T
@@ -120,13 +71,13 @@ def predict_fpga_batch(
 ) -> np.ndarray:
     """Emulated prediction over a batch of encoded rows; (N, m) int32 raw values.
 
-    Row for row equal to predict_fpga. Per block of BLOCK_ROWS rows: the
+    Row for row equal to the scalar oracle. Per block of BLOCK_ROWS rows: the
     unsaturated mechanism sum; then per layer the XNOR- or AND-popcounts,
     compared with a per-node limit that is the datapath's shift, bias and
     strict threshold (see _layer_bits). The threshold bits select each node's
-    readout or its clear-bit value (0 for SIGN, the readout's fx_neg for
-    STEP), summed exactly (fixedpoint.conditional_sum), and are packed as the
-    next layer's input. The sum saturates once, at the end.
+    readout or its clear-bit value (0 for SIGN, the readout's two's complement
+    for STEP), summed exactly (fixedpoint.conditional_sum), and are packed as
+    the next layer's input. The sum saturates once, at the end.
 
     If `saturated`, an (m,) integer array, is given, the number of rows whose
     output was clamped is added to it per output.

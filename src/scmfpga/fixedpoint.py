@@ -12,7 +12,6 @@ products (BLAS), exactly.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 
 import numpy as np
@@ -26,24 +25,9 @@ REAL_MAX = RAW_MAX / SCALE  # 64 - 2**-25
 RESOLUTION = 1.0 / SCALE
 
 
-def fx_from_real(x: float) -> int:
-    """Raw Q7.25 value nearest to x (ties to even), clamped to the 32-bit range."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("fixed-point conversion requires a finite value")
-    # clamped before rounding (the bounds are integers), so x * SCALE = inf is no error
-    return round(min(max(x * SCALE, RAW_MIN), RAW_MAX))  # Python round: half to even
-
-
-def fx_neg(raw: int) -> int:
-    """Two's-complement negation; the minimum raw saturates to the maximum."""
-    if raw == RAW_MIN:
-        return RAW_MAX
-    return -raw
-
-
 def fx_neg_array(raw: np.ndarray) -> np.ndarray:
-    """Vectorized fx_neg over raw Q7.25 values; returns int32."""
+    """Two's-complement negation of raw Q7.25 values, in which the minimum raw
+    saturates to the maximum; returns int32."""
     wide = np.asarray(raw, dtype=np.int64)
     return np.where(wide == RAW_MIN, RAW_MAX, -wide).astype(np.int32)
 
@@ -72,7 +56,8 @@ def conditional_sum(select: np.ndarray, on: np.ndarray, off: np.ndarray) -> np.n
 
 
 def quantize_array(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Vectorized fx_from_real over an array.
+    """Raw Q7.25 values nearest to an array of finite values (ties to even),
+    clamped to the 32-bit range.
 
     Returns (int32 array of raw values, count of saturated entries).
     """
@@ -91,17 +76,8 @@ def dequantize_array(raw: np.ndarray) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / SCALE
 
 
-def saturate_to_fx(acc: int) -> int:
-    """Clamp a WideAcc value (int at 2**-25 scale) into the 32-bit raw range."""
-    if acc > RAW_MAX:
-        return RAW_MAX
-    if acc < RAW_MIN:
-        return RAW_MIN
-    return int(acc)
-
-
 def saturate_array(acc: np.ndarray) -> np.ndarray:
-    """Vectorized saturate_to_fx over WideAcc values; returns int32."""
+    """Clamp WideAcc values (at 2**-25 scale) into the 32-bit raw range; returns int32."""
     return np.clip(acc, RAW_MIN, RAW_MAX).astype(np.int32)
 
 

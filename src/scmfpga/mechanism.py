@@ -9,7 +9,7 @@ adds the stored weight when the input bit is 1 and its two's complement when
 the bit is 0, then adds the intercept, all in the wide accumulator,
 saturating once at the end.
 mech_wide_fpga does this for a batch, before the saturation; the emulator's
-scalar oracle, emulate.predict_fpga, runs the same sum on Python integers.
+scalar test oracle runs the same sum on Python integers.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def mech_eval_float_batch(s: np.ndarray, mech: MechanismModel) -> np.ndarray:
 def mech_wide_fpga(x01: np.ndarray, mech: MechanismModel) -> np.ndarray:
     """Emulated sums on an (N, d_enc) 0/1 matrix, before saturation; (N, m) int64.
 
-    Adds the raw weight for set bits and its two's complement (fx_neg) for
-    clear bits, then the intercept, exactly in the wide accumulator.
+    Adds the raw weight for set bits and its two's complement (fx_neg_array)
+    for clear bits, then the intercept, exactly in the wide accumulator.
     """
     w = mech.weights_raw
     return fx.conditional_sum(x01, w, fx.fx_neg_array(w)) + mech.intercepts_raw

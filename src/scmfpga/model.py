@@ -7,12 +7,12 @@ build those arrays (ScmLayer.from_arrays); like a MechanismModel, a layer is
 given float readouts, derives their raw Q7.25 values and clamp count once,
 then holds every array read-only and refuses to rebind an attribute. A frozen
 ScmModel checks once, when it is built, that its parts fit (validate), so no
-reader checks it again. Every batch path reads the arrays as they are, as
-does the emulator's scalar oracle predict_fpga. ScmNode and
-ScmLayer(activation, nodes), which packs a list of them through the same
-checks, stay only for the benchmark's synthetic model. A node's bit depends
-on its raw bias only, through threshold_edge: training and the reference
-path test dot > edge in threshold_bits, the emulator in popcounts.
+reader checks it again. Every batch path reads the arrays as they are.
+ScmNode, whose weights are one BitVec, and ScmLayer(activation, nodes), which
+packs a list of them through the same checks, stay only for the benchmark's
+synthetic model. A node's bit depends on its raw bias only, through
+threshold_edge: training and the reference path test dot > edge in
+threshold_bits, the emulator in popcounts.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the

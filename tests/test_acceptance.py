@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 import scmfpga as s
+from scmfpga import emulate
+from scmfpga.datasets import db1_function
+from scmfpga.emulate import cycle_estimate
+from scmfpga.train import early_stop_check
 
 from builders import layer
+from oracles import bit_strings
 
 warnings.filterwarnings("ignore", message="clamped")
 
@@ -36,75 +41,46 @@ def _bit_table(n: int) -> np.ndarray:
     )[:, :n].astype(np.int64)
 
 
+def _dots(w01: np.ndarray, x01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) dots of K weight rows with B input rows, from the emulator's popcounts:
+    n - 2·count(w XOR x) with x read as ±1, and 2·count(w AND x) - ones(x) with x as 0/1."""
+    w, x = s.BitMatrix.from01(w01).words, s.BitMatrix.from01(x01).words
+    pm1 = w01.shape[1] - 2 * emulate._counts(w, x, True)
+    return pm1, 2 * emulate._counts(w, x, False) - x01.sum(axis=1)
+
+
 def test_criterion_1_bit_op_oracles():
     t0 = time.time()
     rng = np.random.default_rng(2024)
 
-    # the figures' -1/+1 vectors as bit strings: bit 1 stands for +1
-    fig1 = s.xnor_count(s.BitVec.from_string("0110"), s.BitVec.from_string("0100"))
-    fig5 = s.ones_count_dot(s.BitVec.from01([1, 0, 1, 1]), s.BitVec.from_string("0101"))
+    # the figures' -1/+1 vectors as bits: bit 1 stands for +1
+    fig1 = int(_dots(np.array([[0, 1, 0, 0]]), np.array([[0, 1, 1, 0]]))[0][0, 0])
+    fig5 = int(_dots(np.array([[0, 1, 0, 1]]), np.array([[1, 0, 1, 1]]))[1][0, 0])
     ok = fig1 == 2 and fig5 == -1
 
-    # 1e5 random pairs, lengths up to 1024, grouped by length so the dense
-    # integer oracle is one vectorized pass per group
+    # 1e5 random pairs, lengths up to 1024, grouped by length: pair i is
+    # weight row i with input row i, the diagonal of the group's dots
     lengths, counts = np.unique(rng.integers(1, 1025, size=100_000), return_counts=True)
     for n, k in zip(lengths, counts):
-        a = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-        b = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-        sa = 2 * a.astype(np.int64) - 1
-        sb = 2 * b.astype(np.int64) - 1
-        want_xnor = np.einsum("ij,ij->i", sa, sb)
-        want_ones = np.einsum("ij,ij->i", a.astype(np.int64), sb)
-        pa = np.packbits(a, axis=1, bitorder="little")
-        pb = np.packbits(b, axis=1, bitorder="little")
-        for i in range(k):
-            va = s.BitVec(int(n), int.from_bytes(pa[i].tobytes(), "little"))
-            vb = s.BitVec(int(n), int.from_bytes(pb[i].tobytes(), "little"))
-            if s.xnor_count(va, vb) != want_xnor[i] or s.ones_count_dot(va, vb) != want_ones[i]:
-                ok = False
-                break
-        if not ok:
-            break
+        a = rng.integers(0, 2, size=(k, n), dtype=np.uint8).astype(np.int64)
+        b = rng.integers(0, 2, size=(k, n), dtype=np.uint8).astype(np.int64)
+        sb = 2 * b - 1
+        pm1, ones = _dots(b, a)
+        ok &= np.array_equal(pm1.diagonal(), np.einsum("ij,ij->i", 2 * a - 1, sb))
+        ok &= np.array_equal(ones.diagonal(), np.einsum("ij,ij->i", a, sb))
 
-    # exhaustive: all pairs for len <= 8; for len 9..16 sweep one operand
-    # over all values against fixed partner patterns
-    for n in range(1, 9):
+    # exhaustive: all pairs for len <= 8; for len 9..16 sweep the input over
+    # all values against fixed weight patterns
+    for n in range(1, 17):
         table = _bit_table(n)
-        pm = 2 * table - 1
-        g_xnor = pm @ pm.T
-        g_ones = table @ pm.T
-        vecs = [s.BitVec(n, v) for v in range(2**n)]
-        for av in range(2**n):
-            row_x, row_o = g_xnor[av], g_ones[av]
-            for bv in range(2**n):
-                if s.xnor_count(vecs[av], vecs[bv]) != row_x[bv]:
-                    ok = False
-                if s.ones_count_dot(vecs[av], vecs[bv]) != row_o[bv]:
-                    ok = False
-            if not ok:
-                break
-        if not ok:
-            break
-    for n in range(9, 17):
-        table = _bit_table(n)
-        pm = 2 * table - 1
-        partners = [0, 2**n - 1, int("10" * (n // 2) + "1" * (n % 2), 2),
-                    int(rng.integers(0, 2**n))]
-        for bv in partners:
-            vb = s.BitVec(n, bv)
-            want = pm @ pm[bv]
-            for av in range(2**n):
-                if s.xnor_count(s.BitVec(n, av), vb) != want[av]:
-                    ok = False
-                    break
-            else:
-                continue
-            break
-        if not ok:
-            break
+        w01 = table if n <= 8 else table[[0, 2**n - 1, int("10" * (n // 2) + "1" * (n % 2), 2),
+                                          int(rng.integers(0, 2**n))]]
+        pm1, ones = _dots(w01, table)
+        ok &= np.array_equal(pm1, (2 * w01 - 1) @ (2 * table - 1).T)
+        ok &= np.array_equal(ones, (2 * w01 - 1) @ table.T)
 
     elapsed = time.time() - t0
-    ok = ok and elapsed < 10.0
+    ok = bool(ok) and elapsed < 10.0
     _report(1, "bit-op oracles", ok, f"elapsed={elapsed:.1f}s fig1={fig1} fig5={fig5}")
 
 
@@ -114,10 +90,10 @@ def test_criterion_1_bit_op_oracles():
 def test_criterion_2_encoding_golden_vectors():
     ok = True
     detail = []
-    v1 = s.encode_matrix(np.array([[0.867]]), s.parse_encoding("s1:3"))[0][0].to_string()
+    v1 = bit_strings(s.encode_matrix(np.array([[0.867]]), s.parse_encoding("s1:3"))[0])[0]
     expect1 = "0" + "011111111" + "000111111" + "001111111"
     ok &= v1 == expect1
-    v2 = s.encode_matrix(np.array([[0.8674]]), s.parse_encoding("s2v2"))[0][0].to_string()
+    v2 = bit_strings(s.encode_matrix(np.array([[0.8674]]), s.parse_encoding("s2v2"))[0])[0]
     expect2 = "0" + "011111111" + "000111111" + "0111" + "01"
     ok &= v2 == expect2
     counts = []
@@ -182,7 +158,7 @@ CYCLE_ROWS = [
 
 
 def test_criterion_4_cycle_table():
-    got = [s.cycle_estimate(_shape_model(t, d, sz)) for t, d, sz, _ in CYCLE_ROWS]
+    got = [cycle_estimate(_shape_model(t, d, sz)) for t, d, sz, _ in CYCLE_ROWS]
     expected = [e for *_, e in CYCLE_ROWS]
     _report(4, "cycle table", got == expected, f"rows={got}")
 
@@ -281,9 +257,9 @@ def test_criterion_7_residual_monotonicity():
 
 
 def test_criterion_8_early_stop_vectors():
-    a = s.early_stop_check([1.0, 0.5, 0.25, 0.125], l_step=2, tau=0.01) is None
-    b = s.early_stop_check([0.4, 0.4, 0.4, 0.4], l_step=2, tau=0.0) == 3
-    c = s.early_stop_check([1.0, 0.9, 0.89, 0.889], l_step=2, tau=0.05) == 2
+    a = early_stop_check([1.0, 0.5, 0.25, 0.125], l_step=2, tau=0.01) is None
+    b = early_stop_check([0.4, 0.4, 0.4, 0.4], l_step=2, tau=0.0) == 3
+    c = early_stop_check([1.0, 0.9, 0.89, 0.889], l_step=2, tau=0.05) == 2
     _report(8, "early-stop vectors", a and b and c, f"continue={a} flat={b} computed={c}")
 
 
@@ -341,7 +317,7 @@ def test_criterion_10_solver_oracles():
     ok &= worst < 1e-9
 
     r0 = float(s.rastrigin(np.array([[0.0, 0.0]]))[0])
-    db1_spot = float(s.db1_function(np.array([0.4]))[0])
+    db1_spot = float(db1_function(np.array([0.4]))[0])
     db1_expected = 0.2 + 0.5 * np.exp(-16.0) + 0.3 * np.exp(-144.0)
     ok &= abs(r0) < 1e-9 and abs(db1_spot - db1_expected) < 1e-9
     _report(10, "solver oracles", ok, f"pinv_worst={worst:.1e} rastrigin0={r0}")

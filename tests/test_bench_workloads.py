@@ -64,9 +64,11 @@ def test_eval_full_read_path_integers_match_the_pins(monkeypatch):
 
 
 # sha256 of the model file without its float sidecar and of log_text() for case
-# 0 of each training workload at run seed 1. Neither depends on the BLAS build,
-# so a change to the readout or to candidate scoring cannot change which nodes
-# the 3200-row cases accept.
+# 0 of each training workload at run seed 1. The raw model bytes do not depend
+# on the BLAS build, so a change to the readout or to candidate scoring cannot
+# change which nodes the 3200-row cases accept unseen. The log does: it prints
+# floats at %.9g, whose last digits move with a ulp of the float fits, so
+# another BLAS or LAPACK build can move its pin while the raw bytes stay.
 TRAIN_PINS = {
     "db2-desk": ("6554ef66ec7fe325c39d205a063a7554c49e3e54fcf99d6948deabaeb6b31b37",
                  "6c22662b42dac3ff01663bb880485e2e3d8a6c597f58e2b098ca9040b444cf65"),

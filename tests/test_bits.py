@@ -2,45 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scmfpga.bits import BitMatrix, BitVec, n_words
+from scmfpga.bits import BitMatrix, BitVec
 from scmfpga.mechanism import signals_pm1
 
-
-def test_from_string_and_back():
-    v = BitVec.from_string("1001101")
-    assert v.n == 7
-    assert v.to_string() == "1001101"
-    assert v.get(0) == 1 and v.get(1) == 0 and v.get(6) == 1
+from oracles import rows
 
 
 def test_from01_pm1_consistency():
     v = BitVec.from01([1, 0, 1, 1])
-    assert np.array_equal(v.to01(), [1, 0, 1, 1])
+    assert (v.n, v.value) == (4, 0b1101)
     assert np.array_equal(signals_pm1(BitMatrix.from_rows([v])), [[1, -1, 1, 1]])
-
-
-def test_popcount_zerocount():
-    v = BitVec.from_string("110100")
-    assert v.popcount() == 3
-    assert v.popcount() + (v.n - v.popcount()) == v.n
-
-
-def test_invert_masks_to_length():
-    v = BitVec.from_string("101")
-    assert v.invert().to_string() == "010"
-    assert v.invert().popcount() + v.popcount() == v.n
-
-
-def test_bitwise_ops():
-    a = BitVec.from_string("1100")
-    b = BitVec.from_string("1010")
-    assert (a ^ b).to_string() == "0110"
-    assert (a & b).to_string() == "1000"
-
-
-def test_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        BitVec(3) ^ BitVec(4)
+    assert np.array_equal(signals_pm1(BitMatrix.from01([[1, 0, 1, 1]])), [[1, -1, 1, 1]])
 
 
 def test_out_of_range_values_rejected():
@@ -49,49 +21,51 @@ def test_out_of_range_values_rejected():
 
 
 def test_index_errors():
-    v = BitVec(4)
-    with pytest.raises(IndexError):
-        v.get(4)
+    # an int would pick a 1-D row of words, which no BitMatrix may hold
+    m = BitMatrix.from01(np.eye(3, dtype=np.uint8))
+    for key in (0, -1, np.int64(1), (0, 1), [0, 1]):
+        with pytest.raises(TypeError, match="row slices"):
+            m[key]
+    with pytest.raises(TypeError):
+        list(m)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200))
 def test_roundtrip_property(bits):
+    # the benchmark's synthetic weights: BitVec.from01, packed by from_rows
     v = BitVec.from01(bits)
     assert v.n == len(bits)
-    assert list(v.to01()) == bits
-    assert v.popcount() == sum(bits)
+    assert BitMatrix.from_rows([v]).to01()[0].tolist() == bits
 
 
 # -- BitMatrix -------------------------------------------------------------
 
 
 def _rows(n, count, seed=0):
-    rng = np.random.default_rng(seed)
-    return [BitVec.from01(rng.integers(0, 2, size=n)) for _ in range(count)]
+    return np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
 
 
 def test_bit_matrix_layout_is_the_model_file_word_order():
-    rows = _rows(130, 4)
-    m = BitMatrix.from_rows(rows)
+    a01 = _rows(130, 4)
+    m = BitMatrix.from01(a01)
     assert m.words.shape == (4, 3) and m.words.dtype == np.dtype("<u8")
-    for i, r in enumerate(rows):
-        assert m.words[i].tobytes() == r.value.to_bytes(8 * n_words(130), "little")
+    assert rows(m) == [int("".join(map(str, r[::-1])), 2) for r in a01]
+    assert np.array_equal(BitMatrix.from_rows([BitVec.from01(r) for r in a01]).words, m.words)
 
 
 def test_bit_matrix_indexing_keeps_the_row_api():
-    rows = _rows(70, 6)
-    m = BitMatrix.from_rows(rows)
+    a01 = _rows(70, 6)
+    m = BitMatrix.from01(a01)
     assert len(m) == 6
-    assert m[2] == rows[2] and m[-1] == rows[-1]
-    assert list(m) == rows
+    assert np.array_equal(m[2:3].to01(), a01[2:3]) and np.array_equal(m[-1:].to01(), a01[-1:])
     part = m[1:5:2]
     assert isinstance(part, BitMatrix) and part.n == 70
-    assert list(part) == rows[1:5:2]
+    assert np.array_equal(part.to01(), a01[1:5:2])
 
 
 def test_bit_matrix_empty_rows():
     assert len(BitMatrix.from_rows([])) == 0
-    m = BitMatrix.from_rows([], 70)
+    m = BitMatrix.from01(np.zeros((0, 70), dtype=np.uint8))
     assert m.words.shape == (0, 2) and m.to01().shape == (0, 70)
 
 
@@ -109,8 +83,8 @@ def test_a_row_slice_shares_its_parents_words():
     part = m[2:7]
     assert part.n == 70 and len(part) == 5
     assert np.shares_memory(part.words, m.words)
-    assert list(part) == list(m)[2:7]
-    assert len(m[5:5]) == 0 and list(m[::3]) == list(m)[::3]
+    assert rows(part) == rows(m)[2:7]
+    assert len(m[5:5]) == 0 and rows(m[::3]) == rows(m)[::3]
     # the constructor still scans the pad bits of words from elsewhere
     bad = m.words[2:7].copy()
     bad[1, -1] |= np.uint64(1 << 63)
@@ -120,12 +94,13 @@ def test_a_row_slice_shares_its_parents_words():
 
 @given(st.integers(0, 200), st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_bit_matrix_from01_matches_rows(n, count, seed):
-    rows = _rows(n, count, seed)
-    a01 = np.array([r.to01() for r in rows], dtype=np.uint8).reshape(count, n)
+    a01 = _rows(n, count, seed)
+    vecs = [BitVec.from01(r) for r in a01]
     m = BitMatrix.from01(a01)
-    assert np.array_equal(m.words, BitMatrix.from_rows(rows, n).words)
+    if count:
+        assert np.array_equal(m.words, BitMatrix.from_rows(vecs).words)
     assert np.array_equal(m.to01(), a01)
-    assert list(m) == rows
+    assert rows(m) == [v.value for v in vecs]
 
 
 def test_a_bit_matrix_and_its_row_slices_refuse_rebinding():

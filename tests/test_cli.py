@@ -69,6 +69,12 @@ def test_gen_data_db2_refuses_a_scale_of_fewer_than_two_training_rows(tmp_path, 
     assert load_dataset(out).train_idx.size == 2
 
 
+def test_gen_data_refuses_an_out_path_that_is_its_own_manifest(tmp_path, capsys):
+    assert run("gen-data", "db1", "--out", str(tmp_path / "db1.manifest")) == 2
+    assert "overwritten by its manifest" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_data_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run("gen-data", "db1", "--seed", "7", "--out", str(a))

@@ -129,6 +129,12 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(ds.feature_max, back.feature_max)
 
 
+def test_write_refuses_a_path_that_is_its_own_manifest(tmp_path):
+    with pytest.raises(ValueError, match="overwritten by its manifest"):
+        write_dataset(gen_db1(seed=6), tmp_path / "db1.manifest")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_dataset(gen_db1(seed=6), p1)

@@ -4,16 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from scmfpga import emulate, mechanism
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitMatrix, BitVec
-from scmfpga.emulate import (
-    BLOCK_ROWS,
-    cycle_estimate,
-    memory_report,
-    ones_count_dot,
-    predict_fpga,
-    predict_fpga_batch,
-    xnor_count,
-)
+from scmfpga.bits import BitMatrix
+from scmfpga.emulate import BLOCK_ROWS, cycle_estimate, memory_report, predict_fpga_batch
 from scmfpga.encoding import parse_encoding
 from scmfpga.evaluate import evaluate_bits
 from scmfpga.mechanism import MechanismModel, external_mechanism, mech_wide_fpga, signals_pm1
@@ -26,118 +18,106 @@ from scmfpga.model import (
     quantization_bound,
 )
 
+import oracles
 from builders import layer, random_model
+from oracles import fx_from_real, fx_neg, ones_count_dot, predict_fpga, rows, xnor_count
 
 
 # -- bit-level dot products -------------------------------------------------
 
 
 def test_xnor_count_known_vectors():
-    a = BitVec.from_string("0110")
-    b = BitVec.from_string("0100")
-    assert xnor_count(a, b) == 2
+    assert xnor_count(0b0110, 0b0010, 4) == 2  # "0110" and "0100", bit 0 first
 
 
 def test_xnor_count_identical():
     for n in (1, 5, 64, 130):
-        v = BitVec.from01(np.random.default_rng(n).integers(0, 2, size=n))
-        assert xnor_count(v, v) == n
+        v = rows(BitMatrix.from01(np.random.default_rng(n).integers(0, 2, size=(1, n))))[0]
+        assert xnor_count(v, v, n) == n
 
 
 def test_xnor_count_random_oracle():
     rng = np.random.default_rng(0)
     for _ in range(500):
         n = int(rng.integers(1, 256))
-        a = rng.integers(0, 2, size=n)
-        b = rng.integers(0, 2, size=n)
-        oracle = int(((2 * a - 1) * (2 * b - 1)).sum())
-        assert xnor_count(BitVec.from01(a), BitVec.from01(b)) == oracle
+        ab = rng.integers(0, 2, size=(2, n))
+        oracle = int(((2 * ab[0] - 1) * (2 * ab[1] - 1)).sum())
+        assert xnor_count(*rows(BitMatrix.from01(ab)), n) == oracle
 
 
 def test_ones_count_dot_known_vectors():
-    a = BitVec.from01([1, 0, 1, 1])
-    w = BitVec.from_string("0101")
-    assert ones_count_dot(a, w) == -1
+    assert ones_count_dot(0b1101, 0b1010) == -1  # [1, 0, 1, 1] and "0101"
 
 
 def test_ones_count_dot_zero_input():
-    w = BitVec.from_string("101")
-    assert ones_count_dot(BitVec(3), w) == 0
+    assert ones_count_dot(0, 0b101) == 0
 
 
 def test_ones_count_dot_random_oracle():
     rng = np.random.default_rng(1)
     for _ in range(500):
         n = int(rng.integers(1, 256))
-        a = rng.integers(0, 2, size=n)
-        w = rng.integers(0, 2, size=n)
-        oracle = int((a * (2 * w - 1)).sum())
-        assert ones_count_dot(BitVec.from01(a), BitVec.from01(w)) == oracle
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(ValueError):
-        xnor_count(BitVec(3), BitVec(4))
-    with pytest.raises(ValueError):
-        ones_count_dot(BitVec(3), BitVec(4))
+        aw = rng.integers(0, 2, size=(2, n))
+        oracle = int((aw[0] * (2 * aw[1] - 1)).sum())
+        assert ones_count_dot(*rows(BitMatrix.from01(aw))) == oracle
 
 
 # -- node pipeline ------------------------------------------------------------
 
 
 def _one_node(in_bits, act, w_pm1, shift=0, bias=0.0, beta=(1.0,), pm1=True):
-    """(bit, raw contribution) on in_bits, through predict_fpga, of one node
-    with weights w_pm1 (+1 or -1), scale code shift, bias and readouts beta.
+    """(bit, raw contribution) on the 0/1 list in_bits, through predict_fpga, of
+    one node with weights w_pm1 (+1 or -1), scale code shift, bias and readouts beta.
 
     The model's mechanism weights and intercepts are zero, so its output is
     the node's contribution, which tells its bit (the readouts are nonzero).
     For pm1=False, a SIGN layer forwards in_bits as literal 0/1: its nodes
     have zero readouts and biases far past their one-input dots.
     """
-    node = layer(act, [np.array(w_pm1) > 0], shift, fx.fx_from_real(bias), beta)
-    m = len(beta)
+    node = layer(act, [np.array(w_pm1) > 0], shift, fx_from_real(bias), beta)
+    m, n = len(beta), len(in_bits)
     layers = [node]
     if not pm1:
-        forced = np.where(in_bits.to01(), 2 << fx.FRAC_BITS, -2 << fx.FRAC_BITS)
-        layers.insert(0, layer(Activation.SIGN, np.ones((in_bits.n, 1)), 0, forced, np.zeros(m)))
-        in_bits = BitVec.from01([1])
-    mech = external_mechanism(np.zeros((in_bits.n, m)), np.zeros(m))
-    model = ScmModel(parse_encoding(f"density:{in_bits.n}"), mech, layers, m)
-    contrib = predict_fpga(model, in_bits)
+        forced = np.where(in_bits, 2 << fx.FRAC_BITS, -2 << fx.FRAC_BITS)
+        layers.insert(0, layer(Activation.SIGN, np.ones((n, 1)), 0, forced, np.zeros(m)))
+        in_bits, n = [1], 1
+    mech = external_mechanism(np.zeros((n, m)), np.zeros(m))
+    model = ScmModel(parse_encoding(f"density:{n}"), mech, layers, m)
+    contrib = predict_fpga(model, rows(BitMatrix.from01([in_bits]))[0])
     return int(np.array_equal(contrib, node.beta_raw[0])), contrib
 
 
 def test_node_forward_shift_semantics():
     # dot = 2, shift 3 -> pre is 16.0 at wide scale, bit set
-    bit, contrib = _one_node(BitVec.from_string("1110"), Activation.STEP, [1, 1, 1, 1], shift=3)
+    bit, contrib = _one_node([1, 1, 1, 0], Activation.STEP, [1, 1, 1, 1], shift=3)
     assert bit == 1
-    assert contrib[0] == fx.fx_from_real(1.0)
+    assert contrib[0] == fx_from_real(1.0)
 
 
 def test_node_forward_pre_is_exact_wide_value():
     # dot=2 with shift 3 must give pre exactly 16.0 at the wide scale:
     # a bias of -16.0 cancels it to 0 (bit clear under the strict threshold)
     # and one raw step above tips it positive
-    x = BitVec.from_string("1110")
+    x = [1, 1, 1, 0]
     assert _one_node(x, Activation.STEP, [1, 1, 1, 1], shift=3, bias=-16.0)[0] == 0
     assert _one_node(x, Activation.STEP, [1, 1, 1, 1], shift=3, bias=-16.0 + fx.RESOLUTION)[0] == 1
 
 
 def test_node_forward_zero_pre_gives_zero_bit():
-    bit, contrib = _one_node(BitVec.from_string("10"), Activation.STEP, [1, 1], shift=0, bias=0.0)
+    bit, contrib = _one_node([1, 0], Activation.STEP, [1, 1], shift=0, bias=0.0)
     assert bit == 0
-    assert contrib[0] == -fx.fx_from_real(1.0)  # two's complement of beta
+    assert contrib[0] == -fx_from_real(1.0)  # two's complement of beta
 
 
 def test_node_forward_sign_gates_contribution():
-    bit, contrib = _one_node(BitVec.from_string("11"), Activation.SIGN, [1, 1], bias=-10.0,
+    bit, contrib = _one_node([1, 1], Activation.SIGN, [1, 1], bias=-10.0,
                              beta=(0.5,))
     assert bit == 0
     assert contrib[0] == 0
 
 
 def test_node_forward_conditional_domain():
-    x, node = BitVec.from01([1, 0, 1, 1]), dict(w_pm1=[-1, 1, -1, 1], bias=1.5)
+    x, node = [1, 0, 1, 1], dict(w_pm1=[-1, 1, -1, 1], bias=1.5)
     # {0,1} input (1,0,1,1): dot -1, pre = -1 + 1.5 > 0
     assert _one_node(x, Activation.SIGN, **node, pm1=False)[0] == 1
     # read as -1/+1 instead, the same bits give dot -2 and pre -0.5
@@ -151,10 +131,10 @@ def test_mechanism_only_model_matches_mech_eval():
     rng = np.random.default_rng(2)
     mech = external_mechanism(rng.normal(scale=0.2, size=(10, 2)), rng.normal(size=2))
     model = ScmModel(parse_encoding("density:10"), mech, [], 2)
-    for _ in range(20):
-        b = BitVec.from01(rng.integers(0, 2, size=10))
-        wide = mech_wide_fpga(b.to01()[None, :], mech)
-        assert np.array_equal(predict_fpga(model, b), fx.saturate_array(wide)[0])
+    bits = BitMatrix.from01(rng.integers(0, 2, size=(20, 10)))
+    wide = mech_wide_fpga(bits.to01(), mech)
+    for i, b in enumerate(rows(bits)):
+        assert np.array_equal(predict_fpga(model, b), fx.saturate_array(wide)[i])
 
 
 def _deep_model(acts):
@@ -174,9 +154,8 @@ def _deep_model(acts):
 def test_emulated_bits_match_float_path(acts):
     model = _deep_model(acts)
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        b = BitVec.from01(rng.integers(0, 2, size=model.d_enc))
-        f = predict_float_batch(model, BitMatrix.from_rows([b]))[0]
+    bits = BitMatrix.from01(rng.integers(0, 2, size=(100, model.d_enc)))
+    for f, b in zip(predict_float_batch(model, bits), rows(bits)):
         g = fx.dequantize_array(predict_fpga(model, b))
         # biases sit on the grid, so only readout rounding separates the paths
         assert np.max(np.abs(f - g)) <= (model.total_nodes + model.d_enc + 3) * fx.RESOLUTION
@@ -184,7 +163,7 @@ def test_emulated_bits_match_float_path(acts):
 
 def test_predict_fpga_deterministic():
     model = _deep_model((Activation.STEP, Activation.SIGN))
-    b = BitVec.from01(np.random.default_rng(4).integers(0, 2, size=model.d_enc))
+    b = rows(BitMatrix.from01(np.random.default_rng(4).integers(0, 2, size=(1, model.d_enc))))[0]
     first = predict_fpga(model, b)
     for _ in range(5):
         assert np.array_equal(predict_fpga(model, b), first)
@@ -192,9 +171,9 @@ def test_predict_fpga_deterministic():
 
 def test_predict_fpga_saturates_output():
     mech = external_mechanism(np.zeros((2, 1)), np.array([63.0]))
-    nodes = layer(Activation.STEP, [[1, 1]], 0, fx.fx_from_real(1.0), (50.0,))
+    nodes = layer(Activation.STEP, [[1, 1]], 0, fx_from_real(1.0), (50.0,))
     model = ScmModel(parse_encoding("density:2"), mech, [nodes], 1)
-    out = predict_fpga(model, BitVec.from_string("11"))
+    out = predict_fpga(model, 0b11)
     assert out[0] == fx.RAW_MAX  # 63 + 50 clamps at the format maximum
 
 
@@ -246,10 +225,10 @@ def random_models(draw, max_layers=4, max_width=150, max_nodes=70):
 
 def _check_batch_against_scalar(model, n_rows, seed):
     rng = np.random.default_rng(seed)
-    rows = [BitVec.from01(rng.integers(0, 2, size=model.d_enc)) for _ in range(n_rows)]
-    out = predict_fpga_batch(model, BitMatrix.from_rows(rows, model.d_enc))
+    bits = BitMatrix.from01(rng.integers(0, 2, size=(n_rows, model.d_enc)))
+    out = predict_fpga_batch(model, bits)
     assert out.dtype == np.int32 and out.shape == (n_rows, model.n_outputs)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows(bits)):
         assert np.array_equal(out[i], predict_fpga(model, row))
 
 
@@ -282,13 +261,13 @@ def test_mech_eval_fpga_matches_integer_loop(d_enc, m, seed):
     rng = np.random.default_rng(seed)
     model = _random_model(rng, d_enc, (), (), m, extreme=0.5)
     mech = model.mechanism
-    x = BitVec.from01(rng.integers(0, 2, size=d_enc))
-    wide = mech_wide_fpga(x.to01()[None, :], mech)
+    x01 = rng.integers(0, 2, size=d_enc)
+    wide = mech_wide_fpga(x01[None, :], mech)
     for q in range(m):
         acc = int(mech.intercepts_raw[q])
         for i in range(d_enc):
             w = int(mech.weights_raw[i, q])
-            acc += w if x.get(i) else fx.fx_neg(w)
+            acc += w if x01[i] else fx_neg(w)
         assert wide[0, q] == acc
 
 
@@ -371,22 +350,22 @@ def test_batch_matches_scalar_at_every_threshold_edge(fan_in, pm1):
     layers.append(_edge_layer(rng, fan_in, Activation.STEP))
     mech = MechanismModel(np.zeros((d_enc, 1)), np.zeros(1))
     model = ScmModel(parse_encoding(f"density:{d_enc}"), mech, layers, 1)
-    rows = BitMatrix.from01(_sweep_rows(rng, d_enc, n_random=4))
-    out = predict_fpga_batch(model, rows)
-    for i, row in enumerate(rows):
+    bits = BitMatrix.from01(_sweep_rows(rng, d_enc, n_random=4))
+    out = predict_fpga_batch(model, bits)
+    for i, row in enumerate(rows(bits)):
         assert np.array_equal(out[i], predict_fpga(model, row))
 
 
 def test_batch_does_not_call_the_scalar_emulator(monkeypatch):
     model = _deep_model((Activation.STEP, Activation.SIGN))
-    rows = BitMatrix.from01(np.random.default_rng(5).integers(0, 2, size=(20, model.d_enc)))
-    expected = np.stack([predict_fpga(model, r) for r in rows])
+    bits = BitMatrix.from01(np.random.default_rng(5).integers(0, 2, size=(20, model.d_enc)))
+    expected = np.stack([predict_fpga(model, r) for r in rows(bits)])
 
     def forbidden(*args):
         raise AssertionError("predict_fpga called from the batch path")
 
-    monkeypatch.setattr(emulate, "predict_fpga", forbidden)
-    assert np.array_equal(predict_fpga_batch(model, rows), expected)
+    monkeypatch.setattr(oracles, "predict_fpga", forbidden)
+    assert np.array_equal(predict_fpga_batch(model, bits), expected)
 
 
 def test_the_scalar_emulator_calls_no_batch_kernel(monkeypatch):
@@ -395,8 +374,8 @@ def test_the_scalar_emulator_calls_no_batch_kernel(monkeypatch):
     rng = np.random.default_rng(6)
     acts = (Activation.STEP, Activation.SIGN, Activation.STEP, Activation.SIGN)
     model = _random_model(rng, 70, acts, (9, 7, 5, 3), 2, extreme=0.2)
-    rows = BitMatrix.from01(rng.integers(0, 2, size=(40, model.d_enc)))
-    expected = predict_fpga_batch(model, rows)
+    bits = BitMatrix.from01(rng.integers(0, 2, size=(40, model.d_enc)))
+    expected = predict_fpga_batch(model, bits)
 
     def forbidden(*args):
         raise AssertionError("a batch kernel called from predict_fpga")
@@ -405,7 +384,7 @@ def test_the_scalar_emulator_calls_no_batch_kernel(monkeypatch):
                          (fx, "conditional_sum"), (fx, "fx_neg_array"),
                          (fx, "saturate_array"), (emulate, "_layer_bits")]:
         monkeypatch.setattr(module, name, forbidden)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows(bits)):
         assert np.array_equal(predict_fpga(model, row), expected[i])
 
 
@@ -475,10 +454,9 @@ def test_mechanism_sum_saturates_only_with_the_final_sum():
     mech = MechanismModel(fx.dequantize_array(w_raw), np.zeros(1))
     model = ScmModel(parse_encoding("density:2"), mech,
                      [layer(Activation.SIGN, [[1, 1]], beta=(fx.REAL_MIN,))], 1)
-    rows = BitMatrix.from01(np.array([[1, 1]]))
-    rep = evaluate_bits(model, rows, np.zeros((1, 1)), "both")
+    rep = evaluate_bits(model, BitMatrix.from01(np.array([[1, 1]])), np.zeros((1, 1)), "both")
     assert rep.outputs_fpga_raw[0, 0] == 2 * fx.RAW_MAX + fx.RAW_MIN == 2147483646
-    assert predict_fpga(model, rows[0])[0] == 2147483646
+    assert predict_fpga(model, 0b11)[0] == 2147483646
     assert rep.saturated.tolist() == [0]
     assert rep.max_output_delta <= quantization_bound(model)
 

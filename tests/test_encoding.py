@@ -18,12 +18,14 @@ from scmfpga.encoding import (
 )
 from scmfpga.errors import DataError
 
+from oracles import bit_strings
+
 UNARY_FIELD = re.compile(r"^0*1*$")
 
 
 def code(text, x):
     """The code of one value x under the encoding text names, as a '0'/'1' string."""
-    return encode_matrix(np.array([[x]]), parse_encoding(text))[0][0].to_string()
+    return bit_strings(encode_matrix(np.array([[x]]), parse_encoding(text))[0])[0]
 
 
 # -- density -----------------------------------------------------------
@@ -189,22 +191,21 @@ def test_encoded_input_counts_match_dataset_shapes():
     for d, spec, expected in cases:
         bits, d_enc = encode_matrix(rng.uniform(size=(3, d)), spec)
         assert d_enc == expected
-        assert all(b.n == expected for b in bits)
+        assert bits.n == expected
 
 
 def test_encode_matrix_feature_order():
     spec = parse_encoding("density:3")
     bits, d_enc = encode_matrix(np.array([[0.3, 0.8]]), spec)
     assert d_enc == 6
-    assert bits[0].to_string() == "100" + "111"
+    assert bit_strings(bits) == ["100" + "111"]
 
 
 def test_encode_matrix_clamps_with_warning():
     spec = parse_encoding("s2v1")
     with pytest.warns(UserWarning, match="clamped 2"):
         bits, _ = encode_matrix(np.array([[-0.01], [1.2], [0.5]]), spec)
-    assert bits[0].to_string() == code("s2v1", 0.0)
-    assert bits[1].to_string() == code("s2v1", 1.0)
+    assert bit_strings(bits) == [code("s2v1", 0.0), code("s2v1", 1.0), code("s2v1", 0.5)]
 
 
 def test_encode_matrix_nonfinite_reports_position():
@@ -296,8 +297,7 @@ def _check_rows_against_oracles(x, spec):
     n_rows, d = x.shape
     w = spec.bits_per_input
     assert d_enc == d * w and len(bits) == n_rows
-    for i in range(n_rows):
-        row = bits[i].to_string()
+    for i, row in enumerate(bit_strings(bits)):
         for j, v in enumerate(x[i]):
             assert row[j * w : (j + 1) * w] == _oracle_code(float(v), spec), (v, str(spec))
 
@@ -474,4 +474,5 @@ def test_values_without_a_15_place_form_read_their_digits_once_each(monkeypatch)
     monkeypatch.setattr(encoding, "_digits", counted_digits)
     bits, _ = encode_matrix(x, spec)
     assert x.size == 1000 and len(calls) <= 5
-    assert bits[0].to_string() == bits[199].to_string() == expected
+    strings = bit_strings(bits)
+    assert strings[0] == strings[199] == expected

@@ -7,22 +7,31 @@ from hypothesis import given, strategies as st
 
 from scmfpga import fixedpoint as fx
 
+from oracles import fx_from_real, fx_neg, saturate_to_fx
+
+
+def rounded(x: float) -> int:
+    """The oracle's raw value of x, which quantize_array must give too."""
+    raw = fx_from_real(x)
+    assert fx.quantize_array(np.array([x]))[0].tolist() == [raw]
+    return raw
+
 
 def test_zero_and_one():
-    assert fx.fx_from_real(0.0) == 0
-    assert fx.fx_from_real(1.0) == 2**25 == 33554432
+    assert rounded(0.0) == 0
+    assert rounded(1.0) == 2**25 == 33554432
 
 
 def test_resolution():
     assert fx.RESOLUTION == 2.0**-25
     # half a step is about 1.49e-8
     assert abs(fx.RESOLUTION / 2 - 1.49e-8) < 0.01e-8
-    assert fx.fx_from_real(fx.RESOLUTION) == 1
+    assert rounded(fx.RESOLUTION) == 1
 
 
 def test_range_endpoints():
-    assert fx.fx_from_real(-64.0) == fx.RAW_MIN
-    assert fx.fx_from_real(64.0 - 2.0**-25) == fx.RAW_MAX
+    assert rounded(-64.0) == fx.RAW_MIN
+    assert rounded(64.0 - 2.0**-25) == fx.RAW_MAX
 
 
 @pytest.mark.parametrize(
@@ -32,21 +41,22 @@ def test_range_endpoints():
 )
 def test_saturation_flag(x, saturated):
     clamped = fx.RAW_MAX if x > 0 else fx.RAW_MIN
-    assert fx.fx_from_real(x) == (clamped if saturated else x * fx.SCALE)
+    assert rounded(x) == (clamped if saturated else x * fx.SCALE)
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        fx.fx_from_real(float("nan"))
-    with pytest.raises(ValueError):
-        fx.fx_from_real(float("inf"))
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fx_from_real(x)
+        with pytest.raises(ValueError):
+            fx.quantize_array(np.array([x]))
 
 
 def test_round_half_even():
     # halfway between raw 0 and raw 1 rounds to the even raw 0
-    assert fx.fx_from_real(0.5 * fx.RESOLUTION) == 0
+    assert rounded(0.5 * fx.RESOLUTION) == 0
     # halfway between raw 1 and raw 2 rounds to raw 2
-    assert fx.fx_from_real(1.5 * fx.RESOLUTION) == 2
+    assert rounded(1.5 * fx.RESOLUTION) == 2
 
 
 def test_roundtrip_random_raws():
@@ -65,25 +75,25 @@ def test_quantize_array_saturates_the_largest_finite_values():
 
 @given(st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX))
 def test_roundtrip_property(raw):
-    assert fx.fx_from_real(raw / 2**25) == raw
+    assert rounded(raw / 2**25) == raw
 
 
 def test_neg_basics():
-    assert fx.fx_neg(33554432) == -33554432
-    assert fx.fx_neg(0) == 0
-    assert fx.fx_neg(1) == -1
-    assert fx.fx_neg(fx.RAW_MIN) == fx.RAW_MAX
+    assert fx_neg(33554432) == -33554432
+    assert fx_neg(0) == 0
+    assert fx_neg(1) == -1
+    assert fx_neg(fx.RAW_MIN) == fx.RAW_MAX
 
 
 @given(st.integers(min_value=fx.RAW_MIN + 1, max_value=fx.RAW_MAX))
 def test_neg_involution(raw):
-    assert fx.fx_neg(fx.fx_neg(raw)) == raw
+    assert fx_neg(fx_neg(raw)) == raw
 
 
 def test_saturate_to_fx():
-    assert fx.saturate_to_fx(fx.RAW_MAX + 123) == fx.RAW_MAX
-    assert fx.saturate_to_fx(fx.RAW_MIN - 123) == fx.RAW_MIN
-    assert fx.saturate_to_fx(42) == 42
+    assert saturate_to_fx(fx.RAW_MAX + 123) == fx.RAW_MAX
+    assert saturate_to_fx(fx.RAW_MIN - 123) == fx.RAW_MIN
+    assert saturate_to_fx(42) == 42
 
 
 raw_values = st.one_of(
@@ -96,14 +106,14 @@ raw_values = st.one_of(
 def test_neg_array_matches_scalar(raws):
     out = fx.fx_neg_array(np.array(raws, dtype=np.int32))
     assert out.dtype == np.int32
-    assert out.tolist() == [fx.fx_neg(r) for r in raws]
+    assert out.tolist() == [fx_neg(r) for r in raws]
 
 
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=20))
 def test_saturate_array_matches_scalar(accs):
     out = fx.saturate_array(np.array(accs, dtype=np.int64))
     assert out.dtype == np.int32
-    assert out.tolist() == [fx.saturate_to_fx(a) for a in accs]
+    assert out.tolist() == [saturate_to_fx(a) for a in accs]
 
 
 @given(st.integers(0, 5), st.integers(0, 70), st.integers(1, 3), st.integers(0, 2**32 - 1))

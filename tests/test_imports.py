@@ -30,6 +30,10 @@ time: train.py reads H in float64 only through linalg.row_blocks, so no
 An eighth keeps the package's paths free of SVDs: it uses np.linalg only
 through solve (an LU factorization) and norm, apart from the lstsq in
 least_squares, the readout's test oracle, which no package function calls.
+
+A ninth keeps the scalar oracles of tests/oracles.py apart from the batch
+path: they import from scmfpga only Activation and fixedpoint's constants,
+so they share no kernel with the code they check.
 """
 
 import ast
@@ -43,10 +47,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 # public names that only the tests call, each kept as the oracle of a batch function
-ORACLES = {
-    "fx_from_real": "one-value form of quantize_array, the oracle of its rounding",
-    "least_squares": "SVD least squares: the readout's test oracle",
-}
+ORACLES = {"least_squares": "SVD least squares: the readout's test oracle"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -346,3 +347,33 @@ def test_the_package_runs_no_svd():
     flagged = {p.name: svd_uses(p.read_text(), LINALG_USERS.get(p.name, set()))
                for p in PACKAGE.glob("*.py")}
     assert {name: found for name, found in flagged.items() if found} == {}
+
+
+# the names tests/oracles.py may import from scmfpga: data types and constants, no kernel
+ORACLE_IMPORTS = {"Activation", "FRAC_BITS", "RAW_MIN", "RAW_MAX", "SCALE"}
+
+
+def package_imports(source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Imports of scmfpga or its modules, and names imported from them, but those in allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "scmfpga"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scmfpga":
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name not in allowed]
+    return found
+
+
+def test_the_check_finds_a_kernel_import_in_the_oracles():
+    source = ("import math\nfrom scmfpga.fixedpoint import FRAC_BITS, RAW_MAX\n"
+              "from scmfpga.emulate import _layer_bits\nfrom scmfpga import fixedpoint as fx\n"
+              "import scmfpga.model\nfrom scmfpga.model import Activation\n")
+    assert package_imports(source, ORACLE_IMPORTS) == [
+        "line 3: _layer_bits", "line 4: fixedpoint", "line 5: scmfpga.model"]
+
+
+def test_the_oracles_share_no_kernel_with_the_package():
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    assert package_imports(source) and package_imports(source, ORACLE_IMPORTS) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitMatrix, BitVec
+from scmfpga.bits import BitMatrix
 from scmfpga.errors import ModelFormatError
 from scmfpga.mechanism import (
     MechanismModel,
@@ -16,19 +16,21 @@ from scmfpga.mechanism import (
 )
 from scmfpga.modelfile import model_from_json
 
-
-def mech_eval_float(x_bits, mech):
-    """The reference mechanism output of one encoded row."""
-    return mech_eval_float_batch(signals_pm1(BitMatrix.from_rows([x_bits])), mech)[0]
+from oracles import fx_from_real
 
 
-def mech_eval_fpga(x_bits, mech):
+def mech_eval_float(x01, mech):
+    """The reference mechanism output of one encoded row of 0/1 values."""
+    return mech_eval_float_batch(signals_pm1(BitMatrix.from01([x01])), mech)[0]
+
+
+def mech_eval_fpga(x01, mech):
     """The emulated mechanism output of one encoded row: the wide sum, saturated."""
-    return fx.saturate_array(mech_wide_fpga(x_bits.to01()[None, :], mech))[0]
+    return fx.saturate_array(mech_wide_fpga(np.array([x01]), mech))[0]
 
 
 def _random_bits(rng, n, width):
-    return BitMatrix.from_rows([BitVec.from01(rng.integers(0, 2, size=width)) for _ in range(n)])
+    return BitMatrix.from01(rng.integers(0, 2, size=(n, width)))
 
 
 @pytest.mark.parametrize("rows", [0, 7])
@@ -54,7 +56,7 @@ def test_constant_target_goes_to_intercept():
 def test_single_bit_slope_recovered():
     rng = np.random.default_rng(1)
     col = rng.permutation([0] * 25 + [1] * 25)  # balanced, so mean(y) is the intercept
-    bits = BitMatrix.from_rows([BitVec.from01([b]) for b in col])
+    bits = BitMatrix.from01(col[:, None])
     s = signals_pm1(bits)  # -1/+1 column
     y = 0.35 * s + 0.1
     mech = fit_mechanism(s, y, alpha=0.0)
@@ -71,7 +73,7 @@ def test_external_passthrough():
     assert mech.source == "external"
     assert np.array_equal(mech.weights, p)
     assert np.array_equal(mech.intercepts, u)
-    assert np.array_equal(mech.weights_raw[:, 0], [fx.fx_from_real(0.5), fx.fx_from_real(-0.25)])
+    assert np.array_equal(mech.weights_raw[:, 0], [fx_from_real(0.5), fx_from_real(-0.25)])
 
 
 def test_external_mechanism_holds_read_only_copies_of_its_inputs():
@@ -102,7 +104,7 @@ def test_eval_float_cases():
     p = np.array([[0.5], [0.25], [-0.125]])
     u = np.array([1.0])
     mech = external_mechanism(p, u)
-    all_set = BitVec.from01([1, 1, 1])
+    all_set = [1, 1, 1]
     assert np.allclose(mech_eval_float(all_set, mech), p.sum() + u)
     zero_w = external_mechanism(np.zeros((3, 1)), u)
     assert np.allclose(mech_eval_float(all_set, zero_w), u)
@@ -112,21 +114,21 @@ def test_eval_float_matches_dense_oracle():
     rng = np.random.default_rng(3)
     mech = external_mechanism(rng.normal(size=(12, 3)), rng.normal(size=3))
     for _ in range(20):
-        bits = BitVec.from01(rng.integers(0, 2, size=12))
-        s = bits.to01() * 2.0 - 1.0
+        bits = rng.integers(0, 2, size=12)
+        s = bits * 2.0 - 1.0
         oracle = s @ mech.weights + mech.intercepts
         assert np.max(np.abs(mech_eval_float(bits, mech) - oracle)) < 1e-12
 
 
 def test_eval_fpga_zero_weights_returns_intercept_exactly():
     mech = external_mechanism(np.zeros((4, 1)), np.array([0.75]))
-    out = mech_eval_fpga(BitVec.from01([0, 1, 0, 1]), mech)
-    assert out[0] == fx.fx_from_real(0.75)
+    out = mech_eval_fpga([0, 1, 0, 1], mech)
+    assert out[0] == fx_from_real(0.75)
 
 
 def test_eval_fpga_single_negation():
     mech = external_mechanism(np.array([[1.0]]), np.array([0.0]))
-    out = mech_eval_fpga(BitVec.from01([0]), mech)
+    out = mech_eval_fpga([0], mech)
     assert out[0] == -33554432
 
 
@@ -138,7 +140,7 @@ def test_eval_fpga_close_to_float():
     bound = d * 2.0**-25
     worst = 0.0
     for _ in range(10_000):
-        bits = BitVec.from01(rng.integers(0, 2, size=d))
+        bits = rng.integers(0, 2, size=d)
         f = mech_eval_float(bits, mech)
         g = fx.dequantize_array(mech_eval_fpga(bits, mech))
         worst = max(worst, float(np.max(np.abs(f - g))))
@@ -150,7 +152,7 @@ def test_eval_fpga_exact_on_grid_weights():
     raw = rng.integers(-(2**20), 2**20, size=(10, 1))
     mech = external_mechanism(fx.dequantize_array(raw), np.array([0.5]))
     for _ in range(50):
-        bits = BitVec.from01(rng.integers(0, 2, size=10))
+        bits = rng.integers(0, 2, size=10)
         f = mech_eval_float(bits, mech)
         g = fx.dequantize_array(mech_eval_fpga(bits, mech))
         assert np.array_equal(f, g)
@@ -162,8 +164,7 @@ def test_eval_fpga_sign_flip_symmetry():
     u_raw = int(mech.intercepts_raw[0])
     for _ in range(50):
         arr = rng.integers(0, 2, size=16)
-        a = BitVec.from01(arr)
-        b = BitVec.from01(1 - arr)
+        a, b = arr, 1 - arr
         va = int(mech_eval_fpga(a, mech)[0]) - u_raw
         vb = int(mech_eval_fpga(b, mech)[0]) - u_raw
         assert va == -vb
@@ -173,16 +174,16 @@ def test_eval_fpga_min_raw_weight_saturates_negation():
     mech = MechanismModel(np.array([[-64.0]]), np.array([0.0]))
     assert mech.weights_raw[0, 0] == fx.RAW_MIN
     # clear bit: two's complement of RAW_MIN saturates to RAW_MAX
-    assert mech_eval_fpga(BitVec.from01([0]), mech)[0] == fx.RAW_MAX
-    assert mech_eval_fpga(BitVec.from01([1]), mech)[0] == fx.RAW_MIN
+    assert mech_eval_fpga([0], mech)[0] == fx.RAW_MAX
+    assert mech_eval_fpga([1], mech)[0] == fx.RAW_MIN
 
 
 def test_length_mismatch():
     mech = external_mechanism(np.zeros((3, 1)), np.zeros(1))
     with pytest.raises(ValueError):
-        mech_eval_float(BitVec(2), mech)
+        mech_eval_float([0, 0], mech)
     with pytest.raises(ValueError):
-        mech_eval_fpga(BitVec(5), mech)
+        mech_eval_fpga([0] * 5, mech)
 
 
 @pytest.mark.parametrize("p,u", [(5.0, 0.0), (0.0, 5.0), (np.nan, 0.0)])

@@ -181,8 +181,8 @@ def test_json_floats_only_mechanism():
     """
     model = model_from_json(text)
     assert model.mechanism.source == "external"
-    assert model.mechanism.weights_raw[0, 0] == fx.fx_from_real(0.5)
-    out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from01([1, 1, 1])]))[0]
+    assert model.mechanism.weights_raw[0, 0] == 0.5 * fx.SCALE
+    out = predict_float_batch(model, BitMatrix.from01([[1, 1, 1]]))[0]
     assert np.allclose(out, [0.5 - 0.25 + 0.125 + 1.0])
 
 
@@ -227,9 +227,9 @@ def test_json_refuses_a_value_of_the_wrong_type(path):
 
 
 def test_a_node_refuses_a_bias_off_its_grid_value():
-    ScmNode(BitVec.from_string("1"), 0, 0.5, 1 << 24, np.zeros(1), np.zeros(1, np.int32))
+    ScmNode(BitVec.from01([1]), 0, 0.5, 1 << 24, np.zeros(1), np.zeros(1, np.int32))
     with pytest.raises(ValueError, match="bias_raw"):
-        ScmNode(BitVec.from_string("1"), 0, 1e-9, 0, np.zeros(1), np.zeros(1, np.int32))
+        ScmNode(BitVec.from01([1]), 0, 1e-9, 0, np.zeros(1), np.zeros(1, np.int32))
 
 
 def test_a_layer_keeps_only_raw_biases():
@@ -363,7 +363,7 @@ def test_a_layer_refuses_a_nan_readout():
 
 def _packed(bias_raw=0, beta=0.0, beta_raw=0):
     """ScmLayer(activation, nodes) on one node, its raw values int64 as a caller may give."""
-    node = ScmNode(BitVec.from_string("1"), 0, bias_raw / 2**25, bias_raw,
+    node = ScmNode(BitVec.from01([1]), 0, bias_raw / 2**25, bias_raw,
                    np.array([beta]), np.array([beta_raw], np.int64))
     return ScmLayer(Activation.STEP, [node])
 

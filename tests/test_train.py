@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import scmfpga.linalg
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitMatrix, BitVec
+from scmfpga.bits import BitMatrix
 from scmfpga.datasets import gen_db2, split
 from scmfpga.encoding import encode_matrix, parse_encoding
 from scmfpga.errors import TrainingFailedError
@@ -51,6 +51,7 @@ from scmfpga.train import (
 )
 
 from builders import layer, random_model
+from oracles import fx_from_real, predict_fpga, rows
 
 
 def _column_node(state, k=-1):
@@ -1121,14 +1122,9 @@ def test_train_quantization_delta_bound():
     data = _toy_data(seed=9, spec="s2v1")
     cfg = TrainConfig.single_layer(8, Activation.STEP, t_max=100, seed=9)
     model = train(data, cfg).model
-    from scmfpga.emulate import predict_fpga
-
     bound = quantization_bound(model)
-    rng = np.random.default_rng(0)
-    width = model.d_enc
-    for _ in range(200):
-        b = BitVec.from01(rng.integers(0, 2, size=width))
-        f = predict_float_batch(model, BitMatrix.from_rows([b]))[0]
+    bits = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(200, model.d_enc)))
+    for f, b in zip(predict_float_batch(model, bits), rows(bits)):
         g = fx.dequantize_array(predict_fpga(model, b))
         assert np.max(np.abs(f - g)) <= bound
 
@@ -1140,14 +1136,14 @@ def _tiny_model():
     return random_model(0, 6, ((3, Activation.STEP), (2, Activation.SIGN)))
 
 
-def _straight_line_eval(model, x_bits):
+def _straight_line_eval(model, x01):
     """Independent scalar evaluator following the model definition."""
-    signal = x_bits.to01() * 2.0 - 1.0
+    signal = x01 * 2.0 - 1.0
     out = signal @ model.mechanism.weights + model.mechanism.intercepts
     for layer in model.layers:
         next_signal = []
         for i in range(len(layer)):
-            lam, w = 1 << int(layer.shift[i]), layer.w[i].to01() * 2.0 - 1.0
+            lam, w = 1 << int(layer.shift[i]), layer.w.to01()[i] * 2.0 - 1.0
             pre = lam * float(w @ signal) + layer.bias[i]
             bit = 1 if pre > 0 else 0
             if layer.activation == Activation.SIGN:
@@ -1163,17 +1159,16 @@ def _straight_line_eval(model, x_bits):
 def test_predict_float_matches_straight_line_oracle():
     model = _tiny_model()
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        b = BitVec.from01(rng.integers(0, 2, size=model.d_enc))
-        f = predict_float_batch(model, BitMatrix.from_rows([b]))[0]
-        assert np.max(np.abs(f - _straight_line_eval(model, b))) < 1e-12
+    x01 = rng.integers(0, 2, size=(50, model.d_enc))
+    for f, x in zip(predict_float_batch(model, BitMatrix.from01(x01)), x01):
+        assert np.max(np.abs(f - _straight_line_eval(model, x))) < 1e-12
 
 
 def test_predict_float_single_node_adds_beta():
     mech = external_mechanism(np.zeros((2, 1)), np.array([0.25]))
-    node = layer(Activation.STEP, [[1, 1]], 0, fx.fx_from_real(0.5), (1.0,))
+    node = layer(Activation.STEP, [[1, 1]], 0, fx_from_real(0.5), (1.0,))
     model = ScmModel(parse_encoding("density:2"), mech, [node], 1)
-    out = predict_float_batch(model, BitMatrix.from_rows([BitVec.from_string("11")]))
+    out = predict_float_batch(model, BitMatrix.from01([[1, 1]]))
     assert out.shape == (1, 1)  # pre = 2.5 > 0 -> h = 1
     assert np.allclose(out, [1.25])
 
@@ -1181,7 +1176,7 @@ def test_predict_float_single_node_adds_beta():
 def test_predict_width_check():
     model = _tiny_model()
     with pytest.raises(ValueError):
-        predict_float_batch(model, BitMatrix.from_rows([BitVec(4)]))
+        predict_float_batch(model, BitMatrix.from01(np.zeros((1, 4), dtype=np.uint8)))
 
 
 # -- config validation ------------------------------------------------------
