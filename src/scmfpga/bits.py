@@ -25,6 +25,7 @@ import numpy as np
 
 WORD_BITS = 64
 WORD = np.dtype("<u8")  # one little-endian 64-bit word
+HALF = np.dtype("<u4")  # one little-endian 32-bit half of a word
 
 
 def n_words(n: int) -> int:

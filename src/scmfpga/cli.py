@@ -22,7 +22,7 @@ from .emulate import memory_report
 from .encoding import encode_matrix, parse_encoding
 from .errors import DataError, TrainingFailedError
 from .evaluate import MODES, evaluate_bits
-from .model import parse_activation
+from .model import output_bound, parse_activation
 from .modelfile import (
     load_model,
     model_from_json,
@@ -239,6 +239,7 @@ def _write_outputs_csv(path: str, y: np.ndarray, rep) -> None:
 def cmd_report(args) -> int:
     model = load_model(args.model)
     print(memory_report(model, clock_hz=args.clock).text())
+    print("output bound:", ", ".join(f"{b / fx.SCALE:.9g} (raw {b})" for b in output_bound(model)))
     return 0
 
 

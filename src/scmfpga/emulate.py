@@ -9,60 +9,63 @@ reference float path and this emulation produce identical activation bits;
 outputs differ only by the stored-parameter rounding.
 
 predict_fpga_batch is the batch path: it runs the datapath vectorized over
-the encoded rows, which it takes only as a BitMatrix (rows of (W,)
-little-endian uint64 words, bit 0 = input 0, zero pad bits; see bits.py), in
-blocks of BLOCK_ROWS rows. A layer's popcounts add up word by word into one
-(nodes, rows) int32 array, and one compare with a per-node limit stands for
+the encoded rows, which it takes only as a BitMatrix (see bits.py), in blocks
+of BLOCK_ROWS rows whose words it transposes once, to (W, rows). Bits stay
+node-major, (nodes, rows), from there: a layer's popcounts add up word by
+word into one int32 array, and one compare with a per-node limit stands for
 the shift, the bias and the strict threshold: (dot << shift + 25) + bias_raw
 > 0 says dot * 2**(25 + shift) > -bias_raw, which for an integer dot is
 dot > edge = floor(-bias_raw / 2**(25 + shift)) (model.threshold_edge). A
 +-1 dot is fan_in - 2*count, so the node fires when 2*count < fan_in - edge;
 a {0,1} dot is 2*count - ones(x), so it fires when 2*count - ones(x) > edge.
-The bits, as float64 0/1, select the readouts (fixedpoint.conditional_sum)
-and, times powers of two, pack into the next layer's words, both exactly.
-Its scalar test oracle (tests/oracles.py) takes one row at a time as a
-Python integer and keeps the literal shift and bias. It shares no kernel
-with the batch path, so a fault in one cannot hide in the other.
+One float64 0/1 copy of the bits selects the readouts (a prepared
+fixedpoint.conditional_sum) and, times powers of two, packs into the next
+layer's input as uint32 halves (HALF), both exactly. Its scalar test oracle
+(tests/oracles.py) takes one row at a time as a Python integer and keeps the
+literal shift and bias. It shares no kernel with the batch path, so a fault
+in one cannot hide in the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import fixedpoint as fx
-from .bits import WORD, BitMatrix, n_words
+from .bits import HALF, WORD, BitMatrix
 from .mechanism import mech_wide_fpga
 from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, threshold_edge
 
-
-def _counts(w: np.ndarray, x: np.ndarray, pm1: bool) -> np.ndarray:
-    """(K, B) int32 popcounts of w XOR x (pm1) or w AND x, between K rows of
-    weight words and B rows of input words, added word by word."""
-    op, xt = np.bitwise_xor if pm1 else np.bitwise_and, x.T.copy()  # each op runs along B
+def _counts(w: np.ndarray, xt: np.ndarray, pm1: bool) -> np.ndarray:
+    """(K, B) int32 popcounts of w XOR x (pm1) or w AND x, between (K, W) weight
+    words w and the (W, B) input words xt of B rows, added word by word."""
+    op = np.bitwise_xor if pm1 else np.bitwise_and  # each op runs along B
     count = np.bitwise_count(op(w[:, 0, None], xt[0])).astype(np.int32)
     for j in range(1, w.shape[1]):
         count += np.bitwise_count(op(w[:, j, None], xt[j]))
     return count
 
 
-def _layer_bits(layer: ScmLayer, x: BitMatrix, pm1: bool) -> np.ndarray:
-    """(B, K) threshold bits of a layer's nodes on a block of B input rows."""
-    count = _counts(layer.w.words, x.words, pm1)
+def _layer_bits(layer: ScmLayer, pm1: bool, word: np.dtype) -> Callable:
+    """A layer's threshold function, built once: from the (W, B) input words of
+    B rows in the width `word` (WORD for the encoded inputs, HALF between
+    layers) to the (K, B) bool threshold bits of its K nodes."""
+    w = layer.w.words.view(word)[:, : -(-layer.fan_in // (8 * word.itemsize))]
     edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.int32)[:, None]
     if pm1:  # 2*count < fan_in - edge
-        return (count < (layer.fan_in - edge + 1) >> 1).T
+        limit = (layer.fan_in - edge + 1) >> 1
+        return lambda xt: _counts(w, xt, True) < limit
     # 2*count - ones(x) > edge
-    ones = np.bitwise_count(x.words).sum(axis=1, dtype=np.int32)
-    return (count > (ones + edge) >> 1).T
+    return lambda xt: _counts(w, xt, False) > (np.bitwise_count(xt).sum(0, np.int32) + edge) >> 1
 
 
 def _packer(k: int) -> np.ndarray:
-    """(k, 2W) float64 P with 2**(i % 32) at [i, i // 32]: the exact product bits01 @ P
-    holds each row's 32-bit halves, which read as little-endian uint32 are its words."""
-    p, i = np.zeros((k, 2 * n_words(k))), np.arange(k)
-    p[i, i // 32] = np.ldexp(1.0, i % 32)
+    """(ceil(k / 32), k) float64 P with 2**(i % 32) at [i // 32, i]: the exact
+    product P @ bits01 of (k, B) 0/1 bits is the next layer's (H, B) halves."""
+    p, i = np.zeros((-(-k // 32), k)), np.arange(k)
+    p[i // 32, i] = np.ldexp(1.0, i % 32)
     return p
 
 
@@ -71,34 +74,37 @@ def predict_fpga_batch(
 ) -> np.ndarray:
     """Emulated prediction over a batch of encoded rows; (N, m) int32 raw values.
 
-    Row for row equal to the scalar oracle. Per block of BLOCK_ROWS rows: the
-    unsaturated mechanism sum; then per layer the XNOR- or AND-popcounts,
-    compared with a per-node limit that is the datapath's shift, bias and
-    strict threshold (see _layer_bits). The threshold bits select each node's
-    readout or its clear-bit value (0 for SIGN, the readout's two's complement
-    for STEP), summed exactly (fixedpoint.conditional_sum), and are packed as
-    the next layer's input. The sum saturates once, at the end.
+    Row for row equal to the scalar oracle. Each layer's weight words, limits,
+    readout sum and packing product are made once per call. Per block of
+    BLOCK_ROWS rows: the unsaturated mechanism sum, then per layer the popcount
+    compare (_layer_bits), whose bits select each node's readout or clear-bit
+    value (0 for SIGN, the readout's two's complement for STEP) and are packed
+    as the next layer's input. The sum saturates once, at the end.
 
     If `saturated`, an (m,) integer array, is given, the number of rows whose
     output was clamped is added to it per output.
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
-    # per layer the value a clear bit contributes, and the packing product
-    plans = [(layer, np.zeros_like(layer.beta_raw) if layer.activation == Activation.SIGN
-              else fx.fx_neg_array(layer.beta_raw), _packer(len(layer)))
-             for layer in model.layers]
+    mech, plans, pm1, word = mech_wide_fpga(model.mechanism), [], True, WORD
+    for i, layer in enumerate(model.layers, 1):
+        step = layer.activation == Activation.STEP  # a clear bit adds -beta, else 0
+        off = fx.fx_neg_array(layer.beta_raw) if step else np.zeros_like(layer.beta_raw)
+        plans.append((_layer_bits(layer, pm1, word), fx.conditional_sum(layer.beta_raw, off),
+                      _packer(len(layer)) if i < len(model.layers) else None))
+        pm1, word = step, HALF
 
     out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
-        acc = mech_wide_fpga(x.to01(), model.mechanism)
-        pm1 = True
-        for layer, off, packer in plans:
-            fired = _layer_bits(layer, x, pm1).astype(np.float64)
-            acc += fx.conditional_sum(fired, layer.beta_raw, off)
-            x = BitMatrix((fired @ packer).astype("<u4").view(WORD), len(layer))
-            pm1 = layer.activation == Activation.STEP
+        acc = mech(x.to01().T)
+        xt = x.words.T.copy()  # (W, B): each word runs along the block
+        for fired, readout, packer in plans:
+            f = fired(xt).astype(np.float64)
+            acc += readout(f)
+            if packer is not None:
+                xt = (packer @ f).astype(HALF)
+            del f  # else it lives on into the next layer's or block's popcounts
         final = fx.saturate_array(acc)
         out[start : start + BLOCK_ROWS] = final
         if saturated is not None:

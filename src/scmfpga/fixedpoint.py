@@ -6,13 +6,14 @@ representable range is [-64, 64 - 2**-25] at a resolution of 2**-25.
 Pre-activation and output sums are accumulated at the same 25-bit fractional
 scale in a 64-bit-wide integer ("WideAcc"), which cannot overflow for any sum
 of up to 2**20 in-range terms; saturation happens only when a wide value is
-written back to the 32-bit format. conditional_sum forms such sums in float64
-products (BLAS), exactly.
+written back to the 32-bit format. conditional_sum prepares such sums once
+and forms them from node-major 0/1 selects in float64 products, exactly.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
+from typing import Callable
 
 import numpy as np
 
@@ -32,26 +33,30 @@ def fx_neg_array(raw: np.ndarray) -> np.ndarray:
     return np.where(wide == RAW_MIN, RAW_MAX, -wide).astype(np.int32)
 
 
-EXACT_TERMS = 2**20  # columns per float64 product of conditional_sum
+EXACT_TERMS = 2**20  # nodes per float64 product of conditional_sum
 
 
-def conditional_sum(select: np.ndarray, on: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Per row of an (N, K) 0/1 `select`, the sum over k of on[k] or off[k].
+def conditional_sum(on: np.ndarray, off: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Per row of a 0/1 select, the sum over k of on[k] or off[k], prepared once.
 
-    Row i adds on[k] where select[i, k] is set and off[k] where it is clear;
-    `on` and `off` are (K, m) raw values. The result is (N, m) int64 and
-    exact: off's column sum plus select @ (on - off) in float64. Each term
-    is an integer below 2**32 in magnitude, so in a product of at most
-    EXACT_TERMS = 2**20 columns every partial sum, added in any order, is an
-    integer below 2**52, which a double holds exactly; longer sums go in
-    chunks of that many columns, added in int64.
+    `on` and `off` are (K, m) raw values. The returned function maps a (K, N)
+    select to (N, m) int64 sums, row i adding on[k] where select[k, i] is set
+    and off[k] where it is clear, exactly: off's column sum plus select.T @ (on
+    - off) in float64. Each term is an integer below 2**32 in magnitude, so in a
+    product of at most EXACT_TERMS = 2**20 nodes every partial sum, in any order,
+    is an integer below 2**52, which a double holds exactly; longer sums go in
+    chunks of that many nodes, added in int64.
     """
     on, off = np.asarray(on, dtype=np.int64), np.asarray(off, dtype=np.int64)
-    select, diff = np.asarray(select, dtype=np.float64), (on - off).astype(np.float64)
-    total = off.sum(axis=0)
-    for a in range(0, max(len(diff), 1), EXACT_TERMS):  # one product even for K = 0
-        part = select[:, a : a + EXACT_TERMS] @ diff[a : a + EXACT_TERMS]
-        total = total + part.astype(np.int64)
+    diff, base = (on - off).astype(np.float64), off.sum(axis=0)
+
+    def total(select: np.ndarray) -> np.ndarray:
+        select, out = np.asarray(select, dtype=np.float64), base
+        for a in range(0, max(len(diff), 1), EXACT_TERMS):  # one product even for K = 0
+            part = select[a : a + EXACT_TERMS].T @ diff[a : a + EXACT_TERMS]
+            out = out + part.astype(np.int64)
+        return out
+
     return total
 
 

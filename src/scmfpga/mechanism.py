@@ -8,13 +8,14 @@ its reader requires them to equal the derived ones. The emulated evaluation
 adds the stored weight when the input bit is 1 and its two's complement when
 the bit is 0, then adds the intercept, all in the wide accumulator,
 saturating once at the end.
-mech_wide_fpga does this for a batch, before the saturation; the emulator's
-scalar test oracle runs the same sum on Python integers.
+mech_wide_fpga prepares it once (fixedpoint.conditional_sum) for (d_enc, rows)
+bits, unsaturated; the emulator's scalar test oracle runs it on Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -95,11 +96,9 @@ def mech_eval_float_batch(s: np.ndarray, mech: MechanismModel) -> np.ndarray:
     return s @ mech.weights + mech.intercepts
 
 
-def mech_wide_fpga(x01: np.ndarray, mech: MechanismModel) -> np.ndarray:
-    """Emulated sums on an (N, d_enc) 0/1 matrix, before saturation; (N, m) int64.
-
-    Adds the raw weight for set bits and its two's complement (fx_neg_array)
-    for clear bits, then the intercept, exactly in the wide accumulator.
-    """
-    w = mech.weights_raw
-    return fx.conditional_sum(x01, w, fx.fx_neg_array(w)) + mech.intercepts_raw
+def mech_wide_fpga(mech: MechanismModel) -> Callable[[np.ndarray], np.ndarray]:
+    """Emulated sums, prepared once: from (d_enc, N) 0/1 bits to (N, m) int64 sums
+    before saturation. Adds the raw weight for set bits and its two's complement
+    (fx_neg_array) for clear bits, then the intercept, exactly (conditional_sum)."""
+    total = fx.conditional_sum(mech.weights_raw, fx.fx_neg_array(mech.weights_raw))
+    return lambda x01: total(x01) + mech.intercepts_raw

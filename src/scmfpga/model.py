@@ -240,23 +240,31 @@ def layer_forward_float(layer: ScmLayer) -> Callable[[np.ndarray], np.ndarray]:
 def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
-    Works in blocks of BLOCK_ROWS rows, so its temporaries do not grow with
-    the batch. Signals between layers stay float32; the mechanism and the
-    readouts multiply in float64. Raises ValueError when a layer's fan-in is
-    too wide for threshold_bits (check_fan_in), before any signal is built.
+    Works in blocks of BLOCK_ROWS rows, so its temporaries do not grow with the
+    batch. Signals are float32, made once per block; the mechanism and readouts
+    multiply in float64, to which they promote exactly. Raises ValueError when a
+    layer's fan-in is too wide for threshold_bits (check_fan_in), before any signal.
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     forwards = [(layer_forward_float(layer), layer.beta) for layer in model.layers]
     out = np.empty((len(bits), model.n_outputs))
     for start in range(0, len(bits), BLOCK_ROWS):
-        s = signals_pm1(bits[start : start + BLOCK_ROWS])
+        s = signals_pm1(bits[start : start + BLOCK_ROWS], np.float32)
         acc = mech_eval_float_batch(s, model.mechanism)
         for forward, beta in forwards:
             s = forward(s)
             acc += s.astype(np.float64) @ beta
         out[start : start + BLOCK_ROWS] = acc
     return out
+
+
+def output_bound(model: ScmModel) -> list[int]:
+    """Per output, a bound on |emulated wide sum| over every input: |u| + sum |mech w|
+    + sum |beta| over the raw Q7.25 integers. Below 2**31, no input saturates it."""
+    raw = [model.mechanism.intercepts_raw[None], model.mechanism.weights_raw,
+           *(layer.beta_raw for layer in model.layers)]
+    return np.abs(np.vstack(raw).astype(np.int64)).sum(axis=0).tolist()
 
 
 def quantization_bound(model: ScmModel) -> float:

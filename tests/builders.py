@@ -1,12 +1,14 @@
-"""Models for the tests, built from plain arrays through ScmLayer.from_arrays."""
+"""Models for the tests, built from plain arrays through ScmLayer.from_arrays, and
+the emulator's layer bits."""
 
 import numpy as np
 
+from scmfpga import emulate
 from scmfpga import fixedpoint as fx
-from scmfpga.bits import BitMatrix
+from scmfpga.bits import HALF, WORD, BitMatrix
 from scmfpga.encoding import parse_encoding
 from scmfpga.mechanism import external_mechanism
-from scmfpga.model import ScmLayer, ScmModel
+from scmfpga.model import Activation, ScmLayer, ScmModel
 
 
 def layer(act, w01, shift=0, bias_raw=0, beta=(0.0,)) -> ScmLayer:
@@ -41,3 +43,15 @@ def random_model(seed, d_enc, layers, m=1) -> ScmModel:
         ))
         fan_in = size
     return ScmModel(parse_encoding(f"density:{d_enc}"), mech, built, m)
+
+
+def emulated_layer_bits(model: ScmModel, x: BitMatrix) -> list[np.ndarray]:
+    """Each layer's (K, B) emulated threshold bits on the rows x, from
+    emulate._layer_bits: the encoded rows go in word-major as uint64 words,
+    and each layer's bits, packed by BitMatrix.from01, as uint32 halves."""
+    xt, word, pm1, out = x.words.T, WORD, True, []
+    for lay in model.layers:
+        out.append(emulate._layer_bits(lay, pm1, word)(xt))
+        xt, word = BitMatrix.from01(out[-1].T).words.view(HALF).T, HALF
+        pm1 = lay.activation == Activation.STEP
+    return out

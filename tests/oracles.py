@@ -56,15 +56,21 @@ def saturate_to_fx(acc: int) -> int:
 
 
 def predict_fpga(model, x: int) -> list[int]:
-    """Emulated prediction for one encoded row x; raw Q7.25 per output.
+    """Emulated prediction for one encoded row x; raw Q7.25 per output: the
+    oracle of emulate.predict_fpga_batch, wide_sums saturated."""
+    return [saturate_to_fx(a) for a in wide_sums(model, x)]
 
-    The oracle of emulate.predict_fpga_batch. The wide sums start at the raw
-    intercepts and add each raw mechanism weight for a set input bit or its
-    fx_neg for a clear one. Then, node by node, the XNOR- or AND-count dot is
-    shifted by the scale code and promoted to the 25-bit fraction, the raw
-    bias is added, and the strict threshold gives the bit; the node adds its
-    raw readout for a set bit, and for a clear one nothing (SIGN) or the
-    readout's fx_neg (STEP). The sums saturate once, at the end.
+
+def wide_sums(model, x: int) -> list[int]:
+    """The emulated wide sums of one encoded row x, before saturation.
+
+    They start at the raw intercepts and add each raw mechanism weight for a
+    set input bit or its fx_neg for a clear one. Then, node by node, the XNOR-
+    or AND-count dot is shifted by the scale code and promoted to the 25-bit
+    fraction, the raw bias is added, and the strict threshold gives the bit;
+    the node adds its raw readout for a set bit, and for a clear one nothing
+    (SIGN) or the readout's fx_neg (STEP). predict_fpga saturates them once,
+    at the end.
     """
     mech = model.mechanism
     acc = mech.intercepts_raw.tolist()
@@ -81,4 +87,4 @@ def predict_fpga(model, x: int) -> list[int]:
             if bit or step:
                 acc = [a + (b if bit else fx_neg(b)) for a, b in zip(acc, beta)]
         bits_in, n, pm1 = next_bits, len(layer), step
-    return [saturate_to_fx(a) for a in acc]
+    return acc

@@ -42,9 +42,10 @@ def _bit_table(n: int) -> np.ndarray:
 
 
 def _dots(w01: np.ndarray, x01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, B) dots of K weight rows with B input rows, from the emulator's popcounts:
-    n - 2·count(w XOR x) with x read as ±1, and 2·count(w AND x) - ones(x) with x as 0/1."""
-    w, x = s.BitMatrix.from01(w01).words, s.BitMatrix.from01(x01).words
+    """(K, B) dots of K weight rows with B input rows, from the emulator's popcounts
+    on word-major inputs: n - 2·count(w XOR x) with x read as ±1, and
+    2·count(w AND x) - ones(x) with x as 0/1."""
+    w, x = s.BitMatrix.from01(w01).words, s.BitMatrix.from01(x01).words.T.copy()
     pm1 = w01.shape[1] - 2 * emulate._counts(w, x, True)
     return pm1, 2 * emulate._counts(w, x, False) - x01.sum(axis=1)
 

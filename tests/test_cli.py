@@ -12,7 +12,7 @@ from scmfpga import fixedpoint as fx
 from scmfpga.datasets import load_dataset, write_dataset
 from scmfpga.encoding import parse_encoding
 from scmfpga.mechanism import external_mechanism
-from scmfpga.model import Activation, ScmModel, quantization_bound
+from scmfpga.model import Activation, ScmModel, output_bound, quantization_bound
 from scmfpga.modelfile import load_model, save_model
 from scmfpga.train import TrainConfig
 
@@ -344,6 +344,8 @@ def test_report_db1_cycles(capsys, tmp_path, db1_files):
     assert "cycles per evaluation: 9" in text
     assert "90 ns" in text
     assert "60.9375%" in text  # single-feature 25-bit input reduction
+    bound = output_bound(load_model(model))[0]
+    assert f"output bound: {bound / 2**25:.9g} (raw {bound})" in text
 
 
 @pytest.mark.parametrize("clock", ["0", "-5", "nan", "inf"])

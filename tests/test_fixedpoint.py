@@ -127,7 +127,7 @@ def test_conditional_sum_matches_loop(n_rows, k, m, seed):
          for q in range(m)]
         for i in range(n_rows)
     ]
-    out = fx.conditional_sum(select, on, off)
+    out = fx.conditional_sum(on, off)(select.T)  # prepared once, applied node-major
     assert out.shape == (n_rows, m)
     assert out.tolist() == expected
 
@@ -144,7 +144,7 @@ def test_conditional_sum_adds_its_chunks_exactly(monkeypatch, k):
     select[0], select[1] = True, False
     expected = [[sum(int(on[j, q] if row[j] else off[j, q]) for j in range(k)) for q in range(2)]
                 for row in select]
-    out = fx.conditional_sum(select, on, off)
+    out = fx.conditional_sum(on, off)(select.T)
     assert out.dtype == np.int64 and out.shape == (6, 2)
     assert out.tolist() == expected
 

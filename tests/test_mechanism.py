@@ -26,7 +26,7 @@ def mech_eval_float(x01, mech):
 
 def mech_eval_fpga(x01, mech):
     """The emulated mechanism output of one encoded row: the wide sum, saturated."""
-    return fx.saturate_array(mech_wide_fpga(np.array([x01]), mech))[0]
+    return fx.saturate_array(mech_wide_fpga(mech)(np.array([x01]).T))[0]
 
 
 def _random_bits(rng, n, width):

@@ -33,7 +33,7 @@ from scmfpga.modelfile import (
 )
 from scmfpga.train import TrainConfig, prepare_train_data, train
 
-from builders import layer, random_model
+from builders import emulated_layer_bits, layer, random_model
 
 
 def _model(seed=0, sizes=(3, 2)):
@@ -634,12 +634,10 @@ def _check_sound(model):
     layer, outputs stay within quantization_bound unless one saturates, and the
     writers and the report accept it."""
     rows = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(16, model.d_enc)))
-    x, s, pm1 = rows, signals_pm1(rows), True
-    for layer in model.layers:
-        fired = emulate._layer_bits(layer, x, pm1)
+    s = signals_pm1(rows, np.float32)
+    for layer, fired in zip(model.layers, emulated_layer_bits(model, rows)):
         s = layer_forward_float(layer)(s)
-        assert np.array_equal(s > 0, fired)
-        x, pm1 = BitMatrix.from01(fired), layer.activation == Activation.STEP
+        assert np.array_equal(s.T > 0, fired)
     rep = evaluate_bits(model, rows, np.zeros((len(rows), model.n_outputs)))
     assert not rep.bound_applies or rep.max_output_delta <= quantization_bound(model)
     model_to_bytes(model)

@@ -21,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scmfpga.linalg
-from scmfpga import cli, emulate
-from scmfpga.bits import BitMatrix
+from scmfpga import cli
 from scmfpga.datasets import load_dataset
 from scmfpga.encoding import parse_encoding
 from scmfpga.errors import TrainingFailedError
@@ -31,6 +30,8 @@ from scmfpga.mechanism import signals_pm1
 from scmfpga.model import Activation, layer_forward_float, quantization_bound
 from scmfpga.modelfile import load_model, model_from_bytes, model_to_bytes
 from scmfpga.train import TrainConfig, prepare_train_data, train
+
+from builders import emulated_layer_bits
 
 ENCODINGS = st.one_of(
     st.integers(2, 70).map(lambda w: f"density:{w}"),  # 70 bits of one feature pass 64
@@ -109,13 +110,10 @@ def _check_the_promises(seed, rows, val_share, features, outputs, spec, layers, 
             assert b.train_rmse <= a.train_rmse + 1e-12
     # both paths give the same activation bits, layer by layer, on the
     # validation rows
-    x_bits = data.bits[n:]
-    s, pm1 = signals_pm1(x_bits), True
-    for layer in model.layers:
-        fired = emulate._layer_bits(layer, x_bits, pm1)
+    s = signals_pm1(data.bits[n:], np.float32)
+    for layer, fired in zip(model.layers, emulated_layer_bits(model, data.bits[n:])):
         s = layer_forward_float(layer)(s)
-        assert np.array_equal(s > 0, fired)
-        x_bits, pm1 = BitMatrix.from01(fired), layer.activation == Activation.STEP
+        assert np.array_equal(s.T > 0, fired)
     # the output gap is bounded wherever no emulated output saturated
     rep = evaluate_bits(model, data.bits[n:], data.y[n:], "both")
     if rep.bound_applies:
