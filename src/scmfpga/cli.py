@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixedpoint as fx
-from .datasets import gen_db1, gen_db2, load_dataset, split, write_dataset
+from .datasets import gen_db1, gen_db2, load_dataset, manifest_path, split, write_dataset
 from .emulate import memory_report
 from .encoding import encode_matrix, parse_encoding
 from .errors import DataError, TrainingFailedError
@@ -144,18 +144,27 @@ def _parse_layer_args(args) -> tuple[tuple[int, ...], tuple]:
     return sizes, acts
 
 
-def _check_writable(path: str) -> None:
-    """Raise OSError unless path can be a file in a writable directory; it is not touched."""
-    parent = Path(path).parent
-    if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
-        raise OSError(f"cannot write {path}: not a file name in a writable directory")
+def _check_outputs(outputs: dict[str, str | None], *inputs: str | Path) -> None:
+    """Refuse, before any work, an output path that is not a file name in a writable
+    directory (OSError) or that names an input or another output (ValueError).
+
+    outputs maps each output option to its path, None when it is not given.
+    """
+    named = {Path(p).resolve(): "an input" for p in inputs}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
+            raise OSError(f"cannot write {path}: not a file name in a writable directory")
+        other = named.setdefault(Path(path).resolve(), option)
+        if other != option:
+            raise ValueError(f"{option} {path} is the same file as {other}")
 
 
 def cmd_train(args) -> int:
     # refused before the training, which may take minutes, and not after it
-    for path in (args.out, args.log):
-        if path:
-            _check_writable(path)
+    _check_outputs({"--out": args.out, "--log": args.log}, args.data, manifest_path(args.data))
     ds = load_dataset(args.data)
     ds = split(ds, args.val_fraction, args.seed)
     spec = parse_encoding(args.encoding)
@@ -186,6 +195,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs({"--out": args.out}, args.model, args.data, manifest_path(args.data))
     model = load_model(args.model)
     ds = load_dataset(args.data)
     rows = ds.rows(args.rows)
@@ -244,6 +254,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_export(args) -> int:
+    _check_outputs({"--out": args.out}, args.model)
     model = load_model(args.model)
     Path(args.out).write_text(model_to_json(model) + "\n")
     print(f"wrote {args.out}")
@@ -251,6 +262,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_import(args) -> int:
+    _check_outputs({"--out": args.out}, args.json)
     model = model_from_json(Path(args.json).read_text())
     save_model(model, args.out, include_floats=not args.no_floats)
     print(f"wrote {args.out}")

@@ -168,13 +168,18 @@ def split(ds: Dataset, val_fraction: float, seed: int = 0) -> Dataset:
 # -- CSV + manifest i/o ----------------------------------------------------
 
 
+def manifest_path(csv_path: str | Path) -> Path:
+    """The manifest beside a dataset CSV: its path with the suffix .manifest."""
+    return Path(csv_path).with_suffix(".manifest")
+
+
 def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
     """Write `<path>` CSV (rows ordered train/val/test) and `<path>.manifest`.
 
     A path that is its own manifest path (`*.manifest`) is a ValueError,
     raised before anything is written.
     """
-    csv_path, mpath = Path(csv_path), Path(csv_path).with_suffix(".manifest")
+    csv_path, mpath = Path(csv_path), manifest_path(csv_path)
     if csv_path == mpath:
         raise ValueError(f"{csv_path}: the dataset would be overwritten by its manifest")
     order = np.concatenate([ds.train_idx, ds.val_idx, ds.test_idx])
@@ -285,8 +290,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     such as the bounds and names older manifests held, is ignored. Without a
     manifest every row is a training row.
     """
-    csv_path = Path(csv_path)
-    mpath = csv_path.with_suffix(".manifest")
+    csv_path, mpath = Path(csv_path), manifest_path(csv_path)
     if not mpath.exists():
         return load_csv(csv_path)
     kv: dict[str, str] = {}

@@ -24,24 +24,21 @@ field touches (_word_tables). One value's code is a one-row call: row 0 of
 encode_matrix([[x]], spec)'s matrix.
 
 Digit rule (_digit_table): the digits of all values come from one exact
-array rule instead of a Decimal per value. At q = min(places, 15)
-places, with p = 10.0**q, y = v*p, m = rint(y) and f = floor(y), the
-truncated digits are t = m where m/p == v, else f where f/p < v, else f - 1;
-digit k is t // 10**k % 10. It is exact because p and t (below 2**53) are
-exact doubles and IEEE multiply and divide round correctly: m/p == v holds
-exactly when a q-place decimal rounds to v, and then the shortest repr is
-that decimal; otherwise no q-place decimal lies between the shortest repr
-and v, so both truncate alike, and the two comparisons undo a product that
-rounded up to the next integer. Past 15 places two such decimals can round
-to one double, so values with a 15-place form get zeros beyond place 15 and
-each other distinct value goes once through the scalar _digits, the oracle.
+array rule. At q places, with p = 10.0**q, y = v*p, m = rint(y) and
+f = floor(y), the truncated digits are t = m where m/p == v, else f where
+f/p < v, else f - 1; digit k is t // 10**k % 10. It is exact because p and t
+(below 2**53) are exact doubles and IEEE multiply and divide round correctly:
+m/p == v holds exactly when a q-place decimal rounds to v, and then the
+shortest repr is that decimal; otherwise no q-place decimal lies between the
+shortest repr and v, so both truncate alike, and the two comparisons undo a
+product that rounded up to the next integer. Past 15 places two decimals can
+round to one double, so scheme 1 stops at 15 places, the rule's reach.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import IntEnum
 from functools import cached_property, lru_cache
 
@@ -83,16 +80,23 @@ def _fields(spec: EncodingSpec) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((w, tuple((1 << w) - (1 << w - c) for c in _ONES[w])) for w in widths)
 
 
+# each kind's spec-string name, the parameter a bare name takes, and the largest
+# parameter (0: it takes none). N fills the model file's byte, and scheme 1
+# stops at 15 places, the reach of the exact digit rule.
+_KINDS = {EncodingKind.DENSITY: ("density", 10, 255), EncodingKind.SCHEME1: ("s1", 3, 15),
+          EncodingKind.SCHEME2_V1: ("s2v1", 0, 0), EncodingKind.SCHEME2_V2: ("s2v2", 0, 0)}
+
+
 @dataclass(frozen=True)
 class EncodingSpec:
     kind: EncodingKind
     param: int = 0  # N for DENSITY, decimal places for SCHEME1, unused otherwise
 
     def __post_init__(self):
-        if self.kind in (EncodingKind.DENSITY, EncodingKind.SCHEME1):
-            if not 1 <= self.param <= 255:
-                raise ValueError(f"{self.kind.name} needs a parameter in 1..255")
-        elif self.param != 0:
+        top = _KINDS[EncodingKind(self.kind)][2]
+        if top and not 1 <= self.param <= top:
+            raise ValueError(f"{self.kind.name} needs a parameter in 1..{top}")
+        if not top and self.param != 0:
             raise ValueError(f"{self.kind.name} takes no parameter")
 
     @cached_property
@@ -109,68 +113,34 @@ class EncodingSpec:
         return cls(EncodingKind(data[0]), data[1])
 
     def __str__(self) -> str:
-        if self.kind == EncodingKind.DENSITY:
-            return f"density:{self.param}"
-        if self.kind == EncodingKind.SCHEME1:
-            return f"s1:{self.param}"
-        return "s2v1" if self.kind == EncodingKind.SCHEME2_V1 else "s2v2"
+        name = _KINDS[self.kind][0]
+        return f"{name}:{self.param}" if self.param else name
 
 
 def parse_encoding(text: str) -> EncodingSpec:
     """Parse a spec string: 'density:N', 's1:U', 's2v1', 's2v2'."""
-    t = text.strip().lower()
-    if t == "s2v1":
-        return EncodingSpec(EncodingKind.SCHEME2_V1)
-    if t == "s2v2":
-        return EncodingSpec(EncodingKind.SCHEME2_V2)
-    name, _, arg = t.partition(":")
-    if name == "density":
-        return EncodingSpec(EncodingKind.DENSITY, int(arg) if arg else 10)
-    if name == "s1":
-        return EncodingSpec(EncodingKind.SCHEME1, int(arg) if arg else 3)
+    name, _, arg = text.strip().lower().partition(":")
+    for kind, (kind_name, default, _) in _KINDS.items():
+        if name == kind_name:
+            return EncodingSpec(kind, int(arg) if arg else default)
     raise ValueError(f"unknown encoding {text!r}")
 
 
-def _digits(x: float, places: int) -> list[int]:
-    """Integer part of x, then its first `places` decimal digits, truncated.
-
-    Digits come from the shortest decimal form of the float, so a value
-    entered as 0.867 yields 8, 6, 7 exactly.
-    """
-    d = Decimal(repr(x))
-    ones = int(d)
-    frac = int((d - ones).scaleb(places))  # exact: the shift only moves the exponent
-    return [ones, *map(int, str(frac).zfill(places))]
-
-
-# places the array digit rule covers: 10**15 and every truncated value fit
-# exactly in a double, and no two 15-place decimals share one double's
-# rounding interval in [0, 1]
-_EXACT_PLACES = 15
-
-
 def _digit_table(values: np.ndarray, places: int) -> np.ndarray:
-    """(V, 1 + places) uint8: _digits of each of V values in [0, 1].
-
-    The exact array rule of the module docstring; past 15 places only the
-    values without a 15-place form call _digits.
+    """(V, 1 + places) uint8: the integer part and first places digits, truncated,
+    of each of V values in [0, 1], by the exact array rule of the module docstring.
     """
-    q = min(places, _EXACT_PLACES)
-    p = 10.0**q
+    p = 10.0**places
     y = values * p
     m = np.rint(y)
     f = np.floor(y, out=y)
     exact = m / p == values
     f -= f / p >= values
     np.copyto(f, m, where=exact)
-    t = f.astype(np.uint32 if q <= 9 else np.uint64)  # u32 divides faster
+    t = f.astype(np.uint32 if places <= 9 else np.uint64)  # u32 divides faster
     digits = np.zeros((1 + places, len(values)), dtype=np.uint8)  # each place contiguous
-    for k in range(q, -1, -1):  # the last place first
+    for k in range(places, -1, -1):  # the last place first
         np.divmod(t, 10, out=(t, digits[k]))
-    if places > q:  # each distinct value without a 15-place form reads its digits once
-        odd, inverse = np.unique(values[~exact], return_inverse=True)
-        odd_digits = np.array([_digits(v, places) for v in odd.tolist()], dtype=np.uint8)
-        digits[:, ~exact] = odd_digits.reshape(-1, 1 + places)[inverse].T
     return digits.T
 
 

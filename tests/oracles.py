@@ -2,13 +2,15 @@
 
 A row of bits is an int whose bit i is bit i of the row: rows() reads them
 from a BitMatrix's words. An XNOR is ~(a ^ b) masked to the row width, and a
-count is int.bit_count(). The Q7.25 helpers work on raw ints. The oracles
-keep the datapath's literal shift, bias and saturation, and import from
-scmfpga only Activation and fixedpoint's constants, so they share no kernel
-with the batch path and a fault in one cannot hide in the other.
+count is int.bit_count(). The Q7.25 helpers work on raw ints, and _digits
+reads one value's decimal digits through Decimal. The oracles keep the
+datapath's literal shift, bias and saturation, and import from scmfpga only
+Activation and fixedpoint's constants, so they share no kernel with the batch
+path and a fault in one cannot hide in the other.
 """
 
 import math
+from decimal import Decimal
 
 from scmfpga.fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE
 from scmfpga.model import Activation
@@ -22,6 +24,18 @@ def rows(bits) -> list[int]:
 def bit_strings(bits) -> list[str]:
     """The rows of a BitMatrix as '0'/'1' strings, bit 0 first."""
     return [format(row, f"0{bits.n}b")[::-1] for row in rows(bits)]
+
+
+def _digits(x: float, places: int) -> list[int]:
+    """Integer part of x, then its first `places` decimal digits, truncated.
+
+    Digits come from the shortest decimal form of the float, so a value
+    entered as 0.867 yields 8, 6, 7 exactly.
+    """
+    d = Decimal(repr(x))
+    ones = int(d)
+    frac = int((d - ones).scaleb(places))  # exact: the shift only moves the exponent
+    return [ones, *map(int, str(frac).zfill(places))]
 
 
 def xnor_count(a: int, b: int, n: int) -> int:

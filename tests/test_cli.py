@@ -222,6 +222,62 @@ def test_train_checks_its_output_paths_before_training(tmp_path, capsys, monkeyp
     assert not any(p.exists() for f, p in paths.items() if f != flag)
 
 
+def _inputs(tmp_path, db1_files) -> dict:
+    """Copies of the db1 dataset, its manifest and model, and the model's JSON."""
+    _, data, model = db1_files
+    paths = {"data": tmp_path / "d.csv", "manifest": tmp_path / "d.manifest",
+             "model": tmp_path / "m.scm", "json": tmp_path / "m.json"}
+    for name, src in [("data", data), ("manifest", data.with_suffix(".manifest")),
+                      ("model", model)]:
+        paths[name].write_bytes(src.read_bytes())
+    assert run("export", str(model), "--out", str(paths["json"])) == 0
+    return paths
+
+
+def _check_refused(tmp_path, capsys, paths, argv):
+    """The command argv, with {name} standing for paths[name] and {new} for a new
+    file, exits 2 before it writes any file, and leaves the inputs' bytes as they were."""
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run(*(a.format(new=tmp_path / "new", **paths) for a in argv)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: --")
+    assert "is the same file as" in err[0]
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("out,log", [("{data}", "{new}"), ("{manifest}", "{new}"),
+                                     ("{new}", "{new}"), ("{new}", "{data}")],
+                         ids=["out-data", "out-manifest", "log-out", "log-data"])
+def test_train_refuses_an_output_path_that_names_an_input_or_the_other_output(
+        tmp_path, capsys, monkeypatch, db1_files, out, log):
+    # unchecked, --out m.scm --log m.scm saved the log as the model, and
+    # --out d.csv overwrote the dataset
+    paths = _inputs(tmp_path, db1_files)
+    monkeypatch.setattr(cli, "train", _no_training)
+    _check_refused(tmp_path, capsys, paths, ["train", "{data}", "--out", out, "--log", log,
+                                             "--nodes", "2", "--t-max", "20"])
+
+
+@pytest.mark.parametrize("out", ["{model}", "{data}", "{manifest}", "d.csv"],
+                         ids=["model", "data", "manifest", "relative-data"])
+def test_eval_refuses_an_output_path_that_names_an_input(tmp_path, capsys, monkeypatch,
+                                                         db1_files, out):
+    paths = _inputs(tmp_path, db1_files)
+    monkeypatch.chdir(tmp_path)  # so d.csv names the dataset by a relative path
+    _check_refused(tmp_path, capsys, paths, ["eval", "{model}", "{data}", "--out", out])
+
+
+def test_export_refuses_an_output_path_that_names_its_model(tmp_path, capsys, db1_files):
+    paths = _inputs(tmp_path, db1_files)
+    _check_refused(tmp_path, capsys, paths, ["export", "{model}", "--out", "{model}"])
+
+
+def test_import_refuses_an_output_path_that_names_its_json(tmp_path, capsys, db1_files):
+    paths = _inputs(tmp_path, db1_files)
+    _check_refused(tmp_path, capsys, paths, ["import", "{json}", "--out", "{json}"])
+
+
 def test_eval_both_modes(capsys, db1_files, tmp_path):
     _, data, model = db1_files
     out_csv = tmp_path / "outputs.csv"
@@ -523,6 +579,14 @@ def test_usage_errors_exit_2(db1_files, tmp_path):
     assert run(
         "train", str(data), "--out", str(tmp_path / "x.scm"), "--encoding", "nope"
     ) == 2
+
+
+def test_train_refuses_more_than_15_scheme_1_places(db1_files, tmp_path, capsys, monkeypatch):
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "m.scm"
+    assert run("train", str(data), "--out", str(out), "--encoding", "s1:16") == 2
+    assert "parameter in 1..15" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("col,name", [(0, "x0"), (1, "y0")])

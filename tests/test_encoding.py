@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scmfpga import encoding
 from scmfpga.bits import BitMatrix
 from scmfpga.encoding import (
     EncodingKind,
@@ -13,12 +12,11 @@ from scmfpga.encoding import (
     encode_matrix,
     parse_encoding,
     _digit_table,
-    _digits,
     _word_tables,
 )
 from scmfpga.errors import DataError
 
-from oracles import bit_strings
+from oracles import _digits, bit_strings
 
 UNARY_FIELD = re.compile(r"^0*1*$")
 
@@ -150,13 +148,23 @@ def test_scheme2_bad_variant():
         parse_encoding("s2v3")
 
 
-@pytest.mark.parametrize("name,width", [("density", 255), ("s1", 1 + 9 * 255)])
-def test_a_spec_takes_a_parameter_in_1_to_255(name, width):
+def test_density_takes_a_parameter_in_1_to_255():
     # a model file holds the parameter in one byte
-    assert len(code(f"{name}:255", 0.5)) == width
+    assert len(code("density:255", 0.5)) == 255
     for bad in (0, 256, 300):
-        with pytest.raises(ValueError, match="parameter in 1..255"):
-            parse_encoding(f"{name}:{bad}")
+        with pytest.raises(ValueError, match=r"parameter in 1\.\.255"):
+            parse_encoding(f"density:{bad}")
+
+
+def test_s1_takes_1_to_15_places():
+    # 15 places is the reach of the exact digit rule
+    s1_15 = code("s1:15", 0.123456789012345)
+    assert len(s1_15) == 1 + 9 * 15 and s1_15[-9:] == "000011111"  # the 15th digit, 5
+    for bad in (0, 16, 255, 256):
+        with pytest.raises(ValueError, match=r"parameter in 1\.\.15$"):
+            parse_encoding(f"s1:{bad}")
+    with pytest.raises(ValueError, match=r"parameter in 1\.\.15$"):
+        EncodingSpec.from_bytes(bytes([EncodingKind.SCHEME1, 16]))
 
 
 # -- spec + matrix -------------------------------------------------------
@@ -258,7 +266,7 @@ def test_monotone_ones_within_place():
 
 specs = st.one_of(
     st.integers(1, 255).map(lambda n: EncodingSpec(EncodingKind.DENSITY, n)),
-    st.integers(1, 40).map(lambda u: EncodingSpec(EncodingKind.SCHEME1, u)),
+    st.integers(1, 15).map(lambda u: EncodingSpec(EncodingKind.SCHEME1, u)),
     st.sampled_from([EncodingSpec(EncodingKind.SCHEME2_V1), EncodingSpec(EncodingKind.SCHEME2_V2)]),
 )
 
@@ -312,7 +320,7 @@ def test_encode_matrix_rows_match_encode_value(spec, pool, data):
 
 
 @pytest.mark.parametrize(
-    "text", ["density:1", "density:255", "s1:1", "s1:3", "s1:20", "s2v1", "s2v2"]
+    "text", ["density:1", "density:255", "s1:1", "s1:3", "s1:15", "s2v1", "s2v2"]
 )
 def test_encode_matrix_edge_values_match_oracle(text):
     x = np.array(EDGE_VALUES).reshape(-1, 1)
@@ -341,7 +349,7 @@ def test_fields_straddling_a_word_boundary_match_the_oracle(text, d, feature, fi
     _check_rows_against_oracles(x, spec)
 
 
-@pytest.mark.parametrize("text", ["density:70", "s1:3", "s1:20", "s2v2"])
+@pytest.mark.parametrize("text", ["density:70", "s1:3", "s1:15", "s2v2"])
 def test_a_matrix_of_no_rows_encodes_to_no_rows(text):
     spec = parse_encoding(text)
     bits, d_enc = encode_matrix(np.zeros((0, 3)), spec)
@@ -401,15 +409,8 @@ def test_digit_table_on_every_short_decimal_and_its_neighbours():
         assert _digit_table(v, places).tolist() == expected, places
 
 
-@given(st.lists(_digit_pool(), min_size=1, max_size=20), st.sampled_from([16, 20, 255]))
-def test_digit_table_beyond_15_places_matches_scalar_digits(values, places):
-    expected = [_digits(x, places) for x in values]
-    assert _digit_table(np.array(values), places).tolist() == expected
-
-
 all_kinds = st.sampled_from(
-    ["density:1", "density:7", "density:255", "s1:1", "s1:3", "s1:4", "s1:15",
-     "s1:16", "s1:20", "s1:255", "s2v1", "s2v2"]
+    ["density:1", "density:7", "density:255", "s1:1", "s1:3", "s1:4", "s1:15", "s2v1", "s2v2"]
 ).map(parse_encoding)
 
 
@@ -417,20 +418,6 @@ all_kinds = st.sampled_from(
 def test_encode_matrix_on_the_digit_pool_matches_encode_value(spec, values):
     x = np.array(values).reshape(-1, 1)
     _check_rows_against_oracles(np.hstack([x, x[::-1]]), spec)
-
-
-@pytest.mark.parametrize("text", ["density:7", "s1:3", "s1:4", "s1:15", "s2v1", "s2v2"])
-def test_encode_matrix_has_no_per_value_digit_loop(monkeypatch, text):
-    # up to 15 places the digits come from the array rule alone; the scalar
-    # _digits is the oracle and must not creep back into the batch path
-    def scalar_digits(x, places):
-        raise AssertionError("encode_matrix read digits one value at a time")
-
-    monkeypatch.setattr(encoding, "_digits", scalar_digits)
-    x = np.random.default_rng(0).random((50, 3))
-    x[0] = [0.0, 1.0, 5e-324]
-    bits, d_enc = encode_matrix(x, parse_encoding(text))
-    assert len(bits) == 50 and d_enc == 3 * parse_encoding(text).bits_per_input
 
 
 def test_encode_matrix_packs_words_without_a_bool_matrix(monkeypatch):
@@ -450,29 +437,8 @@ def test_encode_matrix_packs_words_without_a_bool_matrix(monkeypatch):
     monkeypatch.setattr(BitMatrix, "from01", from01)
     monkeypatch.setattr(np, "packbits", small_packbits)
     x = np.random.default_rng(1).random((n_rows, 3))
-    for text in ["density:7", "density:255", "s1:3", "s1:15", "s1:20", "s2v1", "s2v2"]:
+    for text in ["density:7", "density:255", "s1:3", "s1:15", "s2v1", "s2v2"]:
         spec = parse_encoding(text)
         _word_tables.cache_clear()  # build the tables under the guard too
         bits, d_enc = encode_matrix(x, spec)
         assert len(bits) == n_rows and d_enc == 3 * spec.bits_per_input
-
-
-def test_values_without_a_15_place_form_read_their_digits_once_each(monkeypatch):
-    # the Decimal fallback past 15 places runs once per distinct value, not per cell
-    values = [float(np.nextafter(k / 10, 1.0)) for k in range(1, 6)]  # 0.10000000000000002, ...
-    assert all(len(repr(v).partition(".")[2]) > 15 for v in values)
-    x = np.tile(values, (200, 1))
-    spec = parse_encoding("s1:20")
-    expected = "".join(_oracle_code(v, spec) for v in values)
-    calls = []
-    scalar_digits = encoding._digits
-
-    def counted_digits(v, places):
-        calls.append(v)
-        return scalar_digits(v, places)
-
-    monkeypatch.setattr(encoding, "_digits", counted_digits)
-    bits, _ = encode_matrix(x, spec)
-    assert x.size == 1000 and len(calls) <= 5
-    strings = bit_strings(bits)
-    assert strings[0] == strings[199] == expected

@@ -34,6 +34,10 @@ least_squares, the readout's test oracle, which no package function calls.
 A ninth keeps the scalar oracles of tests/oracles.py apart from the batch
 path: they import from scmfpga only Activation and fixedpoint's constants,
 so they share no kernel with the code they check.
+
+A tenth keeps per-value Decimal loops out of the batch paths: no package
+module imports decimal but fixedpoint.py, whose fx_to_decimal_string writes
+the exact decimal strings of the outputs CSV.
 """
 
 import ast
@@ -353,14 +357,16 @@ def test_the_package_runs_no_svd():
 ORACLE_IMPORTS = {"Activation", "FRAC_BITS", "RAW_MIN", "RAW_MAX", "SCALE"}
 
 
-def package_imports(source: str, allowed: set[str] = frozenset()) -> list[str]:
-    """Imports of scmfpga or its modules, and names imported from them, but those in allowed."""
+def package_imports(source: str, allowed: set[str] = frozenset(),
+                    top: str = "scmfpga") -> list[str]:
+    """Imports of the package top or its modules, and names imported from them,
+    but those in allowed."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [f"line {node.lineno}: {alias.name}" for alias in node.names
-                      if alias.name.split(".")[0] == "scmfpga"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scmfpga":
+                      if alias.name.split(".")[0] == top]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == top:
             found += [f"line {node.lineno}: {alias.name}" for alias in node.names
                       if alias.name not in allowed]
     return found
@@ -377,3 +383,24 @@ def test_the_check_finds_a_kernel_import_in_the_oracles():
 def test_the_oracles_share_no_kernel_with_the_package():
     source = (ROOT / "tests" / "oracles.py").read_text()
     assert package_imports(source) and package_imports(source, ORACLE_IMPORTS) == []
+
+
+# package modules that may import decimal
+DECIMAL_USERS = {"fixedpoint.py"}  # fx_to_decimal_string: exact strings for the outputs CSV
+
+
+def test_the_check_finds_a_decimal_import():
+    source = ("import numpy as np, decimal as dec\nfrom decimal import Decimal, ROUND_DOWN\n"
+              "import fractions\nfrom .bits import WORD\n"
+              "def digits(v):\n    import decimal\n    return decimal.Decimal(repr(v))\n")
+    assert package_imports(source, top="decimal") == [
+        "line 1: decimal", "line 2: Decimal", "line 2: ROUND_DOWN", "line 6: decimal"]
+
+
+def test_no_package_module_but_fixedpoint_imports_decimal():
+    flagged = {p.name: package_imports(p.read_text(), top="decimal")
+               for p in PACKAGE.glob("*.py") if p.name not in DECIMAL_USERS}
+    assert {name: found for name, found in flagged.items() if found} == {}
+    # an allowance that no module needs any longer goes too
+    assert all(package_imports((PACKAGE / name).read_text(), top="decimal")
+               for name in DECIMAL_USERS)

@@ -157,6 +157,30 @@ def test_bad_header_bytes_are_format_errors(pos, value, match):
         model_from_bytes(_patched(_model(), pos, value))
 
 
+def _s1_15_body() -> bytearray:
+    """A file body, without sidecar or CRC, whose encoding is s1:15 on one feature:
+    a density:136 model, the same width, with its spec bytes changed."""
+    body = bytearray(model_to_bytes(random_model(0, 136, [(2, Activation.STEP)]), False)[:-4])
+    body[7:9] = bytes([1, 15])
+    return body
+
+
+def test_a_file_with_more_than_15_scheme_1_places_is_refused():
+    body = _s1_15_body()
+    assert str(model_from_bytes(_with_crc(body)).encoding) == "s1:15"
+    for places in (16, 255):
+        body[8] = places
+        with pytest.raises(ModelFormatError, match=r"bad encoding spec: .* 1\.\.15$"):
+            model_from_bytes(_with_crc(body))
+
+
+def test_json_with_more_than_15_scheme_1_places_is_refused():
+    text = model_to_json(model_from_bytes(_with_crc(_s1_15_body())))
+    assert model_from_json(text).encoding == parse_encoding("s1:15")
+    with pytest.raises(ModelFormatError, match=r"bad model JSON: .* 1\.\.15$"):
+        model_from_json(text.replace('"s1:15"', '"s1:16"'))
+
+
 def test_bad_activation_byte_is_a_format_error():
     model = _model()
     with pytest.raises(ModelFormatError, match="activation"):
