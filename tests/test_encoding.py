@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scmfpga import encoding
 from scmfpga.bits import BitMatrix
 from scmfpga.encoding import (
     EncodingKind,
@@ -418,6 +419,28 @@ all_kinds = st.sampled_from(
 def test_encode_matrix_on_the_digit_pool_matches_encode_value(spec, values):
     x = np.array(values).reshape(-1, 1)
     _check_rows_against_oracles(np.hstack([x, x[::-1]]), spec)
+
+
+@pytest.mark.parametrize("text", ["density:7", "s1:3", "s1:4", "s1:15", "s2v1", "s2v2"])
+def test_encode_matrix_has_no_per_value_digit_loop(monkeypatch, text):
+    # the digits of all N*d values come from one _digit_table call over one
+    # array (density reads none); no value has its digits read on its own
+    calls = []
+
+    def counted_digit_table(values, places):
+        calls.append((np.shape(values), places))
+        return _digit_table(values, places)
+
+    monkeypatch.setattr(encoding, "_digit_table", counted_digit_table)
+    spec = parse_encoding(text)
+    x = np.random.default_rng(0).random((50, 3))
+    x[0] = [0.0, 1.0, 5e-324]
+    bits, d_enc = encode_matrix(x, spec)
+    assert len(bits) == 50 and d_enc == 3 * spec.bits_per_input
+    if spec.kind == EncodingKind.DENSITY:
+        assert calls == []
+    else:
+        assert calls == [((150,), len(encoding._fields(spec)) - 1)]
 
 
 def test_encode_matrix_packs_words_without_a_bool_matrix(monkeypatch):
