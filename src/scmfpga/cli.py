@@ -216,6 +216,7 @@ def cmd_eval(args) -> int:
     if not rep.bound_applies:
         print("saturated=" + ",".join(str(int(c)) for c in rep.saturated))
         print("note: outputs or parameters saturated, so quantization_bound does not apply")
+    _say_if_unsaturable(model)
     if rep.rmse_difference is not None:
         print(f"rmse_difference={rep.rmse_difference:.6e}")
         print(f"max_output_delta={rep.max_output_delta:.6e}")
@@ -223,6 +224,12 @@ def cmd_eval(args) -> int:
         _write_outputs_csv(args.out, y, rep)
         print(f"wrote {args.out}")
     return 0
+
+
+def _say_if_unsaturable(model) -> None:
+    clamped = model.mechanism.saturated + sum(layer.saturated for layer in model.layers)
+    if not clamped and all(b < 2**31 for b in output_bound(model)):
+        print("note: no input can saturate an output: nothing was clamped, every bound < 2**31")
 
 
 def _write_outputs_csv(path: str, y: np.ndarray, rep) -> None:
@@ -250,6 +257,7 @@ def cmd_report(args) -> int:
     model = load_model(args.model)
     print(memory_report(model, clock_hz=args.clock).text())
     print("output bound:", ", ".join(f"{b / fx.SCALE:.9g} (raw {b})" for b in output_bound(model)))
+    _say_if_unsaturable(model)
     return 0
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .bits import HALF, WORD, BitMatrix
-from .mechanism import mech_wide_fpga
+from .mechanism import SOURCE_NONE, mech_wide_fpga
 from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, threshold_edge
 
 def _counts(w: np.ndarray, xt: np.ndarray, pm1: bool) -> np.ndarray:
@@ -76,17 +76,18 @@ def predict_fpga_batch(
 
     Row for row equal to the scalar oracle. Each layer's weight words, limits,
     readout sum and packing product are made once per call. Per block of
-    BLOCK_ROWS rows: the unsaturated mechanism sum, then per layer the popcount
-    compare (_layer_bits), whose bits select each node's readout or clear-bit
-    value (0 for SIGN, the readout's two's complement for STEP) and are packed
-    as the next layer's input. The sum saturates once, at the end.
+    BLOCK_ROWS rows: the unsaturated mechanism sum (zeros for "none"), then per
+    layer the popcount compare (_layer_bits), whose bits select each node's
+    readout or clear-bit value (0 for SIGN, its two's complement for STEP) and
+    are packed as the next layer's input. The sum saturates once, at the end.
 
     If `saturated`, an (m,) integer array, is given, the number of rows whose
     output was clamped is added to it per output.
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
-    mech, plans, pm1, word = mech_wide_fpga(model.mechanism), [], True, WORD
+    none = model.mechanism.source == SOURCE_NONE
+    mech, plans, pm1, word = None if none else mech_wide_fpga(model.mechanism), [], True, WORD
     for i, layer in enumerate(model.layers, 1):
         step = layer.activation == Activation.STEP  # a clear bit adds -beta, else 0
         off = fx.fx_neg_array(layer.beta_raw) if step else np.zeros_like(layer.beta_raw)
@@ -97,7 +98,7 @@ def predict_fpga_batch(
     out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
-        acc = mech(x.to01().T)
+        acc = np.zeros((len(x), model.n_outputs), np.int64) if none else mech(x.to01().T)
         xt = x.words.T.copy()  # (W, B): each word runs along the block
         for fired, readout, packer in plans:
             f = fired(xt).astype(np.float64)
@@ -199,8 +200,8 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     The software side stores one 64-bit value per raw feature and per
     raw-feature x node weight; the packed side stores one bit per encoded
     input and per encoded-input x node weight, 32-bit readouts, and a 3-bit
-    scale code per node; its 32-bit raw biases and mechanism values, which the
-    emulated datapath also reads, are counted apart from the reductions.
+    scale code per node; its 32-bit raw biases and mechanism values (none for
+    "none"), which the datapath also reads, are counted apart from reductions.
     clock_hz must be positive and finite (else a ValueError).
     """
     if not 0 < clock_hz < float("inf"):  # also refuses NaN
@@ -214,6 +215,7 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     weight_fpga = sum(layer.fan_in * len(layer) for layer in model.layers)
 
     n_beta = model.total_nodes * model.n_outputs
+    mech_values = (d_enc + 1) * model.n_outputs * (model.mechanism.source != SOURCE_NONE)
     inputs_real = REAL_VALUE_BITS * d
     reduction = lambda real, fpga: 1.0 - fpga / real if real else 0.0  # noqa: E731
     return ResourceReport(
@@ -225,7 +227,7 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
         beta_fpga_bits=FX_VALUE_BITS * n_beta,
         lambda_fpga_bits=LAMBDA_CODE_BITS * model.total_nodes,
         bias_fpga_bits=FX_VALUE_BITS * model.total_nodes,
-        mechanism_fpga_bits=FX_VALUE_BITS * (d_enc + 1) * model.n_outputs,
+        mechanism_fpga_bits=FX_VALUE_BITS * mech_values,
         input_reduction=reduction(inputs_real, d_enc),
         weight_reduction=reduction(weight_real, weight_fpga),
         beta_reduction=reduction(REAL_VALUE_BITS * n_beta, FX_VALUE_BITS * n_beta),

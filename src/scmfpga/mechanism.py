@@ -10,6 +10,8 @@ the bit is 0, then adds the intercept, all in the wide accumulator,
 saturating once at the end.
 mech_wide_fpga prepares it once (fixedpoint.conditional_sum) for (d_enc, rows)
 bits, unsaturated; the emulator's scalar test oracle runs it on Python ints.
+A model trained without a mechanism holds one of source "none", whose zeros no
+stage reads: each decides by the source, so an all-zero external one stays one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import LassoFit, lasso_fit
 
 SOURCE_LASSO = "lasso"
 SOURCE_EXTERNAL = "external"
+SOURCE_NONE = "none"  # no mechanism: every stage skips it
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields hold arrays
@@ -44,12 +47,16 @@ class MechanismModel:
             raise ValueError("weights must be (d_enc, m), intercepts (m,)")
         if self.weights.shape[1] != self.intercepts.shape[0]:
             raise ValueError("output count mismatch between weights and intercepts")
-        if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL):
+        if self.source not in (SOURCE_LASSO, SOURCE_EXTERNAL, SOURCE_NONE):
             raise ValueError(f"unknown mechanism source {self.source!r}")
         if not 0.0 <= self.alpha < np.inf:  # also refuses NaN
             raise ValueError(f"mechanism alpha {self.alpha!r} is not finite and non-negative")
-        w_raw, w_sat = fx.quantize_array(self.weights)
-        u_raw, u_sat = fx.quantize_array(self.intercepts)
+        none = self.source == SOURCE_NONE  # its zeros need no rounding
+        if none and (self.alpha or self.weights.any() or self.intercepts.any()):
+            raise ValueError("a mechanism of source 'none' holds only zeros and alpha 0")
+        quantize = (lambda a: (a.astype(np.int32), 0)) if none else fx.quantize_array
+        w_raw, w_sat = quantize(self.weights)
+        u_raw, u_sat = quantize(self.intercepts)
         object.__setattr__(self, "weights_raw", w_raw)  # the dataclass is frozen
         object.__setattr__(self, "intercepts_raw", u_raw)
         object.__setattr__(self, "saturated", w_sat + u_sat)

@@ -37,7 +37,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec
 from .encoding import EncodingSpec
-from .mechanism import MechanismModel, mech_eval_float_batch, signals_pm1
+from .mechanism import SOURCE_NONE, MechanismModel, mech_eval_float_batch, signals_pm1
 
 
 class Activation(IntEnum):
@@ -241,17 +241,18 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
     Works in blocks of BLOCK_ROWS rows, so its temporaries do not grow with the
-    batch. Signals are float32, made once per block; the mechanism and readouts
-    multiply in float64, to which they promote exactly. Raises ValueError when a
-    layer's fan-in is too wide for threshold_bits (check_fan_in), before any signal.
+    batch. Signals are float32, made once per block; the mechanism (skipped if
+    "none") and readouts multiply in float64, to which they promote exactly.
+    Raises ValueError, before any signal, if a fan-in is too wide (check_fan_in).
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     forwards = [(layer_forward_float(layer), layer.beta) for layer in model.layers]
+    mech, none = model.mechanism, model.mechanism.source == SOURCE_NONE
     out = np.empty((len(bits), model.n_outputs))
     for start in range(0, len(bits), BLOCK_ROWS):
         s = signals_pm1(bits[start : start + BLOCK_ROWS], np.float32)
-        acc = mech_eval_float_batch(s, model.mechanism)
+        acc = np.zeros((len(s), model.n_outputs)) if none else mech_eval_float_batch(s, mech)
         for forward, beta in forwards:
             s = forward(s)
             acc += s.astype(np.float64) @ beta
@@ -260,10 +261,11 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
 
 
 def output_bound(model: ScmModel) -> list[int]:
-    """Per output, a bound on |emulated wide sum| over every input: |u| + sum |mech w|
-    + sum |beta| over the raw Q7.25 integers. Below 2**31, no input saturates it."""
-    raw = [model.mechanism.intercepts_raw[None], model.mechanism.weights_raw,
-           *(layer.beta_raw for layer in model.layers)]
+    """Per output, a bound on |emulated wide sum| on any input: sum |beta|, plus |u| +
+    sum |mech w| unless "none", over raw Q7.25 integers. Below 2**31 no input saturates it."""
+    raw = [np.zeros((0, model.n_outputs), np.int32), *(layer.beta_raw for layer in model.layers)]
+    if model.mechanism.source != SOURCE_NONE:
+        raw += [model.mechanism.intercepts_raw[None], model.mechanism.weights_raw]
     return np.abs(np.vstack(raw).astype(np.int64)).sum(axis=0).tolist()
 
 
@@ -274,4 +276,5 @@ def quantization_bound(model: ScmModel) -> float:
     readout or mechanism value can put the emulated output any distance from
     the reference one (see EvalReport.bound_applies).
     """
-    return (model.total_nodes + model.d_enc + model.n_outputs + 1) * fx.RESOLUTION
+    mech_weights = model.d_enc * (model.mechanism.source != SOURCE_NONE)
+    return (model.total_nodes + mech_weights + model.n_outputs + 1) * fx.RESOLUTION

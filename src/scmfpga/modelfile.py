@@ -4,15 +4,15 @@ Layout (all little-endian):
 
     magic "SCMB" | version u16 | flags u8 (bit0: float sidecar, others 0)
     encoding kind u8 | encoding param u8 | n_outputs u16 | d_enc u32
-    mechanism: source u8 (0 lasso / 1 external) | alpha f64
-               | weights i32 x (d_enc*m) | intercepts i32 x m
+    mechanism: source u8 (0 lasso / 1 external / 2 none) | alpha f64
+               | weights i32 x (d_enc*m) | intercepts i32 x m  (none: no values)
     layer count u16, then per layer:
         activation u8 | node count u32 | fan_in u32
         | packed weight bits, node-major, rows padded to 64-bit words
         | scale codes u8 x n (values 0..7) | biases i32 x n
         | readouts i32 x (n*m), node-major then output-major
-    float sidecar (when flagged): mechanism weights f64 x (d_enc*m),
-        intercepts f64 x m, then per layer biases f64 x n, readouts f64 x n*m
+    float sidecar (when flagged): mechanism weights f64 x (d_enc*m), intercepts
+        f64 x m (none: no values), then per layer biases f64 x n, readouts f64 x n*m
     crc32 u32 over everything before it
 
 All i32 fields are raw Q7.25. The sidecar carries the original training-time
@@ -35,14 +35,14 @@ from . import fixedpoint as fx
 from .bits import WORD, WORD_BITS, BitMatrix, n_words
 from .encoding import EncodingSpec, parse_encoding
 from .errors import ModelFormatError
-from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, MechanismModel
+from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, SOURCE_NONE, MechanismModel
 from .model import Activation, ScmLayer, ScmModel
 
 MAGIC = b"SCMB"
 VERSION = 1
 FLAG_FLOAT_SIDECAR = 1
 
-_SOURCE_TAGS = {SOURCE_LASSO: 0, SOURCE_EXTERNAL: 1}
+_SOURCE_TAGS = {SOURCE_LASSO: 0, SOURCE_EXTERNAL: 1, SOURCE_NONE: 2}
 _SOURCE_NAMES = {v: k for k, v in _SOURCE_TAGS.items()}
 
 
@@ -61,7 +61,7 @@ def _f64_bytes(arr: np.ndarray) -> bytes:
 
 def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
     m = model.n_outputs
-    mech = model.mechanism
+    mech, values = model.mechanism, model.mechanism.source != SOURCE_NONE
     flags = FLAG_FLOAT_SIDECAR if include_floats else 0
     out = bytearray()
     out += MAGIC
@@ -69,8 +69,8 @@ def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
     out += model.encoding.to_bytes()
     out += struct.pack("<HI", m, model.d_enc)
     out += struct.pack("<Bd", _SOURCE_TAGS[mech.source], float(mech.alpha))
-    out += _i32_bytes(mech.weights_raw)
-    out += _i32_bytes(mech.intercepts_raw)
+    if values:
+        out += _i32_bytes(mech.weights_raw) + _i32_bytes(mech.intercepts_raw)
     out += struct.pack("<H", len(model.layers))
     for layer in model.layers:
         out += struct.pack("<BII", int(layer.activation), len(layer), layer.fan_in)
@@ -79,8 +79,8 @@ def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
         out += _i32_bytes(layer.bias_raw)
         out += _i32_bytes(layer.beta_raw)
     if include_floats:
-        out += _f64_bytes(mech.weights)
-        out += _f64_bytes(mech.intercepts)
+        if values:
+            out += _f64_bytes(mech.weights) + _f64_bytes(mech.intercepts)
         for layer in model.layers:
             out += _f64_bytes(layer.bias)
             out += _f64_bytes(layer.beta)
@@ -115,10 +115,10 @@ class _Reader:
         return words
 
 
-def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmModel:
+def _assemble(form, enc, m, d_enc, source, alpha, p, u, layers) -> ScmModel:
     """The model of one parsed form ("file" or "JSON"); any failure is a ModelFormatError.
 
-    weights and intercepts are (floats or None, raws) pairs. A layer is
+    p and u (weights, intercepts) are (floats or None, raws) pairs, None for "none". A layer is
     (activation, weight BitMatrix, scale codes, bias, readouts), where bias and
     readouts are lists of pairs over consecutive node blocks: one in the file,
     one per node in JSON.
@@ -133,8 +133,11 @@ def _assemble(form, enc, m, source, alpha, weights, intercepts, layers) -> ScmMo
             bias_raw = np.concatenate([r for _, r in bias])
             built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, _floats(beta)))
             agree.append(_agree(built[-1].beta_raw, beta))
-        mech = MechanismModel(_floats([weights]), _floats([intercepts]), source, alpha)
-        agree += [_agree(mech.weights_raw, [weights]), _agree(mech.intercepts_raw, [intercepts])]
+        if source == SOURCE_NONE:
+            mech = MechanismModel(np.zeros((d_enc, m)), np.zeros(m), source, alpha)
+        else:
+            mech = MechanismModel(_floats([p]), _floats([u]), source, alpha)
+            agree += [_agree(mech.weights_raw, [p]), _agree(mech.intercepts_raw, [u])]
         if not all(agree):
             raise ValueError("float values do not round to their raw values")
         return ScmModel(encoding=enc, mechanism=mech, layers=built, n_outputs=m)
@@ -176,7 +179,8 @@ def model_from_bytes(data: bytes) -> ScmModel:
     source_tag, alpha = r.unpack("<Bd")
     if source_tag not in _SOURCE_NAMES:
         raise ModelFormatError(f"unknown mechanism source tag {source_tag}")
-    p_raw, u_raw = r.array(_I32, d_enc, m), r.array(_I32, m)
+    none = _SOURCE_NAMES[source_tag] == SOURCE_NONE  # a "none" mechanism stores no values
+    p_raw, u_raw = (None, None) if none else (r.array(_I32, d_enc, m), r.array(_I32, m))
     (n_layers,) = r.unpack("<H")
     records = []
     for _ in range(n_layers):
@@ -190,13 +194,12 @@ def model_from_bytes(data: bytes) -> ScmModel:
     def floats(*shape):  # the sidecar's next values, read in file order
         return r.array(_F64, *shape) if flags & FLAG_FLOAT_SIDECAR else None
 
-    weights, intercepts = (floats(d_enc, m), p_raw), (floats(m), u_raw)
+    p, u = (None, None) if none else ((floats(d_enc, m), p_raw), (floats(m), u_raw))
     layers = [(act, w, shift, [(floats(len(w)), bias_raw)], [(floats(len(w), m), beta_raw)])
               for act, w, shift, bias_raw, beta_raw in records]
     if r.pos != len(r.data):
         raise ModelFormatError("trailing bytes after model body")
-    return _assemble("file", enc, m, _SOURCE_NAMES[source_tag], alpha, weights, intercepts,
-                     layers)
+    return _assemble("file", enc, m, d_enc, _SOURCE_NAMES[source_tag], alpha, p, u, layers)
 
 
 def save_model(model: ScmModel, path: str | Path, include_floats: bool = True) -> None:
@@ -222,7 +225,8 @@ def model_to_json(model: ScmModel) -> str:
         "version": VERSION,
         "encoding": str(model.encoding),
         "n_outputs": model.n_outputs,
-        "mechanism": {
+        "mechanism": {"source": mech.source, "d_enc": mech.d_enc} if mech.source == SOURCE_NONE
+        else {
             "source": mech.source,
             "alpha": mech.alpha,
             "d_enc": mech.d_enc,
@@ -274,8 +278,12 @@ def model_from_json(text: str) -> ScmModel:
         m = _int(doc["n_outputs"], "n_outputs", 0, 0xFFFF)
         md = doc["mechanism"]
         d_enc = _int(md["d_enc"], "d_enc", 0, 0xFFFFFFFF)
-        weights = _value_pair(md.get("weights"), md.get("weights_raw"), (d_enc, m))
-        intercepts = _value_pair(md.get("intercepts"), md.get("intercepts_raw"), (m,))
+        source = md.get("source", SOURCE_EXTERNAL)
+        if source == SOURCE_NONE and set(md) - {"source", "d_enc", "alpha"}:
+            raise ValueError("a mechanism of source 'none' takes no values")
+        p, u = (None, None) if source == SOURCE_NONE else (
+            _value_pair(md.get("weights"), md.get("weights_raw"), (d_enc, m)),
+            _value_pair(md.get("intercepts"), md.get("intercepts_raw"), (m,)))
         alpha = _float(md.get("alpha", 0.0), "alpha")
         layers = []
         for ld in doc.get("layers", []):
@@ -297,8 +305,7 @@ def model_from_json(text: str) -> ScmModel:
     # AttributeError: a JSON value of the wrong type, such as a list for an object
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad model JSON: {exc}") from exc
-    return _assemble("JSON", enc, m, md.get("source", SOURCE_EXTERNAL), alpha, weights,
-                     intercepts, layers)
+    return _assemble("JSON", enc, m, d_enc, source, alpha, p, u, layers)
 
 
 def _int(value, name: str, lo: int = fx.RAW_MIN, hi: int = fx.RAW_MAX) -> int:

@@ -55,7 +55,8 @@ from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix, samples_2d
 from .errors import TrainingFailedError
 from .linalg import row_blocks
-from .mechanism import external_mechanism, fit_mechanism, mech_eval_float_batch, signals_pm1
+from .mechanism import (SOURCE_NONE, MechanismModel, fit_mechanism, mech_eval_float_batch,
+                        signals_pm1)
 from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
                     threshold_bits, threshold_edge)
 
@@ -284,8 +285,9 @@ class TrainState:
             for rows, s in row_blocks(self.cur_in):
                 self.target[rows] -= mech_eval_float_batch(s, self.mech)
         else:
-            self.mech = external_mechanism(np.zeros((data.bits.n, self.m)), np.zeros(self.m))
-            self.target = data.y  # the zero mechanism would subtract exactly +0.0
+            self.mech = MechanismModel(np.zeros((data.bits.n, self.m)), np.zeros(self.m),
+                                       SOURCE_NONE)
+            self.target = data.y
         # a C-order column write touches every row, so a large configured
         # node count is not allocated up front
         capacity = min(max(1, sum(cfg.layer_sizes)), 64)

@@ -72,7 +72,7 @@ def test_eval_full_read_path_integers_match_the_pins(monkeypatch):
 TRAIN_PINS = {
     "db2-desk": ("6554ef66ec7fe325c39d205a063a7554c49e3e54fcf99d6948deabaeb6b31b37",
                  "6c22662b42dac3ff01663bb880485e2e3d8a6c597f58e2b098ca9040b444cf65"),
-    "deep-mix": ("14422c393af1a34c4828bcb166b30377475b9ae86eb0a12f6adde718d8e0b88b",
+    "deep-mix": ("9a66f90f721f7ffb6a215931ed77e6141d2c57c34915d811e1b4b0f3f0c7b544",
                  "5d7db0c962b57fcb6aecd6f9c8357a63fdaad2745ccec8b1a7773d3a8eb03520"),
 }
 

@@ -11,7 +11,7 @@ from scmfpga import cli
 from scmfpga import fixedpoint as fx
 from scmfpga.datasets import load_dataset, write_dataset
 from scmfpga.encoding import parse_encoding
-from scmfpga.mechanism import external_mechanism
+from scmfpga.mechanism import SOURCE_NONE, MechanismModel, external_mechanism
 from scmfpga.model import Activation, ScmModel, output_bound, quantization_bound
 from scmfpga.modelfile import load_model, save_model
 from scmfpga.train import TrainConfig
@@ -402,6 +402,52 @@ def test_report_db1_cycles(capsys, tmp_path, db1_files):
     assert "60.9375%" in text  # single-feature 25-bit input reduction
     bound = output_bound(load_model(model))[0]
     assert f"output bound: {bound / 2**25:.9g} (raw {bound})" in text
+
+
+NO_SATURATION = "note: no input can saturate an output: nothing was clamped, every bound < 2**31"
+
+
+def test_report_and_eval_say_when_no_input_can_saturate_an_output(capsys, db1_files):
+    _, data, model = db1_files
+    assert max(output_bound(load_model(model))) < 2**31
+    for argv in (["report", str(model)], ["eval", str(model), str(data)]):
+        assert run(*argv) == 0
+        assert NO_SATURATION in capsys.readouterr().out.splitlines(), argv[0]
+
+
+# two readouts at the format's maximum: no parameter clamped, but a bound of
+# 2 * RAW_MAX; one readout of 70: clamped to RAW_MAX, a bound below 2**31
+@pytest.mark.parametrize("nodes, beta", [(2, fx.REAL_MAX), (1, 70.0)], ids=["bound", "clamped"])
+def test_report_and_eval_keep_quiet_when_an_output_may_saturate(capsys, db1_files, tmp_path,
+                                                                nodes, beta):
+    _, data, _ = db1_files
+    model = ScmModel(parse_encoding("density:1"),
+                     MechanismModel(np.zeros((1, 1)), np.zeros(1), SOURCE_NONE),
+                     [layer(Activation.SIGN, np.ones((nodes, 1)), beta=(beta,))], 1)
+    assert (max(output_bound(model)) < 2**31) == (nodes == 1)
+    assert model.layers[0].saturated == (nodes == 1)
+    path = tmp_path / "m.scm"
+    save_model(model, path)
+    for argv in (["report", str(path)], ["eval", str(path), str(data)]):
+        assert run(*argv) == 0
+        assert "no input can saturate" not in capsys.readouterr().out, argv[0]
+
+
+def test_train_without_the_mechanism_saves_none(capsys, db1_files, tmp_path):
+    _, data, _ = db1_files
+    model, text, copy = tmp_path / "m.scm", tmp_path / "m.json", tmp_path / "copy.scm"
+    assert run("train", str(data), "--out", str(model), "--encoding", "s2v2", "--nodes", "4",
+               "--t-max", "50", "--seed", "3", "--no-mechanism") == 0
+    blob = model.read_bytes()
+    assert blob[4 + 2 + 1 + 2 + 2 + 4] == 2  # the source tag follows d_enc
+    assert load_model(model).mechanism.source == SOURCE_NONE
+    assert run("export", str(model), "--out", str(text)) == 0
+    assert json.loads(text.read_text())["mechanism"] == {"source": "none", "d_enc": 25}
+    assert run("import", str(text), "--out", str(copy)) == 0
+    assert copy.read_bytes() == blob
+    capsys.readouterr()
+    assert run("report", str(model)) == 0
+    assert "mechanism: 0 bits fixed" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("clock", ["0", "-5", "nan", "inf"])

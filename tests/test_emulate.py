@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scmfpga import emulate, mechanism
+from scmfpga import model as model_module
 from scmfpga import fixedpoint as fx
 from scmfpga.bits import HALF, WORD, BitMatrix
 from scmfpga.emulate import BLOCK_ROWS, cycle_estimate, memory_report, predict_fpga_batch
 from scmfpga.encoding import parse_encoding
 from scmfpga.evaluate import evaluate_bits
-from scmfpga.mechanism import MechanismModel, external_mechanism, mech_wide_fpga, signals_pm1
+from scmfpga.mechanism import (SOURCE_NONE, MechanismModel, external_mechanism, mech_wide_fpga,
+                               signals_pm1)
 from scmfpga.model import (
     Activation,
     ScmLayer,
@@ -291,6 +293,71 @@ def test_output_bound_holds_every_wide_sum(model, seed):
     bits = BitMatrix.from01(np.random.default_rng(seed).integers(0, 2, size=(9, model.d_enc)))
     for row in rows(bits):
         assert all(abs(a) <= b for a, b in zip(wide_sums(model, row), bound))
+
+
+# -- a model without a mechanism ---------------------------------------------
+
+
+def _with_mechanism(model: ScmModel, source: str) -> ScmModel:
+    """The model's layers on an all-zero mechanism of this source ("none" or "external")."""
+    zeros = np.zeros((model.d_enc, model.n_outputs)), np.zeros(model.n_outputs)
+    return ScmModel(model.encoding, MechanismModel(*zeros, source), model.layers,
+                    model.n_outputs)
+
+
+@settings(max_examples=60)
+@given(random_models(), st.sampled_from([1, 9, BLOCK_ROWS + 1]), st.integers(0, 2**32 - 1))
+def test_no_mechanism_reads_as_an_all_zero_external_one(model, n_rows, seed):
+    # deep SIGN/STEP mixes, m up to 3 and readouts up to the Q7.25 extremes
+    none, zero = (_with_mechanism(model, source) for source in (SOURCE_NONE, "external"))
+    bits = BitMatrix.from01(np.random.default_rng(seed).integers(0, 2, size=(n_rows, model.d_enc)))
+    reports = [evaluate_bits(m, bits, np.zeros((n_rows, model.n_outputs))) for m in (none, zero)]
+    # the same bytes: a -0.0 would show
+    assert reports[0].outputs_fpga_raw.tobytes() == reports[1].outputs_fpga_raw.tobytes()
+    assert reports[0].outputs_pc.tobytes() == reports[1].outputs_pc.tobytes()
+    assert np.array_equal(reports[0].saturated, reports[1].saturated)
+    assert reports[0].clamped == reports[1].clamped == sum(lay.saturated for lay in model.layers)
+
+
+def test_a_zero_layer_prefix_without_a_mechanism_reads_zeros():
+    # the benchmark's layer_costs times ScmModel(encoding, model.mechanism, (), m)
+    model = _with_mechanism(random_model(5, 12, [(4, Activation.STEP)], m=2), SOURCE_NONE)
+    prefix = ScmModel(model.encoding, model.mechanism, (), model.n_outputs)
+    bits = BitMatrix.from01(np.random.default_rng(5).integers(0, 2, size=(BLOCK_ROWS + 3, 12)))
+    for predict in (predict_fpga_batch, predict_float_batch):
+        out = predict(prefix, bits)
+        assert out.shape == (BLOCK_ROWS + 3, 2) and not out.any(), predict.__name__
+
+
+def test_the_read_paths_do_no_mechanism_work_without_a_mechanism(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a 'none' mechanism was evaluated")
+
+    model = random_model(6, 20, [(5, Activation.SIGN), (3, Activation.STEP)], m=2)
+    none = _with_mechanism(model, SOURCE_NONE)
+    bits = BitMatrix.from01(np.random.default_rng(6).integers(0, 2, size=(BLOCK_ROWS + 3, 20)))
+    expected = predict_fpga_batch(none, bits), predict_float_batch(none, bits)
+    monkeypatch.setattr(emulate, "mech_wide_fpga", refuse)
+    monkeypatch.setattr(model_module, "mech_eval_float_batch", refuse)
+    with monkeypatch.context() as patch:  # no 0/1 copy of the bits for the mechanism
+        patch.setattr(BitMatrix, "to01", refuse)
+        assert np.array_equal(predict_fpga_batch(none, bits), expected[0])
+    assert np.array_equal(predict_float_batch(none, bits), expected[1])
+    for predict in (predict_fpga_batch, predict_float_batch):  # the patches bite
+        with pytest.raises(AssertionError, match="evaluated"):
+            predict(model, bits)
+
+
+def test_a_model_without_a_mechanism_counts_and_bounds_none():
+    model = random_model(8, 12, [(5, Activation.STEP), (4, Activation.SIGN)], m=3)
+    none, zero = (_with_mechanism(model, source) for source in (SOURCE_NONE, "external"))
+    assert memory_report(none).mechanism_fpga_bits == 0
+    assert "mechanism: 0 bits fixed" in memory_report(none).text().splitlines()
+    assert memory_report(zero).mechanism_fpga_bits == 32 * (12 + 1) * 3
+    # quantization_bound leaves out the d_enc weight terms and nothing else
+    assert quantization_bound(zero) - quantization_bound(none) == 12 * fx.RESOLUTION
+    beta = np.abs(np.vstack([lay.beta_raw for lay in model.layers]).astype(np.int64)).sum(0)
+    assert output_bound(none) == output_bound(zero) == beta.tolist()
 
 
 @settings(max_examples=30)

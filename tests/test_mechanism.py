@@ -7,6 +7,7 @@ from scmfpga import fixedpoint as fx
 from scmfpga.bits import BitMatrix
 from scmfpga.errors import ModelFormatError
 from scmfpga.mechanism import (
+    SOURCE_NONE,
     MechanismModel,
     external_mechanism,
     fit_mechanism,
@@ -84,6 +85,24 @@ def test_external_mechanism_holds_read_only_copies_of_its_inputs():
     for held in (mech.weights, mech.intercepts, mech.weights_raw, mech.intercepts_raw):
         with pytest.raises(ValueError, match="read-only"):
             held[0] += 1
+
+
+def test_a_none_mechanism_holds_read_only_zeros_and_its_shape():
+    mech = MechanismModel(np.zeros((7, 2)), np.zeros(2), SOURCE_NONE)
+    assert (mech.d_enc, mech.n_outputs, mech.saturated, mech.alpha) == (7, 2, 0, 0.0)
+    assert mech.weights_raw.dtype == mech.intercepts_raw.dtype == np.int32
+    assert not mech.weights_raw.any() and not mech.intercepts_raw.any()
+    for held in (mech.weights, mech.intercepts, mech.weights_raw, mech.intercepts_raw):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] += 1
+
+
+@pytest.mark.parametrize("p, u, alpha", [([[0.0], [1e-9]], [0.0], 0.0), ([[0.0]], [-1.0], 0.0),
+                                         ([[0.0]], [0.0], 1e-4)])
+def test_a_none_mechanism_refuses_values_and_alpha(p, u, alpha):
+    # the read paths skip a "none" mechanism, so values it held would be lost
+    with pytest.raises(ValueError, match="holds only zeros and alpha 0"):
+        MechanismModel(np.array(p), np.array(u), SOURCE_NONE, alpha)
 
 
 def test_a_mechanism_counts_saturated_values():

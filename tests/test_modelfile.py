@@ -13,7 +13,7 @@ from scmfpga.encoding import parse_encoding
 from scmfpga.errors import ModelFormatError
 from scmfpga.evaluate import evaluate_bits
 from scmfpga.linalg import lasso_fit
-from scmfpga.mechanism import signals_pm1
+from scmfpga.mechanism import SOURCE_EXTERNAL, SOURCE_NONE, MechanismModel, signals_pm1
 from scmfpga.model import (
     Activation,
     ScmLayer,
@@ -539,6 +539,82 @@ def test_a_model_file_refuses_a_nan_alpha():
     body[ALPHA_POS : ALPHA_POS + 8] = struct.pack("<d", float("nan"))
     with pytest.raises(ModelFormatError, match="alpha nan"):
         model_from_bytes(_with_crc(body))
+
+
+# -- a model without a mechanism ---------------------------------------------
+
+
+def _on_zero_mechanism(source: str, seed=0) -> ScmModel:
+    """_model's layers (10 inputs, 2 outputs) on an all-zero mechanism of this source."""
+    model = _model(seed)
+    return ScmModel(model.encoding, MechanismModel(np.zeros((10, 2)), np.zeros(2), source),
+                    model.layers, 2)
+
+
+@pytest.mark.parametrize("include_floats", [True, False], ids=["sidecar", "raw"])
+def test_a_model_without_a_mechanism_stores_tag_2_and_no_values(include_floats):
+    none, zero = _on_zero_mechanism(SOURCE_NONE), _on_zero_mechanism(SOURCE_EXTERNAL)
+    blob = model_to_bytes(none, include_floats)
+    assert (blob[ALPHA_POS - 1], model_to_bytes(zero)[ALPHA_POS - 1]) == (2, 1)
+    # (d_enc + 1) * m raw values, and their floats in the sidecar, are left out
+    gone = 11 * 2 * (4 + 8 * include_floats)
+    assert len(model_to_bytes(zero, include_floats)) - len(blob) == gone
+    back = model_from_bytes(blob)
+    assert back.mechanism.source == SOURCE_NONE and (back.d_enc, back.n_outputs) == (10, 2)
+    assert model_to_bytes(back, include_floats) == blob
+    # the JSON form names the source and the width alone, and reads back to the same bytes
+    text = model_to_json(back)
+    assert json.loads(text)["mechanism"] == {"source": "none", "d_enc": 10}
+    assert model_to_bytes(model_from_json(text), include_floats) == blob
+
+
+def test_an_all_zero_external_mechanism_stays_a_mechanism(monkeypatch):
+    # files written when training without a mechanism made an all-zero external one
+    back = model_from_bytes(model_to_bytes(_on_zero_mechanism(SOURCE_EXTERNAL)))
+    assert back.mechanism.source == SOURCE_EXTERNAL
+    assert emulate.memory_report(back).mechanism_fpga_bits == 32 * (10 + 1) * 2
+    assert quantization_bound(back) == (5 + 10 + 2 + 1) * fx.RESOLUTION
+    bits = BitMatrix.from01(np.random.default_rng(4).integers(0, 2, size=(50, 10)))
+    none = evaluate_bits(_on_zero_mechanism(SOURCE_NONE), bits, np.zeros((50, 2)))
+    calls = []
+    real = emulate.mech_wide_fpga
+    monkeypatch.setattr(emulate, "mech_wide_fpga", lambda mech: calls.append(mech) or real(mech))
+    rep = evaluate_bits(back, bits, np.zeros((50, 2)))
+    assert calls == [back.mechanism]  # evaluated, and to the same outputs
+    assert rep.outputs_fpga_raw.tobytes() == none.outputs_fpga_raw.tobytes()
+    assert rep.outputs_pc.tobytes() == none.outputs_pc.tobytes()
+
+
+@pytest.mark.parametrize("tag", [3, 255])
+def test_a_model_file_refuses_an_unknown_source_tag(tag):
+    body = bytearray(model_to_bytes(_model())[:-4])
+    body[ALPHA_POS - 1] = tag
+    with pytest.raises(ModelFormatError, match=f"unknown mechanism source tag {tag}"):
+        model_from_bytes(_with_crc(body))
+
+
+def test_a_model_file_of_no_mechanism_holds_no_values_and_alpha_0():
+    # tag 2 on a file that stores mechanism values leaves them as trailing bytes
+    body = bytearray(model_to_bytes(_on_zero_mechanism(SOURCE_EXTERNAL))[:-4])
+    body[ALPHA_POS - 1] = 2
+    with pytest.raises(ModelFormatError, match="trailing bytes"):
+        model_from_bytes(_with_crc(body))
+    body = bytearray(model_to_bytes(_on_zero_mechanism(SOURCE_NONE))[:-4])
+    body[ALPHA_POS : ALPHA_POS + 8] = struct.pack("<d", 1e-4)
+    with pytest.raises(ModelFormatError, match="alpha 0"):
+        model_from_bytes(_with_crc(body))
+
+
+@pytest.mark.parametrize("extra", [{"weights": [[0.0], [0.0]]}, {"intercepts_raw": [0]},
+                                   {"alpha": 1e-4}])
+def test_json_of_no_mechanism_takes_no_values(extra):
+    text = _one_node_json({"weights": "10", "shift": 0, "bias_raw": 0, "beta": [1.0]},
+                          {"source": "none", "d_enc": 2})
+    assert model_from_json(text).mechanism.source == SOURCE_NONE
+    doc = json.loads(text)
+    doc["mechanism"].update(extra)
+    with pytest.raises(ModelFormatError, match="takes no values|alpha 0"):
+        model_from_json(json.dumps(doc))
 
 
 def test_json_float_fields_take_integers():

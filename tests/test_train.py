@@ -836,11 +836,13 @@ def test_train_mechanism_only():
     assert np.allclose(out, expected, atol=1e-12)
 
 
-def test_train_without_the_mechanism_keeps_an_all_zero_external_one():
+def test_train_without_the_mechanism_carries_none():
     # the model file records the mechanism's source, so its bytes depend on it
     cfg = TrainConfig.single_layer(3, t_max=50, use_mechanism=False, seed=0)
-    mech = train(_toy_data(), cfg).model.mechanism
-    assert mech.source == "external" and mech.saturated == 0
+    model = train(_toy_data(), cfg).model
+    mech = model.mechanism
+    assert mech.source == "none" and mech.saturated == 0 and mech.fit is None
+    assert (mech.d_enc, mech.n_outputs) == (model.d_enc, model.n_outputs)
     assert not mech.weights_raw.any() and not mech.intercepts_raw.any()
 
 
@@ -1062,7 +1064,7 @@ def test_train_determinism():
      "32fa11f0a5c7af17ff8b0a7987d3f3ac06f1adf0bf209e728af847e075861e83"),
     ("s1:4", TrainConfig((6, 6, 6), (Activation.STEP, Activation.SIGN, Activation.STEP),
                          use_mechanism=False, seed=2),
-     "1a0a0b93a3f02ebf73cff952196500757ae67b057d91d7bfaf15699fa96c001f",
+     "d581b9ce8609e847729a0e7cfdbb76daf740e420852d1157401ed7c619e6b3bc",
      "25119d1c11b6e457f8886b03887da068b356db7d1dbb82f172d1f1804a56b65e"),
 ], ids=["one-step-layer", "step-sign-step"])
 def test_trained_model_bytes_and_records_match_the_pins(spec, cfg, model_sha, records_sha):
