@@ -21,6 +21,7 @@ from .mechanism import (
     MechanismModel,
     external_mechanism,
     fit_mechanism,
+    no_mechanism,
     signals_pm1,
 )
 from .model import (

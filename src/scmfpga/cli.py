@@ -227,8 +227,7 @@ def cmd_eval(args) -> int:
 
 
 def _say_if_unsaturable(model) -> None:
-    clamped = model.mechanism.saturated + sum(layer.saturated for layer in model.layers)
-    if not clamped and all(b < 2**31 for b in output_bound(model)):
+    if not model.clamped and all(b < 2**31 for b in output_bound(model)):
         print("note: no input can saturate an output: nothing was clamped, every bound < 2**31")
 
 

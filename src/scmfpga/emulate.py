@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .bits import HALF, WORD, BitMatrix
-from .mechanism import SOURCE_NONE, mech_wide_fpga
+from .mechanism import mech_wide_fpga
 from .model import BLOCK_ROWS, Activation, ScmLayer, ScmModel, threshold_edge
 
 def _counts(w: np.ndarray, xt: np.ndarray, pm1: bool) -> np.ndarray:
@@ -86,8 +86,8 @@ def predict_fpga_batch(
     """
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
-    none = model.mechanism.source == SOURCE_NONE
-    mech, plans, pm1, word = None if none else mech_wide_fpga(model.mechanism), [], True, WORD
+    mech = mech_wide_fpga(model.mechanism) if model.mechanism.n_values else None  # None: "none"
+    plans, pm1, word = [], True, WORD
     for i, layer in enumerate(model.layers, 1):
         step = layer.activation == Activation.STEP  # a clear bit adds -beta, else 0
         off = fx.fx_neg_array(layer.beta_raw) if step else np.zeros_like(layer.beta_raw)
@@ -98,7 +98,7 @@ def predict_fpga_batch(
     out = np.empty((len(bits), model.n_outputs), dtype=np.int32)
     for start in range(0, len(bits), BLOCK_ROWS):
         x = bits[start : start + BLOCK_ROWS]
-        acc = np.zeros((len(x), model.n_outputs), np.int64) if none else mech(x.to01().T)
+        acc = mech(x.to01().T) if mech else np.zeros((len(x), model.n_outputs), np.int64)
         xt = x.words.T.copy()  # (W, B): each word runs along the block
         for fired, readout, packer in plans:
             f = fired(xt).astype(np.float64)
@@ -215,7 +215,6 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
     weight_fpga = sum(layer.fan_in * len(layer) for layer in model.layers)
 
     n_beta = model.total_nodes * model.n_outputs
-    mech_values = (d_enc + 1) * model.n_outputs * (model.mechanism.source != SOURCE_NONE)
     inputs_real = REAL_VALUE_BITS * d
     reduction = lambda real, fpga: 1.0 - fpga / real if real else 0.0  # noqa: E731
     return ResourceReport(
@@ -227,7 +226,7 @@ def memory_report(model: ScmModel, clock_hz: float = 100e6) -> ResourceReport:
         beta_fpga_bits=FX_VALUE_BITS * n_beta,
         lambda_fpga_bits=LAMBDA_CODE_BITS * model.total_nodes,
         bias_fpga_bits=FX_VALUE_BITS * model.total_nodes,
-        mechanism_fpga_bits=FX_VALUE_BITS * mech_values,
+        mechanism_fpga_bits=FX_VALUE_BITS * model.mechanism.n_values,
         input_reduction=reduction(inputs_real, d_enc),
         weight_reduction=reduction(weight_real, weight_fpga),
         beta_reduction=reduction(REAL_VALUE_BITS * n_beta, FX_VALUE_BITS * n_beta),

@@ -79,7 +79,7 @@ def evaluate_bits(
         rep.rmse_pc = _rmse(rep.outputs_pc, y)
     if mode in ("fpga", "both"):
         rep.saturated = np.zeros(model.n_outputs, dtype=np.int64)
-        rep.clamped = model.mechanism.saturated + sum(layer.saturated for layer in model.layers)
+        rep.clamped = model.clamped
         rep.outputs_fpga_raw = predict_fpga_batch(model, bits, rep.saturated)
         rep.rmse_fpga = _rmse(rep.outputs_fpga, y)
     return rep

@@ -10,8 +10,8 @@ the bit is 0, then adds the intercept, all in the wide accumulator,
 saturating once at the end.
 mech_wide_fpga prepares it once (fixedpoint.conditional_sum) for (d_enc, rows)
 bits, unsaturated; the emulator's scalar test oracle runs it on Python ints.
-A model trained without a mechanism holds one of source "none", whose zeros no
-stage reads: each decides by the source, so an all-zero external one stays one.
+A model trained without a mechanism holds no_mechanism's, of source "none": zero
+views that store and evaluate no values (n_values 0), so every stage skips it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .linalg import LassoFit, lasso_fit
 
 SOURCE_LASSO = "lasso"
 SOURCE_EXTERNAL = "external"
-SOURCE_NONE = "none"  # no mechanism: every stage skips it
+SOURCE_NONE = "none"  # no mechanism, decided by the source: an all-zero external one stays one
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields hold arrays
@@ -51,12 +51,13 @@ class MechanismModel:
             raise ValueError(f"unknown mechanism source {self.source!r}")
         if not 0.0 <= self.alpha < np.inf:  # also refuses NaN
             raise ValueError(f"mechanism alpha {self.alpha!r} is not finite and non-negative")
-        none = self.source == SOURCE_NONE  # its zeros need no rounding
-        if none and (self.alpha or self.weights.any() or self.intercepts.any()):
+        none = self.source == SOURCE_NONE  # zeros; a zero-stride view holds one value, read once
+        if none and (self.alpha or any(a.any() if any(a.strides) else a.size and a.flat[0]
+                                       for a in (self.weights, self.intercepts))):
             raise ValueError("a mechanism of source 'none' holds only zeros and alpha 0")
-        quantize = (lambda a: (a.astype(np.int32), 0)) if none else fx.quantize_array
-        w_raw, w_sat = quantize(self.weights)
-        u_raw, u_sat = quantize(self.intercepts)
+        zero = lambda a: (np.broadcast_to(np.int32(0), a.shape), 0)  # noqa: E731
+        w_raw, w_sat = (zero if none else fx.quantize_array)(self.weights)
+        u_raw, u_sat = (zero if none else fx.quantize_array)(self.intercepts)
         object.__setattr__(self, "weights_raw", w_raw)  # the dataclass is frozen
         object.__setattr__(self, "intercepts_raw", u_raw)
         object.__setattr__(self, "saturated", w_sat + u_sat)
@@ -70,6 +71,16 @@ class MechanismModel:
     @property
     def n_outputs(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def n_values(self) -> int:  # stored and evaluated: 0 for "none", else (d_enc + 1) * m
+        return 0 if self.source == SOURCE_NONE else (self.d_enc + 1) * self.n_outputs
+
+
+def no_mechanism(d_enc: int, m: int, alpha: float = 0.0) -> MechanismModel:
+    """The "none" mechanism of a d_enc-wide, m-output model: zero-stride views, O(1) in size."""
+    zeros = np.broadcast_to(0.0, (d_enc + 1, m))  # the weight rows, then the intercepts
+    return MechanismModel(zeros[:-1], zeros[-1], SOURCE_NONE, alpha)
 
 
 def signals_pm1(bits: BitMatrix, dtype=np.float64) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .bits import BitMatrix, BitVec
 from .encoding import EncodingSpec
-from .mechanism import SOURCE_NONE, MechanismModel, mech_eval_float_batch, signals_pm1
+from .mechanism import MechanismModel, mech_eval_float_batch, signals_pm1
 
 
 class Activation(IntEnum):
@@ -166,6 +166,10 @@ class ScmModel:
     def total_nodes(self) -> int:
         return sum(self.layer_sizes)
 
+    @property
+    def clamped(self) -> int:  # mechanism values and readouts clamped to the Q7.25 range
+        return self.mechanism.saturated + sum(layer.saturated for layer in self.layers)
+
     def validate(self) -> None:
         if self.mechanism.n_outputs != self.n_outputs:
             raise ValueError("mechanism output count does not match the model")
@@ -248,11 +252,11 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     if bits.n != model.d_enc:
         raise ValueError(f"input width {bits.n} != model width {model.d_enc}")
     forwards = [(layer_forward_float(layer), layer.beta) for layer in model.layers]
-    mech, none = model.mechanism, model.mechanism.source == SOURCE_NONE
+    mech = model.mechanism if model.mechanism.n_values else None
     out = np.empty((len(bits), model.n_outputs))
     for start in range(0, len(bits), BLOCK_ROWS):
         s = signals_pm1(bits[start : start + BLOCK_ROWS], np.float32)
-        acc = np.zeros((len(s), model.n_outputs)) if none else mech_eval_float_batch(s, mech)
+        acc = mech_eval_float_batch(s, mech) if mech else np.zeros((len(s), model.n_outputs))
         for forward, beta in forwards:
             s = forward(s)
             acc += s.astype(np.float64) @ beta
@@ -261,11 +265,12 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
 
 
 def output_bound(model: ScmModel) -> list[int]:
-    """Per output, a bound on |emulated wide sum| on any input: sum |beta|, plus |u| +
-    sum |mech w| unless "none", over raw Q7.25 integers. Below 2**31 no input saturates it."""
-    raw = [np.zeros((0, model.n_outputs), np.int32), *(layer.beta_raw for layer in model.layers)]
-    if model.mechanism.source != SOURCE_NONE:
-        raw += [model.mechanism.intercepts_raw[None], model.mechanism.weights_raw]
+    """Per output, a bound on |emulated wide sum| over every input: |u| + sum |mech w| (0
+    for "none") + sum |beta| over the raw Q7.25 integers. Below 2**31, no input saturates it."""
+    mech = model.mechanism
+    raw = [mech.intercepts_raw[None], *(layer.beta_raw for layer in model.layers)]
+    if mech.n_values:  # not "none": a copy of its (d_enc, m) zero view would take d_enc*m*8 B
+        raw.append(mech.weights_raw)
     return np.abs(np.vstack(raw).astype(np.int64)).sum(axis=0).tolist()
 
 
@@ -276,5 +281,5 @@ def quantization_bound(model: ScmModel) -> float:
     readout or mechanism value can put the emulated output any distance from
     the reference one (see EvalReport.bound_applies).
     """
-    mech_weights = model.d_enc * (model.mechanism.source != SOURCE_NONE)
+    mech_weights = model.d_enc if model.mechanism.n_values else 0
     return (model.total_nodes + mech_weights + model.n_outputs + 1) * fx.RESOLUTION

@@ -35,7 +35,7 @@ from . import fixedpoint as fx
 from .bits import WORD, WORD_BITS, BitMatrix, n_words
 from .encoding import EncodingSpec, parse_encoding
 from .errors import ModelFormatError
-from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, SOURCE_NONE, MechanismModel
+from .mechanism import SOURCE_EXTERNAL, SOURCE_LASSO, SOURCE_NONE, MechanismModel, no_mechanism
 from .model import Activation, ScmLayer, ScmModel
 
 MAGIC = b"SCMB"
@@ -61,7 +61,7 @@ def _f64_bytes(arr: np.ndarray) -> bytes:
 
 def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
     m = model.n_outputs
-    mech, values = model.mechanism, model.mechanism.source != SOURCE_NONE
+    mech = model.mechanism
     flags = FLAG_FLOAT_SIDECAR if include_floats else 0
     out = bytearray()
     out += MAGIC
@@ -69,7 +69,7 @@ def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
     out += model.encoding.to_bytes()
     out += struct.pack("<HI", m, model.d_enc)
     out += struct.pack("<Bd", _SOURCE_TAGS[mech.source], float(mech.alpha))
-    if values:
+    if mech.n_values:  # "none" stores none
         out += _i32_bytes(mech.weights_raw) + _i32_bytes(mech.intercepts_raw)
     out += struct.pack("<H", len(model.layers))
     for layer in model.layers:
@@ -79,7 +79,7 @@ def model_to_bytes(model: ScmModel, include_floats: bool = True) -> bytes:
         out += _i32_bytes(layer.bias_raw)
         out += _i32_bytes(layer.beta_raw)
     if include_floats:
-        if values:
+        if mech.n_values:
             out += _f64_bytes(mech.weights) + _f64_bytes(mech.intercepts)
         for layer in model.layers:
             out += _f64_bytes(layer.bias)
@@ -133,8 +133,10 @@ def _assemble(form, enc, m, d_enc, source, alpha, p, u, layers) -> ScmModel:
             bias_raw = np.concatenate([r for _, r in bias])
             built.append(ScmLayer.from_arrays(act, w, shift, bias_raw, _floats(beta)))
             agree.append(_agree(built[-1].beta_raw, beta))
-        if source == SOURCE_NONE:
-            mech = MechanismModel(np.zeros((d_enc, m)), np.zeros(m), source, alpha)
+        if source == SOURCE_NONE:  # its width is bounded by its first layer's stored weights
+            if not built:
+                raise ValueError("a model with no mechanism needs a layer")
+            mech = no_mechanism(d_enc, m, alpha)
         else:
             mech = MechanismModel(_floats([p]), _floats([u]), source, alpha)
             agree += [_agree(mech.weights_raw, [p]), _agree(mech.intercepts_raw, [u])]

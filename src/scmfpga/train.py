@@ -55,8 +55,7 @@ from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix, samples_2d
 from .errors import TrainingFailedError
 from .linalg import row_blocks
-from .mechanism import (SOURCE_NONE, MechanismModel, fit_mechanism, mech_eval_float_batch,
-                        signals_pm1)
+from .mechanism import fit_mechanism, mech_eval_float_batch, no_mechanism, signals_pm1
 from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
                     threshold_bits, threshold_edge)
 
@@ -285,8 +284,7 @@ class TrainState:
             for rows, s in row_blocks(self.cur_in):
                 self.target[rows] -= mech_eval_float_batch(s, self.mech)
         else:
-            self.mech = MechanismModel(np.zeros((data.bits.n, self.m)), np.zeros(self.m),
-                                       SOURCE_NONE)
+            self.mech = no_mechanism(data.bits.n, self.m)
             self.target = data.y
         # a C-order column write touches every row, so a large configured
         # node count is not allocated up front

@@ -12,7 +12,7 @@ from scmfpga.emulate import BLOCK_ROWS, cycle_estimate, memory_report, predict_f
 from scmfpga.encoding import parse_encoding
 from scmfpga.evaluate import evaluate_bits
 from scmfpga.mechanism import (SOURCE_NONE, MechanismModel, external_mechanism, mech_wide_fpga,
-                               signals_pm1)
+                               no_mechanism, signals_pm1)
 from scmfpga.model import (
     Activation,
     ScmLayer,
@@ -299,10 +299,11 @@ def test_output_bound_holds_every_wide_sum(model, seed):
 
 
 def _with_mechanism(model: ScmModel, source: str) -> ScmModel:
-    """The model's layers on an all-zero mechanism of this source ("none" or "external")."""
-    zeros = np.zeros((model.d_enc, model.n_outputs)), np.zeros(model.n_outputs)
-    return ScmModel(model.encoding, MechanismModel(*zeros, source), model.layers,
-                    model.n_outputs)
+    """The model's layers on no_mechanism ("none") or an all-zero external mechanism."""
+    d_enc, m = model.d_enc, model.n_outputs
+    mech = (no_mechanism(d_enc, m) if source == SOURCE_NONE
+            else external_mechanism(np.zeros((d_enc, m)), np.zeros(m)))
+    return ScmModel(model.encoding, mech, model.layers, m)
 
 
 @settings(max_examples=60)
@@ -317,6 +318,7 @@ def test_no_mechanism_reads_as_an_all_zero_external_one(model, n_rows, seed):
     assert reports[0].outputs_pc.tobytes() == reports[1].outputs_pc.tobytes()
     assert np.array_equal(reports[0].saturated, reports[1].saturated)
     assert reports[0].clamped == reports[1].clamped == sum(lay.saturated for lay in model.layers)
+    assert none.clamped == zero.clamped == reports[0].clamped
 
 
 def test_a_zero_layer_prefix_without_a_mechanism_reads_zeros():

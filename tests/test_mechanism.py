@@ -11,6 +11,7 @@ from scmfpga.mechanism import (
     MechanismModel,
     external_mechanism,
     fit_mechanism,
+    no_mechanism,
     mech_eval_float_batch,
     mech_wide_fpga,
     signals_pm1,
@@ -97,12 +98,30 @@ def test_a_none_mechanism_holds_read_only_zeros_and_its_shape():
             held[0] += 1
 
 
-@pytest.mark.parametrize("p, u, alpha", [([[0.0], [1e-9]], [0.0], 0.0), ([[0.0]], [-1.0], 0.0),
-                                         ([[0.0]], [0.0], 1e-4)])
+def test_no_mechanism_holds_zero_views_of_any_width_in_constant_memory():
+    # a model file's header gives d_enc and m, up to 2**32 - 1 and 65535: their
+    # d_enc x m zeros, if allocated or scanned, would be 2 PiB
+    mech = no_mechanism(2**32 - 1, 65535)
+    assert (mech.d_enc, mech.n_outputs, mech.n_values, mech.saturated) == (2**32 - 1, 65535, 0, 0)
+    assert mech.source == SOURCE_NONE and mech.alpha == 0.0
+    held = (mech.weights, mech.intercepts, mech.weights_raw, mech.intercepts_raw)
+    assert [a.dtype for a in held] == [np.float64, np.float64, np.int32, np.int32]
+    assert all(not any(a.strides) and a.flat[0] == 0 and not a.flags.writeable for a in held)
+
+
+def test_n_values_counts_a_mechanism_by_its_source():
+    assert external_mechanism(np.zeros((7, 2)), np.zeros(2)).n_values == (7 + 1) * 2
+    assert MechanismModel(np.zeros((7, 2)), np.zeros(2), SOURCE_NONE).n_values == 0
+
+
+@pytest.mark.parametrize("p, u, alpha", [
+    ([[0.0], [1e-9]], [0.0], 0.0), ([[0.0]], [-1.0], 0.0), ([[0.0]], [0.0], 1e-4),
+    (np.broadcast_to(1.0, (3, 1)), [0.0], 0.0), ([[0.0]], np.broadcast_to(np.nan, 1), 0.0)])
 def test_a_none_mechanism_refuses_values_and_alpha(p, u, alpha):
-    # the read paths skip a "none" mechanism, so values it held would be lost
+    # the read paths skip a "none" mechanism, so values it held would be lost;
+    # a zero-stride view is checked by its one value
     with pytest.raises(ValueError, match="holds only zeros and alpha 0"):
-        MechanismModel(np.array(p), np.array(u), SOURCE_NONE, alpha)
+        MechanismModel(np.asarray(p, np.float64), np.asarray(u, np.float64), SOURCE_NONE, alpha)
 
 
 def test_a_mechanism_counts_saturated_values():

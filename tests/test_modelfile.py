@@ -1,6 +1,7 @@
 import functools
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,13 +14,15 @@ from scmfpga.encoding import parse_encoding
 from scmfpga.errors import ModelFormatError
 from scmfpga.evaluate import evaluate_bits
 from scmfpga.linalg import lasso_fit
-from scmfpga.mechanism import SOURCE_EXTERNAL, SOURCE_NONE, MechanismModel, signals_pm1
+from scmfpga.mechanism import (SOURCE_EXTERNAL, SOURCE_NONE, MechanismModel, no_mechanism,
+                               signals_pm1)
 from scmfpga.model import (
     Activation,
     ScmLayer,
     ScmModel,
     ScmNode,
     layer_forward_float,
+    output_bound,
     predict_float_batch,
     quantization_bound,
 )
@@ -615,6 +618,40 @@ def test_json_of_no_mechanism_takes_no_values(extra):
     doc["mechanism"].update(extra)
     with pytest.raises(ModelFormatError, match="takes no values|alpha 0"):
         model_from_json(json.dumps(doc))
+
+
+def test_a_model_file_without_a_mechanism_or_a_layer_is_refused():
+    # nothing bounds such a model's width: a 30-byte body could claim 2**32 - 1
+    # inputs and 65535 outputs, whose d_enc x m zeros would take 2 PiB
+    body = bytearray(model_to_bytes(_on_zero_mechanism(SOURCE_NONE), False)[:ALPHA_POS + 8])
+    struct.pack_into("<HI", body, ALPHA_POS - 7, 65535, 2**32 - 1)
+    body += struct.pack("<H", 0)
+    with pytest.raises(ModelFormatError, match="no mechanism needs a layer"):
+        model_from_bytes(_with_crc(body))
+    doc = {"format": "scmfpga-model", "version": 1, "encoding": "density:1", "n_outputs": 65535,
+           "mechanism": {"source": "none", "d_enc": 2**32 - 1}}
+    with pytest.raises(ModelFormatError, match="no mechanism needs a layer"):
+        model_from_json(json.dumps(doc))
+
+
+def test_a_wide_model_without_a_mechanism_is_loaded_and_used_without_its_zeros():
+    # 4096 x 2048 mechanism zeros would take 64 MiB as float64, from a 25 kB file
+    d_enc, m = 4096, 2048
+    model = ScmModel(parse_encoding("density:1"), no_mechanism(d_enc, m),
+                     [layer(Activation.SIGN, np.ones((1, d_enc)), beta=np.full(m, 0.5))], m)
+    blob = model_to_bytes(model)
+    assert len(blob) < 26_000
+    tracemalloc.start()
+    try:
+        back = model_from_bytes(blob)
+        assert output_bound(back) == [2**24] * m  # |0.5| as raw Q7.25
+        assert emulate.memory_report(back).mechanism_fpga_bits == 0
+        assert quantization_bound(back) == (1 + m + 1) * fx.RESOLUTION
+        assert model_to_bytes(model_from_json(model_to_json(back))) == blob
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_json_float_fields_take_integers():
