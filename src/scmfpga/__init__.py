@@ -21,7 +21,6 @@ from .mechanism import (
     MechanismModel,
     external_mechanism,
     fit_mechanism,
-    no_mechanism,
     signals_pm1,
 )
 from .model import (
