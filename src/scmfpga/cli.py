@@ -89,7 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("model")
     e.add_argument("data")
     e.add_argument("--mode", choices=MODES, default="both")
-    e.add_argument("--rows", choices=["test", "train", "val", "all"], default="test")
+    e.add_argument("--rows", choices=["test", "train", "val", "all"], default="test",
+                   help="rows as the manifest marks them; train re-splits train and val rows "
+                        "by --val-fraction and --seed, so 'train' holds its validation rows "
+                        "too; gen-data marks no row 'val'; with no manifest every row is 'train'")
     e.add_argument("--out", default=None, help="per-sample outputs CSV")
     e.set_defaults(func=cmd_eval)
 
@@ -135,13 +138,7 @@ def _parse_layer_args(args) -> tuple[tuple[int, ...], tuple]:
         n = 60 if args.n_nodes is None else args.n_nodes
         sizes = (n,) if n else ()
     acts = tuple(parse_activation(a) for a in args.act.split(","))
-    if len(acts) == 1 and len(sizes) > 1:
-        acts = acts * len(sizes)
-    if len(acts) != len(sizes) and sizes:
-        raise ValueError(f"{len(sizes)} layers but {len(acts)} activations")
-    if not sizes:
-        acts = ()
-    return sizes, acts
+    return sizes, acts * len(sizes) if len(acts) == 1 else acts
 
 
 def _check_outputs(outputs: dict[str, str | None], *inputs: str | Path) -> None:

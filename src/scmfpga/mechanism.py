@@ -1,5 +1,6 @@
-"""Linear mechanism model over encoded +-1 inputs.
+"""Linear mechanism model over encoded +-1 inputs, held as int8 (signals_pm1).
 
+int8 @ int8 wraps, so a caller multiplying two signal matrices casts one first.
 A model is built from its float64 weights and intercepts, which training and
 the reference ("PC") evaluation path use. The constructor derives their raw
 Q7.25 integers, which the emulated datapath uses, once, and counts the values
@@ -83,9 +84,9 @@ def no_mechanism(d_enc: int, m: int, alpha: float = 0.0) -> MechanismModel:
     return MechanismModel(zeros[:-1], zeros[-1], SOURCE_NONE, alpha)
 
 
-def signals_pm1(bits: BitMatrix, dtype=np.float64) -> np.ndarray:
-    """The (N, d_enc) -1/+1 matrix of encoded rows in dtype: a float type, or int8 made in place."""
-    s = bits.to01().view(np.int8) if np.dtype(dtype) == np.int8 else bits.to01().astype(dtype)
+def signals_pm1(bits: BitMatrix) -> np.ndarray:
+    """The (N, d_enc) int8 -1/+1 matrix of encoded rows, made in place in the unpacked bits."""
+    s = bits.to01().view(np.int8)
     s *= 2
     s -= 1
     return s

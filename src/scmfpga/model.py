@@ -206,33 +206,31 @@ def threshold_edge(shift: np.ndarray, bias_raw: np.ndarray) -> np.ndarray:
     return neg >> (np.asarray(shift, dtype=np.int64) + fx.FRAC_BITS)  # floor division
 
 
-def threshold_bits(
-    s32: np.ndarray, w32: np.ndarray, edge32: np.ndarray, work: np.ndarray
-) -> np.ndarray:
+def threshold_bits(s: np.ndarray, w32: np.ndarray, edge32: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
     """Threshold bits of K nodes on N rows.
 
-    s32 (N, fan_in) and w32 (K, fan_in) are float32 in {-1, 0, +1}, and
-    edge32 is the nodes' threshold_edge in float32. The dots go into the
-    (N, K) float32 work array, which the bits then overwrite in place as 0.0
-    or 1.0. Dots (see check_fan_in) and edges are exact integers in float32.
+    s (N, fan_in), int8 or float32, and w32 (K, fan_in), float32, hold -1, 0
+    or +1; edge32 is the nodes' threshold_edge in float32. The dots go into
+    the (N, K) float32 work array, which the bits then overwrite as 0.0 or
+    1.0. Dots (see check_fan_in) and edges are exact integers in float32.
     """
-    np.matmul(s32, w32.T, out=work)
+    np.matmul(s, w32.T, out=work)
     return np.greater(work, edge32, out=work)
 
 
 def layer_forward_float(layer: ScmLayer) -> Callable[[np.ndarray], np.ndarray]:
-    """A layer's reference function, built once: from an (N, fan_in) signal
-    matrix to the (N, n_nodes) float32 activation values, which also feed the
+    """A layer's reference function, built once: from an (N, fan_in) int8 or float32
+    signal matrix to the (N, n_nodes) float32 activation values, which also feed the
     next layer: {0,1} after SIGN, {-1,+1} after STEP (exact in float32). Raises
     ValueError when the fan-in is too wide for threshold_bits (check_fan_in)."""
     check_fan_in(layer.fan_in)
-    w = signals_pm1(layer.w, np.float32)
+    w = signals_pm1(layer.w).astype(np.float32)
     edge = threshold_edge(layer.shift, layer.bias_raw).astype(np.float32)
     step = layer.activation == Activation.STEP
 
     def forward(s: np.ndarray) -> np.ndarray:
-        h = threshold_bits(s.astype(np.float32, copy=False), w, edge,
-                           np.empty((len(s), len(w)), dtype=np.float32))
+        h = threshold_bits(s, w, edge, np.empty((len(s), len(w)), dtype=np.float32))
         if step:
             h *= 2.0
             h -= 1.0
@@ -255,7 +253,7 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     mech = model.mechanism if model.mechanism.n_values else None
     out = np.empty((len(bits), model.n_outputs))
     for start in range(0, len(bits), BLOCK_ROWS):
-        s = signals_pm1(bits[start : start + BLOCK_ROWS], np.float32)
+        s = signals_pm1(bits[start : start + BLOCK_ROWS]).astype(np.float32)
         acc = mech_eval_float_batch(s, mech) if mech else np.zeros((len(s), model.n_outputs))
         for forward, beta in forwards:
             s = forward(s)

@@ -20,8 +20,8 @@ model.threshold_bits, the integer test the reference path and the emulator
 also make, so every path computes bit-identical activations.
 
 A candidate's scores are computed without forming h, over the training rows in
-blocks of SCORE_ROWS. A block's signals, copied to float32, give its threshold
-bits as 0/1 in a small float32 work array that the TrainState owns, and one
+blocks of SCORE_ROWS. A block's int8 signals give its threshold bits as 0/1
+in a small float32 work array that the TrainState owns (threshold_bits), and one
 float32 GEMM multiplies them by the block's residual limbs (ResidualLimbs) and
 a row of ones, summed over the blocks. Every partial sum over any rows is an
 integer below 2**24, so <e_q, h> is the correctly rounded sum of the selected
@@ -80,8 +80,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.layer_sizes) != len(self.activations):
-            raise ValueError("need one activation per layer")
+        if (n := len(self.layer_sizes)) != (k := len(self.activations)):
+            raise ValueError(f"{n} layers but {k} activations")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be >= 1; a mechanism-only model has no layers")
         if not (self.layer_sizes or self.use_mechanism):
@@ -237,11 +237,9 @@ class TrainState:
     cfg.seed, the targets and residuals, the hidden-output columns for the
     global readout refit with each column's node, the layer sizes, the signals
     feeding the layer under construction (one contiguous int8 matrix, which
-    the L1 fit and its targets also read, and an int8 and a float32
-    (SCORE_ROWS, fan_in) buffer that add_node gathers rows into), and
-    the (SCORE_ROWS, t_max) candidate work array; no float copy of the
-    signals is made. Rows are in TrainData's order; R, the L1 fit and
-    candidate scoring read [:n_train].
+    the L1 fit, its targets and candidate scoring read as they are) and its
+    one scratch array, the (SCORE_ROWS, t_max) candidate work array. Rows are
+    in TrainData's order; R, the L1 fit and candidate scoring read [:n_train].
 
     The hidden outputs live in an int8 (N + K, capacity) array H (entries
     +-1 or 0/1) whose first n_hidden columns are in use; the capacity starts
@@ -276,8 +274,8 @@ class TrainState:
         # 0/1 threshold bits; allocated before the L1 fit, so a t_max too large
         # to hold fails at once
         self.work = np.empty((SCORE_ROWS, cfg.t_max) if cfg.layer_sizes else (0, 0), np.float32)
-        # entries are -1, 0 or +1, so float32 copies hold them and every dot exactly
-        self.cur_in = signals_pm1(data.bits, np.int8)
+        # entries are -1, 0 or +1, which every float product converts exactly
+        self.cur_in = signals_pm1(data.bits)
         if cfg.use_mechanism:
             self.mech = fit_mechanism(self.cur_in[:n], data.y[:n], cfg.alpha)
             self.target = data.y.copy()
@@ -308,8 +306,6 @@ class TrainState:
         if self.layer_sizes:
             cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
             self.cur_in = self.H[:, cols].copy()
-        self.block_i8 = np.empty((SCORE_ROWS, self.cur_in.shape[1]), np.int8)
-        self.block_in = np.empty(self.block_i8.shape, np.float32)
         self.layer_sizes.append(0)
 
     def append_node(self, node: tuple, h: np.ndarray) -> None:
@@ -523,11 +519,8 @@ def add_node(state: TrainState) -> TrainRecord | None:
         for b, a in enumerate(starts):
             blk = slice(a, min(a + SCORE_ROWS, n))
             work = state.work.reshape(-1)[: (blk.stop - a) * live.size].reshape(-1, live.size)
-            # every index is valid, and "clip" writes into out without a temporary copy
-            s_blk = state.block_in[: blk.stop - a]
-            s_blk[...] = np.take(state.cur_in, order[blk], axis=0, mode="clip",
-                                 out=state.block_i8[: blk.stop - a])
-            sums += limbs.lhs[:, blk] @ threshold_bits(s_blk, w_live, edge_live, work)
+            sums += limbs.lhs[:, blk] @ threshold_bits(state.cur_in[order[blk]], w_live,
+                                                       edge_live, work)
             if blk.stop == n or not (floor[b] <= limit).any():
                 continue
             eh, count = limbs.dots(sums, pm1)
@@ -556,11 +549,10 @@ def add_node(state: TrainState) -> TrainRecord | None:
         j = int(live[best])
 
         # the work array holds only the last block: rebuild the accepted column h
-        # SCORE_ROWS rows at a time, through the block buffers and the work array
+        # SCORE_ROWS rows at a time, through the work array
         h = np.empty(len(state.cur_in), np.int8)
         for a in range(0, len(h), SCORE_ROWS):
-            s_blk = state.block_in[: min(SCORE_ROWS, len(h) - a)]
-            s_blk[...] = state.cur_in[a : a + SCORE_ROWS]
+            s_blk = state.cur_in[a : a + SCORE_ROWS]
             bit = threshold_bits(s_blk, w[[j]], edge[[j]], state.work.ravel()[: len(s_blk), None])
             h[a : a + SCORE_ROWS] = 2 * bit[:, 0] - 1 if pm1 else bit[:, 0]
         state.append_node((w01[j].astype(np.uint8), int(shift[j]), int(b_raw[j])), h)

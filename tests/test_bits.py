@@ -70,6 +70,10 @@ def test_bit_matrix_empty_rows():
 
 
 def test_bit_matrix_rejects_bad_shapes_and_pad_bits():
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        BitVec(-1)
+    with pytest.raises(ValueError, match=r"from01 expects an \(N, n\) array"):
+        BitMatrix.from01(np.ones(3, dtype=np.uint8))
     with pytest.raises(ValueError):
         BitMatrix.from_rows([BitVec(3), BitVec(4)])
     with pytest.raises(ValueError):

@@ -154,6 +154,21 @@ def test_train_refuses_a_layer_of_zero_nodes(tmp_path, capsys, monkeypatch, db1_
     assert ">= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options,message", [
+    (("--layers", "4,4", "--act", "sign,step,step"), "2 layers but 3 activations"),
+    (("--nodes", "0", "--act", "sign,step"), "0 layers but 2 activations"),
+    (("--nodes", "3", "--layers", "3"), "use either --nodes or --layers, not both"),
+], ids=["act-count", "act-without-layers", "nodes-and-layers"])
+def test_train_refuses_layer_options_that_disagree(tmp_path, capsys, monkeypatch, db1_files,
+                                                   options, message):
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "m.scm"
+    assert run("train", str(data), "--out", str(out), *options) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def _no_training(*args):
     raise AssertionError("training started")
 
@@ -363,6 +378,19 @@ def test_eval_empty_selection_errors(db1_files, tmp_path):
     plain = tmp_path / "plain.csv"
     plain.write_text("x0,y0\n0.5,0.1\n")  # no manifest: everything is a train row
     assert run("eval", str(model), str(plain), "--rows", "test") == 3
+
+
+def test_eval_rows_select_the_manifests_row_sets(db1_files, tmp_path, capsys):
+    # gen-data writes 1000 training rows, 300 test rows and no validation rows;
+    # train re-splits the 1000 by --val-fraction, so eval's train is all of them
+    _, data, model = db1_files
+    out = tmp_path / "o.csv"
+    for rows, count in [("train", 1000), ("test", 300), ("all", 1300)]:
+        assert run("eval", str(model), str(data), "--rows", rows, "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + count
+    capsys.readouterr()
+    assert run("eval", str(model), str(data), "--rows", "val") == 3
+    assert capsys.readouterr().err == "error: no rows in the 'val' selection\n"
 
 
 def test_eval_feature_mismatch_errors(db1_files, tmp_path):
@@ -669,9 +697,10 @@ def test_training_failure_exit_4(tmp_path):
         ["import", "{json}", "--out", "{bad}"],
         ["import", "{bad}", "--out", "{good}"],
         ["gen-data", "db1", "--out", "{bad}"],
+        ["report", "{bad}"],
     ],
     ids=["train-out", "train-log", "eval-out", "export-out", "import-out", "import-in",
-         "gen-data-out"],
+         "gen-data-out", "report-model"],
 )
 def test_a_file_that_cannot_be_read_or_written_is_a_data_error(tmp_path, capsys, db1_files,
                                                                argv):

@@ -233,6 +233,40 @@ def test_load_dataset_without_manifest(tmp_path):
     ds = load_dataset(p)
     assert ds.rows("train").size == 2
     assert ds.rows("test").size == 0
+    with pytest.raises(ValueError, match="unknown row selector 'bogus'"):
+        ds.rows("bogus")
+
+
+def test_load_dataset_skips_blank_lines(tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("a,y\n1,2\n\n3,4\n\n")
+    ds = load_dataset(p)
+    assert ds.x.tolist() == [[1.0], [3.0]] and ds.y.tolist() == [[2.0], [4.0]]
+
+
+@pytest.mark.parametrize("case,match", [
+    ("directory", "cannot open"),
+    ("empty", "empty file"),
+    ("header-only", "no data rows"),
+    ("one-column", "no feature columns left after removing targets"),
+    ("manifest-columns", "expected 3 columns, found 2"),
+    ("manifest-rows", "row count does not match the manifest"),
+], ids=["directory", "empty", "header-only", "one-column", "manifest-columns", "manifest-rows"])
+def test_load_dataset_refuses_a_file_it_cannot_read(tmp_path, case, match):
+    p = tmp_path / "data.csv"
+    if case == "directory":
+        p.mkdir()
+    elif case.startswith("manifest"):
+        write_dataset(gen_db1(seed=1), p)
+        key, value = ("n_features", "2") if case == "manifest-columns" else ("n_test", "299")
+        manifest = tmp_path / "data.manifest"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(f"{key}={value}\n" if ln.startswith(key + "=") else ln + "\n"
+                                    for ln in lines))
+    else:
+        p.write_text({"empty": "", "header-only": "a,y\n", "one-column": "y\n1\n2\n"}[case])
+    with pytest.raises(DataError, match=match):
+        load_dataset(p)
 
 
 @pytest.mark.parametrize(

@@ -384,7 +384,7 @@ def test_reference_layer_bits_equal_the_emulated_ones(model, seed):
     # saturated biases (RAW_MIN's negation overflows int32), exact-zero
     # pre-activations and fan-ins up to 150, layer by layer
     x = BitMatrix.from01(np.random.default_rng(seed).integers(0, 2, size=(9, model.d_enc)))
-    s = signals_pm1(x, np.float32)
+    s = signals_pm1(x).astype(np.float32)
     for layer, fired in zip(model.layers, emulated_layer_bits(model, x)):
         s = layer_forward_float(layer)(s)
         assert np.array_equal(s.T > 0, fired)
@@ -527,7 +527,10 @@ def test_saturation_counted_per_output():
     assert rep.saturated.tolist() == [3, 3, 0]
     assert rep.outputs_fpga_raw[:, 0].tolist() == [fx.RAW_MAX, 0, fx.RAW_MAX, fx.RAW_MAX, 0]
     assert rep.outputs_fpga_raw[:, 1].tolist() == [fx.RAW_MIN, 0, fx.RAW_MIN, fx.RAW_MIN, 0]
-    assert evaluate_bits(model, rows, y, "pc").saturated is None
+    pc = evaluate_bits(model, rows, y, "pc")
+    assert pc.saturated is pc.outputs_fpga is pc.max_output_delta is None
+    with pytest.raises(ValueError, match=r"mode must be one of \('pc', 'fpga', 'both'\)"):
+        evaluate_bits(model, rows, y, "fast")
 
 
 def test_mechanism_saturation_is_counted():

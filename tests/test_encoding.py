@@ -147,6 +147,8 @@ def test_scheme2_quant_tables():
 def test_scheme2_bad_variant():
     with pytest.raises(ValueError):
         parse_encoding("s2v3")
+    with pytest.raises(ValueError, match="SCHEME2_V1 takes no parameter"):
+        EncodingSpec(EncodingKind.SCHEME2_V1, 3)
 
 
 def test_density_takes_a_parameter_in_1_to_255():
@@ -186,6 +188,9 @@ def test_parse_roundtrip():
         assert EncodingSpec.from_bytes(spec.to_bytes()) == spec
     with pytest.raises(ValueError):
         parse_encoding("thermometer")
+    for data in (b"\x01", b"\x01\x03\x00"):
+        with pytest.raises(ValueError, match="exactly 2 bytes"):
+            EncodingSpec.from_bytes(data)
 
 
 def test_encoded_input_counts_match_dataset_shapes():
@@ -221,6 +226,11 @@ def test_encode_matrix_nonfinite_reports_position():
     spec = parse_encoding("s2v1")
     with pytest.raises(DataError, match="row 1, column 0"):
         encode_matrix(np.array([[0.1], [np.nan]]), spec)
+
+
+def test_encode_matrix_expects_a_2d_matrix():
+    with pytest.raises(DataError, match="expects a 2-D matrix"):
+        encode_matrix(np.zeros((2, 1, 1)), parse_encoding("s2v1"))
 
 
 # -- properties ----------------------------------------------------------

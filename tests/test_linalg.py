@@ -50,6 +50,22 @@ def test_nonfinite_rejected():
         least_squares(np.array([[1.0]]), np.array([[np.inf]]))
 
 
+def test_solvers_take_a_1d_target_as_one_column_and_check_shapes():
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    y = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(least_squares(x, y), least_squares(x, y[:, None]))
+    fit = lasso_fit(x, y, 0.0)
+    assert fit.p.shape == (2, 1) and np.array_equal(fit.p, lasso_fit(x, y[:, None], 0.0).p)
+    with pytest.raises(ValueError, match="X must be a 2-D matrix"):
+        lasso_fit(np.ones((3, 2, 1)), y, 0.0)
+    with pytest.raises(ValueError, match="row mismatch: X has 3 rows, Y has 2"):
+        lasso_fit(x, y[:2], 0.0)
+    with pytest.raises(ValueError, match="row mismatch: H has 3 rows, T has 2"):
+        least_squares(x, y[:2])
+    with pytest.raises(ValueError, match="H must have at least one row and one column"):
+        least_squares(np.ones((3, 0)), y)
+
+
 def test_residual_beats_perturbations():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(20, 5))
@@ -342,7 +358,7 @@ def test_lasso_holds_few_gram_sized_arrays_at_once():
     # float64 blocks of BLOCK_ROWS; centring the Gram out of place held about
     # 3.3 Grams at once, in place about 2.5
     bits, d_enc, y = _wide_s2v1_shape()
-    s = signals_pm1(bits, np.int8)
+    s = signals_pm1(bits)
     tracemalloc.start()
     try:
         lasso_fit(s, y, alpha=1e-4)

@@ -40,10 +40,10 @@ def _random_bits(rng, n, width):
 def test_float32_signals_are_the_float64_signals_cast(width, rows):
     bits = BitMatrix.from01(np.random.default_rng(width).integers(0, 2, size=(rows, width),
                                                                   dtype=np.uint8))
-    for dtype in (np.float32, np.int8):  # int8: training's signals
-        s = signals_pm1(bits, dtype)
-        assert s.dtype == dtype and s.shape == (rows, width)
-        assert np.array_equal(s, signals_pm1(bits).astype(dtype))
+    s = signals_pm1(bits)  # int8, the one signal form; the reference path casts to float32
+    assert s.dtype == np.int8 and s.shape == (rows, width)
+    assert np.array_equal(s, 2 * bits.to01().astype(np.int64) - 1)
+    assert np.array_equal(s.astype(np.float32), s.astype(np.float64))
 
 
 def test_constant_target_goes_to_intercept():
@@ -233,6 +233,15 @@ def test_floats_must_round_to_their_raw_values(p, u):
                          "intercepts": [u], "intercepts_raw": [0]}}
     with pytest.raises(ModelFormatError, match="round to their raw values|finite"):
         model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("p,u,match", [
+    (np.zeros(3), np.zeros(1), r"weights must be \(d_enc, m\), intercepts \(m,\)"),
+    (np.zeros((3, 2)), np.zeros(1), "output count mismatch between weights and intercepts"),
+], ids=["1-D-weights", "output-counts"])
+def test_a_mechanism_refuses_misshapen_arrays(p, u, match):
+    with pytest.raises(ValueError, match=match):
+        MechanismModel(p, u)
 
 
 def test_a_mechanism_refuses_a_nan_weight():

@@ -257,6 +257,8 @@ def test_a_node_refuses_a_bias_off_its_grid_value():
     ScmNode(BitVec.from01([1]), 0, 0.5, 1 << 24, np.zeros(1), np.zeros(1, np.int32))
     with pytest.raises(ValueError, match="bias_raw"):
         ScmNode(BitVec.from01([1]), 0, 1e-9, 0, np.zeros(1), np.zeros(1, np.int32))
+    with pytest.raises(ValueError, match=r"shift code must be in 0\.\.7"):
+        ScmNode(BitVec.from01([1]), 8, 0.0, 0, np.zeros(1), np.zeros(1, np.int32))
 
 
 def test_a_layer_keeps_only_raw_biases():
@@ -422,6 +424,12 @@ def _one_node_json(node: dict, mechanism: dict | None = None) -> str:
         "mechanism": mechanism or zero,
         "layers": [{"activation": "step", "nodes": [node]}],
     })
+
+
+def test_json_refuses_a_node_without_readouts():
+    node = {"weights": "10", "shift": 0, "bias_raw": 0}  # neither beta nor beta_raw
+    with pytest.raises(ModelFormatError, match="bad model JSON: need float or raw values"):
+        model_from_json(_one_node_json(node))
 
 
 def test_json_bias_without_raw_takes_its_grid_value():
@@ -771,7 +779,7 @@ def _check_sound(model):
     layer, outputs stay within quantization_bound unless one saturates, and the
     writers and the report accept it."""
     rows = BitMatrix.from01(np.random.default_rng(0).integers(0, 2, size=(16, model.d_enc)))
-    s = signals_pm1(rows, np.float32)
+    s = signals_pm1(rows).astype(np.float32)
     for layer, fired in zip(model.layers, emulated_layer_bits(model, rows)):
         s = layer_forward_float(layer)(s)
         assert np.array_equal(s.T > 0, fired)

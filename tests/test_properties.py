@@ -110,7 +110,7 @@ def _check_the_promises(seed, rows, val_share, features, outputs, spec, layers, 
             assert b.train_rmse <= a.train_rmse + 1e-12
     # both paths give the same activation bits, layer by layer, on the
     # validation rows
-    s = signals_pm1(data.bits[n:], np.float32)
+    s = signals_pm1(data.bits[n:]).astype(np.float32)
     for layer, fired in zip(model.layers, emulated_layer_bits(model, data.bits[n:])):
         s = layer_forward_float(layer)(s)
         assert np.array_equal(s.T > 0, fired)

@@ -30,6 +30,7 @@ from scmfpga.model import (
     ScmModel,
     check_fan_in,
     layer_forward_float,
+    parse_activation,
     predict_float_batch,
     quantization_bound,
     threshold_bits,
@@ -1197,8 +1198,14 @@ def test_config_validation():
     for sizes in [(0,), (0, 0), (-1,)]:
         with pytest.raises(ValueError, match=">= 1"):
             TrainConfig(sizes, (Activation.STEP, Activation.SIGN)[: len(sizes)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 layers but 0 activations"):
         TrainConfig((5,), ())
+    with pytest.raises(ValueError, match="r schedule must be non-empty"):
+        TrainConfig((5,), (Activation.STEP,), r_schedule=())
+    with pytest.raises(ValueError, match="lambda pool must be non-empty"):
+        TrainConfig((5,), (Activation.STEP,), lambda_pool=())
+    with pytest.raises(ValueError, match=r"unknown activation 'relu' \(expected sign or step\)"):
+        parse_activation("relu")
     assert TrainConfig((), ()).layer_sizes == ()
     # no layers and no mechanism would save a model that outputs 0 for every row
     with pytest.raises(ValueError, match="--nodes 0.*--no-mechanism"):
