@@ -6,7 +6,6 @@ from .datasets import (
     Dataset,
     gen_db1,
     gen_db2,
-    load_csv,
     load_dataset,
     rastrigin,
     split,

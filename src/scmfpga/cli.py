@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("dataset", choices=["db1", "db2"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output CSV path")
-    g.add_argument("--scale", type=float, default=0.1,
-                   help="db2 training-row scale (1.0 = 40000 rows)")
+    g.add_argument("--scale", type=float, default=None,
+                   help="db2 training-row scale (default 0.1; 1.0 = 40000 rows)")
     g.add_argument("--random-test", action="store_true",
                    help="db2: draw test rows instead of the 67x67 grid")
     g.add_argument("--raw-targets", action="store_true",
@@ -116,11 +117,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_data(args) -> int:
     if args.dataset == "db1":
+        given = {"--scale": args.scale is not None, "--random-test": args.random_test,
+                 "--raw-targets": args.raw_targets}  # the options that shape db2
+        if option := next(filter(given.get, given), None):
+            raise ValueError(f"{option} applies to db2 only")
         ds = gen_db1(args.seed)
     else:
         ds = gen_db2(
             args.seed,
-            scale=args.scale,
+            scale=0.1 if args.scale is None else args.scale,
             normalize_targets=not args.raw_targets,
             grid_test=not args.random_test,
         )
@@ -276,6 +281,8 @@ def cmd_import(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a warning prints as one stderr line, without its source path and source line
+    default, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
         return args.func(args)
     except (DataError, OSError, UnicodeDecodeError) as exc:  # unreadable, unwritable, not text
@@ -290,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default
 
 
 if __name__ == "__main__":

@@ -2,14 +2,16 @@
 
 A Dataset keeps features in their original units and computes their
 per-feature min/max from its non-test rows; consumers ask for the normalized
-view. On disk a dataset is a plain CSV (header row, rows ordered
-train/val/test) plus a key=value manifest of the counts, the name and the
-seed; the CSV's repr-exact values make a write/load round trip exact.
+view. On disk a dataset is a CSV (header row, rows ordered train/val/test)
+whose repr-exact values make a write/load round trip exact, plus a key=value
+manifest of the counts, name and seed; without one, load_dataset, the one
+reader, takes the last column as the target and every row as a training row.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -215,8 +217,8 @@ def _read_csv_numeric(csv_path: Path) -> tuple[list[str], np.ndarray]:
         except StopIteration:
             raise DataError(f"{csv_path}: empty file") from None
         n_cols = len(header)
-        rows = []
-        line_nos = []
+        values = array("d")
+        line_nos = array("l")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -225,13 +227,13 @@ def _read_csv_numeric(csv_path: Path) -> tuple[list[str], np.ndarray]:
                     f"{csv_path}: line {line_no}: expected {n_cols} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(c) for c in row])
+                values.extend(map(float, row))
             except ValueError as exc:  # names the cell
                 raise DataError(f"{csv_path}: line {line_no}: non-numeric cell ({exc})") from None
             line_nos.append(line_no)
-    if not rows:
+    if not line_nos:
         raise DataError(f"{csv_path}: no data rows")
-    data = np.array(rows, dtype=np.float64)
+    data = np.frombuffer(values).reshape(len(line_nos), n_cols)
     # refused before any normalization, which one NaN would spread to every row
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
@@ -240,36 +242,6 @@ def _read_csv_numeric(csv_path: Path) -> tuple[list[str], np.ndarray]:
             f"{csv_path}: line {line_nos[i]}: non-finite value in column {header[j]!r}"
         )
     return header, data
-
-
-def load_csv(path: str | Path, target_cols: list[str] | None = None) -> Dataset:
-    """Ingest a rectangular numeric CSV with a header row.
-
-    `target_cols` names the target columns (default: the last column). Every
-    row is a training row; features are min-max normalized over all of them,
-    and targets stay raw.
-    """
-    path = Path(path)
-    header, data = _read_csv_numeric(path)
-    if target_cols is None:
-        target_cols = [header[-1]]
-    for col in target_cols:
-        if col not in header:
-            raise DataError(f"target column {col!r} not found (have {header})")
-    t_idx = [header.index(c) for c in target_cols]
-    f_idx = [j for j in range(len(header)) if j not in t_idx]
-    if not f_idx:
-        raise DataError("no feature columns left after removing targets")
-    return Dataset(
-        x=data[:, f_idx],
-        y=data[:, t_idx],
-        train_idx=np.arange(data.shape[0]),
-        val_idx=np.arange(0),
-        test_idx=np.arange(0),
-        feature_names=[header[j] for j in f_idx],
-        target_names=list(target_cols),
-        name=path.stem,
-    )
 
 
 def _manifest_count(kv: dict[str, str], key: str) -> int:
@@ -284,22 +256,22 @@ def _manifest_count(kv: dict[str, str], key: str) -> int:
 
 
 def load_dataset(csv_path: str | Path) -> Dataset:
-    """Load a CSV written by write_dataset, using its manifest when present.
+    """Load a numeric CSV with a header row, using its manifest when present.
 
-    The manifest gives the row counts, the name and the seed; any other key,
-    such as the bounds and names older manifests held, is ignored. Without a
-    manifest every row is a training row.
+    The manifest gives the column and row counts, the name and the seed; any
+    other key, such as the bounds and names older manifests held, is ignored.
+    Without a manifest the last column is the target and every row a training
+    row. x and y are column slices of the parsed values, not copies.
     """
     csv_path, mpath = Path(csv_path), manifest_path(csv_path)
-    if not mpath.exists():
-        return load_csv(csv_path)
-    kv: dict[str, str] = {}
-    for line in mpath.read_text().splitlines():
-        line = line.strip()
-        if line and "=" in line:
-            k, _, v = line.partition("=")
-            kv[k] = v
+    lines = mpath.read_text().splitlines() if mpath.exists() else None
     header, data = _read_csv_numeric(csv_path)
+    if lines is None:  # the last column is the target and every row a training row
+        if data.shape[1] < 2:
+            raise DataError("no feature columns left after removing targets")
+        lines = [f"n_features={data.shape[1] - 1}", "n_targets=1",
+                 f"n_train={data.shape[0]}", "n_val=0", "n_test=0"]
+    kv = dict(line.strip().split("=", 1) for line in lines if "=" in line)
     try:
         counts = ("n_features", "n_targets", "n_train", "n_val", "n_test")
         d, m, n_train, n_val, n_test = (_manifest_count(kv, k) for k in counts)

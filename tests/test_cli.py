@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +72,16 @@ def test_gen_data_db2_refuses_a_scale_of_fewer_than_two_training_rows(tmp_path, 
     # two rows are enough, and load back
     assert run("gen-data", "db2", "--scale", "5e-5", "--out", str(out)) == 0
     assert load_dataset(out).train_idx.size == 2
+
+
+@pytest.mark.parametrize("option", [["--scale", "0.5"], ["--random-test"], ["--raw-targets"]],
+                         ids=lambda o: o[0])
+def test_gen_data_db1_refuses_the_db2_options(tmp_path, capsys, option):
+    # they used to be ignored, and the plain db1 written
+    out = tmp_path / "d.csv"
+    assert run("gen-data", "db1", *option, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"usage error: {option[0]} applies to db2 only\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_data_refuses_an_out_path_that_is_its_own_manifest(tmp_path, capsys):
@@ -371,6 +386,25 @@ def test_eval_says_when_the_bound_does_not_apply(capsys, db1_files, tmp_path):
     assert len(sat) == 1 and lines[sat[0] + 1] == BOUND_NOTE
     delta = float(next(ln for ln in lines if ln.startswith("max_output_delta=")).split("=")[1])
     assert delta > quantization_bound(load_model(model))
+
+
+def test_a_warning_prints_as_one_line_and_main_restores_the_format(tmp_path):
+    data, model = tmp_path / "db2.csv", tmp_path / "db2.scm"
+    default_format = warnings.formatwarning
+    assert run("gen-data", "db2", "--scale", "0.02", "--seed", "1", "--out", str(data)) == 0
+    assert run("train", str(data), "--out", str(model), "--encoding", "s1:3",
+               "--nodes", "3", "--t-max", "50", "--seed", "1") == 0
+    assert warnings.formatwarning is default_format
+    # pytest records warnings in-process, so the printed form needs a process of its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scmfpga.cli", "eval", str(model), str(data)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: clamped "), proc.stderr
+    assert err[0].endswith(" values to [0, 1] before encoding") and ".py" not in proc.stderr
 
 
 def test_eval_empty_selection_errors(db1_files, tmp_path):

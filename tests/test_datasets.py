@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from scmfpga.datasets import (
     db1_function,
     gen_db1,
     gen_db2,
-    load_csv,
     load_dataset,
     rastrigin,
     split,
@@ -146,31 +147,24 @@ def test_write_is_deterministic(tmp_path):
 def test_load_csv_normalization_endpoints(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("f,y\n2,0.1\n4,0.2\n6,0.3\n")
-    ds = load_csv(p, target_cols=["y"])
+    ds = load_dataset(p)
     xn = ds.x_norm(ds.rows("train"))
     assert np.allclose(xn[:, 0], [0.0, 0.5, 1.0])
     assert ds.y.shape == (3, 1)
-
-
-def test_load_csv_missing_target(tmp_path):
-    p = tmp_path / "toy.csv"
-    p.write_text("a,b\n1,2\n")
-    with pytest.raises(DataError, match="'z' not found"):
-        load_csv(p, target_cols=["z"])
 
 
 def test_load_csv_ragged_row(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n3\n")
     with pytest.raises(DataError, match="line 3"):
-        load_csv(p)
+        load_dataset(p)
 
 
 def test_load_csv_non_numeric(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n3,zebra\n")
     with pytest.raises(DataError, match="line 3.*zebra"):
-        load_csv(p)
+        load_dataset(p)
 
 
 def _csv_with(cell: str, line: int, col: int) -> str:
@@ -187,7 +181,7 @@ def test_load_csv_refuses_non_finite_cells_at_their_position(tmp_path, cell, col
     p = tmp_path / "bad.csv"
     p.write_text(_csv_with(cell, 6, col))
     with pytest.raises(DataError, match=f"line 6: non-finite value in column '{name}'"):
-        load_csv(p)
+        load_dataset(p)
 
 
 def test_load_dataset_refuses_a_non_finite_cell(tmp_path):
@@ -212,7 +206,7 @@ def test_load_csv_db3_db4_shapes(tmp_path):
             + "\n".join(",".join(repr(float(v)) for v in r) for r in rows)
             + "\n"
         )
-        ds = load_csv(p, target_cols=["target"])
+        ds = load_dataset(p)
         assert ds.n_features == d
         assert ds.n_targets == 1
 
@@ -235,6 +229,35 @@ def test_load_dataset_without_manifest(tmp_path):
     assert ds.rows("test").size == 0
     with pytest.raises(ValueError, match="unknown row selector 'bogus'"):
         ds.rows("bogus")
+
+
+def test_without_a_manifest_x_and_y_are_column_slices_of_the_parsed_values(tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("a,b,y\n1,2,3\n4,5,6\n")
+    ds = load_dataset(p)
+    parsed = ds.x.base
+    assert parsed is not None and parsed is ds.y.base
+    assert np.shares_memory(ds.x, parsed) and np.shares_memory(ds.y, parsed)
+    assert parsed.reshape(2, 3).tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert (ds.feature_names, ds.target_names, ds.name, ds.seed) == (["a", "b"], ["y"], "plain", 0)
+    assert (ds.train_idx.tolist(), ds.val_idx.size, ds.test_idx.size) == ([0, 1], 0, 0)
+
+
+def test_loading_a_csv_peaks_below_three_times_its_values(tmp_path):
+    # a list of float lists and its array copy peaked at 7.3x the values
+    rows, cols = 20000, 10
+    values = np.random.default_rng(0).uniform(size=(rows, cols))
+    p = tmp_path / "wide.csv"
+    p.write_text(",".join(f"c{j}" for j in range(cols)) + "\n"
+                 + "".join(",".join(map(repr, r)) + "\n" for r in values.tolist()))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.column_stack([ds.x, ds.y]), values)
+    assert peak < 3 * values.nbytes, peak / values.nbytes
 
 
 def test_load_dataset_skips_blank_lines(tmp_path):
