@@ -8,7 +8,6 @@ sits behind --seed, so identical invocations produce identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -18,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fixedpoint as fx
-from .datasets import gen_db1, gen_db2, load_dataset, manifest_path, split, write_dataset
+from .datasets import (gen_db1, gen_db2, load_dataset, manifest_path, split, write_csv,
+                       write_dataset)
 from .emulate import memory_report
 from .encoding import encode_matrix, parse_encoding
 from .errors import DataError, TrainingFailedError
@@ -116,6 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_data(args) -> int:
+    # each alone, so that an --out that is its own manifest is write_dataset's usage error
+    for path in (args.out, manifest_path(args.out)):
+        _check_outputs({"--out": path})
     if args.dataset == "db1":
         given = {"--scale": args.scale is not None, "--random-test": args.random_test,
                  "--raw-targets": args.raw_targets}  # the options that shape db2
@@ -165,14 +168,13 @@ def _check_outputs(outputs: dict[str, str | None], *inputs: str | Path) -> None:
 
 
 def cmd_train(args) -> int:
-    # refused before the training, which may take minutes, and not after it
+    # paths, then options, refused before reading the data (seconds) and training (minutes)
     _check_outputs({"--out": args.out, "--log": args.log}, args.data, manifest_path(args.data))
-    ds = load_dataset(args.data)
-    ds = split(ds, args.val_fraction, args.seed)
     spec = parse_encoding(args.encoding)
     sizes, acts = _parse_layer_args(args)
     cfg = TrainConfig(layer_sizes=sizes, activations=acts, use_mechanism=not args.no_mechanism,
                       **{name: getattr(args, name) for name in CONFIG_OPTIONS})
+    ds = split(load_dataset(args.data), args.val_fraction, args.seed)
     data = prepare_train_data(
         ds.x_norm(ds.train_idx),
         ds.y[ds.train_idx],
@@ -234,24 +236,12 @@ def _say_if_unsaturable(model) -> None:
 
 
 def _write_outputs_csv(path: str, y: np.ndarray, rep) -> None:
-    m = y.shape[1]
-    header: list[str] = [f"target_{q}" for q in range(m)]
-    if rep.outputs_pc is not None:
-        header += [f"pc_{q}" for q in range(m)]
-    if rep.outputs_fpga_raw is not None:
-        header += [f"fpga_{q}" for q in range(m)]
-        header += [f"fpga_raw_{q}" for q in range(m)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(y.shape[0]):
-            row = [repr(float(v)) for v in y[i]]
-            if rep.outputs_pc is not None:
-                row += [repr(float(v)) for v in rep.outputs_pc[i]]
-            if rep.outputs_fpga_raw is not None:
-                row += [fx.fx_to_decimal_string(int(v)) for v in rep.outputs_fpga_raw[i]]
-                row += [str(int(v)) for v in rep.outputs_fpga_raw[i]]
-            w.writerow(row)
+    raw = rep.outputs_fpga_raw  # a kind: name, (samples, m) array or None, conversion, format
+    kinds = [("target", y, float, repr), ("pc", rep.outputs_pc, float, repr),
+             ("fpga", raw, int, fx.fx_to_decimal_string), ("fpga_raw", raw, int, str)]
+    kinds = [k for k in kinds if k[1] is not None]
+    header = [f"{name}_{q}" for name, a, _, _ in kinds for q in range(a.shape[1])]
+    write_csv(path, header, [map(fmt, map(to, c)) for _, a, to, fmt in kinds for c in a.T])
 
 
 def cmd_report(args) -> int:

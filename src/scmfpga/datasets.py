@@ -175,6 +175,15 @@ def manifest_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".manifest")
 
 
+def write_csv(path: str | Path, header: list[str], columns) -> None:
+    """Write the header row, then one row per step of the zipped column
+    iterables of cell strings; no row list or list of all values is built."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*columns))
+
+
 def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
     """Write `<path>` CSV (rows ordered train/val/test) and `<path>.manifest`.
 
@@ -185,12 +194,8 @@ def write_dataset(ds: Dataset, csv_path: str | Path) -> list[Path]:
     if csv_path == mpath:
         raise ValueError(f"{csv_path}: the dataset would be overwritten by its manifest")
     order = np.concatenate([ds.train_idx, ds.val_idx, ds.test_idx])
-    header = list(ds.feature_names) + list(ds.target_names)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in order:
-            w.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(v)) for v in ds.y[i]])
+    write_csv(csv_path, list(ds.feature_names) + list(ds.target_names),
+              [map(repr, map(float, c)) for a in (ds.x, ds.y) for c in a[order].T])
     lines = [
         f"name={ds.name}",
         f"seed={ds.seed}",

@@ -1,12 +1,16 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,6 +92,15 @@ def test_gen_data_refuses_an_out_path_that_is_its_own_manifest(tmp_path, capsys)
     assert run("gen-data", "db1", "--out", str(tmp_path / "db1.manifest")) == 2
     assert "overwritten by its manifest" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_data_checks_its_manifest_path_before_it_writes(tmp_path, capsys):
+    # writing the CSV and failing on the manifest left a CSV without its manifest
+    (tmp_path / "d.manifest").mkdir()
+    assert run("gen-data", "db1", "--out", str(tmp_path / "d.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "d.manifest" in err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -235,6 +248,22 @@ def test_train_names_the_l1_fit_when_too_few_rows_are_left_to_train(tmp_path, ca
                "--no-mechanism", "--nodes", "1", "--r-schedule", "0.5") == 0
 
 
+@pytest.mark.parametrize("options,message", [
+    (("--encoding", "s1:16"), "needs a parameter in 1..15"),
+    (("--layers", "3,0"), "layer sizes must be >= 1"),
+    (("--act", "relu"), "unknown activation 'relu'"),
+    (("--tau", "nan"), "tau must be finite"),
+    (("--nodes", "3", "--layers", "3"), "use either --nodes or --layers, not both"),
+], ids=["encoding", "layers", "act", "tau", "nodes-and-layers"])
+def test_train_checks_its_options_before_it_reads_the_data(tmp_path, capsys, options, message):
+    # a data path that does not exist is exit 3, so exit 2 means it was never read
+    out = tmp_path / "m.scm"
+    assert run("train", str(tmp_path / "missing.csv"), "--out", str(out), *options) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and message in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,bad", [("--out", "missing/file"), ("--log", "missing/file"),
                                       ("--out", "a-directory")])
 def test_train_checks_its_output_paths_before_training(tmp_path, capsys, monkeypatch,
@@ -319,6 +348,76 @@ def test_eval_both_modes(capsys, db1_files, tmp_path):
     row = out_csv.read_text().splitlines()[1].split(",")
     # the decimal string and the raw integer describe the same value exactly
     assert float(row[2]) == int(row[3]) / 2**25
+
+
+def _outputs_csv_by_rows(y, rep) -> bytes:
+    """The eval --out file built one row at a time: the reference for the column-wise writer."""
+    m = y.shape[1]
+    header = [f"target_{q}" for q in range(m)]
+    if rep.outputs_pc is not None:
+        header += [f"pc_{q}" for q in range(m)]
+    if rep.outputs_fpga_raw is not None:
+        header += [f"fpga_{q}" for q in range(m)] + [f"fpga_raw_{q}" for q in range(m)]
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(header)
+    for i in range(y.shape[0]):
+        row = [repr(float(v)) for v in y[i]]
+        if rep.outputs_pc is not None:
+            row += [repr(float(v)) for v in rep.outputs_pc[i]]
+        if rep.outputs_fpga_raw is not None:
+            row += [fx.fx_to_decimal_string(int(v)) for v in rep.outputs_fpga_raw[i]]
+            row += [str(int(v)) for v in rep.outputs_fpga_raw[i]]
+        w.writerow(row)
+    return fh.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def two_target_files(tmp_path_factory, db1_files):
+    """db1 with a second target, 1 - y, and a 2-output model trained on it."""
+    root = tmp_path_factory.mktemp("two")
+    ds = load_dataset(db1_files[1])
+    ds.y = np.column_stack([ds.y, 1.0 - ds.y])
+    ds.target_names = ["y0", "y1"]
+    data, model = root / "two.csv", root / "two.scm"
+    write_dataset(ds, data)
+    assert run("train", str(data), "--out", str(model), "--encoding", "s2v2", "--nodes", "4",
+               "--t-max", "20", "--seed", "1", "--log", str(root / "log")) == 0
+    return data, model
+
+
+@pytest.mark.parametrize("mode", ["both", "pc", "fpga"])
+def test_eval_out_matches_the_row_by_row_writer(tmp_path, monkeypatch, two_target_files, mode):
+    data, model = two_target_files
+    seen = []
+    write = cli._write_outputs_csv
+    monkeypatch.setattr(cli, "_write_outputs_csv",
+                        lambda path, y, rep: (seen.append((y, rep)), write(path, y, rep)))
+    out = tmp_path / "outputs.csv"
+    assert run("eval", str(model), str(data), "--mode", mode, "--rows", "all",
+               "--out", str(out)) == 0
+    (y, rep), = seen
+    assert y.shape == (1300, 2)
+    assert out.read_bytes() == _outputs_csv_by_rows(y, rep)
+
+
+def test_the_outputs_writer_holds_no_per_row_data(tmp_path):
+    # 200000 rows x 2 outputs of --mode fpga, whose columns take every cell format;
+    # a list of a column's values, by .tolist() or astype(object), takes several MiB
+    n = 200_000
+    rng = np.random.default_rng(0)
+    y = rng.uniform(size=(n, 2))
+    raw = rng.integers(-2**31, 2**31, (n, 2), dtype=np.int32)
+    out = tmp_path / "outputs.csv"
+    tracemalloc.start()
+    try:
+        cli._write_outputs_csv(str(out), y, SimpleNamespace(outputs_pc=None, outputs_fpga_raw=raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
+    last = out.read_bytes().splitlines()[-1].decode()
+    assert last.split(",")[-2:] == [str(int(v)) for v in raw[-1]]
 
 
 def test_eval_quantization_close(capsys, db1_files):

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -134,6 +136,32 @@ def test_write_refuses_a_path_that_is_its_own_manifest(tmp_path):
     with pytest.raises(ValueError, match="overwritten by its manifest"):
         write_dataset(gen_db1(seed=6), tmp_path / "db1.manifest")
     assert list(tmp_path.iterdir()) == []
+
+
+def _dataset_csv_by_rows(ds: Dataset) -> bytes:
+    """write_dataset's CSV built one row at a time: the reference for the column-wise writer."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(list(ds.feature_names) + list(ds.target_names))
+    for i in np.concatenate([ds.train_idx, ds.val_idx, ds.test_idx]):
+        w.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(v)) for v in ds.y[i]])
+    return fh.getvalue().encode()
+
+
+def test_write_matches_the_row_by_row_writer(tmp_path):
+    # two targets, validation rows interleaved with training rows by split, and
+    # cells whose repr is not plain: a negative zero, the least subnormal, 1e308
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    x[3, 1], x[7, 0], y[11, 1], y[0, 0] = -0.0, 5e-324, 1e308, -1e308
+    ds = split(Dataset(x=x, y=y, train_idx=np.arange(32), val_idx=np.arange(0),
+                       test_idx=np.arange(32, 40), target_names=["a", "b"]), 0.25, seed=1)
+    assert ds.val_idx.size == 8
+    assert not np.array_equal(np.concatenate([ds.train_idx, ds.val_idx]), np.arange(32))
+    path = tmp_path / "two.csv"
+    write_dataset(ds, path)
+    assert path.read_bytes() == _dataset_csv_by_rows(ds)
+    assert b",-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
 
 
 def test_write_is_deterministic(tmp_path):
