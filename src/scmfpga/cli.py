@@ -174,6 +174,8 @@ def cmd_train(args) -> int:
     sizes, acts = _parse_layer_args(args)
     cfg = TrainConfig(layer_sizes=sizes, activations=acts, use_mechanism=not args.no_mechanism,
                       **{name: getattr(args, name) for name in CONFIG_OPTIONS})
+    if not 0.0 <= args.val_fraction < 1.0:
+        raise ValueError(f"val-fraction must be in [0, 1), not {args.val_fraction}")
     ds = split(load_dataset(args.data), args.val_fraction, args.seed)
     data = prepare_train_data(
         ds.x_norm(ds.train_idx),

@@ -12,7 +12,6 @@ and forms them from node-major 0/1 selects in float64 products, exactly.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -87,9 +86,8 @@ def saturate_array(acc: np.ndarray) -> np.ndarray:
 
 
 def fx_to_decimal_string(raw: int) -> str:
-    """Exact decimal string of raw / 2**25.
-
-    The quotient of an int32 by 2**25 is an exact double, and Decimal
-    converts a float exactly, so no digit is rounded.
-    """
-    return format(Decimal(raw / SCALE), "f")
+    """Exact decimal string of raw / 2**25, without exponent or trailing zeros:
+    frac / 2**25 = frac * 5**25 / 10**25, so no fraction digit is rounded."""
+    whole, frac = divmod(abs(raw), SCALE)
+    text = ("-%d.%025d" if raw < 0 else "%d.%025d") % (whole, frac * 5**25)
+    return text.rstrip("0").rstrip(".")

@@ -19,18 +19,20 @@ value. Candidates and the accepted node's column get their bits from
 model.threshold_bits, the integer test the reference path and the emulator
 also make, so every path computes bit-identical activations.
 
-A candidate's scores are computed without forming h, over the training rows in
-blocks of SCORE_ROWS. A block's int8 signals give its threshold bits as 0/1
-in a small float32 work array that the TrainState owns (threshold_bits), and one
-float32 GEMM multiplies them by the block's residual limbs (ResidualLimbs) and
-a row of ones, summed over the blocks. Every partial sum over any rows is an
-integer below 2**24, so <e_q, h> is the correctly rounded sum of the selected
-residual entries (each kept to 60 bits below its column's power-of-two bound)
-whatever order the BLAS and the blocks add in, and the bit count gives <h, h>
-for SIGN. This holds while the training set has at most 2**23 rows and every
-fan-in is below 2**24 (check_fan_in); TrainState checks both first. The rows
+Training rows with equal signals get equal bits from every candidate, so
+begin_layer groups them, and a candidate's scores are computed without forming
+h, over one row per group in blocks of SCORE_ROWS groups. A block's int8
+signals give its threshold bits as 0/1 in a small float32 work array that the
+TrainState owns (threshold_bits), and one float32 GEMM multiplies them by the
+groups' sums of the residual limbs (ResidualLimbs) and their sizes, summed over
+the blocks. Every partial sum of limbs over any rows is an integer below 2**24,
+so <e_q, h> is the correctly rounded sum of the selected residual entries
+(each kept to 60 bits below its column's power-of-two bound) whatever order
+the BLAS and the blocks add in, and the weighted bit count gives <h, h> for
+SIGN. This holds while the training set has at most 2**23 rows and every
+fan-in is below 2**24 (check_fan_in); TrainState checks both first. The groups
 are scored largest residual first, and after each block a candidate is dropped
-once a bound over the unscored rows shows it cannot pass (add_node states the
+once a bound over the unscored groups shows it cannot pass (add_node states the
 bounds and their slack); an attempt with none left fails at once. Dropped
 candidates could not have passed, so the decisions are unchanged.
 
@@ -237,9 +239,11 @@ class TrainState:
     cfg.seed, the targets and residuals, the hidden-output columns for the
     global readout refit with each column's node, the layer sizes, the signals
     feeding the layer under construction (one contiguous int8 matrix, which
-    the L1 fit, its targets and candidate scoring read as they are) and its
-    one scratch array, the (SCORE_ROWS, t_max) candidate work array. Rows are
-    in TrainData's order; R, the L1 fit and candidate scoring read [:n_train].
+    the L1 fit, its targets and candidate scoring read as they are), its
+    training rows listed group by group, a group of equal signals starting at
+    each index in group_starts (by_group), and its one scratch array, the
+    (SCORE_ROWS, t_max) candidate work array. Rows are in TrainData's order;
+    R, the L1 fit and candidate scoring read [:n_train].
 
     The hidden outputs live in an int8 (N + K, capacity) array H (entries
     +-1 or 0/1) whose first n_hidden columns are in use; the capacity starts
@@ -307,6 +311,12 @@ class TrainState:
             cols = slice(self.n_hidden - self.layer_sizes[-1], self.n_hidden)
             self.cur_in = self.H[:, cols].copy()
         self.layer_sizes.append(0)
+        # group the training rows by their packed signals, one void key per row
+        packed = np.packbits(self.cur_in[: self.n_train] > 0, axis=1)
+        key = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        self.by_group = np.argsort(key, kind="stable")
+        key = key[self.by_group]
+        self.group_starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
 
     def append_node(self, node: tuple, h: np.ndarray) -> None:
         """Add a hidden column h (int8, on every row) and refit the readout."""
@@ -467,21 +477,28 @@ def add_node(state: TrainState) -> TrainRecord | None:
     its layer (counted from 1) and its position in that layer; the node itself
     is state.nodes[-1]. Returns None when the whole r schedule is exhausted.
 
-    Rows are scored by decreasing max_q e_q**2 / <e_q, e_q> (by |e| when m is
-    1) to 8 significant bits, the high half of its float32: a uint16 key that
-    the stable sort radix-sorts. After each block but the last, a candidate is
-    dropped when for some q a bound on its score, however the unscored rows
-    go, is <= (1 - r) <e_q, e_q> (1 - 1e-9). STEP: g = 2 e^T bit - sum(e) from the bits
-    so far counts every unscored row as h = -1, so <e_q, h> ends within S of
-    g + U, U and S the unscored sums of e_q and |e_q|, and the score is at
-    most (|g + U| + S)**2 / N. SIGN: with dot d and count c so far,
-    Cauchy-Schwarz gives (d + E sqrt(c'))**2 / (c + c') <= d**2 / c + E**2
-    for c' more bits, E**2 the unscored sum of e_q**2 (E**2 alone when c is
-    0). Limb sums are exact over any rows, so g and d are rounded once; S gets
-    a slack of 1e-9 sum |e_q| for that, the limbs' cut (at most N 2**-59
-    max |e_q|) and the float64 tail sums, and the factor 1 - 1e-9 covers the
-    scores' rounding. Dropped candidates could not pass: the accepted node,
-    `passed` and the scores are unchanged.
+    A group of n equal training rows is scored once: its limb sums and n
+    stand in for the rows' limbs and ones, and E_q is its sum of the
+    limb-rounded e_q, which the scores use. Groups are scored by decreasing
+    max_q E_q**2 / <e_q, e_q> (by |E| when m is 1) to 8 significant bits, the
+    high half of its float32: a uint16 key that the stable sort radix-sorts.
+    After each block but the last, a candidate is dropped when for some q a
+    bound on its score, however the unscored groups go, is <= (1 - r) <e_q,
+    e_q> (1 - 1e-9). STEP: g = 2 e^T bit - sum(e) from the bits so far counts
+    every unscored group as h = -1, so <e_q, h> ends within S of g + U, U and
+    S the unscored sums of E_q and |E_q|, and the score is at most
+    (|g + U| + S)**2 / N. SIGN: with dot d and count c so far, Cauchy-Schwarz
+    gives (d + T sqrt(c'))**2 / (c + c') <= d**2 / c + T**2 for c' more bits,
+    T**2 the unscored sum of E_q**2 / n (T**2 alone when c is 0). As |E_q| and
+    E_q**2 / n are at most the group's sums of |e_q| and e_q**2, neither bound
+    is looser than over single rows. Limb sums are exact, so g, d and each E_q
+    are rounded once; a tail adds at most SCORE_ROWS groups and then
+    N / SCORE_ROWS <= 2**15 blocks in sequence, so at N <= 2**23 U and S are
+    each within 2**-37 sum |e_q|. S gets a slack of 1e-9 sum |e_q| for them
+    and g's rounding (< 2**-35 sum |e_q| in all). T**2 adds non-negative
+    terms, so it is within 2**-37 of itself, and the factor 1 - 1e-9 covers
+    that and the scores' rounding. Dropped candidates could not pass: the
+    accepted node, `passed` and the scores are unchanged.
     """
     cfg, rng = state.cfg, state.rng
     layer = len(state.layer_sizes)
@@ -490,15 +507,22 @@ def add_node(state: TrainState) -> TrainRecord | None:
     t, m = cfg.t_max, state.m
     e = state.resid[:n]
     ee = np.einsum("ij,ij->j", e, e)  # (m,)
-    share = np.divide(e * e, ee, out=np.zeros_like(e), where=ee > 0).max(axis=1).astype(np.float32)
+    limbs = ResidualLimbs(e[state.by_group])
+    # the limbs' columns become the groups' sums (exact integers) and sizes,
+    # largest share first, and one row per group is scored
+    limbs.lhs = np.add.reduceat(limbs.lhs, state.group_starts, axis=1)
+    eg, size = limbs.dots(limbs.lhs, False)  # each E rounded once
+    eg = eg.T
+    share = np.divide(eg * eg, ee, out=np.zeros_like(eg), where=ee > 0).max(axis=1).astype(np.float32)
     order = np.argsort(~(share.view(np.uint32) >> 16).astype(np.uint16), kind="stable")
-    e = e[order]
-    limbs = ResidualLimbs(e)
-    # what the rows after each block can still add, and the least value the
+    limbs.lhs, eg, size = np.take(limbs.lhs, order, axis=1), eg[order], size[order]
+    rows = state.by_group[state.group_starts[order]]
+    # what the groups after each block can still add, and the least value the
     # bound can take then: no check is made while that passes every limit
-    starts = np.arange(0, n, SCORE_ROWS)
-    per_row = np.hstack([e, np.abs(e)]) if pm1 else e * e
-    tail = np.cumsum(np.add.reduceat(per_row, starts)[::-1], axis=0)[::-1]
+    g = len(rows)
+    starts = np.arange(0, g, SCORE_ROWS)
+    per_group = np.hstack([eg, np.abs(eg)]) if pm1 else eg * eg / size[:, None]
+    tail = np.cumsum(np.add.reduceat(per_group, starts)[::-1], axis=0)[::-1]
     tail = np.vstack([tail[1:], np.zeros_like(tail[:1])])
     slack = 1e-9 * np.abs(e).sum(axis=0)
     floor = (tail[:, m:] + slack) ** 2 / n if pm1 else tail
@@ -517,11 +541,11 @@ def add_node(state: TrainState) -> TrainRecord | None:
         live, w_live, edge_live = np.arange(t), w, edge  # the survivors, in draw order
         sums = np.zeros((len(limbs.lhs), t), dtype=np.float32)
         for b, a in enumerate(starts):
-            blk = slice(a, min(a + SCORE_ROWS, n))
+            blk = slice(a, min(a + SCORE_ROWS, g))
             work = state.work.reshape(-1)[: (blk.stop - a) * live.size].reshape(-1, live.size)
-            sums += limbs.lhs[:, blk] @ threshold_bits(state.cur_in[order[blk]], w_live,
+            sums += limbs.lhs[:, blk] @ threshold_bits(state.cur_in[rows[blk]], w_live,
                                                        edge_live, work)
-            if blk.stop == n or not (floor[b] <= limit).any():
+            if blk.stop == g or not (floor[b] <= limit).any():
                 continue
             eh, count = limbs.dots(sums, pm1)
             if pm1:

@@ -254,7 +254,10 @@ def test_train_names_the_l1_fit_when_too_few_rows_are_left_to_train(tmp_path, ca
     (("--act", "relu"), "unknown activation 'relu'"),
     (("--tau", "nan"), "tau must be finite"),
     (("--nodes", "3", "--layers", "3"), "use either --nodes or --layers, not both"),
-], ids=["encoding", "layers", "act", "tau", "nodes-and-layers"])
+    (("--val-fraction", "1.5"), "val-fraction must be in [0, 1), not 1.5"),
+    (("--val-fraction", "nan"), "val-fraction must be in [0, 1), not nan"),
+], ids=["encoding", "layers", "act", "tau", "nodes-and-layers", "val-fraction",
+        "val-fraction-nan"])
 def test_train_checks_its_options_before_it_reads_the_data(tmp_path, capsys, options, message):
     # a data path that does not exist is exit 3, so exit 2 means it was never read
     out = tmp_path / "m.scm"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scmfpga import fixedpoint as fx
 
@@ -155,6 +155,15 @@ def test_decimal_string_exact():
     assert fx.fx_to_decimal_string(1) == "0." + f"{5**25:025d}".rstrip("0")
     assert fx.fx_to_decimal_string(-(2**24)) == "-0.5"
     assert float(fx.fx_to_decimal_string(12345678)) == 12345678 / 2**25
+
+
+@given(st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX))
+@example(fx.RAW_MIN)
+@example(fx.RAW_MAX)
+@example(-1)
+def test_decimal_string_equals_the_decimal_module_string(raw):
+    # raw / 2**25 is an exact double and Decimal converts a float exactly
+    assert fx.fx_to_decimal_string(raw) == format(Decimal(raw / 2**25), "f")
 
 
 @given(st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX))

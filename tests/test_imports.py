@@ -32,9 +32,9 @@ An eighth keeps the scalar oracles of tests/oracles.py apart from the batch
 path: they import from scmfpga only Activation and fixedpoint's constants,
 so they share no kernel with the code they check.
 
-A ninth keeps per-value Decimal loops out of the batch paths: no package
-module imports decimal but fixedpoint.py, whose fx_to_decimal_string writes
-the exact decimal strings of the outputs CSV.
+A ninth keeps per-value Decimal loops out of the package: no package module
+imports decimal; fixedpoint.fx_to_decimal_string builds the exact decimal
+strings of the outputs CSV from integers.
 """
 
 import ast
@@ -359,7 +359,7 @@ def test_the_oracles_share_no_kernel_with_the_package():
 
 
 # package modules that may import decimal
-DECIMAL_USERS = {"fixedpoint.py"}  # fx_to_decimal_string: exact strings for the outputs CSV
+DECIMAL_USERS: set[str] = set()
 
 
 def test_the_check_finds_a_decimal_import():

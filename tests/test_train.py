@@ -527,34 +527,47 @@ def test_add_node_matches_an_fsum_oracle_in_small_score_blocks(seed, act, m, row
         _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes)
 
 
-@pytest.mark.parametrize("act", [Activation.STEP, Activation.SIGN])
-def test_add_node_matches_an_fsum_oracle_across_score_blocks(act, monkeypatch):
-    widths = []  # (rows, candidates) of each threshold_bits call
+def _threshold_bits_widths(monkeypatch):
+    """The (rows, candidates) of every later threshold_bits call of training."""
+    widths = []
 
     def spy(s32, w32, edge32, work):
         widths.append(work.shape)
         return threshold_bits(s32, w32, edge32, work)
 
     monkeypatch.setattr(importlib.import_module("scmfpga.train"), "threshold_bits", spy)
-    # two full blocks of SCORE_ROWS training rows and a partial one of 3
+    return widths
+
+
+@pytest.mark.parametrize("act", [Activation.STEP, Activation.SIGN])
+def test_add_node_matches_an_fsum_oracle_across_score_blocks(act, monkeypatch):
+    widths = _threshold_bits_widths(monkeypatch)
+    # rows with equal codes are scored once: these 757 rows of one uniform
+    # feature have 2 * SCORE_ROWS + 3 distinct s1:3 codes, so two full blocks
+    # of SCORE_ROWS rows and a partial one of 3
     accepted = _check_add_node_against_the_oracle(
-        seed=7, act=act, m=2, rows=2 * SCORE_ROWS + 3, fan_in=12, t_max=40, levels=8, nodes=3)
+        seed=7, act=act, m=2, rows=757, fan_in=1, t_max=40, levels=8, nodes=3, encoding="s1:3")
     assert accepted == 3
+    assert 3 in {rows for rows, _ in widths}
     # an attempt's first block scores all 40 candidates; later blocks fewer
     # once some provably cannot pass
     later = [k for rows, k in widths if rows in (SCORE_ROWS, 3)]
     assert max(later) == 40 and min(later) < 40
 
 
-def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes):
-    """add_node against _oracle_add_node on the same draws; the nodes accepted."""
+def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels, nodes,
+                                       encoding=None):
+    """add_node against _oracle_add_node on the same draws; the nodes accepted.
+
+    The rows are one uniform feature in `encoding`, density:fan_in by default.
+    """
     # a thermometer code of fan_in bits has fan_in + 1 distinct rows, so the
     # draws repeat candidates, and targets on a few levels make exact ties
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(rows + 2, 1))
     y = rng.integers(0, levels, size=(rows + 2, m)) / 8.0
     data = prepare_train_data(x[:rows], y[:rows], x[rows:], y[rows:],
-                              parse_encoding(f"density:{fan_in}"))
+                              parse_encoding(encoding or f"density:{fan_in}"))
     cfg = TrainConfig.single_layer(nodes, act, t_max=t_max, use_mechanism=False, seed=seed)
     state = TrainState(data, cfg)
     state.begin_layer()
@@ -570,6 +583,19 @@ def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels
         assert lam == want["lam"] == got.lam and bias == want["bias"]
         assert got.xi_sum == pytest.approx(want["xi_sum"], rel=1e-12)
     return nodes
+
+
+@pytest.mark.parametrize("act", [Activation.STEP, Activation.SIGN])
+def test_add_node_scores_each_distinct_training_row_once(act, monkeypatch):
+    widths = _threshold_bits_widths(monkeypatch)
+    # density:4 has 5 codes, so the 300 training rows fall into at most 5 groups
+    accepted = _check_add_node_against_the_oracle(
+        seed=11, act=act, m=2, rows=300, fan_in=4, t_max=40, levels=8, nodes=3)
+    assert accepted > 0
+    # every call over more than 5 rows rebuilds an accepted column on all 302
+    # rows, SCORE_ROWS at a time, for one candidate
+    assert [w for w in widths if w[0] > 5] == [(SCORE_ROWS, 1), (302 - SCORE_ROWS, 1)] * accepted
+    assert len(widths) > 2 * accepted
 
 
 def test_add_node_builds_no_float64_candidate_array():
