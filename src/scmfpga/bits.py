@@ -1,25 +1,23 @@
-"""Packed bit vectors and bit matrices.
+"""Packed bit matrices, and the 0/1 bit row of a node built from a list.
 
 Bits hold {0,1} but usually stand for {-1,+1} signals: bit 0 means -1 and
-bit 1 means +1. There are two packed forms:
+bit 1 means +1. They have one packed form, BitMatrix: N rows of `n` bits in
+an (N, W) matrix of little-endian uint64 words, W = ceil(n / 64). Bit j of
+row i is bit j % 64 of words[i, j // 64], so bit 0 is input 0, the order of
+the model file's weight rows; pad bits past `n` are zero. Encoded samples
+travel in this form, and it is the only input type of every batch entry
+point (signals_pm1, TrainData, predict_float_batch, predict_fpga_batch,
+evaluate_bits). A layer's weights are one BitMatrix too, one row per node,
+written to the model file as it is. BitMatrix.from01 is the one packer.
 
-* BitMatrix, the batch form: N rows of `n` bits in an (N, W) matrix of
-  little-endian uint64 words, W = ceil(n / 64). Bit j of row i is bit
-  j % 64 of words[i, j // 64], so bit 0 is input 0, the order of the model
-  file's weight rows; pad bits past `n` are zero. Encoded samples travel in
-  this form, and it is the only input type of every batch entry point
-  (signals_pm1, TrainData, predict_float_batch, predict_fpga_batch,
-  evaluate_bits). A layer's weights are one BitMatrix too, one row per node,
-  written to the model file as it is.
-* BitVec, one row of `n` bits in a Python integer (bit i of the integer is
-  bit i of the row): the weight record of an ScmNode, which only the
-  benchmark's synthetic model builds; BitMatrix.from_rows packs them into a
-  layer's weights. Nothing else in the package makes or reads one.
+BitVec, one unpacked row of `n` bits as a 0/1 uint8 array, is the weight
+record of an ScmNode, which only the benchmark's synthetic model builds;
+ScmLayer stacks its nodes' rows and packs them with BitMatrix.from01.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,22 +32,22 @@ def n_words(n: int) -> int:
 
 
 class BitVec:
-    __slots__ = ("n", "value")
+    """One row of n bits, element i bit i, in a read-only (n,) 0/1 uint8 array (bits)."""
 
-    def __init__(self, n: int, value: int = 0):
-        if n < 0:
-            raise ValueError("bit vector length must be non-negative")
-        self.n = n
-        self.value = value & ((1 << n) - 1) if n else 0
+    __slots__ = ("n", "bits")
 
     @classmethod
     def from01(cls, bits: Iterable[int] | np.ndarray) -> "BitVec":
-        """Build from an iterable of 0/1 values; element i becomes bit i."""
-        arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
+        """Build from a 1-D iterable of 0/1 values; element i becomes bit i."""
+        arr = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
+        if arr.ndim != 1:
+            raise ValueError("from01 expects a 1-D row of bits")
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise ValueError("from01 expects only 0/1 values")
-        packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-        return cls(int(arr.size), int.from_bytes(packed.tobytes(), "little"))
+        row = cls()
+        row.n, row.bits = arr.size, arr.astype(np.uint8)
+        row.bits.flags.writeable = False
+        return row
 
 
 class BitMatrix:
@@ -82,16 +80,6 @@ class BitMatrix:
         packed = np.packbits(a, axis=1, bitorder="little")
         out[:, : packed.shape[1]] = packed
         return cls(out.view(WORD), n)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVec]) -> "BitMatrix":
-        """Pack BitVecs of one width, the first row's (0 bits for no rows)."""
-        n = rows[0].n if rows else 0
-        if any(r.n != n for r in rows):
-            raise ValueError(f"every row must be {n} bits wide")
-        word_bytes = 8 * n_words(n)
-        data = bytearray().join(r.value.to_bytes(word_bytes, "little") for r in rows)
-        return cls(np.frombuffer(data, dtype=WORD).reshape(len(rows), n_words(n)), n)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a bit matrix's {name} cannot be rebound")

@@ -23,7 +23,7 @@ encode_matrix is the batch path: a field's bits depend only on its digit
 field touches (_word_tables). One value's code is a one-row call: row 0 of
 encode_matrix([[x]], spec)'s matrix.
 
-Digit rule (_digit_table): the digits of all values come from one exact
+Digit rule (_digit_table): the digits of each feature come from one exact
 array rule. At q places, with p = 10.0**q, y = v*p, m = rint(y) and
 f = floor(y), the truncated digits are t = m where m/p == v, else f where
 f/p < v, else f - 1; digit k is t // 10**k % 10. It is exact because p and t
@@ -185,20 +185,20 @@ def encode_matrix(x: np.ndarray, spec: EncodingSpec) -> tuple[BitMatrix, int]:
         raise DataError(f"non-finite input at row {r}, column {c}")
     out_of_range = int(np.count_nonzero((arr < 0.0) | (arr > 1.0)))
     if out_of_range:
-        warnings.warn(
-            f"clamped {out_of_range} of {arr.size} values to [0, 1] before encoding",
-            stacklevel=2,
-        )
+        warnings.warn(f"clamped {out_of_range} of {arr.size} values to [0, 1] before encoding",
+                      stacklevel=2)
         arr = np.clip(arr, 0.0, 1.0)
 
     n, d = arr.shape
-    values = arr.T.ravel()  # feature-major, and words word-major, so each OR is contiguous
-    if spec.kind == EncodingKind.DENSITY:  # the bucket index
-        index = np.minimum(values * (spec.param + 1), spec.param).astype(np.uint8)[:, None]
-    else:
-        index = _digit_table(values, len(_fields(spec)) - 1)
     d_enc = d * spec.bits_per_input
-    words = np.zeros((n_words(d_enc), n), dtype=WORD)
+    words = np.zeros((n_words(d_enc), n), dtype=WORD)  # word-major, so each OR is contiguous
+    feature = None
     for j, k, w, table in _word_tables(spec, d):
-        words[w] |= np.take(table, index[j * n : (j + 1) * n, k])
+        if j != feature:  # one column at a time, copied contiguous: temporaries of N values
+            feature, values = j, np.ascontiguousarray(arr[:, j])
+            if spec.kind == EncodingKind.DENSITY:  # the bucket index
+                index = np.minimum(values * (spec.param + 1), spec.param).astype(np.uint8)[:, None]
+            else:
+                index = _digit_table(values, len(_fields(spec)) - 1)
+        words[w] |= np.take(table, index[:, k])
     return BitMatrix(np.ascontiguousarray(words.T), d_enc), d_enc

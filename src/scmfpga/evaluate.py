@@ -15,6 +15,7 @@ from . import fixedpoint as fx
 from .bits import BitMatrix
 from .emulate import predict_fpga_batch
 from .encoding import samples_2d
+from .linalg import rmse
 from .model import ScmModel, predict_float_batch
 
 MODES = ("pc", "fpga", "both")
@@ -56,11 +57,6 @@ class EvalReport:
         return float(np.max(np.abs(self.outputs_fpga - self.outputs_pc)))
 
 
-def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
-    err = pred - y
-    return float(np.sqrt(np.mean(err * err)))
-
-
 def evaluate_bits(
     model: ScmModel, bits: BitMatrix, y: np.ndarray, mode: str = "both"
 ) -> EvalReport:
@@ -76,10 +72,10 @@ def evaluate_bits(
     rep = EvalReport(n_samples=len(bits))
     if mode in ("pc", "both"):
         rep.outputs_pc = predict_float_batch(model, bits)
-        rep.rmse_pc = _rmse(rep.outputs_pc, y)
+        rep.rmse_pc = rmse(rep.outputs_pc - y)
     if mode in ("fpga", "both"):
         rep.saturated = np.zeros(model.n_outputs, dtype=np.int64)
         rep.clamped = model.clamped
         rep.outputs_fpga_raw = predict_fpga_batch(model, bits, rep.saturated)
-        rep.rmse_fpga = _rmse(rep.outputs_fpga, y)
+        rep.rmse_fpga = rmse(rep.outputs_fpga - y)
     return rep

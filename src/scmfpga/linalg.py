@@ -57,6 +57,11 @@ def row_blocks(x: np.ndarray):
         yield slice(a, a + BLOCK_ROWS), x[a : a + BLOCK_ROWS].astype(np.float64, copy=False)
 
 
+def rmse(err: np.ndarray) -> float:
+    """Root mean square of the errors (training's residuals, an evaluator's output errors)."""
+    return float(np.sqrt(np.mean(err * err)))
+
+
 def least_squares(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of H @ beta ~= T, by SVD.
 

@@ -8,11 +8,11 @@ given float readouts, derives their raw Q7.25 values and clamp count once,
 then holds every array read-only and refuses to rebind an attribute. A frozen
 ScmModel checks once, when it is built, that its parts fit (validate), so no
 reader checks it again. Every batch path reads the arrays as they are.
-ScmNode, whose weights are one BitVec, and ScmLayer(activation, nodes), which
-packs a list of them through the same checks, stay only for the benchmark's
-synthetic model. A node's bit depends on its raw bias only, through
-threshold_edge: training and the reference path test dot > edge in
-threshold_bits, the emulator in popcounts.
+ScmNode, whose weights are one 0/1 BitVec row, and ScmLayer(activation, nodes),
+which stacks a list of them and packs their rows with BitMatrix.from01 before
+the same checks, stay only for the benchmark's synthetic model. A node's bit
+depends on its raw bias only, through threshold_edge: training and the
+reference path test dot > edge in threshold_bits, the emulator in popcounts.
 
 Naming note: the two activations follow the hardware convention used
 throughout this package, which differs from textbook usage. SIGN gates the
@@ -79,19 +79,23 @@ class ScmLayer:
     their (K, m) int32 raw Q7.25 values, and saturated, how many it clamped
 
     from_arrays holds the arrays as they are, and ScmLayer(activation, nodes)
-    packs a list of ScmNodes (the benchmark's synthetic model), whose raw
-    readouts must be the derived ones; both refuse values the model file
-    cannot hold. The arrays are read-only and the attributes fixed. len() is K.
+    packs a list of ScmNodes (the benchmark's synthetic model), whose weight
+    rows must be of one width and whose raw readouts must be the derived
+    ones; both refuse values the model file cannot hold. The arrays are
+    read-only and the attributes fixed. len() is K.
     """
 
     def __init__(self, activation: Activation, nodes: Sequence[ScmNode] = ()):
-        readouts = (len(nodes), len(nodes[0].beta) if nodes else 0)
-        self._hold(activation, BitMatrix.from_rows([nd.w for nd in nodes]),
+        k = len(nodes)
+        fan_in, m = (nodes[0].w.n, len(nodes[0].beta)) if nodes else (0, 0)
+        if any(nd.w.n != fan_in for nd in nodes):
+            raise ValueError(f"every node's weights must be {fan_in} bits wide")
+        w01 = np.array([nd.w.bits for nd in nodes], dtype=np.uint8).reshape(k, fan_in)
+        self._hold(activation, BitMatrix.from01(w01),
                    np.array([nd.shift for nd in nodes], dtype=np.uint8),
-                   _int32([nd.bias_raw for nd in nodes]).reshape(len(nodes)),
-                   np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(readouts))
-        if not np.array_equal(_int32([nd.beta_raw for nd in nodes]).reshape(readouts),
-                              self.beta_raw):
+                   _int32([nd.bias_raw for nd in nodes]).reshape(k),
+                   np.array([nd.beta for nd in nodes], dtype=np.float64).reshape(k, m))
+        if not np.array_equal(_int32([nd.beta_raw for nd in nodes]).reshape(k, m), self.beta_raw):
             raise ValueError("float values do not round to their raw values")
 
     @classmethod
@@ -243,8 +247,9 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     """Reference full-precision prediction for a batch of encoded rows; (N, m).
 
     Works in blocks of BLOCK_ROWS rows, so its temporaries do not grow with the
-    batch. Signals are float32, made once per block; the mechanism (skipped if
-    "none") and readouts multiply in float64, to which they promote exactly.
+    batch. The int8 signals, made once per block, feed the mechanism (skipped if
+    "none") and the first layer as they are, as in training; the mechanism and
+    readouts multiply in float64, to which int8 and float32 promote exactly.
     Raises ValueError, before any signal, if a fan-in is too wide (check_fan_in).
     """
     if bits.n != model.d_enc:
@@ -253,11 +258,11 @@ def predict_float_batch(model: ScmModel, bits: BitMatrix) -> np.ndarray:
     mech = model.mechanism if model.mechanism.n_values else None
     out = np.empty((len(bits), model.n_outputs))
     for start in range(0, len(bits), BLOCK_ROWS):
-        s = signals_pm1(bits[start : start + BLOCK_ROWS]).astype(np.float32)
+        s = signals_pm1(bits[start : start + BLOCK_ROWS])
         acc = mech_eval_float_batch(s, mech) if mech else np.zeros((len(s), model.n_outputs))
         for forward, beta in forwards:
             s = forward(s)
-            acc += s.astype(np.float64) @ beta
+            acc += s @ beta
         out[start : start + BLOCK_ROWS] = acc
     return out
 

@@ -56,7 +56,7 @@ from . import fixedpoint as fx
 from .bits import BitMatrix
 from .encoding import EncodingSpec, encode_matrix, samples_2d
 from .errors import TrainingFailedError
-from .linalg import row_blocks
+from .linalg import rmse, row_blocks
 from .mechanism import fit_mechanism, mech_eval_float_batch, no_mechanism, signals_pm1
 from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
                     threshold_bits, threshold_edge)
@@ -221,11 +221,6 @@ def _outside_q725(values: np.ndarray) -> int:
     return int(np.count_nonzero((values < fx.REAL_MIN) | (values >= -fx.REAL_MIN)))
 
 
-def _rmse(resid: np.ndarray) -> float:
-    """RMSE of residual rows; TrainData keeps both row sets and the targets non-empty."""
-    return float(np.sqrt(np.mean(resid * resid)))
-
-
 def _grown(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """a copied into the leading block of a zero array of the given shape."""
     return np.pad(a, [(0, size - k) for size, k in zip(shape, a.shape)])
@@ -372,10 +367,10 @@ class TrainState:
             np.subtract(self.target[rows], hb @ self.beta, out=self.resid[rows])
 
     def train_rmse(self) -> float:
-        return _rmse(self.resid[: self.n_train])
+        return rmse(self.resid[: self.n_train])  # TrainData keeps both row sets non-empty
 
     def val_rmse(self) -> float:
-        return _rmse(self.resid[self.n_train :])
+        return rmse(self.resid[self.n_train :])
 
     def finalize(self) -> ScmModel:
         """The model; each layer rounds its readouts and counts the clamped ones."""

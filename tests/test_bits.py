@@ -10,8 +10,9 @@ from oracles import rows
 
 def test_from01_pm1_consistency():
     v = BitVec.from01([1, 0, 1, 1])
-    assert (v.n, v.value) == (4, 0b1101)
-    assert np.array_equal(signals_pm1(BitMatrix.from_rows([v])), [[1, -1, 1, 1]])
+    assert v.n == 4 and v.bits.dtype == np.uint8 and v.bits.tolist() == [1, 0, 1, 1]
+    assert not v.bits.flags.writeable
+    assert np.array_equal(signals_pm1(BitMatrix.from01(v.bits[None])), [[1, -1, 1, 1]])
     assert np.array_equal(signals_pm1(BitMatrix.from01([[1, 0, 1, 1]])), [[1, -1, 1, 1]])
 
 
@@ -32,10 +33,10 @@ def test_index_errors():
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200))
 def test_roundtrip_property(bits):
-    # the benchmark's synthetic weights: BitVec.from01, packed by from_rows
+    # the benchmark's synthetic weights: BitVec.from01, packed by BitMatrix.from01
     v = BitVec.from01(bits)
-    assert v.n == len(bits)
-    assert BitMatrix.from_rows([v]).to01()[0].tolist() == bits
+    assert v.n == len(bits) and v.bits.tolist() == bits
+    assert BitMatrix.from01(v.bits[None]).to01()[0].tolist() == bits
 
 
 # -- BitMatrix -------------------------------------------------------------
@@ -50,7 +51,8 @@ def test_bit_matrix_layout_is_the_model_file_word_order():
     m = BitMatrix.from01(a01)
     assert m.words.shape == (4, 3) and m.words.dtype == np.dtype("<u8")
     assert rows(m) == [int("".join(map(str, r[::-1])), 2) for r in a01]
-    assert np.array_equal(BitMatrix.from_rows([BitVec.from01(r) for r in a01]).words, m.words)
+    assert np.array_equal(BitMatrix.from01(np.array([BitVec.from01(r).bits for r in a01])).words,
+                          m.words)
 
 
 def test_bit_matrix_indexing_keeps_the_row_api():
@@ -64,18 +66,15 @@ def test_bit_matrix_indexing_keeps_the_row_api():
 
 
 def test_bit_matrix_empty_rows():
-    assert len(BitMatrix.from_rows([])) == 0
     m = BitMatrix.from01(np.zeros((0, 70), dtype=np.uint8))
     assert m.words.shape == (0, 2) and m.to01().shape == (0, 70)
 
 
 def test_bit_matrix_rejects_bad_shapes_and_pad_bits():
-    with pytest.raises(ValueError, match="length must be non-negative"):
-        BitVec(-1)
+    with pytest.raises(ValueError, match="from01 expects a 1-D row of bits"):
+        BitVec.from01(np.ones((2, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match=r"from01 expects an \(N, n\) array"):
         BitMatrix.from01(np.ones(3, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        BitMatrix.from_rows([BitVec(3), BitVec(4)])
     with pytest.raises(ValueError):
         BitMatrix(np.zeros((2, 1), dtype=np.uint64), 65)
     with pytest.raises(ValueError):
@@ -101,10 +100,8 @@ def test_bit_matrix_from01_matches_rows(n, count, seed):
     a01 = _rows(n, count, seed)
     vecs = [BitVec.from01(r) for r in a01]
     m = BitMatrix.from01(a01)
-    if count:
-        assert np.array_equal(m.words, BitMatrix.from_rows(vecs).words)
     assert np.array_equal(m.to01(), a01)
-    assert rows(m) == [v.value for v in vecs]
+    assert rows(m) == [sum(int(b) << j for j, b in enumerate(v.bits)) for v in vecs]
 
 
 def test_a_bit_matrix_and_its_row_slices_refuse_rebinding():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -433,8 +434,8 @@ def test_encode_matrix_on_the_digit_pool_matches_encode_value(spec, values):
 
 @pytest.mark.parametrize("text", ["density:7", "s1:3", "s1:4", "s1:15", "s2v1", "s2v2"])
 def test_encode_matrix_has_no_per_value_digit_loop(monkeypatch, text):
-    # the digits of all N*d values come from one _digit_table call over one
-    # array (density reads none); no value has its digits read on its own
+    # the digits come from one _digit_table call per feature over its N values
+    # (density reads none); no value has its digits read on its own
     calls = []
 
     def counted_digit_table(values, places):
@@ -450,7 +451,20 @@ def test_encode_matrix_has_no_per_value_digit_loop(monkeypatch, text):
     if spec.kind == EncodingKind.DENSITY:
         assert calls == []
     else:
-        assert calls == [((150,), len(encoding._fields(spec)) - 1)]
+        assert calls == [((50,), len(encoding._fields(spec)) - 1)] * 3
+
+
+def test_encode_matrix_peaks_below_three_times_its_words():
+    # one feature's digits at a time: the temporaries cover one column of N
+    # values, so the words and their row-major copy make most of the peak
+    x = np.random.default_rng(0).random((20000, 36))
+    tracemalloc.start()
+    try:
+        bits, _ = encode_matrix(x, parse_encoding("s2v1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * bits.words.nbytes
 
 
 def test_encode_matrix_packs_words_without_a_bool_matrix(monkeypatch):

@@ -150,7 +150,9 @@ def test_every_oracle_is_a_public_name_of_the_package():
 
 # test file -> its top-level functions that may call ScmNode or ScmLayer
 NODE_LIST_CALLERS = {
-    "test_modelfile.py": {"_packed", "test_a_node_refuses_a_bias_off_its_grid_value"},
+    "test_modelfile.py": {"_packed", "test_a_node_refuses_a_bias_off_its_grid_value",
+                          "test_packed_nodes_equal_a_layer_from_arrays",
+                          "test_packed_nodes_refuse_weights_of_unequal_width"},
 }
 
 
@@ -358,10 +360,6 @@ def test_the_oracles_share_no_kernel_with_the_package():
     assert package_imports(source) and package_imports(source, ORACLE_IMPORTS) == []
 
 
-# package modules that may import decimal
-DECIMAL_USERS: set[str] = set()
-
-
 def test_the_check_finds_a_decimal_import():
     source = ("import numpy as np, decimal as dec\nfrom decimal import Decimal, ROUND_DOWN\n"
               "import fractions\nfrom .bits import WORD\n"
@@ -370,10 +368,7 @@ def test_the_check_finds_a_decimal_import():
         "line 1: decimal", "line 2: Decimal", "line 2: ROUND_DOWN", "line 6: decimal"]
 
 
-def test_no_package_module_but_fixedpoint_imports_decimal():
+def test_no_package_module_imports_decimal():
     flagged = {p.name: package_imports(p.read_text(), top="decimal")
-               for p in PACKAGE.glob("*.py") if p.name not in DECIMAL_USERS}
+               for p in PACKAGE.glob("*.py")}
     assert {name: found for name, found in flagged.items() if found} == {}
-    # an allowance that no module needs any longer goes too
-    assert all(package_imports((PACKAGE / name).read_text(), top="decimal")
-               for name in DECIMAL_USERS)

@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scmfpga import emulate, fixedpoint as fx
 from scmfpga.bits import BitMatrix, BitVec
@@ -414,6 +414,37 @@ def test_packed_nodes_refuse_a_bias_past_int32():
 def test_packed_nodes_refuse_readouts_that_do_not_round_to_their_raw_values():
     with pytest.raises(ValueError, match="float values do not round to their raw values"):
         _packed(beta=5.0, beta_raw=0)
+
+
+@given(st.integers(0, 200), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(fan_in=65, k=3, seed=0)
+@example(fan_in=0, k=2, seed=0)
+def test_packed_nodes_equal_a_layer_from_arrays(fan_in, k, seed):
+    # the benchmark's synthetic model: BitVec.from01 rows, stacked and packed by ScmLayer
+    rng = np.random.default_rng(seed)
+    w01 = rng.integers(0, 2, size=(k, fan_in))
+    shift = rng.integers(0, 8, size=k).astype(np.uint8)
+    bias_raw = rng.integers(fx.RAW_MIN, fx.RAW_MAX, size=k, endpoint=True).astype(np.int32)
+    beta = rng.uniform(-1.0, 1.0, size=(k, 2))
+    beta_raw, _ = fx.quantize_array(beta)
+    nodes = [ScmNode(BitVec.from01(w01[i]), int(shift[i]), int(bias_raw[i]) * fx.RESOLUTION,
+                     int(bias_raw[i]), beta[i], beta_raw[i]) for i in range(k)]
+    packed = ScmLayer(Activation.SIGN, nodes)
+    held = ScmLayer.from_arrays(Activation.SIGN, BitMatrix.from01(w01), shift, bias_raw, beta)
+    assert (len(packed), packed.fan_in, packed.activation) == (k, fan_in, Activation.SIGN)
+    assert ([int.from_bytes(r.tobytes(), "little") for r in packed.w.words]
+            == [sum(int(b) << j for j, b in enumerate(r)) for r in w01])
+    assert np.array_equal(packed.w.words, held.w.words)
+    for name in ("shift", "bias_raw", "beta", "beta_raw"):
+        a, b = getattr(packed, name), getattr(held, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_packed_nodes_refuse_weights_of_unequal_width():
+    nodes = [ScmNode(BitVec.from01([1] * n), 0, 0.0, 0, np.zeros(1), np.zeros(1, np.int32))
+             for n in (3, 4)]
+    with pytest.raises(ValueError, match="every node's weights must be 3 bits wide"):
+        ScmLayer(Activation.STEP, nodes)
 
 
 def _one_node_json(node: dict, mechanism: dict | None = None) -> str:
