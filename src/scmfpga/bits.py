@@ -42,7 +42,7 @@ class BitVec:
         arr = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
         if arr.ndim != 1:
             raise ValueError("from01 expects a 1-D row of bits")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("from01 expects only 0/1 values")
         row = cls()
         row.n, row.bits = arr.size, arr.astype(np.uint8)

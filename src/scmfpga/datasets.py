@@ -55,7 +55,7 @@ class Dataset:
         """Per-feature (min, max) of the train and validation rows (all rows if none),
         computed on first use: split's replace reruns __post_init__."""
         fit = np.concatenate([self.train_idx, self.val_idx])
-        rows = self.x[fit] if fit.size else self.x
+        rows = np.take(self.x, fit, axis=0) if fit.size else self.x
         return rows.min(axis=0), rows.max(axis=0)
 
     feature_min = property(lambda self: self._bounds[0])  # (d,)
@@ -65,7 +65,7 @@ class Dataset:
         """Min-max normalized features for the given rows (not clamped)."""
         span = self.feature_max - self.feature_min
         safe = np.where(span == 0.0, 1.0, span)
-        return (self.x[idx] - self.feature_min) / safe
+        return (np.take(self.x, idx, axis=0) - self.feature_min) / safe
 
     def rows(self, which: str) -> np.ndarray:
         try:

@@ -61,16 +61,16 @@ def conditional_sum(on: np.ndarray, off: np.ndarray) -> Callable[[np.ndarray], n
 
 def quantize_array(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Raw Q7.25 values nearest to an array of finite values (ties to even),
-    clamped to the 32-bit range.
+    clamped to the 32-bit range; values are bounded to +-128 first, where they
+    saturate anyway, so that no finite value overflows when it is scaled.
 
     Returns (int32 array of raw values, count of saturated entries).
     """
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("fixed-point conversion requires finite values")
-    with np.errstate(over="ignore"):  # a finite value past 2**1000 saturates like any other
-        scaled = np.rint(arr * SCALE)  # rint: half to even
-    clipped = np.clip(scaled, RAW_MIN, RAW_MAX)
+    scaled = np.rint(np.minimum(np.maximum(arr, -128.0), 128.0) * SCALE)  # rint: half to even
+    clipped = np.minimum(np.maximum(scaled, RAW_MIN), RAW_MAX)
     n_sat = int(np.count_nonzero(scaled != clipped))
     return clipped.astype(np.int32), n_sat
 
@@ -82,7 +82,7 @@ def dequantize_array(raw: np.ndarray) -> np.ndarray:
 
 def saturate_array(acc: np.ndarray) -> np.ndarray:
     """Clamp WideAcc values (at 2**-25 scale) into the 32-bit raw range; returns int32."""
-    return np.clip(acc, RAW_MIN, RAW_MAX).astype(np.int32)
+    return np.minimum(np.maximum(acc, RAW_MIN), RAW_MAX).astype(np.int32)
 
 
 def fx_to_decimal_string(raw: int) -> str:

@@ -21,6 +21,35 @@ def test_out_of_range_values_rejected():
         BitVec.from01([0, 2])
 
 
+@pytest.mark.parametrize("row,bits", [
+    ([True, False, True], [1, 0, 1]), (np.array([False, True]), [0, 1]),
+    (np.array([1, 0, 1], dtype=np.int8), [1, 0, 1]), (np.array([0, 1], dtype=np.int64), [0, 1]),
+    ([0.0, 1.0, 1.0], [0, 1, 1]), (np.array([1.0, -0.0]), [1, 0]),
+    (np.array([0, 1], dtype=object), [0, 1]), (iter([1, 0]), [1, 0]), (range(2), [0, 1]),
+    ([], []), (np.array([], dtype=np.int8), []), (np.zeros(0, dtype=bool), []),
+    (np.array([], dtype=str), []),
+])
+def test_from01_accepts_0_1_rows_of_every_dtype_and_empty_rows(row, bits):
+    v = BitVec.from01(row)
+    assert v.n == len(bits) and v.bits.dtype == np.uint8 and v.bits.tolist() == bits
+
+
+@pytest.mark.parametrize("row", [
+    [0, 2], [-1, 1], np.array([1, 2], dtype=np.int8), np.array([0, 255], dtype=np.uint8),
+    [0.5], [0.0, float("nan")], [1.0, float("inf")], [0, 1 + 1j], ["0", "1"], ["a"], [0, "1"],
+    [b"1"], [None], np.array(["1"], dtype=object),
+])
+def test_from01_refuses_values_other_than_0_and_1(row):
+    with pytest.raises(ValueError, match="only 0/1"):
+        BitVec.from01(row)
+
+
+@pytest.mark.parametrize("row", [np.zeros((2, 2)), [[0, 1]], np.zeros((0, 3)), np.array(1), 1.0])
+def test_from01_refuses_a_row_that_is_not_1_d(row):
+    with pytest.raises((ValueError, TypeError)):
+        BitVec.from01(row)
+
+
 def test_index_errors():
     # an int would pick a 1-D row of words, which no BitMatrix may hold
     m = BitMatrix.from01(np.eye(3, dtype=np.uint8))

@@ -82,6 +82,36 @@ def test_normalization_maps_train_extremes():
     assert xt.min() < 0.0 or xt.max() > 1.0
 
 
+def random_wide_table() -> Dataset:
+    # 36 features as column slices of one (N, 37) buffer, as load_dataset makes them
+    values = np.random.default_rng(5).normal(size=(500, 37))
+    return Dataset(x=values[:, :36], y=values[:, 36:], train_idx=np.arange(0, 400, 2),
+                   val_idx=np.arange(1, 400, 2), test_idx=np.arange(400, 500))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: split(gen_db2(seed=7, scale=0.1), 0.2, seed=7),  # the db2 desk split
+    random_wide_table,
+    lambda: gen_db1(seed=4),  # one feature and no validation rows
+    lambda: split(gen_db2(seed=8, scale=0.05), 0.0, seed=8),  # an empty validation split
+    lambda: Dataset(x=np.arange(12.0).reshape(6, 2), y=np.zeros(6), train_idx=np.arange(0),
+                    val_idx=np.arange(0), test_idx=np.arange(6)),  # bounds from every row
+])
+def test_normalization_equals_the_fancy_indexed_rows_bit_for_bit(make):
+    ds = make()
+    fit = np.concatenate([ds.train_idx, ds.val_idx])
+    rows = ds.x[fit] if fit.size else ds.x
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    span = hi - lo
+    assert ds.feature_min.tobytes() == lo.tobytes() and ds.feature_max.tobytes() == hi.tobytes()
+    for which in ("train", "val", "test", "all"):
+        idx = ds.rows(which)
+        xn = ds.x_norm(idx)
+        expected = (ds.x[idx] - lo) / np.where(span == 0.0, 1.0, span)
+        assert xn.shape == expected.shape == (idx.size, ds.n_features)
+        assert xn.flags.c_contiguous and xn.tobytes() == expected.tobytes()
+
+
 def test_split_counts_and_determinism():
     ds = gen_db1(seed=0)
     s1 = split(ds, 0.2, seed=5)

@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -71,6 +72,48 @@ def test_quantize_array_saturates_the_largest_finite_values():
     # their products with 2**25 overflow to inf, which saturates like 100.0
     back, n_sat = fx.quantize_array(np.array([1e308, -1e308, 100.0]))
     assert back.tolist() == [fx.RAW_MAX, fx.RAW_MIN, fx.RAW_MAX] and n_sat == 3
+
+
+def exact_quantized(x: float) -> tuple[int, bool]:
+    """Python's round (half to even) of the exact value x * 2**25, clamped to
+    the 32-bit range, and whether it was clamped: every |x| >= 128 is."""
+    raw = round(Fraction(x) * fx.SCALE)
+    clamped = min(max(raw, fx.RAW_MIN), fx.RAW_MAX)
+    return clamped, clamped != raw
+
+
+QUANTIZE_EDGES = [
+    64.0, -64.0, 64.0 - 2.0**-26, -(64.0 - 2.0**-26), 64.0 - 2.0**-25, -64.0 - 2.0**-26,
+    -64.0 - 2.0**-25, 128.0, -128.0,
+    0.5 * fx.RESOLUTION, -0.5 * fx.RESOLUTION, 1.5 * fx.RESOLUTION, -2.5 * fx.RESOLUTION,
+    5e-324, -5e-324, 1e-310, 0.0, -0.0, 2.0**1000, -(2.0**1000),
+    sys.float_info.max, -sys.float_info.max,
+]
+quantize_inputs = st.one_of(
+    st.sampled_from(QUANTIZE_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-130.0, 130.0),
+    # ties: half an LSB above a raw value, exact in a double
+    st.integers(-(2**32), 2**32).map(lambda k: (k + 0.5) / fx.SCALE),
+)
+
+
+@given(st.lists(quantize_inputs, max_size=20))
+@example(QUANTIZE_EDGES)
+def test_quantize_array_equals_the_exact_oracle_in_raws_and_saturations(xs):
+    raw, n_sat = fx.quantize_array(np.array(xs, dtype=np.float64))
+    expected = [exact_quantized(x) for x in xs]
+    assert raw.dtype == np.int32 and raw.shape == (len(xs),)
+    assert raw.tolist() == [r for r, _ in expected]
+    assert type(n_sat) is int and n_sat == sum(sat for _, sat in expected)
+
+
+@given(quantize_inputs)
+def test_quantize_array_of_a_scalar_gives_a_numpy_int32_and_an_int(x):
+    for value in (x, np.float64(x), np.array(x)):
+        raw, n_sat = fx.quantize_array(value)
+        assert type(raw) is np.int32 and type(n_sat) is int
+        assert (int(raw), n_sat == 1) == exact_quantized(x)
 
 
 @given(st.integers(min_value=fx.RAW_MIN, max_value=fx.RAW_MAX))
