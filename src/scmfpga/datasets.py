@@ -55,17 +55,31 @@ class Dataset:
         """Per-feature (min, max) of the train and validation rows (all rows if none),
         computed on first use: split's replace reruns __post_init__."""
         fit = np.concatenate([self.train_idx, self.val_idx])
-        rows = np.take(self.x, fit, axis=0) if fit.size else self.x
-        return rows.min(axis=0), rows.max(axis=0)
+        runs = self._runs(fit if fit.size else np.arange(self.x.shape[0]))
+        d = self.n_features
+        return (runs.min(axis=0).reshape(-1, d).min(axis=0),
+                runs.max(axis=0).reshape(-1, d).max(axis=0))
 
     feature_min = property(lambda self: self._bounds[0])  # (d,)
     feature_max = property(lambda self: self._bounds[1])
 
+    def _runs(self, idx: np.ndarray) -> np.ndarray:
+        """The rows idx in C order, padded with repeats of idx[0] to whole runs of
+        k = ceil(512 / d) rows and viewed as one numpy row of k * d values per run,
+        so that numpy's per-row cost does not swamp a short trailing axis. A
+        repeated row moves no min or max, and x_norm trims it off."""
+        k = -(-512 // self.n_features)
+        rows = np.take(self.x, np.concatenate((idx, idx[:1].repeat(-idx.size % k))), axis=0)
+        return rows.reshape(-1, k * self.n_features)
+
     def x_norm(self, idx: np.ndarray) -> np.ndarray:
         """Min-max normalized features for the given rows (not clamped)."""
         span = self.feature_max - self.feature_min
-        safe = np.where(span == 0.0, 1.0, span)
-        return (np.take(self.x, idx, axis=0) - self.feature_min) / safe
+        runs = self._runs(idx)
+        k = runs.shape[1] // self.n_features
+        runs -= np.tile(self.feature_min, k)
+        runs /= np.tile(np.where(span == 0.0, 1.0, span), k)
+        return runs.reshape(-1, self.n_features)[:idx.size]
 
     def rows(self, which: str) -> np.ndarray:
         try:

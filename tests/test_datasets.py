@@ -1,9 +1,11 @@
 import csv
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scmfpga.datasets import (
     Dataset,
@@ -110,6 +112,69 @@ def test_normalization_equals_the_fancy_indexed_rows_bit_for_bit(make):
         expected = (ds.x[idx] - lo) / np.where(span == 0.0, 1.0, span)
         assert xn.shape == expected.shape == (idx.size, ds.n_features)
         assert xn.flags.c_contiguous and xn.tobytes() == expected.tobytes()
+
+
+# k = ceil(512 / d) rows per run: 512 at one feature, 1 past 511 features
+RUN_WIDTHS = [1, 2, 3, 7, 14, 36, 37, 511, 512, 513]
+REPEATS_AND_ZEROS = np.array([-0.0, 0.0, 0.0, -0.0, 1.5, -2.25, 3.0])
+
+
+@st.composite
+def run_tables(draw):
+    """A table of d features whose row count is below k, a multiple of k, or a
+    multiple of k plus a remainder; a C array or column slices of a wider buffer,
+    as load_dataset makes them; values drawn with repeats and both zeros, or
+    normal; rows split at random, or bounds from every row (an empty fit set)."""
+    d = draw(st.sampled_from(RUN_WIDTHS))
+    k = -(-512 // d)
+    runs = draw(st.integers(0, 2))
+    rest = draw(st.integers(1, max(k - 1, 1))) if runs == 0 or draw(st.booleans()) else 0
+    n = runs * k + rest
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, d + 1) if draw(st.booleans()) else (n, d)
+    values = (rng.choice(REPEATS_AND_ZEROS, size=shape) if draw(st.booleans())
+              else rng.normal(size=shape))
+    order = rng.permutation(n)
+    if draw(st.booleans()):  # no train or validation rows: bounds from every row
+        n_train = n_val = 0
+    else:
+        n_train = draw(st.integers(1, n))
+        n_val = draw(st.integers(0, n - n_train))
+    return Dataset(x=values[:, :d], y=np.zeros(n), train_idx=order[:n_train],
+                   val_idx=order[n_train:n_train + n_val], test_idx=order[n_train + n_val:])
+
+
+@given(run_tables())
+def test_bounds_and_normalization_over_row_runs_equal_the_plain_expressions(ds):
+    fit = np.concatenate([ds.train_idx, ds.val_idx])
+    rows = ds.x[fit] if fit.size else ds.x
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    # equal values; the bytes can differ in the sign of a zero bound alone, as a
+    # reduction in another order may pick the other zero (x = [0.0, -0.0] is one)
+    assert np.array_equal(ds.feature_min, lo) and np.array_equal(ds.feature_max, hi)
+    span, own_span = hi - lo, ds.feature_max - ds.feature_min
+    spec = parse_encoding("s2v1")
+    for idx in (ds.train_idx, ds.val_idx, ds.test_idx, ds.rows("all"), np.arange(0)):
+        xn = ds.x_norm(idx)
+        expected = (ds.x[idx] - lo) / np.where(span == 0.0, 1.0, span)
+        own = (ds.x[idx] - ds.feature_min) / np.where(own_span == 0.0, 1.0, own_span)
+        assert xn.shape == expected.shape == (idx.size, ds.n_features)
+        assert xn.flags.c_contiguous and xn.tobytes() == own.tobytes()
+        assert np.array_equal(xn, expected)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="clamped")  # rows outside the fit set
+            got, want = encode_matrix(xn, spec)[0], encode_matrix(expected, spec)[0]
+        assert np.array_equal(got.words, want.words)
+
+
+@pytest.mark.parametrize("d", [1, 2, 36])
+def test_a_table_with_no_rows_has_no_bounds(d):
+    ds = Dataset(x=np.zeros((0, d)), y=np.zeros(0), train_idx=np.arange(0),
+                 val_idx=np.arange(0), test_idx=np.arange(0))
+    with pytest.raises(ValueError):
+        ds.feature_min
+    with pytest.raises(ValueError):
+        ds.x_norm(np.arange(0))
 
 
 def test_split_counts_and_determinism():

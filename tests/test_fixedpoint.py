@@ -69,7 +69,7 @@ def test_roundtrip_random_raws():
 
 
 def test_quantize_array_saturates_the_largest_finite_values():
-    # their products with 2**25 overflow to inf, which saturates like 100.0
+    # bounded to +-128 before they are scaled, so they saturate like 100.0
     back, n_sat = fx.quantize_array(np.array([1e308, -1e308, 100.0]))
     assert back.tolist() == [fx.RAW_MAX, fx.RAW_MIN, fx.RAW_MAX] and n_sat == 3
 
