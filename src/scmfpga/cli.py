@@ -34,7 +34,7 @@ from .train import TrainConfig, prepare_train_data, train
 
 DEFAULT_CLOCK_HZ = 100e6
 # train options named after TrainConfig fields, whose defaults TrainConfig states
-CONFIG_OPTIONS = ("t_max", "r_schedule", "lambda_pool", "l_step", "tau", "alpha", "seed")
+CONFIG_OPTIONS = ("t_max", "r_schedule", "l_step", "tau", "alpha", "seed")
 
 
 def _option_type(default):

@@ -1,8 +1,8 @@
 """Constructive training: candidate search, acceptance test, readout refits.
 
 Nodes are added one at a time. Each attempt draws a batch of random candidates
-(binary weights, a power-of-two scale, a bias coupled to the scale), keeps the
-ones whose score
+(binary weights, a scale code uniform on 0..7, lambda = 2**code, and a bias
+coupled to it), keeps the ones whose score
 
     xi_q = <e_q, h>**2 / <h, h> - (1 - r) * <e_q, e_q>     (per output q)
 
@@ -62,7 +62,7 @@ from .model import (Activation, ScmLayer, ScmModel, check_fan_in,
                     threshold_bits, threshold_edge)
 
 DEFAULT_R_SCHEDULE = (0.9, 0.99, 0.999, 0.9999)
-DEFAULT_LAMBDA_POOL = (1, 2, 4, 8, 16, 32, 64, 128)
+SCALE_CODES = np.arange(8)  # every candidate's scale code is uniform on these, lambda = 2**code
 # training rows per scoring block: a (256, 500) float32 block of candidate
 # bits is 512 KB, which stays in L2 between its threshold and its limb GEMM
 SCORE_ROWS = 256
@@ -74,7 +74,6 @@ class TrainConfig:
     activations: tuple[Activation, ...]
     t_max: int = 500
     r_schedule: tuple[float, ...] = DEFAULT_R_SCHEDULE
-    lambda_pool: tuple[int, ...] = DEFAULT_LAMBDA_POOL
     l_step: int = 20
     tau: float = 0.0
     alpha: float = 1e-4
@@ -97,11 +96,6 @@ class TrainConfig:
             raise ValueError("r values must lie in (0, 1)")
         if any(b >= a for a, b in zip(self.r_schedule[1:], self.r_schedule)):
             raise ValueError("r schedule must be strictly increasing")
-        if not self.lambda_pool:
-            raise ValueError("lambda pool must be non-empty")
-        for lam in self.lambda_pool:
-            if lam not in DEFAULT_LAMBDA_POOL:
-                raise ValueError("lambda values must be powers of two in 1..128")
         if self.l_step < 1:
             raise ValueError("l_step must be >= 1")
         if not np.isfinite(self.tau):
@@ -465,12 +459,13 @@ class ResidualLimbs:
 def add_node(state: TrainState) -> TrainRecord | None:
     """Try to add one node to the layer under construction.
 
-    Draws state.cfg.t_max candidates per r value from state.rng until one
-    passes the acceptance test for every output; picks the passing candidate
-    with the largest total score (ties broken by draw order), appends it, and
-    refits the readout. Returns the accepted node's TrainRecord, numbered by
-    its layer (counted from 1) and its position in that layer; the node itself
-    is state.nodes[-1]. Returns None when the whole r schedule is exhausted.
+    Draws state.cfg.t_max candidates per r value from state.rng, each with a
+    scale code from SCALE_CODES, until one passes the acceptance test for every
+    output; picks the passing candidate with the largest total score (ties
+    broken by draw order), appends it, and refits the readout. Returns the
+    accepted node's TrainRecord, numbered by its layer (counted from 1) and its
+    position in that layer; the node itself is state.nodes[-1]. Returns None
+    when the whole r schedule is exhausted.
 
     A group of n equal training rows is scored once: its limb sums and n
     stand in for the rows' limbs and ones, and E_q is its sum of the
@@ -521,12 +516,11 @@ def add_node(state: TrainState) -> TrainRecord | None:
     tail = np.vstack([tail[1:], np.zeros_like(tail[:1])])
     slack = 1e-9 * np.abs(e).sum(axis=0)
     floor = (tail[:, m:] + slack) ** 2 / n if pm1 else tail
-    shift_pool = np.array([lam.bit_length() - 1 for lam in cfg.lambda_pool])
 
     for attempt, r in enumerate(cfg.r_schedule, start=1):
         w01 = rng.integers(0, 2, size=(t, fan_in), dtype=np.int8)
         w = w01.astype(np.float32) * 2.0 - 1.0
-        shift = rng.choice(shift_pool, size=t)
+        shift = rng.choice(SCALE_CODES, size=t)
         lam = np.ldexp(1.0, shift)
         b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
         state.bias_saturated += n_sat

@@ -624,7 +624,7 @@ def test_report_refuses_a_clock_that_is_not_positive_and_finite(capsys, db1_file
 def test_train_option_defaults_are_the_train_config_defaults():
     args = cli._build_parser().parse_args(["train", "data.csv", "--out", "m.scm"])
     shared = [f for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)]
-    assert len(shared) == 7
+    assert len(shared) == 6
     for f in shared:
         assert getattr(args, f.name) == f.default, f.name
 
@@ -789,6 +789,20 @@ def test_usage_errors_exit_2(db1_files, tmp_path):
     assert run(
         "train", str(data), "--out", str(tmp_path / "x.scm"), "--encoding", "nope"
     ) == 2
+
+
+def test_train_has_no_lambda_pool_option(db1_files, tmp_path, capsys, monkeypatch):
+    # every candidate draws its scale code from 0..7; no option chooses them
+    _, data, _ = db1_files
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "m.scm"
+    with pytest.raises(SystemExit) as exc:
+        run("train", str(data), "--out", str(out), "--lambda-pool", "4")
+    assert exc.value.code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "scmfpga: error: unrecognized arguments: --lambda-pool 4"]
 
 
 def test_train_refuses_more_than_15_scheme_1_places(db1_files, tmp_path, capsys, monkeypatch):

@@ -17,17 +17,18 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scmfpga.linalg
 from scmfpga import cli
+from scmfpga import fixedpoint as fx
 from scmfpga.datasets import load_dataset
 from scmfpga.encoding import parse_encoding
 from scmfpga.errors import TrainingFailedError
 from scmfpga.evaluate import evaluate_bits
 from scmfpga.mechanism import signals_pm1
-from scmfpga.model import Activation, layer_forward_float, quantization_bound
+from scmfpga.model import Activation, layer_forward_float, quantization_bound, threshold_edge
 from scmfpga.modelfile import load_model, model_from_bytes, model_to_bytes
 from scmfpga.train import TrainConfig, prepare_train_data, train
 
@@ -121,13 +122,55 @@ def _check_the_promises(seed, rows, val_share, features, outputs, spec, layers, 
     return first, rep
 
 
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(8, 120),
+    features=st.integers(1, 3),
+    outputs=st.integers(1, 2),
+    spec=ENCODINGS,
+    layers=st.lists(st.tuples(st.integers(1, 6), st.sampled_from(list(Activation))),
+                    min_size=1, max_size=3),
+    t_max=st.integers(1, 20),
+    use_mechanism=st.booleans(),
+)
+# lambda 128 nodes whose biases clamped to RAW_MAX (layer 1) and RAW_MIN (layer 2)
+@example(seed=19, rows=60, features=2, outputs=1, spec="s1:2",
+         layers=[(4, Activation.STEP), (3, Activation.SIGN)], t_max=8, use_mechanism=False)
+def test_trained_nodes_have_threshold_edge_minus_1_or_0(seed, rows, features, outputs, spec,
+                                                        layers, t_max, use_mechanism):
+    """A bias drawn on [-lambda, lambda] puts -bias / lambda in [-1, 1], so a
+    node fires on dot >= 0 (edge -1, bias > 0) or on dot > 0 (edge 0), whatever
+    its scale code; at lambda 128 a bias clamped to the Q7.25 range keeps its
+    sign. Edge 1 needs a bias that rounds to exactly -lambda."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(rows, features))
+    y = np.sin(3 * x.sum(axis=1, keepdims=True) + rng.uniform(0, 2 * np.pi, size=outputs))
+    n = rows - max(1, rows // 4)
+    data = prepare_train_data(x[:n], y[:n], x[n:], y[n:], parse_encoding(spec))
+    sizes, acts = zip(*layers)
+    cfg = TrainConfig(sizes, acts, t_max=t_max, use_mechanism=use_mechanism, seed=seed)
+    with mock.patch.object(scmfpga.linalg, "LASSO_MAX_SWEEPS", 200), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the L1 sweep cap
+        try:
+            model = train(data, cfg).model
+        except TrainingFailedError:  # no candidate passes for the first node
+            return
+    for layer in model.layers:
+        bias = layer.bias_raw.astype(np.int64)
+        lam = np.int64(1 << fx.FRAC_BITS) << layer.shift
+        assert (np.abs(bias) <= lam).all()
+        edge = threshold_edge(layer.shift, layer.bias_raw)
+        assert np.array_equal(edge, np.where(bias > 0, -1, 0) + (bias == -lam))
+
+
 # a value each numeric option must survive; BIG is a large value that is
 # still cheap to run with (at most 2000 candidates and 50 nodes)
 VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "BIG", "ten"]
 NUMERIC_OPTIONS = {
     "train": {"--t-max": "2000", "--nodes": "50", "--l-step": "1000000", "--tau": "1e300",
               "--alpha": "1e300", "--seed": str(2**64), "--val-fraction": "0.999",
-              "--r-schedule": "0.999999", "--lambda-pool": "128"},
+              "--r-schedule": "0.999999"},
     "gen-data": {"--seed": str(2**64), "--scale": "1.0"},
     "report": {"--clock": "1e300"},
 }

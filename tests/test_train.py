@@ -39,6 +39,7 @@ from scmfpga.model import (
 from scmfpga.modelfile import model_to_bytes
 from scmfpga.train import (
     LIMB_REACH,
+    SCALE_CODES,
     SCORE_ROWS,
     ResidualLimbs,
     TrainConfig,
@@ -461,18 +462,20 @@ def test_predict_float_refuses_an_inexact_pre_activation(monkeypatch):
 
 
 def _oracle_add_node(state, rng):
-    """add_node's choice from the same draws, with every e^T h summed by math.fsum."""
+    """add_node's choice from the same draws, with every e^T h summed by math.fsum,
+    and the count of drawn biases clamped to the Q7.25 range (alone if none passes)."""
     cfg = state.cfg
     act = cfg.activations[len(state.layer_sizes) - 1]
     s = state.cur_in[: state.n_train]
     e = state.resid[: state.n_train]
     fan_in = s.shape[1]
     ee = np.einsum("ij,ij->j", e, e)
-    pool = np.array(cfg.lambda_pool, dtype=np.float64)
+    clamps = 0
     for attempt, r in enumerate(cfg.r_schedule, start=1):
         w = rng.integers(0, 2, size=(cfg.t_max, fan_in), dtype=np.int8) * 2.0 - 1.0
-        lam = rng.choice(pool, size=cfg.t_max)
-        b = fx.dequantize_array(fx.quantize_array(rng.uniform(-lam, lam))[0])
+        lam = np.ldexp(1.0, rng.choice(SCALE_CODES, size=cfg.t_max))
+        b_raw, n_sat = fx.quantize_array(rng.uniform(-lam, lam))
+        b, clamps = fx.dequantize_array(b_raw), clamps + n_sat
         best, passed = None, 0
         for j in range(cfg.t_max):
             bit = (s @ w[j]) * lam[j] + b[j] > 0
@@ -491,8 +494,8 @@ def _oracle_add_node(state, rng):
         if best is not None:
             j, xi = best
             return dict(attempt=attempt, w=w[j], lam=lam[j], bias=b[j], passed=passed,
-                        xi_sum=sum(xi))
-    return None
+                        xi_sum=sum(xi), clamps=clamps)
+    return dict(clamps=clamps)
 
 
 @given(
@@ -573,8 +576,10 @@ def _check_add_node_against_the_oracle(seed, act, m, rows, fan_in, t_max, levels
     state.begin_layer()
     for k in range(nodes):
         want = _oracle_add_node(state, copy.deepcopy(state.rng))
+        clamped = state.bias_saturated
         got = add_node(state)
-        if want is None:
+        assert state.bias_saturated - clamped == want["clamps"]
+        if "attempt" not in want:
             assert got is None
             return k
         w, lam, bias = _column_node(state)
@@ -934,8 +939,9 @@ def test_train_planted_node_recovered():
     h = ((s @ w + 0.3) > 0).astype(np.float64) * 2 - 1
     y = (0.7 * h)[:, None]
     data = TrainData(bits, y, 100, enc)
+    # s.w + 0.3 > 0 is dot > -1 (edge -1), which a positive bias gives at any scale code
     cfg = TrainConfig.single_layer(
-        1, Activation.STEP, t_max=2000, lambda_pool=(1,), use_mechanism=False, seed=3
+        1, Activation.STEP, t_max=2000, use_mechanism=False, seed=3
     )
     result = train(data, cfg)
     assert result.records[-1].train_rmse < 1e-9
@@ -1016,12 +1022,24 @@ def test_train_reports_an_l1_fit_at_its_sweep_cap(monkeypatch):
 
 def test_train_counts_saturated_bias_draws():
     data = _toy_data(seed=11, spec="s2v1")
-    for pool, clamps in [((1, 2, 4), False), ((128,), True)]:
-        cfg = TrainConfig.single_layer(2, Activation.STEP, t_max=50, lambda_pool=pool, seed=11)
-        ev = train(data, cfg).events[-1]
+    for seed, nodes in [(11, 2), (12, 5)]:
+        cfg = TrainConfig.single_layer(nodes, Activation.STEP, t_max=50, seed=seed)
+        result = train(data, cfg)
+        ev = result.events[-1]
         assert ev["event"] == "saturation"
-        assert (ev["bias_draws"] > 0) == clamps
         assert ev["targets_outside"] == ev["mechanism"] == ev["readouts"] == 0
+        # replay the layer's draws: r_attempts per accepted node, and the
+        # whole schedule for a call that accepts none
+        stops = sum(e["event"] == "layer_stop" for e in result.events)
+        attempts = sum(rec.r_attempts for rec in result.records) + stops * len(cfg.r_schedule)
+        rng, clamps = np.random.default_rng(seed), 0
+        for _ in range(attempts):
+            rng.integers(0, 2, size=(cfg.t_max, data.bits.n), dtype=np.int8)
+            lam = np.ldexp(1.0, rng.choice(SCALE_CODES, size=cfg.t_max))
+            # a lambda of 128 draws half its biases outside [-64, 64)
+            clamps += sum(not fx.RAW_MIN <= round(v * 2**25) <= fx.RAW_MAX
+                          for v in rng.uniform(-lam, lam))
+        assert ev["bias_draws"] == clamps > 0
 
 
 def test_finalize_counts_saturated_readouts():
@@ -1217,8 +1235,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig((5,), (Activation.STEP,), r_schedule=(0.9, 1.5))
     with pytest.raises(ValueError):
-        TrainConfig((5,), (Activation.STEP,), lambda_pool=(3,))
-    with pytest.raises(ValueError):
         TrainConfig((5, 0, 5), (Activation.STEP,) * 3)
     # no layer may be empty: a mechanism-only model is layer_sizes=()
     for sizes in [(0,), (0, 0), (-1,)]:
@@ -1228,8 +1244,6 @@ def test_config_validation():
         TrainConfig((5,), ())
     with pytest.raises(ValueError, match="r schedule must be non-empty"):
         TrainConfig((5,), (Activation.STEP,), r_schedule=())
-    with pytest.raises(ValueError, match="lambda pool must be non-empty"):
-        TrainConfig((5,), (Activation.STEP,), lambda_pool=())
     with pytest.raises(ValueError, match=r"unknown activation 'relu' \(expected sign or step\)"):
         parse_activation("relu")
     assert TrainConfig((), ()).layer_sizes == ()
